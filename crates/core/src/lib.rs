@@ -39,7 +39,6 @@ pub mod naive;
 pub mod nprr;
 pub mod query;
 pub mod relaxed;
-mod scratch;
 
 pub use query::{JoinQuery, QueryError};
 

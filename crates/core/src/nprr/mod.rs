@@ -1,18 +1,33 @@
 //! The generic NPRR worst-case optimal join (paper §5, Theorem 5.1).
 //!
-//! Pipeline (Algorithm 2):
-//! 1. build the [query plan tree](qptree) (Algorithm 3);
-//! 2. derive the [total order](total_order()) of attributes (Algorithm 4) and
-//!    build one [`TrieIndex`] per relation along it;
-//! 3. run [`Recursive-Join`](self) (Procedure 5) from the root.
+//! Theorem 5.1's `O(mn · ∏ N_e^{x_e})` is a bound *after preprocessing*,
+//! and the paper puts everything that depends on the query alone there
+//! (Algorithms 3–4, Remark 5.2). The work is split the same way here:
+//!
+//! * **Compiled once per query** ([`PreparedQuery`] construction): the
+//!   [query plan tree](qptree) (Algorithm 3), the
+//!   [total order](total_order()) of attributes (Algorithm 4), one search
+//!   tree per relation along it, and a `NodePlan` per QP-tree node — its
+//!   `W`/`W⁻` position ranges, the anchor's and every check edge's section
+//!   descent, the offsets of each check edge's attributes inside
+//!   `t_{W⁻}`, whether case a is sound, a leaf's covering edges.
+//! * **Resolved once per run** (one `run_shard` call): every node's cover
+//!   vector — left children inherit a prefix, right children the prefix
+//!   rescaled by `1 / (1 − y_k)` — and a set of flat row buffers, one per
+//!   tree level, reused by every `Recursive-Join` call of the run.
+//! * **Per partial tuple**: [`Recursive-Join`](self) itself (Procedure
+//!   5). Rows live back to back in arity-strided [`RowBuf`]s; `t_S`,
+//!   `t_W` are a stack of values indexed by total-order position;
+//!   sections are descents along precomputed positions. No step
+//!   allocates per row.
 //!
 //! The per-tuple **size check** (Procedure 5, line 21) is the algorithmic
 //! heart: for each partial tuple it compares the *estimated* output of the
 //! remaining sub-join (a product of fractional powers of section sizes,
 //! computed here in log-space) against the anchor relation's section size,
-//! and either recurses (case a) or scans the anchor (case b). Theorem 5.1
-//! proves the total work is `O(mn · ∏ N_e^{x_e})` after preprocessing.
+//! and either recurses (case a) or scans the anchor (case b).
 
+mod plan;
 mod prepared;
 pub mod qptree;
 pub mod total_order;
@@ -20,13 +35,10 @@ pub mod total_order;
 pub use prepared::PreparedQuery;
 
 use crate::query::{JoinQuery, QueryError};
-use crate::scratch::with_value_buf;
 use crate::{JoinOutput, JoinStats};
-use qptree::{build_qp_tree, QpNode};
-use total_order::{positions, total_order};
+use plan::{JoinPlan, NodeKind, NodePlan, Section, Split};
 use wcoj_storage::index::SearchTree;
-use wcoj_storage::ops::reorder;
-use wcoj_storage::{Attr, FlatIndex, HashTrieIndex, Relation, Schema, TrieIndex, Value};
+use wcoj_storage::{Attr, FlatIndex, HashTrieIndex, Relation, RowBuf, Schema, TrieIndex, Value};
 
 /// Evaluates `q` with the NPRR algorithm under fractional cover `x`
 /// (`log2_bound` is the corresponding AGM bound, reported in stats).
@@ -70,70 +82,50 @@ pub fn join_nprr_indexed<S: SearchTree>(
     log2_bound: f64,
 ) -> Result<JoinOutput, QueryError> {
     debug_assert_eq!(x.len(), q.relations().len());
-    let h = q.hypergraph();
-
-    let Some(root) = build_qp_tree(h) else {
-        // No attributes at all: the join of non-empty nullary relations.
-        return Ok(JoinOutput {
-            relation: Relation::nullary_true(),
-            stats: JoinStats {
-                algorithm_used: "nprr",
-                log2_agm_bound: log2_bound,
-                cover: x.to_vec(),
-                ..JoinStats::default()
-            },
-        });
+    let plan = JoinPlan::compile(q.hypergraph());
+    let tries: Vec<S> = q
+        .relations()
+        .iter()
+        .zip(&plan.edge_vertices)
+        .map(|(rel, vs)| {
+            let attr_order: Vec<Attr> = vs.iter().map(|&v| q.attr_of_vertex(v)).collect();
+            S::build(rel, &attr_order)
+        })
+        .collect::<Result<_, _>>()?;
+    let stats = JoinStats {
+        algorithm_used: "nprr",
+        log2_agm_bound: log2_bound,
+        cover: x.to_vec(),
+        ..JoinStats::default()
     };
-
-    let order = total_order(&root);
-    let pos = positions(&order, h.num_vertices());
-
-    // Per relation: vertices in total-order sequence, and the index.
-    let mut edge_vertices: Vec<Vec<usize>> = Vec::with_capacity(q.relations().len());
-    let mut tries: Vec<S> = Vec::with_capacity(q.relations().len());
-    for (i, rel) in q.relations().iter().enumerate() {
-        let mut vs: Vec<usize> = h.edge(i).to_vec();
-        vs.sort_by_key(|&v| pos[v]);
-        let attr_order: Vec<Attr> = vs.iter().map(|&v| q.attr_of_vertex(v)).collect();
-        tries.push(S::build(rel, &attr_order)?);
-        edge_vertices.push(vs);
-    }
-
-    let mut engine = Engine {
-        q,
-        tries: &tries,
-        edge_vertices: &edge_vertices,
-        pos: &pos,
-        bindings: vec![None; h.num_vertices()],
-        shard: None,
-        stats: JoinStats {
-            algorithm_used: "nprr",
-            log2_agm_bound: log2_bound,
-            cover: x.to_vec(),
-            ..JoinStats::default()
-        },
-    };
-    let rows = engine.recursive_join(&root, x);
-    assemble_output(q, &order, rows, engine.stats)
+    let (rows, stats) = run_plan(&plan, &tries, x, None, stats);
+    let relation = assemble_rows(q, &plan.order, rows)?;
+    Ok(JoinOutput { relation, stats })
 }
 
-/// Converts `Recursive-Join`'s row set (over the total order) into a
-/// relation in the canonical sorted-attribute layout.
-pub(crate) fn assemble_output(
+/// Moves `Recursive-Join`'s rows (over the total order) into a relation
+/// in the canonical sorted-attribute layout: one column permutation, one
+/// sort.
+pub(crate) fn assemble_rows(
     q: &JoinQuery,
     order: &[usize],
-    rows: Vec<Vec<Value>>,
-    stats: JoinStats,
-) -> Result<JoinOutput, QueryError> {
+    rows: RowBuf,
+) -> Result<Relation, QueryError> {
+    if order.is_empty() {
+        // No attributes: the join of non-empty nullary relations is the
+        // single empty tuple, if any shard produced it.
+        return Ok(if rows.is_empty() {
+            Relation::empty(q.output_schema())
+        } else {
+            Relation::nullary_true()
+        });
+    }
     let order_attrs: Vec<Attr> = order.iter().map(|&v| q.attr_of_vertex(v)).collect();
     let schema = Schema::new(order_attrs).expect("order is a permutation");
-    let mut rel = Relation::empty(schema);
-    for row in &rows {
-        rel.push_row(row).expect("row arity = |V|");
-    }
-    rel.sort_dedup();
-    let relation = reorder(&rel, &q.output_schema())?;
-    Ok(JoinOutput { relation, stats })
+    let mut relation = Relation::from_flat(schema, rows.into_data())?;
+    relation.reorder_columns(&q.output_schema())?;
+    relation.sort_dedup();
+    Ok(relation)
 }
 
 /// Inclusive value range restricting the attribute at total-order
@@ -250,87 +242,139 @@ fn for_each_extension_filtered<S: SearchTree>(
     let hi = children.partition_point(|&v| v <= hi0);
     let mut buf: Vec<Value> = Vec::with_capacity(extra);
     for &v in &children[lo..hi] {
-        let child = trie.descend(node, v).expect("listed child exists");
         buf.clear();
         buf.push(v);
-        match level1 {
-            _ if extra == 1 => f(&buf),
-            None => trie.for_each_extension(child, extra - 1, |rest| {
+        if extra == 1 {
+            f(&buf);
+            continue;
+        }
+        let child = trie.descend(node, v).expect("listed child exists");
+        let Some((lo1, hi1)) = level1 else {
+            trie.for_each_extension(child, extra - 1, |rest| {
                 buf.truncate(1);
                 buf.extend_from_slice(rest);
                 f(&buf);
-            }),
-            Some((lo1, hi1)) => {
-                let grand_owned;
-                let grand: &[Value] = match trie.child_slice(child) {
-                    Some(s) => s,
-                    None => {
-                        grand_owned = trie.child_values(child);
-                        &grand_owned
-                    }
-                };
-                let l1 = grand.partition_point(|&w| w < lo1);
-                let h1 = grand.partition_point(|&w| w <= hi1);
-                for &w in &grand[l1..h1] {
-                    let gchild = trie.descend(child, w).expect("listed child exists");
-                    buf.truncate(1);
-                    buf.push(w);
-                    if extra == 2 {
-                        f(&buf);
-                    } else {
-                        trie.for_each_extension(gchild, extra - 2, |rest| {
-                            buf.truncate(2);
-                            buf.extend_from_slice(rest);
-                            f(&buf);
-                        });
-                    }
-                }
+            });
+            continue;
+        };
+        let grand_owned;
+        let grand: &[Value] = match trie.child_slice(child) {
+            Some(s) => s,
+            None => {
+                grand_owned = trie.child_values(child);
+                &grand_owned
             }
+        };
+        let l1 = grand.partition_point(|&w| w < lo1);
+        let h1 = grand.partition_point(|&w| w <= hi1);
+        for &w in &grand[l1..h1] {
+            buf.truncate(1);
+            buf.push(w);
+            if extra == 2 {
+                f(&buf);
+                continue;
+            }
+            let gchild = trie.descend(child, w).expect("listed child exists");
+            trie.for_each_extension(gchild, extra - 2, |rest| {
+                buf.truncate(2);
+                buf.extend_from_slice(rest);
+                f(&buf);
+            });
         }
     }
 }
 
-pub(crate) struct Engine<'a, S: SearchTree> {
-    pub(crate) q: &'a JoinQuery,
-    pub(crate) tries: &'a [S],
-    /// Per relation: its vertices sorted by total-order position (= the
-    /// trie's level order).
-    pub(crate) edge_vertices: &'a [Vec<usize>],
-    /// vertex → total-order position.
-    pub(crate) pos: &'a [usize],
-    /// Current partial assignment `t_S` (plus scratch `t_W`, `t_{W⁻}`),
-    /// indexed by vertex.
-    pub(crate) bindings: Vec<Option<Value>>,
+/// Runs `Recursive-Join` over a compiled plan, restricted to `shard` when
+/// given. Returns the rows over the total order and the run's statistics
+/// (`stats` with the counters filled in).
+pub(crate) fn run_plan<S: SearchTree>(
+    plan: &JoinPlan,
+    tries: &[S],
+    x: &[f64],
+    shard: Option<RootShard>,
+    stats: JoinStats,
+) -> (RowBuf, JoinStats) {
+    let mut out = RowBuf::new(plan.order.len());
+    let Some(root) = plan.root else {
+        // Nullary query: a single empty row (the join of non-empty
+        // nullary relations), owned by the unrestricted/first shard.
+        if shard.is_none_or(|s| s.contains(Value(0)) && s.anchor_contains(Value(0))) {
+            out.push_row(&[]);
+        }
+        return (out, stats);
+    };
+    let mut engine = Engine {
+        plan,
+        tries,
+        covers: plan.resolve_covers(x),
+        bound: vec![Value(0); plan.order.len()],
+        leaf_nodes: Vec::new(),
+        shard,
+        stats,
+    };
+    let mut levels: Vec<Level<S::Node>> = (0..plan.levels).map(|_| Level::default()).collect();
+    engine.recursive_join(root, &mut levels, &mut out);
+    (out, engine.stats)
+}
+
+/// The buffers one nesting level of [`NodeKind::Split`] nodes works in.
+/// At most one node per level is active at a time, so a run allocates one
+/// set per level and every call at that level reuses it.
+struct Level<N> {
+    /// `L`: the left child's rows (`t_W` candidates).
+    left: RowBuf,
+    /// Case a: the right child's rows (`t_{W⁻}` candidates).
+    right: RowBuf,
+    /// The check edges' section nodes under the current `t_W`.
+    checks: Vec<Option<N>>,
+}
+
+impl<N> Default for Level<N> {
+    fn default() -> Self {
+        Level {
+            left: RowBuf::default(),
+            right: RowBuf::default(),
+            checks: Vec::new(),
+        }
+    }
+}
+
+struct Engine<'a, S: SearchTree> {
+    plan: &'a JoinPlan,
+    tries: &'a [S],
+    /// Every node's cover vector ([`JoinPlan::resolve_covers`]).
+    covers: Vec<f64>,
+    /// The current partial assignment, indexed by total-order position:
+    /// `t_S` below the active node's `start`, then its `t_W`.
+    bound: Vec<Value>,
+    /// Scratch for [`Engine::leaf_join`]'s section nodes.
+    leaf_nodes: Vec<S::Node>,
     /// When set, only tuples whose total-order-position-0 value lies in
     /// this range are enumerated (partition-parallel execution).
-    pub(crate) shard: Option<RootShard>,
-    pub(crate) stats: JoinStats,
+    shard: Option<RootShard>,
+    stats: JoinStats,
 }
 
 impl<S: SearchTree> Engine<'_, S> {
     /// The `(level-0, level-1)` value-range filters a scan must honour,
-    /// given the total-order positions bound by its first one or two
-    /// levels. Partition-parallel runs restrict the attribute at position
-    /// 0 to the shard's root range and (for anchored sub-shards) the
-    /// attribute at position 1 to the anchor range; every attribute is
-    /// bound by exactly one scan per enumeration path, so pruning at the
-    /// binding scan restricts the run to exactly the shard's slice of the
-    /// output. A scan binding position 0 over ≥ 2 levels always binds
-    /// position 1 at its level 1 (TO2 forces `W = ∅` there, so the scan
-    /// covers a prefix of the total order); position 1 not bound that way
-    /// is bound by a scan starting at position 1, filtered at its level 0.
-    fn scan_filters(
-        &self,
-        first_pos: usize,
-        second_pos: Option<usize>,
-    ) -> (LevelRange, LevelRange) {
+    /// given the total-order position `start` of its first level and how
+    /// many consecutive positions it binds. Partition-parallel runs
+    /// restrict the attribute at position 0 to the shard's root range and
+    /// (for anchored sub-shards) the attribute at position 1 to the
+    /// anchor range; every attribute is bound by exactly one scan per
+    /// enumeration path, so pruning at the binding scan restricts the run
+    /// to exactly the shard's slice of the output. A scan over ≥ 2 levels
+    /// starting at position 0 binds position 1 at its level 1; position 1
+    /// not bound that way is bound by a scan starting there, filtered at
+    /// its level 0.
+    fn scan_filters(&self, start: usize, levels: usize) -> (LevelRange, LevelRange) {
         let Some(shard) = self.shard else {
             return (None, None);
         };
         let anchor = shard.anchor.map(|a| (a.lo, a.hi));
-        match first_pos {
+        match start {
             0 => {
-                let level1 = if second_pos == Some(1) { anchor } else { None };
+                let level1 = if levels >= 2 { anchor } else { None };
                 (Some((shard.lo, shard.hi)), level1)
             }
             1 => (anchor, None),
@@ -338,287 +382,188 @@ impl<S: SearchTree> Engine<'_, S> {
         }
     }
 
-    /// The section node of relation `e`'s trie under the current bindings,
-    /// restricted to `e`'s attributes with total-order position `< limit`
-    /// — the paper's `R_e[t_{S∩e}]` where `S` is the order prefix below
-    /// `limit`. `None` when the bound prefix is absent from the relation
+    /// The paper's `R_e[t_{S∩e}]`: the node of `e`'s trie under the
+    /// bound prefix. `None` when the prefix is absent from the relation
     /// (the section is empty).
-    fn section(&self, e: usize, limit: usize) -> Option<S::Node> {
-        let trie = &self.tries[e];
-        let mut node = trie.root();
-        for &v in &self.edge_vertices[e] {
-            if self.pos[v] >= limit {
-                break;
-            }
-            let val = self.bindings[v].expect("prefix attribute must be bound");
-            node = trie.descend(node, val)?;
-        }
-        Some(node)
+    fn section(&self, s: &Section) -> Option<S::Node> {
+        let trie = &self.tries[s.edge];
+        s.positions
+            .iter()
+            .try_fold(trie.root(), |node, &p| trie.descend(node, self.bound[p]))
     }
 
-    /// Procedure 5. Returns rows over `univ(u)` in total-order sequence;
-    /// `y[0..u.label]` is the fractional cover of `(univ(u), E_k)`.
-    fn recursive_join(&mut self, u: &QpNode, y: &[f64]) -> Vec<Vec<Value>> {
-        let k = u.label;
-        debug_assert!(y.len() >= k);
-        // univ in total-order sequence.
-        let mut univ = u.univ.clone();
-        univ.sort_by_key(|&v| self.pos[v]);
-        if univ.is_empty() {
-            return vec![vec![]];
+    /// Procedure 5 at plan node `id`: fills `out` with the node's rows
+    /// over `univ(u)` in total-order sequence. `levels` are the buffer
+    /// sets for this node's depth and below.
+    fn recursive_join(&mut self, id: usize, levels: &mut [Level<S::Node>], out: &mut RowBuf) {
+        let plan = self.plan;
+        let node = &plan.nodes[id];
+        out.reset(node.arity);
+        match &node.kind {
+            NodeKind::Leaf { covering } => self.leaf_join(node, covering, out),
+            NodeKind::Pass { left } => {
+                self.recursive_join(*left, levels, out);
+                self.stats.intermediate_tuples += out.len() as u64;
+            }
+            NodeKind::Split(split) => self.split_join(node, split, levels, out),
+            NodeKind::Dead => debug_assert!(false, "unreachable under a valid cover"),
         }
-        let u_start = self.pos[univ[0]];
+    }
 
-        if u.is_leaf || (u.left.is_none() && u.right.is_none()) {
-            return self.leaf_join(u, k, &univ, u_start);
-        }
+    /// Procedure 5, lines 10–29.
+    fn split_join(
+        &mut self,
+        node: &NodePlan,
+        split: &Split,
+        levels: &mut [Level<S::Node>],
+        out: &mut RowBuf,
+    ) {
+        let (level, deeper) = levels
+            .split_first_mut()
+            .expect("the plan counts one level per nested split");
+        let plan = self.plan;
+        let tries = self.tries;
 
         // lines 10–14: recurse left (or L = {t_S}).
-        let l_rows: Vec<Vec<Value>> = match &u.left {
-            Some(lc) => self.recursive_join(lc, &y[..k - 1]),
-            None => vec![vec![]],
-        };
-        self.stats.intermediate_tuples += l_rows.len() as u64;
-
-        // line 15: W = U ∖ e_k (in order), W⁻ = e_k ∩ U (in order).
-        let ek = k - 1;
-        let h = self.q.hypergraph();
-        let w: Vec<usize> = univ
-            .iter()
-            .copied()
-            .filter(|&v| !h.edge_contains(ek, v))
-            .collect();
-        let wminus: Vec<usize> = univ
-            .iter()
-            .copied()
-            .filter(|&v| h.edge_contains(ek, v))
-            .collect();
-        if wminus.is_empty() {
-            return l_rows; // line 17
-        }
-        // W precedes W⁻ in the order (TO2): the boundary position.
-        let wm_start = self.pos[wminus[0]];
-        debug_assert!(w.iter().all(|&v| self.pos[v] < wm_start));
-
-        // Edges i < k that meet W⁻, with their W⁻ parts in order.
-        let check_edges: Vec<(usize, Vec<usize>)> = (0..k - 1)
-            .filter_map(|i| {
-                let part: Vec<usize> = self.edge_vertices[i]
-                    .iter()
-                    .copied()
-                    .filter(|&v| wminus.contains(&v))
-                    .collect();
-                if part.is_empty() {
-                    None
-                } else {
-                    Some((i, part))
-                }
-            })
-            .collect();
-
-        let y_k = y[ek];
-        // Case a recursion is only sound when the scaled vector covers
-        // `(W⁻, E_{k−1})` — i.e. every W⁻ vertex lies in some earlier edge.
-        // A valid cover forces y_k ≥ 1 otherwise (the paper's argument in
-        // Lemma 5.6), but f64 round-off could report y_k = 1 − ε; this
-        // structural guard makes the choice robust.
-        let rc_coverable = u.right.is_some()
-            && wminus
-                .iter()
-                .all(|&v| (0..k - 1).any(|i| h.edge_contains(i, v)));
-        let mut ret: Vec<Vec<Value>> = Vec::new();
-
-        for lrow in &l_rows {
-            // bind t_W
-            debug_assert_eq!(lrow.len(), w.len());
-            for (&v, &val) in w.iter().zip(lrow) {
-                self.bindings[v] = Some(val);
+        match split.left {
+            Some(lc) => self.recursive_join(lc, deeper, &mut level.left),
+            None => {
+                level.left.reset(0);
+                level.left.push_row(&[]);
             }
+        }
+        self.stats.intermediate_tuples += level.left.len() as u64;
 
-            // anchor section size c_k = |π_{W⁻}(R_{e_k}[t_{S∩e_k}])|.
-            let anchor = self.section(ek, wm_start);
-            let c_k = anchor.map_or(0, |n| self.tries[ek].distinct_count(n, wminus.len()));
+        let ek = node.k - 1;
+        let trie_k = &tries[ek];
+        let wm_len = node.start + node.arity - split.wm_start;
+        // anchor section size c_k = |π_{W⁻}(R_{e_k}[t_{S∩e_k}])|.
+        let anchor = self.section(&split.anchor);
+        let c_k = anchor.map_or(0, |n| trie_k.distinct_count(n, wm_len));
+        let y = node.cover_at;
+        let y_k = self.covers[y + ek];
+        // The exponents y_i / (1 − y_k) are the right child's cover.
+        let exponents = split
+            .right
+            .filter(|_| y_k < 1.0)
+            .map(|rc| plan.nodes[rc].cover_at);
+        // Partition-parallel runs: when the anchor scan binds the first
+        // (second) attribute of the total order, descend only the
+        // shard's root (anchor) range.
+        let (f0, f1) = self.scan_filters(split.wm_start, wm_len);
+
+        for l in 0..level.left.len() {
+            // bind t_W
+            let t_w = level.left.row(l);
+            self.bound[node.start..split.wm_start].copy_from_slice(t_w);
+            level.checks.clear();
+            level
+                .checks
+                .extend(split.checks.iter().map(|c| self.section(&c.section)));
 
             // line 19/21: choose case.
             let mut case_a = false;
-            if y_k < 1.0 && rc_coverable {
+            if let Some(exp) = exponents {
                 // lhs = ∏_{i<k} c_i^{y_i/(1−y_k)} in log space.
                 let mut lhs_log = 0.0f64;
                 let mut lhs_zero = false;
-                for (i, part) in &check_edges {
-                    let yi = y[*i];
-                    if yi <= 0.0 {
+                for (check, section) in split.checks.iter().zip(&level.checks) {
+                    let i = check.section.edge;
+                    if self.covers[y + i] <= 0.0 {
                         continue; // 0^0 = 1 convention
                     }
-                    let c_i = self
-                        .section(*i, wm_start)
-                        .map_or(0, |n| self.tries[*i].distinct_count(n, part.len()));
+                    let c_i =
+                        section.map_or(0, |n| tries[i].distinct_count(n, check.wm_offsets.len()));
                     if c_i == 0 {
                         lhs_zero = true;
                         break;
                     }
-                    lhs_log += yi / (1.0 - y_k) * (c_i as f64).ln();
+                    lhs_log += self.covers[exp + i] * (c_i as f64).ln();
                 }
-                if c_k > 0 {
-                    case_a = lhs_zero || lhs_log < (c_k as f64).ln();
-                } else {
-                    // empty anchor section: case b scans nothing, which is
-                    // both correct and free.
-                    case_a = false;
-                }
+                // An empty anchor section goes to case b, which scans
+                // nothing: both correct and free.
+                case_a = c_k > 0 && (lhs_zero || lhs_log < (c_k as f64).ln());
             }
 
             if case_a {
                 self.stats.case_a += 1;
                 // lines 22–25: recurse right with the scaled cover, filter
                 // against the anchor.
-                let scaled: Vec<f64> = y[..k - 1].iter().map(|&v| v / (1.0 - y_k)).collect();
-                let rc = u.right.as_ref().expect("case a requires rc");
-                let z_rows = self.recursive_join(rc, &scaled);
-                self.stats.intermediate_tuples += z_rows.len() as u64;
-                if let Some(anchor_node) = anchor {
-                    for z in z_rows {
-                        // z is over W⁻ in order = e_k's next attributes.
-                        if self.tries[ek].descend_tuple(anchor_node, &z).is_some() {
-                            let mut row = lrow.clone();
-                            row.extend_from_slice(&z);
-                            ret.push(row);
+                let rc = split.right.expect("case a requires rc");
+                self.recursive_join(rc, deeper, &mut level.right);
+                self.stats.intermediate_tuples += level.right.len() as u64;
+                if let Some(anchor) = anchor {
+                    // z is over W⁻ in order = e_k's next attributes.
+                    for z in level.right.rows() {
+                        if trie_k.descend_tuple(anchor, z).is_some() {
+                            out.push_concat(t_w, z);
                         }
                     }
                 }
             } else {
                 self.stats.case_b += 1;
-                // lines 27–29: scan the anchor's section, probe the others.
-                if let Some(anchor_node) = anchor {
-                    // `tries` is `&'a [S]`: copying the field out lets the
-                    // enumeration borrow a trie while the probe loop below
-                    // still takes `&mut self` for the bindings.
-                    let tries = self.tries;
-                    let trie_ek = &tries[ek];
-                    // Partition-parallel runs: when this scan binds the
-                    // first (second) attribute of the total order, descend
-                    // only the shard's root (anchor) range.
-                    let (f0, f1) = self.scan_filters(wm_start, wminus.get(1).map(|&v| self.pos[v]));
-                    // Scan rows share arity |W⁻|: materialise them
-                    // back-to-back in one pooled flat buffer instead of a
-                    // fresh Vec<Vec<_>> per (lrow, scan).
-                    let arity = wminus.len();
-                    with_value_buf(|wm_buf| {
-                        for_each_extension_filtered(trie_ek, anchor_node, arity, f0, f1, |t| {
-                            wm_buf.extend_from_slice(t);
-                        });
-                        for t_wm in wm_buf.chunks_exact(arity) {
-                            // bind t_{W⁻}
-                            for (&v, &val) in wminus.iter().zip(t_wm) {
-                                self.bindings[v] = Some(val);
-                            }
-                            let ok = check_edges.iter().all(|(i, part)| {
-                                match self.section(*i, wm_start) {
-                                    None => false,
-                                    Some(node) => {
-                                        let vals: Vec<Value> = part
-                                            .iter()
-                                            .map(|&v| self.bindings[v].expect("W⁻ bound"))
-                                            .collect();
-                                        tries[*i].descend_tuple(node, &vals).is_some()
-                                    }
-                                }
-                            });
-                            for &v in &wminus {
-                                self.bindings[v] = None;
-                            }
-                            if ok {
-                                let mut row = lrow.clone();
-                                row.extend_from_slice(t_wm);
-                                ret.push(row);
-                            }
-                        }
-                    });
+                // lines 27–29: scan the anchor's section, probe the others
+                // (an edge whose section is empty admits nothing).
+                let Some(anchor) = anchor else { continue };
+                if level.checks.iter().any(Option::is_none) {
+                    continue;
                 }
-            }
-
-            for &v in &w {
-                self.bindings[v] = None;
+                for_each_extension_filtered(trie_k, anchor, wm_len, f0, f1, |t_wm| {
+                    let ok = split
+                        .checks
+                        .iter()
+                        .zip(&level.checks)
+                        .all(|(check, section)| {
+                            let trie = &tries[check.section.edge];
+                            check
+                                .wm_offsets
+                                .iter()
+                                .try_fold(section.expect("checked above"), |n, &o| {
+                                    trie.descend(n, t_wm[o])
+                                })
+                                .is_some()
+                        });
+                    if ok {
+                        out.push_concat(t_w, t_wm);
+                    }
+                });
             }
         }
-        ret
     }
 
-    /// Leaf case (Procedure 5, lines 3–9): `univ ⊆ e_i` for all `i ≤ k`
-    /// (or `k = 1`): intersect the section-projections, scanning the
+    /// Leaf case (Procedure 5, lines 3–9): `univ ⊆ e_i` for every
+    /// covering edge: intersect the section-projections, scanning the
     /// smallest.
-    fn leaf_join(
-        &mut self,
-        _u: &QpNode,
-        k: usize,
-        univ: &[usize],
-        u_start: usize,
-    ) -> Vec<Vec<Value>> {
-        // Edges whose projection spans all of univ (at a paper-leaf: all of
-        // them; at a defensive k=1 pseudo-leaf, the ones that matter).
-        let full: Vec<usize> = (0..k)
-            .filter(|&i| {
-                univ.iter()
-                    .all(|&v| self.q.hypergraph().edge_contains(i, v))
-            })
-            .collect();
-        debug_assert!(
-            !full.is_empty(),
-            "leaf with no covering edge is unreachable under a valid cover"
-        );
-        if full.is_empty() {
-            return Vec::new();
-        }
-
-        // argmin section size
-        let mut best: Option<(usize, S::Node, usize)> = None;
-        for &i in &full {
-            let Some(node) = self.section(i, u_start) else {
-                return Vec::new(); // some section empty → empty join
-            };
-            let c = self.tries[i].distinct_count(node, univ.len());
-            if best.is_none_or(|(_, _, bc)| c < bc) {
-                best = Some((i, node, c));
-            }
-        }
-        let (j, j_node, _) = best.expect("full is non-empty");
-
-        // Pre-resolve the other edges' section nodes.
-        let mut others: Vec<(usize, S::Node)> = Vec::new();
-        for &i in &full {
-            if i == j {
-                continue;
-            }
-            match self.section(i, u_start) {
-                Some(node) => others.push((i, node)),
-                None => return Vec::new(),
-            }
-        }
-
-        let mut out = Vec::new();
+    fn leaf_join(&mut self, node: &NodePlan, covering: &[Section], out: &mut RowBuf) {
         let tries = self.tries;
-        let trie_j = &tries[j];
-        // Partition-parallel runs: when this leaf binds the first (second)
-        // attribute of the total order, descend only the shard's root
-        // (anchor) range.
-        let (f0, f1) = self.scan_filters(u_start, univ.get(1).map(|&v| self.pos[v]));
-        // Candidates share arity |univ|: one pooled flat buffer, probed
-        // with chunks_exact; only surviving rows are materialised.
-        let arity = univ.len();
-        with_value_buf(|cand_buf| {
-            for_each_extension_filtered(trie_j, j_node, arity, f0, f1, |t| {
-                cand_buf.extend_from_slice(t);
-            });
-            self.stats.intermediate_tuples += (cand_buf.len() / arity) as u64;
-            for cand in cand_buf.chunks_exact(arity) {
-                let ok = others
+        let mut sections = std::mem::take(&mut self.leaf_nodes);
+        sections.clear();
+        sections.extend(covering.iter().map_while(|s| self.section(s)));
+        // Some section empty → empty join.
+        if sections.len() == covering.len() {
+            // argmin section size (the first of equals)
+            let j = (0..sections.len())
+                .min_by_key(|&i| tries[covering[i].edge].distinct_count(sections[i], node.arity))
+                .expect("a leaf has a covering edge");
+            // Partition-parallel runs: when this leaf binds the first
+            // (second) attribute of the total order, descend only the
+            // shard's root (anchor) range.
+            let (f0, f1) = self.scan_filters(node.start, node.arity);
+            let mut scanned = 0u64;
+            let scan = &tries[covering[j].edge];
+            for_each_extension_filtered(scan, sections[j], node.arity, f0, f1, |cand| {
+                scanned += 1;
+                let ok = covering
                     .iter()
-                    .all(|&(i, node)| tries[i].descend_tuple(node, cand).is_some());
+                    .zip(&sections)
+                    .enumerate()
+                    .all(|(at, (s, &n))| at == j || tries[s.edge].descend_tuple(n, cand).is_some());
                 if ok {
-                    out.push(cand.to_vec());
+                    out.push_row(cand);
                 }
-            }
-        });
-        out
+            });
+            self.stats.intermediate_tuples += scanned;
+        }
+        self.leaf_nodes = sections;
     }
 }

@@ -1,0 +1,372 @@
+//! The compiled form of `Recursive-Join`'s query-only work.
+//!
+//! Everything Procedure 5 derives from the query alone — each QP-tree
+//! node's `W`/`W⁻` split, which earlier edges constrain `W⁻` and where
+//! their attributes sit inside `t_{W⁻}`, which trie levels a section
+//! descends, whether case a is sound at all — is fixed once the QP tree
+//! (Algorithm 3) and the total order (Algorithm 4) are. [`JoinPlan`]
+//! computes it once; the engine then only moves values.
+//!
+//! (TO1) makes every `univ(u)` a block of consecutive total-order
+//! positions and (TO2) puts `W` before `W⁻` inside it, so a node's
+//! attribute sets are stored as *position ranges*: `t_S` is the prefix
+//! `[0, start)` of the engine's binding stack, `t_W` is
+//! `[start, wm_start)`, and `t_{W⁻}` is `[wm_start, start + arity)`.
+
+use super::qptree::{build_qp_tree, QpNode};
+use super::total_order::{positions, total_order};
+use wcoj_hypergraph::Hypergraph;
+
+/// A `PreparedQuery`'s data-independent half: total order, per-relation
+/// trie level orders, and one [`NodePlan`] per reachable QP-tree node.
+pub(crate) struct JoinPlan {
+    /// The total order of attributes (vertex ids).
+    pub(crate) order: Vec<usize>,
+    /// Per relation: its vertices sorted by total-order position (= the
+    /// level order of its search tree).
+    pub(crate) edge_vertices: Vec<Vec<usize>>,
+    /// Node arena; children are indices into it.
+    pub(crate) nodes: Vec<NodePlan>,
+    /// The root's index; `None` for a query without attributes.
+    pub(crate) root: Option<usize>,
+    /// Longest chain of nested [`NodeKind::Split`] nodes: how many
+    /// per-level buffer sets a run needs.
+    pub(crate) levels: usize,
+    /// Length of the per-run cover table ([`JoinPlan::resolve_covers`]).
+    cover_len: usize,
+}
+
+/// One QP-tree node, compiled.
+pub(crate) struct NodePlan {
+    /// The paper's `label(u) = k`: edges `e_1..e_k` are in play and
+    /// `e_k` (index `k − 1`) is the anchor.
+    pub(crate) k: usize,
+    /// `|univ(u)|` — the width of the rows this node produces.
+    pub(crate) arity: usize,
+    /// Total-order position of `univ(u)`'s first attribute; everything
+    /// before it is the bound prefix `t_S`.
+    pub(crate) start: usize,
+    /// Where this node's `k` cover entries sit in the per-run table.
+    pub(crate) cover_at: usize,
+    pub(crate) kind: NodeKind,
+}
+
+pub(crate) enum NodeKind {
+    /// Procedure 5 lines 3–9: intersect the sections of the edges that
+    /// span all of `univ(u)`.
+    Leaf { covering: Vec<Section> },
+    /// `univ(u) ∩ e_k = ∅` (line 17): the node's rows are its left
+    /// child's.
+    Pass { left: usize },
+    /// Lines 10–29.
+    Split(Split),
+    /// No edge in play can bind some attribute of `univ(u)`. A valid
+    /// cover never sends the engine here; it yields no rows.
+    Dead,
+}
+
+pub(crate) struct Split {
+    /// Sub-problem on `W = univ(u) ∖ e_k`; `None` when `W = ∅`.
+    pub(crate) left: Option<usize>,
+    /// Sub-problem on `W⁻ = univ(u) ∩ e_k`, compiled only when case a is
+    /// sound (`rc_coverable`): the child exists and every `W⁻` attribute
+    /// lies in some earlier edge, so the rescaled vector still covers
+    /// `(W⁻, E_{k−1})`. A valid cover forces `y_k ≥ 1` otherwise (Lemma
+    /// 5.6), but `f64` round-off could report `1 − ε`; this structural
+    /// guard keeps the choice robust.
+    pub(crate) right: Option<usize>,
+    /// First total-order position of `W⁻`.
+    pub(crate) wm_start: usize,
+    /// The anchor `e_k`'s section under `t_S`. `e_k ∩ W = ∅`, so it is
+    /// the same for every `t_W` of one call.
+    pub(crate) anchor: Section,
+    /// Edges `i < k` that meet `W⁻`, ascending.
+    pub(crate) checks: Vec<CheckEdge>,
+}
+
+/// `R_e[t]` for `t` the bound prefix restricted to `e`: a descent from
+/// `e`'s trie root along the binding-stack `positions`.
+pub(crate) struct Section {
+    pub(crate) edge: usize,
+    pub(crate) positions: Vec<usize>,
+}
+
+pub(crate) struct CheckEdge {
+    /// The edge's section under `t_S ∪ t_W`.
+    pub(crate) section: Section,
+    /// Offsets inside `t_{W⁻}` of the edge's `W⁻` attributes, in trie
+    /// level order — the rest of the descent that decides `t_{W⁻}`.
+    pub(crate) wm_offsets: Vec<usize>,
+}
+
+impl JoinPlan {
+    /// Compiles the plan for `h` (edge order = input order). `O(nodes ·
+    /// m · n)`; touches no data.
+    pub(crate) fn compile(h: &Hypergraph) -> JoinPlan {
+        let tree = build_qp_tree(h);
+        let order = tree.as_deref().map(total_order).unwrap_or_default();
+        let pos = positions(&order, h.num_vertices());
+        let edge_vertices: Vec<Vec<usize>> = (0..h.num_edges())
+            .map(|e| {
+                let mut vs = h.edge(e).to_vec();
+                vs.sort_by_key(|&v| pos[v]);
+                vs
+            })
+            .collect();
+        let mut compiler = Compiler {
+            h,
+            pos: &pos,
+            edge_vertices: &edge_vertices,
+            nodes: Vec::new(),
+            cover_len: 0,
+        };
+        let (root, levels) = match &tree {
+            Some(t) => {
+                let (id, levels) = compiler.node(t);
+                (Some(id), levels)
+            }
+            None => (None, 0),
+        };
+        let Compiler {
+            nodes, cover_len, ..
+        } = compiler;
+        JoinPlan {
+            order,
+            edge_vertices,
+            nodes,
+            root,
+            levels,
+            cover_len,
+        }
+    }
+
+    /// The per-run half of the preparation: every node's cover vector,
+    /// derived from the query's cover `x` by Procedure 5's own rules — a
+    /// left child inherits `y[..k−1]`, a right child gets it rescaled by
+    /// `1 / (1 − y_k)` (line 23). The same divisions the recursion used
+    /// to redo for every partial tuple, done once: node `u`'s entries are
+    /// `table[u.cover_at..][..u.k]`, and the exponents `y_i / (1 − y_k)`
+    /// of its size check are its right child's entries.
+    pub(crate) fn resolve_covers(&self, x: &[f64]) -> Vec<f64> {
+        let mut table = vec![0.0; self.cover_len];
+        let Some(root) = self.root else {
+            return table;
+        };
+        let k = self.nodes[root].k;
+        table[self.nodes[root].cover_at..][..k].copy_from_slice(&x[..k]);
+        // Parents precede their children in the arena.
+        for node in &self.nodes {
+            let (left, right) = match &node.kind {
+                NodeKind::Pass { left } => (Some(*left), None),
+                NodeKind::Split(s) => (s.left, s.right),
+                NodeKind::Leaf { .. } | NodeKind::Dead => continue,
+            };
+            let rest = node.cover_at..node.cover_at + node.k - 1;
+            let y_k = table[rest.end];
+            if let Some(lc) = left {
+                table.copy_within(rest.clone(), self.nodes[lc].cover_at);
+            }
+            // Case a needs y_k < 1; a right child under y_k ≥ 1 is never
+            // entered and keeps zeros.
+            if let Some(rc) = right.filter(|_| y_k < 1.0) {
+                let at = self.nodes[rc].cover_at;
+                for i in 0..node.k - 1 {
+                    table[at + i] = table[rest.start + i] / (1.0 - y_k);
+                }
+            }
+        }
+        table
+    }
+}
+
+struct Compiler<'a> {
+    h: &'a Hypergraph,
+    pos: &'a [usize],
+    edge_vertices: &'a [Vec<usize>],
+    nodes: Vec<NodePlan>,
+    cover_len: usize,
+}
+
+impl Compiler<'_> {
+    /// `edge`'s section with everything before total-order position
+    /// `limit` bound.
+    fn section(&self, edge: usize, limit: usize) -> Section {
+        Section {
+            edge,
+            positions: self.edge_vertices[edge]
+                .iter()
+                .map(|&v| self.pos[v])
+                .take_while(|&p| p < limit)
+                .collect(),
+        }
+    }
+
+    /// Compiles `u`'s subtree; returns its arena index and how many
+    /// buffer levels it needs.
+    fn node(&mut self, u: &QpNode) -> (usize, usize) {
+        let h = self.h;
+        let k = u.label;
+        let mut univ = u.univ.clone();
+        univ.sort_by_key(|&v| self.pos[v]);
+        let start = self.pos[*univ.first().expect("QP-tree nodes have attributes")];
+        assert!(
+            univ.iter()
+                .enumerate()
+                .all(|(i, &v)| self.pos[v] == start + i),
+            "(TO1): univ(u) is consecutive in the total order"
+        );
+        let id = self.nodes.len();
+        self.nodes.push(NodePlan {
+            k,
+            arity: univ.len(),
+            start,
+            cover_at: self.cover_len,
+            kind: NodeKind::Dead,
+        });
+        self.cover_len += k;
+
+        let (kind, levels) = if u.is_leaf || (u.left.is_none() && u.right.is_none()) {
+            // Edges whose projection spans all of univ (at a paper-leaf:
+            // all of them; at a both-children-nil node, the ones that
+            // matter).
+            let covering: Vec<Section> = (0..k)
+                .filter(|&i| univ.iter().all(|&v| h.edge_contains(i, v)))
+                .map(|i| self.section(i, start))
+                .collect();
+            if covering.is_empty() {
+                (NodeKind::Dead, 0)
+            } else {
+                (NodeKind::Leaf { covering }, 0)
+            }
+        } else {
+            let ek = k - 1;
+            // line 15: W = U ∖ e_k, W⁻ = U ∩ e_k, each in order.
+            let (wminus, w): (Vec<usize>, Vec<usize>) =
+                univ.iter().partition(|&&v| h.edge_contains(ek, v));
+            match (&u.left, wminus.first()) {
+                (Some(lc), None) => {
+                    let (left, levels) = self.node(lc);
+                    (NodeKind::Pass { left }, levels)
+                }
+                (None, _) if !w.is_empty() => (NodeKind::Dead, 0),
+                (None, None) => unreachable!("a node's universe is non-empty"),
+                (lc, Some(&first)) => {
+                    let wm_start = self.pos[first];
+                    assert_eq!(wm_start, start + w.len(), "(TO2): W precedes W⁻");
+                    let checks = (0..ek)
+                        .filter_map(|i| {
+                            let wm_offsets: Vec<usize> = self.edge_vertices[i]
+                                .iter()
+                                .filter(|v| wminus.contains(v))
+                                .map(|&v| self.pos[v] - wm_start)
+                                .collect();
+                            (!wm_offsets.is_empty()).then(|| CheckEdge {
+                                section: self.section(i, wm_start),
+                                wm_offsets,
+                            })
+                        })
+                        .collect();
+                    let anchor = self.section(ek, wm_start);
+                    let rc_coverable = wminus
+                        .iter()
+                        .all(|&v| (0..ek).any(|i| h.edge_contains(i, v)));
+                    let left = lc.as_deref().map(|lc| self.node(lc));
+                    let right = u
+                        .right
+                        .as_deref()
+                        .filter(|_| rc_coverable)
+                        .map(|rc| self.node(rc));
+                    let deeper = left.map_or(0, |l| l.1).max(right.map_or(0, |r| r.1));
+                    let split = Split {
+                        left: left.map(|l| l.0),
+                        right: right.map(|r| r.0),
+                        wm_start,
+                        anchor,
+                        checks,
+                    };
+                    (NodeKind::Split(split), 1 + deeper)
+                }
+            }
+        };
+        self.nodes[id].kind = kind;
+        (id, levels)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn triangle() -> Hypergraph {
+        Hypergraph::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap()
+    }
+
+    #[test]
+    fn triangle_plan_shape() {
+        // Total order (1, 0, 2); root anchored at T(0,2): W = {1},
+        // W⁻ = {0, 2}.
+        let plan = JoinPlan::compile(&triangle());
+        assert_eq!(plan.order, vec![1, 0, 2]);
+        assert_eq!(plan.edge_vertices, vec![vec![1, 0], vec![1, 2], vec![0, 2]]);
+        let root = &plan.nodes[plan.root.unwrap()];
+        assert_eq!((root.k, root.arity, root.start), (3, 3, 0));
+        let NodeKind::Split(s) = &root.kind else {
+            panic!("root splits");
+        };
+        assert_eq!(s.wm_start, 1);
+        assert_eq!((s.anchor.edge, s.anchor.positions.len()), (2, 0));
+        // R(1,0) and S(1,2) each bind attribute 1 (position 0) in their
+        // section and probe one W⁻ attribute: 0 (offset 0), 2 (offset 1).
+        let checks: Vec<_> = s
+            .checks
+            .iter()
+            .map(|c| (c.section.edge, &c.section.positions[..], &c.wm_offsets[..]))
+            .collect();
+        assert_eq!(checks, [(0, &[0][..], &[0][..]), (1, &[0][..], &[1][..])]);
+        assert!(s.right.is_some(), "both W⁻ attributes lie in R or S");
+        let left = &plan.nodes[s.left.unwrap()];
+        assert_eq!((left.k, left.arity, left.start), (2, 1, 0));
+        assert!(plan.levels >= 1);
+    }
+
+    #[test]
+    fn covers_are_truncated_left_and_rescaled_right() {
+        let plan = JoinPlan::compile(&triangle());
+        let table = plan.resolve_covers(&[0.5, 0.5, 0.5]);
+        let root = &plan.nodes[plan.root.unwrap()];
+        let NodeKind::Split(s) = &root.kind else {
+            panic!("root splits");
+        };
+        let of = |id: usize| &table[plan.nodes[id].cover_at..][..plan.nodes[id].k];
+        assert_eq!(of(plan.root.unwrap()), [0.5, 0.5, 0.5]);
+        assert_eq!(of(s.left.unwrap()), [0.5, 0.5]);
+        assert_eq!(of(s.right.unwrap()), [0.5 / (1.0 - 0.5); 2]);
+        // y_k = 1: case a is off, the right child's entries stay unused.
+        let table = plan.resolve_covers(&[1.0, 1.0, 1.0]);
+        let of = |id: usize| &table[plan.nodes[id].cover_at..][..plan.nodes[id].k];
+        assert_eq!(of(s.left.unwrap()), [1.0, 1.0]);
+        assert_eq!(of(s.right.unwrap()), [0.0, 0.0]);
+    }
+
+    #[test]
+    fn nullary_query_has_no_nodes() {
+        let h = Hypergraph::new(0, vec![vec![], vec![]]).unwrap();
+        let plan = JoinPlan::compile(&h);
+        assert!(plan.root.is_none() && plan.nodes.is_empty() && plan.order.is_empty());
+        assert_eq!(plan.edge_vertices, vec![Vec::<usize>::new(); 2]);
+        assert!(plan.resolve_covers(&[1.0, 1.0]).is_empty());
+    }
+
+    #[test]
+    fn uncoverable_right_child_is_not_compiled() {
+        // R(0), S(0,1): anchored at S, W⁻ = {0, 1} but attribute 1 lies in
+        // no earlier edge — case a would be unsound.
+        let h = Hypergraph::new(2, vec![vec![0], vec![0, 1]]).unwrap();
+        let plan = JoinPlan::compile(&h);
+        let NodeKind::Split(s) = &plan.nodes[plan.root.unwrap()].kind else {
+            panic!("root splits");
+        };
+        assert!(s.left.is_none() && s.right.is_none());
+        assert_eq!(s.checks.len(), 1);
+    }
+}

@@ -1,26 +1,37 @@
 //! Ahead-of-time preparation (paper Remark 5.2).
 //!
-//! The NPRR pipeline splits into a data-independent *plan* (QP tree, total
-//! order) plus a per-relation *indexing* pass (search trees), and a cheap
-//! evaluation. Remark 5.2 observes that paying the indexing once removes
-//! the `O(n² Σ N_e)` term from subsequent evaluations. [`PreparedQuery`]
-//! packages exactly that: build once, evaluate many times (e.g. with
-//! different covers, for every `C*(q, r)` class of a relaxed join, or —
-//! the partition-parallel executor's use — once per root shard on a
-//! worker pool, sharing the indexes across threads).
+//! Remark 5.2 observes that everything `Recursive-Join` needs besides the
+//! tuples themselves can be paid for once, which removes the
+//! `O(n² Σ N_e)` term from subsequent evaluations. [`PreparedQuery`]
+//! packages that split in three tiers:
+//!
+//! * **compiled once, at construction** — the data-independent plan (QP
+//!   tree and total order, folded into one `NodePlan` per tree node: its
+//!   `W`/`W⁻` ranges, section descents, check-edge offsets, case-a
+//!   soundness, leaf covering edges) and the per-relation search trees;
+//!   plus, memoized on first use, the LP-optimal cover and the root
+//!   candidate weights;
+//! * **resolved once per run** ([`PreparedQuery::run_shard`]) — the
+//!   per-node cover vectors for the run's cover `x`, and the per-level
+//!   row buffers every `Recursive-Join` call of the run reuses;
+//! * **per tuple** — the `O(mn·∏N^x)` evaluation itself, allocation-free.
+//!
+//! Build once, evaluate many times (e.g. with different covers, for
+//! every `C*(q, r)` class of a relaxed join, or — the partition-parallel
+//! executor's use — once per root shard on a worker pool, sharing the
+//! plan and the indexes across threads).
 //!
 //! The preparation is generic over the [`SearchTree`] realisation
 //! (sorted counted trie by default, hash tries via
 //! [`PreparedQuery::<HashTrieIndex>::new_indexed`]).
 
-use super::qptree::{build_qp_tree, QpNode};
-use super::total_order::{positions, total_order};
-use super::{assemble_output, Engine, RootShard};
+use super::plan::JoinPlan;
+use super::{assemble_rows, run_plan, RootShard};
 use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
 use std::sync::{Arc, OnceLock};
 use wcoj_hypergraph::cover::validate_cover;
-use wcoj_storage::{gallop, Attr, Relation, SearchTree, StorageError, TrieIndex, Value};
+use wcoj_storage::{gallop, Attr, Relation, RowBuf, SearchTree, StorageError, TrieIndex, Value};
 
 /// Intersects two sorted value lists (galloping/adaptive; differential
 /// proptests in `wcoj-storage` pin it to the naive two-pointer merge).
@@ -37,8 +48,9 @@ fn with_child_slice<S: SearchTree, R>(trie: &S, node: S::Node, f: impl FnOnce(&[
     }
 }
 
-/// A query prepared for repeated NPRR evaluation: the plan tree, the total
-/// order, and all search trees, built once.
+/// A query prepared for repeated NPRR evaluation: the compiled plan (QP
+/// tree, total order, per-node `Recursive-Join` layout) and all search
+/// trees, built once.
 ///
 /// Two data-dependent planning products are memoized on first use (the
 /// indexes are immutable, so both are fixed at construction): the optimal
@@ -53,11 +65,8 @@ pub struct PreparedQuery<S: SearchTree = TrieIndex> {
     /// emptiness checks see the data the indexes actually serve (the
     /// raw relations inside `q` may then be stale bases).
     sizes: Vec<usize>,
-    root: Option<Box<QpNode>>,
-    order: Vec<usize>,
-    pos: Vec<usize>,
+    plan: JoinPlan,
     tries: Vec<S>,
-    edge_vertices: Vec<Vec<usize>>,
     /// Memoized LP optimum: `(x, log2_bound)` of [`Self::resolve_cover`]
     /// with no user cover.
     opt_cover: OnceLock<(Vec<f64>, f64)>,
@@ -119,34 +128,18 @@ impl<S: SearchTree> PreparedQuery<S> {
         sizes: Option<Vec<usize>>,
         mut build: impl FnMut(usize, &[Attr]) -> Result<S, StorageError>,
     ) -> Result<PreparedQuery<S>, QueryError> {
-        let h = q.hypergraph();
-        let root = build_qp_tree(h);
-        let (order, pos) = match &root {
-            Some(r) => {
-                let order = total_order(r);
-                let pos = positions(&order, h.num_vertices());
-                (order, pos)
-            }
-            None => (Vec::new(), Vec::new()),
-        };
+        let plan = JoinPlan::compile(q.hypergraph());
         let mut tries = Vec::with_capacity(q.relations().len());
-        let mut edge_vertices = Vec::with_capacity(q.relations().len());
-        for i in 0..q.relations().len() {
-            let mut vs: Vec<usize> = h.edge(i).to_vec();
-            vs.sort_by_key(|&v| pos.get(v).copied().unwrap_or(0));
+        for (i, vs) in plan.edge_vertices.iter().enumerate() {
             let attr_order: Vec<Attr> = vs.iter().map(|&v| q.attr_of_vertex(v)).collect();
             tries.push(build(i, &attr_order)?);
-            edge_vertices.push(vs);
         }
         let sizes = sizes.unwrap_or_else(|| q.sizes());
         Ok(PreparedQuery {
             q,
             sizes,
-            root,
-            order,
-            pos,
+            plan,
             tries,
-            edge_vertices,
             opt_cover: OnceLock::new(),
             root_weights: OnceLock::new(),
         })
@@ -190,7 +183,7 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// The total order of attributes (vertex ids) this preparation uses.
     #[must_use]
     pub fn total_order(&self) -> &[usize] {
-        &self.order
+        &self.plan.order
     }
 
     /// Resolves an optional user cover into `(x, log2_bound)`: validates a
@@ -230,11 +223,11 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// Empty when the query has no attributes.
     #[must_use]
     pub fn root_candidates(&self) -> Vec<Value> {
-        let Some(&root_vertex) = self.order.first() else {
+        let Some(&root_vertex) = self.plan.order.first() else {
             return Vec::new();
         };
         let mut acc: Option<Vec<Value>> = None;
-        for (e, vs) in self.edge_vertices.iter().enumerate() {
+        for (e, vs) in self.plan.edge_vertices.iter().enumerate() {
             if vs.first() != Some(&root_vertex) {
                 continue; // relation does not contain the root attribute
             }
@@ -263,11 +256,11 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// output.
     #[must_use]
     pub fn anchor_candidates(&self, root: Value) -> Vec<Value> {
-        let [root_vertex, anchor_vertex] = *self.order.get(..2).unwrap_or(&[]) else {
+        let [root_vertex, anchor_vertex] = *self.plan.order.get(..2).unwrap_or(&[]) else {
             return Vec::new();
         };
         let mut acc: Option<Vec<Value>> = None;
-        for (e, vs) in self.edge_vertices.iter().enumerate() {
+        for (e, vs) in self.plan.edge_vertices.iter().enumerate() {
             let trie = &self.tries[e];
             let node = if vs.first() == Some(&anchor_vertex) {
                 trie.root()
@@ -309,12 +302,13 @@ impl<S: SearchTree> PreparedQuery<S> {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let Some(&root_vertex) = self.order.first() else {
+        let Some(&root_vertex) = self.plan.order.first() else {
             return Vec::new();
         };
         // Relations containing the root attribute with at least one more
         // level below it (an arity-1 trie has no level-1 fanout to read).
         let root_edges: Vec<usize> = self
+            .plan
             .edge_vertices
             .iter()
             .enumerate()
@@ -348,10 +342,10 @@ impl<S: SearchTree> PreparedQuery<S> {
     }
 
     /// Runs `Recursive-Join` restricted to `shard` (or unrestricted for
-    /// `None`), returning raw rows over the total order plus the run's
-    /// statistics. Does **not** short-circuit empty inputs or resolve
-    /// covers — callers ([`Self::evaluate`], the parallel executor) do
-    /// that once up front.
+    /// `None`), returning the raw rows over the total order — one flat
+    /// [`RowBuf`], rows back to back — plus the run's statistics. Does
+    /// **not** short-circuit empty inputs or resolve covers — callers
+    /// ([`Self::evaluate`], the parallel executor) do that once up front.
     ///
     /// Requires a valid cover `x`; shards of one parallel run must all use
     /// the *same* cover so per-tuple size checks are consistent.
@@ -361,59 +355,29 @@ impl<S: SearchTree> PreparedQuery<S> {
         x: &[f64],
         log2_bound: f64,
         shard: Option<RootShard>,
-    ) -> (Vec<Vec<Value>>, JoinStats) {
+    ) -> (RowBuf, JoinStats) {
         let stats = JoinStats {
             algorithm_used: "nprr-prepared",
             log2_agm_bound: log2_bound,
             cover: x.to_vec(),
             ..JoinStats::default()
         };
-        let Some(root) = &self.root else {
-            // Nullary query: a single empty row (the join of non-empty
-            // nullary relations), owned by the unrestricted/first shard.
-            let rows = if shard.is_none_or(|s| s.contains(Value(0)) && s.anchor_contains(Value(0)))
-            {
-                vec![vec![]]
-            } else {
-                Vec::new()
-            };
-            return (rows, stats);
-        };
-        let mut engine = Engine {
-            q: &self.q,
-            tries: &self.tries,
-            edge_vertices: &self.edge_vertices,
-            pos: &self.pos,
-            bindings: vec![None; self.q.hypergraph().num_vertices()],
-            shard,
-            stats,
-        };
-        let rows = engine.recursive_join(root, x);
-        (rows, engine.stats)
+        run_plan(&self.plan, &self.tries, x, shard, stats)
     }
 
-    /// Converts raw total-order rows (e.g. concatenated shard outputs)
-    /// into a [`JoinOutput`] in the canonical attribute layout.
+    /// Moves raw total-order rows (one shard's, or the concatenation of
+    /// every shard's in slot order) into a [`JoinOutput`] in the
+    /// canonical attribute layout.
     ///
     /// # Errors
-    /// Propagates storage errors (none expected for well-formed rows).
-    pub fn assemble(
-        &self,
-        rows: Vec<Vec<Value>>,
-        stats: JoinStats,
-    ) -> Result<JoinOutput, QueryError> {
-        if self.root.is_none() {
-            let relation = if rows.is_empty() {
-                Relation::empty(self.q.output_schema())
-            } else {
-                Relation::nullary_true()
-            };
-            return Ok(JoinOutput { relation, stats });
-        }
-        assemble_output(&self.q, &self.order, rows, stats)
+    /// [`StorageError::ArityMismatch`] (as a [`QueryError`]) if the rows
+    /// are not as wide as the total order.
+    pub fn assemble(&self, rows: RowBuf, stats: JoinStats) -> Result<JoinOutput, QueryError> {
+        let relation = self.assemble_slot(rows)?;
+        Ok(JoinOutput { relation, stats })
     }
 
-    /// Converts **one shard slot's** raw total-order rows into a relation
+    /// Moves **one shard slot's** raw total-order rows into a relation
     /// over the canonical output schema, sorted and deduplicated *within
     /// the slot* — the unit an incremental consumer (a streaming `/rows`
     /// endpoint) emits as each slot settles.
@@ -427,16 +391,16 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// [`Self::slots_stream_sorted`].
     ///
     /// # Errors
-    /// Propagates storage errors (none expected for well-formed rows).
-    pub fn assemble_slot(&self, rows: Vec<Vec<Value>>) -> Result<Relation, QueryError> {
-        if self.root.is_none() {
-            return Ok(if rows.is_empty() {
-                Relation::empty(self.q.output_schema())
-            } else {
-                Relation::nullary_true()
-            });
+    /// Same as [`Self::assemble`].
+    pub fn assemble_slot(&self, rows: RowBuf) -> Result<Relation, QueryError> {
+        if rows.arity() != self.plan.order.len() {
+            return Err(StorageError::ArityMismatch {
+                expected: self.plan.order.len(),
+                got: rows.arity(),
+            }
+            .into());
         }
-        assemble_output(&self.q, &self.order, rows, JoinStats::default()).map(|out| out.relation)
+        assemble_rows(&self.q, &self.plan.order, rows)
     }
 
     /// `true` iff concatenating [`Self::assemble_slot`] relations in slot
@@ -457,6 +421,7 @@ impl<S: SearchTree> PreparedQuery<S> {
     #[must_use]
     pub fn slots_stream_sorted(&self) -> bool {
         let order_attrs: Vec<Attr> = self
+            .plan
             .order
             .iter()
             .map(|&v| self.q.attr_of_vertex(v))
@@ -825,11 +790,11 @@ mod tests {
         };
         let (lo_rows, _) = prepared.run_shard(&x, b, Some(lo_half));
         let (hi_rows, _) = prepared.run_shard(&x, b, Some(hi_half));
-        for row in &lo_rows {
-            assert!(!hi_rows.contains(row), "sub-shards disjoint");
+        for row in lo_rows.rows() {
+            assert!(hi_rows.rows().all(|r| r != row), "sub-shards disjoint");
         }
-        let mut merged: Vec<Vec<Value>> = lo_rows.into_iter().chain(hi_rows).collect();
-        let mut expect = all;
+        let mut merged: Vec<&[Value]> = lo_rows.rows().chain(hi_rows.rows()).collect();
+        let mut expect: Vec<&[Value]> = all.rows().collect();
         merged.sort_unstable();
         expect.sort_unstable();
         assert_eq!(merged, expect, "sub-shards union to the root value's rows");
@@ -921,8 +886,8 @@ mod tests {
             b,
             Some(RootShard::range(Value(mid.0 + 1), Value(u64::MAX))),
         );
-        let mut merged: Vec<Vec<Value>> = low.0.into_iter().chain(high.0).collect();
-        let mut expect = all_rows;
+        let mut merged: Vec<&[Value]> = low.0.rows().chain(high.0.rows()).collect();
+        let mut expect: Vec<&[Value]> = all_rows.rows().collect();
         merged.sort_unstable();
         expect.sort_unstable();
         assert_eq!(merged, expect);

@@ -464,3 +464,187 @@ fn skew_forces_both_cases() {
     assert!(out.stats.case_b > 0, "expected some case-b decisions");
     assert_matches_naive(&rels, Algorithm::Nprr, "skewed triangle");
 }
+
+// --- Golden counts -------------------------------------------------------
+//
+// Captured from the `Vec<Vec<Value>>` engine this crate shipped before
+// `Recursive-Join` was compiled into a `NodePlan` and moved onto flat row
+// buffers. That engine is gone, so these numbers are what "same decisions
+// as before" means: every case-a/case-b choice, every intermediate tuple
+// and every output row (FNV-1a over the sorted output) must reproduce
+// exactly, on every index backend.
+
+/// `(rows, intermediate_tuples, case_a, case_b)`.
+type Counts = (usize, u64, u64, u64);
+
+fn fnv1a(rel: &Relation) -> u64 {
+    rel.raw_data().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ v.0).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn assert_golden<S: wcoj_storage::SearchTree>(
+    name: &str,
+    rels: &[Relation],
+    fnv: u64,
+    golden: [(Option<f64>, Counts); 3],
+) {
+    let prepared = crate::nprr::PreparedQuery::<S>::new_indexed(rels).unwrap();
+    for (weight, (rows, inter, a, b)) in golden {
+        let cover = weight.map(|w| vec![w; rels.len()]);
+        let out = prepared.evaluate(cover.as_deref()).unwrap();
+        let s = &out.stats;
+        assert_eq!(
+            (
+                out.relation.len(),
+                s.intermediate_tuples,
+                s.case_a,
+                s.case_b
+            ),
+            (rows, inter, a, b),
+            "{name}, cover {weight:?}"
+        );
+        assert_eq!(fnv1a(&out.relation), fnv, "{name}, cover {weight:?}");
+    }
+}
+
+fn assert_golden_all_backends(
+    name: &str,
+    rels: &[Relation],
+    fnv: u64,
+    golden: [(Option<f64>, Counts); 3],
+) {
+    use wcoj_storage::{FlatIndex, HashTrieIndex, TrieIndex};
+    assert_golden::<FlatIndex>(name, rels, fnv, golden);
+    assert_golden::<TrieIndex>(name, rels, fnv, golden);
+    assert_golden::<HashTrieIndex>(name, rels, fnv, golden);
+    let canonical = JoinQuery::new(rels).unwrap().output_schema();
+    let expect = reorder(&naive::join(rels), &canonical).unwrap();
+    assert_eq!(fnv1a(&expect), fnv, "{name}: naive oracle");
+}
+
+#[test]
+fn golden_counts_cycle4() {
+    assert_golden_all_backends(
+        "cycle4",
+        &wcoj_datagen::cycle_instance(11, 4, 2000, 200),
+        0x84eb_2a44_8dd4_226e,
+        [
+            (None, (9222, 242_230, 1949, 19_195)),
+            (Some(1.0), (9222, 2349, 0, 2149)),
+            (Some(0.5), (9222, 246_128, 2149, 18_995)),
+        ],
+    );
+}
+
+#[test]
+fn golden_counts_triangle() {
+    assert_golden_all_backends(
+        "triangle",
+        &wcoj_datagen::cycle_instance(7, 3, 1200, 100),
+        0xec30_59e6_5c96_df58,
+        [
+            (None, (1436, 15_253, 100, 1133)),
+            (Some(1.0), (1436, 200, 0, 100)),
+            (Some(0.5), (1436, 15_253, 100, 1133)),
+        ],
+    );
+}
+
+#[test]
+fn golden_counts_hot_key_triangle() {
+    assert_golden_all_backends(
+        "hot_key",
+        &wcoj_datagen::hot_key_triangle(5, 140, 10),
+        0xe903_9a20_a0e4_6ca7,
+        [
+            (None, (551, 52, 10, 11)),
+            (Some(1.0), (551, 22, 0, 11)),
+            (Some(0.5), (551, 52, 10, 11)),
+        ],
+    );
+}
+
+#[test]
+fn golden_counts_loomis_whitney() {
+    assert_golden_all_backends(
+        "lw4",
+        &wcoj_datagen::random_lw(3, 4, 300, 12),
+        0x5f99_e6c5_f5dd_91bd,
+        [
+            (None, (11, 1385, 130, 254)),
+            (Some(1.0), (11, 24, 0, 12)),
+            (Some(0.5), (11, 24, 0, 12)),
+        ],
+    );
+}
+
+#[test]
+fn golden_counts_per_shard() {
+    use crate::nprr::{AnchorRange, PreparedQuery, RootShard};
+    use wcoj_storage::FlatIndex;
+    const MAX: u64 = u64::MAX;
+    let anchored = |root: u64, lo: u64, hi: u64| RootShard {
+        lo: Value(root),
+        hi: Value(root),
+        anchor: Some(AnchorRange {
+            lo: Value(lo),
+            hi: Value(hi),
+        }),
+    };
+    let check = |name: &str, rels: &[Relation], plan: &[(RootShard, Counts)]| {
+        let prepared = PreparedQuery::<FlatIndex>::new_indexed(rels).unwrap();
+        let (x, bound) = prepared.resolve_cover(None).unwrap();
+        let mut total = 0;
+        for (i, &(shard, (rows, inter, a, b))) in plan.iter().enumerate() {
+            let (out, s) = prepared.run_shard(&x, bound, Some(shard));
+            assert_eq!(
+                (out.len(), s.intermediate_tuples, s.case_a, s.case_b),
+                (rows, inter, a, b),
+                "{name}, shard {i}"
+            );
+            total += out.len();
+        }
+        let full = prepared.evaluate(None).unwrap();
+        assert_eq!(total, full.relation.len(), "{name}: shards partition");
+    };
+    // The 8-shard plan `ShardPlan::plan(.., 8, {min size 1, Work, heavy
+    // split 8})` cuts for the hot-key triangle: seven anchor sub-shards of
+    // the hot root value, then everything else.
+    check(
+        "hot_key",
+        &wcoj_datagen::hot_key_triangle(5, 140, 10),
+        &[
+            (anchored(0, 0, 19), (81, 2, 0, 1)),
+            (anchored(0, 20, 40), (84, 2, 0, 1)),
+            (anchored(0, 41, 60), (75, 2, 0, 1)),
+            (anchored(0, 61, 80), (83, 2, 0, 1)),
+            (anchored(0, 81, 101), (80, 2, 0, 1)),
+            (anchored(0, 102, 121), (86, 2, 0, 1)),
+            (anchored(0, 122, MAX), (62, 2, 0, 1)),
+            (RootShard::range(Value(1), Value(MAX)), (0, 50, 10, 10)),
+        ],
+    );
+    // Hand-cut plan over the 4-cycle: anchored sub-shards whose runs take
+    // both cases.
+    check(
+        "cycle4",
+        &wcoj_datagen::cycle_instance(11, 4, 2000, 200),
+        &[
+            (
+                RootShard::range(Value(0), Value(49)),
+                (2348, 63_828, 488, 5065),
+            ),
+            (anchored(50, 0, 99), (23, 657, 7, 57)),
+            (anchored(50, 100, MAX), (22, 487, 5, 41)),
+            (
+                RootShard::range(Value(51), Value(120)),
+                (2974, 76_629, 675, 6063),
+            ),
+            (
+                RootShard::range(Value(121), Value(MAX)),
+                (3855, 100_631, 774, 7970),
+            ),
+        ],
+    );
+}

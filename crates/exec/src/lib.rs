@@ -57,7 +57,7 @@ use std::sync::Mutex;
 use wcoj_core::nprr::{AnchorRange, PreparedQuery, RootShard};
 use wcoj_core::{JoinOutput, JoinQuery, JoinStats, QueryError};
 use wcoj_obs::{TraceEvent, TraceLevel};
-use wcoj_storage::{Relation, SearchTree, TrieIndex, Value};
+use wcoj_storage::{Relation, RowBuf, SearchTree, TrieIndex, Value};
 
 /// How the planner carves the root-candidate list into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -750,7 +750,7 @@ where
             // intersection, so the join is empty — return without running
             // the engine or spawning a single worker.
             return prepared
-                .assemble(Vec::new(), stats)
+                .assemble(RowBuf::new(prepared.total_order().len()), stats)
                 .expect("empty rows assemble");
         }
         plan.shards
@@ -768,7 +768,7 @@ where
     }
 
     // One worker result: (shard index, raw rows, run statistics).
-    type ShardResult = (usize, Vec<Vec<Value>>, JoinStats);
+    type ShardResult = (usize, RowBuf, JoinStats);
     let n_workers = cfg.threads.min(shards.len());
     let cursor = AtomicUsize::new(0);
     let results: Mutex<Vec<ShardResult>> = Mutex::new(Vec::with_capacity(shards.len()));
@@ -793,9 +793,10 @@ where
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     per_shard.sort_unstable_by_key(|(i, _, _)| *i);
     debug_assert_eq!(per_shard.len(), shards.len(), "every shard ran once");
-    let mut rows = Vec::with_capacity(per_shard.iter().map(|(_, r, _)| r.len()).sum());
+    let total = per_shard.iter().map(|(_, r, _)| r.len()).sum();
+    let mut rows = RowBuf::with_capacity(prepared.total_order().len(), total);
     for (_, shard_rows, run_stats) in per_shard {
-        rows.extend(shard_rows);
+        rows.append(&shard_rows);
         stats.absorb(&run_stats);
     }
     prepared

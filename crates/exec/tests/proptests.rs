@@ -219,10 +219,12 @@ proptest! {
         // differential backstop: summing the per-shard runs re-creates the
         // unrestricted row set exactly (no row lost or double-counted)
         let (x, b) = prepared.resolve_cover(None).unwrap();
-        let (mut expect, _) = prepared.run_shard(&x, b, None);
+        let (expect, _) = prepared.run_shard(&x, b, None);
+        let mut expect: Vec<Vec<Value>> = expect.rows().map(<[Value]>::to_vec).collect();
         let mut got: Vec<Vec<Value>> = Vec::new();
         for &shard in shards {
-            got.extend(prepared.run_shard(&x, b, Some(shard)).0);
+            let (rows, _) = prepared.run_shard(&x, b, Some(shard));
+            got.extend(rows.rows().map(<[Value]>::to_vec));
         }
         expect.sort_unstable();
         got.sort_unstable();

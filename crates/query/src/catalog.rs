@@ -169,9 +169,10 @@ impl Catalog {
     /// Registers (or replaces) a relation under `name`. Every insert —
     /// including a replace — stamps the relation with a fresh globally
     /// unique base generation, invalidating any cached plan built over
-    /// the previous contents (the stale plan's key can never recur).
+    /// the previous contents (the stale plan's key can never recur, and
+    /// the plans are dropped with the value they were built over).
     pub fn insert(&mut self, name: impl Into<String>, rel: Relation) {
-        self.relations.insert(
+        let replaced = self.relations.insert(
             name.into(),
             Stored {
                 delta: DeltaRelation::new(rel),
@@ -179,6 +180,9 @@ impl Catalog {
                 delta_ver: 0,
             },
         );
+        if let Some(old) = replaced {
+            self.plan_cache.retire_generation(old.base_gen);
+        }
     }
 
     /// Appends rows to `name`'s delta buffers. Rows already present are
@@ -241,17 +245,21 @@ impl Catalog {
             Metrics::get().deltas.inc();
         }
         if stored.delta.delta_len() >= self.compact_threshold {
-            Self::compact_stored(stored, self.service.as_deref());
+            Self::compact_stored(stored, self.service.as_deref(), &self.plan_cache);
         }
         Ok(Some(changed))
     }
 
     /// Unregisters `name`. Returns `true` iff it was present. Cached
-    /// plans over the removed relation age out of the LRU (their keys
-    /// can only recur if a relation with the same base generation is
+    /// plans over the removed relation are dropped with it (their keys
+    /// could only recur if a relation with the same base generation were
     /// re-registered, which the global stamp sequence rules out).
     pub fn remove(&mut self, name: &str) -> bool {
-        self.relations.remove(name).is_some()
+        let removed = self.relations.remove(name);
+        if let Some(old) = &removed {
+            self.plan_cache.retire_generation(old.base_gen);
+        }
+        removed.is_some()
     }
 
     /// Folds `name`'s delta buffers into a fresh frozen base now,
@@ -263,10 +271,14 @@ impl Catalog {
         let Some(stored) = self.relations.get_mut(name) else {
             return false;
         };
-        Self::compact_stored(stored, service.as_deref())
+        Self::compact_stored(stored, service.as_deref(), &self.plan_cache)
     }
 
-    fn compact_stored(stored: &mut Stored, service: Option<&Service>) -> bool {
+    fn compact_stored(
+        stored: &mut Stored,
+        service: Option<&Service>,
+        plan_cache: &PlanCache,
+    ) -> bool {
         if stored.delta.delta_len() == 0 {
             return false;
         }
@@ -310,6 +322,7 @@ impl Catalog {
             _ => stored.delta.compact(),
         };
         if compacted {
+            plan_cache.retire_generation(stored.base_gen);
             stored.base_gen = next_generation();
             stored.delta_ver = 0;
             Metrics::get().compactions.inc();

@@ -391,28 +391,13 @@ impl PendingQuery {
                     let batch = stream.next_batch()?;
                     Some(batch.map(|b| b.relation).map_err(map_engine_error))
                 } else {
-                    // Merge path: drain every slot, concatenate, one
-                    // final sort+dedup, then project. Yields exactly one
+                    // Merge path: every slot's raw rows in one batch,
+                    // sorted once, then projected. Yields exactly one
                     // batch; subsequent calls find the stream drained.
-                    let mut merged: Option<Relation> = None;
-                    while let Some(batch) = stream.next_batch() {
-                        let batch = match batch {
-                            Ok(b) => b,
-                            Err(e) => return Some(Err(map_engine_error(e))),
-                        };
-                        match &mut merged {
-                            None => merged = Some(batch.relation),
-                            Some(m) => {
-                                for row in batch.relation.iter_rows() {
-                                    if let Err(e) = m.push_row(row) {
-                                        return Some(Err(QueryTextError::Eval(e.to_string())));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let mut full = merged?;
-                    full.sort_dedup();
+                    let full = match stream.next_merged()? {
+                        Ok(batch) => batch.relation,
+                        Err(e) => return Some(Err(map_engine_error(e))),
+                    };
                     let relation = if self.identity {
                         full
                     } else {
@@ -873,6 +858,39 @@ mod tests {
         let compacted = execute(&q, &c).unwrap();
         assert_eq!(compacted.relation, third.relation);
         assert_eq!(c.plan_cache_stats(), (1, 2));
+    }
+
+    #[test]
+    fn base_drift_retires_the_superseded_plans() {
+        // Sustained ingest compacts again and again; each compaction
+        // changes the key, and the plan over the old base must go with
+        // it rather than pin that base until 64 newer plans evict it.
+        let mut c = catalog_with_triangle();
+        c.set_compact_threshold(usize::MAX);
+        let full = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
+        let narrow = parse_query("Ans(y) :- R(1, y)").unwrap();
+        for round in 0..5u64 {
+            c.insert_rows("R", &[vec![Value(100 + round), Value(200 + round)]])
+                .unwrap();
+            execute(&full, &c).unwrap();
+            execute(&narrow, &c).unwrap();
+            assert_eq!(c.plan_cache().len(), 2, "round {round}: one plan per shape");
+            assert!(c.compact("R"));
+        }
+        assert_eq!(c.plan_cache().len(), 0, "both shapes read R's old base");
+        execute(&full, &c).unwrap();
+        // Replacing or removing a relation retires its plans the same way;
+        // plans that never touched it stay.
+        let only_s = parse_query("Ans(y, z) :- S(y, z)").unwrap();
+        execute(&only_s, &c).unwrap();
+        assert_eq!(c.plan_cache().len(), 2);
+        c.insert("T", c.get("T").unwrap());
+        assert_eq!(c.plan_cache().len(), 1);
+        assert!(c.remove("R"));
+        assert_eq!(c.plan_cache().len(), 1);
+        let (hits, _) = c.plan_cache_stats();
+        execute(&only_s, &c).unwrap();
+        assert_eq!(c.plan_cache_stats().0, hits + 1, "S's plan survived");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub(crate) mod test_support {
         let service = Arc::new(Service::new(
             ServiceConfig::with_workers(1).with_queue_depth(2),
         ));
-        let rels = wcoj_datagen::cycle_instance(seed, 5, 200, 15);
+        let rels = wcoj_datagen::cycle_instance(seed, 5, 400, 20);
         let prepared = Arc::new(
             wcoj_core::nprr::PreparedQuery::<wcoj_storage::TrieIndex>::new_indexed(&rels)
                 .expect("well-formed blocker"),

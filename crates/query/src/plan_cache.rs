@@ -18,10 +18,14 @@
 //! never reach the same `(name, generation)` pair with different data.
 //! The cache distinguishes two kinds of staleness:
 //!
-//! * **Base drift** (replace / compaction) changes a relation's *base
-//!   generation*, hence the key itself: the stale entry can never be
-//!   served again and ages out of the LRU. This rebuilds everything —
-//!   reduction, LP, indexes.
+//! * **Base drift** (replace / compaction / removal) changes a
+//!   relation's *base generation*, hence the key itself: the stale entry
+//!   can never be served to the catalog again, and the catalog retires it
+//!   on the spot ([`PlanCache::retire_generation`]) — a superseded plan
+//!   pins its whole frozen base (relations and indexes), and under
+//!   sustained ingest those would otherwise pile up one per compaction
+//!   until 64 newer plans pushed them out. The next submission rebuilds
+//!   everything — reduction, LP, indexes.
 //! * **Delta drift** (row appends / deletes) leaves the key intact but
 //!   changes the per-atom *delta versions* stored alongside the entry.
 //!   A lookup whose versions disagree keeps the entry's prepared shape —
@@ -46,7 +50,7 @@ use wcoj_obs::Counter;
 use wcoj_storage::DeltaIndex;
 
 /// Upper bound on cached plans; past it the least-recently-used entry is
-/// evicted (stale generations age out this way too).
+/// evicted.
 const CAPACITY: usize = 64;
 
 /// Process-wide generation stamps for catalog versions. Monotone and
@@ -238,6 +242,27 @@ impl PlanCache {
         Ok(plan)
     }
 
+    /// Drops every plan built over base generation `generation` — the
+    /// catalog calls this when it replaces, compacts away or removes that
+    /// relation value, so the superseded plans stop pinning its frozen
+    /// base and indexes. Generations are never reused, so such a plan
+    /// could only ever be asked for again through a catalog clone that
+    /// still holds the old value (a pinned snapshot); that reader simply
+    /// rebuilds.
+    pub fn retire_generation(&self, generation: u64) {
+        let segment = format!("@{generation}(");
+        let retired: Vec<(String, Entry)> = self
+            .inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entries
+            .extract_if(|key, _| key.contains(&segment))
+            .collect();
+        // Freeing a plan's bases and indexes can be megabytes of work:
+        // do it after the cache lock is released.
+        drop(retired);
+    }
+
     /// `(hits, misses)` accumulated by this cache (shared across catalog
     /// clones holding the same `Arc`). Delta refreshes are counted
     /// separately — see [`PlanCache::refreshes`].
@@ -346,6 +371,31 @@ mod tests {
             .get_or_build("k0", || panic!("just re-inserted"))
             .unwrap();
         assert_eq!(cache.stats().0, hits_before + 2);
+    }
+
+    #[test]
+    fn retiring_a_generation_drops_exactly_the_plans_over_it() {
+        let cache = PlanCache::new();
+        for key in [
+            "R@7(?0,?1);S@8(?1,?2);",
+            "R@7(?0,=3);",
+            "R@17(?0,?1);S@8(?1,?2);",
+        ] {
+            cache.get_or_build(key, || Ok(plan())).unwrap();
+        }
+        cache.retire_generation(7);
+        assert_eq!(cache.len(), 1, "R@17 is another value");
+        cache
+            .get_or_build("R@17(?0,?1);S@8(?1,?2);", || panic!("still cached"))
+            .unwrap();
+        let mut rebuilt = false;
+        cache
+            .get_or_build("R@7(?0,=3);", || {
+                rebuilt = true;
+                Ok(plan())
+            })
+            .unwrap();
+        assert!(rebuilt, "a reader of the old value rebuilds");
     }
 
     #[test]

@@ -158,7 +158,7 @@ fn streaming_server(queue_depth: usize) -> (Server, Arc<Service>) {
 /// submission costs microseconds — occupies the single worker so slots
 /// of a concurrently submitted query settle one at a time.
 fn blocker(seed: u64) -> Arc<PreparedQuery<TrieIndex>> {
-    let rels = wcoj_datagen::cycle_instance(seed, 5, 200, 15);
+    let rels = wcoj_datagen::cycle_instance(seed, 5, 400, 20);
     Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap())
 }
 

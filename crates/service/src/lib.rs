@@ -104,7 +104,7 @@ use wcoj_core::nprr::{PreparedQuery, RootShard};
 use wcoj_core::{JoinOutput, JoinStats, QueryError};
 use wcoj_exec::{ExecConfig, ShardPlan, OVERSPLIT};
 use wcoj_obs::{trace, Counter, Gauge, Histogram, TraceEvent, TraceLevel};
-use wcoj_storage::{Relation, SearchTree, TrieIndex, Value};
+use wcoj_storage::{Relation, RowBuf, SearchTree, TrieIndex};
 
 /// Stats label reported by service-scheduled runs.
 const ALGORITHM: &str = "nprr-service";
@@ -721,8 +721,9 @@ impl Injector {
     }
 }
 
-/// One shard's result: raw rows over the total order plus run stats.
-type ShardResult = (Vec<Vec<Value>>, JoinStats);
+/// One shard's result: raw rows over the total order (one flat buffer)
+/// plus run stats.
+type ShardResult = (RowBuf, JoinStats);
 
 /// Per-query completion state: one slot per shard, filled by workers in
 /// whatever order the pool interleaves them; reassembly reads the slots
@@ -786,6 +787,30 @@ impl JobState {
         last
     }
 
+    /// Blocks until slot `index` has settled and takes its raw rows.
+    ///
+    /// # Panics
+    /// If a worker panicked while running one of the query's shards.
+    fn take_slot(&self, index: usize) -> RowBuf {
+        let mut slots = self
+            .slots
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        loop {
+            assert!(
+                !self.poisoned.load(Ordering::Acquire),
+                "a service worker panicked while running a shard of this query"
+            );
+            if let Some((rows, _stats)) = slots[index].take() {
+                return rows;
+            }
+            slots = self
+                .slot_ready
+                .wait(slots)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
     /// Wakes waiters; call only after the last [`JobState::complete`].
     fn notify_done(&self) {
         let mut done = self
@@ -820,10 +845,10 @@ pub struct QueryHandle {
     inner: Option<HandleInner>,
 }
 
-/// Converts one settled slot's raw rows into a standalone [`Relation`]
+/// Moves one settled slot's raw rows into a standalone [`Relation`]
 /// (sorted + deduplicated within the slot). Shared by every batch of a
 /// [`RowStream`], hence `Fn`, not `FnOnce`.
-type SlotAssemble = Box<dyn Fn(Vec<Vec<Value>>) -> Result<Relation, QueryError> + Send>;
+type SlotAssemble = Box<dyn Fn(RowBuf) -> Result<Relation, QueryError> + Send>;
 
 enum HandleInner {
     /// Resolved at submit time (empty input, zero-shard plan). Boxed so
@@ -1105,28 +1130,40 @@ impl RowStream {
                 }))
             }
             StreamInner::Pending { state, convert, .. } => {
-                let mut slots = state
-                    .slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let rows = loop {
-                    assert!(
-                        !state.poisoned.load(Ordering::Acquire),
-                        "a service worker panicked while running a shard of this query"
-                    );
-                    if let Some((rows, _stats)) = slots[slot].take() {
-                        break rows;
-                    }
-                    slots = state
-                        .slot_ready
-                        .wait(slots)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                };
-                drop(slots);
+                let rows = state.take_slot(slot);
                 self.next_slot += 1;
                 Some(convert(rows).map(|relation| RowBatch { slot, relation }))
             }
         }
+    }
+
+    /// Blocks until **every** remaining slot has settled and yields them
+    /// as one batch: the slots' raw rows concatenated in slot order, then
+    /// one column permutation and one sort. The consumer of a stream that
+    /// is not [`ordered`](RowStream::ordered) has to merge the batches
+    /// anyway; this skips the per-slot sorts such a merge throws away.
+    /// The batch's `slot` is the first one merged; `None` once every slot
+    /// has been yielded.
+    ///
+    /// # Errors
+    /// Same as [`next_batch`](RowStream::next_batch).
+    ///
+    /// # Panics
+    /// Same as [`next_batch`](RowStream::next_batch).
+    pub fn next_merged(&mut self) -> Option<Result<RowBatch, QueryError>> {
+        let slot = self.next_slot;
+        let StreamInner::Pending { state, convert, .. } = &mut self.inner else {
+            return self.next_batch();
+        };
+        if slot >= self.total_slots {
+            return None;
+        }
+        let mut rows = state.take_slot(slot);
+        for later in slot + 1..self.total_slots {
+            rows.append(&state.take_slot(later));
+        }
+        self.next_slot = self.total_slots;
+        Some(convert(rows).map(|relation| RowBatch { slot, relation }))
     }
 }
 
@@ -1617,7 +1654,10 @@ impl Service {
                 submit_start,
                 admitted_ns,
                 Some(planned_ns),
-                prepared.assemble(Vec::new(), base_stats(log2_bound, &x)),
+                prepared.assemble(
+                    RowBuf::new(prepared.total_order().len()),
+                    base_stats(log2_bound, &x),
+                ),
             );
         }
 
@@ -1656,7 +1696,8 @@ impl Service {
                     // The handle is gone: nobody can read the rows, skip
                     // the engine run and just drain the accounting.
                     injector.note_skipped(profile.query_id, i);
-                    Some((Vec::new(), JoinStats::default()))
+                    let no_rows = RowBuf::new(prepared.total_order().len());
+                    Some((no_rows, JoinStats::default()))
                 } else {
                     // Report a panic to the job before re-raising, so
                     // wait() fails loudly instead of blocking forever.
@@ -1752,18 +1793,18 @@ impl Service {
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     let mut stats = stats;
-                    let mut rows = Vec::with_capacity(
-                        slots
-                            .iter()
-                            .map(|s| s.as_ref().map_or(0, |(r, _)| r.len()))
-                            .sum(),
-                    );
+                    let total = slots
+                        .iter()
+                        .map(|s| s.as_ref().map_or(0, |(r, _)| r.len()))
+                        .sum();
+                    let mut rows = RowBuf::with_capacity(prepared.total_order().len(), total);
                     // Deterministic merge: slot (= shard = root-value)
                     // order, regardless of the order the pool finished
-                    // them in.
+                    // them in. Each shard's buffer is freed as soon as it
+                    // has been copied across.
                     for slot in slots.iter_mut() {
                         let (shard_rows, shard_stats) = slot.take().expect("every shard completed");
-                        rows.extend(shard_rows);
+                        rows.append(&shard_rows);
                         stats.absorb(&shard_stats);
                     }
                     drop(slots);
@@ -1835,6 +1876,7 @@ impl Drop for Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use wcoj_core::{join_with, Algorithm};
     use wcoj_storage::{HashTrieIndex, Schema};
 
@@ -1893,7 +1935,7 @@ mod tests {
     /// microseconds — so a blocker is reliably still in flight when the
     /// next submission's admission check runs.
     fn heavy_blocker(seed: u64) -> (Vec<Relation>, Arc<PreparedQuery<TrieIndex>>, Vec<f64>) {
-        let rels = wcoj_datagen::cycle_instance(seed, 5, 200, 15);
+        let rels = wcoj_datagen::cycle_instance(seed, 5, 400, 20);
         let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
         let (x, _) = prepared.resolve_cover(None).unwrap();
         (rels, prepared, x)
@@ -2269,6 +2311,9 @@ mod tests {
         };
 
         let stop = Arc::new(AtomicBool::new(false));
+        // The churn below must not start (let alone finish) before the
+        // observer is running: it reports its first sample here.
+        let (first_sample, observing) = mpsc::channel();
         let observer = {
             let service = Arc::clone(&service);
             let stop = Arc::clone(&stop);
@@ -2286,10 +2331,16 @@ mod tests {
                         "queued tasks without an in-flight query: {c:?}"
                     );
                     samples += 1;
+                    if samples == 1 {
+                        first_sample.send(()).expect("the test waits for it");
+                    }
                 }
                 samples
             })
         };
+        observing
+            .recv()
+            .expect("the observer took its first sample");
 
         // Churn: plenty of waits, plus dropped handles (cancellations).
         for round in 0..60 {
@@ -2630,6 +2681,44 @@ mod tests {
     }
 
     #[test]
+    fn next_merged_yields_the_remaining_slots_as_one_sorted_batch() {
+        let service = Service::new(ServiceConfig::with_workers(2));
+        let rels = [
+            wcoj_datagen::random_relation(61, &[0, 1], 150, 14),
+            wcoj_datagen::random_relation(62, &[1, 2], 150, 14),
+            wcoj_datagen::random_relation(63, &[0, 2], 150, 14),
+        ];
+        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        assert!(!prepared.slots_stream_sorted(), "the merge is needed");
+        let cfg = ExecConfig {
+            shard_min_size: 1,
+            ..service.exec_config()
+        };
+        let expected = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+
+        // From the start: the whole output, bit-identical to sequential.
+        let mut stream = service.submit(&prepared, &cfg).unwrap().into_stream();
+        assert!(stream.total_slots() >= 3);
+        let all = stream.next_merged().unwrap().unwrap();
+        assert_eq!((all.slot, &all.relation), (0, &expected));
+        assert_eq!(stream.slots_emitted(), stream.total_slots());
+        assert!(stream.next_merged().is_none() && stream.next_batch().is_none());
+
+        // Mid-stream: the first slot on its own, the rest merged.
+        let mut stream = service.submit(&prepared, &cfg).unwrap().into_stream();
+        let first = stream.next_batch().unwrap().unwrap();
+        let rest = stream.next_merged().unwrap().unwrap();
+        assert_eq!((first.slot, rest.slot), (0, 1));
+        let mut merged = first.relation;
+        for row in rest.relation.iter_rows() {
+            merged.push_row(row).unwrap();
+        }
+        merged.sort_dedup();
+        assert_eq!(merged, expected);
+        assert!(stream.next_merged().is_none());
+    }
+
+    #[test]
     fn degenerate_submissions_stream_a_single_batch() {
         let service = Service::new(ServiceConfig::with_workers(1));
         let prepared = Arc::new(
@@ -2651,7 +2740,7 @@ mod tests {
         assert_eq!(batch.slot, 0);
         assert!(batch.relation.is_empty());
         assert_eq!(batch.relation.arity(), 3);
-        assert!(stream.next_batch().is_none());
+        assert!(stream.next_batch().is_none() && stream.next_merged().is_none());
         assert_eq!(stream.slots_emitted(), 1);
     }
 
@@ -2681,6 +2770,18 @@ mod tests {
         assert_eq!(service.counters().cancelled, 0);
     }
 
+    /// Parks one worker inside an auxiliary task: returns a receiver that
+    /// fires once the task is running and a sender that lets it finish.
+    fn pin_worker(service: &Service) -> (mpsc::Receiver<()>, mpsc::Sender<()>, TaskBatch) {
+        let (running, pinned) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let batch = service.run_tasks(vec![Box::new(move || {
+            let _ = running.send(());
+            let _ = released.recv();
+        })]);
+        (pinned, release, batch)
+    }
+
     #[test]
     fn dropped_stream_cancels_remaining_tasks() {
         // The HTTP disconnect-mid-stream path: one worker, a heavy
@@ -2696,23 +2797,37 @@ mod tests {
         let layout = service.shard_layout(&*heavy, &cfg);
         assert!(layout.len() >= 3, "the plan is multi-task: {layout:?}");
 
+        // Force the interleaving instead of racing the engine: with the
+        // worker parked, queue the query's ring and a second pin behind
+        // it. Round-robin then runs shard 0, rotates to the pin, and
+        // parks again with every other shard still queued.
+        let (pinned, release_first, first_pin) = pin_worker(&service);
+        pinned.recv().expect("the worker is parked");
         let mut stream = service
             .submit_with_cover(&heavy, Some(&x), &cfg)
             .unwrap()
             .into_stream();
+        let (pinned_again, release_second, second_pin) = pin_worker(&service);
+        release_first.send(()).unwrap();
         let first = stream.next_batch().unwrap().unwrap();
         assert_eq!(first.slot, 0);
+        pinned_again
+            .recv()
+            .expect("the worker is parked behind shard 0");
         drop(stream); // client disconnected mid-stream
         assert_eq!(service.counters().cancelled, 1);
+        release_second.send(()).unwrap();
+        first_pin.wait();
+        second_pin.wait();
 
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let c = service.counters();
             if c.in_flight == 0 && c.queued_tasks == 0 {
-                assert!(
-                    c.skipped_tasks >= 1,
-                    "cancellation skipped work: {c:?} (layout {})",
-                    layout.len()
+                assert_eq!(
+                    c.skipped_tasks,
+                    layout.len() as u64 - 1,
+                    "every shard after the first was skipped: {c:?}"
                 );
                 assert_eq!(c.completed, 1, "cancelled query still drains");
                 break;

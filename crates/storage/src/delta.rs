@@ -40,7 +40,7 @@
 //! run independently (each chunk's output is sorted and chunk ranges are
 //! disjoint, so concatenation is the sorted merge).
 
-use crate::index::SearchTree;
+use crate::index::{with_tuple_scratch, SearchTree};
 use crate::{Attr, FlatIndex, FlatNode, Relation, Schema, StorageError, Value};
 use std::sync::Arc;
 
@@ -583,22 +583,22 @@ impl<S: SearchTree> DeltaIndex<S> {
         }
     }
 
-    /// Recursive (ST3) walk over merged children.
+    /// Recursive (ST3) walk over merged children, filling `buf[at..]`.
     fn walk_merged(
         &self,
         node: &DeltaNode<S::Node>,
-        remaining: usize,
-        buf: &mut Vec<Value>,
+        at: usize,
+        buf: &mut [Value],
         f: &mut impl FnMut(&[Value]),
     ) {
+        let remaining = buf.len() - at;
         // Pure-component fast paths: when the other two components are
         // empty below `node`, the merged subtree IS that component's.
         if self.ins_below(node) == 0 && self.del_below(node) == 0 {
             if let Some(b) = node.base {
                 self.base.for_each_extension(b, remaining, |ext| {
-                    buf.extend_from_slice(ext);
+                    buf[at..].copy_from_slice(ext);
                     f(buf);
-                    buf.truncate(buf.len() - ext.len());
                 });
             }
             return;
@@ -610,25 +610,22 @@ impl<S: SearchTree> DeltaIndex<S> {
         {
             if let Some(i) = node.ins {
                 self.ins.for_each_extension(i, remaining, |ext| {
-                    buf.extend_from_slice(ext);
+                    buf[at..].copy_from_slice(ext);
                     f(buf);
-                    buf.truncate(buf.len() - ext.len());
                 });
             }
             return;
         }
         if remaining == 1 {
             self.for_each_child(node, |v, _| {
-                buf.push(v);
+                buf[at] = v;
                 f(buf);
-                buf.pop();
             });
             return;
         }
         self.for_each_child(node, |v, child| {
-            buf.push(v);
-            self.walk_merged(&child, remaining - 1, buf, f);
-            buf.pop();
+            buf[at] = v;
+            self.walk_merged(&child, at + 1, buf, f);
         });
     }
 }
@@ -701,8 +698,7 @@ impl<S: SearchTree> SearchTree for DeltaIndex<S> {
             return;
         }
         debug_assert!(node.depth as usize + extra <= self.arity);
-        let mut buf = Vec::with_capacity(extra);
-        self.walk_merged(&node, extra, &mut buf, &mut f);
+        with_tuple_scratch(extra, |buf| self.walk_merged(&node, 0, buf, &mut f));
     }
 
     fn child_values(&self, node: Self::Node) -> Vec<Value> {

@@ -32,7 +32,7 @@
 //! `ablation_index` bench compares all three backends; the release-mode
 //! stress suites pin this backend bit-identical to `join_nprr`.
 
-use crate::index::SearchTree;
+use crate::index::{with_tuple_scratch, SearchTree};
 use crate::{gallop, Attr, Relation, Schema, StorageError, Value};
 
 /// One flat level: contiguous sorted values plus child offset ranges.
@@ -243,37 +243,34 @@ impl FlatIndex {
         let depth = node.depth as usize;
         debug_assert!(depth + extra <= self.arity());
         let (lo, hi) = self.range_at(node, depth + 1);
-        let mut buf = Vec::with_capacity(extra);
-        self.walk(depth, lo, hi, extra, &mut buf, &mut f);
+        with_tuple_scratch(extra, |buf| self.walk(depth, lo, hi, 0, buf, &mut f));
     }
 
-    /// Forward walk: enumerate entries `[lo, hi)` at level `level`,
-    /// recursing into each entry's child range until `remaining` levels
-    /// are consumed.
+    /// Forward walk: enumerate entries `[lo, hi)` at level `level` into
+    /// `buf[at]`, recursing into each entry's child range until `buf` is
+    /// full.
     fn walk(
         &self,
         level: usize,
         lo: u32,
         hi: u32,
-        remaining: usize,
-        buf: &mut Vec<Value>,
+        at: usize,
+        buf: &mut [Value],
         f: &mut impl FnMut(&[Value]),
     ) {
         let l = &self.levels[level];
-        if remaining == 1 {
+        if at + 1 == buf.len() {
             for &v in &l.values[lo as usize..hi as usize] {
-                buf.push(v);
+                buf[at] = v;
                 f(buf);
-                buf.pop();
             }
             return;
         }
         for i in lo..hi {
-            buf.push(l.values[i as usize]);
+            buf[at] = l.values[i as usize];
             let cl = l.child_start[i as usize];
             let ch = l.child_start[i as usize + 1];
-            self.walk(level + 1, cl, ch, remaining - 1, buf, f);
-            buf.pop();
+            self.walk(level + 1, cl, ch, at + 1, buf, f);
         }
     }
 }

@@ -70,6 +70,18 @@ pub trait SearchTree: Sized {
     }
 }
 
+/// Runs `f` on a scratch tuple of `len` values — on the stack for every
+/// arity a query realistically has, so an (ST3) enumeration performs no
+/// allocation per call (the engine issues one per partial tuple).
+pub(crate) fn with_tuple_scratch<R>(len: usize, f: impl FnOnce(&mut [Value]) -> R) -> R {
+    const INLINE: usize = 8;
+    if len <= INLINE {
+        f(&mut [Value(0); INLINE][..len])
+    } else {
+        f(&mut vec![Value(0); len])
+    }
+}
+
 /// A trie with per-node hash child maps (the paper's "collection of hash
 /// indices" realisation). Children are also kept as a sorted list so that
 /// enumeration order is deterministic and matches [`crate::TrieIndex`].
@@ -157,22 +169,16 @@ impl HashTrieIndex {
         id
     }
 
-    fn visit(
-        &self,
-        node: u32,
-        remaining: usize,
-        buf: &mut Vec<Value>,
-        f: &mut impl FnMut(&[Value]),
-    ) {
-        if remaining == 0 {
+    /// Fills `buf[at..]` with every extension of `node`, visiting `f`.
+    fn visit(&self, node: u32, at: usize, buf: &mut [Value], f: &mut impl FnMut(&[Value])) {
+        if at == buf.len() {
             f(buf);
             return;
         }
         let n = &self.nodes[node as usize];
         for &v in &n.sorted {
-            buf.push(v);
-            self.visit(n.children[&v], remaining - 1, buf, f);
-            buf.pop();
+            buf[at] = v;
+            self.visit(n.children[&v], at + 1, buf, f);
         }
     }
 }
@@ -225,8 +231,7 @@ impl SearchTree for HashTrieIndex {
     }
 
     fn for_each_extension(&self, node: u32, extra: usize, mut f: impl FnMut(&[Value])) {
-        let mut buf = Vec::with_capacity(extra);
-        self.visit(node, extra, &mut buf, &mut f);
+        with_tuple_scratch(extra, |buf| self.visit(node, 0, buf, &mut f));
     }
 
     fn child_values(&self, node: u32) -> Vec<Value> {

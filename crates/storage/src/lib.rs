@@ -20,6 +20,8 @@
 //! * [`Attr`] / [`Schema`] — attribute identifiers and ordered,
 //!   duplicate-free attribute lists;
 //! * [`Relation`] — row-major tuple storage with set semantics;
+//! * [`RowBuf`] — a schema-less flat buffer of equal-arity rows, the unit
+//!   the join engine emits and [`Relation::from_flat`] adopts without a copy;
 //! * [`ops`] — relational algebra (project / select / rename / union /
 //!   difference / semijoin / natural join / cross product);
 //! * [`TrieIndex`] — the paper's search tree, realised as a *counted trie*
@@ -45,6 +47,7 @@ pub mod ops;
 #[cfg(test)]
 mod proptests;
 mod relation;
+mod rowbuf;
 mod schema;
 mod trie;
 mod value;
@@ -53,6 +56,7 @@ pub use delta::{DeltaIndex, DeltaNode, DeltaRelation, MergeChunk};
 pub use flat::{FlatIndex, FlatNode};
 pub use index::{HashTrieIndex, SearchTree};
 pub use relation::{Relation, RowSet};
+pub use rowbuf::RowBuf;
 pub use schema::{Attr, Schema};
 pub use trie::{NodeRef, TrieIndex};
 pub use value::{Datum, Dictionary, Value};

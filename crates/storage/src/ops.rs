@@ -73,29 +73,18 @@ pub fn rename(rel: &Relation, pairs: &[(Attr, Attr)]) -> Result<Relation, Storag
     Ok(out)
 }
 
-/// Reorders `rel`'s columns to match `target` (same attribute set).
+/// Reorders `rel`'s columns to match `target` (same attribute set). A
+/// relation already in `target`'s layout is copied as is — it is sorted
+/// under that layout already.
 ///
 /// # Errors
 /// [`StorageError::SchemaMismatch`] if the attribute sets differ.
 pub fn reorder(rel: &Relation, target: &Schema) -> Result<Relation, StorageError> {
-    if !rel.schema().same_set(target) {
-        return Err(StorageError::SchemaMismatch);
+    let mut out = rel.clone();
+    if rel.schema() != target {
+        out.reorder_columns(target)?;
+        out.sort_dedup();
     }
-    if rel.schema() == target {
-        return Ok(rel.clone());
-    }
-    let positions = rel
-        .schema()
-        .positions_of(target.attrs())
-        .expect("same_set implies all present");
-    let mut out = Relation::empty(target.clone());
-    let mut buf = Vec::with_capacity(positions.len());
-    for row in rel.iter_rows() {
-        buf.clear();
-        buf.extend(positions.iter().map(|&p| row[p]));
-        out.push_row(&buf).expect("same arity");
-    }
-    out.sort_dedup();
     Ok(out)
 }
 

@@ -53,6 +53,37 @@ impl Relation {
         Ok(rel)
     }
 
+    /// Adopts a flat row-major buffer (`arity` values per row, e.g. a
+    /// [`RowBuf`](crate::RowBuf)'s data) **without copying, sorting or
+    /// deduplicating it** — like a series of [`Relation::push_row`]s, the
+    /// caller finishes with [`Relation::sort_dedup`]. A nullary schema
+    /// admits only the empty buffer and yields the empty relation (its
+    /// single possible row carries no data; see
+    /// [`Relation::nullary_true`]).
+    ///
+    /// # Errors
+    /// [`StorageError::ArityMismatch`] if `data.len()` is not a multiple
+    /// of the arity (`got` is the length of the ragged last row).
+    pub fn from_flat(schema: Schema, data: Vec<Value>) -> Result<Relation, StorageError> {
+        let arity = schema.arity();
+        let ragged = if arity == 0 {
+            data.len()
+        } else {
+            data.len() % arity
+        };
+        if ragged != 0 {
+            return Err(StorageError::ArityMismatch {
+                expected: arity,
+                got: ragged,
+            });
+        }
+        Ok(Relation {
+            schema,
+            data,
+            nullary_present: false,
+        })
+    }
+
     /// Test/generator convenience: rows of `u32`s.
     ///
     /// # Panics
@@ -143,6 +174,34 @@ impl Relation {
         })
     }
 
+    /// Permutes the columns of every row, in place, into `target`'s
+    /// attribute order. Row order is left as it was, so the relation is in
+    /// general no longer sorted: follow with [`Relation::sort_dedup`].
+    ///
+    /// # Errors
+    /// [`StorageError::SchemaMismatch`] if the attribute sets differ.
+    pub fn reorder_columns(&mut self, target: &Schema) -> Result<(), StorageError> {
+        if !self.schema.same_set(target) {
+            return Err(StorageError::SchemaMismatch);
+        }
+        if &self.schema == target {
+            return Ok(());
+        }
+        let positions = self
+            .schema
+            .positions_of(target.attrs())
+            .expect("same_set implies all present");
+        let mut row = vec![Value(0); positions.len()];
+        for chunk in self.data.chunks_exact_mut(positions.len()) {
+            row.copy_from_slice(chunk);
+            for (slot, &p) in chunk.iter_mut().zip(&positions) {
+                *slot = row[p];
+            }
+        }
+        self.schema = target.clone();
+        Ok(())
+    }
+
     /// Sorts rows lexicographically and removes duplicates.
     pub fn sort_dedup(&mut self) {
         let k = self.arity();
@@ -150,15 +209,36 @@ impl Relation {
             return;
         }
         let n = self.data.len() / k;
-        let mut idx: Vec<usize> = (0..n).collect();
-        let data = &self.data;
-        idx.sort_unstable_by(|&a, &b| cmp_rows(&data[a * k..a * k + k], &data[b * k..b * k + k]));
-        idx.dedup_by(|&mut a, &mut b| data[a * k..a * k + k] == data[b * k..b * k + k]);
-        let mut out = Vec::with_capacity(idx.len() * k);
-        for i in idx {
-            out.extend_from_slice(&self.data[i * k..i * k + k]);
+        // Already a set in order (what an index scan along the schema's
+        // own attribute order produces): nothing to move.
+        let mut rows = self.data.chunks_exact(k);
+        let mut prev = rows.next().expect("data is non-empty");
+        if rows.all(|row| std::mem::replace(&mut prev, row) < row) {
+            return;
         }
-        self.data = out;
+        // Narrow rows (every join output in practice) sort in place as
+        // fixed-size arrays; wider ones through a row-index permutation.
+        match k {
+            1 => sort_dedup_rows::<1>(&mut self.data),
+            2 => sort_dedup_rows::<2>(&mut self.data),
+            3 => sort_dedup_rows::<3>(&mut self.data),
+            4 => sort_dedup_rows::<4>(&mut self.data),
+            5 => sort_dedup_rows::<5>(&mut self.data),
+            6 => sort_dedup_rows::<6>(&mut self.data),
+            _ => {
+                let mut idx: Vec<usize> = (0..n).collect();
+                let data = &self.data;
+                idx.sort_unstable_by(|&a, &b| {
+                    cmp_rows(&data[a * k..a * k + k], &data[b * k..b * k + k])
+                });
+                idx.dedup_by(|&mut a, &mut b| data[a * k..a * k + k] == data[b * k..b * k + k]);
+                let mut out = Vec::with_capacity(idx.len() * k);
+                for i in idx {
+                    out.extend_from_slice(&self.data[i * k..i * k + k]);
+                }
+                self.data = out;
+            }
+        }
     }
 
     /// Marks the nullary relation as containing the empty tuple.
@@ -222,6 +302,22 @@ impl Relation {
         r.nullary_present = true;
         r
     }
+}
+
+/// [`Relation::sort_dedup`] for non-empty row-major `data` of `K`-wide
+/// rows: sorts the rows themselves, then compacts duplicates away.
+fn sort_dedup_rows<const K: usize>(data: &mut Vec<Value>) {
+    let (rows, rest) = data.as_chunks_mut::<K>();
+    debug_assert!(rest.is_empty());
+    rows.sort_unstable();
+    let mut kept = 1;
+    for i in 1..rows.len() {
+        if rows[i] != rows[kept - 1] {
+            rows[kept] = rows[i];
+            kept += 1;
+        }
+    }
+    data.truncate(kept * K);
 }
 
 /// Lexicographic comparison of two equal-length rows.
@@ -352,6 +448,101 @@ mod tests {
         let s = format!("{r:?}");
         assert!(s.contains("[30 rows]"));
         assert!(s.contains('…'));
+    }
+
+    #[test]
+    fn from_flat_adopts_the_buffer_as_is() {
+        let data: Vec<Value> = [3, 4, 1, 2, 3, 4].map(Value).to_vec();
+        let ptr = data.as_ptr();
+        let mut r = Relation::from_flat(Schema::of(&[0, 1]), data.clone()).unwrap();
+        // round trip: same values, same order, same allocation
+        assert_eq!(r.raw_data(), data.as_slice());
+        assert_eq!(r.len(), 3);
+        let moved = Relation::from_flat(Schema::of(&[0, 1]), data).unwrap();
+        assert_eq!(moved.raw_data().as_ptr(), ptr);
+        // not yet a set; sort_dedup finishes it like after push_row
+        r.sort_dedup();
+        assert_eq!(r, rel(&[0, 1], &[&[1, 2], &[3, 4]]));
+        let back = Relation::from_flat(r.schema().clone(), r.raw_data().to_vec()).unwrap();
+        assert_eq!(back, r);
+    }
+
+    #[test]
+    fn from_flat_rejects_ragged_buffers() {
+        assert_eq!(
+            Relation::from_flat(Schema::of(&[0, 1]), vec![Value(1); 5]),
+            Err(StorageError::ArityMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+        // arity 0: rows carry no data, so only the empty buffer fits, and
+        // it is the empty ("false") relation
+        assert_eq!(
+            Relation::from_flat(Schema::of(&[]), Vec::new()),
+            Ok(Relation::unit())
+        );
+        assert_eq!(
+            Relation::from_flat(Schema::of(&[]), vec![Value(1)]),
+            Err(StorageError::ArityMismatch {
+                expected: 0,
+                got: 1
+            })
+        );
+    }
+
+    #[test]
+    fn reorder_columns_permutes_in_place() {
+        let mut r = rel(&[0, 1, 2], &[&[1, 20, 300], &[2, 10, 100]]);
+        r.reorder_columns(&Schema::of(&[2, 0, 1])).unwrap();
+        assert_eq!(r.schema(), &Schema::of(&[2, 0, 1]));
+        // row order untouched: the caller re-sorts
+        assert_eq!(r.raw_data(), [300, 1, 20, 100, 2, 10].map(Value).as_slice());
+        r.sort_dedup();
+        assert_eq!(r.row(0), [100, 2, 10].map(Value).as_slice());
+        assert_eq!(
+            r.reorder_columns(&Schema::of(&[0, 1, 3])),
+            Err(StorageError::SchemaMismatch)
+        );
+        let before = r.clone();
+        r.reorder_columns(&Schema::of(&[2, 0, 1])).unwrap();
+        assert_eq!(r, before);
+    }
+
+    #[test]
+    fn sort_dedup_leaves_a_sorted_set_alone_and_fixes_near_misses() {
+        let sorted = rel(&[0, 1], &[&[1, 1], &[1, 2], &[2, 0]]);
+        for data in [
+            vec![1, 1, 1, 2, 2, 0],       // already strictly sorted
+            vec![1, 1, 1, 2, 1, 2, 2, 0], // sorted with a duplicate
+            vec![1, 1, 2, 0, 1, 2],       // one inversion
+        ] {
+            let data = data.into_iter().map(Value).collect();
+            let mut r = Relation::from_flat(Schema::of(&[0, 1]), data).unwrap();
+            r.sort_dedup();
+            assert_eq!(r, sorted);
+        }
+    }
+
+    #[test]
+    fn sort_dedup_agrees_with_a_btreeset_at_every_arity() {
+        // Arities 1..=6 sort in place as arrays, wider rows by index.
+        for arity in 1..=8usize {
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ arity as u64;
+            let data: Vec<Value> = (0..arity * 200)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    Value((x >> 33) % 3)
+                })
+                .collect();
+            let expect: std::collections::BTreeSet<Vec<Value>> =
+                data.chunks_exact(arity).map(<[Value]>::to_vec).collect();
+            let attrs: Vec<u32> = (0..arity as u32).collect();
+            let mut r = Relation::from_flat(Schema::of(&attrs), data).unwrap();
+            r.sort_dedup();
+            let got: Vec<Vec<Value>> = r.iter_rows().map(<[Value]>::to_vec).collect();
+            assert_eq!(got, expect.into_iter().collect::<Vec<_>>(), "arity {arity}");
+        }
     }
 
     #[test]

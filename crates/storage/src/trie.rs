@@ -24,6 +24,7 @@
 //! tuple prefix `t` **is** the search tree of the section `Rₑ[t]`, so the
 //! recursive sub-problems of `Recursive-Join` need no re-indexing.
 
+use crate::index::with_tuple_scratch;
 use crate::{Attr, Relation, Schema, StorageError, Value};
 
 /// One trie level: entry `i` is the `i`-th distinct prefix of length
@@ -253,16 +254,17 @@ impl TrieIndex {
         }
         let target = node.depth + extra;
         let (lo, hi) = self.range_at(node, target);
-        let mut buf = vec![Value(0); extra];
-        for e in lo..hi {
-            let mut idx = e;
-            for back in (0..extra).rev() {
-                let level = &self.levels[node.depth + back];
-                buf[back] = level.values[idx as usize];
-                idx = level.parent[idx as usize];
+        with_tuple_scratch(extra, |buf| {
+            for e in lo..hi {
+                let mut idx = e;
+                for back in (0..extra).rev() {
+                    let level = &self.levels[node.depth + back];
+                    buf[back] = level.values[idx as usize];
+                    idx = level.parent[idx as usize];
+                }
+                f(buf);
             }
-            f(&buf);
-        }
+        });
     }
 
     /// Children values of `node` (its branch labels), in sorted order.

@@ -148,7 +148,7 @@ fn flood_past_queue_bound_sheds_and_stays_correct() {
     // microseconds, the engine run tens of milliseconds), then flood from
     // 8 threads. The first wave of flood submissions is *guaranteed* to
     // be shed — and shed loudly, not dropped.
-    let blocker_rels = gen::cycle_instance(43, 5, 150, 15);
+    let blocker_rels = gen::cycle_instance(43, 5, 300, 15);
     let blocker = Arc::new(PreparedQuery::new(&blocker_rels).expect("well-formed"));
     let (bx, _) = blocker.resolve_cover(None).expect("cover");
     let blocker_seq = join_with(&blocker_rels, Algorithm::Nprr, None)
@@ -318,7 +318,7 @@ fn small_query_behind_huge_one_finishes_first() {
         // submission and drain its entire ring before the small query is
         // even submitted — the race this test exists to rule out must
         // not sneak back in through the test harness itself.
-        let gate_rels = gen::cycle_instance(43, 5, 150, 15);
+        let gate_rels = gen::cycle_instance(43, 5, 300, 15);
         let gate_prepared = Arc::new(PreparedQuery::new(&gate_rels).expect("well-formed"));
         let (gx, _) = gate_prepared.resolve_cover(None).expect("cover");
 
@@ -327,7 +327,7 @@ fn small_query_behind_huge_one_finishes_first() {
         // tasks' worth of work remain, orders of magnitude more than the
         // waiter's wake-up latency. Submitted with a precomputed cover so
         // the small query can chase it within microseconds.
-        let huge_rels = gen::cycle_instance(47, 5, 300, 15);
+        let huge_rels = gen::cycle_instance(47, 5, 500, 22);
         let huge_prepared = Arc::new(PreparedQuery::new(&huge_rels).expect("well-formed"));
         let (x, _) = huge_prepared.resolve_cover(None).expect("cover");
         let huge_seq = join_with(&huge_rels, Algorithm::Nprr, None)

@@ -183,7 +183,7 @@ fn server_on(workers: usize, queue_depth: usize, conn_threads: usize) -> (Server
 }
 
 fn blocker(seed: u64) -> Arc<PreparedQuery<TrieIndex>> {
-    let rels = wcoj::datagen::cycle_instance(seed, 5, 200, 15);
+    let rels = wcoj::datagen::cycle_instance(seed, 5, 400, 20);
     Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap())
 }
 
