@@ -49,8 +49,19 @@ impl Subgoal {
     /// The paper's reduction: one scan producing a relation over this
     /// subgoal's distinct variables (first-occurrence order), keeping rows
     /// that match every constant and repeat equally on repeated variables.
+    /// Distinct variables and no constants select every row: the relation
+    /// itself under the variables' names, shared rather than scanned.
     #[must_use]
     pub fn reduce(&self) -> Relation {
+        if let Some(sel) = Selection::of(&self.terms) {
+            if sel.constants.is_empty() {
+                return self
+                    .relation
+                    .with_schema(sel.schema)
+                    .expect("one variable per column")
+                    .into_sorted();
+            }
+        }
         // distinct variables in first-occurrence order
         let mut vars: Vec<u32> = Vec::new();
         for t in &self.terms {
@@ -64,8 +75,9 @@ impl Subgoal {
             Schema::new(vars.iter().map(|&v| Attr(v)).collect()).expect("vars deduplicated");
         let mut out = Relation::empty(schema);
         let mut buf = vec![Value(0); vars.len()];
+        let mut bound: Vec<Option<Value>> = vec![None; vars.len()];
         'rows: for row in self.relation.iter_rows() {
-            let mut bound: Vec<Option<Value>> = vec![None; vars.len()];
+            bound.fill(None);
             for (t, &val) in self.terms.iter().zip(row) {
                 match t {
                     Term::Const(c) => {
@@ -90,6 +102,54 @@ impl Subgoal {
         }
         out.sort_dedup();
         out
+    }
+}
+
+/// What §7.3's reduction of a subgoal comes to when **no variable
+/// repeats**, read off the terms alone: fix the constant columns, keep the
+/// variable columns. That is the section `R[constants]` of an index of `R`
+/// whose leading columns are the constant ones — (ST1) reaches it without
+/// the scan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Selection {
+    /// The constants, by column.
+    pub constants: Vec<Value>,
+    /// The constant columns, ascending, then the variable columns,
+    /// ascending: the column order of the index to descend. Its section
+    /// at `constants` ([`FlatIndex::section`](wcoj_storage::FlatIndex::section))
+    /// lists the variable columns in lexicographic order — row for row
+    /// what [`Subgoal::reduce`] returns.
+    pub columns: Vec<usize>,
+    /// The reduced relation's schema: the variables, by column — as
+    /// [`Subgoal::reduce`] has it.
+    pub schema: Schema,
+}
+
+impl Selection {
+    /// The selection `terms` describe; `None` when a variable repeats
+    /// (the equality needs [`Subgoal::reduce`]'s scan).
+    #[must_use]
+    pub fn of(terms: &[Term]) -> Option<Selection> {
+        let (mut constants, mut columns) = (Vec::new(), Vec::new());
+        let (mut vars, mut var_columns) = (Vec::new(), Vec::new());
+        for (column, t) in terms.iter().enumerate() {
+            match *t {
+                Term::Const(c) => {
+                    constants.push(c);
+                    columns.push(column);
+                }
+                Term::Var(v) => {
+                    vars.push(Attr(v));
+                    var_columns.push(column);
+                }
+            }
+        }
+        columns.extend(var_columns);
+        Some(Selection {
+            constants,
+            columns,
+            schema: Schema::new(vars).ok()?,
+        })
     }
 }
 

@@ -71,7 +71,9 @@ pub struct JoinQuery {
 }
 
 impl JoinQuery {
-    /// Assembles the query for `relations`.
+    /// Assembles the query for `relations`. The query shares their row
+    /// buffers (a [`Relation`] clone copies no rows), so a query over
+    /// catalog bases holds the bases themselves, not copies.
     ///
     /// # Errors
     /// [`QueryError::EmptyQuery`] if no relations are given.

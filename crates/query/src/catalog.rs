@@ -1,4 +1,27 @@
 //! Named relations plus the shared value dictionary.
+//!
+//! ## Three lifetimes
+//!
+//! What a query runs on is owned at three levels, each outliving the next:
+//!
+//! 1. **A base generation.** A relation's frozen base (`Arc<Relation>`
+//!    inside its [`DeltaRelation`]) lives from the [`Catalog::insert`] or
+//!    compaction that made it to the replace, compaction or
+//!    [`Catalog::remove`] that retires it — and past that for as long as a
+//!    [`Snapshot`] frozen earlier still reads it.
+//! 2. **Its indexes, one per column order.** The base owns them
+//!    ([`DeltaRelation::base_index`]): each is built on the first plan
+//!    that needs that order — never at insert time — at most once however
+//!    many submitters race, shared by every plan, clone and snapshot over
+//!    that base, and freed with it. A new base starts with none.
+//! 3. **A plan per query shape and constant**, in the LRU
+//!    (`plan_cache.rs`). A plan holds `Arc`s on the bases and
+//!    indexes of level 1–2 plus what only its own constants determine:
+//!    the few rows of each constant-bearing atom's section, their index,
+//!    the cover. Evicting or retiring a plan frees just that.
+//!
+//! So a plan-cache miss costs what its constants select, not what its
+//! relations hold, and replacing one relation re-indexes only that one.
 
 use crate::plan_cache::{next_generation, PlanCache};
 use std::collections::BTreeMap;
@@ -77,8 +100,9 @@ struct Stored {
 /// ## Snapshots
 ///
 /// `Catalog` is `Clone`, and cloning is copy-on-write: the clone shares
-/// the `Arc`'d bases and dictionary and copies only the small delta
-/// buffers. [`Catalog::freeze`] wraps a clone in an [`Arc<Snapshot>`] —
+/// the `Arc`'d bases (with their indexes), the dictionary and the rows of
+/// the delta buffers; a writer copies a buffer the first time it changes
+/// one a clone still reads. [`Catalog::freeze`] wraps a clone in an [`Arc<Snapshot>`] —
 /// an immutable view a query can pin for its whole lifetime while writers
 /// keep mutating the live catalog.
 #[derive(Clone)]
@@ -332,8 +356,8 @@ impl Catalog {
 
     /// Freezes the current contents into an immutable [`Snapshot`] a
     /// query can pin for its whole lifetime. Cheap copy-on-write: the
-    /// snapshot shares the `Arc`'d frozen bases (and the dictionary and
-    /// plan cache) and copies only the small delta buffers.
+    /// snapshot shares the `Arc`'d frozen bases and their indexes, the
+    /// delta buffers' rows, the dictionary and the plan cache.
     #[must_use]
     pub fn freeze(&self) -> Arc<Snapshot> {
         Arc::new(Snapshot {
@@ -610,6 +634,85 @@ mod tests {
         assert!(!c.get("R").unwrap().contains_row(&[Value(1), Value(2)]));
         snap.record_age(); // gauge write smoke-check
         let _ = snap.age_ms();
+    }
+
+    fn triangle_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        c.set_compact_threshold(usize::MAX);
+        for (seed, name) in ["R", "S", "T"].into_iter().enumerate() {
+            c.insert(
+                name,
+                wcoj_datagen::random_relation(seed as u64, &[0, 1], 60, 8),
+            );
+        }
+        c
+    }
+
+    #[test]
+    fn a_retired_base_takes_its_indexes_with_it() {
+        use std::sync::Weak;
+        use wcoj_storage::{Attr, FlatIndex};
+        let full = crate::parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
+        let narrow = crate::parse_query("Ans(y) :- R(1, y)").unwrap();
+        type Retire = fn(&mut Catalog);
+        let retirements: [(&str, Retire); 3] = [
+            ("replace", |c| c.insert("R", c.get("R").unwrap())),
+            ("compact", |c| {
+                c.insert_rows("R", &rows(&[&[90, 91]])).unwrap();
+                assert!(c.compact("R"));
+            }),
+            ("remove", |c| assert!(c.remove("R"))),
+        ];
+        for (what, retire) in retirements {
+            let mut c = triangle_catalog();
+            // Cached plans over R's base: one shares its index, one its
+            // section under a constant.
+            crate::execute(&full, &c).unwrap();
+            crate::execute(&narrow, &c).unwrap();
+            let indexes: Vec<Weak<FlatIndex>> = [[0, 1], [1, 0]]
+                .into_iter()
+                .map(|order| {
+                    let r = c.delta("R").unwrap();
+                    Arc::downgrade(&r.base_index(&order.map(Attr)).unwrap())
+                })
+                .collect();
+            let snapshot = c.freeze();
+            retire(&mut c);
+            assert!(
+                indexes.iter().all(|ix| ix.upgrade().is_some()),
+                "{what}: the snapshot still reads the old base"
+            );
+            drop(snapshot);
+            assert!(
+                indexes.iter().all(|ix| ix.upgrade().is_none()),
+                "{what}: nothing reads the old base, yet an index of it lives"
+            );
+        }
+    }
+
+    #[test]
+    fn a_snapshot_answers_the_same_after_a_compaction() {
+        let q = crate::parse_query("Ans(y, z) :- R(1, y), S(y, z), T(1, z).").unwrap();
+        let mut c = triangle_catalog();
+        c.insert_rows("S", &rows(&[&[1, 90], &[90, 1]])).unwrap();
+        c.delete_rows("R", &[c.get("R").unwrap().row(0).to_vec()])
+            .unwrap();
+        let snapshot = c.freeze();
+        let before = crate::execute(&q, snapshot.catalog()).unwrap();
+        for name in ["R", "S"] {
+            assert!(c.compact(name));
+        }
+        c.insert_rows("T", &rows(&[&[1, 90]])).unwrap();
+        // The live catalog moved on (new bases, no plans over the old
+        // ones); the snapshot rebuilds over the bases it pinned.
+        let after = crate::execute(&q, snapshot.catalog()).unwrap();
+        assert_eq!(after.relation, before.relation);
+        assert_eq!(after.columns, before.columns);
+        assert_ne!(
+            crate::execute(&q, &c).unwrap().relation,
+            before.relation,
+            "the appended (1, 90, 1) path is visible to the live catalog only"
+        );
     }
 
     #[test]

@@ -5,11 +5,11 @@ use crate::plan_cache::CachedPlan;
 use crate::{Catalog, QueryTextError};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use wcoj_core::fullcq::{Subgoal, Term};
+use wcoj_core::fullcq::{Selection, Subgoal, Term};
 use wcoj_core::nprr::PreparedQuery;
 use wcoj_core::JoinQuery;
 use wcoj_storage::ops::project;
-use wcoj_storage::{Attr, Datum, DeltaIndex, FlatIndex, Relation};
+use wcoj_storage::{Attr, Datum, DeltaIndex, DeltaRelation, FlatIndex, Relation, StorageError};
 
 /// Result of executing a text query.
 #[derive(Debug, Clone)]
@@ -171,6 +171,29 @@ fn bind(q: &ParsedQuery, catalog: &Catalog) -> Result<Bound, QueryTextError> {
     })
 }
 
+/// §7.3's reduction of one atom's frozen base. When no variable repeats
+/// the base's own indexes answer it ([`DeltaRelation::base_index`], built
+/// once per base and column order, shared by every plan): with no
+/// constants the reduced relation is the base itself under the variables'
+/// names; with constants it is the section below them in the index that
+/// leads with the constant columns — (ST1) in place of the scan, so only
+/// the section's rows are touched. A repeated variable falls back to
+/// [`Subgoal::reduce`]'s scan. Row for row the scan's result either way.
+fn reduce_base(delta: &DeltaRelation, terms: &[Term]) -> Result<Relation, StorageError> {
+    let base = delta.base();
+    let Some(sel) = Selection::of(terms) else {
+        return Ok(Subgoal::new(base.as_ref().clone(), terms.to_vec())?.reduce());
+    };
+    if sel.constants.is_empty() {
+        return base.with_schema(sel.schema);
+    }
+    let attrs = base.schema().attrs();
+    let order: Vec<Attr> = sel.columns.iter().map(|&c| attrs[c]).collect();
+    delta
+        .base_index(&order)?
+        .section(&sel.constants, sel.schema)
+}
+
 /// Prepares the delta-merged plan for a bound body. Each atom's three
 /// components — frozen base, insert buffer, delete buffer — are reduced
 /// *separately* per §7.3. The reduction is injective on rows passing its
@@ -178,6 +201,12 @@ fn bind(q: &ParsedQuery, catalog: &Catalog) -> Result<Bound, QueryTextError> {
 /// one), so reducing componentwise preserves the delta invariants
 /// (`del ⊆ base`, `ins ∩ base = ∅`) and the merged reduced view equals
 /// the reduction of the merged view.
+///
+/// What a cold build costs depends on the constants alone. An atom
+/// without them (and without repeated variables) shares its relation's
+/// base and that base's index under the plan's column order — nothing of
+/// it is copied, scanned or sorted, whatever the other atoms' constants
+/// are; an atom with constants indexes only its section's rows.
 ///
 /// With `reuse` (a cached plan over the same base generations, stale only
 /// in its deltas), the `Arc`-shared reduced-base `JoinQuery` and frozen
@@ -189,20 +218,20 @@ fn build_plan(
     atoms: &[(String, Vec<Term>)],
     reuse: Option<&CachedPlan>,
 ) -> Result<CachedPlan, wcoj_core::QueryError> {
+    let deltas: Vec<&DeltaRelation> = atoms
+        .iter()
+        .map(|(name, _)| catalog.delta(name).expect("relation bound above"))
+        .collect();
+    let reduce = |buffer: &Relation, terms: &[Term]| {
+        Subgoal::new(buffer.clone(), terms.to_vec())
+            .expect("arity checked above")
+            .reduce()
+    };
     let mut red_ins: Vec<Relation> = Vec::with_capacity(atoms.len());
     let mut red_del: Vec<Relation> = Vec::with_capacity(atoms.len());
-    for (name, terms) in atoms {
-        let delta = catalog.delta(name).expect("relation bound above");
-        red_ins.push(
-            Subgoal::new(delta.ins().clone(), terms.clone())
-                .expect("arity checked above")
-                .reduce(),
-        );
-        red_del.push(
-            Subgoal::new(delta.del().clone(), terms.clone())
-                .expect("arity checked above")
-                .reduce(),
-        );
+    for (delta, (_, terms)) in deltas.iter().zip(atoms) {
+        red_ins.push(reduce(delta.ins(), terms));
+        red_del.push(reduce(delta.del(), terms));
     }
     let (query, bases): (Arc<JoinQuery>, Vec<Arc<FlatIndex>>) = match reuse {
         Some(old) => (
@@ -213,15 +242,11 @@ fn build_plan(
                 .collect(),
         ),
         None => {
-            let red_base: Vec<Relation> = atoms
+            let red_base = deltas
                 .iter()
-                .map(|(name, terms)| {
-                    let delta = catalog.delta(name).expect("relation bound above");
-                    Subgoal::new(delta.base().as_ref().clone(), terms.clone())
-                        .expect("arity checked above")
-                        .reduce()
-                })
-                .collect();
+                .zip(atoms)
+                .map(|(delta, (_, terms))| reduce_base(delta, terms))
+                .collect::<Result<Vec<Relation>, _>>()?;
             (Arc::new(JoinQuery::new(&red_base)?), Vec::new())
         }
     };
@@ -235,9 +260,19 @@ fn build_plan(
         .collect();
     let rels = Arc::clone(&query);
     let plan = PreparedQuery::<DeltaIndex>::from_shared(query, Some(sizes), |i, order| {
+        let reduced = &rels.relations()[i];
         let base = match bases.get(i) {
             Some(b) => Arc::clone(b),
-            None => Arc::new(FlatIndex::build(&rels.relations()[i], order)?),
+            // No column dropped means no constant and no repeat: the
+            // reduced base is the base under the variables' names, and
+            // the base's own index in the same column order serves it.
+            None if reduced.arity() == deltas[i].arity() => {
+                let attrs = deltas[i].schema().attrs();
+                let columns = reduced.schema().positions_of(order)?;
+                let base_order: Vec<Attr> = columns.into_iter().map(|c| attrs[c]).collect();
+                deltas[i].base_index(&base_order)?
+            }
+            None => Arc::new(FlatIndex::build(reduced, order)?),
         };
         DeltaIndex::over(base, &red_ins[i], &red_del[i], order)
     })?;
@@ -507,6 +542,7 @@ pub fn submit_query(q: &ParsedQuery, catalog: &Catalog) -> Result<PendingQuery, 
 mod tests {
     use super::*;
     use crate::{load_csv, parse_query};
+    use proptest::prelude::*;
     use wcoj_storage::{Schema, Value};
 
     fn catalog_with_triangle() -> Catalog {
@@ -1026,6 +1062,146 @@ mod tests {
         }
         let out = crate::submit_query(&q, &c).unwrap().collect().unwrap();
         assert_eq!(out.relation.len(), 2);
+    }
+
+    /// The plan `build_plan` would cache, prepared the way it was before
+    /// bases owned their indexes: every component through
+    /// [`Subgoal::reduce`]'s scan, every base index built afresh. The
+    /// differential oracle for the shared-index path.
+    fn scanned_plan(
+        catalog: &Catalog,
+        atoms: &[(String, Vec<Term>)],
+    ) -> Result<CachedPlan, wcoj_core::QueryError> {
+        let reduce = |component: &Relation, terms: &[Term]| {
+            Subgoal::new(component.clone(), terms.to_vec())
+                .unwrap()
+                .reduce()
+        };
+        let part = |pick: fn(&DeltaRelation) -> &Relation| -> Vec<Relation> {
+            atoms
+                .iter()
+                .map(|(name, terms)| reduce(pick(catalog.delta(name).unwrap()), terms))
+                .collect()
+        };
+        let (red_base, red_ins, red_del) = (
+            part(|d| d.base().as_ref()),
+            part(DeltaRelation::ins),
+            part(DeltaRelation::del),
+        );
+        let sizes = (0..atoms.len())
+            .map(|i| red_base[i].len() - red_del[i].len() + red_ins[i].len())
+            .collect();
+        let query = Arc::new(JoinQuery::new(&red_base)?);
+        let plan = PreparedQuery::<DeltaIndex>::from_shared(query, Some(sizes), |i, order| {
+            let base = Arc::new(FlatIndex::build(&red_base[i], order)?);
+            DeltaIndex::over(base, &red_ins[i], &red_del[i], order)
+        })?;
+        Ok(Arc::new(plan))
+    }
+
+    /// `cells` cut into rows of `arity` values.
+    fn rows_of(cells: &[u64], arity: usize) -> Vec<Vec<Value>> {
+        cells
+            .chunks_exact(arity)
+            .map(|r| r.iter().map(|&v| Value(v)).collect())
+            .collect()
+    }
+
+    /// One term per pick: below 4 a variable (two columns drawing the
+    /// same one repeat it), from 4 up the constant `pick − 4` — which the
+    /// caller's value domain makes absent for the largest picks.
+    fn terms_of(picks: &[u64]) -> Vec<Term> {
+        let term = |&p: &u64| match p.checked_sub(4) {
+            None => Term::Var(p as u32),
+            Some(c) => Term::Const(Value(c)),
+        };
+        picks.iter().map(term).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// §7.3 selection by index descent ≡ the scan, row for row: any
+        /// arity 1–4, constants in any subset of columns (values 4 and 5
+        /// occur in no row → empty), repeated variables, both at once.
+        #[test]
+        fn index_selection_equals_the_scan(
+            arity in 1usize..5,
+            cells in prop::collection::vec(0u64..4, 0..160),
+            picks in prop::collection::vec(0u64..10, 4),
+        ) {
+            let schema: Schema = (10..10 + arity as u32).map(Attr).collect();
+            let base = Relation::from_rows(schema, rows_of(&cells, arity)).unwrap();
+            let terms = terms_of(&picks[..arity]);
+            let scanned = Subgoal::new(base.clone(), terms.clone()).unwrap().reduce();
+            let delta = DeltaRelation::new(base);
+            prop_assert_eq!(reduce_base(&delta, &terms).unwrap(), scanned, "{:?}", terms);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Triangle and path bodies with constants, over relations whose
+        /// insert and delete buffers are non-empty: the plan built through
+        /// the bases' shared indexes evaluates to the same rows in the
+        /// same order, by the same decisions, as the plan built by
+        /// scanning and indexing everything afresh.
+        #[test]
+        fn shared_index_plans_equal_scanned_plans(
+            cells in prop::collection::vec(0u64..5, 180),
+            writes in prop::collection::vec(0u64..6, 36),
+            picks in prop::collection::vec(0u64..16, 6),
+            triangle in any::<bool>(),
+        ) {
+            let mut catalog = Catalog::new();
+            catalog.set_compact_threshold(usize::MAX);
+            let names = ["R", "S", "T"];
+            for (i, name) in names.into_iter().enumerate() {
+                let rows = rows_of(&cells[i * 60..(i + 1) * 60], 2);
+                catalog.insert(name, Relation::from_rows(Schema::of(&[0, 1]), rows).unwrap());
+                // Delete two rows the base has, append six it may not.
+                let base = catalog.get(name).unwrap();
+                let doomed: Vec<Vec<Value>> = base.iter_rows().take(2).map(<[_]>::to_vec).collect();
+                catalog.delete_rows(name, &doomed).unwrap();
+                catalog.insert_rows(name, &rows_of(&writes[i * 12..(i + 1) * 12], 2)).unwrap();
+                prop_assert!(catalog.delta(name).unwrap().delta_len() > 0);
+            }
+            // R(a,b), S(b,c)[, T(a,c)] with about a quarter of the terms
+            // replaced by a constant (5 occurs only in appended rows).
+            let vars = [0u32, 1, 1, 2, 0, 2];
+            let atoms: Vec<(String, Vec<Term>)> = (0..if triangle { 3 } else { 2 })
+                .map(|i| {
+                    let term = |j: usize| match picks[j].checked_sub(10) {
+                        None => Term::Var(vars[j]),
+                        Some(c) => Term::Const(Value(c)),
+                    };
+                    (names[i].to_owned(), vec![term(2 * i), term(2 * i + 1)])
+                })
+                .collect();
+
+            let shared = build_plan(&catalog, &atoms, None);
+            let scanned = scanned_plan(&catalog, &atoms);
+            let (shared, scanned) = match (shared, scanned) {
+                (Ok(shared), Ok(scanned)) => (shared, scanned),
+                (shared, scanned) => panic!(
+                    "{atoms:?}: shared {:?}, scanned {:?}",
+                    shared.err(),
+                    scanned.err()
+                ),
+            };
+            prop_assert_eq!(shared.query().relations(), scanned.query().relations());
+            prop_assert_eq!(shared.input_sizes(), scanned.input_sizes());
+            let (a, b) = (shared.evaluate(None).unwrap(), scanned.evaluate(None).unwrap());
+            prop_assert_eq!(&a.relation, &b.relation, "{:?}", atoms);
+            prop_assert_eq!(a.stats.intermediate_tuples, b.stats.intermediate_tuples);
+            prop_assert_eq!((a.stats.case_a, a.stats.case_b), (b.stats.case_a, b.stats.case_b));
+            prop_assert_eq!(a.stats.cover, b.stats.cover);
+            prop_assert_eq!(a.stats.log2_agm_bound.to_bits(), b.stats.log2_agm_bound.to_bits());
+            // A delta refresh of the shared plan stays on the same rows.
+            let refreshed = build_plan(&catalog, &atoms, Some(&shared)).unwrap();
+            prop_assert_eq!(refreshed.evaluate(None).unwrap().relation, b.relation);
+        }
     }
 
     #[test]

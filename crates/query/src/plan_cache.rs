@@ -2,6 +2,20 @@
 //! indexes, shard-plan inputs) built once per *query shape over current
 //! data* and reused across submissions.
 //!
+//! ## What a plan owns
+//!
+//! The innermost of the catalog's three lifetimes (see
+//! `catalog.rs`): base generation → that base's indexes, one per
+//! column order → the plan. A cached plan *shares* the first two by `Arc`
+//! — an atom without constants is its relation's base under the query's
+//! variable names, served by the base's own index — and *owns* only what
+//! its constants determine: each constant-bearing atom's section (found
+//! by descending a shared index, §7.3 by (ST1)), that section's index,
+//! the delta-side indexes, the memoized cover and root weights. A miss
+//! therefore builds, and an eviction frees, kilobytes; the megabytes
+//! belong to the base and go when [`PlanCache::retire_generation`] and
+//! the last snapshot let go of it.
+//!
 //! ## Key
 //!
 //! A cache key is the canonical form of the query body: one segment per
@@ -25,7 +39,7 @@
 //!   pins its whole frozen base (relations and indexes), and under
 //!   sustained ingest those would otherwise pile up one per compaction
 //!   until 64 newer plans pushed them out. The next submission rebuilds
-//!   everything — reduction, LP, indexes.
+//!   the plan, and re-indexes the one relation whose base changed.
 //! * **Delta drift** (row appends / deletes) leaves the key intact but
 //!   changes the per-atom *delta versions* stored alongside the entry.
 //!   A lookup whose versions disagree keeps the entry's prepared shape —

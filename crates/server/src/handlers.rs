@@ -111,11 +111,7 @@ fn put_relation(
         Err(e) => return error_response(conn, 400, &format!("CSV: {e}")),
     };
     let rows = rel.len();
-    state
-        .catalog
-        .write()
-        .expect("catalog lock")
-        .insert(name, rel);
+    state.catalog_mut().insert(name, rel);
     let body = format!(
         "{{\"relation\":\"{}\",\"rows\":{rows}}}\n",
         json_escape(name)
@@ -143,7 +139,7 @@ fn mutate_relation_rows(
     };
     let rows: Vec<Vec<wcoj_storage::Value>> = rel.iter_rows().map(<[_]>::to_vec).collect();
     let changed = {
-        let mut catalog = state.catalog.write().expect("catalog lock");
+        let mut catalog = state.catalog_mut();
         let res = if append {
             catalog.insert_rows(name, &rows)
         } else {
@@ -174,7 +170,7 @@ fn mutate_relation_rows(
 /// `DELETE /relation/{name}`: unregisters the relation. Snapshots pinned
 /// by in-flight queries still hold their copy.
 fn delete_relation(state: &ServerState, name: &str, conn: &mut Conn<'_>) -> std::io::Result<()> {
-    let removed = state.catalog.write().expect("catalog lock").remove(name);
+    let removed = state.catalog_mut().remove(name);
     if removed {
         let body = format!(
             "{{\"relation\":\"{}\",\"removed\":true}}\n",
@@ -202,7 +198,7 @@ fn post_query(state: &ServerState, req: &Request, conn: &mut Conn<'_>) -> std::i
     state.metrics.queries_total.inc();
     match parse_query(text) {
         Ok(q) => {
-            let snapshot = state.catalog.read().expect("catalog lock").freeze();
+            let snapshot = state.catalog().freeze();
             snapshot.record_age();
             match submit_query(&q, snapshot.catalog()) {
                 Ok(pending) => {
@@ -233,7 +229,7 @@ fn post_query(state: &ServerState, req: &Request, conn: &mut Conn<'_>) -> std::i
         Err(_) => match parse_program(text) {
             Ok(program) => {
                 let ran = {
-                    let mut catalog = state.catalog.write().expect("catalog lock");
+                    let mut catalog = state.catalog_mut();
                     run_program(&program, &mut catalog)
                 };
                 match ran {

@@ -3,12 +3,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use wcoj_query::{PendingQuery, Snapshot};
 use wcoj_storage::Relation;
 
-/// Oldest jobs are evicted past this many live entries, so a client that
-/// submits and never fetches cannot grow the table without bound.
+/// Jobs are evicted past this many entries (see [`Jobs::insert`]), so a
+/// client that submits and never fetches cannot grow the table without
+/// bound.
 const MAX_JOBS: usize = 256;
 
 /// One submitted query's lifecycle.
@@ -75,28 +76,45 @@ impl Jobs {
         }
     }
 
-    /// Inserts a job, returning its id. Evicts the oldest entries past
-    /// the cap (dropping an evicted [`Job::Pending`] cancels it).
+    /// The locked table. A connection thread that panicked while holding
+    /// the lock poisons it; the guard is recovered, because every update
+    /// is a single `BTreeMap` call that leaves the table valid, and one
+    /// dead handler must not take every later request down with it.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, Job>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Inserts a job, returning its id. Past the cap it evicts the oldest
+    /// job whose rows nobody can still fetch ([`Job::Done`] /
+    /// [`Job::Failed`]), and only when every entry is live the oldest of
+    /// those (dropping an evicted [`Job::Pending`] cancels it). Evicting
+    /// by age alone turned a client stalled between its `POST` and its
+    /// `GET` into a `404` as soon as other clients had submitted 256 more
+    /// queries — some 50 ms of traffic on the point workload.
     pub fn insert(&self, job: Job) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map.lock().expect("jobs mutex");
+        let mut map = self.lock();
         map.insert(id, job);
         while map.len() > MAX_JOBS {
-            let oldest = *map.keys().next().expect("non-empty past cap");
-            map.remove(&oldest);
+            let settled = |job: &Job| matches!(job, Job::Done { .. } | Job::Failed { .. });
+            let victim = map
+                .iter()
+                .find_map(|(&id, job)| settled(job).then_some(id))
+                .unwrap_or_else(|| *map.keys().next().expect("non-empty past cap"));
+            map.remove(&victim);
         }
         id
     }
 
     /// Runs `f` on the locked map (lookups, state swaps). Keep `f` quick.
     pub fn with<R>(&self, f: impl FnOnce(&mut BTreeMap<u64, Job>) -> R) -> R {
-        f(&mut self.map.lock().expect("jobs mutex"))
+        f(&mut self.lock())
     }
 
     /// Number of live jobs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.lock().expect("jobs mutex").len()
+        self.lock().len()
     }
 
     /// `true` when no jobs are tracked.
@@ -125,5 +143,32 @@ mod tests {
         }
         assert_eq!(jobs.len(), MAX_JOBS);
         assert!(jobs.with(|m| !m.contains_key(&first)), "oldest evicted");
+    }
+
+    #[test]
+    fn eviction_spares_jobs_still_waiting_for_their_fetch() {
+        let unfetched = || Job::Materialized {
+            columns: vec![],
+            relation: Relation::unit(),
+        };
+        let jobs = Jobs::new();
+        let waiting = jobs.insert(unfetched());
+        for _ in 0..2 * MAX_JOBS {
+            jobs.insert(Job::Done {
+                columns: vec![],
+                rows: 0,
+            });
+        }
+        assert_eq!(jobs.len(), MAX_JOBS);
+        assert!(
+            jobs.with(|m| m.contains_key(&waiting)),
+            "settled jobs go first, however old the waiting one is"
+        );
+        // A table of nothing but waiting jobs is still bounded.
+        for _ in 0..2 * MAX_JOBS {
+            jobs.insert(unfetched());
+        }
+        assert_eq!(jobs.len(), MAX_JOBS);
+        assert!(jobs.with(|m| !m.contains_key(&waiting)));
     }
 }

@@ -64,7 +64,7 @@ pub use jobs::{Job, Jobs};
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 use wcoj_obs::{Counter, Histogram};
 use wcoj_query::Catalog;
@@ -127,10 +127,29 @@ impl ServerMetrics {
 
 /// Everything the connection threads share.
 pub(crate) struct ServerState {
-    pub(crate) catalog: RwLock<Catalog>,
+    catalog: RwLock<Catalog>,
     pub(crate) dict: Arc<Dictionary>,
     pub(crate) jobs: Jobs,
     pub(crate) metrics: &'static ServerMetrics,
+}
+
+impl ServerState {
+    /// The catalog, for reading. A connection thread that panicked while
+    /// writing poisons the lock; the guard is recovered rather than
+    /// turning one dead handler into a dead server. That is sound
+    /// because a catalog write is a sequence of whole-value steps (a map
+    /// entry, a delta buffer, a base with its generation): whichever step
+    /// the panic interrupted, the relations left behind are each a valid
+    /// sorted set, and a query over them answers for exactly those rows.
+    pub(crate) fn catalog(&self) -> RwLockReadGuard<'_, Catalog> {
+        self.catalog.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The catalog, for writing; recovers a poisoned lock like
+    /// [`ServerState::catalog`].
+    pub(crate) fn catalog_mut(&self) -> RwLockWriteGuard<'_, Catalog> {
+        self.catalog.write().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running server: the bound listener plus its connection threads.
@@ -334,5 +353,76 @@ fn serve_connection(state: &ServerState, stream: &mut TcpStream, cfg: &ServerCon
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    /// One request on its own connection; `(status, everything after the
+    /// head)`. A chunked body keeps its framing — fine for `contains`.
+    fn request(server: &Server, method: &str, path: &str, body: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let req = format!(
+            "{method} {path} HTTP/1.1\r\nHost: loopback\r\nConnection: close\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(req.as_bytes()).expect("send");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("read response");
+        let (head, rest) = raw.split_once("\r\n\r\n").expect("header terminator");
+        let status = head.split(' ').nth(1).expect("status code").parse();
+        (status.expect("numeric status"), rest.to_owned())
+    }
+
+    #[test]
+    fn a_panicking_handler_does_not_poison_the_server() {
+        let cfg = ServerConfig {
+            bind: "127.0.0.1:0".parse().unwrap(),
+            conn_threads: 2,
+            ..ServerConfig::default()
+        };
+        let server = Server::start_with(cfg, Catalog::new()).expect("bind loopback");
+        assert_eq!(
+            request(&server, "PUT", "/relation/E", "1,2\n2,3\n1,3\n").0,
+            200
+        );
+
+        // What a handler dying mid-request leaves behind: both locks
+        // poisoned by a thread that panicked while holding them.
+        let state = Arc::clone(&server.state);
+        let died = std::thread::spawn(move || {
+            let _catalog = state.catalog.write().unwrap();
+            state
+                .jobs
+                .with(|_| panic!("handler died holding the locks"));
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(server.state.catalog.is_poisoned());
+
+        // Every route that takes a lock still answers, and correctly.
+        let (status, body) = request(
+            &server,
+            "POST",
+            "/query",
+            "Tri(x, y, z) :- E(x, y), E(y, z), E(x, z).",
+        );
+        assert_eq!(status, 202, "{body}");
+        let id = body
+            .split_once("\"id\":")
+            .and_then(|(_, rest)| rest.split_once(','))
+            .expect("job id")
+            .0;
+        let (status, rows) = request(&server, "GET", &format!("/query/{id}/rows"), "");
+        assert_eq!(status, 200, "{rows}");
+        assert!(rows.contains("1,2,3\n"), "the one triangle: {rows}");
+        assert_eq!(request(&server, "PUT", "/relation/F", "7,8\n").0, 200);
+        let (status, metrics) = request(&server, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        assert!(metrics.contains("wcoj_server_http_requests_total"));
     }
 }

@@ -8,15 +8,19 @@
 //! the frozen index:
 //!
 //! * the **base** is an `Arc<Relation>` (sorted, deduplicated) that
-//!   queries index once and share;
+//!   queries share, and that owns its indexes: one [`FlatIndex`] per
+//!   column order a query has asked for
+//!   ([`DeltaRelation::base_index`]), built at most once and dropped
+//!   with the base;
 //! * **`ins`** holds rows present in the view but not in the base;
 //! * **`del`** holds rows present in the base but removed from the view.
 //!
 //! The two invariants `del ⊆ base` and `ins ∩ base = ∅` make the merge
 //! arithmetic exact: the effective relation is `(base ∖ del) ∪ ins` and
 //! its cardinality is `|base| − |del| + |ins|` — no overlap terms.
-//! Cloning a `DeltaRelation` is the copy-on-write snapshot: one `Arc`
-//! bump for the base plus copies of the (small) buffers.
+//! Cloning a `DeltaRelation` is the copy-on-write snapshot: `Arc` bumps
+//! for the base, its indexes and the buffers' rows ([`Relation`] clones
+//! share their rows until one side changes them).
 //!
 //! [`DeltaIndex`] is the read side: a [`SearchTree`] over the *merged*
 //! view, composed from a shared base index plus two small
@@ -40,9 +44,10 @@
 //! run independently (each chunk's output is sorted and chunk ranges are
 //! disjoint, so concatenation is the sorted merge).
 
+use crate::flat::permutation_of;
 use crate::index::{with_tuple_scratch, SearchTree};
 use crate::{Attr, FlatIndex, FlatNode, Relation, Schema, StorageError, Value};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Index of the first row in sorted `rel` that is `>= row`
 /// (lower bound over the row-major buffer).
@@ -82,6 +87,12 @@ pub struct MergeChunk {
     del: (usize, usize),
 }
 
+/// The indexes of one frozen base: attribute order → the cell that
+/// order's index is built in. The mutex guards the list alone; a build
+/// runs inside its own cell, so racing callers of one order wait for a
+/// single build while other orders proceed.
+type BaseIndexes = Mutex<Vec<(Vec<Attr>, Arc<OnceLock<Arc<FlatIndex>>>)>>;
+
 /// A relation as a frozen shared base plus sorted insert/delete buffers.
 ///
 /// Invariants (maintained by every mutator): `del ⊆ base`,
@@ -89,6 +100,11 @@ pub struct MergeChunk {
 #[derive(Clone)]
 pub struct DeltaRelation {
     base: Arc<Relation>,
+    /// Indexes over `base`, shared by every clone of this store that
+    /// still has this base. A new base (compaction) starts a new set, so
+    /// the indexes live exactly as long as something can still read the
+    /// base they were built over.
+    base_indexes: Arc<BaseIndexes>,
     ins: Relation,
     del: Relation,
 }
@@ -101,6 +117,7 @@ impl DeltaRelation {
         let schema = base.schema().clone();
         DeltaRelation {
             base: Arc::new(base),
+            base_indexes: Arc::default(),
             ins: Relation::empty(schema.clone()),
             del: Relation::empty(schema),
         }
@@ -122,6 +139,37 @@ impl DeltaRelation {
     #[must_use]
     pub fn base(&self) -> &Arc<Relation> {
         &self.base
+    }
+
+    /// The index over the frozen base under attribute order `order` (a
+    /// permutation of the schema), built on first request and shared from
+    /// then on: by every query, every clone and every snapshot that still
+    /// has this base. Compaction installs a new base with no indexes; the
+    /// old ones are freed with the last reader of the old base.
+    ///
+    /// # Errors
+    /// [`StorageError::SchemaMismatch`] if `order` is not a permutation
+    /// of the schema.
+    pub fn base_index(&self, order: &[Attr]) -> Result<Arc<FlatIndex>, StorageError> {
+        // Checked before the cell is made, so a build cannot fail.
+        permutation_of(self.schema(), order)?;
+        let cell = {
+            // Recovering a poisoned guard is sound: the list is only ever
+            // pushed to, so it is valid at every step.
+            let mut cells = self.base_indexes.lock().unwrap_or_else(|e| e.into_inner());
+            match cells.iter().find(|(o, _)| o == order) {
+                Some((_, cell)) => Arc::clone(cell),
+                None => {
+                    let cell = Arc::default();
+                    cells.push((order.to_vec(), Arc::clone(&cell)));
+                    cell
+                }
+            }
+        };
+        let index = cell.get_or_init(|| {
+            Arc::new(FlatIndex::build(&self.base, order).expect("order checked above"))
+        });
+        Ok(Arc::clone(index))
     }
 
     /// The insert buffer (rows in the view, not in the base).
@@ -266,14 +314,9 @@ impl DeltaRelation {
                 Relation::unit()
             };
         }
-        let mut out = Relation::empty(self.schema().clone());
-        for chunk in self.merge_plan(1) {
-            let data = self.merge_chunk(chunk);
-            for row in data.chunks(self.arity()) {
-                out.push_row(row).expect("merged rows share the schema");
-            }
-        }
-        out
+        let whole = self.merge_plan(1).pop().expect("a plan has a chunk");
+        Relation::from_flat(self.schema().clone(), self.merge_chunk(whole))
+            .expect("merged rows share the schema")
     }
 
     /// Folds the buffers into a fresh base (single-threaded). Returns
@@ -380,12 +423,8 @@ impl DeltaRelation {
             self.compact();
             return;
         }
-        let mut merged = Relation::empty(self.schema().clone());
-        for part in parts {
-            for row in part.chunks(self.arity()) {
-                merged.push_row(row).expect("merged rows share the schema");
-            }
-        }
+        let merged = Relation::from_flat(self.schema().clone(), parts.concat())
+            .expect("merged rows share the schema");
         debug_assert!(
             merged
                 .iter_rows()
@@ -395,6 +434,7 @@ impl DeltaRelation {
         );
         *self = DeltaRelation {
             base: Arc::new(merged),
+            base_indexes: Arc::default(),
             ins: Relation::empty(self.schema().clone()),
             del: Relation::empty(self.schema().clone()),
         };
@@ -853,6 +893,58 @@ mod tests {
         t.delete_rows(&[vec![]]).unwrap();
         assert_eq!(t.insert_rows(&[vec![]]).unwrap(), 1);
         assert_eq!(t.delta_len(), 0, "resurrection leaves nothing buffered");
+    }
+
+    #[test]
+    fn base_indexes_are_built_once_and_leave_with_the_base() {
+        let mut d = DeltaRelation::new(rel(&[0, 1], &[&[1, 2], &[2, 1], &[3, 3]]));
+        // Racing submitters of one order get one index; the barrier puts
+        // them all at the cell before any can have finished a build.
+        let barrier = std::sync::Barrier::new(4);
+        let raced: Vec<Arc<FlatIndex>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        d.base_index(&attrs(&[1, 0])).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(raced.iter().all(|ix| Arc::ptr_eq(ix, &raced[0])));
+        // Another order is another index; a clone (a snapshot) shares both.
+        let schema_order = d.base_index(&attrs(&[0, 1])).unwrap();
+        assert!(!Arc::ptr_eq(&schema_order, &raced[0]));
+        assert_eq!(raced[0].child_slice(raced[0].root()), &[1, 2, 3].map(Value));
+        let snapshot = d.clone();
+        assert!(Arc::ptr_eq(
+            &snapshot.base_index(&attrs(&[1, 0])).unwrap(),
+            &raced[0]
+        ));
+        assert!(d.base_index(&attrs(&[0, 2])).is_err());
+        assert!(d.base_index(&attrs(&[0])).is_err());
+
+        // Row mutations leave the base, so its indexes, alone; compaction
+        // installs a new base that starts with none.
+        d.insert_rows(&vrows(&[&[0, 9]])).unwrap();
+        assert!(Arc::ptr_eq(
+            &d.base_index(&attrs(&[1, 0])).unwrap(),
+            &raced[0]
+        ));
+        assert!(d.compact());
+        let fresh = d.base_index(&attrs(&[1, 0])).unwrap();
+        assert!(!Arc::ptr_eq(&fresh, &raced[0]));
+        assert_eq!(fresh.num_rows(), 4);
+        // The old ones live exactly as long as a reader of the old base.
+        let old = Arc::downgrade(&raced[0]);
+        drop((raced, schema_order));
+        assert!(
+            old.upgrade().is_some(),
+            "the snapshot still has the old base"
+        );
+        drop(snapshot);
+        assert!(old.upgrade().is_none());
     }
 
     /// Builds the DeltaIndex for `d` under `order`, sharing `d`'s base.

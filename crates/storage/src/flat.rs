@@ -33,7 +33,20 @@
 //! stress suites pin this backend bit-identical to `join_nprr`.
 
 use crate::index::{with_tuple_scratch, SearchTree};
+use crate::relation::{sort_dedup_flat, strictly_sorted};
 use crate::{gallop, Attr, Relation, Schema, StorageError, Value};
+
+/// The schema position of each attribute of `order`, which must be a
+/// permutation of `schema`.
+pub(crate) fn permutation_of(schema: &Schema, order: &[Attr]) -> Result<Vec<usize>, StorageError> {
+    let target = Schema::new(order.to_vec()).map_err(|_| StorageError::SchemaMismatch)?;
+    if !schema.same_set(&target) {
+        return Err(StorageError::SchemaMismatch);
+    }
+    Ok(schema
+        .positions_of(order)
+        .expect("same_set implies positions exist"))
+}
 
 /// One flat level: contiguous sorted values plus child offset ranges.
 #[derive(Debug, Clone)]
@@ -76,28 +89,34 @@ impl FlatIndex {
     /// permutation of the relation's schema). Rows are reordered, sorted,
     /// and deduplicated; construction is `O(k · N log N)` time,
     /// `O(k · N)` space — the same as the counted trie, minus the parent
-    /// arrays.
+    /// arrays — and `O(k · N)` time when the rows are already a sorted set
+    /// under `order`.
     ///
     /// # Errors
     /// [`StorageError::SchemaMismatch`] if `order` is not a permutation
     /// of the relation's attributes.
     pub fn build(rel: &Relation, order: &[Attr]) -> Result<FlatIndex, StorageError> {
-        let target = Schema::new(order.to_vec()).map_err(|_| StorageError::SchemaMismatch)?;
-        if !rel.schema().same_set(&target) {
-            return Err(StorageError::SchemaMismatch);
-        }
-        let positions = rel
-            .schema()
-            .positions_of(order)
-            .expect("same_set implies positions exist");
+        let positions = permutation_of(rel.schema(), order)?;
         let k = order.len();
 
-        let mut rows: Vec<Vec<Value>> = rel
-            .iter_rows()
-            .map(|r| positions.iter().map(|&p| r[p]).collect())
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
+        // The rows under `order`, in one flat buffer: borrowed when `order`
+        // is the schema's own and the rows are a sorted set (every catalog
+        // base), so nothing is copied or sorted; otherwise permuted column
+        // by column, and sorted only if that left them out of order.
+        let in_schema_order = positions.iter().enumerate().all(|(i, &p)| i == p);
+        let mut permuted = Vec::new();
+        let rows: &[Value] = if in_schema_order && strictly_sorted(rel.raw_data(), k) {
+            rel.raw_data()
+        } else {
+            permuted.reserve_exact(rel.raw_data().len());
+            for row in rel.iter_rows() {
+                permuted.extend(positions.iter().map(|&p| row[p]));
+            }
+            if !strictly_sorted(&permuted, k) {
+                sort_dedup_flat(&mut permuted, k);
+            }
+            &permuted
+        };
 
         // A new entry at level d whenever the length-(d+1) prefix changes;
         // rows are sorted, so comparing with the previous row suffices.
@@ -107,13 +126,9 @@ impl FlatIndex {
                 child_start: Vec::new(),
             })
             .collect();
-        for (ri, row) in rows.iter().enumerate() {
-            let split = if ri == 0 {
-                0
-            } else {
-                let prev = &rows[ri - 1];
-                (0..k).find(|&d| row[d] != prev[d]).unwrap_or(k)
-            };
+        let mut prev: Option<&[Value]> = None;
+        for row in rows.chunks_exact(k.max(1)) {
+            let split = prev.map_or(0, |prev| (0..k).find(|&d| row[d] != prev[d]).unwrap_or(k));
             for d in split..k {
                 if d + 1 < k {
                     let next_len = levels[d + 1].values.len() as u32;
@@ -121,6 +136,7 @@ impl FlatIndex {
                 }
                 levels[d].values.push(row[d]);
             }
+            prev = Some(row);
         }
         for d in 0..k.saturating_sub(1) {
             let end = levels[d + 1].values.len() as u32;
@@ -244,6 +260,33 @@ impl FlatIndex {
         debug_assert!(depth + extra <= self.arity());
         let (lo, hi) = self.range_at(node, depth + 1);
         with_tuple_scratch(extra, |buf| self.walk(depth, lo, hi, 0, buf, &mut f));
+    }
+
+    /// The section `R[prefix]` (paper §5.1) as a relation over `schema`:
+    /// every full-depth extension of `prefix`, found by one (ST1) descent
+    /// and listed by (ST3) in lexicographic order — so the result is a
+    /// sorted set, at a cost independent of the rows outside the section.
+    /// Empty when `prefix` does not occur. With `prefix` over the index's
+    /// leading columns this is §7.3's constant selection without the
+    /// scan.
+    ///
+    /// # Errors
+    /// [`StorageError::ArityMismatch`] unless `prefix` and `schema`
+    /// together are as wide as the index.
+    pub fn section(&self, prefix: &[Value], schema: Schema) -> Result<Relation, StorageError> {
+        if prefix.len() + schema.arity() != self.arity() {
+            return Err(StorageError::ArityMismatch {
+                expected: self.arity(),
+                got: prefix.len() + schema.arity(),
+            });
+        }
+        let mut out = Relation::empty(schema);
+        if let Some(node) = self.descend_tuple(self.root(), prefix) {
+            self.for_each_extension(node, out.arity(), |row| {
+                out.push_row(row).expect("extension as wide as the schema");
+            });
+        }
+        Ok(out)
     }
 
     /// Forward walk: enumerate entries `[lo, hi)` at level `level` into
@@ -438,6 +481,56 @@ mod tests {
             .is_some());
         assert!(t.descend_tuple(t.root(), &[Value(1), Value(5)]).is_none());
         assert!(t.descend_tuple(t.root(), &[Value(9)]).is_none());
+    }
+
+    #[test]
+    fn section_is_the_selection_without_the_scan() {
+        let r = rel(
+            &[0, 1, 2],
+            &[&[1, 2, 3], &[1, 2, 4], &[1, 5, 6], &[2, 0, 0]],
+        );
+        let t = FlatIndex::build(&r, &attrs(&[0, 1, 2])).unwrap();
+        assert_eq!(
+            t.section(&[Value(1)], Schema::of(&[7, 8])).unwrap(),
+            rel(&[7, 8], &[&[2, 3], &[2, 4], &[5, 6]])
+        );
+        assert_eq!(
+            t.section(&[Value(1), Value(2)], Schema::of(&[8])).unwrap(),
+            rel(&[8], &[&[3], &[4]])
+        );
+        // the empty prefix selects everything, an absent one nothing
+        assert_eq!(t.section(&[], r.schema().clone()).unwrap(), r);
+        assert!(t
+            .section(&[Value(9)], Schema::of(&[7, 8]))
+            .unwrap()
+            .is_empty());
+        // a full-depth prefix is a membership test: nullary true / false
+        let all = [Value(2), Value(0), Value(0)];
+        assert_eq!(
+            t.section(&all, Schema::of(&[])).unwrap(),
+            Relation::nullary_true()
+        );
+        let none = [Value(2), Value(0), Value(1)];
+        assert_eq!(t.section(&none, Schema::of(&[])).unwrap(), Relation::unit());
+        assert!(t.section(&[Value(1)], Schema::of(&[7])).is_err());
+    }
+
+    #[test]
+    fn build_sorts_only_what_the_order_unsorts() {
+        // Rows already a sorted set under the order (here: the schema's
+        // own, and a permutation that happens to keep them sorted) take
+        // the no-sort path; either way the index is the sorted one.
+        let r = rel(&[0, 1], &[&[1, 1], &[2, 2], &[3, 3]]);
+        for order in [attrs(&[0, 1]), attrs(&[1, 0])] {
+            let t = FlatIndex::build(&r, &order).unwrap();
+            assert_eq!(t.child_slice(t.root()), &[1, 2, 3].map(Value));
+            assert_eq!(t.num_rows(), 3);
+        }
+        let r = rel(&[0, 1], &[&[1, 9], &[2, 8], &[3, 8]]);
+        let t = FlatIndex::build(&r, &attrs(&[1, 0])).unwrap();
+        assert_eq!(t.child_slice(t.root()), &[8, 9].map(Value));
+        let eight = t.descend(t.root(), Value(8)).unwrap();
+        assert_eq!(t.child_slice(eight), &[2, 3].map(Value));
     }
 
     #[test]

@@ -64,11 +64,7 @@ pub fn rename(rel: &Relation, pairs: &[(Attr, Attr)]) -> Result<Relation, Storag
             .ok_or(StorageError::UnknownAttr(from))?;
         attrs[p] = to;
     }
-    let schema = Schema::new(attrs)?;
-    let mut out = Relation::empty(schema);
-    for row in rel.iter_rows() {
-        out.push_row(row).expect("same arity");
-    }
+    let mut out = rel.with_schema(Schema::new(attrs)?)?;
     out.sort_dedup();
     Ok(out)
 }

@@ -4,18 +4,21 @@ use crate::hash::{set_with_capacity, FxHashSet};
 use crate::{Schema, StorageError, Value};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A relation instance: a set of tuples over a [`Schema`].
 ///
 /// Rows are stored row-major in one flat buffer, so iteration touches
-/// contiguous memory and cloning performs a single allocation. Duplicate
-/// rows may transiently exist while loading; [`Relation::sort_dedup`]
-/// restores set semantics and every constructor that finalises a relation
-/// calls it.
+/// contiguous memory. The buffer is shared copy-on-write: cloning a
+/// relation, or viewing it under other attribute names
+/// ([`Relation::with_schema`]), copies no rows, and the first mutation of
+/// a shared buffer copies it once. Duplicate rows may transiently exist
+/// while loading; [`Relation::sort_dedup`] restores set semantics and
+/// every constructor that finalises a relation calls it.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Relation {
     schema: Schema,
-    data: Vec<Value>,
+    data: Arc<Vec<Value>>,
     /// Whether a *nullary* relation contains its single possible (empty)
     /// tuple; ignored for positive arities.
     nullary_present: bool,
@@ -27,7 +30,7 @@ impl Relation {
     pub fn empty(schema: Schema) -> Relation {
         Relation {
             schema,
-            data: Vec::new(),
+            data: Arc::default(),
             nullary_present: false,
         }
     }
@@ -45,7 +48,8 @@ impl Relation {
     /// [`StorageError::ArityMismatch`] if any row has the wrong length.
     pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Result<Relation, StorageError> {
         let mut rel = Relation::empty(schema);
-        rel.data.reserve(rows.len() * rel.arity());
+        let values = rows.len() * rel.arity();
+        Arc::make_mut(&mut rel.data).reserve(values);
         for row in rows {
             rel.push_row(&row)?;
         }
@@ -79,8 +83,31 @@ impl Relation {
         }
         Ok(Relation {
             schema,
-            data,
+            data: Arc::new(data),
             nullary_present: false,
+        })
+    }
+
+    /// The same rows under other attribute names, column by column: the
+    /// §7.3 reduction of a subgoal whose terms are distinct variables.
+    /// Shares the row buffer, so it costs one schema, however many rows
+    /// there are; sortedness carries over because columns keep their
+    /// places.
+    ///
+    /// # Errors
+    /// [`StorageError::ArityMismatch`] if `schema` is not as wide as this
+    /// relation's.
+    pub fn with_schema(&self, schema: Schema) -> Result<Relation, StorageError> {
+        if schema.arity() != self.arity() {
+            return Err(StorageError::ArityMismatch {
+                expected: self.arity(),
+                got: schema.arity(),
+            });
+        }
+        Ok(Relation {
+            schema,
+            data: Arc::clone(&self.data),
+            nullary_present: self.nullary_present,
         })
     }
 
@@ -112,7 +139,7 @@ impl Relation {
         if self.arity() == 0 {
             self.nullary_present = true;
         } else {
-            self.data.extend_from_slice(row);
+            Arc::make_mut(&mut self.data).extend_from_slice(row);
         }
         Ok(())
     }
@@ -165,11 +192,12 @@ impl Relation {
     pub fn iter_rows(&self) -> impl Iterator<Item = &[Value]> + '_ {
         let k = self.arity();
         let n = self.len();
+        let data = self.data.as_slice();
         (0..n).map(move |i| {
             if k == 0 {
                 &[] as &[Value]
             } else {
-                &self.data[i * k..(i + 1) * k]
+                &data[i * k..(i + 1) * k]
             }
         })
     }
@@ -192,7 +220,7 @@ impl Relation {
             .positions_of(target.attrs())
             .expect("same_set implies all present");
         let mut row = vec![Value(0); positions.len()];
-        for chunk in self.data.chunks_exact_mut(positions.len()) {
+        for chunk in Arc::make_mut(&mut self.data).chunks_exact_mut(positions.len()) {
             row.copy_from_slice(chunk);
             for (slot, &p) in chunk.iter_mut().zip(&positions) {
                 *slot = row[p];
@@ -205,40 +233,13 @@ impl Relation {
     /// Sorts rows lexicographically and removes duplicates.
     pub fn sort_dedup(&mut self) {
         let k = self.arity();
-        if k == 0 || self.data.is_empty() {
-            return;
-        }
-        let n = self.data.len() / k;
         // Already a set in order (what an index scan along the schema's
-        // own attribute order produces): nothing to move.
-        let mut rows = self.data.chunks_exact(k);
-        let mut prev = rows.next().expect("data is non-empty");
-        if rows.all(|row| std::mem::replace(&mut prev, row) < row) {
+        // own attribute order produces): nothing to move — and a shared
+        // buffer stays shared.
+        if strictly_sorted(&self.data, k) {
             return;
         }
-        // Narrow rows (every join output in practice) sort in place as
-        // fixed-size arrays; wider ones through a row-index permutation.
-        match k {
-            1 => sort_dedup_rows::<1>(&mut self.data),
-            2 => sort_dedup_rows::<2>(&mut self.data),
-            3 => sort_dedup_rows::<3>(&mut self.data),
-            4 => sort_dedup_rows::<4>(&mut self.data),
-            5 => sort_dedup_rows::<5>(&mut self.data),
-            6 => sort_dedup_rows::<6>(&mut self.data),
-            _ => {
-                let mut idx: Vec<usize> = (0..n).collect();
-                let data = &self.data;
-                idx.sort_unstable_by(|&a, &b| {
-                    cmp_rows(&data[a * k..a * k + k], &data[b * k..b * k + k])
-                });
-                idx.dedup_by(|&mut a, &mut b| data[a * k..a * k + k] == data[b * k..b * k + k]);
-                let mut out = Vec::with_capacity(idx.len() * k);
-                for i in idx {
-                    out.extend_from_slice(&self.data[i * k..i * k + k]);
-                }
-                self.data = out;
-            }
-        }
+        sort_dedup_flat(Arc::make_mut(&mut self.data), k);
     }
 
     /// Marks the nullary relation as containing the empty tuple.
@@ -304,8 +305,46 @@ impl Relation {
     }
 }
 
-/// [`Relation::sort_dedup`] for non-empty row-major `data` of `K`-wide
-/// rows: sorts the rows themselves, then compacts duplicates away.
+/// Sorts the `k`-wide rows of non-empty row-major `data`
+/// lexicographically and removes duplicates — [`Relation::sort_dedup`]
+/// past its already-sorted check, shared with [`crate::FlatIndex::build`].
+/// Narrow rows (every join output in practice) sort in place as
+/// fixed-size arrays; wider ones through a row-index permutation.
+pub(crate) fn sort_dedup_flat(data: &mut Vec<Value>, k: usize) {
+    match k {
+        1 => sort_dedup_rows::<1>(data),
+        2 => sort_dedup_rows::<2>(data),
+        3 => sort_dedup_rows::<3>(data),
+        4 => sort_dedup_rows::<4>(data),
+        5 => sort_dedup_rows::<5>(data),
+        6 => sort_dedup_rows::<6>(data),
+        _ => {
+            let mut idx: Vec<usize> = (0..data.len() / k).collect();
+            idx.sort_unstable_by(|&a, &b| {
+                cmp_rows(&data[a * k..a * k + k], &data[b * k..b * k + k])
+            });
+            idx.dedup_by(|&mut a, &mut b| data[a * k..a * k + k] == data[b * k..b * k + k]);
+            let mut out = Vec::with_capacity(idx.len() * k);
+            for i in idx {
+                out.extend_from_slice(&data[i * k..i * k + k]);
+            }
+            *data = out;
+        }
+    }
+}
+
+/// `true` iff the `k`-wide rows of row-major `data` are strictly
+/// ascending: a set, in lexicographic order (`k = 0` rows carry no data).
+pub(crate) fn strictly_sorted(data: &[Value], k: usize) -> bool {
+    let mut rows = data.chunks_exact(k.max(1));
+    let Some(mut prev) = rows.next() else {
+        return true;
+    };
+    rows.all(|row| std::mem::replace(&mut prev, row) < row)
+}
+
+/// [`sort_dedup_flat`] for `K`-wide rows: sorts the rows themselves, then
+/// compacts duplicates away.
 fn sort_dedup_rows<const K: usize>(data: &mut Vec<Value>) {
     let (rows, rest) = data.as_chunks_mut::<K>();
     debug_assert!(rest.is_empty());
