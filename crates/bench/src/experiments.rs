@@ -682,60 +682,6 @@ pub fn e15_tighten() -> Vec<Table> {
     vec![t]
 }
 
-/// E16 — partition-parallel scaling (`wcoj-exec`): triangle-hard and
-/// 4-cycle instances at 1/2/4/8 worker threads, reporting wall-clock
-/// speedup over the single-thread run. Mirrors the
-/// `e13_par_scaling` criterion bench inside the harness so speedups are
-/// recorded alongside the paper experiments. (On a single-core host the
-/// speedup column is expectedly ≈1.)
-#[must_use]
-pub fn e16_par_scaling(quick: bool) -> Vec<Table> {
-    use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::{par_join_prepared, ExecConfig};
-    let mut t = Table::new(
-        "e16",
-        "wcoj-exec partition-parallel scaling: par_join vs 1-thread run",
-        &["instance", "threads", "shards", "output", "ms", "speedup"],
-        "output identical across thread counts; speedup grows toward the core count",
-    );
-    let (tri_n, cyc_n, cyc_dom) = if quick {
-        (256, 400, 60)
-    } else {
-        (2048, 3000, 250)
-    };
-    let instances = [
-        ("triangle_hard", gen::example_2_2(tri_n)),
-        ("cycle4", gen::cycle_instance(13, 4, cyc_n, cyc_dom)),
-    ];
-    for (name, rels) in &instances {
-        let prepared = PreparedQuery::new(rels).expect("well-formed instance");
-        let mut base_secs = None;
-        let mut base_len = None;
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = ExecConfig {
-                threads,
-                shard_min_size: 1,
-                ..ExecConfig::default()
-            };
-            let (out, secs) = time_secs(|| par_join_prepared(&prepared, None, &cfg).expect("join"));
-            let base = *base_secs.get_or_insert(secs);
-            match base_len {
-                None => base_len = Some(out.relation.len()),
-                Some(expect) => assert_eq!(out.relation.len(), expect, "{name}"),
-            }
-            t.row(vec![
-                (*name).to_owned(),
-                threads.to_string(),
-                out.stats.shards.to_string(),
-                out.relation.len().to_string(),
-                ms(secs),
-                format!("{:.2}", base / secs.max(1e-12)),
-            ]);
-        }
-    }
-    vec![t]
-}
-
 /// E17 — shared-pool query service (`wcoj-service`): queries/sec at
 /// 1–64 concurrent submissions of mixed seed-family queries onto one
 /// worker pool, every output verified bit-identical to the sequential
@@ -835,104 +781,6 @@ pub fn e17_service_throughput(quick: bool) -> Vec<Table> {
             ok.to_string(),
         ]);
         assert!(ok, "service output diverged from sequential");
-    }
-    vec![t]
-}
-
-/// E18 — intra-value parallelism (`wcoj-exec` anchor sub-shards): a
-/// single-hot-key workload — one root value carrying ≥ 90% of the
-/// estimated work — at 1/2/4/8 worker threads, with the heavy-value
-/// splitter on (default) and off (`heavy_split_factor = 0`, singleton
-/// isolation only). Reports the task count, how many tasks are anchor
-/// sub-shards, and wall-clock speedup over the 1-thread run; outputs are
-/// verified identical across all configurations. (On a single-core host
-/// the speedup column is expectedly ≈ 1.)
-#[must_use]
-pub fn e18_heavy_key_scaling(quick: bool) -> Vec<Table> {
-    use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::{par_join_prepared, ExecConfig, ShardPlan, OVERSPLIT};
-    let mut t = Table::new(
-        "e18",
-        "wcoj-exec intra-value parallelism: single-hot-key workload, split on/off",
-        &[
-            "instance",
-            "mode",
-            "threads",
-            "tasks",
-            "sub_shards",
-            "output",
-            "ms",
-            "speedup",
-        ],
-        "split-on plans carry ≥ 2 sub-shard tasks; output identical everywhere; \
-         split-on speedup grows toward the core count while split-off stalls at ≈ 1",
-    );
-    let hot = if quick { 96 } else { 512 };
-    let instances = [
-        ("hot_key", wcoj_datagen::hot_key_triangle(41, hot, 4)),
-        ("hot_key_2", wcoj_datagen::hot_key_triangle(43, hot / 2, 2)),
-    ];
-    for (name, rels) in &instances {
-        let prepared = PreparedQuery::new(rels).expect("well-formed instance");
-        let weights = prepared.root_candidate_weights();
-        let total: u64 = weights.iter().map(|&(_, w)| w).sum();
-        let hottest = weights.iter().map(|&(_, w)| w).max().expect("non-empty");
-        assert!(
-            hottest as f64 / total as f64 >= 0.9,
-            "{name}: one root value carries ≥ 90% of the work"
-        );
-        // One sequential oracle per instance: every mode × thread-count
-        // configuration must reproduce it bit for bit.
-        let oracle = join_with(rels, Algorithm::Nprr, None)
-            .expect("sequential oracle")
-            .relation;
-        for (mode, factor) in [
-            ("split", ExecConfig::default().heavy_split_factor),
-            ("nosplit", 0),
-        ] {
-            let mut base_secs = None;
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = ExecConfig {
-                    threads,
-                    shard_min_size: 1,
-                    heavy_split_factor: factor,
-                    ..ExecConfig::default()
-                };
-                // the plan the run actually executes (1 thread = in-place
-                // sequential run, no shards)
-                let (tasks, sub_shards) = if threads > 1 {
-                    let plan = ShardPlan::plan(&prepared, threads * OVERSPLIT, &cfg);
-                    let subs = plan.shards().iter().filter(|s| s.anchor.is_some()).count();
-                    (plan.tasks().len(), subs)
-                } else {
-                    (1, 0)
-                };
-                if threads > 1 {
-                    if mode == "split" {
-                        assert!(sub_shards >= 2, "{name}: hot key split into sub-shards");
-                    } else {
-                        assert_eq!(sub_shards, 0, "{name}: splitter disabled");
-                    }
-                }
-                let (out, secs) =
-                    time_secs(|| par_join_prepared(&prepared, None, &cfg).expect("join"));
-                let base = *base_secs.get_or_insert(secs);
-                assert_eq!(
-                    out.relation, oracle,
-                    "{name}: {mode} t={threads} bit-identical to sequential"
-                );
-                t.row(vec![
-                    (*name).to_owned(),
-                    mode.to_owned(),
-                    threads.to_string(),
-                    tasks.to_string(),
-                    sub_shards.to_string(),
-                    out.relation.len().to_string(),
-                    ms(secs),
-                    format!("{:.2}", base / secs.max(1e-12)),
-                ]);
-            }
-        }
     }
     vec![t]
 }
@@ -1553,12 +1401,6 @@ mod tests {
         let _ = e15_tighten();
     }
     #[test]
-    fn e16_smoke() {
-        let t = e16_par_scaling(true);
-        // 2 instances × 4 thread counts; outputs agree by construction
-        assert_eq!(t[0].rows.len(), 8);
-    }
-    #[test]
     fn e17_smoke() {
         let t = e17_service_throughput(true);
         // 3 concurrency levels; every row verified identical
@@ -1622,22 +1464,6 @@ mod tests {
             assert_eq!(row[6], "3", "quick mode: 3 warm hits");
             assert_eq!(row[7], "1", "one cold build");
             assert_eq!(row[8], "true");
-        }
-    }
-
-    #[test]
-    fn e18_smoke() {
-        let t = e18_heavy_key_scaling(true);
-        // 2 instances × 2 modes × 4 thread counts; the asserts inside
-        // already verified identical outputs and sub-shard presence
-        assert_eq!(t[0].rows.len(), 16);
-        for row in &t[0].rows {
-            let threads: usize = row[2].parse().unwrap();
-            let subs: usize = row[4].parse().unwrap();
-            match (row[1].as_str(), threads) {
-                ("split", t) if t > 1 => assert!(subs >= 2, "{row:?}"),
-                _ => assert_eq!(subs, 0, "{row:?}"),
-            }
         }
     }
 }

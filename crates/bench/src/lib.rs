@@ -14,16 +14,15 @@ pub mod table;
 pub use table::{time_secs, Table};
 
 /// All experiment ids, in order. E1–E15 regenerate the paper's claims;
-/// E16 records the partition-parallel engine's scaling, E17 the shared-
-/// pool query service's concurrent throughput, E18 intra-value
-/// parallelism on a single-hot-key workload, E19 service admission
+/// E17 records the shared-pool query service's concurrent throughput,
+/// E19 service admission
 /// control (shed counts + wait-latency percentiles under a flood), E20
 /// per-query execution profiles and the scheduler trace ring, E21 the
 /// prepared-plan cache's repeat-query submission cost drop, E22 query
 /// latency under sustained ingest (fresh delta buffers vs compacted).
-pub const ALL_EXPERIMENTS: [&str; 22] = [
+pub const ALL_EXPERIMENTS: [&str; 20] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21", "e22",
+    "e17", "e19", "e20", "e21", "e22",
 ];
 
 /// Runs one experiment by id. `quick` shrinks the sweeps for CI-speed runs.
@@ -48,9 +47,7 @@ pub fn run_experiment(id: &str, quick: bool) -> Vec<Table> {
         "e13" => experiments::e13_bt(quick),
         "e14" => experiments::e14_full_cq(),
         "e15" => experiments::e15_tighten(),
-        "e16" => experiments::e16_par_scaling(quick),
         "e17" => experiments::e17_service_throughput(quick),
-        "e18" => experiments::e18_heavy_key_scaling(quick),
         "e19" => experiments::e19_overload_shedding(quick),
         "e20" => experiments::e20_obs_profiles(quick),
         "e21" => experiments::e21_plan_cache(quick),

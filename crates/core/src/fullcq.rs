@@ -154,8 +154,9 @@ impl Selection {
 }
 
 /// The §7.3 reduction of a whole query: one reduced relation per subgoal,
-/// ready for any natural-join engine (the sequential [`crate::join`] or
-/// `wcoj-exec`'s partition-parallel `par_join`).
+/// ready for any natural-join engine ([`crate::join`], or a
+/// [`PreparedQuery`](crate::nprr::PreparedQuery) submitted to the
+/// `wcoj-service` pool).
 ///
 /// # Errors
 /// [`QueryError::EmptyQuery`] when no subgoals are given.

@@ -58,13 +58,6 @@ pub enum Algorithm {
     Lw,
     /// Theorem 7.3 (§7.1) — only for arity-≤2 queries.
     GraphJoin,
-    /// Partition-parallel NPRR: `Recursive-Join` sharded over the root
-    /// attribute's domain and fanned out across a worker pool. The engine
-    /// lives in the `wcoj-exec` crate; it registers itself via
-    /// [`register_parallel_executor`] (the `wcoj` facade and `wcoj-query`
-    /// do this automatically). Dispatching this variant without a
-    /// registered executor yields [`QueryError::AlgorithmMismatch`].
-    NprrParallel,
     /// Reference pairwise hash joins (test oracle; *not* worst-case
     /// optimal).
     Naive,
@@ -95,8 +88,8 @@ pub struct JoinStats {
 }
 
 impl JoinStats {
-    /// Folds another run's counters into this one — how the parallel
-    /// executor aggregates per-worker statistics. Bound/cover metadata is
+    /// Folds another run's counters into this one — how the service
+    /// aggregates per-shard statistics. Bound/cover metadata is
     /// kept from `self` (identical across shards of one run by
     /// construction); counters add; `shards` accumulates.
     pub fn absorb(&mut self, other: &JoinStats) {
@@ -115,24 +108,6 @@ pub struct JoinOutput {
     pub relation: Relation,
     /// Execution statistics.
     pub stats: JoinStats,
-}
-
-/// Signature of a pluggable [`Algorithm::NprrParallel`] executor: takes
-/// the assembled query plus the resolved cover and bound, returns the
-/// join output. Provided by `wcoj-exec`.
-pub type ParallelExecutor = fn(&JoinQuery, &[f64], f64) -> Result<JoinOutput, QueryError>;
-
-static PARALLEL_EXECUTOR: std::sync::OnceLock<ParallelExecutor> = std::sync::OnceLock::new();
-
-/// Registers the process-wide [`Algorithm::NprrParallel`] executor.
-/// Idempotent; the first registration wins. Called by
-/// `wcoj_exec::install()` — user code normally never needs this.
-pub fn register_parallel_executor(exec: ParallelExecutor) {
-    let _ = PARALLEL_EXECUTOR.set(exec);
-}
-
-pub(crate) fn parallel_executor() -> Option<ParallelExecutor> {
-    PARALLEL_EXECUTOR.get().copied()
 }
 
 /// Computes the natural join of `relations` with automatic algorithm

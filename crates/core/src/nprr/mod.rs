@@ -154,7 +154,7 @@ impl AnchorRange {
 }
 
 /// Inclusive value range restricting the attribute at total-order
-/// position 0 — the handle the partition-parallel executor uses to carve
+/// position 0 — the handle the `wcoj-service` pool uses to carve
 /// `Recursive-Join` into independent sub-joins. §5.2 (step 2a) is the
 /// correctness argument: the trie subtree under each level-0 branch *is*
 /// the search tree of that section, so runs restricted to disjoint root

@@ -218,7 +218,7 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// 0): the sorted intersection of level 0 of every index whose relation
     /// contains that attribute. Every output tuple's root value lies in
     /// this list, so any partition of it induces a partition of the output
-    /// — the shard-planning input of the parallel executor.
+    /// — the shard-planning input of `wcoj-exec`'s planner.
     ///
     /// Empty when the query has no attributes.
     #[must_use]
@@ -345,7 +345,7 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// `None`), returning the raw rows over the total order — one flat
     /// [`RowBuf`], rows back to back — plus the run's statistics. Does
     /// **not** short-circuit empty inputs or resolve covers — callers
-    /// ([`Self::evaluate`], the parallel executor) do that once up front.
+    /// ([`Self::evaluate`], the `wcoj-service` pool) do that once up front.
     ///
     /// Requires a valid cover `x`; shards of one parallel run must all use
     /// the *same* cover so per-tuple size checks are consistent.

@@ -185,23 +185,6 @@ impl JoinQuery {
             a => a,
         };
 
-        // Resolve the cover: user-supplied (validated) or LP-optimal.
-        let resolve_cover = |q: &JoinQuery| -> Result<(Vec<f64>, f64), QueryError> {
-            let sizes = q.sizes();
-            match cover {
-                Some(x) => {
-                    validate_cover(&q.hypergraph, x)
-                        .map_err(|e| QueryError::BadCover(e.to_string()))?;
-                    Ok((x.to_vec(), agm::log2_bound(&sizes, x)))
-                }
-                None => {
-                    let sol = q.optimal_cover()?;
-                    let b = sol.log2_bound;
-                    Ok((sol.x, b))
-                }
-            }
-        };
-
         match algorithm {
             Algorithm::Auto => unreachable!("resolved above"),
             Algorithm::Naive => {
@@ -231,19 +214,19 @@ impl JoinQuery {
                 graph_join::join_graph(self)
             }
             Algorithm::Nprr => {
-                let (x, log2_bound) = resolve_cover(self)?;
-                nprr::join_nprr(self, &x, log2_bound)
-            }
-            Algorithm::NprrParallel => {
-                let Some(exec) = crate::parallel_executor() else {
-                    return Err(QueryError::AlgorithmMismatch(
-                        "Algorithm::NprrParallel needs the wcoj-exec engine: link it and \
-                         call wcoj_exec::install() (the wcoj facade and wcoj-query do so \
-                         automatically), or call wcoj_exec::par_join directly",
-                    ));
+                // Resolve the cover: user-supplied (validated) or LP-optimal.
+                let (x, log2_bound) = match cover {
+                    Some(x) => {
+                        validate_cover(&self.hypergraph, x)
+                            .map_err(|e| QueryError::BadCover(e.to_string()))?;
+                        (x.to_vec(), agm::log2_bound(&self.sizes(), x))
+                    }
+                    None => {
+                        let sol = self.optimal_cover()?;
+                        (sol.x, sol.log2_bound)
+                    }
                 };
-                let (x, log2_bound) = resolve_cover(self)?;
-                exec(self, &x, log2_bound)
+                nprr::join_nprr(self, &x, log2_bound)
             }
         }
     }

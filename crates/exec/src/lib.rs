@@ -1,4 +1,4 @@
-//! # wcoj-exec — partition-parallel worst-case-optimal join execution
+//! # wcoj-exec — root-domain shard planner for `Recursive-Join`
 //!
 //! The NPRR `Recursive-Join` (paper §5.2, Procedure 5) is embarrassingly
 //! parallel at the root of the total order. The paper's step 2a observes
@@ -12,88 +12,49 @@
 //! shared mutable state, no coordination, and a deterministic merge by
 //! simple concatenation in root-value order.
 //!
-//! This crate turns that observation into an execution engine:
+//! This crate turns that observation into a **plan**; it runs nothing and
+//! spawns no threads. [`ShardPlan::plan`] walks level 0 of the prepared
+//! [`SearchTree`] indexes ([`PreparedQuery::cached_root_weights`]: the
+//! root candidates with their level-1 fanout as estimated work) and splits
+//! them into contiguous ranges of roughly equal work. The plan is
+//! **two-level**: a heavy root value is first isolated, and one heavy
+//! enough to span several work targets is further broken into *anchor
+//! sub-shards* — [`RootShard`]s carrying an [`AnchorRange`] over the
+//! level-1 attribute ([`ExecConfig::heavy_split_factor`]) — so even a
+//! single hot key spreads across workers instead of pinning one. The
+//! ranges jointly cover the whole value domain (root × anchor), so
+//! correctness never depends on the candidate computation being tight.
 //!
-//! 1. **Shard planning** — walk level 0 of the prepared
-//!    [`SearchTree`] indexes ([`PreparedQuery::root_candidates`]: the
-//!    sorted intersection of root-level values over all relations
-//!    containing the root attribute) and split the candidate list into
-//!    contiguous ranges — by estimated per-candidate *work* (level-1
-//!    fanout, [`ShardSplit::Work`], the default) or by plain candidate
-//!    count ([`ShardSplit::Candidates`]). Under work-based sizing the
-//!    plan is **two-level**: a heavy root value is first isolated, and
-//!    one heavy enough to span several work targets is further broken
-//!    into *anchor sub-shards* — [`RootShard`]s carrying an
-//!    [`AnchorRange`] over the level-1 attribute
-//!    ([`ExecConfig::heavy_split_factor`], env `WCOJ_HEAVY_SPLIT`) — so
-//!    even a single hot key spreads across workers instead of pinning
-//!    one. The ranges jointly cover the whole value domain (root ×
-//!    anchor), so correctness never depends on the candidate computation
-//!    being tight. The reusable [`ShardPlan`] is also what the
-//!    `wcoj-service` shared-pool scheduler executes.
-//! 2. **Parallel run** — a fixed-size pool of scoped worker threads pulls
-//!    shards off an atomic cursor (cheap work stealing: shards are
-//!    oversplit ~4× relative to the thread count so a skewed shard cannot
-//!    serialise the run) and evaluates each with the sequential engine
-//!    restricted to the shard's root range ([`PreparedQuery::run_shard`]).
-//!    All workers share the same prepared indexes and the same fractional
-//!    cover, so every per-tuple size check (Procedure 5, line 21) sees
-//!    exactly the counts the sequential run would see.
-//! 3. **Deterministic merge** — per-shard row sets are concatenated in
-//!    root-value (= shard) order and assembled through the same
-//!    sort/dedup/reorder path as the sequential engine, so the output
-//!    relation is bit-identical to `join_nprr`'s. Per-worker [`JoinStats`]
-//!    are folded with [`JoinStats::absorb`].
+//! The `wcoj-service` shared pool executes the plan: one task per shard
+//! ([`PreparedQuery::run_shard`]), rows concatenated in slot order and
+//! assembled through the same sort/dedup/reorder path as the sequential
+//! engine, so the output is bit-identical to `join_nprr`'s.
 //!
-//! Entry points: [`par_join`] / [`par_join_with_cover`] for one-shot
-//! queries, [`par_join_prepared`] to reuse indexes across runs, and
-//! [`install`] to register the engine as `wcoj-core`'s
-//! [`Algorithm::NprrParallel`](wcoj_core::Algorithm::NprrParallel)
-//! executor (the `wcoj` facade and `wcoj-query` call it automatically).
+//! The crate also holds the warn-once parsing of `WCOJ_*` environment
+//! knobs shared by `wcoj-service` and `wcoj-server` ([`read_env_usize`],
+//! [`trace_level_from_env`], [`note_malformed_env`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use wcoj_core::nprr::{AnchorRange, PreparedQuery, RootShard};
-use wcoj_core::{JoinOutput, JoinQuery, JoinStats, QueryError};
 use wcoj_obs::{TraceEvent, TraceLevel};
-use wcoj_storage::{Relation, RowBuf, SearchTree, TrieIndex, Value};
+use wcoj_storage::{SearchTree, Value};
 
-/// How the planner carves the root-candidate list into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardSplit {
-    /// Equal *candidate counts* per shard (the original strategy): cheap,
-    /// but a single hot key with a fat section pins a whole worker while
-    /// its siblings idle.
-    Candidates,
-    /// Equal estimated *work* per shard, from the level-1 fanout of the
-    /// prepared indexes ([`PreparedQuery::root_candidate_weights`]): heavy
-    /// root values are split out into their own shards so skew cannot
-    /// serialise the run.
-    #[default]
-    Work,
-}
-
-/// Knobs of the parallel executor.
+/// Per-query knobs of the shard planner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads. `1` runs the sequential engine in-place.
-    pub threads: usize,
     /// Minimum number of root-attribute candidate values per shard; the
     /// planner never splits finer than this (oversplitting tiny domains
     /// only buys scheduling overhead).
     pub shard_min_size: usize,
-    /// Shard-sizing strategy (work-based by default).
-    pub split: ShardSplit,
-    /// Intra-value parallelism for heavy root values
-    /// ([`ShardSplit::Work`] only): the maximum number of anchor
-    /// sub-shards one root value may be broken into. A root value whose
-    /// estimated weight spans `s ≥ 2` per-shard work targets is split
-    /// into `min(s, heavy_split_factor)` sub-shards over the level-1
-    /// anchor domain ([`PreparedQuery::anchor_candidates`]), so a single
-    /// hot key no longer pins one worker while the rest of the pool
+    /// Intra-value parallelism for heavy root values: the maximum number
+    /// of anchor sub-shards one root value may be broken into. A root
+    /// value whose estimated weight spans `s ≥ 2` per-shard work targets
+    /// is split into `min(s, heavy_split_factor)` sub-shards over the
+    /// level-1 anchor domain ([`PreparedQuery::anchor_candidates`]), so a
+    /// single hot key no longer pins one worker while the rest of the pool
     /// drains. `0` or `1` disables intra-value splitting (heavy values
-    /// fall back to PR 2's singleton-shard isolation).
+    /// fall back to singleton-shard isolation).
     pub heavy_split_factor: usize,
 }
 
@@ -105,53 +66,9 @@ pub const HEAVY_SPLIT_DEFAULT: usize = OVERSPLIT * 2;
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             shard_min_size: 16,
-            split: ShardSplit::default(),
             heavy_split_factor: HEAVY_SPLIT_DEFAULT,
         }
-    }
-}
-
-impl ExecConfig {
-    /// A config with `threads` workers and the default shard floor.
-    #[must_use]
-    pub fn with_threads(threads: usize) -> ExecConfig {
-        ExecConfig {
-            threads: threads.max(1),
-            ..ExecConfig::default()
-        }
-    }
-
-    /// Default config overridden by the `WCOJ_THREADS`,
-    /// `WCOJ_SHARD_MIN_SIZE`, `WCOJ_SHARD_SPLIT` (`work`/`candidates`),
-    /// and `WCOJ_HEAVY_SPLIT` (max sub-shards per heavy root value; `0`
-    /// disables intra-value splitting) environment variables when set —
-    /// how the
-    /// [`Algorithm::NprrParallel`](wcoj_core::Algorithm::NprrParallel)
-    /// dispatch path (which carries no config) is tuned.
-    #[must_use]
-    pub fn from_env() -> ExecConfig {
-        let mut cfg = ExecConfig::default();
-        if let Some(t) = read_env_usize("WCOJ_THREADS") {
-            cfg.threads = t.max(1);
-        }
-        if let Some(m) = read_env_usize("WCOJ_SHARD_MIN_SIZE") {
-            cfg.shard_min_size = m.max(1);
-        }
-        match std::env::var("WCOJ_SHARD_SPLIT").as_deref().map(str::trim) {
-            Ok("candidates") => cfg.split = ShardSplit::Candidates,
-            Ok("work") => cfg.split = ShardSplit::Work,
-            Ok(other) => warn_malformed_env(
-                "WCOJ_SHARD_SPLIT",
-                &format!("unrecognised value {other:?} (expected \"work\" or \"candidates\")"),
-            ),
-            Err(_) => {}
-        }
-        if let Some(k) = read_env_usize("WCOJ_HEAVY_SPLIT") {
-            cfg.heavy_split_factor = k;
-        }
-        cfg
     }
 }
 
@@ -161,8 +78,12 @@ impl ExecConfig {
 /// silently fell back to its default.
 static MALFORMED_ENV: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
-/// Records (and warns once per key about) a malformed environment knob.
-fn warn_malformed_env(key: &str, problem: &str) {
+/// Records (and warns once per key about) a malformed environment knob —
+/// called by [`read_env_usize`] and [`trace_level_from_env`], and directly
+/// for knobs whose values are not plain `usize`s (e.g. `wcoj-server`'s
+/// `WCOJ_BIND` socket address), so every `WCOJ_*` knob shares one
+/// warn-once registry.
+pub fn note_malformed_env(key: &str, problem: &str) {
     let mut seen = MALFORMED_ENV
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -173,17 +94,9 @@ fn warn_malformed_env(key: &str, problem: &str) {
     eprintln!("wcoj: ignoring {key}: {problem}; using the default");
 }
 
-/// Records (and warns once per key about) a malformed environment knob —
-/// the hook for `WCOJ_*` knobs whose values are not plain `usize`s (e.g.
-/// `wcoj-server`'s `WCOJ_BIND` socket address), so they share the same
-/// warn-once registry as the numeric knobs read via [`read_env_usize`].
-pub fn note_malformed_env(key: &str, problem: &str) {
-    warn_malformed_env(key, problem);
-}
-
 /// Environment knobs that have been warned about as malformed so far (one
-/// entry per key, first-seen order). A `WCOJ_HEAVY_SPLIT=eight` typo no
-/// longer reverts to the default with *no* signal: the first read warns on
+/// entry per key, first-seen order). A `WCOJ_QUEUE_DEPTH=eight` typo does
+/// not revert to the default with *no* signal: the first read warns on
 /// stderr and the key shows up here.
 #[must_use]
 pub fn malformed_env_warnings() -> Vec<String> {
@@ -196,16 +109,16 @@ pub fn malformed_env_warnings() -> Vec<String> {
 /// Reads a `usize` environment knob. Unset → `None`; malformed (not a
 /// non-negative integer) → `None` **plus** a one-time stderr warning and an
 /// entry in [`malformed_env_warnings`], so a typo like
-/// `WCOJ_HEAVY_SPLIT=eight` cannot silently revert to defaults. Shared by
-/// every numeric `WCOJ_*` knob (`WCOJ_THREADS`, `WCOJ_SHARD_MIN_SIZE`,
-/// `WCOJ_HEAVY_SPLIT`, and `wcoj-service`'s `WCOJ_QUEUE_DEPTH`).
+/// `WCOJ_QUEUE_DEPTH=eight` cannot silently revert to defaults. Shared by
+/// every numeric `WCOJ_*` knob (`wcoj-service`'s `WCOJ_QUEUE_DEPTH`,
+/// `wcoj-server`'s `WCOJ_CONN_THREADS`, `WCOJ_KEEP_ALIVE_MAX`, …).
 #[must_use]
 pub fn read_env_usize(key: &str) -> Option<usize> {
     let raw = std::env::var(key).ok()?;
     match raw.trim().parse() {
         Ok(v) => Some(v),
         Err(_) => {
-            warn_malformed_env(key, &format!("value {raw:?} is not a non-negative integer"));
+            note_malformed_env(key, &format!("value {raw:?} is not a non-negative integer"));
             None
         }
     }
@@ -223,51 +136,13 @@ pub fn trace_level_from_env() -> Option<TraceLevel> {
     match TraceLevel::parse(&raw) {
         Some(level) => Some(level),
         None => {
-            warn_malformed_env(
+            note_malformed_env(
                 "WCOJ_TRACE",
                 &format!("value {raw:?} is not off/summary/verbose (or 0/1/2)"),
             );
             None
         }
     }
-}
-
-/// Splits the sorted root-candidate list into at most `max_shards`
-/// contiguous inclusive ranges that jointly cover the **entire** value
-/// domain (`[0, u64::MAX]`): shard `i` owns the `i`-th chunk of
-/// candidates plus the gap up to the next chunk's first candidate.
-///
-/// Returns an empty plan when there is nothing to split (`≤ 1` shard
-/// requested or too few candidates) — callers fall back to a single
-/// unrestricted run.
-#[must_use]
-pub fn plan_shards(candidates: &[Value], max_shards: usize, min_size: usize) -> Vec<RootShard> {
-    let min_size = min_size.max(1);
-    let shards = max_shards.min(candidates.len() / min_size);
-    if shards <= 1 {
-        return Vec::new();
-    }
-    let chunk = candidates.len().div_ceil(shards);
-    let mut out = Vec::with_capacity(shards);
-    let mut lo = Value(u64::MIN);
-    let mut start = 0usize;
-    while start < candidates.len() {
-        let end = (start + chunk).min(candidates.len());
-        let hi = if end == candidates.len() {
-            Value(u64::MAX)
-        } else {
-            // everything up to (but not including) the next chunk's first
-            // candidate belongs to this shard
-            Value(candidates[end].0 - 1)
-        };
-        out.push(RootShard::range(lo, hi));
-        if end == candidates.len() {
-            break;
-        }
-        lo = Value(hi.0 + 1);
-        start = end;
-    }
-    out
 }
 
 /// Work-based shard planning: splits the sorted `(candidate, weight)` list
@@ -541,12 +416,17 @@ pub fn plan_weighted_shards_split(
     out
 }
 
+/// Shards planned per worker: oversplitting keeps a pool busy when value
+/// ranges carry skewed amounts of work even after work-based sizing. The
+/// service plans `workers × OVERSPLIT` shards per query.
+pub const OVERSPLIT: usize = 4;
+
 /// A planned decomposition of one query into schedulable root-range
-/// shards — the unit both [`par_join`]'s scoped pool and the shared-pool
-/// `wcoj-service` scheduler execute. Built by [`ShardPlan::plan`] from a
-/// preparation; carries the candidate count so callers can distinguish
-/// "domain too small to split" from "**no** root value can produce output"
-/// (the zero-shard case: skip the engine entirely).
+/// shards — the unit the shared-pool `wcoj-service` scheduler executes.
+/// Built by [`ShardPlan::plan`] from a preparation; carries the candidate
+/// count so callers can distinguish "domain too small to split" from
+/// "**no** root value can produce output" (the zero-shard case: skip the
+/// engine entirely).
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     shards: Vec<RootShard>,
@@ -554,44 +434,31 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Plans shards for `prepared` under `cfg`'s strategy knobs
-    /// (`shard_min_size`, `split`, `heavy_split_factor`; `threads` is the
-    /// caller's business): `max_shards` ranges as the sizing target
-    /// ([`ShardSplit::Work`] may exceed it when isolating or sub-splitting
-    /// heavy hitters, bounded by `3 × max_shards + 1`), never splitting
-    /// level-0 domains finer than `shard_min_size` candidates per shard.
-    /// Intra-value sub-shards need an anchor level to split on, so they
-    /// are only planned for total orders of ≥ 2 attributes.
+    /// Plans shards for `prepared` under `cfg`: `max_shards` ranges of
+    /// equal estimated work as the sizing target (isolating or
+    /// sub-splitting heavy hitters may exceed it, bounded by
+    /// `3 × max_shards + 1`), never splitting level-0 domains finer than
+    /// `shard_min_size` candidates per shard. Intra-value sub-shards need
+    /// an anchor level to split on, so they are only planned for total
+    /// orders of ≥ 2 attributes.
     #[must_use]
     pub fn plan<S: SearchTree>(
         prepared: &PreparedQuery<S>,
         max_shards: usize,
         cfg: &ExecConfig,
     ) -> ShardPlan {
-        let min_size = cfg.shard_min_size;
-        let (shards, root_candidates) = match cfg.split {
-            ShardSplit::Candidates => {
-                let cands = prepared.root_candidates();
-                (plan_shards(&cands, max_shards, min_size), cands.len())
-            }
-            ShardSplit::Work => {
-                // Memoized on the preparation: repeat submissions of a
-                // cached PreparedQuery skip the level-0 weight sweep.
-                let weights = prepared.cached_root_weights();
-                let shards = if cfg.heavy_split_factor >= 2 && prepared.total_order().len() >= 2 {
-                    plan_weighted_shards_split(
-                        weights,
-                        max_shards,
-                        min_size,
-                        cfg.heavy_split_factor,
-                        |v| prepared.anchor_candidates(v),
-                    )
-                } else {
-                    plan_weighted_shards(weights, max_shards, min_size)
-                };
-                (shards, weights.len())
-            }
+        // Memoized on the preparation: repeat submissions of a cached
+        // PreparedQuery skip the level-0 weight sweep.
+        let weights = prepared.cached_root_weights();
+        let heavy_split = if prepared.total_order().len() >= 2 {
+            cfg.heavy_split_factor
+        } else {
+            0
         };
+        let shards =
+            plan_weighted_shards_split(weights, max_shards, cfg.shard_min_size, heavy_split, |v| {
+                prepared.anchor_candidates(v)
+            });
         // Heavy-split decisions are worth tracing: they are the planner's
         // answer to skew, and sub-shard counts explain why a plan exceeds
         // its sizing target. Payload is only computed when tracing is on.
@@ -617,7 +484,7 @@ impl ShardPlan {
         }
         ShardPlan {
             shards,
-            root_candidates,
+            root_candidates: weights.len(),
         }
     }
 
@@ -668,188 +535,80 @@ impl ShardPlan {
     }
 }
 
-/// Evaluates the natural join of `relations` on a worker pool, with the
-/// LP-optimal fractional cover. Output is bit-identical to the sequential
-/// [`join_nprr`](wcoj_core::nprr::join_nprr).
-///
-/// # Errors
-/// Same as [`wcoj_core::join_with`].
-pub fn par_join(relations: &[Relation], cfg: &ExecConfig) -> Result<JoinOutput, QueryError> {
-    par_join_with_cover(relations, None, cfg)
-}
-
-/// Like [`par_join`] with an explicit fractional cover (validated; one
-/// weight per relation in input order).
-///
-/// # Errors
-/// Same as [`wcoj_core::join_with`]; additionally
-/// [`QueryError::BadCover`] for invalid covers.
-pub fn par_join_with_cover(
-    relations: &[Relation],
-    cover: Option<&[f64]>,
-    cfg: &ExecConfig,
-) -> Result<JoinOutput, QueryError> {
-    let prepared = PreparedQuery::<TrieIndex>::new_indexed(relations)?;
-    par_join_prepared(&prepared, cover, cfg)
-}
-
-/// Runs the partition-parallel join over an existing preparation,
-/// sharing its indexes across all workers (paper Remark 5.2: pay the
-/// indexing once). Generic over the [`SearchTree`] backend.
-///
-/// # Errors
-/// [`QueryError::BadCover`] for invalid covers; LP errors when solving
-/// for the optimum.
-pub fn par_join_prepared<S>(
-    prepared: &PreparedQuery<S>,
-    cover: Option<&[f64]>,
-    cfg: &ExecConfig,
-) -> Result<JoinOutput, QueryError>
-where
-    S: SearchTree + Sync,
-{
-    if prepared.input_is_empty() {
-        return Ok(JoinOutput {
-            relation: Relation::empty(prepared.query().output_schema()),
-            stats: JoinStats {
-                algorithm_used: "nprr-parallel",
-                ..JoinStats::default()
-            },
-        });
-    }
-    let (x, log2_bound) = prepared.resolve_cover(cover)?;
-    Ok(par_run(prepared, &x, log2_bound, cfg))
-}
-
-/// Shards planned per worker: oversplitting keeps a pool busy when value
-/// ranges carry skewed amounts of work even after work-based sizing.
-pub const OVERSPLIT: usize = 4;
-
-/// The pool run: plan shards, fan out, merge. Infallible once the cover
-/// is resolved.
-fn par_run<S>(
-    prepared: &PreparedQuery<S>,
-    x: &[f64],
-    log2_bound: f64,
-    cfg: &ExecConfig,
-) -> JoinOutput
-where
-    S: SearchTree + Sync,
-{
-    let mut stats = JoinStats {
-        algorithm_used: "nprr-parallel",
-        log2_agm_bound: log2_bound,
-        cover: x.to_vec(),
-        ..JoinStats::default()
-    };
-
-    let shards = if cfg.threads > 1 {
-        let plan = ShardPlan::plan(prepared, cfg.threads * OVERSPLIT, cfg);
-        if plan.root_domain_is_empty(prepared) {
-            // Zero-shard plan: no root value survives the level-0
-            // intersection, so the join is empty — return without running
-            // the engine or spawning a single worker.
-            return prepared
-                .assemble(RowBuf::new(prepared.total_order().len()), stats)
-                .expect("empty rows assemble");
-        }
-        plan.shards
-    } else {
-        Vec::new()
-    };
-
-    if shards.len() <= 1 {
-        // Degenerate plan: run unrestricted on this thread.
-        let (rows, run_stats) = prepared.run_shard(x, log2_bound, None);
-        stats.absorb(&run_stats);
-        return prepared
-            .assemble(rows, stats)
-            .expect("total-order rows assemble");
-    }
-
-    // One worker result: (shard index, raw rows, run statistics).
-    type ShardResult = (usize, RowBuf, JoinStats);
-    let n_workers = cfg.threads.min(shards.len());
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<ShardResult>> = Mutex::new(Vec::with_capacity(shards.len()));
-
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&shard) = shards.get(i) else { break };
-                let (rows, run_stats) = prepared.run_shard(x, log2_bound, Some(shard));
-                results
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push((i, rows, run_stats));
-            });
-        }
-    });
-
-    // Merge deterministically in root-value (= shard-index) order.
-    let mut per_shard = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    per_shard.sort_unstable_by_key(|(i, _, _)| *i);
-    debug_assert_eq!(per_shard.len(), shards.len(), "every shard ran once");
-    let total = per_shard.iter().map(|(_, r, _)| r.len()).sum();
-    let mut rows = RowBuf::with_capacity(prepared.total_order().len(), total);
-    for (_, shard_rows, run_stats) in per_shard {
-        rows.append(&shard_rows);
-        stats.absorb(&run_stats);
-    }
-    prepared
-        .assemble(rows, stats)
-        .expect("total-order rows assemble")
-}
-
-/// The [`Algorithm::NprrParallel`](wcoj_core::Algorithm::NprrParallel)
-/// executor registered by [`install`]: builds a preparation for the query
-/// and runs with [`ExecConfig::from_env`].
-fn hook_executor(q: &JoinQuery, x: &[f64], log2_bound: f64) -> Result<JoinOutput, QueryError> {
-    let prepared = PreparedQuery::<TrieIndex>::from_query(q.clone())?;
-    Ok(par_run(&prepared, x, log2_bound, &ExecConfig::from_env()))
-}
-
-/// Registers this engine as the process-wide executor for
-/// [`Algorithm::NprrParallel`](wcoj_core::Algorithm::NprrParallel).
-/// Idempotent and cheap — call freely before `join_with`.
-pub fn install() {
-    wcoj_core::register_parallel_executor(hook_executor);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wcoj_core::{join_with, Algorithm};
-    use wcoj_storage::{HashTrieIndex, Schema};
+    use wcoj_core::{join_with, Algorithm, JoinOutput, JoinStats};
+    use wcoj_storage::{HashTrieIndex, Relation, RowBuf, Schema, TrieIndex};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
     }
 
-    fn assert_matches_sequential(rels: &[Relation], cfg: &ExecConfig, ctx: &str) {
+    /// A config that lets tiny test domains split.
+    fn fine() -> ExecConfig {
+        ExecConfig {
+            shard_min_size: 1,
+            ..ExecConfig::default()
+        }
+    }
+
+    /// What the service does with a plan, minus its threads: every task
+    /// run in slot order, rows concatenated, stats absorbed, assembled.
+    fn run_plan<S: SearchTree>(
+        prepared: &PreparedQuery<S>,
+        plan: &ShardPlan,
+        cover: Option<&[f64]>,
+    ) -> JoinOutput {
+        let (x, log2_bound) = prepared.resolve_cover(cover).unwrap();
+        let mut rows = RowBuf::new(prepared.total_order().len());
+        let mut stats = JoinStats {
+            log2_agm_bound: log2_bound,
+            cover: x.clone(),
+            ..JoinStats::default()
+        };
+        if !plan.root_domain_is_empty(prepared) {
+            for task in plan.tasks() {
+                let (shard_rows, run) = prepared.run_shard(&x, log2_bound, task);
+                rows.append(&shard_rows);
+                stats.absorb(&run);
+            }
+        }
+        prepared.assemble(rows, stats).unwrap()
+    }
+
+    /// Plans `rels` for a `workers`-thread pool under `cfg` and checks the
+    /// merged shard runs against sequential `join_nprr`, rows and order.
+    fn assert_matches_sequential(
+        rels: &[Relation],
+        workers: usize,
+        cfg: &ExecConfig,
+        ctx: &str,
+    ) -> JoinOutput {
         let seq = join_with(rels, Algorithm::Nprr, None).unwrap();
-        let par = par_join(rels, cfg).unwrap();
-        assert_eq!(par.relation, seq.relation, "{ctx}");
-        assert_eq!(par.stats.algorithm_used, "nprr-parallel", "{ctx}");
+        let prepared = PreparedQuery::<TrieIndex>::new_indexed(rels).unwrap();
+        let plan = ShardPlan::plan(&prepared, workers * OVERSPLIT, cfg);
+        let out = run_plan(&prepared, &plan, None);
+        assert_eq!(out.relation, seq.relation, "{ctx}");
+        out
     }
 
     #[test]
     fn plan_covers_domain_and_respects_floor() {
-        let cands: Vec<Value> = (0..40u64).map(|i| Value(i * 3)).collect();
-        let plan = plan_shards(&cands, 4, 1);
+        let cands: Vec<(Value, u64)> = (0..40u64).map(|i| (Value(i * 3), 1)).collect();
+        let plan = plan_weighted_shards(&cands, 4, 1);
         assert_eq!(plan.len(), 4);
         assert_eq!(plan[0].lo, Value(0));
         assert_eq!(plan.last().unwrap().hi, Value(u64::MAX));
         for w in plan.windows(2) {
             assert_eq!(w[1].lo.0, w[0].hi.0 + 1, "gap-free");
         }
+        // each shard owns the gap up to the next shard's first candidate
+        assert_eq!(plan[1].lo, Value(30));
         // floor: 40 candidates at min 30 per shard → no useful split
-        assert!(plan_shards(&cands, 4, 30).is_empty());
-        assert!(plan_shards(&[], 4, 1).is_empty());
-        assert!(plan_shards(&cands, 1, 1).is_empty());
+        assert!(plan_weighted_shards(&cands, 4, 30).is_empty());
+        assert!(plan_weighted_shards(&[], 4, 1).is_empty());
+        assert!(plan_weighted_shards(&cands, 1, 1).is_empty());
     }
 
     #[test]
@@ -1035,29 +794,29 @@ mod tests {
 
     #[test]
     fn both_split_strategies_match_sequential_on_skew() {
-        // Zipf-skewed triangle: the work-based plan differs materially
-        // from the count-based one, output must not.
+        // Zipf-skewed triangle under both planners — isolation only
+        // (`heavy_split_factor` 0) and intra-value splitting (the
+        // default): the plans differ, the merged output must not.
         let rels = [
             wcoj_datagen::zipf_relation(77, &[0, 1], 200, 24, 1.3),
             wcoj_datagen::zipf_relation(78, &[1, 2], 200, 24, 1.3),
             wcoj_datagen::zipf_relation(79, &[0, 2], 200, 24, 1.3),
         ];
-        for split in [ShardSplit::Candidates, ShardSplit::Work] {
+        for factor in [0, HEAVY_SPLIT_DEFAULT] {
             let cfg = ExecConfig {
-                threads: 4,
-                shard_min_size: 1,
-                split,
-                ..ExecConfig::default()
+                heavy_split_factor: factor,
+                ..fine()
             };
-            assert_matches_sequential(&rels, &cfg, &format!("skewed triangle {split:?}"));
+            let out = assert_matches_sequential(&rels, 4, &cfg, &format!("skew, factor {factor}"));
+            assert!(out.stats.shards > 1, "factor {factor}: the plan split");
         }
     }
 
     #[test]
     fn hot_key_workload_end_to_end() {
         // One root value carrying ≥ 90% of the estimated work: the plan
-        // must be multi-task (anchor sub-shards), and the parallel output
-        // bit-identical to the sequential engine.
+        // must be multi-task (anchor sub-shards), and the merged shard
+        // runs bit-identical to the sequential engine.
         let rels = wcoj_datagen::hot_key_triangle(3, 96, 6);
         let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
         let weights = prepared.root_candidate_weights();
@@ -1067,13 +826,7 @@ mod tests {
             hot as f64 / total as f64 >= 0.9,
             "hot key dominates: {hot}/{total}"
         );
-        let cfg = ExecConfig {
-            threads: 4,
-            shard_min_size: 1,
-            split: ShardSplit::Work,
-            ..ExecConfig::default()
-        };
-        let plan = ShardPlan::plan(&prepared, cfg.threads * OVERSPLIT, &cfg);
+        let plan = ShardPlan::plan(&prepared, 4 * OVERSPLIT, &fine());
         let subs = plan.shards().iter().filter(|s| s.anchor.is_some()).count();
         assert!(
             subs >= 2,
@@ -1081,16 +834,16 @@ mod tests {
             plan.shards()
         );
         assert!(plan.len() > 1, "multi-task plan");
-        assert_matches_sequential(&rels, &cfg, "hot-key triangle");
+        assert_matches_sequential(&rels, 4, &fine(), "hot-key triangle");
         // disabling intra-value splitting also stays correct (isolation
         // only, PR 2 behaviour)
         let cfg_off = ExecConfig {
             heavy_split_factor: 0,
-            ..cfg.clone()
+            ..fine()
         };
-        let plan_off = ShardPlan::plan(&prepared, cfg_off.threads * OVERSPLIT, &cfg_off);
+        let plan_off = ShardPlan::plan(&prepared, 4 * OVERSPLIT, &cfg_off);
         assert!(plan_off.shards().iter().all(|s| s.anchor.is_none()));
-        assert_matches_sequential(&rels, &cfg_off, "hot-key triangle, split off");
+        assert_matches_sequential(&rels, 4, &cfg_off, "hot-key triangle, split off");
     }
 
     #[test]
@@ -1098,29 +851,27 @@ mod tests {
         // Triangle whose root attribute (1) has a non-trivial domain in
         // each relation but an empty intersection: π₁(R) = {1,2,3},
         // π₁(S) = {7,8,9} → no candidate survives, the join is empty, and
-        // the parallel path returns without running the engine.
+        // the plan says so: the service returns without running the engine.
         let r = rel(&[0, 1], &[&[10, 1], &[10, 2], &[11, 3]]);
         let s = rel(&[1, 2], &[&[7, 20], &[8, 20], &[9, 21]]);
         let t = rel(&[0, 2], &[&[10, 20], &[11, 21]]);
         let rels = [r, s, t];
         let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
-        for split in [ShardSplit::Candidates, ShardSplit::Work] {
+        for factor in [0, HEAVY_SPLIT_DEFAULT] {
             let cfg = ExecConfig {
-                threads: 4,
-                shard_min_size: 1,
-                split,
-                ..ExecConfig::default()
+                heavy_split_factor: factor,
+                ..fine()
             };
             let plan = ShardPlan::plan(&prepared, 16, &cfg);
-            assert_eq!(plan.root_candidates(), 0, "{split:?}");
-            assert!(plan.root_domain_is_empty(&prepared), "{split:?}");
-            let out = par_join(&rels, &cfg).unwrap();
-            assert!(out.relation.is_empty(), "{split:?}");
-            assert_eq!(out.relation.arity(), 3, "{split:?}");
-            assert_eq!(out.stats.shards, 0, "no shard ever ran: {split:?}");
-            assert_eq!(out.stats.case_a + out.stats.case_b, 0, "{split:?}");
+            assert_eq!(plan.root_candidates(), 0, "factor {factor}");
+            assert!(plan.root_domain_is_empty(&prepared), "factor {factor}");
+            let out = run_plan(&prepared, &plan, None);
+            assert!(out.relation.is_empty(), "factor {factor}");
+            assert_eq!(out.relation.arity(), 3, "factor {factor}");
+            assert_eq!(out.stats.shards, 0, "no shard ever ran: factor {factor}");
+            assert_eq!(out.stats.case_a + out.stats.case_b, 0, "factor {factor}");
             // matches the sequential engine bit for bit
-            assert_matches_sequential(&rels, &cfg, &format!("empty domain {split:?}"));
+            assert_matches_sequential(&rels, 4, &cfg, &format!("empty domain, factor {factor}"));
         }
         // a populated query is NOT a zero-shard plan
         let populated = PreparedQuery::<TrieIndex>::new_indexed(&[
@@ -1129,77 +880,55 @@ mod tests {
             rel(&[0, 2], &[&[1, 4]]),
         ])
         .unwrap();
-        let plan = ShardPlan::plan(
-            &populated,
-            16,
-            &ExecConfig {
-                shard_min_size: 1,
-                split: ShardSplit::Work,
-                ..ExecConfig::default()
-            },
-        );
+        let plan = ShardPlan::plan(&populated, 16, &fine());
         assert!(!plan.root_domain_is_empty(&populated));
         assert_eq!(plan.tasks().len(), plan.len().max(1));
     }
 
     #[test]
     fn triangle_matches_sequential_across_thread_counts() {
+        // The service sizes a plan by its pool: workers × OVERSPLIT.
         let rels = [
             wcoj_datagen::random_relation(1, &[0, 1], 120, 12),
             wcoj_datagen::random_relation(2, &[1, 2], 120, 12),
             wcoj_datagen::random_relation(3, &[0, 2], 120, 12),
         ];
-        for threads in [1, 2, 4, 8] {
-            let cfg = ExecConfig {
-                threads,
-                shard_min_size: 1,
-                ..ExecConfig::default()
-            };
-            assert_matches_sequential(&rels, &cfg, &format!("triangle t={threads}"));
+        for workers in [1, 2, 4, 8] {
+            assert_matches_sequential(&rels, workers, &fine(), &format!("triangle w={workers}"));
         }
     }
 
     #[test]
     fn hard_triangle_and_paper_examples() {
-        let cfg = ExecConfig {
-            threads: 4,
-            shard_min_size: 1,
-            ..ExecConfig::default()
-        };
+        let cfg = fine();
         // Example 2.2: the adversarial empty-output triangle.
-        assert_matches_sequential(&wcoj_datagen::example_2_2(64), &cfg, "example 2.2");
+        assert_matches_sequential(&wcoj_datagen::example_2_2(64), 4, &cfg, "example 2.2");
         // AGM-tight grid triangle.
-        assert_matches_sequential(&wcoj_datagen::agm_tight_triangle(6), &cfg, "agm tight");
+        assert_matches_sequential(&wcoj_datagen::agm_tight_triangle(6), 4, &cfg, "agm tight");
         // LW instance (n=4).
-        assert_matches_sequential(&wcoj_datagen::random_lw(5, 4, 120, 8), &cfg, "lw4");
+        assert_matches_sequential(&wcoj_datagen::random_lw(5, 4, 120, 8), 4, &cfg, "lw4");
         // 5-cycle.
-        assert_matches_sequential(&wcoj_datagen::cycle_instance(9, 5, 60, 10), &cfg, "5-cycle");
+        let cycle = wcoj_datagen::cycle_instance(9, 5, 60, 10);
+        assert_matches_sequential(&cycle, 4, &cfg, "5-cycle");
         // §5.2 worked example (5 relations, 6 attributes).
-        assert_matches_sequential(&wcoj_datagen::worked_example(7, 80, 6), &cfg, "figure 2");
+        let figure2 = wcoj_datagen::worked_example(7, 80, 6);
+        assert_matches_sequential(&figure2, 4, &cfg, "figure 2");
     }
 
     #[test]
     fn degenerate_queries() {
-        let cfg = ExecConfig {
-            threads: 4,
-            shard_min_size: 1,
-            ..ExecConfig::default()
-        };
         // single relation
-        assert_matches_sequential(&[rel(&[0, 1], &[&[1, 2], &[3, 4]])], &cfg, "single");
-        // empty input relation short-circuits
-        let out = par_join(
-            &[
-                rel(&[0, 1], &[&[1, 2]]),
-                Relation::empty(Schema::of(&[1, 2])),
-            ],
-            &cfg,
-        )
-        .unwrap();
-        assert!(out.relation.is_empty());
-        assert_eq!(out.relation.arity(), 3);
-        // nullary: join of non-empty nullary relations is "true"
-        let out = par_join(&[Relation::nullary_true()], &cfg).unwrap();
+        let single = [rel(&[0, 1], &[&[1, 2], &[3, 4]])];
+        assert_matches_sequential(&single, 4, &fine(), "single");
+        // nullary: no root attribute, so never a zero-shard plan — one
+        // unrestricted task, and the join of non-empty nullary relations
+        // is "true"
+        let nullary = [Relation::nullary_true()];
+        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&nullary).unwrap();
+        let plan = ShardPlan::plan(&prepared, 16, &fine());
+        assert!(!plan.root_domain_is_empty(&prepared));
+        assert_eq!(plan.tasks(), vec![None]);
+        let out = assert_matches_sequential(&nullary, 4, &fine(), "nullary");
         assert_eq!(out.relation.len(), 1);
         assert_eq!(out.relation.arity(), 0);
     }
@@ -1211,10 +940,15 @@ mod tests {
             rel(&[1, 2], &[&[2, 4], &[3, 4]]),
             rel(&[0, 2], &[&[1, 4]]),
         ];
-        let cfg = ExecConfig::with_threads(2);
-        let out = par_join_with_cover(&rels, Some(&[1.0, 1.0, 1.0]), &cfg).unwrap();
+        let cover = [1.0, 1.0, 1.0];
+        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let plan = ShardPlan::plan(&prepared, 8, &fine());
+        let out = run_plan(&prepared, &plan, Some(&cover));
+        let seq = join_with(&rels, Algorithm::Nprr, Some(&cover)).unwrap();
+        assert_eq!(out.relation, seq.relation);
         assert_eq!(out.relation.len(), 2);
-        assert!(par_join_with_cover(&rels, Some(&[0.1, 0.1, 0.1]), &cfg).is_err());
+        assert_eq!(out.stats.cover, cover);
+        assert!(prepared.resolve_cover(Some(&[0.1, 0.1, 0.1])).is_err());
     }
 
     #[test]
@@ -1227,20 +961,21 @@ mod tests {
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
         let sorted = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
         let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
-        for threads in [2, 8] {
-            let cfg = ExecConfig {
-                threads,
-                shard_min_size: 1,
-                ..ExecConfig::default()
-            };
-            let a = par_join_prepared(&sorted, None, &cfg).unwrap();
-            let b = par_join_prepared(&hashed, None, &cfg).unwrap();
-            assert_eq!(a.relation, seq.relation, "sorted t={threads}");
-            assert_eq!(b.relation, seq.relation, "hashed t={threads}");
+        for workers in [2, 8] {
+            let sorted_plan = ShardPlan::plan(&sorted, workers * OVERSPLIT, &fine());
+            let hashed_plan = ShardPlan::plan(&hashed, workers * OVERSPLIT, &fine());
+            assert_eq!(sorted_plan.shards(), hashed_plan.shards(), "w={workers}");
+            let a = run_plan(&sorted, &sorted_plan, None);
+            let b = run_plan(&hashed, &hashed_plan, None);
+            assert_eq!(a.relation, seq.relation, "sorted w={workers}");
+            assert_eq!(b.relation, seq.relation, "hashed w={workers}");
         }
-        // reuse is cheap: second evaluation over the same preparation
-        let again = par_join_prepared(&sorted, None, &ExecConfig::with_threads(4)).unwrap();
-        assert_eq!(again.relation, seq.relation);
+        // reuse: re-planning the same preparation reads the memoized root
+        // weights and yields the same plan
+        let first = ShardPlan::plan(&sorted, 16, &fine());
+        let again = ShardPlan::plan(&sorted, 16, &fine());
+        assert_eq!(first.shards(), again.shards());
+        assert_eq!(run_plan(&sorted, &again, None).relation, seq.relation);
     }
 
     #[test]
@@ -1250,15 +985,7 @@ mod tests {
             wcoj_datagen::random_relation(31, &[1, 2], 200, 16),
             wcoj_datagen::random_relation(32, &[0, 2], 200, 16),
         ];
-        let out = par_join(
-            &rels,
-            &ExecConfig {
-                threads: 4,
-                shard_min_size: 1,
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap();
+        let out = assert_matches_sequential(&rels, 4, &fine(), "random triangle");
         assert!(out.stats.shards > 1, "plan actually split");
         assert!(out.stats.case_a + out.stats.case_b > 0);
         assert!(out.stats.log2_agm_bound > 0.0);
@@ -1311,43 +1038,34 @@ mod tests {
 
     #[test]
     fn malformed_env_knobs_warn_and_fall_back() {
-        // A typo like WCOJ_HEAVY_SPLIT=eight must not silently revert to
-        // the defaults: the knob falls back AND the key is registered in
-        // the one-time warning list. Valid values still apply.
+        // A typo like WCOJ_QUEUE_DEPTH=eight must not silently revert to
+        // the default: the knob reads as unset AND the key is registered
+        // in the one-time warning list. Valid values still apply. (Keys
+        // private to this test, so no other test's knob is disturbed.)
         let _env = ENV_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let defaults = ExecConfig::default();
-        std::env::set_var("WCOJ_THREADS", "many");
-        std::env::set_var("WCOJ_SHARD_MIN_SIZE", "-3");
-        std::env::set_var("WCOJ_HEAVY_SPLIT", "eight");
-        std::env::set_var("WCOJ_SHARD_SPLIT", "fairly");
-        let cfg = ExecConfig::from_env();
-        let cfg_again = ExecConfig::from_env(); // second read: no new warnings
-        std::env::remove_var("WCOJ_THREADS");
-        std::env::remove_var("WCOJ_SHARD_MIN_SIZE");
-        std::env::remove_var("WCOJ_HEAVY_SPLIT");
-        std::env::remove_var("WCOJ_SHARD_SPLIT");
-        assert_eq!(cfg, defaults, "every malformed knob fell back");
-        assert_eq!(cfg_again, defaults);
+        let keys = ["WCOJ_EXEC_TEST_NEGATIVE", "WCOJ_EXEC_TEST_WORD"];
+        std::env::set_var(keys[0], "-3");
+        std::env::set_var(keys[1], "eight");
+        for key in keys {
+            assert_eq!(read_env_usize(key), None, "{key} fell back");
+            assert_eq!(read_env_usize(key), None, "{key}: second read");
+        }
         let warned = malformed_env_warnings();
-        for key in [
-            "WCOJ_THREADS",
-            "WCOJ_SHARD_MIN_SIZE",
-            "WCOJ_HEAVY_SPLIT",
-            "WCOJ_SHARD_SPLIT",
-        ] {
+        for key in keys {
+            std::env::remove_var(key);
             assert_eq!(
                 warned.iter().filter(|k| k.as_str() == key).count(),
                 1,
                 "{key} warned exactly once (once per key per process): {warned:?}"
             );
         }
-        // and a well-formed override still applies
-        std::env::set_var("WCOJ_HEAVY_SPLIT", "5");
-        let cfg = ExecConfig::from_env();
-        std::env::remove_var("WCOJ_HEAVY_SPLIT");
-        assert_eq!(cfg.heavy_split_factor, 5);
+        // and a well-formed value still applies
+        std::env::set_var(keys[1], " 5 ");
+        assert_eq!(read_env_usize(keys[1]), Some(5));
+        std::env::remove_var(keys[1]);
+        assert_eq!(read_env_usize(keys[1]), None, "unset → None");
     }
 
     #[test]
@@ -1388,7 +1106,6 @@ mod tests {
         let cfg = ExecConfig {
             shard_min_size: 1,
             heavy_split_factor: 4,
-            ..ExecConfig::default()
         };
         let ring = wcoj_obs::trace();
         let level_before = ring.level();
@@ -1410,24 +1127,5 @@ mod tests {
         let before = ring.len();
         let _ = ShardPlan::plan(&prepared, 8, &cfg);
         assert_eq!(ring.len(), before, "Off level records nothing");
-    }
-
-    #[test]
-    fn install_enables_algorithm_variant() {
-        // The dispatch hook reads WCOJ_* env vars (ExecConfig::from_env):
-        // serialise against the env-mutating test above.
-        let _env = ENV_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        install();
-        install(); // idempotent
-        let rels = [
-            rel(&[0, 1], &[&[1, 2], &[1, 3]]),
-            rel(&[1, 2], &[&[2, 4], &[3, 4]]),
-            rel(&[0, 2], &[&[1, 4]]),
-        ];
-        let out = join_with(&rels, Algorithm::NprrParallel, None).unwrap();
-        assert_eq!(out.relation.len(), 2);
-        assert_eq!(out.stats.algorithm_used, "nprr-parallel");
     }
 }

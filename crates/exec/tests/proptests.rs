@@ -1,25 +1,35 @@
-//! Property test for the partition-parallel engine (mirrors the style of
-//! `crates/storage/src/proptests.rs`): on random instances from
-//! `wcoj-datagen`, `par_join` must produce exactly the sequential
-//! `join_nprr` output — sorted row-set equality — for every thread count
-//! in {1, 2, 4, 8} and both index backends. The intra-value parallelism
-//! properties ride along: `heavy_split_factor` (0, 1, sensible, huge)
-//! never changes output, and every planned sub-shard family tiles the
-//! anchor domain exactly once — no gap, no overlap — against the
+//! Property tests for the shard planner (mirrors the style of
+//! `crates/storage/src/proptests.rs`). The contract the `wcoj-service`
+//! pool relies on, checked without threads: every task of
+//! `ShardPlan::plan(..).tasks()` run in slot order, the rows concatenated
+//! and assembled, equals the sequential `join_nprr` output **bit for bit
+//! — rows and order** — for every `heavy_split_factor` (0, 1, sensible,
+//! huge) on random, Zipf and single-hot-key instances. Alongside it,
+//! every planned sub-shard family tiles the anchor domain exactly once —
+//! no gap, no overlap — against the
 //! [`PreparedQuery::anchor_candidates`] slices.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use wcoj_core::nprr::PreparedQuery;
-use wcoj_core::JoinQuery;
-use wcoj_exec::{par_join_prepared, ExecConfig, ShardPlan, ShardSplit, OVERSPLIT};
-use wcoj_storage::{HashTrieIndex, Relation, TrieIndex, Value};
+use wcoj_core::{JoinQuery, JoinStats};
+use wcoj_exec::{ExecConfig, ShardPlan, OVERSPLIT};
+use wcoj_storage::{HashTrieIndex, Relation, RowBuf, SearchTree, TrieIndex, Value};
 
-/// Sorted row set of a relation — the canonical comparison form.
-fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = rel.iter_rows().map(<[Value]>::to_vec).collect();
-    rows.sort_unstable();
-    rows
+/// What the service does with a plan, minus its threads: every task run
+/// in slot order, rows concatenated, then assembled.
+fn run_plan<S: SearchTree>(prepared: &PreparedQuery<S>, plan: &ShardPlan) -> Relation {
+    let (x, log2_bound) = prepared.resolve_cover(None).unwrap();
+    let mut rows = RowBuf::new(prepared.total_order().len());
+    if !plan.root_domain_is_empty(prepared) {
+        for task in plan.tasks() {
+            rows.append(&prepared.run_shard(&x, log2_bound, task).0);
+        }
+    }
+    prepared
+        .assemble(rows, JoinStats::default())
+        .unwrap()
+        .relation
 }
 
 /// A random multi-relation query instance: shapes drawn like the core
@@ -52,91 +62,37 @@ fn random_instance(seed: u64) -> Vec<Relation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `par_join` ≡ sequential `join_nprr` on random instances, across
-    /// thread counts and index backends.
+    /// `heavy_split_factor` is a pure performance knob, and so is the
+    /// pool size the plan is sized for: on random instances, on Zipf skew
+    /// and on the single-hot-key family, with both backends, the merged
+    /// shard runs equal sequential `join_nprr` bit for bit.
     #[test]
-    fn par_join_equals_sequential(seed in 0u64..10_000) {
-        let rels = random_instance(seed);
-        let q = JoinQuery::new(&rels).unwrap();
-        let sol = q.optimal_cover().unwrap();
-        let seq = wcoj_core::nprr::join_nprr(&q, &sol.x, sol.log2_bound).unwrap();
-        let expect = sorted_rows(&seq.relation);
-
-        let sorted = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
-        let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = ExecConfig { threads, shard_min_size: 1, ..ExecConfig::default() };
-            let a = par_join_prepared(&sorted, None, &cfg).unwrap();
-            prop_assert_eq!(
-                sorted_rows(&a.relation), expect.clone(),
-                "sorted backend, {} threads, seed {}", threads, seed
-            );
-            prop_assert_eq!(a.relation.schema(), seq.relation.schema());
-            let b = par_join_prepared(&hashed, None, &cfg).unwrap();
-            prop_assert_eq!(
-                sorted_rows(&b.relation), expect.clone(),
-                "hash backend, {} threads, seed {}", threads, seed
-            );
-        }
-    }
-
-    /// Zipf-skewed triangles (heavy hitters stress the shard planner's
-    /// oversplitting) still match exactly.
-    #[test]
-    fn par_join_equals_sequential_skewed(seed in 0u64..2_000) {
-        let rels = [
-            wcoj_datagen::zipf_relation(seed, &[0, 1], 150, 20, 1.2),
-            wcoj_datagen::zipf_relation(seed + 1, &[1, 2], 150, 20, 1.2),
-            wcoj_datagen::zipf_relation(seed + 2, &[0, 2], 150, 20, 1.2),
-        ];
-        let q = JoinQuery::new(&rels).unwrap();
-        let sol = q.optimal_cover().unwrap();
-        let seq = wcoj_core::nprr::join_nprr(&q, &sol.x, sol.log2_bound).unwrap();
-        let par = wcoj_exec::par_join(&rels, &ExecConfig { threads: 4, shard_min_size: 1, ..ExecConfig::default() }).unwrap();
-        prop_assert_eq!(sorted_rows(&par.relation), sorted_rows(&seq.relation));
-    }
-
-    /// `heavy_split_factor` is a pure performance knob: 0 and 1 (intra-
-    /// value splitting disabled), small, large, and absurd values all
-    /// produce exactly the sequential output — on random instances, on
-    /// Zipf skew, and on the single-hot-key family, with both backends.
-    #[test]
-    fn heavy_split_factor_never_changes_output(seed in 0u64..2_000) {
+    fn heavy_split_factor_never_changes_output(seed in 0u64..10_000) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_mul(6151));
+        let s = 1.1 + f64::from(rng.gen_range(0..6u32)) / 10.0;
         let instances: [Vec<Relation>; 3] = [
             random_instance(seed),
             vec![
-                wcoj_datagen::zipf_relation(seed, &[0, 1], 120, 16, 1.4),
-                wcoj_datagen::zipf_relation(seed + 1, &[1, 2], 120, 16, 1.4),
-                wcoj_datagen::zipf_relation(seed + 2, &[0, 2], 120, 16, 1.4),
+                wcoj_datagen::zipf_relation(seed, &[0, 1], 150, 20, s),
+                wcoj_datagen::zipf_relation(seed + 1, &[1, 2], 150, 20, s),
+                wcoj_datagen::zipf_relation(seed + 2, &[0, 2], 150, 20, s),
             ],
-            wcoj_datagen::hot_key_triangle(seed, 48, 4),
+            wcoj_datagen::hot_key_triangle(seed, rng.gen_range(16..96), rng.gen_range(0..8)),
         ];
         for (which, rels) in instances.iter().enumerate() {
             let q = JoinQuery::new(rels).unwrap();
             let sol = q.optimal_cover().unwrap();
-            let seq = wcoj_core::nprr::join_nprr(&q, &sol.x, sol.log2_bound).unwrap();
-            let expect = sorted_rows(&seq.relation);
+            let seq = wcoj_core::nprr::join_nprr(&q, &sol.x, sol.log2_bound).unwrap().relation;
             let sorted = PreparedQuery::<TrieIndex>::new_indexed(rels).unwrap();
             let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(rels).unwrap();
-            let threads = [2usize, 4, 8][rng.gen_range(0..3usize)];
+            let workers = [1usize, 2, 4, 8][rng.gen_range(0..4usize)];
             for factor in [0usize, 1, 2, 8, 1 << 20, usize::MAX] {
-                let cfg = ExecConfig {
-                    threads,
-                    shard_min_size: 1,
-                    split: ShardSplit::Work,
-                    heavy_split_factor: factor,
-                };
-                let a = par_join_prepared(&sorted, None, &cfg).unwrap();
-                prop_assert_eq!(
-                    sorted_rows(&a.relation), expect.clone(),
-                    "instance {}, factor {}, seed {}", which, factor, seed
-                );
-                let b = par_join_prepared(&hashed, None, &cfg).unwrap();
-                prop_assert_eq!(
-                    sorted_rows(&b.relation), expect.clone(),
-                    "hash, instance {}, factor {}, seed {}", which, factor, seed
-                );
+                let cfg = ExecConfig { shard_min_size: 1, heavy_split_factor: factor };
+                let ctx = format!("instance {which}, {workers} workers, factor {factor}, seed {seed}");
+                let plan = ShardPlan::plan(&sorted, workers * OVERSPLIT, &cfg);
+                prop_assert_eq!(&run_plan(&sorted, &plan), &seq, "sorted, {}", ctx);
+                let plan = ShardPlan::plan(&hashed, workers * OVERSPLIT, &cfg);
+                prop_assert_eq!(&run_plan(&hashed, &plan), &seq, "hash, {}", ctx);
             }
         }
     }
@@ -159,9 +115,7 @@ proptest! {
         let factor = [2usize, 4, 8, 64][rng.gen_range(0..4usize)];
         let threads = [2usize, 4, 8][rng.gen_range(0..3usize)];
         let cfg = ExecConfig {
-            threads,
             shard_min_size: 1,
-            split: ShardSplit::Work,
             heavy_split_factor: factor,
         };
         let plan = ShardPlan::plan(&prepared, threads * OVERSPLIT, &cfg);

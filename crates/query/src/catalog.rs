@@ -27,7 +27,6 @@ use crate::plan_cache::{next_generation, PlanCache};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use wcoj_exec::ExecConfig;
 use wcoj_obs::{Counter, Gauge};
 use wcoj_service::Service;
 use wcoj_storage::{Datum, DeltaRelation, Dictionary, Relation, StorageError, Value};
@@ -79,9 +78,8 @@ struct Stored {
 
 /// A catalog: named relations sharing one [`Dictionary`] so string values
 /// compare consistently across relations, plus the catalog-level execution
-/// configuration (sequential by default; opt in to the partition-parallel
-/// engine with [`Catalog::set_parallel`], or route every query through a
-/// process-wide shared worker pool with [`Catalog::set_service`]).
+/// route: sequential by default, or every query through a process-wide
+/// shared worker pool with [`Catalog::set_service`].
 ///
 /// ## Mutation and versioning
 ///
@@ -109,7 +107,6 @@ struct Stored {
 pub struct Catalog {
     dict: Arc<Dictionary>,
     relations: BTreeMap<String, Stored>,
-    parallel: Option<ExecConfig>,
     service: Option<Arc<Service>>,
     plan_cache: PlanCache,
     compact_threshold: usize,
@@ -128,31 +125,15 @@ impl Catalog {
         Catalog {
             dict: Arc::new(Dictionary::new()),
             relations: BTreeMap::new(),
-            parallel: None,
             service: None,
             plan_cache: PlanCache::new(),
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
         }
     }
 
-    /// Opts every query executed against this catalog into the
-    /// partition-parallel engine with `cfg` (`None` reverts to
-    /// sequential). Applies to single queries and whole Datalog programs.
-    pub fn set_parallel(&mut self, cfg: Option<ExecConfig>) {
-        self.parallel = cfg;
-    }
-
-    /// The catalog-level parallel execution config, if any.
-    #[must_use]
-    pub fn parallel(&self) -> Option<&ExecConfig> {
-        self.parallel.as_ref()
-    }
-
     /// Routes every query executed against this catalog — text queries
     /// and whole Datalog programs alike — through `service`'s shared
-    /// worker pool (`None` reverts). Takes precedence over
-    /// [`Catalog::set_parallel`]: the service owns process-wide
-    /// parallelism, the per-call engine would fight it for cores.
+    /// worker pool (`None` reverts to sequential evaluation).
     pub fn set_service(&mut self, service: Option<Arc<Service>>) {
         self.service = service;
     }

@@ -65,9 +65,6 @@ pub fn execute(q: &ParsedQuery, catalog: &Catalog) -> Result<QueryResult, QueryT
 
 /// Name resolution + plan-cache lookup, shared by every execution path.
 fn bind(q: &ParsedQuery, catalog: &Catalog) -> Result<Bound, QueryTextError> {
-    // Using the text front-end implies both engines are linked; make
-    // Algorithm::NprrParallel dispatchable process-wide (idempotent).
-    wcoj_exec::install();
     // Variable name → id (= attribute id), in first-occurrence order.
     let mut var_names: Vec<String> = Vec::new();
     let var_id = |name: &str, var_names: &mut Vec<String>| -> u32 {
@@ -293,8 +290,8 @@ fn map_engine_error(e: wcoj_core::QueryError) -> QueryTextError {
 
 /// [`execute`] plus the scheduler's per-query execution profile. The
 /// profile is `Some` exactly when the catalog routes through an attached
-/// [`Service`](wcoj_service::Service) — the sequential and per-call
-/// parallel engines have no scheduler to profile.
+/// [`Service`](wcoj_service::Service) — the sequential engine has no
+/// scheduler to profile.
 ///
 /// # Errors
 /// Same as [`execute`].
@@ -305,9 +302,7 @@ pub fn execute_profiled(
     let bound = bind(q, catalog)?;
 
     // The worst-case-optimal join over the cached plan — scheduled on the
-    // shared-pool service when one is attached, on the per-call
-    // partition-parallel engine when the catalog opted in, sequentially
-    // otherwise.
+    // shared-pool service when one is attached, sequentially otherwise.
     let mut profile = None;
     let full = if let Some(service) = catalog.service() {
         let (out, query_profile) = service
@@ -317,10 +312,6 @@ pub fn execute_profiled(
             .map_err(map_engine_error)?;
         profile = Some(query_profile);
         out.relation
-    } else if let Some(cfg) = catalog.parallel() {
-        wcoj_exec::par_join_prepared(&bound.plan, None, cfg)
-            .map_err(|e| QueryTextError::Eval(e.to_string()))?
-            .relation
     } else {
         bound
             .plan
@@ -490,8 +481,7 @@ impl PendingQuery {
 /// attached [`Service`](wcoj_service::Service) when there is one, and
 /// returns a [`PendingQuery`] yielding the result in per-slot batches as
 /// the pool settles them. Without a service the query is evaluated
-/// eagerly (per-call parallel or sequential) and the pending query holds
-/// one ready batch.
+/// eagerly and sequentially, and the pending query holds one ready batch.
 ///
 /// # Errors
 /// Binding errors, [`QueryTextError::Overloaded`] when admission sheds
@@ -513,17 +503,11 @@ pub fn submit_query(q: &ParsedQuery, catalog: &Catalog) -> Result<PendingQuery, 
             inner: PendingInner::Stream(stream),
         });
     }
-    let full = if let Some(cfg) = catalog.parallel() {
-        wcoj_exec::par_join_prepared(&bound.plan, None, cfg)
-            .map_err(|e| QueryTextError::Eval(e.to_string()))?
-            .relation
-    } else {
-        bound
-            .plan
-            .evaluate(None)
-            .map_err(|e| QueryTextError::Eval(e.to_string()))?
-            .relation
-    };
+    let full = bound
+        .plan
+        .evaluate(None)
+        .map_err(|e| QueryTextError::Eval(e.to_string()))?
+        .relation;
     let relation = if identity {
         full
     } else {
@@ -635,52 +619,39 @@ mod tests {
 
     #[test]
     fn parallel_catalog_matches_sequential() {
-        let mut c = catalog_with_triangle();
-        let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
-        let seq = execute(&q, &c).unwrap();
-        for threads in [1, 2, 4, 8] {
-            c.set_parallel(Some(wcoj_exec::ExecConfig {
-                threads,
-                shard_min_size: 1,
-                ..wcoj_exec::ExecConfig::default()
-            }));
-            let par = execute(&q, &c).unwrap();
-            assert_eq!(par.relation, seq.relation, "{threads} threads");
-            assert_eq!(par.columns, seq.columns);
-        }
-        c.set_parallel(None);
-        assert_eq!(execute(&q, &c).unwrap().relation, seq.relation);
-    }
-
-    #[test]
-    fn service_catalog_matches_sequential_and_wins_over_parallel() {
+        // The parallel route is the attached service's pool, at any size
+        // and with planning fine enough to split the tiny triangle.
         use std::sync::Arc;
         use wcoj_service::{Service, ServiceConfig};
         let mut c = catalog_with_triangle();
         let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
         let seq = execute(&q, &c).unwrap();
-        let service = Arc::new(Service::new(ServiceConfig::with_workers(3)));
-        // service set alongside parallel: the service takes precedence
-        c.set_parallel(Some(wcoj_exec::ExecConfig::with_threads(2)));
-        c.set_service(Some(Arc::clone(&service)));
-        for _ in 0..4 {
-            let out = execute(&q, &c).unwrap();
-            assert_eq!(out.relation, seq.relation);
-            assert_eq!(out.columns, seq.columns);
+        for workers in [1, 2, 4, 8] {
+            let service = Arc::new(Service::new(ServiceConfig {
+                exec: wcoj_exec::ExecConfig {
+                    shard_min_size: 1,
+                    ..wcoj_exec::ExecConfig::default()
+                },
+                ..ServiceConfig::with_workers(workers)
+            }));
+            c.set_service(Some(Arc::clone(&service)));
+            for _ in 0..2 {
+                let par = execute(&q, &c).unwrap();
+                assert_eq!(par.relation, seq.relation, "{workers} workers");
+                assert_eq!(par.columns, seq.columns);
+            }
+            assert_eq!(service.submitted(), 2, "all queries routed to the pool");
         }
-        assert_eq!(service.submitted(), 4, "all queries routed to the pool");
         c.set_service(None);
-        c.set_parallel(None);
         assert_eq!(execute(&q, &c).unwrap().relation, seq.relation);
     }
 
     #[test]
     fn hot_key_workload_through_catalog_routes() {
-        // A single-hot-key workload through both catalog routes: the
-        // per-call parallel engine and the shared service pool. The
-        // intra-value sub-shard planner sits under both; outputs must be
-        // bit-identical to the sequential run, and WCOJ_HEAVY_SPLIT-style
-        // factor overrides (via ExecConfig) must not change them.
+        // A single-hot-key workload through the sequential and the
+        // service route. The intra-value sub-shard planner sits under the
+        // service; outputs must be bit-identical to the sequential run
+        // whatever the service's heavy-split factor.
         use std::sync::Arc;
         use wcoj_service::{Service, ServiceConfig};
         let rels = wcoj_datagen::hot_key_triangle(17, 64, 4);
@@ -691,21 +662,18 @@ mod tests {
         let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
         let seq = execute(&q, &c).unwrap();
         for factor in [0usize, 1, 8] {
-            c.set_parallel(Some(wcoj_exec::ExecConfig {
-                threads: 4,
-                shard_min_size: 1,
-                heavy_split_factor: factor,
-                ..wcoj_exec::ExecConfig::default()
+            let service = Arc::new(Service::new(ServiceConfig {
+                exec: wcoj_exec::ExecConfig {
+                    shard_min_size: 1,
+                    heavy_split_factor: factor,
+                },
+                ..ServiceConfig::with_workers(4)
             }));
-            let par = execute(&q, &c).unwrap();
-            assert_eq!(par.relation, seq.relation, "parallel, factor {factor}");
+            c.set_service(Some(Arc::clone(&service)));
+            let pooled = execute(&q, &c).unwrap();
+            assert_eq!(pooled.relation, seq.relation, "service, factor {factor}");
+            assert_eq!(service.submitted(), 1);
         }
-        c.set_parallel(None);
-        let service = Arc::new(Service::new(ServiceConfig::with_workers(4)));
-        c.set_service(Some(Arc::clone(&service)));
-        let pooled = execute(&q, &c).unwrap();
-        assert_eq!(pooled.relation, seq.relation, "service route");
-        assert_eq!(service.submitted(), 1);
     }
 
     #[test]
@@ -979,12 +947,6 @@ mod tests {
             let got = pending.collect().unwrap();
             assert_eq!(got.relation, expected.relation);
             assert_eq!(got.columns, expected.columns);
-
-            // per-call parallel route
-            c.set_parallel(Some(wcoj_exec::ExecConfig::with_threads(2)));
-            let got = crate::submit_query(&q, &c).unwrap().collect().unwrap();
-            assert_eq!(got.relation, expected.relation);
-            c.set_parallel(None);
 
             // service route
             let service = Arc::new(Service::new(ServiceConfig::with_workers(2)));

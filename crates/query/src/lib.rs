@@ -60,8 +60,8 @@ pub use exec::{execute, execute_profiled, submit_query, PendingQuery, QueryResul
 pub use parser::{parse_query, ParsedAtom, ParsedQuery, ParsedTerm};
 pub use plan_cache::{CachedPlan, PlanCache};
 pub use program::{parse_program, run_program, Program};
-// Re-export so front-end users can opt catalogs into parallel execution
-// without naming wcoj-exec directly.
+// Re-export so front-end users can tune a service's shard planning
+// (`ServiceConfig::exec`, `Service::submit`) without naming wcoj-exec.
 pub use wcoj_exec::ExecConfig;
 
 use std::fmt;

@@ -191,29 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn program_runs_on_parallel_catalog() {
-        let p = parse_program(
-            "wedge(x, y, z) :- E(x, y), E(y, z).\n\
-             tri(x, y, z) :- wedge(x, y, z), E(x, z).",
-        )
-        .unwrap();
-        let mut seq_cat = edge_catalog();
-        let seq = run_program(&p, &mut seq_cat).unwrap();
-        let mut par_cat = edge_catalog();
-        par_cat.set_parallel(Some(wcoj_exec::ExecConfig {
-            threads: 4,
-            shard_min_size: 1,
-            ..wcoj_exec::ExecConfig::default()
-        }));
-        let par = run_program(&p, &mut par_cat).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for ((n1, r1), (n2, r2)) in seq.iter().zip(&par) {
-            assert_eq!(n1, n2);
-            assert_eq!(r1.relation, r2.relation, "rule {n1}");
-        }
-    }
-
-    #[test]
     fn program_runs_on_service_catalog() {
         use std::sync::Arc;
         use wcoj_service::{Service, ServiceConfig};
@@ -224,7 +201,14 @@ mod tests {
         .unwrap();
         let mut seq_cat = edge_catalog();
         let seq = run_program(&p, &mut seq_cat).unwrap();
-        let service = Arc::new(Service::new(ServiceConfig::with_workers(4)));
+        // planning fine enough that each rule's join splits into shards
+        let service = Arc::new(Service::new(ServiceConfig {
+            exec: wcoj_exec::ExecConfig {
+                shard_min_size: 1,
+                ..wcoj_exec::ExecConfig::default()
+            },
+            ..ServiceConfig::with_workers(4)
+        }));
         let mut svc_cat = edge_catalog();
         svc_cat.set_service(Some(Arc::clone(&service)));
         let svc = run_program(&p, &mut svc_cat).unwrap();

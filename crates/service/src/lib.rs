@@ -1,14 +1,13 @@
 //! # wcoj-service — shared-pool concurrent query scheduler
 //!
-//! `wcoj-exec` parallelises a *single* join by sharding the root domain
-//! of `Recursive-Join` (paper §5.2, step 2a) over a scoped thread pool —
-//! but every `par_join` call spins up its **own** pool, so a process
-//! answering many concurrent queries oversubscribes the machine and loses
-//! the worst-case-optimal runtime guarantees to scheduling noise.
-//!
-//! This crate is the long-lived alternative: a [`Service`] owns **one**
-//! global worker pool for the whole process, and schedules shard tasks
-//! from *many* in-flight queries on it.
+//! `wcoj-exec` plans how a *single* join splits: root-domain shards of
+//! `Recursive-Join` (paper §5.2, step 2a). This crate is the one place
+//! such a plan runs in parallel: a [`Service`] owns **one** global worker
+//! pool for the whole process, and schedules shard tasks from *many*
+//! in-flight queries on it, so concurrent queries share the machine
+//! instead of each oversubscribing it. (Sequential evaluation,
+//! `PreparedQuery::evaluate` / `join_nprr`, stays the oracle every
+//! parallel result is checked against.)
 //!
 //! * [`Service::submit`] plans a prepared query's shards with the
 //!   work-based splitter ([`ShardPlan::plan`] over
@@ -104,7 +103,7 @@ use wcoj_core::nprr::{PreparedQuery, RootShard};
 use wcoj_core::{JoinOutput, JoinStats, QueryError};
 use wcoj_exec::{ExecConfig, ShardPlan, OVERSPLIT};
 use wcoj_obs::{trace, Counter, Gauge, Histogram, TraceEvent, TraceLevel};
-use wcoj_storage::{Relation, RowBuf, SearchTree, TrieIndex};
+use wcoj_storage::{Relation, RowBuf, SearchTree};
 
 /// Stats label reported by service-scheduled runs.
 const ALGORITHM: &str = "nprr-service";
@@ -112,15 +111,14 @@ const ALGORITHM: &str = "nprr-service";
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads in the shared pool (clamped to ≥ 1). Unlike
-    /// `par_join`, this bounds the parallelism of the whole process, not
-    /// of one query.
+    /// Worker threads in the shared pool (clamped to ≥ 1): the
+    /// parallelism of the whole process, not of one query. Each query's
+    /// plan is sized for `workers × OVERSPLIT` shards.
     pub workers: usize,
-    /// Default per-query planning knobs handed to queries routed through
-    /// [`Service::join`] (and recommended for [`Service::submit`] via
-    /// [`Service::exec_config`]). The `threads` field is ignored — pool
-    /// size is a service-level decision; `shard_min_size` and `split`
-    /// steer the per-query [`ShardPlan`].
+    /// Default per-query planning knobs, recommended for
+    /// [`Service::submit`] via [`Service::exec_config`] (the catalog
+    /// routes use them): `shard_min_size` and `heavy_split_factor` steer
+    /// the per-query [`ShardPlan`].
     pub exec: ExecConfig,
     /// Admission bound: the maximum number of queries that may be
     /// admitted-but-unfinished (queued or running) at once. `0` (the
@@ -245,9 +243,8 @@ impl From<QueryError> for SubmitError {
 
 impl From<SubmitError> for QueryError {
     /// Collapses an overload shed into [`QueryError::Overloaded`] so
-    /// callers speaking only `QueryError` (the [`Service::join`] /
-    /// catalog-routing path) surface a typed 429 instead of a panic or a
-    /// stringly error.
+    /// callers speaking only `QueryError` (the catalog-routing path)
+    /// surface a typed 429 instead of a panic or a stringly error.
     fn from(e: SubmitError) -> Self {
         match e {
             SubmitError::Overloaded { .. } => QueryError::Overloaded,
@@ -1376,8 +1373,7 @@ impl Service {
         TaskBatch { latch }
     }
 
-    /// The service's default per-query planning config (its `threads`
-    /// field is ignored by [`submit`](Service::submit)).
+    /// The service's default per-query planning config.
     #[must_use]
     pub fn exec_config(&self) -> ExecConfig {
         self.cfg.exec.clone()
@@ -1817,40 +1813,6 @@ impl Service {
             }),
         })
     }
-
-    /// One-shot convenience: prepare `relations` with the default sorted
-    /// trie backend, submit with the service's default planning config,
-    /// and wait. This is the entry point `wcoj-query` routes catalog
-    /// queries through; under overload it surfaces
-    /// [`QueryError::Overloaded`] (the shed, not the blocking, policy —
-    /// a front end should answer 429 rather than stall its caller).
-    ///
-    /// # Errors
-    /// Same as [`PreparedQuery::new_indexed`] plus evaluation errors and
-    /// [`QueryError::Overloaded`].
-    pub fn join(&self, relations: &[Relation]) -> Result<JoinOutput, QueryError> {
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(relations)?);
-        self.submit(&prepared, &self.cfg.exec)
-            .map_err(QueryError::from)?
-            .wait()
-    }
-
-    /// [`Service::join`] plus the query's final [`QueryProfile`] — the
-    /// route `wcoj-query`'s `execute_profiled` uses so text-query callers
-    /// see per-shard execution breakdowns without touching the
-    /// prepare/submit API themselves.
-    ///
-    /// # Errors
-    /// Same as [`Service::join`].
-    pub fn join_profiled(
-        &self,
-        relations: &[Relation],
-    ) -> Result<(JoinOutput, QueryProfile), QueryError> {
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(relations)?);
-        self.submit(&prepared, &self.cfg.exec)
-            .map_err(QueryError::from)?
-            .wait_profiled()
-    }
 }
 
 impl Drop for Service {
@@ -1878,7 +1840,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use wcoj_core::{join_with, Algorithm};
-    use wcoj_storage::{HashTrieIndex, Schema};
+    use wcoj_storage::{HashTrieIndex, Schema, TrieIndex};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -2597,10 +2559,14 @@ mod tests {
         let handle;
         {
             let service = Service::new(ServiceConfig::with_workers(2));
-            let out = service.join(&triangle()).unwrap();
+            let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&triangle()).unwrap());
+            let out = service
+                .submit(&prepared, &service.exec_config())
+                .unwrap()
+                .wait()
+                .unwrap();
             assert_eq!(out.relation, seq.relation);
             // a handle may outlive the service: drop drains the queue
-            let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&triangle()).unwrap());
             let cfg = ExecConfig {
                 shard_min_size: 1,
                 ..ExecConfig::default()

@@ -51,7 +51,7 @@ pub trait SearchTree: Sized {
 
     /// Branch labels of `node` (its distinct one-step extensions), sorted
     /// ascending. At the root this is the **level-0 view** the
-    /// partition-parallel executor shards on: the subtree under each label
+    /// shard planner (`wcoj-exec`) splits on: the subtree under each label
     /// is the search tree of that section (paper §5.2, step 2a), so
     /// disjoint label ranges denote fully independent sub-joins.
     fn child_values(&self, node: Self::Node) -> Vec<Value> {

@@ -12,8 +12,8 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5), the Loomis–Whitney algorithm (§4), arity-≤2 star/cycle joins (§7.1), relaxed joins (§7.2), full CQs + FDs (§7.3), algorithmic BT/LW (§3) |
-//! | [`exec`] (`wcoj-exec`) | the partition-parallel execution engine: two-level root-domain sharding over a worker pool — heavy root values split further into anchor sub-shards (`par_join`, `ExecConfig`, `Algorithm::NprrParallel`) |
-//! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler: one global worker pool serving many in-flight queries with bounded admission (shed or block under overload) and round-robin fair dispatch (`Service`, `QueryHandle`, `SubmitError`) |
+//! | [`exec`] (`wcoj-exec`) | the root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`ShardPlan`, `ExecConfig`) — plus the warn-once `WCOJ_*` env parsing |
+//! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans with bounded admission (shed or block under overload) and round-robin fair dispatch (`Service`, `QueryHandle`, `SubmitError`) |
 //! | [`storage`] | relations, relational algebra, the counted-trie search tree |
 //! | [`hypergraph`] | query hypergraphs, fractional covers, AGM bounds, Lemma 3.2 tightening, Lemma 7.2 half-integrality |
 //! | [`lp`] | the two-phase simplex solver (f64 + exact rational) |
@@ -50,44 +50,17 @@ pub use wcoj_server as server;
 pub use wcoj_service as service;
 pub use wcoj_storage as storage;
 
-pub use wcoj_core::{agm_cover, Algorithm, JoinOutput, JoinQuery, JoinStats};
-pub use wcoj_exec::{par_join, ExecConfig, ShardSplit};
+pub use wcoj_core::{agm_cover, join, join_with, Algorithm, JoinOutput, JoinQuery, JoinStats};
+pub use wcoj_exec::ExecConfig;
 pub use wcoj_obs::{TraceEvent, TraceLevel};
 pub use wcoj_service::{
     QueryHandle, QueryProfile, Service, ServiceConfig, ServiceCounters, ShardProfile, SubmitError,
 };
 
-/// Computes the natural join of `relations` with automatic algorithm
-/// selection (see [`wcoj_core::join`]). The facade wrapper additionally
-/// makes sure the partition-parallel engine is installed, so
-/// [`Algorithm::NprrParallel`] is always dispatchable.
-///
-/// # Errors
-/// See [`wcoj_core::join`].
-pub fn join(relations: &[storage::Relation]) -> Result<storage::Relation, wcoj_core::QueryError> {
-    wcoj_exec::install();
-    wcoj_core::join(relations)
-}
-
-/// Computes the natural join with an explicit algorithm and optional
-/// cover (see [`wcoj_core::join_with`]); [`Algorithm::NprrParallel`] runs
-/// on the `wcoj-exec` worker pool.
-///
-/// # Errors
-/// See [`wcoj_core::join_with`].
-pub fn join_with(
-    relations: &[storage::Relation],
-    algorithm: Algorithm,
-    cover: Option<&[f64]>,
-) -> Result<JoinOutput, wcoj_core::QueryError> {
-    wcoj_exec::install();
-    wcoj_core::join_with(relations, algorithm, cover)
-}
-
 /// The names most programs need.
 pub mod prelude {
     pub use crate::core::{agm_cover, Algorithm, JoinQuery};
-    pub use crate::exec::{par_join, ExecConfig, ShardSplit};
+    pub use crate::exec::ExecConfig;
     pub use crate::query::{execute, execute_profiled, load_csv, parse_query, Catalog};
     pub use crate::service::{
         QueryHandle, QueryProfile, Service, ServiceConfig, ServiceCounters, SubmitError,

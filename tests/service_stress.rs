@@ -237,7 +237,7 @@ fn determinism_same_query_twice_concurrently() {
 
 /// Zero-shard plans through the service path: empty inputs and an empty
 /// root-candidate intersection return cleanly, with no shard ever run.
-/// (The exec-path twin lives in `wcoj-exec`'s unit tests.)
+/// (The planner-side twin lives in `wcoj-exec`'s unit tests.)
 #[test]
 fn zero_shard_plans_resolve_cleanly() {
     let service = Service::new(ServiceConfig::with_workers(4));
@@ -272,23 +272,6 @@ fn zero_shard_plans_resolve_cleanly() {
     assert!(out.relation.is_empty());
     assert_eq!(out.relation.arity(), 3);
     assert_eq!(out.stats.shards, 0);
-
-    // The parallel exec path agrees end to end.
-    let par = par_join(
-        &[
-            Relation::from_u32_rows(Schema::of(&[0, 1]), &[&[10, 1], &[10, 2], &[11, 3]]),
-            Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[7, 20], &[8, 20], &[9, 21]]),
-            Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[10, 20], &[11, 21]]),
-        ],
-        &ExecConfig {
-            threads: 4,
-            shard_min_size: 1,
-            ..ExecConfig::default()
-        },
-    )
-    .unwrap();
-    assert!(par.relation.is_empty());
-    assert_eq!(par.stats.shards, 0);
 }
 
 /// Repeat-submission rounds through the catalog front end on a live

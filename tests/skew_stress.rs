@@ -2,14 +2,14 @@
 //!
 //! NPRR's worst-case optimality hinges on handling skew; this suite pins
 //! the runtime's side of that bargain. A Zipf or single-hot-key workload
-//! must not change *anything* observable: across thread counts
-//! {1, 2, 4, 8}, both index backends, both `ShardSplit` modes, and any
-//! `heavy_split_factor`, the parallel engines produce rows bit-identical
-//! (including row order) to the sequential `join_nprr`, and the absorbed
-//! `JoinStats` are bit-identical to a deterministic shard-by-shard
-//! sequential re-run of the same plan — i.e. independent of pool size,
-//! scheduling, and interleaving. A heavy-keyed query racing itself
-//! through the shared service pool is the regression for the latter.
+//! must not change *anything* observable: across pool sizes
+//! {1, 2, 4, 8}, all three index backends, and any `heavy_split_factor`,
+//! the shared service pool produces rows bit-identical (including row
+//! order) to the sequential `join_nprr`, and the absorbed `JoinStats` are
+//! bit-identical to a deterministic shard-by-shard sequential re-run of
+//! the same layout — i.e. independent of pool size, scheduling, and
+//! interleaving. A heavy-keyed query racing itself through the pool is
+//! the regression for the latter.
 //!
 //! Interleavings only really shake out with optimizations on; CI runs
 //! this suite in release mode (`cargo test --release --test skew_stress`)
@@ -21,7 +21,6 @@ use proptest::prelude::*;
 use wcoj::core::nprr::PreparedQuery;
 use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
-use wcoj::exec::{par_join_prepared, ShardPlan, OVERSPLIT};
 use wcoj::prelude::*;
 use wcoj::storage::{FlatIndex, HashTrieIndex, SearchTree, TrieIndex};
 
@@ -116,92 +115,101 @@ fn assert_stats_identical(got: &JoinStats, want: &JoinStats, ctx: &str) {
     );
 }
 
-/// The `JoinStats` a parallel run must report: a sequential
-/// shard-by-shard re-run of exactly the plan `par_join_prepared`
+/// The `JoinStats` a service run must report: a sequential
+/// shard-by-shard re-run of exactly the layout `Service::submit`
 /// schedules for `cfg` — fully deterministic, so pool interleaving can
 /// never show through in the absorbed totals.
-fn expected_par_stats<S>(prepared: &PreparedQuery<S>, cfg: &ExecConfig) -> JoinStats
-where
-    S: SearchTree + Sync,
-{
+fn expected_service_stats<S: SearchTree>(
+    service: &Service,
+    prepared: &PreparedQuery<S>,
+    cfg: &ExecConfig,
+) -> JoinStats {
     let (x, log2_bound) = prepared.resolve_cover(None).expect("cover");
     let mut stats = JoinStats {
-        algorithm_used: "nprr-parallel",
+        algorithm_used: "nprr-service",
         log2_agm_bound: log2_bound,
         cover: x.clone(),
         ..JoinStats::default()
     };
-    if cfg.threads <= 1 {
-        // par_join runs the sequential engine in place for one thread
-        let (_, run) = prepared.run_shard(&x, log2_bound, None);
-        stats.absorb(&run);
-        return stats;
-    }
-    let plan = ShardPlan::plan(prepared, cfg.threads * OVERSPLIT, cfg);
-    if plan.root_domain_is_empty(prepared) {
-        return stats;
-    }
-    for shard in plan.tasks() {
+    for shard in service.shard_layout(prepared, cfg) {
         let (_, run) = prepared.run_shard(&x, log2_bound, shard);
         stats.absorb(&run);
     }
     stats
 }
 
-/// One prepared query through `par_join_prepared`, checked for
+/// One prepared query through `Service::submit`, checked for
 /// bit-identical rows against the sequential oracle and bit-identical
 /// stats against the deterministic shard-by-shard re-run — twice, so a
 /// scheduling-dependent wobble between repeat runs also fails.
-fn check_par_run<S>(prepared: &PreparedQuery<S>, seq: &Relation, cfg: &ExecConfig, ctx: &str)
-where
-    S: SearchTree + Sync,
+fn check_service_run<S>(
+    service: &Service,
+    prepared: &Arc<PreparedQuery<S>>,
+    seq: &Relation,
+    cfg: &ExecConfig,
+    ctx: &str,
+) where
+    S: SearchTree + Send + Sync + 'static,
 {
-    let expect_stats = expected_par_stats(prepared, cfg);
-    let first = par_join_prepared(prepared, None, cfg).expect("par join");
+    let expect_stats = expected_service_stats(service, prepared, cfg);
+    let run = || {
+        service
+            .submit(prepared, cfg)
+            .expect("submit")
+            .wait()
+            .expect("join")
+    };
+    let first = run();
     assert_bit_identical(&first.relation, seq, ctx);
     assert_stats_identical(&first.stats, &expect_stats, ctx);
-    let again = par_join_prepared(prepared, None, cfg).expect("par join repeat");
+    let again = run();
     assert_bit_identical(&again.relation, &first.relation, &format!("{ctx}: repeat"));
     assert_stats_identical(&again.stats, &expect_stats, &format!("{ctx}: repeat"));
 }
 
-/// The full matrix: skewed families × threads {1, 2, 4, 8} × all three
-/// index backends × both `ShardSplit` modes, rows and stats
-/// bit-identical.
+/// The full matrix: skewed families × pool sizes {1, 2, 4, 8} × all
+/// three index backends × intra-value splitting off and on, rows and
+/// stats bit-identical.
 #[test]
 fn skew_matrix_matches_sequential() {
-    for (name, rels) in skewed_instances() {
-        let seq = join_with(&rels, Algorithm::Nprr, None)
-            .expect("sequential oracle")
-            .relation;
-        let sorted = PreparedQuery::<TrieIndex>::new_indexed(&rels).expect("prepare");
-        let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).expect("prepare");
-        let flat = PreparedQuery::<FlatIndex>::new_indexed(&rels).expect("prepare");
-        for threads in [1usize, 2, 4, 8] {
-            for split in [ShardSplit::Work, ShardSplit::Candidates] {
+    let instances: Vec<_> = skewed_instances()
+        .into_iter()
+        .map(|(name, rels)| {
+            let seq = join_with(&rels, Algorithm::Nprr, None)
+                .expect("sequential oracle")
+                .relation;
+            let sorted = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).expect("prepare"));
+            let hashed =
+                Arc::new(PreparedQuery::<HashTrieIndex>::new_indexed(&rels).expect("prepare"));
+            let flat = Arc::new(PreparedQuery::<FlatIndex>::new_indexed(&rels).expect("prepare"));
+            (name, seq, sorted, hashed, flat)
+        })
+        .collect();
+    for workers in [1usize, 2, 4, 8] {
+        let service = Service::new(ServiceConfig::with_workers(workers));
+        for (name, seq, sorted, hashed, flat) in &instances {
+            for factor in [0, service.exec_config().heavy_split_factor] {
                 let cfg = ExecConfig {
-                    threads,
                     shard_min_size: 1,
-                    split,
-                    ..ExecConfig::default()
+                    heavy_split_factor: factor,
                 };
-                let ctx = format!("{name}, t={threads}, {split:?}");
-                check_par_run(&sorted, &seq, &cfg, &format!("{ctx}, sorted"));
-                check_par_run(&hashed, &seq, &cfg, &format!("{ctx}, hashed"));
-                check_par_run(&flat, &seq, &cfg, &format!("{ctx}, flat"));
+                let ctx = format!("{name}, {workers} workers, factor {factor}");
+                check_service_run(&service, sorted, seq, &cfg, &format!("{ctx}, sorted"));
+                check_service_run(&service, hashed, seq, &cfg, &format!("{ctx}, hashed"));
+                check_service_run(&service, flat, seq, &cfg, &format!("{ctx}, flat"));
             }
         }
     }
 }
 
-/// Acceptance shape, exec path: a single-hot-key workload (one root
-/// value with ≥ 90% of the estimated work) yields a multi-task plan
-/// with anchor sub-shards, and its parallel output is bit-identical to
-/// `join_nprr`.
+/// Acceptance shape: a single-hot-key workload (one root value with
+/// ≥ 90% of the estimated work) through `Service::submit` schedules its
+/// anchor sub-shards as ordinary injector tasks and reassembles
+/// bit-identically across pool sizes.
 #[test]
-fn single_hot_key_produces_multi_task_plan_exec() {
-    let rels = gen::hot_key_triangle(77, 120, 6);
-    let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).expect("prepare");
+fn single_hot_key_produces_multi_task_plan_service() {
+    let rels = gen::hot_key_triangle(78, 120, 6);
+    let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).expect("prepare"));
     let weights = prepared.root_candidate_weights();
     let total: u64 = weights.iter().map(|&(_, w)| w).sum();
     let hot = weights.iter().map(|&(_, w)| w).max().expect("non-empty");
@@ -209,32 +217,6 @@ fn single_hot_key_produces_multi_task_plan_exec() {
         hot as f64 / total as f64 >= 0.9,
         "one root value carries ≥ 90% of the work: {hot}/{total}"
     );
-    let cfg = ExecConfig {
-        threads: 4,
-        shard_min_size: 1,
-        ..ExecConfig::default()
-    };
-    let plan = ShardPlan::plan(&prepared, cfg.threads * OVERSPLIT, &cfg);
-    assert!(plan.len() > 1, "multi-task plan: {:?}", plan.shards());
-    let subs = plan.shards().iter().filter(|s| s.anchor.is_some()).count();
-    assert!(
-        subs >= 2,
-        "the hot key is split into anchor sub-shards: {:?}",
-        plan.shards()
-    );
-    let seq = join_with(&rels, Algorithm::Nprr, None)
-        .expect("sequential oracle")
-        .relation;
-    check_par_run(&prepared, &seq, &cfg, "hot key, exec path");
-}
-
-/// Acceptance shape, service path: the same hot-key workload through
-/// `Service::submit` schedules the sub-shards as ordinary injector tasks
-/// and reassembles bit-identically across pool sizes.
-#[test]
-fn single_hot_key_produces_multi_task_plan_service() {
-    let rels = gen::hot_key_triangle(78, 120, 6);
-    let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).expect("prepare"));
     let seq = join_with(&rels, Algorithm::Nprr, None)
         .expect("sequential oracle")
         .relation;
@@ -270,20 +252,9 @@ fn single_hot_key_produces_multi_task_plan_service() {
 
         // absorbed stats equal a shard-by-shard sequential re-run of the
         // exact layout the pool interleaved
-        let (x, log2_bound) = prepared.resolve_cover(None).expect("cover");
-        let mut expect_stats = JoinStats {
-            algorithm_used: "nprr-service",
-            log2_agm_bound: log2_bound,
-            cover: x.clone(),
-            ..JoinStats::default()
-        };
-        for shard in layout {
-            let (_, run) = prepared.run_shard(&x, log2_bound, shard);
-            expect_stats.absorb(&run);
-        }
         assert_stats_identical(
             &out.stats,
-            &expect_stats,
+            &expected_service_stats(&service, &prepared, &cfg),
             &format!("service @ {workers} workers"),
         );
     }
@@ -352,7 +323,6 @@ proptest! {
         let cfg = ExecConfig {
             shard_min_size: 1,
             heavy_split_factor: factor,
-            ..service.exec_config()
         };
         let (out, profile) = service.submit(&prepared, &cfg).unwrap().wait_profiled().unwrap();
         let ctx = format!("seed {seed}, {workers} workers, factor {factor}");
