@@ -1,10 +1,11 @@
-//! Ablation: sorted counted trie vs hash-trie vs flat columnar
+//! Ablation: the sorted (flat columnar) counted trie vs the hash trie
 //! realisation of the paper's search tree (§5.1 offers them as
 //! interchangeable).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wcoj_core::nprr::{join_nprr, join_nprr_flat, join_nprr_hash};
+use wcoj_core::nprr::{join_nprr, join_nprr_indexed};
 use wcoj_core::JoinQuery;
+use wcoj_storage::HashTrieIndex;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_index");
@@ -17,7 +18,7 @@ fn bench(c: &mut Criterion) {
         ];
         let q = JoinQuery::new(&rels).unwrap();
         let sol = q.optimal_cover().unwrap();
-        g.bench_with_input(BenchmarkId::new("sorted_trie", rows), &(), |b, ()| {
+        g.bench_with_input(BenchmarkId::new("flat_trie", rows), &(), |b, ()| {
             b.iter(|| {
                 join_nprr(&q, &sol.x, sol.log2_bound)
                     .unwrap()
@@ -27,15 +28,7 @@ fn bench(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("hash_trie", rows), &(), |b, ()| {
             b.iter(|| {
-                join_nprr_hash(&q, &sol.x, sol.log2_bound)
-                    .unwrap()
-                    .relation
-                    .len()
-            });
-        });
-        g.bench_with_input(BenchmarkId::new("flat_trie", rows), &(), |b, ()| {
-            b.iter(|| {
-                join_nprr_flat(&q, &sol.x, sol.log2_bound)
+                join_nprr_indexed::<HashTrieIndex>(&q, &sol.x, sol.log2_bound)
                     .unwrap()
                     .relation
                     .len()

@@ -38,41 +38,23 @@ use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
 use plan::{JoinPlan, NodeKind, NodePlan, Section, Split};
 use wcoj_storage::index::SearchTree;
-use wcoj_storage::{Attr, FlatIndex, HashTrieIndex, Relation, RowBuf, Schema, TrieIndex, Value};
+use wcoj_storage::{Attr, FlatIndex, Relation, RowBuf, Schema, Value};
 
 /// Evaluates `q` with the NPRR algorithm under fractional cover `x`
-/// (`log2_bound` is the corresponding AGM bound, reported in stats).
+/// (`log2_bound` is the corresponding AGM bound, reported in stats), over
+/// one [`FlatIndex`] per relation.
 ///
 /// # Errors
 /// Propagates storage errors from index construction (none expected for a
 /// well-formed [`JoinQuery`]).
 pub fn join_nprr(q: &JoinQuery, x: &[f64], log2_bound: f64) -> Result<JoinOutput, QueryError> {
-    join_nprr_indexed::<TrieIndex>(q, x, log2_bound)
-}
-
-/// Like [`join_nprr`] but with hash-trie indexes — the paper's "collection
-/// of hash indices" alternative (§5.1). Same output; different constant
-/// factors (see the `ablation_index` bench).
-///
-/// # Errors
-/// Same as [`join_nprr`].
-pub fn join_nprr_hash(q: &JoinQuery, x: &[f64], log2_bound: f64) -> Result<JoinOutput, QueryError> {
-    join_nprr_indexed::<HashTrieIndex>(q, x, log2_bound)
-}
-
-/// Like [`join_nprr`] but with the flat columnar indexes
-/// ([`FlatIndex`]): contiguous per-level value arrays with galloping
-/// lookups instead of node pointers. Bit-identical output (the release
-/// stress suites gate this); different constant factors — see the
-/// `ablation_index` bench's third column.
-///
-/// # Errors
-/// Same as [`join_nprr`].
-pub fn join_nprr_flat(q: &JoinQuery, x: &[f64], log2_bound: f64) -> Result<JoinOutput, QueryError> {
     join_nprr_indexed::<FlatIndex>(q, x, log2_bound)
 }
 
-/// The NPRR pipeline, generic over the [`SearchTree`] realisation.
+/// The NPRR pipeline, generic over the [`SearchTree`] realisation (e.g.
+/// `HashTrieIndex`, the paper's "collection of hash indices" alternative
+/// of §5.1: same output, different constant factors — see the
+/// `ablation_index` bench).
 ///
 /// # Errors
 /// Same as [`join_nprr`].

@@ -22,8 +22,9 @@
 //! plan and the indexes across threads).
 //!
 //! The preparation is generic over the [`SearchTree`] realisation
-//! (sorted counted trie by default, hash tries via
-//! [`PreparedQuery::<HashTrieIndex>::new_indexed`]).
+//! ([`FlatIndex`] by default, a delta-merged view via
+//! `PreparedQuery::<DeltaIndex>::from_shared`, hash tries via
+//! `PreparedQuery::<HashTrieIndex>::new_indexed`).
 
 use super::plan::JoinPlan;
 use super::{assemble_rows, run_plan, RootShard};
@@ -31,7 +32,7 @@ use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
 use std::sync::{Arc, OnceLock};
 use wcoj_hypergraph::cover::validate_cover;
-use wcoj_storage::{gallop, Attr, Relation, RowBuf, SearchTree, StorageError, TrieIndex, Value};
+use wcoj_storage::{gallop, Attr, FlatIndex, Relation, RowBuf, SearchTree, StorageError, Value};
 
 /// Intersects two sorted value lists (galloping/adaptive; differential
 /// proptests in `wcoj-storage` pin it to the naive two-pointer merge).
@@ -57,7 +58,7 @@ fn with_child_slice<S: SearchTree, R>(trie: &S, node: S::Node, f: impl FnOnce(&[
 /// fractional cover (an LP solve) and the root candidate weights (a full
 /// level-0 sweep) — with these cached, a stored `PreparedQuery` makes
 /// repeat submissions pay only the `O(mn·∏N^x)` evaluation itself.
-pub struct PreparedQuery<S: SearchTree = TrieIndex> {
+pub struct PreparedQuery<S: SearchTree = FlatIndex> {
     q: Arc<JoinQuery>,
     /// Effective per-relation cardinalities, in edge order. Equal to
     /// [`JoinQuery::sizes`] for batch preparations; a delta-backed
@@ -75,8 +76,8 @@ pub struct PreparedQuery<S: SearchTree = TrieIndex> {
     root_weights: OnceLock<Vec<(Value, u64)>>,
 }
 
-impl PreparedQuery<TrieIndex> {
-    /// Builds the plan and sorted-trie indexes for `relations`.
+impl PreparedQuery {
+    /// Builds the plan and [`FlatIndex`]es for `relations`.
     ///
     /// # Errors
     /// [`QueryError`] on malformed input.
@@ -456,7 +457,7 @@ mod tests {
     use super::*;
     use crate::{join_with, naive, Algorithm};
     use wcoj_storage::ops::reorder;
-    use wcoj_storage::{FlatIndex, HashTrieIndex, Schema, Value};
+    use wcoj_storage::{HashTrieIndex, Schema, Value};
 
     fn random_rel(seed: u64, attrs: &[u32], n: usize, dom: u64) -> Relation {
         use rand::{Rng, SeedableRng};
@@ -488,16 +489,12 @@ mod tests {
             random_rel(12, &[1, 2], 60, 7),
             random_rel(13, &[0, 2], 60, 7),
         ];
-        let sorted = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let sorted = PreparedQuery::new(&rels).unwrap();
         let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
-        let flat = PreparedQuery::<FlatIndex>::new_indexed(&rels).unwrap();
         let a = sorted.evaluate(None).unwrap();
         let b = hashed.evaluate(None).unwrap();
-        let c = flat.evaluate(None).unwrap();
         assert_eq!(a.relation, b.relation);
-        assert_eq!(a.relation, c.relation);
         assert_eq!(sorted.root_candidates(), hashed.root_candidates());
-        assert_eq!(sorted.root_candidates(), flat.root_candidates());
     }
 
     #[test]
@@ -583,8 +580,8 @@ mod tests {
         // v=2: 4 extensions in R (reordered trie: 2 → {10,11,12,13}) plus
         // 2 in S; v=3: 1 in R plus 1 in S. Weight = 1 + fanout.
         assert_eq!(weights, vec![(Value(2), 7), (Value(3), 3)]);
-        // Hash and flat backends agree (the flat backend computes fanouts
-        // by offset-range arithmetic instead of node child counts; if the
+        // The hash backend agrees (the flat backend computes fanouts by
+        // offset-range arithmetic instead of node child counts; if the
         // weights diverged, so would shard plans and task budgets).
         let rels = [
             Relation::from_u32_rows(
@@ -596,35 +593,31 @@ mod tests {
         ];
         let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
         assert_eq!(hashed.root_candidate_weights(), weights);
-        let flat = PreparedQuery::<FlatIndex>::new_indexed(&rels).unwrap();
-        assert_eq!(flat.root_candidate_weights(), weights);
         // the memoized view is identical and stable across calls
-        assert_eq!(flat.cached_root_weights(), weights.as_slice());
-        assert_eq!(flat.cached_root_weights(), weights.as_slice());
+        assert_eq!(prepared.cached_root_weights(), weights.as_slice());
+        assert_eq!(prepared.cached_root_weights(), weights.as_slice());
     }
 
     #[test]
     fn root_candidate_weights_differential_across_backends() {
         // Random instances: Work-split weights must be identical across
-        // all three backends, or shard plans silently diverge.
+        // the flat and hash backends, or shard plans silently diverge.
         for seed in 0..8u64 {
             let rels = [
                 random_rel(seed * 3 + 100, &[0, 1], 70, 9),
                 random_rel(seed * 3 + 101, &[1, 2], 70, 9),
                 random_rel(seed * 3 + 102, &[0, 2], 70, 9),
             ];
-            let sorted = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+            let flat = PreparedQuery::new(&rels).unwrap();
             let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
-            let flat = PreparedQuery::<FlatIndex>::new_indexed(&rels).unwrap();
-            let want = sorted.root_candidate_weights();
-            assert_eq!(hashed.root_candidate_weights(), want, "seed {seed}");
+            let want = hashed.root_candidate_weights();
             assert_eq!(flat.root_candidate_weights(), want, "seed {seed}");
             assert_eq!(flat.cached_root_weights(), want.as_slice(), "seed {seed}");
             // anchor candidates agree for every root candidate too
             for &(v, _) in &want {
                 assert_eq!(
                     flat.anchor_candidates(v),
-                    sorted.anchor_candidates(v),
+                    hashed.anchor_candidates(v),
                     "seed {seed}, root {v:?}"
                 );
             }
@@ -654,7 +647,7 @@ mod tests {
                 d.delete_rows(&rows[rows.len() / 3..]).unwrap();
             }
             let merged: Vec<Relation> = deltas.iter().map(DeltaRelation::materialize).collect();
-            let flat = PreparedQuery::<FlatIndex>::new_indexed(&merged).unwrap();
+            let flat = PreparedQuery::new(&merged).unwrap();
 
             // Stale bases inside the shared query; indexes serve the view.
             let stale: Vec<Relation> = deltas.iter().map(|d| (**d.base()).clone()).collect();

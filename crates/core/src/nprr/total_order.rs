@@ -8,7 +8,7 @@
 //!   exactly the set of attributes preceding `univ(rc(u))`.
 //!
 //! Search trees built along this order make every section the paper needs
-//! a *prefix descent* (see `wcoj_storage::TrieIndex`).
+//! a *prefix descent* (see `wcoj_storage::FlatIndex`).
 
 use super::qptree::QpNode;
 

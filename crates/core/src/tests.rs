@@ -7,7 +7,7 @@ use crate::{agm_cover, join, join_with, naive, Algorithm, QueryError};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use wcoj_storage::ops::reorder;
-use wcoj_storage::{Relation, Schema, Value};
+use wcoj_storage::{DeltaIndex, DeltaRelation, Relation, Schema, Value};
 
 fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
     Relation::from_u32_rows(Schema::of(schema), rows)
@@ -367,7 +367,8 @@ proptest! {
 
 #[test]
 fn hash_indexed_nprr_matches_sorted_trie() {
-    use crate::nprr::{join_nprr, join_nprr_hash};
+    use crate::nprr::{join_nprr, join_nprr_indexed};
+    use wcoj_storage::HashTrieIndex;
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     for trial in 0..6 {
         let rels = [
@@ -378,7 +379,7 @@ fn hash_indexed_nprr_matches_sorted_trie() {
         let q = JoinQuery::new(&rels).unwrap();
         let sol = q.optimal_cover().unwrap();
         let a = join_nprr(&q, &sol.x, sol.log2_bound).unwrap();
-        let b = join_nprr_hash(&q, &sol.x, sol.log2_bound).unwrap();
+        let b = join_nprr_indexed::<HashTrieIndex>(&q, &sol.x, sol.log2_bound).unwrap();
         assert_eq!(a.relation, b.relation, "trial {trial}");
         // same per-tuple decisions: the size checks see identical counts
         assert_eq!(a.stats.case_a, b.stats.case_a, "trial {trial}");
@@ -472,7 +473,8 @@ fn skew_forces_both_cases() {
 // buffers. That engine is gone, so these numbers are what "same decisions
 // as before" means: every case-a/case-b choice, every intermediate tuple
 // and every output row (FNV-1a over the sorted output) must reproduce
-// exactly, on every index backend.
+// exactly, on every index backend — including the served one, a
+// `DeltaIndex` whose insert/delete buffers are live.
 
 /// `(rows, intermediate_tuples, case_a, case_b)`.
 type Counts = (usize, u64, u64, u64);
@@ -485,13 +487,13 @@ fn fnv1a(rel: &Relation) -> u64 {
 
 fn assert_golden<S: wcoj_storage::SearchTree>(
     name: &str,
-    rels: &[Relation],
+    prepared: &crate::nprr::PreparedQuery<S>,
     fnv: u64,
     golden: [(Option<f64>, Counts); 3],
 ) {
-    let prepared = crate::nprr::PreparedQuery::<S>::new_indexed(rels).unwrap();
+    let edges = prepared.query().relations().len();
     for (weight, (rows, inter, a, b)) in golden {
-        let cover = weight.map(|w| vec![w; rels.len()]);
+        let cover = weight.map(|w| vec![w; edges]);
         let out = prepared.evaluate(cover.as_deref()).unwrap();
         let s = &out.stats;
         assert_eq!(
@@ -508,16 +510,58 @@ fn assert_golden<S: wcoj_storage::SearchTree>(
     }
 }
 
+/// `rels` prepared the way the server serves them: one `DeltaIndex` per
+/// relation over its base's shared index, with live buffers. Each base
+/// holds every other row plus a few rows outside the value domain, `ins`
+/// the remaining rows and `del` the outsiders, so the merged view is
+/// exactly `rels` while every component is non-empty.
+fn prepared_over_live_buffers(rels: &[Relation]) -> crate::nprr::PreparedQuery<DeltaIndex> {
+    let deltas: Vec<DeltaRelation> = rels
+        .iter()
+        .map(|rel| {
+            let rows: Vec<Vec<Value>> = rel.iter_rows().map(<[Value]>::to_vec).collect();
+            let outsiders: Vec<Vec<Value>> = (0..4u64)
+                .map(|j| {
+                    let mut row = rows[j as usize * rows.len() / 4].clone();
+                    let at = j as usize % row.len();
+                    row[at] = Value(u64::MAX - j);
+                    row
+                })
+                .collect();
+            let base = rows.iter().step_by(2).chain(&outsiders).cloned().collect();
+            let mut d =
+                DeltaRelation::new(Relation::from_rows(rel.schema().clone(), base).unwrap());
+            d.insert_rows(&rows).unwrap();
+            d.delete_rows(&outsiders).unwrap();
+            assert!(d.ins().len() >= rows.len() / 2 && d.del().len() == outsiders.len());
+            assert_eq!(d.materialize(), rel.clone().into_sorted());
+            d
+        })
+        .collect();
+    let stale: Vec<Relation> = deltas.iter().map(|d| (**d.base()).clone()).collect();
+    let sizes = deltas.iter().map(DeltaRelation::len).collect();
+    let q = std::sync::Arc::new(JoinQuery::new(&stale).unwrap());
+    crate::nprr::PreparedQuery::from_shared(q, Some(sizes), |i, order| {
+        let d = &deltas[i];
+        DeltaIndex::over(d.base_index(order)?, d.ins(), d.del(), order)
+    })
+    .unwrap()
+}
+
 fn assert_golden_all_backends(
     name: &str,
     rels: &[Relation],
     fnv: u64,
     golden: [(Option<f64>, Counts); 3],
 ) {
-    use wcoj_storage::{FlatIndex, HashTrieIndex, TrieIndex};
-    assert_golden::<FlatIndex>(name, rels, fnv, golden);
-    assert_golden::<TrieIndex>(name, rels, fnv, golden);
-    assert_golden::<HashTrieIndex>(name, rels, fnv, golden);
+    use crate::nprr::PreparedQuery;
+    use wcoj_storage::HashTrieIndex;
+    let flat = PreparedQuery::new(rels).unwrap();
+    assert_golden(&format!("{name}, flat"), &flat, fnv, golden);
+    let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(rels).unwrap();
+    assert_golden(&format!("{name}, hash"), &hashed, fnv, golden);
+    let delta = prepared_over_live_buffers(rels);
+    assert_golden(&format!("{name}, delta"), &delta, fnv, golden);
     let canonical = JoinQuery::new(rels).unwrap().output_schema();
     let expect = reorder(&naive::join(rels), &canonical).unwrap();
     assert_eq!(fnv1a(&expect), fnv, "{name}: naive oracle");
@@ -582,7 +626,6 @@ fn golden_counts_loomis_whitney() {
 #[test]
 fn golden_counts_per_shard() {
     use crate::nprr::{AnchorRange, PreparedQuery, RootShard};
-    use wcoj_storage::FlatIndex;
     const MAX: u64 = u64::MAX;
     let anchored = |root: u64, lo: u64, hi: u64| RootShard {
         lo: Value(root),
@@ -593,7 +636,7 @@ fn golden_counts_per_shard() {
         }),
     };
     let check = |name: &str, rels: &[Relation], plan: &[(RootShard, Counts)]| {
-        let prepared = PreparedQuery::<FlatIndex>::new_indexed(rels).unwrap();
+        let prepared = PreparedQuery::new(rels).unwrap();
         let (x, bound) = prepared.resolve_cover(None).unwrap();
         let mut total = 0;
         for (i, &(shard, (rows, inter, a, b))) in plan.iter().enumerate() {

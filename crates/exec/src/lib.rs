@@ -539,7 +539,7 @@ impl ShardPlan {
 mod tests {
     use super::*;
     use wcoj_core::{join_with, Algorithm, JoinOutput, JoinStats};
-    use wcoj_storage::{HashTrieIndex, Relation, RowBuf, Schema, TrieIndex};
+    use wcoj_storage::{HashTrieIndex, Relation, RowBuf, Schema};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -586,7 +586,7 @@ mod tests {
         ctx: &str,
     ) -> JoinOutput {
         let seq = join_with(rels, Algorithm::Nprr, None).unwrap();
-        let prepared = PreparedQuery::<TrieIndex>::new_indexed(rels).unwrap();
+        let prepared = PreparedQuery::new(rels).unwrap();
         let plan = ShardPlan::plan(&prepared, workers * OVERSPLIT, cfg);
         let out = run_plan(&prepared, &plan, None);
         assert_eq!(out.relation, seq.relation, "{ctx}");
@@ -818,7 +818,7 @@ mod tests {
         // must be multi-task (anchor sub-shards), and the merged shard
         // runs bit-identical to the sequential engine.
         let rels = wcoj_datagen::hot_key_triangle(3, 96, 6);
-        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let prepared = PreparedQuery::new(&rels).unwrap();
         let weights = prepared.root_candidate_weights();
         let total: u64 = weights.iter().map(|&(_, w)| w).sum();
         let hot = weights.iter().map(|&(_, w)| w).max().unwrap();
@@ -856,7 +856,7 @@ mod tests {
         let s = rel(&[1, 2], &[&[7, 20], &[8, 20], &[9, 21]]);
         let t = rel(&[0, 2], &[&[10, 20], &[11, 21]]);
         let rels = [r, s, t];
-        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let prepared = PreparedQuery::new(&rels).unwrap();
         for factor in [0, HEAVY_SPLIT_DEFAULT] {
             let cfg = ExecConfig {
                 heavy_split_factor: factor,
@@ -874,7 +874,7 @@ mod tests {
             assert_matches_sequential(&rels, 4, &cfg, &format!("empty domain, factor {factor}"));
         }
         // a populated query is NOT a zero-shard plan
-        let populated = PreparedQuery::<TrieIndex>::new_indexed(&[
+        let populated = PreparedQuery::new(&[
             rel(&[0, 1], &[&[1, 2], &[1, 3]]),
             rel(&[1, 2], &[&[2, 4], &[3, 4]]),
             rel(&[0, 2], &[&[1, 4]]),
@@ -924,7 +924,7 @@ mod tests {
         // unrestricted task, and the join of non-empty nullary relations
         // is "true"
         let nullary = [Relation::nullary_true()];
-        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&nullary).unwrap();
+        let prepared = PreparedQuery::new(&nullary).unwrap();
         let plan = ShardPlan::plan(&prepared, 16, &fine());
         assert!(!plan.root_domain_is_empty(&prepared));
         assert_eq!(plan.tasks(), vec![None]);
@@ -941,7 +941,7 @@ mod tests {
             rel(&[0, 2], &[&[1, 4]]),
         ];
         let cover = [1.0, 1.0, 1.0];
-        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let prepared = PreparedQuery::new(&rels).unwrap();
         let plan = ShardPlan::plan(&prepared, 8, &fine());
         let out = run_plan(&prepared, &plan, Some(&cover));
         let seq = join_with(&rels, Algorithm::Nprr, Some(&cover)).unwrap();
@@ -959,23 +959,23 @@ mod tests {
             wcoj_datagen::random_relation(22, &[0, 3], 80, 6),
         ];
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        let sorted = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let flat = PreparedQuery::new(&rels).unwrap();
         let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
         for workers in [2, 8] {
-            let sorted_plan = ShardPlan::plan(&sorted, workers * OVERSPLIT, &fine());
+            let flat_plan = ShardPlan::plan(&flat, workers * OVERSPLIT, &fine());
             let hashed_plan = ShardPlan::plan(&hashed, workers * OVERSPLIT, &fine());
-            assert_eq!(sorted_plan.shards(), hashed_plan.shards(), "w={workers}");
-            let a = run_plan(&sorted, &sorted_plan, None);
+            assert_eq!(flat_plan.shards(), hashed_plan.shards(), "w={workers}");
+            let a = run_plan(&flat, &flat_plan, None);
             let b = run_plan(&hashed, &hashed_plan, None);
-            assert_eq!(a.relation, seq.relation, "sorted w={workers}");
+            assert_eq!(a.relation, seq.relation, "flat w={workers}");
             assert_eq!(b.relation, seq.relation, "hashed w={workers}");
         }
         // reuse: re-planning the same preparation reads the memoized root
         // weights and yields the same plan
-        let first = ShardPlan::plan(&sorted, 16, &fine());
-        let again = ShardPlan::plan(&sorted, 16, &fine());
+        let first = ShardPlan::plan(&flat, 16, &fine());
+        let again = ShardPlan::plan(&flat, 16, &fine());
         assert_eq!(first.shards(), again.shards());
-        assert_eq!(run_plan(&sorted, &again, None).relation, seq.relation);
+        assert_eq!(run_plan(&flat, &again, None).relation, seq.relation);
     }
 
     #[test]
@@ -1102,7 +1102,7 @@ mod tests {
         // is shared across tests; filter for our own event shape instead
         // of expecting exclusive ownership.
         let rels = wcoj_datagen::hot_key_triangle(23, 96, 2);
-        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let prepared = PreparedQuery::new(&rels).unwrap();
         let cfg = ExecConfig {
             shard_min_size: 1,
             heavy_split_factor: 4,

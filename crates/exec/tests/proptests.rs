@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use wcoj_core::nprr::PreparedQuery;
 use wcoj_core::{JoinQuery, JoinStats};
 use wcoj_exec::{ExecConfig, ShardPlan, OVERSPLIT};
-use wcoj_storage::{HashTrieIndex, Relation, RowBuf, SearchTree, TrieIndex, Value};
+use wcoj_storage::{HashTrieIndex, Relation, RowBuf, SearchTree, Value};
 
 /// What the service does with a plan, minus its threads: every task run
 /// in slot order, rows concatenated, then assembled.
@@ -83,14 +83,14 @@ proptest! {
             let q = JoinQuery::new(rels).unwrap();
             let sol = q.optimal_cover().unwrap();
             let seq = wcoj_core::nprr::join_nprr(&q, &sol.x, sol.log2_bound).unwrap().relation;
-            let sorted = PreparedQuery::<TrieIndex>::new_indexed(rels).unwrap();
+            let flat = PreparedQuery::new(rels).unwrap();
             let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(rels).unwrap();
             let workers = [1usize, 2, 4, 8][rng.gen_range(0..4usize)];
             for factor in [0usize, 1, 2, 8, 1 << 20, usize::MAX] {
                 let cfg = ExecConfig { shard_min_size: 1, heavy_split_factor: factor };
                 let ctx = format!("instance {which}, {workers} workers, factor {factor}, seed {seed}");
-                let plan = ShardPlan::plan(&sorted, workers * OVERSPLIT, &cfg);
-                prop_assert_eq!(&run_plan(&sorted, &plan), &seq, "sorted, {}", ctx);
+                let plan = ShardPlan::plan(&flat, workers * OVERSPLIT, &cfg);
+                prop_assert_eq!(&run_plan(&flat, &plan), &seq, "flat, {}", ctx);
                 let plan = ShardPlan::plan(&hashed, workers * OVERSPLIT, &cfg);
                 prop_assert_eq!(&run_plan(&hashed, &plan), &seq, "hash, {}", ctx);
             }
@@ -111,7 +111,7 @@ proptest! {
         } else {
             wcoj_datagen::hot_key_triangle(seed, 16 + (seed % 97) as usize, (seed % 9) as usize)
         };
-        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let prepared = PreparedQuery::new(&rels).unwrap();
         let factor = [2usize, 4, 8, 64][rng.gen_range(0..4usize)];
         let threads = [2usize, 4, 8][rng.gen_range(0..3usize)];
         let cfg = ExecConfig {

@@ -34,10 +34,8 @@ pub(crate) mod test_support {
             ServiceConfig::with_workers(1).with_queue_depth(2),
         ));
         let rels = wcoj_datagen::cycle_instance(seed, 5, 400, 20);
-        let prepared = Arc::new(
-            wcoj_core::nprr::PreparedQuery::<wcoj_storage::TrieIndex>::new_indexed(&rels)
-                .expect("well-formed blocker"),
-        );
+        let prepared =
+            Arc::new(wcoj_core::nprr::PreparedQuery::new(&rels).expect("well-formed blocker"));
         let (x, _) = prepared.resolve_cover(None).expect("cover");
         let cfg = wcoj_exec::ExecConfig {
             shard_min_size: 1,

@@ -11,7 +11,6 @@ use wcoj_core::nprr::PreparedQuery;
 use wcoj_query::Catalog;
 use wcoj_server::{Server, ServerConfig};
 use wcoj_service::{Service, ServiceConfig};
-use wcoj_storage::TrieIndex;
 
 // ---------------------------------------------------------------- client
 
@@ -157,9 +156,9 @@ fn streaming_server(queue_depth: usize) -> (Server, Arc<Service>) {
 /// A 5-cycle whose engine run takes tens of milliseconds while its
 /// submission costs microseconds — occupies the single worker so slots
 /// of a concurrently submitted query settle one at a time.
-fn blocker(seed: u64) -> Arc<PreparedQuery<TrieIndex>> {
+fn blocker(seed: u64) -> Arc<PreparedQuery> {
     let rels = wcoj_datagen::cycle_instance(seed, 5, 400, 20);
-    Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap())
+    Arc::new(PreparedQuery::new(&rels).unwrap())
 }
 
 fn edge_csv(rows: usize) -> String {

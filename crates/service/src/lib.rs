@@ -1840,7 +1840,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use wcoj_core::{join_with, Algorithm};
-    use wcoj_storage::{HashTrieIndex, Schema, TrieIndex};
+    use wcoj_storage::{HashTrieIndex, Schema};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -1896,9 +1896,9 @@ mod tests {
     /// submitting it with the returned precomputed cover costs
     /// microseconds — so a blocker is reliably still in flight when the
     /// next submission's admission check runs.
-    fn heavy_blocker(seed: u64) -> (Vec<Relation>, Arc<PreparedQuery<TrieIndex>>, Vec<f64>) {
+    fn heavy_blocker(seed: u64) -> (Vec<Relation>, Arc<PreparedQuery>, Vec<f64>) {
         let rels = wcoj_datagen::cycle_instance(seed, 5, 400, 20);
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let (x, _) = prepared.resolve_cover(None).unwrap();
         (rels, prepared, x)
     }
@@ -1912,7 +1912,7 @@ mod tests {
             wcoj_datagen::random_relation(3, &[0, 2], 120, 12),
         ];
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -1929,7 +1929,7 @@ mod tests {
         let service = Service::new(ServiceConfig::with_workers(2));
         let rels = triangle();
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -1968,7 +1968,7 @@ mod tests {
         let service = Service::new(ServiceConfig::with_workers(2));
         // all-empty / one-empty relation
         let prepared = Arc::new(
-            PreparedQuery::<TrieIndex>::new_indexed(&[
+            PreparedQuery::new(&[
                 rel(&[0, 1], &[&[1, 2]]),
                 Relation::empty(Schema::of(&[1, 2])),
             ])
@@ -1985,7 +1985,7 @@ mod tests {
 
         // empty root-candidate intersection (zero-shard plan)
         let prepared = Arc::new(
-            PreparedQuery::<TrieIndex>::new_indexed(&[
+            PreparedQuery::new(&[
                 rel(&[0, 1], &[&[10, 1], &[10, 2]]),
                 rel(&[1, 2], &[&[7, 20], &[8, 20]]),
                 rel(&[0, 2], &[&[10, 20]]),
@@ -2004,8 +2004,7 @@ mod tests {
         assert_eq!(out.stats.case_a + out.stats.case_b, 0);
 
         // nullary queries still produce their single "true" row
-        let prepared =
-            Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&[Relation::nullary_true()]).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&[Relation::nullary_true()]).unwrap());
         let out = service.submit(&prepared, &cfg).unwrap().wait().unwrap();
         assert_eq!(out.relation.len(), 1);
         assert_eq!(out.relation.arity(), 0);
@@ -2025,14 +2024,14 @@ mod tests {
         };
 
         // 1. a normal multi-shard query: counted
-        let populated = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&triangle()).unwrap());
+        let populated = Arc::new(PreparedQuery::new(&triangle()).unwrap());
         service.submit(&populated, &cfg).unwrap().wait().unwrap();
         assert_eq!(service.submitted(), 1);
 
         // 2. empty-input degenerate: counted (accepted, resolved at
         //    submit)
         let empty_input = Arc::new(
-            PreparedQuery::<TrieIndex>::new_indexed(&[
+            PreparedQuery::new(&[
                 rel(&[0, 1], &[&[1, 2]]),
                 Relation::empty(Schema::of(&[1, 2])),
             ])
@@ -2043,7 +2042,7 @@ mod tests {
 
         // 3. zero-shard plan (empty root-candidate intersection): counted
         let zero_shard = Arc::new(
-            PreparedQuery::<TrieIndex>::new_indexed(&[
+            PreparedQuery::new(&[
                 rel(&[0, 1], &[&[10, 1], &[10, 2]]),
                 rel(&[1, 2], &[&[7, 20], &[8, 20]]),
                 rel(&[0, 2], &[&[10, 20]]),
@@ -2172,7 +2171,7 @@ mod tests {
         // The pool still serves other queries correctly afterwards…
         let rels = triangle();
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        let small = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let small = Arc::new(PreparedQuery::new(&rels).unwrap());
         let out = service.submit(&small, &cfg).unwrap().wait().unwrap();
         assert_eq!(out.relation, seq.relation);
 
@@ -2198,7 +2197,7 @@ mod tests {
     #[test]
     fn bad_cover_rejected_at_submit() {
         let service = Service::new(ServiceConfig::with_workers(2));
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&triangle()).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&triangle()).unwrap());
         let err =
             service.submit_with_cover(&prepared, Some(&[0.1, 0.1, 0.1]), &ExecConfig::default());
         assert!(err.is_err());
@@ -2266,7 +2265,7 @@ mod tests {
     fn counters_snapshots_are_internally_consistent() {
         let service = Arc::new(Service::new(ServiceConfig::with_workers(2)));
         let rels = triangle();
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -2347,7 +2346,7 @@ mod tests {
             wcoj_datagen::random_relation(23, &[0, 2], 150, 14),
         ];
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -2402,7 +2401,7 @@ mod tests {
 
         // Empty input: no planning, no dispatch, reassembled at submit.
         let empty_input = Arc::new(
-            PreparedQuery::<TrieIndex>::new_indexed(&[
+            PreparedQuery::new(&[
                 rel(&[0, 1], &[&[1, 2]]),
                 Relation::empty(Schema::of(&[1, 2])),
             ])
@@ -2421,7 +2420,7 @@ mod tests {
 
         // Zero-shard plan: planning ran, still no dispatch.
         let zero_shard = Arc::new(
-            PreparedQuery::<TrieIndex>::new_indexed(&[
+            PreparedQuery::new(&[
                 rel(&[0, 1], &[&[10, 1], &[10, 2]]),
                 rel(&[1, 2], &[&[7, 20], &[8, 20]]),
                 rel(&[0, 2], &[&[10, 20]]),
@@ -2462,7 +2461,7 @@ mod tests {
         let service = Service::new(ServiceConfig::with_workers(2).with_obs(false));
         let rels = triangle();
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -2535,7 +2534,7 @@ mod tests {
         let latency_before = m.query_latency_us.snapshot().count;
 
         let service = Service::new(ServiceConfig::with_workers(2));
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&triangle()).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&triangle()).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -2559,7 +2558,7 @@ mod tests {
         let handle;
         {
             let service = Service::new(ServiceConfig::with_workers(2));
-            let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&triangle()).unwrap());
+            let prepared = Arc::new(PreparedQuery::new(&triangle()).unwrap());
             let out = service
                 .submit(&prepared, &service.exec_config())
                 .unwrap()
@@ -2582,7 +2581,7 @@ mod tests {
         // A single-atom query keeps the identity total order, so slot
         // batches concatenate to the output with no final sort.
         let rels = [wcoj_datagen::random_relation(5, &[0, 1], 150, 14)];
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -2620,7 +2619,7 @@ mod tests {
     fn row_stream_merge_matches_wait_for_any_total_order() {
         let service = Service::new(ServiceConfig::with_workers(3));
         let rels = triangle();
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -2654,7 +2653,7 @@ mod tests {
             wcoj_datagen::random_relation(62, &[1, 2], 150, 14),
             wcoj_datagen::random_relation(63, &[0, 2], 150, 14),
         ];
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         assert!(!prepared.slots_stream_sorted(), "the merge is needed");
         let cfg = ExecConfig {
             shard_min_size: 1,
@@ -2688,7 +2687,7 @@ mod tests {
     fn degenerate_submissions_stream_a_single_batch() {
         let service = Service::new(ServiceConfig::with_workers(1));
         let prepared = Arc::new(
-            PreparedQuery::<TrieIndex>::new_indexed(&[
+            PreparedQuery::new(&[
                 rel(&[0, 1], &[&[1, 2]]),
                 Relation::empty(Schema::of(&[1, 2])),
             ])
@@ -2715,7 +2714,7 @@ mod tests {
         let service = Service::new(ServiceConfig::with_workers(2));
         let rels = triangle();
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()

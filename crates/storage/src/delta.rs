@@ -1,9 +1,9 @@
 //! Delta-aware relation storage: a frozen, `Arc`-shared **base** plus
 //! small sorted **insert/delete buffers**, merged at scan time.
 //!
-//! The paper's search trees ([`crate::FlatIndex`], [`crate::TrieIndex`])
-//! are batch-built and immutable — the right shape for the join's hot
-//! path, the wrong shape for a workload that ingests while it queries.
+//! The paper's search tree ([`FlatIndex`]) is batch-built and immutable —
+//! the right shape for the join's hot path, the wrong shape for a
+//! workload that ingests while it queries.
 //! [`DeltaRelation`] makes the write path incremental without giving up
 //! the frozen index:
 //!
@@ -23,7 +23,7 @@
 //! share their rows until one side changes them).
 //!
 //! [`DeltaIndex`] is the read side: a [`SearchTree`] over the *merged*
-//! view, composed from a shared base index plus two small
+//! view, composed from the shared base [`FlatIndex`] plus two small
 //! [`FlatIndex`]es over the buffers. Every (ST1)–(ST3) operation resolves
 //! by counted-trie arithmetic on the three components:
 //!
@@ -486,14 +486,14 @@ fn filter_rows(rel: &Relation, mut keep: impl FnMut(&[Value]) -> bool) -> Relati
 /// A position in a [`DeltaIndex`]: the component positions for one merged
 /// prefix. A component is `None` when the prefix does not occur in it.
 #[derive(Debug, Clone, Copy)]
-pub struct DeltaNode<N> {
+pub struct DeltaNode {
     depth: u32,
-    base: Option<N>,
+    base: Option<FlatNode>,
     ins: Option<FlatNode>,
     del: Option<FlatNode>,
 }
 
-impl<N> DeltaNode<N> {
+impl DeltaNode {
     /// Prefix length represented by this node.
     #[must_use]
     pub fn depth(&self) -> usize {
@@ -502,22 +502,22 @@ impl<N> DeltaNode<N> {
 }
 
 /// A [`SearchTree`] over the merged view of a [`DeltaRelation`]: a
-/// shared frozen base index plus [`FlatIndex`]es over the insert/delete
-/// buffers, merged by counted-trie arithmetic (see the module docs).
+/// shared frozen base [`FlatIndex`] plus [`FlatIndex`]es over the
+/// insert/delete buffers, merged by counted-trie arithmetic (see the module docs).
 ///
 /// With empty buffers every operation delegates to the base after two
 /// O(1) zero-count checks, so serving a never-mutated relation through a
 /// `DeltaIndex` costs almost nothing over the base index itself — the
 /// uniform read path the plan cache relies on.
 #[derive(Debug, Clone)]
-pub struct DeltaIndex<S: SearchTree = FlatIndex> {
-    base: Arc<S>,
+pub struct DeltaIndex {
+    base: Arc<FlatIndex>,
     ins: FlatIndex,
     del: FlatIndex,
     arity: usize,
 }
 
-impl<S: SearchTree> DeltaIndex<S> {
+impl DeltaIndex {
     /// Composes a merged view from an existing (shared) base index and
     /// the two buffers, all under attribute order `order`. The caller
     /// guarantees `base` was built under the same order and that the
@@ -527,11 +527,11 @@ impl<S: SearchTree> DeltaIndex<S> {
     /// [`StorageError::SchemaMismatch`] if a buffer does not match
     /// `order`.
     pub fn over(
-        base: Arc<S>,
+        base: Arc<FlatIndex>,
         ins: &Relation,
         del: &Relation,
         order: &[Attr],
-    ) -> Result<DeltaIndex<S>, StorageError> {
+    ) -> Result<DeltaIndex, StorageError> {
         Ok(DeltaIndex {
             base,
             ins: FlatIndex::build(ins, order)?,
@@ -542,14 +542,15 @@ impl<S: SearchTree> DeltaIndex<S> {
 
     /// The shared base index.
     #[must_use]
-    pub fn base_index(&self) -> &Arc<S> {
+    pub fn base_index(&self) -> &Arc<FlatIndex> {
         &self.base
     }
 
     /// Effective number of full tuples below `node`:
     /// `base − del + ins`, each at full remaining depth (O(1) per
     /// component).
-    fn effective_full(&self, node: &DeltaNode<S::Node>) -> usize {
+    #[inline]
+    fn effective_full(&self, node: &DeltaNode) -> usize {
         let rem = self.arity - node.depth as usize;
         let b = node.base.map_or(0, |n| self.base.distinct_count(n, rem));
         let d = node.del.map_or(0, |n| self.del.distinct_count(n, rem));
@@ -559,13 +560,15 @@ impl<S: SearchTree> DeltaIndex<S> {
     }
 
     /// Full-depth count of the ins component below `node`.
-    fn ins_below(&self, node: &DeltaNode<S::Node>) -> usize {
+    #[inline]
+    fn ins_below(&self, node: &DeltaNode) -> usize {
         let rem = self.arity - node.depth as usize;
         node.ins.map_or(0, |n| self.ins.distinct_count(n, rem))
     }
 
     /// Full-depth count of the del component below `node`.
-    fn del_below(&self, node: &DeltaNode<S::Node>) -> usize {
+    #[inline]
+    fn del_below(&self, node: &DeltaNode) -> usize {
         let rem = self.arity - node.depth as usize;
         node.del.map_or(0, |n| self.del.distinct_count(n, rem))
     }
@@ -573,26 +576,13 @@ impl<S: SearchTree> DeltaIndex<S> {
     /// Surviving merged children of `node`, in ascending label order: a
     /// sorted merge of the base children that outlive their deletions
     /// with the ins children.
-    fn for_each_child(
-        &self,
-        node: &DeltaNode<S::Node>,
-        mut f: impl FnMut(Value, DeltaNode<S::Node>),
-    ) {
+    fn for_each_child(&self, node: &DeltaNode, mut f: impl FnMut(Value, DeltaNode)) {
         let depth = node.depth as usize;
         if depth >= self.arity {
             return;
         }
-        let base_vals: Vec<Value> = match node.base {
-            Some(b) => match self.base.child_slice(b) {
-                Some(s) => s.to_vec(),
-                None => self.base.child_values(b),
-            },
-            None => Vec::new(),
-        };
-        let ins_vals: Vec<Value> = match node.ins {
-            Some(i) => self.ins.child_slice(i).to_vec(),
-            None => Vec::new(),
-        };
+        let base_vals = node.base.map_or(&[][..], |b| self.base.child_slice(b));
+        let ins_vals = node.ins.map_or(&[][..], |i| self.ins.child_slice(i));
         let (mut bi, mut ii) = (0usize, 0usize);
         loop {
             let v = match (base_vals.get(bi), ins_vals.get(ii)) {
@@ -626,7 +616,7 @@ impl<S: SearchTree> DeltaIndex<S> {
     /// Recursive (ST3) walk over merged children, filling `buf[at..]`.
     fn walk_merged(
         &self,
-        node: &DeltaNode<S::Node>,
+        node: &DeltaNode,
         at: usize,
         buf: &mut [Value],
         f: &mut impl FnMut(&[Value]),
@@ -670,17 +660,26 @@ impl<S: SearchTree> DeltaIndex<S> {
     }
 }
 
-impl<S: SearchTree> SearchTree for DeltaIndex<S> {
-    type Node = DeltaNode<S::Node>;
+// `#[inline]` on the per-tuple operations: the engine calls them from
+// other crates, and a non-generic method is otherwise compiled only here,
+// out of reach of the engine's inlining.
+impl SearchTree for DeltaIndex {
+    type Node = DeltaNode;
 
     /// Batch build: a fresh base index plus empty buffers — a valid
     /// drop-in for any other backend.
     fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
         let schema = Schema::new(order.to_vec()).map_err(|_| StorageError::SchemaMismatch)?;
         let empty = Relation::empty(schema);
-        DeltaIndex::over(Arc::new(S::build(rel, order)?), &empty, &empty, order)
+        DeltaIndex::over(
+            Arc::new(FlatIndex::build(rel, order)?),
+            &empty,
+            &empty,
+            order,
+        )
     }
 
+    #[inline]
     fn root(&self) -> Self::Node {
         DeltaNode {
             depth: 0,
@@ -690,6 +689,7 @@ impl<S: SearchTree> SearchTree for DeltaIndex<S> {
         }
     }
 
+    #[inline]
     fn descend(&self, node: Self::Node, v: Value) -> Option<Self::Node> {
         if node.depth as usize >= self.arity {
             return None;
@@ -703,6 +703,7 @@ impl<S: SearchTree> SearchTree for DeltaIndex<S> {
         (self.effective_full(&child) > 0).then_some(child)
     }
 
+    #[inline]
     fn distinct_count(&self, node: Self::Node, extra: usize) -> usize {
         if extra == 0 {
             return 1;
@@ -747,20 +748,15 @@ impl<S: SearchTree> SearchTree for DeltaIndex<S> {
         out
     }
 
+    #[inline]
     fn child_slice(&self, node: Self::Node) -> Option<&[Value]> {
         // Borrowed views exist only when one component owns the subtree.
         if self.ins_below(&node) == 0 && self.del_below(&node) == 0 {
-            return match node.base {
-                Some(b) => self.base.child_slice(b),
-                None => Some(&[]),
-            };
+            return Some(node.base.map_or(&[][..], |b| self.base.child_slice(b)));
         }
         let rem = self.arity - node.depth as usize;
         if node.base.map_or(0, |b| self.base.distinct_count(b, rem)) == self.del_below(&node) {
-            return Some(match node.ins {
-                Some(i) => self.ins.child_slice(i),
-                None => &[],
-            });
+            return Some(node.ins.map_or(&[][..], |i| self.ins.child_slice(i)));
         }
         None
     }
@@ -769,7 +765,6 @@ impl<S: SearchTree> SearchTree for DeltaIndex<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TrieIndex;
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -948,7 +943,7 @@ mod tests {
     }
 
     /// Builds the DeltaIndex for `d` under `order`, sharing `d`'s base.
-    fn index_of(d: &DeltaRelation, order: &[Attr]) -> DeltaIndex<FlatIndex> {
+    fn index_of(d: &DeltaRelation, order: &[Attr]) -> DeltaIndex {
         let base = Arc::new(FlatIndex::build(d.base(), order).unwrap());
         DeltaIndex::over(base, d.ins(), d.del(), order).unwrap()
     }
@@ -1068,28 +1063,6 @@ mod tests {
         // the surviving subtree is pure-ins-free → still borrows base
         let n2 = SearchTree::descend(&idx, root, Value(2)).unwrap();
         assert_eq!(SearchTree::child_slice(&idx, n2).unwrap(), &[Value(30)]);
-    }
-
-    #[test]
-    fn works_over_a_trie_base_too() {
-        let mut d = DeltaRelation::new(rel(&[0, 1], &[&[1, 2], &[3, 4]]));
-        d.insert_rows(&vrows(&[&[5, 6]])).unwrap();
-        d.delete_rows(&vrows(&[&[1, 2]])).unwrap();
-        let order = attrs(&[0, 1]);
-        let base = Arc::new(TrieIndex::build(d.base(), &order).unwrap());
-        let idx: DeltaIndex<TrieIndex> = DeltaIndex::over(base, d.ins(), d.del(), &order).unwrap();
-        let root = SearchTree::root(&idx);
-        assert_eq!(SearchTree::distinct_count(&idx, root, 2), 2);
-        assert_eq!(
-            SearchTree::child_values(&idx, root),
-            vec![Value(3), Value(5)]
-        );
-        let mut rows = Vec::new();
-        SearchTree::for_each_extension(&idx, root, 2, |t| rows.push(t.to_vec()));
-        assert_eq!(
-            rows,
-            vec![vec![Value(3), Value(4)], vec![Value(5), Value(6)]]
-        );
     }
 
     #[test]

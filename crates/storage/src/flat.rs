@@ -1,36 +1,38 @@
-//! A cache-friendly **flat columnar** realisation of the paper's search
-//! tree: the same counted-trie shape as [`crate::TrieIndex`], laid out as
-//! nothing but contiguous sorted value arrays plus offset ranges.
+//! The paper's per-relation **search tree** (§5.3.2): a *counted trie*
+//! over sorted, deduplicated rows, laid out as nothing but contiguous
+//! sorted value arrays plus offset ranges.
 //!
-//! Per level `d` the index stores two arrays:
+//! Given a relation `Rₑ` and an ordering `a₁, …, a_k` of its attributes
+//! (induced by the global *total order* of Algorithm 4), level `d` holds
+//! the distinct length-`(d+1)` prefixes of the reordered tuples, in
+//! lexicographic order, as two arrays:
 //!
 //! * `values[i]` — the last value of the `i`-th distinct length-`(d+1)`
-//!   prefix, in lexicographic order;
+//!   prefix;
 //! * `child_start[i]..child_start[i+1]` — entry `i`'s contiguous range at
 //!   level `d+1` (absent at the deepest level).
 //!
 //! That is all: **no parent pointers, no node objects**. A node is a pair
-//! `(depth, idx)`; every operation resolves to slice arithmetic over the
-//! two arrays. The differences from [`crate::TrieIndex`] are exactly the
-//! ones the engine hot path feels:
+//! `(depth, idx)`; because rows are sorted, every subtree occupies a
+//! contiguous range at every deeper level, so each operation the paper
+//! requires resolves to slice arithmetic over the two arrays:
 //!
 //! * **(ST1)** `descend` finds the child by *galloping* (exponential
-//!   search, [`crate::gallop`]) over the child slice instead of a plain
-//!   binary search — `O(log gap)` for the ascending probe sequences the
-//!   join's ordered intersections generate;
+//!   search, [`crate::gallop`]) over the child slice — `O(log gap)` for
+//!   the ascending probe sequences the join's ordered intersections
+//!   generate (footnote 3 allows the `log` factor);
+//! * **(ST2)** `|π_{aᵢ₊₁..aⱼ}(Rₑ[t])|` is the width of the offset range the
+//!   prefix spans at level `j`, `O(j − i)` lookups after the descent;
 //! * **(ST3)** enumeration walks the level arrays **forward** through the
-//!   offset ranges (a nested range scan, sequential at every level)
-//!   instead of reconstructing each tuple through `extra − 1` parent-hop
-//!   indirections per row — the pointer-chasing this backend exists to
-//!   remove;
+//!   offset ranges (a nested range scan, sequential at every level):
+//!   output-linear;
 //! * [`FlatIndex::child_slice`] exposes a node's branch labels as a
 //!   borrowed contiguous `&[Value]`, so scan sites and the shard planner
 //!   intersect level slices without copying them out first.
 //!
-//! Counts (ST2) are identical offset-range arithmetic to the counted
-//! trie: the width of the range a prefix spans at a deeper level. The
-//! `ablation_index` bench compares all three backends; the release-mode
-//! stress suites pin this backend bit-identical to `join_nprr`.
+//! Crucially (paper §5.2, step 2a): the subtree under the branch for a
+//! tuple prefix `t` **is** the search tree of the section `Rₑ[t]`, so the
+//! recursive sub-problems of `Recursive-Join` need no re-indexing.
 
 use crate::index::{with_tuple_scratch, SearchTree};
 use crate::relation::{sort_dedup_flat, strictly_sorted};
@@ -88,9 +90,8 @@ impl FlatIndex {
     /// Builds the index for `rel` under attribute order `order` (a
     /// permutation of the relation's schema). Rows are reordered, sorted,
     /// and deduplicated; construction is `O(k · N log N)` time,
-    /// `O(k · N)` space — the same as the counted trie, minus the parent
-    /// arrays — and `O(k · N)` time when the rows are already a sorted set
-    /// under `order`.
+    /// `O(k · N)` space, and `O(k · N)` time when the rows are already a
+    /// sorted set under `order`.
     ///
     /// # Errors
     /// [`StorageError::SchemaMismatch`] if `order` is not a permutation
@@ -347,7 +348,6 @@ impl SearchTree for FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TrieIndex;
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -428,46 +428,6 @@ mod tests {
             unit += 1;
         });
         assert_eq!(unit, 1);
-    }
-
-    #[test]
-    fn flat_and_sorted_tries_agree_exhaustively() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        for trial in 0..10 {
-            let rows: Vec<Vec<Value>> = (0..60)
-                .map(|_| (0..3).map(|_| Value(rng.gen_range(0..5u64))).collect())
-                .collect();
-            let r = Relation::from_rows(Schema::of(&[0, 1, 2]), rows).unwrap();
-            let order = attrs(&[2, 0, 1]);
-            let sorted = TrieIndex::build(&r, &order).unwrap();
-            let flat = FlatIndex::build(&r, &order).unwrap();
-            for d in 1..=3usize {
-                assert_eq!(
-                    SearchTree::distinct_count(&sorted, SearchTree::root(&sorted), d),
-                    flat.distinct_count(flat.root(), d),
-                    "trial {trial}, depth {d}"
-                );
-            }
-            for v in 0..5u64 {
-                let sn = SearchTree::descend(&sorted, SearchTree::root(&sorted), Value(v));
-                let fnode = flat.descend(flat.root(), Value(v));
-                assert_eq!(sn.is_some(), fnode.is_some(), "trial {trial}, v {v}");
-                let (Some(sn), Some(fnode)) = (sn, fnode) else {
-                    continue;
-                };
-                let mut s_rows = Vec::new();
-                SearchTree::for_each_extension(&sorted, sn, 2, |t| s_rows.push(t.to_vec()));
-                let mut f_rows = Vec::new();
-                flat.for_each_extension(fnode, 2, |t| f_rows.push(t.to_vec()));
-                assert_eq!(s_rows, f_rows, "trial {trial}, v {v}");
-                assert_eq!(
-                    SearchTree::child_values(&sorted, sn),
-                    flat.child_slice(fnode).to_vec(),
-                    "trial {trial}, v {v}: child slices"
-                );
-            }
-        }
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! > same purpose."
 //!
 //! [`SearchTree`] captures the operations `Recursive-Join` needs
-//! ((ST1)–(ST3) of §5.3.2); two implementations are provided:
+//! ((ST1)–(ST3) of §5.3.2); three implementations are provided:
 //!
-//! * [`TrieIndex`](crate::TrieIndex) — the sorted counted trie (comparison
+//! * [`FlatIndex`](crate::FlatIndex) — the sorted counted trie (comparison
 //!   based, `O(log N)` per descent step, cache-friendly flat levels);
+//! * [`DeltaIndex`](crate::DeltaIndex) — a `FlatIndex` base merged with
+//!   insert/delete buffers at scan time, the index the server reads;
 //! * [`HashTrieIndex`] — a node-arena trie with hash children (`O(1)`
 //!   expected per descent step, more memory traffic).
 //!
 //! The NPRR engine is generic over this trait, and the
-//! `ablation_index` bench compares the two.
+//! `ablation_index` bench compares the sorted and hashed tries.
 
 use crate::hash::{map_with_capacity, FxHashMap};
 use crate::{Attr, Relation, Schema, StorageError, Value};
@@ -84,7 +86,7 @@ pub(crate) fn with_tuple_scratch<R>(len: usize, f: impl FnOnce(&mut [Value]) -> 
 
 /// A trie with per-node hash child maps (the paper's "collection of hash
 /// indices" realisation). Children are also kept as a sorted list so that
-/// enumeration order is deterministic and matches [`crate::TrieIndex`].
+/// enumeration order is deterministic and matches [`crate::FlatIndex`].
 #[derive(Debug, Clone)]
 pub struct HashTrieIndex {
     order: Vec<Attr>,
@@ -243,38 +245,10 @@ impl SearchTree for HashTrieIndex {
     }
 }
 
-// Blanket impl of the trait for the sorted counted trie (its inherent
-// methods already have exactly these signatures).
-impl SearchTree for crate::TrieIndex {
-    type Node = crate::NodeRef;
-
-    fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
-        crate::TrieIndex::build(rel, order)
-    }
-    fn root(&self) -> crate::NodeRef {
-        crate::TrieIndex::root(self)
-    }
-    fn descend(&self, node: crate::NodeRef, v: Value) -> Option<crate::NodeRef> {
-        crate::TrieIndex::descend(self, node, v)
-    }
-    fn distinct_count(&self, node: crate::NodeRef, extra: usize) -> usize {
-        crate::TrieIndex::distinct_count(self, node, extra)
-    }
-    fn for_each_extension(&self, node: crate::NodeRef, extra: usize, f: impl FnMut(&[Value])) {
-        crate::TrieIndex::for_each_extension(self, node, extra, f);
-    }
-    fn child_values(&self, node: crate::NodeRef) -> Vec<Value> {
-        crate::TrieIndex::child_values(self, node)
-    }
-    fn child_slice(&self, node: crate::NodeRef) -> Option<&[Value]> {
-        Some(crate::TrieIndex::child_slice(self, node))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TrieIndex;
+    use crate::FlatIndex;
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -324,26 +298,26 @@ mod tests {
                 .collect();
             let r = Relation::from_rows(Schema::of(&[0, 1, 2]), rows).unwrap();
             let order = attrs(&[2, 0, 1]);
-            let sorted = TrieIndex::build(&r, &order).unwrap();
+            let sorted = FlatIndex::build(&r, &order).unwrap();
             let hashed = HashTrieIndex::build(&r, &order).unwrap();
             // root counts at all depths
             for d in 1..=3usize {
                 assert_eq!(
-                    SearchTree::distinct_count(&sorted, SearchTree::root(&sorted), d),
+                    sorted.distinct_count(sorted.root(), d),
                     hashed.distinct_count(hashed.root(), d),
                     "trial {trial}, depth {d}"
                 );
             }
             // sections and enumerations agree, in the same order
             for v in 0..5u64 {
-                let sn = SearchTree::descend(&sorted, SearchTree::root(&sorted), Value(v));
+                let sn = sorted.descend(sorted.root(), Value(v));
                 let hn = hashed.descend(hashed.root(), Value(v));
                 assert_eq!(sn.is_some(), hn.is_some(), "trial {trial}, v {v}");
                 let (Some(sn), Some(hn)) = (sn, hn) else {
                     continue;
                 };
                 let mut s_rows = Vec::new();
-                SearchTree::for_each_extension(&sorted, sn, 2, |t| s_rows.push(t.to_vec()));
+                sorted.for_each_extension(sn, 2, |t| s_rows.push(t.to_vec()));
                 let mut h_rows = Vec::new();
                 hashed.for_each_extension(hn, 2, |t| h_rows.push(t.to_vec()));
                 assert_eq!(s_rows, h_rows, "trial {trial}, v {v}");

@@ -24,15 +24,16 @@
 //!   the join engine emits and [`Relation::from_flat`] adopts without a copy;
 //! * [`ops`] — relational algebra (project / select / rename / union /
 //!   difference / semijoin / natural join / cross product);
-//! * [`TrieIndex`] — the paper's search tree, realised as a *counted trie*
-//!   over sorted rows (sorted construction costs an extra `log` factor,
-//!   which the paper's footnote 3 explicitly allows);
-//! * [`FlatIndex`] — the same shape with a cache-friendly **flat columnar**
-//!   layout: contiguous sorted value arrays per level plus offset ranges
-//!   instead of node/parent pointers, with [`gallop`]ing lookups;
+//! * [`FlatIndex`] — the paper's search tree, a *counted trie* over sorted
+//!   rows (sorted construction costs an extra `log` factor, which the
+//!   paper's footnote 3 explicitly allows) in a **flat columnar** layout:
+//!   contiguous sorted value arrays per level plus offset ranges, with
+//!   [`gallop`]ing lookups;
+//! * [`HashTrieIndex`] — §5.1's "collection of hash indices" alternative,
+//!   kept as an ablation and a second backend for differential tests;
 //! * [`DeltaRelation`] / [`DeltaIndex`] — a mutable view over a frozen,
 //!   `Arc`-shared base: sorted insert/delete buffers merged with the base
-//!   index at scan time, plus shard-parallelisable minor compaction;
+//!   [`FlatIndex`] at scan time, plus shard-parallelisable minor compaction;
 //! * [`gallop`] — exponential search and adaptive intersection over sorted
 //!   slices, shared by the flat backend and the engine's scan sites;
 //! * [`hash`] — a fast non-cryptographic hasher (`FxHashMap`/`FxHashSet`)
@@ -49,7 +50,6 @@ mod proptests;
 mod relation;
 mod rowbuf;
 mod schema;
-mod trie;
 mod value;
 
 pub use delta::{DeltaIndex, DeltaNode, DeltaRelation, MergeChunk};
@@ -58,7 +58,6 @@ pub use index::{HashTrieIndex, SearchTree};
 pub use relation::{Relation, RowSet};
 pub use rowbuf::RowBuf;
 pub use schema::{Attr, Schema};
-pub use trie::{NodeRef, TrieIndex};
 pub use value::{Datum, Dictionary, Value};
 
 use std::fmt;

@@ -1,10 +1,12 @@
-//! Property-based tests: the counted trie must agree with the relational
-//! algebra on every section/projection query, for random relations and
-//! random attribute orders — this is the load-bearing equivalence behind
-//! `Recursive-Join`'s (ST1)–(ST3) usage.
+//! Property-based tests: the served search tree ([`FlatIndex`]) must agree
+//! with the relational algebra on every section/projection query, for
+//! random relations and random attribute orders — this is the
+//! load-bearing equivalence behind `Recursive-Join`'s (ST1)–(ST3) usage —
+//! and the hash alternative ([`HashTrieIndex`]) must agree with it
+//! pointwise.
 
 use crate::ops::{project, select_eq};
-use crate::{gallop, Attr, FlatIndex, Relation, Schema, SearchTree, TrieIndex, Value};
+use crate::{gallop, Attr, FlatIndex, HashTrieIndex, Relation, Schema, SearchTree, Value};
 use proptest::prelude::*;
 
 fn arb_rel(arity: usize, max_rows: usize, dom: u64) -> impl Strategy<Value = Relation> {
@@ -29,6 +31,13 @@ fn section_by_ops(rel: &Relation, order: &[Attr], prefix: &[Value], extra: usize
     project(&cur, &keep).expect("attrs present")
 }
 
+/// (ST3) as a list: every length-`extra` extension of `node`, in order.
+fn listed<S: SearchTree>(index: &S, node: S::Node, extra: usize) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    index.for_each_extension(node, extra, |t| out.push(t.to_vec()));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -40,7 +49,7 @@ proptest! {
         if reversed {
             order.reverse();
         }
-        let trie = TrieIndex::build(&rel, &order).expect("permutation");
+        let trie = FlatIndex::build(&rel, &order).expect("permutation");
         for depth in 1..=3usize {
             let keep: Vec<Attr> = order[..depth].to_vec();
             let p = project(&rel, &keep).expect("attrs");
@@ -53,7 +62,7 @@ proptest! {
     #[test]
     fn trie_sections_match_algebra(rel in arb_rel(3, 40, 4)) {
         let order: Vec<Attr> = rel.schema().attrs().to_vec();
-        let trie = TrieIndex::build(&rel, &order).expect("permutation");
+        let trie = FlatIndex::build(&rel, &order).expect("permutation");
         for v0 in 0..4u64 {
             let node = trie.descend(trie.root(), Value(v0));
             let expect1 = section_by_ops(&rel, &order, &[Value(v0)], 1);
@@ -64,7 +73,7 @@ proptest! {
                     prop_assert_eq!(trie.distinct_count(n, 1), expect1.len());
                     prop_assert_eq!(trie.distinct_count(n, 2), expect2.len());
                     // enumeration must list exactly the projection
-                    let listed = trie.enumerate(n, 2);
+                    let listed = listed(&trie, n, 2);
                     prop_assert_eq!(listed.len(), expect2.len());
                     for row in &listed {
                         prop_assert!(expect2.contains_row(row));
@@ -78,53 +87,48 @@ proptest! {
     #[test]
     fn trie_membership_matches(rel in arb_rel(2, 30, 4)) {
         let order: Vec<Attr> = rel.schema().attrs().to_vec();
-        let trie = TrieIndex::build(&rel, &order).expect("permutation");
+        let trie = FlatIndex::build(&rel, &order).expect("permutation");
         for a in 0..4u64 {
             for b in 0..4u64 {
                 let row = [Value(a), Value(b)];
-                prop_assert_eq!(trie.contains_prefix(&row), rel.contains_row(&row));
+                prop_assert_eq!(
+                    trie.descend_tuple(trie.root(), &row).is_some(),
+                    rel.contains_row(&row)
+                );
             }
         }
     }
 
-    /// The flat columnar backend is pointwise equivalent to the counted
-    /// trie: same counts, same descents, same enumerations in the same
-    /// order, same child slices — for random relations and both orders.
+    /// The hash trie is pointwise equivalent to the flat counted trie:
+    /// same counts, same descents, same enumerations in the same order,
+    /// same child slices — for random relations and both orders.
     #[test]
     fn flat_index_matches_trie(rel in arb_rel(3, 40, 4), reversed in any::<bool>()) {
         let mut order: Vec<Attr> = rel.schema().attrs().to_vec();
         if reversed {
             order.reverse();
         }
-        let trie = TrieIndex::build(&rel, &order).expect("permutation");
+        let hash = HashTrieIndex::build(&rel, &order).expect("permutation");
         let flat = FlatIndex::build(&rel, &order).expect("permutation");
         for depth in 1..=3usize {
             prop_assert_eq!(
-                trie.distinct_count(trie.root(), depth),
+                hash.distinct_count(hash.root(), depth),
                 flat.distinct_count(flat.root(), depth)
             );
         }
-        prop_assert_eq!(trie.child_slice(trie.root()), flat.child_slice(flat.root()));
+        prop_assert_eq!(hash.child_slice(hash.root()), Some(flat.child_slice(flat.root())));
         for v0 in 0..4u64 {
-            let tn = trie.descend(trie.root(), Value(v0));
+            let hn = hash.descend(hash.root(), Value(v0));
             let fnode = flat.descend(flat.root(), Value(v0));
-            prop_assert_eq!(tn.is_some(), fnode.is_some());
-            let (Some(tn), Some(fnode)) = (tn, fnode) else { continue };
-            prop_assert_eq!(trie.distinct_count(tn, 1), flat.distinct_count(fnode, 1));
-            prop_assert_eq!(trie.distinct_count(tn, 2), flat.distinct_count(fnode, 2));
-            prop_assert_eq!(trie.child_slice(tn), flat.child_slice(fnode));
-            let mut t_rows = Vec::new();
-            trie.for_each_extension(tn, 2, |t| t_rows.push(t.to_vec()));
-            let mut f_rows = Vec::new();
-            flat.for_each_extension(fnode, 2, |t| f_rows.push(t.to_vec()));
-            prop_assert_eq!(t_rows, f_rows);
+            prop_assert_eq!(hn.is_some(), fnode.is_some());
+            let (Some(hn), Some(fnode)) = (hn, fnode) else { continue };
+            prop_assert_eq!(hash.distinct_count(hn, 1), flat.distinct_count(fnode, 1));
+            prop_assert_eq!(hash.distinct_count(hn, 2), flat.distinct_count(fnode, 2));
+            prop_assert_eq!(hash.child_slice(hn), Some(flat.child_slice(fnode)));
+            prop_assert_eq!(listed(&hash, hn, 2), listed(&flat, fnode, 2));
         }
         // full-depth enumerations agree, including order
-        let mut t_all = Vec::new();
-        SearchTree::for_each_extension(&trie, trie.root(), 3, |t| t_all.push(t.to_vec()));
-        let mut f_all = Vec::new();
-        SearchTree::for_each_extension(&flat, flat.root(), 3, |t| f_all.push(t.to_vec()));
-        prop_assert_eq!(t_all, f_all);
+        prop_assert_eq!(listed(&hash, hash.root(), 3), listed(&flat, flat.root(), 3));
     }
 
     /// Galloping lower bound agrees with std's `partition_point` from
@@ -177,20 +181,20 @@ proptest! {
         prop_assert_eq!(gallop::intersect(&bv, &av), want);
     }
 
-    /// `TrieIndex::descend` (binary search) and `FlatIndex::descend`
+    /// `HashTrieIndex::descend` (hash probe) and `FlatIndex::descend`
     /// (galloping) agree on hit/miss and land on nodes with identical
     /// sections, for needles inside and past the key range.
     #[test]
     fn descend_lookup_sweep(rel in arb_rel(2, 30, 6)) {
         let order: Vec<Attr> = rel.schema().attrs().to_vec();
-        let trie = TrieIndex::build(&rel, &order).expect("permutation");
+        let hash = HashTrieIndex::build(&rel, &order).expect("permutation");
         let flat = FlatIndex::build(&rel, &order).expect("permutation");
         for v in 0..9u64 { // domain is 0..6: values 6..9 probe past the end
-            let tn = trie.descend(trie.root(), Value(v));
+            let hn = hash.descend(hash.root(), Value(v));
             let fnode = flat.descend(flat.root(), Value(v));
-            prop_assert_eq!(tn.is_some(), fnode.is_some());
-            if let (Some(tn), Some(fnode)) = (tn, fnode) {
-                prop_assert_eq!(trie.child_slice(tn), flat.child_slice(fnode));
+            prop_assert_eq!(hn.is_some(), fnode.is_some());
+            if let (Some(hn), Some(fnode)) = (hn, fnode) {
+                prop_assert_eq!(hash.child_slice(hn), Some(flat.child_slice(fnode)));
             }
         }
     }
@@ -199,8 +203,8 @@ proptest! {
     #[test]
     fn trie_full_enumeration_roundtrip(rel in arb_rel(3, 40, 5)) {
         let order: Vec<Attr> = rel.schema().attrs().to_vec();
-        let trie = TrieIndex::build(&rel, &order).expect("permutation");
-        let listed = trie.enumerate(trie.root(), 3);
+        let trie = FlatIndex::build(&rel, &order).expect("permutation");
+        let listed = listed(&trie, trie.root(), 3);
         prop_assert_eq!(listed.len(), rel.len());
         for row in &listed {
             prop_assert!(rel.contains_row(row));

@@ -30,7 +30,7 @@ use wcoj::core::nprr::PreparedQuery;
 use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
 use wcoj::prelude::*;
-use wcoj::storage::{FlatIndex, SearchTree, TrieIndex};
+use wcoj::storage::{FlatIndex, HashTrieIndex, SearchTree};
 use wcoj::{join_with, Algorithm, SubmitError};
 
 /// Asserts rows are identical *including order* — `Relation` equality
@@ -239,7 +239,7 @@ fn flood_past_queue_bound_sheds_and_stays_correct() {
 /// Blocking submitters never shed: under the same flood, every
 /// submission waits out the overload and all queries land, bit-identical.
 /// Generic over the index backend so the flat columnar layout takes the
-/// same beating as the pointer trie.
+/// same beating as the hash trie.
 fn blocking_flood_delays_instead_of_shedding_impl<S>()
 where
     S: SearchTree + Send + Sync + 'static,
@@ -290,7 +290,7 @@ where
 
 #[test]
 fn blocking_flood_delays_instead_of_shedding() {
-    blocking_flood_delays_instead_of_shedding_impl::<TrieIndex>();
+    blocking_flood_delays_instead_of_shedding_impl::<HashTrieIndex>();
 }
 
 #[test]

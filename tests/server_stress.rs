@@ -14,7 +14,6 @@ use wcoj::core::nprr::PreparedQuery;
 use wcoj::query::Catalog;
 use wcoj::server::{Server, ServerConfig};
 use wcoj::service::{Service, ServiceConfig};
-use wcoj::storage::TrieIndex;
 
 // ---------------------------------------------------------------- client
 
@@ -182,9 +181,9 @@ fn server_on(workers: usize, queue_depth: usize, conn_threads: usize) -> (Server
     (server, service)
 }
 
-fn blocker(seed: u64) -> Arc<PreparedQuery<TrieIndex>> {
+fn blocker(seed: u64) -> Arc<PreparedQuery> {
     let rels = wcoj::datagen::cycle_instance(seed, 5, 400, 20);
-    Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap())
+    Arc::new(PreparedQuery::new(&rels).unwrap())
 }
 
 // ------------------------------------------------------------------ e2e

@@ -21,7 +21,7 @@ use wcoj::core::nprr::PreparedQuery;
 use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
 use wcoj::prelude::*;
-use wcoj::storage::{FlatIndex, HashTrieIndex, SearchTree, TrieIndex};
+use wcoj::storage::{FlatIndex, HashTrieIndex, SearchTree};
 
 /// The seed query families, `variants` instances each, with sizes small
 /// enough that the full matrix stays debug-mode friendly.
@@ -429,9 +429,8 @@ proptest! {
         let cfg = ExecConfig { shard_min_size: 1, ..service.exec_config() };
         for (rels, seq) in mix.iter().zip(&oracles) {
             let ctx = format!("seed {seed}, {workers} workers");
-            check_service_run::<TrieIndex>(&service, rels, seq, &cfg, &format!("{ctx}, sorted"));
-            check_service_run::<HashTrieIndex>(&service, rels, seq, &cfg, &format!("{ctx}, hashed"));
             check_service_run::<FlatIndex>(&service, rels, seq, &cfg, &format!("{ctx}, flat"));
+            check_service_run::<HashTrieIndex>(&service, rels, seq, &cfg, &format!("{ctx}, hashed"));
         }
     }
 
@@ -449,8 +448,8 @@ proptest! {
             let service = Service::new(ServiceConfig::with_workers(workers));
             let cfg = ExecConfig { shard_min_size: 1, ..service.exec_config() };
             let ctx = format!("zipf seed {seed}, {workers} workers");
-            check_service_run::<TrieIndex>(&service, &rels, &seq, &cfg, &format!("{ctx}, sorted"));
             check_service_run::<FlatIndex>(&service, &rels, &seq, &cfg, &format!("{ctx}, flat"));
+            check_service_run::<HashTrieIndex>(&service, &rels, &seq, &cfg, &format!("{ctx}, hashed"));
         }
     }
 }

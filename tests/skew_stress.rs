@@ -3,7 +3,8 @@
 //! NPRR's worst-case optimality hinges on handling skew; this suite pins
 //! the runtime's side of that bargain. A Zipf or single-hot-key workload
 //! must not change *anything* observable: across pool sizes
-//! {1, 2, 4, 8}, all three index backends, and any `heavy_split_factor`,
+//! {1, 2, 4, 8}, both index backends (flat and hashed), and any
+//! `heavy_split_factor`,
 //! the shared service pool produces rows bit-identical (including row
 //! order) to the sequential `join_nprr`, and the absorbed `JoinStats` are
 //! bit-identical to a deterministic shard-by-shard sequential re-run of
@@ -22,7 +23,7 @@ use wcoj::core::nprr::PreparedQuery;
 use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
 use wcoj::prelude::*;
-use wcoj::storage::{FlatIndex, HashTrieIndex, SearchTree, TrieIndex};
+use wcoj::storage::{HashTrieIndex, SearchTree};
 
 /// The skewed instance families: high-exponent Zipf triangles (many
 /// moderately hot keys) and the single-hot-key triangle (one root value
@@ -167,9 +168,9 @@ fn check_service_run<S>(
     assert_stats_identical(&again.stats, &expect_stats, &format!("{ctx}: repeat"));
 }
 
-/// The full matrix: skewed families × pool sizes {1, 2, 4, 8} × all
-/// three index backends × intra-value splitting off and on, rows and
-/// stats bit-identical.
+/// The full matrix: skewed families × pool sizes {1, 2, 4, 8} × both
+/// index backends × intra-value splitting off and on, rows and stats
+/// bit-identical.
 #[test]
 fn skew_matrix_matches_sequential() {
     let instances: Vec<_> = skewed_instances()
@@ -178,25 +179,23 @@ fn skew_matrix_matches_sequential() {
             let seq = join_with(&rels, Algorithm::Nprr, None)
                 .expect("sequential oracle")
                 .relation;
-            let sorted = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).expect("prepare"));
+            let flat = Arc::new(PreparedQuery::new(&rels).expect("prepare"));
             let hashed =
                 Arc::new(PreparedQuery::<HashTrieIndex>::new_indexed(&rels).expect("prepare"));
-            let flat = Arc::new(PreparedQuery::<FlatIndex>::new_indexed(&rels).expect("prepare"));
-            (name, seq, sorted, hashed, flat)
+            (name, seq, flat, hashed)
         })
         .collect();
     for workers in [1usize, 2, 4, 8] {
         let service = Service::new(ServiceConfig::with_workers(workers));
-        for (name, seq, sorted, hashed, flat) in &instances {
+        for (name, seq, flat, hashed) in &instances {
             for factor in [0, service.exec_config().heavy_split_factor] {
                 let cfg = ExecConfig {
                     shard_min_size: 1,
                     heavy_split_factor: factor,
                 };
                 let ctx = format!("{name}, {workers} workers, factor {factor}");
-                check_service_run(&service, sorted, seq, &cfg, &format!("{ctx}, sorted"));
-                check_service_run(&service, hashed, seq, &cfg, &format!("{ctx}, hashed"));
                 check_service_run(&service, flat, seq, &cfg, &format!("{ctx}, flat"));
+                check_service_run(&service, hashed, seq, &cfg, &format!("{ctx}, hashed"));
             }
         }
     }
@@ -209,7 +208,7 @@ fn skew_matrix_matches_sequential() {
 #[test]
 fn single_hot_key_produces_multi_task_plan_service() {
     let rels = gen::hot_key_triangle(78, 120, 6);
-    let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).expect("prepare"));
+    let prepared = Arc::new(PreparedQuery::new(&rels).expect("prepare"));
     let weights = prepared.root_candidate_weights();
     let total: u64 = weights.iter().map(|&(_, w)| w).sum();
     let hot = weights.iter().map(|&(_, w)| w).max().expect("non-empty");
@@ -267,9 +266,9 @@ fn single_hot_key_produces_multi_task_plan_service() {
 fn heavy_key_query_racing_itself_is_deterministic() {
     let rels = gen::hot_key_triangle(79, 100, 5);
     let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
-    let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+    let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
     let noise = Arc::new(
-        PreparedQuery::<TrieIndex>::new_indexed(&[
+        PreparedQuery::new(&[
             gen::zipf_relation(301, &[0, 1], 120, 14, 1.5),
             gen::zipf_relation(302, &[1, 2], 120, 14, 1.5),
             gen::zipf_relation(303, &[0, 2], 120, 14, 1.5),
@@ -316,7 +315,7 @@ proptest! {
             gen::hot_key_triangle(seed, rng.gen_range(16..96), rng.gen_range(0..8))
         };
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let workers = [1usize, 2, 4, 8][rng.gen_range(0..4usize)];
         let factor = [0usize, 1, 2, 8, 1 << 30][rng.gen_range(0..5usize)];
         let service = Service::new(ServiceConfig::with_workers(workers));
@@ -328,11 +327,11 @@ proptest! {
         let ctx = format!("seed {seed}, {workers} workers, factor {factor}");
         assert_bit_identical(&out.relation, &seq, &ctx);
         assert_profile_consistent(&profile, &out, &ctx);
-        // Same instance through the flat columnar backend: still
-        // bit-identical under random split factors and pool sizes.
-        let flat = Arc::new(PreparedQuery::<FlatIndex>::new_indexed(&rels).unwrap());
-        let (out, profile) = service.submit(&flat, &cfg).unwrap().wait_profiled().unwrap();
-        assert_bit_identical(&out.relation, &seq, &format!("{ctx}, flat"));
-        assert_profile_consistent(&profile, &out, &format!("{ctx}, flat"));
+        // Same instance through the hash backend: still bit-identical
+        // under random split factors and pool sizes.
+        let hashed = Arc::new(PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap());
+        let (out, profile) = service.submit(&hashed, &cfg).unwrap().wait_profiled().unwrap();
+        assert_bit_identical(&out.relation, &seq, &format!("{ctx}, hashed"));
+        assert_profile_consistent(&profile, &out, &format!("{ctx}, hashed"));
     }
 }
