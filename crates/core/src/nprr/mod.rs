@@ -17,9 +17,16 @@
 //!   tree level, reused by every `Recursive-Join` call of the run.
 //! * **Per partial tuple**: [`Recursive-Join`](self) itself (Procedure
 //!   5). Rows live back to back in arity-strided [`RowBuf`]s; `t_S`,
-//!   `t_W` are a stack of values indexed by total-order position;
+//!   `t_W` and case b's `t_{W⁻}` are a stack of values indexed by
+//!   total-order position;
 //!   sections are descents along precomputed positions. No step
-//!   allocates per row.
+//!   allocates per row. The two membership loops use the order their
+//!   tuples arrive in: case a's filter (lines 22–25) resumes the
+//!   previous row's anchor descent where the two rows part
+//!   (`SortedProbe`), and case b's scan (lines 27–29) walks the
+//!   anchor one `W⁻` level at a time, probing each check edge at the
+//!   level that binds it, so a value one check lacks prunes its whole
+//!   subtree (`AnchorScan`).
 //!
 //! The per-tuple **size check** (Procedure 5, line 21) is the algorithmic
 //! heart: for each partial tuple it compares the *estimated* output of the
@@ -36,7 +43,7 @@ pub use prepared::PreparedQuery;
 
 use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
-use plan::{JoinPlan, NodeKind, NodePlan, Section, Split};
+use plan::{CheckEdge, JoinPlan, NodeKind, NodePlan, Section, Split};
 use wcoj_storage::index::SearchTree;
 use wcoj_storage::{Attr, FlatIndex, Relation, RowBuf, Schema, Value};
 
@@ -309,6 +316,11 @@ struct Level<N> {
     right: RowBuf,
     /// The check edges' section nodes under the current `t_W`.
     checks: Vec<Option<N>>,
+    /// Case a: the anchor descent of the last probed row (`SortedProbe`).
+    path: Vec<N>,
+    /// Case b: the check edges' nodes at each level of the anchor walk
+    /// (`AnchorScan`), one row of `checks.len()` per level.
+    walk: Vec<N>,
 }
 
 impl<N> Default for Level<N> {
@@ -317,6 +329,126 @@ impl<N> Default for Level<N> {
             left: RowBuf::default(),
             right: RowBuf::default(),
             checks: Vec::new(),
+            path: Vec::new(),
+            walk: Vec::new(),
+        }
+    }
+}
+
+/// Case a's membership filter (Procedure 5, lines 22–25) over a run of
+/// probes: each probe resumes the previous one's descent at the longest
+/// prefix the two share, instead of descending from the anchor again.
+/// Correct for probes in any order; probes in sorted order, which is how
+/// the right child emits them, share long prefixes and make it cheap.
+struct SortedProbe<'p, N> {
+    /// `path[d]` is the node under the first `d` values of `prev`, for
+    /// `d ≤ valid`; `path[0]` is the anchor.
+    path: &'p mut [N],
+    valid: usize,
+    prev: Option<&'p [Value]>,
+}
+
+impl<'p, N: Copy> SortedProbe<'p, N> {
+    fn new(buf: &'p mut Vec<N>, anchor: N, len: usize) -> Self {
+        buf.clear();
+        buf.resize(len + 1, anchor);
+        SortedProbe {
+            path: buf,
+            valid: 0,
+            prev: None,
+        }
+    }
+
+    /// Is `z` a full extension of the anchor?
+    fn contains<S: SearchTree<Node = N>>(&mut self, trie: &S, z: &'p [Value]) -> bool {
+        let shared = self
+            .prev
+            .map_or(0, |p| p.iter().zip(z).take_while(|(a, b)| a == b).count());
+        let mut d = self.valid.min(shared);
+        while let Some(&v) = z.get(d) {
+            let Some(n) = trie.descend(self.path[d], v) else {
+                break;
+            };
+            d += 1;
+            self.path[d] = n;
+        }
+        self.valid = d;
+        self.prev = Some(z);
+        d == z.len()
+    }
+}
+
+/// Case b's scan (Procedure 5, lines 27–29): walks the anchor section one
+/// level of `W⁻` at a time, and at each level descends exactly the check
+/// edges that bind that attribute. A value some check lacks prunes its
+/// whole subtree, so a mismatch on `W⁻`'s first attribute costs one probe,
+/// not one per completion below it.
+struct AnchorScan<'a, S: SearchTree> {
+    tries: &'a [S],
+    /// The anchor `e_k`'s search tree.
+    anchor: &'a S,
+    checks: &'a [CheckEdge],
+    /// The shard's value ranges for the walk's levels 0 and 1
+    /// ([`Engine::scan_filters`]).
+    filters: [LevelRange; 2],
+    /// Where `t_{W⁻}` starts in the output row.
+    wm_at: usize,
+    /// `|W⁻|`: the walk's depth.
+    wm_len: usize,
+}
+
+impl<S: SearchTree> AnchorScan<'_, S> {
+    /// Visits the children of `node` (the anchor's node at walk level
+    /// `j`). `nodes[..checks.len()]` holds every check's node at level
+    /// `j`; the rows after it are filled for the levels below. `row` is
+    /// `t_W` followed by the `t_{W⁻}` being built; each complete row that
+    /// passes every check goes to `out`.
+    fn level(
+        &self,
+        j: usize,
+        node: S::Node,
+        nodes: &mut [S::Node],
+        row: &mut [Value],
+        out: &mut RowBuf,
+    ) {
+        let (here, next) = nodes.split_at_mut(self.checks.len());
+        // Checks that do not bind level j carry their node forward.
+        next[..here.len()].copy_from_slice(here);
+        let range = self.filters.get(j).copied().flatten();
+        let mut visit = |v: Value| {
+            for (c, check) in self.checks.iter().enumerate() {
+                if check.wm_offsets.contains(&j) {
+                    match self.tries[check.section.edge].descend(here[c], v) {
+                        Some(n) => next[c] = n,
+                        None => return,
+                    }
+                }
+            }
+            row[self.wm_at + j] = v;
+            if j + 1 == self.wm_len {
+                out.push_row(row);
+            } else {
+                let child = self.anchor.descend(node, v).expect("listed child exists");
+                self.level(j + 1, child, next, row, out);
+            }
+        };
+        match self.anchor.child_slice(node) {
+            Some(children) => {
+                let (lo, hi) = range.map_or((0, children.len()), |(lo, hi)| {
+                    (
+                        children.partition_point(|&v| v < lo),
+                        children.partition_point(|&v| v <= hi),
+                    )
+                });
+                children[lo..hi].iter().for_each(|&v| visit(v));
+            }
+            // A merged node without a contiguous level: list it without
+            // copying it out.
+            None => self.anchor.for_each_extension(node, 1, |t| {
+                if range.is_none_or(|(lo, hi)| lo <= t[0] && t[0] <= hi) {
+                    visit(t[0]);
+                }
+            }),
         }
     }
 }
@@ -327,7 +459,8 @@ struct Engine<'a, S: SearchTree> {
     /// Every node's cover vector ([`JoinPlan::resolve_covers`]).
     covers: Vec<f64>,
     /// The current partial assignment, indexed by total-order position:
-    /// `t_S` below the active node's `start`, then its `t_W`.
+    /// `t_S` below the active node's `start`, then its `t_W`, then (in a
+    /// case-b scan) the `t_{W⁻}` being built.
     bound: Vec<Value>,
     /// Scratch for [`Engine::leaf_join`]'s section nodes.
     leaf_nodes: Vec<S::Node>,
@@ -476,8 +609,9 @@ impl<S: SearchTree> Engine<'_, S> {
                 self.stats.intermediate_tuples += level.right.len() as u64;
                 if let Some(anchor) = anchor {
                     // z is over W⁻ in order = e_k's next attributes.
+                    let mut probe = SortedProbe::new(&mut level.path, anchor, wm_len);
                     for z in level.right.rows() {
-                        if trie_k.descend_tuple(anchor, z).is_some() {
+                        if probe.contains(trie_k, z) {
                             out.push_concat(t_w, z);
                         }
                     }
@@ -490,25 +624,23 @@ impl<S: SearchTree> Engine<'_, S> {
                 if level.checks.iter().any(Option::is_none) {
                     continue;
                 }
-                for_each_extension_filtered(trie_k, anchor, wm_len, f0, f1, |t_wm| {
-                    let ok = split
-                        .checks
-                        .iter()
-                        .zip(&level.checks)
-                        .all(|(check, section)| {
-                            let trie = &tries[check.section.edge];
-                            check
-                                .wm_offsets
-                                .iter()
-                                .try_fold(section.expect("checked above"), |n, &o| {
-                                    trie.descend(n, t_wm[o])
-                                })
-                                .is_some()
-                        });
-                    if ok {
-                        out.push_concat(t_w, t_wm);
-                    }
-                });
+                // One row of check nodes per level of the walk; row 0 is
+                // the sections.
+                level.walk.clear();
+                level.walk.extend(level.checks.iter().flatten());
+                for _ in 0..wm_len {
+                    level.walk.extend_from_within(..split.checks.len());
+                }
+                let scan = AnchorScan {
+                    tries,
+                    anchor: trie_k,
+                    checks: &split.checks,
+                    filters: [f0, f1],
+                    wm_at: split.wm_start - node.start,
+                    wm_len,
+                };
+                let row = &mut self.bound[node.start..node.start + node.arity];
+                scan.level(0, anchor, &mut level.walk, row, out);
             }
         }
     }

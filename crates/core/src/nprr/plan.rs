@@ -369,4 +369,25 @@ mod tests {
         assert!(s.left.is_none() && s.right.is_none());
         assert_eq!(s.checks.len(), 1);
     }
+
+    #[test]
+    fn a_check_can_bind_non_adjacent_walk_levels() {
+        // R(0,1), U(0), S(0,1,2) with order (1, 2, 0): the root anchors at
+        // S with W = ∅, so the case-b walk binds attributes 1, 2, 0 at
+        // levels 0, 1, 2. R binds levels 0 and 2 but not 1, U level 2.
+        let h = Hypergraph::new(3, vec![vec![0, 1], vec![0], vec![0, 1, 2]]).unwrap();
+        let plan = JoinPlan::compile(&h);
+        assert_eq!(plan.order, vec![1, 2, 0]);
+        let root = &plan.nodes[plan.root.unwrap()];
+        let NodeKind::Split(s) = &root.kind else {
+            panic!("root splits");
+        };
+        assert_eq!((root.start, root.arity, s.wm_start), (0, 3, 0));
+        let offsets: Vec<_> = s
+            .checks
+            .iter()
+            .map(|c| (c.section.edge, &c.wm_offsets[..]))
+            .collect();
+        assert_eq!(offsets, [(0, &[0, 2][..]), (1, &[2][..])]);
+    }
 }

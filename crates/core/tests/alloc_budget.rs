@@ -6,11 +6,14 @@
 //!
 //! Its own test binary because it swaps in a counting global allocator.
 
+mod common;
+
+use common::over_delta;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use wcoj_core::nprr::PreparedQuery;
 use wcoj_datagen::cycle_instance;
-use wcoj_storage::{FlatIndex, Relation};
+use wcoj_storage::{FlatIndex, Relation, SearchTree};
 
 thread_local! {
     /// Allocations made by this thread (tests run on parallel threads).
@@ -45,8 +48,7 @@ static GLOBAL: Counting = Counting;
 /// Also asserts the sharper property behind the budget: the run allocates
 /// fewer times than it makes case-a recursive calls, so nothing on the
 /// `Recursive-Join` path allocates per call.
-fn allocations_per_row(rels: &[Relation]) -> f64 {
-    let prepared = PreparedQuery::<FlatIndex>::new_indexed(rels).unwrap();
+fn allocations_per_row<S: SearchTree>(prepared: &PreparedQuery<S>) -> f64 {
     let warm = prepared.evaluate(None).unwrap(); // memoizes the cover LP
     let before = ALLOCATIONS.with(Cell::get);
     let out = prepared.evaluate(None).unwrap();
@@ -64,14 +66,34 @@ fn allocations_per_row(rels: &[Relation]) -> f64 {
     spent as f64 / out.relation.len() as f64
 }
 
+/// The budget on every backend the engine serves from: a bare
+/// `FlatIndex`, and a `DeltaIndex` with empty and with live buffers.
+fn assert_budget(rels: &[Relation], max_per_row: f64) {
+    let columns = [
+        (
+            "flat",
+            allocations_per_row(&PreparedQuery::<FlatIndex>::new_indexed(rels).unwrap()),
+        ),
+        ("delta", allocations_per_row(&over_delta(rels, false))),
+        (
+            "delta, live buffers",
+            allocations_per_row(&over_delta(rels, true)),
+        ),
+    ];
+    for (backend, per_row) in columns {
+        assert!(
+            per_row <= max_per_row,
+            "{backend}: {per_row} allocations per output row"
+        );
+    }
+}
+
 #[test]
 fn four_cycle_stays_under_two_allocations_per_row() {
-    let per_row = allocations_per_row(&cycle_instance(11, 4, 2000, 200));
-    assert!(per_row <= 2.0, "{per_row} allocations per output row");
+    assert_budget(&cycle_instance(11, 4, 2000, 200), 2.0);
 }
 
 #[test]
 fn wide_triangle_stays_under_one_allocation_per_row() {
-    let per_row = allocations_per_row(&cycle_instance(7, 3, 4000, 150));
-    assert!(per_row <= 1.0, "{per_row} allocations per output row");
+    assert_budget(&cycle_instance(7, 3, 4000, 150), 1.0);
 }

@@ -505,10 +505,11 @@ impl DeltaNode {
 /// shared frozen base [`FlatIndex`] plus [`FlatIndex`]es over the
 /// insert/delete buffers, merged by counted-trie arithmetic (see the module docs).
 ///
-/// With empty buffers every operation delegates to the base after two
-/// O(1) zero-count checks, so serving a never-mutated relation through a
-/// `DeltaIndex` costs almost nothing over the base index itself — the
-/// uniform read path the plan cache relies on.
+/// An empty buffer never enters a node, so on a never-mutated relation a
+/// descent is the base's descent plus a depth check, and every other
+/// operation delegates to the base after two O(1) checks: serving through
+/// a `DeltaIndex` costs little over the base index itself — the uniform
+/// read path the plan cache relies on.
 #[derive(Debug, Clone)]
 pub struct DeltaIndex {
     base: Arc<FlatIndex>,
@@ -679,13 +680,17 @@ impl SearchTree for DeltaIndex {
         )
     }
 
+    /// An empty buffer is left out of the root, so every descent on a
+    /// never-mutated relation takes [`SearchTree::descend`]'s base-only
+    /// path.
     #[inline]
     fn root(&self) -> Self::Node {
+        let present = |buf: &FlatIndex| (buf.num_rows() > 0).then(|| buf.root());
         DeltaNode {
             depth: 0,
             base: Some(self.base.root()),
-            ins: Some(self.ins.root()),
-            del: Some(self.del.root()),
+            ins: present(&self.ins),
+            del: present(&self.del),
         }
     }
 
@@ -693,6 +698,16 @@ impl SearchTree for DeltaIndex {
     fn descend(&self, node: Self::Node, v: Value) -> Option<Self::Node> {
         if node.depth as usize >= self.arity {
             return None;
+        }
+        if node.ins.is_none() && node.del.is_none() {
+            // Base only: a present `FlatIndex` child is never empty.
+            let base = self.base.descend(node.base?, v)?;
+            return Some(DeltaNode {
+                depth: node.depth + 1,
+                base: Some(base),
+                ins: None,
+                del: None,
+            });
         }
         let child = DeltaNode {
             depth: node.depth + 1,

@@ -18,9 +18,11 @@
 //! requires resolves to slice arithmetic over the two arrays:
 //!
 //! * **(ST1)** `descend` finds the child by *galloping* (exponential
-//!   search, [`crate::gallop`]) over the child slice — `O(log gap)` for
-//!   the ascending probe sequences the join's ordered intersections
-//!   generate (footnote 3 allows the `log` factor);
+//!   search, [`crate::gallop`]) from the start of the child slice —
+//!   `O(log d)` for a child at offset `d` (footnote 3 allows the `log`
+//!   factor). It keeps no memory of earlier probes; the join exploits
+//!   the order of its probes one level up, by resuming the previous
+//!   probe's descent path (`wcoj-core`'s `Recursive-Join`);
 //! * **(ST2)** `|π_{aᵢ₊₁..aⱼ}(Rₑ[t])|` is the width of the offset range the
 //!   prefix spans at level `j`, `O(j − i)` lookups after the descent;
 //! * **(ST3)** enumeration walks the level arrays **forward** through the
