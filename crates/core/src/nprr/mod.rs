@@ -5,8 +5,9 @@
 //! (Algorithms 3–4, Remark 5.2). The work is split the same way here:
 //!
 //! * **Compiled once per query** ([`PreparedQuery`] construction): the
-//!   [query plan tree](qptree) (Algorithm 3), the
-//!   [total order](total_order()) of attributes (Algorithm 4), one search
+//!   [query plan tree](qptree) (Algorithm 3) under the first edge order
+//!   whose [total order](total_order()) of attributes (Algorithm 4) is the
+//!   output schema, or input order when none is; one search
 //!   tree per relation along it, and a `NodePlan` per QP-tree node — its
 //!   `W`/`W⁻` position ranges, the anchor's and every check edge's section
 //!   descent, the offsets of each check edge's attributes inside
@@ -549,8 +550,9 @@ impl<S: SearchTree> Engine<'_, S> {
         }
         self.stats.intermediate_tuples += level.left.len() as u64;
 
+        // The anchor e_k: QP position k − 1 in the cover tables.
         let ek = node.k - 1;
-        let trie_k = &tries[ek];
+        let trie_k = &tries[split.anchor.edge];
         let wm_len = node.start + node.arity - split.wm_start;
         // anchor section size c_k = |π_{W⁻}(R_{e_k}[t_{S∩e_k}])|.
         let anchor = self.section(&split.anchor);
@@ -583,12 +585,13 @@ impl<S: SearchTree> Engine<'_, S> {
                 let mut lhs_log = 0.0f64;
                 let mut lhs_zero = false;
                 for (check, section) in split.checks.iter().zip(&level.checks) {
-                    let i = check.section.edge;
+                    let i = check.at;
                     if self.covers[y + i] <= 0.0 {
                         continue; // 0^0 = 1 convention
                     }
-                    let c_i =
-                        section.map_or(0, |n| tries[i].distinct_count(n, check.wm_offsets.len()));
+                    let c_i = section.map_or(0, |n| {
+                        tries[check.section.edge].distinct_count(n, check.wm_offsets.len())
+                    });
                     if c_i == 0 {
                         lhs_zero = true;
                         break;

@@ -12,17 +12,34 @@
 //! attribute sets are stored as *position ranges*: `t_S` is the prefix
 //! `[0, start)` of the engine's binding stack, `t_W` is
 //! `[start, wm_start)`, and `t_{W⁻}` is `[wm_start, start + arity)`.
+//!
+//! Algorithm 3 builds the tree from "an arbitrary order `e₁, …, e_m`" of
+//! the edges, and Theorem 5.1 holds under every one. That order is the
+//! plan's one free choice, and [`JoinPlan::compile`] spends it on the
+//! output: it picks an order whose total order is the output schema, so
+//! the engine's rows come out in the order the client reads them. Two
+//! numberings of the edges therefore meet here. A **QP position** `i`
+//! names `e_{i+1}` of that order; it indexes labels, anchors and cover
+//! vectors. An **input edge** names a relation of the query; it indexes
+//! search trees ([`Section::edge`]) and everything public.
 
 use super::qptree::{build_qp_tree, QpNode};
 use super::total_order::{positions, total_order};
 use wcoj_hypergraph::Hypergraph;
 
+/// Edge counts up to which [`JoinPlan::compile`] tries every edge order
+/// (6! = 720 trees); larger queries keep input order.
+const SEARCHED_EDGES: usize = 6;
+
 /// A `PreparedQuery`'s data-independent half: total order, per-relation
 /// trie level orders, and one [`NodePlan`] per reachable QP-tree node.
 pub(crate) struct JoinPlan {
+    /// Algorithm 3's edge order: `edge_order[i]` is the input edge at QP
+    /// position `i`.
+    pub(crate) edge_order: Vec<usize>,
     /// The total order of attributes (vertex ids).
     pub(crate) order: Vec<usize>,
-    /// Per relation: its vertices sorted by total-order position (= the
+    /// Per input edge: its vertices sorted by total-order position (= the
     /// level order of its search tree).
     pub(crate) edge_vertices: Vec<Vec<usize>>,
     /// Node arena; children are indices into it.
@@ -39,7 +56,7 @@ pub(crate) struct JoinPlan {
 /// One QP-tree node, compiled.
 pub(crate) struct NodePlan {
     /// The paper's `label(u) = k`: edges `e_1..e_k` are in play and
-    /// `e_k` (index `k − 1`) is the anchor.
+    /// `e_k` (QP position `k − 1`) is the anchor.
     pub(crate) k: usize,
     /// `|univ(u)|` — the width of the rows this node produces.
     pub(crate) arity: usize,
@@ -80,18 +97,22 @@ pub(crate) struct Split {
     /// The anchor `e_k`'s section under `t_S`. `e_k ∩ W = ∅`, so it is
     /// the same for every `t_W` of one call.
     pub(crate) anchor: Section,
-    /// Edges `i < k` that meet `W⁻`, ascending.
+    /// Edges at QP positions `i < k − 1` that meet `W⁻`, ascending.
     pub(crate) checks: Vec<CheckEdge>,
 }
 
 /// `R_e[t]` for `t` the bound prefix restricted to `e`: a descent from
 /// `e`'s trie root along the binding-stack `positions`.
 pub(crate) struct Section {
+    /// The input edge `e`, whose search tree the descent walks.
     pub(crate) edge: usize,
     pub(crate) positions: Vec<usize>,
 }
 
 pub(crate) struct CheckEdge {
+    /// The edge's QP position: where its exponent sits in a node's cover
+    /// vector.
+    pub(crate) at: usize,
     /// The edge's section under `t_S ∪ t_W`.
     pub(crate) section: Section,
     /// Offsets inside `t_{W⁻}` of the edge's `W⁻` attributes, in trie
@@ -100,11 +121,17 @@ pub(crate) struct CheckEdge {
 }
 
 impl JoinPlan {
-    /// Compiles the plan for `h` (edge order = input order). `O(nodes ·
-    /// m · n)`; touches no data.
+    /// Compiles the plan for `h`, touching no data.
+    ///
+    /// The edge order is System R's "interesting order" applied to
+    /// Algorithm 3: orders are tried in lexicographic order, input order
+    /// first (all `m!` of them for `m ≤ 6`, input order alone above), and
+    /// the first whose Algorithm-4 total order is ascending vertex order —
+    /// the output schema — is taken. When none is, input order stays.
+    /// Each try builds one QP tree and its total order, `O(nodes · m)`;
+    /// the chosen tree is then compiled in `O(nodes · m · n)`.
     pub(crate) fn compile(h: &Hypergraph) -> JoinPlan {
-        let tree = build_qp_tree(h);
-        let order = tree.as_deref().map(total_order).unwrap_or_default();
+        let (edge_order, qp_h, tree, order) = choose_edge_order(h);
         let pos = positions(&order, h.num_vertices());
         let edge_vertices: Vec<Vec<usize>> = (0..h.num_edges())
             .map(|e| {
@@ -114,7 +141,8 @@ impl JoinPlan {
             })
             .collect();
         let mut compiler = Compiler {
-            h,
+            h: &qp_h,
+            edge_order: &edge_order,
             pos: &pos,
             edge_vertices: &edge_vertices,
             nodes: Vec::new(),
@@ -131,6 +159,7 @@ impl JoinPlan {
             nodes, cover_len, ..
         } = compiler;
         JoinPlan {
+            edge_order,
             order,
             edge_vertices,
             nodes,
@@ -141,19 +170,26 @@ impl JoinPlan {
     }
 
     /// The per-run half of the preparation: every node's cover vector,
-    /// derived from the query's cover `x` by Procedure 5's own rules — a
-    /// left child inherits `y[..k−1]`, a right child gets it rescaled by
+    /// derived from the query's cover `x` (input edge order) by Procedure
+    /// 5's own rules — the root takes `x` in QP order, a left child
+    /// inherits `y[..k−1]`, a right child gets it rescaled by
     /// `1 / (1 − y_k)` (line 23). The same divisions the recursion used
     /// to redo for every partial tuple, done once: node `u`'s entries are
-    /// `table[u.cover_at..][..u.k]`, and the exponents `y_i / (1 − y_k)`
-    /// of its size check are its right child's entries.
+    /// `table[u.cover_at..][..u.k]`, indexed by QP position, and the
+    /// exponents `y_i / (1 − y_k)` of its size check are its right
+    /// child's entries.
     pub(crate) fn resolve_covers(&self, x: &[f64]) -> Vec<f64> {
         let mut table = vec![0.0; self.cover_len];
         let Some(root) = self.root else {
             return table;
         };
-        let k = self.nodes[root].k;
-        table[self.nodes[root].cover_at..][..k].copy_from_slice(&x[..k]);
+        let root = &self.nodes[root];
+        for (y, &e) in table[root.cover_at..][..root.k]
+            .iter_mut()
+            .zip(&self.edge_order)
+        {
+            *y = x[e];
+        }
         // Parents precede their children in the arena.
         for node in &self.nodes {
             let (left, right) = match &node.kind {
@@ -179,18 +215,60 @@ impl JoinPlan {
     }
 }
 
+/// An edge order, the query with its edges in that order, the QP tree
+/// Algorithm 3 builds from it, and the tree's total order.
+type Choice = (Vec<usize>, Hypergraph, Option<Box<QpNode>>, Vec<usize>);
+
+/// [`JoinPlan::compile`]'s order search over `h`'s edge orders.
+fn choose_edge_order(h: &Hypergraph) -> Choice {
+    let m = h.num_edges();
+    let mut edge_order: Vec<usize> = (0..m).collect();
+    let mut input_order: Option<Choice> = None;
+    loop {
+        let edges = edge_order.iter().map(|&e| h.edge(e).to_vec()).collect();
+        let qp_h = Hypergraph::new(h.num_vertices(), edges).expect("h's own edges");
+        let tree = build_qp_tree(&qp_h);
+        let order = tree.as_deref().map(total_order).unwrap_or_default();
+        if order.windows(2).all(|w| w[0] < w[1]) {
+            return (edge_order, qp_h, tree, order);
+        }
+        // Lexicographic order starts at the identity: input order.
+        input_order.get_or_insert_with(|| (edge_order.clone(), qp_h, tree, order));
+        if m > SEARCHED_EDGES || !next_permutation(&mut edge_order) {
+            return input_order.expect("input order was tried first");
+        }
+    }
+}
+
+/// Steps `p` to its successor in lexicographic order; `false` (leaving
+/// `p` alone) when `p` is the last permutation.
+fn next_permutation(p: &mut [usize]) -> bool {
+    let Some(i) = p.windows(2).rposition(|w| w[0] < w[1]) else {
+        return false;
+    };
+    let j = p.iter().rposition(|&x| x > p[i]).expect("p[i + 1] > p[i]");
+    p.swap(i, j);
+    p[i + 1..].reverse();
+    true
+}
+
 struct Compiler<'a> {
+    /// The query with its edges in QP order.
     h: &'a Hypergraph,
+    /// QP position → input edge.
+    edge_order: &'a [usize],
     pos: &'a [usize],
+    /// Indexed by input edge.
     edge_vertices: &'a [Vec<usize>],
     nodes: Vec<NodePlan>,
     cover_len: usize,
 }
 
 impl Compiler<'_> {
-    /// `edge`'s section with everything before total-order position
-    /// `limit` bound.
-    fn section(&self, edge: usize, limit: usize) -> Section {
+    /// The section of the edge at QP position `at` with everything before
+    /// total-order position `limit` bound.
+    fn section(&self, at: usize, limit: usize) -> Section {
+        let edge = self.edge_order[at];
         Section {
             edge,
             positions: self.edge_vertices[edge]
@@ -255,12 +333,13 @@ impl Compiler<'_> {
                     assert_eq!(wm_start, start + w.len(), "(TO2): W precedes W⁻");
                     let checks = (0..ek)
                         .filter_map(|i| {
-                            let wm_offsets: Vec<usize> = self.edge_vertices[i]
+                            let wm_offsets: Vec<usize> = self.edge_vertices[self.edge_order[i]]
                                 .iter()
                                 .filter(|v| wminus.contains(v))
                                 .map(|&v| self.pos[v] - wm_start)
                                 .collect();
                             (!wm_offsets.is_empty()).then(|| CheckEdge {
+                                at: i,
                                 section: self.section(i, wm_start),
                                 wm_offsets,
                             })
@@ -303,30 +382,108 @@ mod tests {
 
     #[test]
     fn triangle_plan_shape() {
-        // Total order (1, 0, 2); root anchored at T(0,2): W = {1},
-        // W⁻ = {0, 2}.
+        // Input order R, S, T gives the total order (1, 0, 2); the first
+        // order giving (0, 1, 2) is R, T, S. The root anchors at S(1,2):
+        // W = {0}, W⁻ = {1, 2}.
         let plan = JoinPlan::compile(&triangle());
-        assert_eq!(plan.order, vec![1, 0, 2]);
-        assert_eq!(plan.edge_vertices, vec![vec![1, 0], vec![1, 2], vec![0, 2]]);
+        assert_eq!(plan.edge_order, [0, 2, 1]);
+        assert_eq!(plan.order, [0, 1, 2]);
+        assert_eq!(plan.edge_vertices, [[0, 1], [1, 2], [0, 2]]);
         let root = &plan.nodes[plan.root.unwrap()];
         assert_eq!((root.k, root.arity, root.start), (3, 3, 0));
         let NodeKind::Split(s) = &root.kind else {
             panic!("root splits");
         };
         assert_eq!(s.wm_start, 1);
-        assert_eq!((s.anchor.edge, s.anchor.positions.len()), (2, 0));
-        // R(1,0) and S(1,2) each bind attribute 1 (position 0) in their
-        // section and probe one W⁻ attribute: 0 (offset 0), 2 (offset 1).
+        assert_eq!((s.anchor.edge, s.anchor.positions.len()), (1, 0));
+        // R(0,1) at QP position 0 and T(0,2) at position 1 each bind
+        // attribute 0 (position 0) in their section and probe one W⁻
+        // attribute: 1 (offset 0), 2 (offset 1).
         let checks: Vec<_> = s
             .checks
             .iter()
-            .map(|c| (c.section.edge, &c.section.positions[..], &c.wm_offsets[..]))
+            .map(|c| {
+                let sec = &c.section;
+                (c.at, sec.edge, &sec.positions[..], &c.wm_offsets[..])
+            })
             .collect();
-        assert_eq!(checks, [(0, &[0][..], &[0][..]), (1, &[0][..], &[1][..])]);
-        assert!(s.right.is_some(), "both W⁻ attributes lie in R or S");
+        assert_eq!(
+            checks,
+            [(0, 0, &[0][..], &[0][..]), (1, 2, &[0][..], &[1][..])]
+        );
+        // The left child {0} is a leaf over R and T.
         let left = &plan.nodes[s.left.unwrap()];
         assert_eq!((left.k, left.arity, left.start), (2, 1, 0));
-        assert!(plan.levels >= 1);
+        let NodeKind::Leaf { covering } = &left.kind else {
+            panic!("{{0}} lies in R and T");
+        };
+        let covering: Vec<_> = covering.iter().map(|c| c.edge).collect();
+        assert_eq!(covering, [0, 2]);
+        // The right child {1, 2} anchors at T: W = {1}, W⁻ = {2}. No
+        // earlier edge holds 2, so it has no checks and no right child.
+        let right = &plan.nodes[s.right.expect("1 ∈ R, 2 ∈ T")];
+        assert_eq!((right.k, right.arity, right.start), (2, 2, 1));
+        let NodeKind::Split(rs) = &right.kind else {
+            panic!("the right child splits");
+        };
+        assert_eq!((rs.anchor.edge, rs.wm_start), (2, 2));
+        assert!(rs.checks.is_empty() && rs.right.is_none() && rs.left.is_some());
+        assert_eq!(plan.levels, 2);
+    }
+
+    #[test]
+    fn four_cycle_keeps_input_order() {
+        // None of the 24 edge orders of A0—A1—A2—A3—A0 yields (0, 1, 2, 3).
+        let h = Hypergraph::new(4, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![0, 3]]).unwrap();
+        let plan = JoinPlan::compile(&h);
+        assert_eq!(plan.edge_order, [0, 1, 2, 3]);
+        assert_eq!(plan.order, [1, 2, 0, 3]);
+    }
+
+    #[test]
+    fn point_lookup_shape_keeps_input_order() {
+        // R'(0), S(0,1), T'(1): the triangle with two constants bound.
+        let h = Hypergraph::new(2, vec![vec![0], vec![0, 1], vec![1]]).unwrap();
+        let plan = JoinPlan::compile(&h);
+        assert_eq!(plan.edge_order, [0, 1, 2]);
+        assert_eq!(plan.order, [0, 1]);
+    }
+
+    #[test]
+    fn only_up_to_six_edges_are_searched() {
+        // The triangle with its T(0,2) repeated: input order gives
+        // (1, 0, 2) at any length, and some reordering gives (0, 1, 2).
+        let repeated = |m: usize| {
+            let mut edges = vec![vec![0, 1], vec![1, 2]];
+            edges.resize(m, vec![0, 2]);
+            JoinPlan::compile(&Hypergraph::new(3, edges).unwrap())
+        };
+        let six = repeated(6);
+        assert_eq!(six.order, [0, 1, 2]);
+        assert_ne!(six.edge_order, [0, 1, 2, 3, 4, 5]);
+        let seven = repeated(7);
+        assert_eq!(seven.edge_order, [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(seven.order, [1, 0, 2]);
+    }
+
+    #[test]
+    fn next_permutation_walks_lexicographic_order() {
+        let mut p = [0, 1, 2];
+        let mut seen = vec![p.to_vec()];
+        while next_permutation(&mut p) {
+            seen.push(p.to_vec());
+        }
+        let want: [[usize; 3]; 6] = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        assert_eq!(seen, want);
+        assert_eq!(p, [2, 1, 0], "the last permutation is left alone");
+        assert!(!next_permutation(&mut []));
     }
 
     #[test]
@@ -346,6 +503,13 @@ mod tests {
         let of = |id: usize| &table[plan.nodes[id].cover_at..][..plan.nodes[id].k];
         assert_eq!(of(s.left.unwrap()), [1.0, 1.0]);
         assert_eq!(of(s.right.unwrap()), [0.0, 0.0]);
+        // x is in input order (R, S, T); the table is in QP order
+        // (R, T, S), so the anchor S's weight lands last.
+        let table = plan.resolve_covers(&[0.25, 0.5, 0.75]);
+        let of = |id: usize| &table[plan.nodes[id].cover_at..][..plan.nodes[id].k];
+        assert_eq!(of(plan.root.unwrap()), [0.25, 0.75, 0.5]);
+        assert_eq!(of(s.left.unwrap()), [0.25, 0.75]);
+        assert_eq!(of(s.right.unwrap()), [0.5, 1.5]);
     }
 
     #[test]
@@ -372,12 +536,14 @@ mod tests {
 
     #[test]
     fn a_check_can_bind_non_adjacent_walk_levels() {
-        // R(0,1), U(0), S(0,1,2) with order (1, 2, 0): the root anchors at
-        // S with W = ∅, so the case-b walk binds attributes 1, 2, 0 at
-        // levels 0, 1, 2. R binds levels 0 and 2 but not 1, U level 2.
-        let h = Hypergraph::new(3, vec![vec![0, 1], vec![0], vec![0, 1, 2]]).unwrap();
+        // R(0,2), U(2), S(0,1,2) in input order: the total order is
+        // (0, 1, 2) and the root anchors at S with W = ∅, so the case-b
+        // walk binds attributes 0, 1, 2 at levels 0, 1, 2. R binds levels
+        // 0 and 2 but not 1, U level 2.
+        let h = Hypergraph::new(3, vec![vec![0, 2], vec![2], vec![0, 1, 2]]).unwrap();
         let plan = JoinPlan::compile(&h);
-        assert_eq!(plan.order, vec![1, 2, 0]);
+        assert_eq!(plan.edge_order, [0, 1, 2]);
+        assert_eq!(plan.order, [0, 1, 2]);
         let root = &plan.nodes[plan.root.unwrap()];
         let NodeKind::Split(s) = &root.kind else {
             panic!("root splits");

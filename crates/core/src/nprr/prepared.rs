@@ -187,6 +187,14 @@ impl<S: SearchTree> PreparedQuery<S> {
         &self.plan.order
     }
 
+    /// The edge order `e₁, …, e_m` Algorithm 3 built the QP tree from, as
+    /// input edge indexes: the first order whose total order is the
+    /// output schema, or input order when none is.
+    #[must_use]
+    pub fn edge_order(&self) -> &[usize] {
+        &self.plan.edge_order
+    }
+
     /// Resolves an optional user cover into `(x, log2_bound)`: validates a
     /// supplied vector, or solves the LP for the optimum.
     ///
@@ -415,10 +423,13 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// then the root attribute is the primary sort key, slots ascend by
     /// root range (anchor sub-shards by anchor range, the secondary key),
     /// and each slot is internally sorted — so the concatenation is
-    /// globally sorted and per-slot dedup is global dedup. When this is
-    /// `false` (e.g. the triangle query's total order starts at the
-    /// highest-degree vertex, not attribute 0), a consumer must buffer
-    /// all slots and merge before comparing against the assembled output.
+    /// globally sorted and per-slot dedup is global dedup. The plan picks
+    /// its edge order to make this `true` whenever some order can
+    /// ([`Self::edge_order`]): the triangle and every single-relation
+    /// query stream. When it is `false` (e.g. the 4-cycle, whose total
+    /// order starts at attribute 1 under every edge order), a consumer
+    /// must buffer all slots and merge before comparing against the
+    /// assembled output.
     #[must_use]
     pub fn slots_stream_sorted(&self) -> bool {
         let order_attrs: Vec<Attr> = self
@@ -547,50 +558,47 @@ mod tests {
 
     #[test]
     fn root_candidates_intersect_level0() {
-        // Total order for the triangle is (1, 0, 2): root attribute 1,
-        // contained in R(0,1) and S(1,2) but not T(0,2).
-        let r = Relation::from_u32_rows(Schema::of(&[0, 1]), &[&[9, 1], &[9, 2], &[9, 3]]);
-        let s = Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[2, 9], &[3, 9], &[4, 9]]);
-        let t = Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[9, 9]]);
+        // Total order for the triangle is (0, 1, 2): root attribute 0,
+        // contained in R(0,1) and T(0,2) but not S(1,2).
+        let r = Relation::from_u32_rows(Schema::of(&[0, 1]), &[&[1, 9], &[2, 9], &[3, 9]]);
+        let s = Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[9, 9]]);
+        let t = Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[2, 9], &[3, 9], &[4, 9]]);
         let prepared = PreparedQuery::new(&[r, s, t]).unwrap();
-        assert_eq!(prepared.total_order()[0], 1);
-        // π₁(R) = {1,2,3}, π₁(S) = {2,3,4} → intersection {2,3}
+        assert_eq!(prepared.total_order()[0], 0);
+        // π₀(R) = {1,2,3}, π₀(T) = {2,3,4} → intersection {2,3}
         assert_eq!(prepared.root_candidates(), vec![Value(2), Value(3)]);
     }
 
     #[test]
     fn root_candidate_weights_reflect_fanout() {
-        // Triangle total order is (1, 0, 2); R(0,1) and S(1,2) contain the
-        // root attribute 1. Give root value 2 a much fatter section than
+        // Triangle total order is (0, 1, 2); R(0,1) and T(0,2) contain the
+        // root attribute 0. Give root value 2 a much fatter section than
         // root value 3.
-        let r = Relation::from_u32_rows(
-            Schema::of(&[0, 1]),
-            &[&[10, 2], &[11, 2], &[12, 2], &[13, 2], &[10, 3]],
-        );
-        let s = Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[2, 7], &[2, 8], &[3, 7]]);
-        let t = Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[10, 7]]);
-        let prepared = PreparedQuery::new(&[r, s, t]).unwrap();
-        assert_eq!(prepared.total_order()[0], 1);
+        let rels = || {
+            [
+                Relation::from_u32_rows(
+                    Schema::of(&[0, 1]),
+                    &[&[2, 10], &[2, 11], &[2, 12], &[2, 13], &[3, 10]],
+                ),
+                Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[10, 7]]),
+                Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[2, 7], &[2, 8], &[3, 7]]),
+            ]
+        };
+        let prepared = PreparedQuery::new(&rels()).unwrap();
+        assert_eq!(prepared.total_order()[0], 0);
         let weights = prepared.root_candidate_weights();
         assert_eq!(
             weights.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
             prepared.root_candidates(),
             "aligned with root_candidates"
         );
-        // v=2: 4 extensions in R (reordered trie: 2 → {10,11,12,13}) plus
-        // 2 in S; v=3: 1 in R plus 1 in S. Weight = 1 + fanout.
+        // v=2: 4 extensions in R (2 → {10,11,12,13}) plus 2 in T; v=3: 1
+        // in R plus 1 in T. Weight = 1 + fanout.
         assert_eq!(weights, vec![(Value(2), 7), (Value(3), 3)]);
         // The hash backend agrees (the flat backend computes fanouts by
         // offset-range arithmetic instead of node child counts; if the
         // weights diverged, so would shard plans and task budgets).
-        let rels = [
-            Relation::from_u32_rows(
-                Schema::of(&[0, 1]),
-                &[&[10, 2], &[11, 2], &[12, 2], &[13, 2], &[10, 3]],
-            ),
-            Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[2, 7], &[2, 8], &[3, 7]]),
-            Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[10, 7]]),
-        ];
+        let rels = rels();
         let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
         assert_eq!(hashed.root_candidate_weights(), weights);
         // the memoized view is identical and stable across calls
@@ -727,20 +735,20 @@ mod tests {
     #[test]
     fn anchor_candidates_intersect_level1_slices() {
         use crate::nprr::AnchorRange;
-        // Triangle total order is (1, 0, 2): root attribute 1 (position 0),
-        // anchor attribute 0 (position 1). R(0,1)'s trie starts
-        // (root, anchor); T(0,2)'s trie starts with the anchor; S(1,2)
+        // Triangle total order is (0, 1, 2): root attribute 0 (position 0),
+        // anchor attribute 1 (position 1). R(0,1)'s trie starts
+        // (root, anchor); S(1,2)'s trie starts with the anchor; T(0,2)
         // does not constrain the anchor level at all.
         let r = Relation::from_u32_rows(
             Schema::of(&[0, 1]),
-            &[&[10, 2], &[11, 2], &[12, 2], &[10, 3]],
+            &[&[2, 10], &[2, 11], &[2, 12], &[3, 10]],
         );
-        let s = Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[2, 7], &[2, 8], &[3, 7]]);
-        let t = Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[10, 7], &[11, 8], &[13, 9]]);
+        let s = Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[10, 7], &[11, 8], &[13, 9]]);
+        let t = Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[2, 7], &[2, 8], &[3, 7]]);
         let rels = [r, s, t];
         let prepared = PreparedQuery::new(&rels).unwrap();
-        assert_eq!(prepared.total_order()[0], 1);
-        // under root 2: π₀(R[·,2]) = {10,11,12}, π₀(T) = {10,11,13}
+        assert_eq!(prepared.total_order()[..2], [0, 1]);
+        // under root 2: π₁(R[2,·]) = {10,11,12}, π₁(S) = {10,11,13}
         assert_eq!(
             prepared.anchor_candidates(Value(2)),
             vec![Value(10), Value(11)]
@@ -827,16 +835,19 @@ mod tests {
 
     #[test]
     fn slot_assembly_needs_a_merge_when_order_is_not_canonical() {
-        // The triangle's total order is (1, 0, 2): slots stream in
-        // root-attribute-major order, which is NOT the output's lex
-        // order — the predicate must say so, and a buffered merge
-        // (push + sort_dedup) must still reproduce the output.
+        // The 4-cycle's total order is (1, 2, 0, 3) under every edge
+        // order: slots stream in root-attribute-major order, which is NOT
+        // the output's lex order — the predicate must say so, and a
+        // buffered merge (push + sort_dedup) must still reproduce the
+        // output.
         let rels = [
             random_rel(41, &[0, 1], 60, 8),
             random_rel(42, &[1, 2], 60, 8),
-            random_rel(43, &[0, 2], 60, 8),
+            random_rel(43, &[2, 3], 60, 8),
+            random_rel(44, &[0, 3], 60, 8),
         ];
         let prepared = PreparedQuery::new(&rels).unwrap();
+        assert_eq!(prepared.edge_order(), [0, 1, 2, 3], "input order kept");
         assert_eq!(prepared.total_order()[0], 1, "root attribute is 1");
         assert!(!prepared.slots_stream_sorted());
         let full = prepared.evaluate(None).unwrap().relation;

@@ -1,7 +1,11 @@
 //! The **query plan tree** (paper Algorithm 3).
 //!
-//! Fix an order `e₁, …, e_m` of the hyperedges (here: input order). The QP
-//! tree is built by `build-tree(V, m)`:
+//! Fix an order `e₁, …, e_m` of the hyperedges. [`build_qp_tree`] takes the
+//! hypergraph's own (input) order; the compiled plan behind
+//! [`PreparedQuery`](super::PreparedQuery) chooses an order whose total
+//! order is the output schema, when one exists, and passes the hypergraph
+//! with its edges permuted into it. The QP tree is built by
+//! `build-tree(V, m)`:
 //!
 //! * return `nil` if every `e_i ∩ U = ∅` for `i ∈ [k]`;
 //! * create a node with `label = k`, `univ = U`;

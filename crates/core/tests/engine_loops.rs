@@ -73,8 +73,8 @@ fn instances(seed: u64) -> Vec<(&'static str, Vec<Relation>)> {
         .enumerate()
         .map(|(i, attrs)| wcoj_datagen::zipf_relation(seed * 37 + i as u64, attrs, 60, 12, s))
         .collect();
-    // R(0,1), U(0), S(0,1,2): R is probed at walk levels 0 and 2.
-    let non_adjacent = [&[0u32, 1][..], &[0], &[0, 1, 2]]
+    // R(0,2), U(2), S(0,1,2): R is probed at walk levels 0 and 2.
+    let non_adjacent = [&[0u32, 2][..], &[2], &[0, 1, 2]]
         .iter()
         .enumerate()
         .map(|(i, attrs)| wcoj_datagen::random_relation(seed * 41 + i as u64, attrs, 40, 5))

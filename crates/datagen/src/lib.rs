@@ -290,14 +290,15 @@ pub fn random_lw(seed: u64, n: usize, rows: usize, dom: u64) -> Vec<Relation> {
         .collect()
 }
 
-/// Single-hot-key triangle `R(0,1) ⋈ S(1,2) ⋈ T(0,2)`: attribute 1 (the
-/// root of the triangle's NPRR total order) has one **hot** value `0`
-/// with `hot` distinct extensions in both `R` and `S`, plus `light`
-/// further values with a single extension each — so the hot root value
-/// carries a `≈ 2·hot / (2·hot + 3·light)` share of the estimated work
-/// (≥ 90% whenever `hot ≥ 14·light`). `T` holds `4·hot` random pairs
-/// over the hot key's candidate grid, keeping the per-pair probes
-/// non-trivial.
+/// Single-hot-key triangle `R(0,1) ⋈ S(1,2) ⋈ T(0,2)`: attribute 0 (the
+/// root of the triangle's NPRR total order, which is the output order
+/// `(0, 1, 2)`) has one **hot** value `0` with `hot` distinct extensions
+/// in both `R` and `T`, plus `light` further values `1..=light` with a
+/// single extension each. A root value's estimated work is `1 +` its
+/// fanout in `R` and `T`, so the hot value weighs `2·hot + 1` and each
+/// light one `3`: a `(2·hot + 1) / (2·hot + 1 + 3·light)` share, ≥ 90%
+/// whenever `hot ≥ 14·light`. `S` holds `4·hot` random pairs over the hot
+/// key's candidate grid, keeping the per-pair probes non-trivial.
 ///
 /// This is the workload intra-value parallelism exists for: without
 /// anchor sub-shards the hot root value is one singleton shard pinning a
@@ -306,18 +307,18 @@ pub fn random_lw(seed: u64, n: usize, rows: usize, dom: u64) -> Vec<Relation> {
 pub fn hot_key_triangle(seed: u64, hot: usize, light: usize) -> Vec<Relation> {
     let mut rng = StdRng::seed_from_u64(seed);
     let hot_u = hot as u64;
-    // R(0,1): hot value 0 of attribute 1 pairs with every a ∈ [0, hot).
-    let mut r_rows: Vec<Vec<Value>> = (0..hot_u).map(|a| vec![Value(a), Value(0)]).collect();
-    // S(1,2): hot value 0 of attribute 1 pairs with every c ∈ [0, hot).
-    let mut s_rows: Vec<Vec<Value>> = (0..hot_u).map(|c| vec![Value(0), Value(c)]).collect();
-    // Light values 1..=light of attribute 1: one extension each.
+    // R(0,1): hot value 0 of attribute 0 pairs with every b ∈ [0, hot).
+    let mut r_rows: Vec<Vec<Value>> = (0..hot_u).map(|b| vec![Value(0), Value(b)]).collect();
+    // T(0,2): hot value 0 of attribute 0 pairs with every c ∈ [0, hot).
+    let mut t_rows: Vec<Vec<Value>> = (0..hot_u).map(|c| vec![Value(0), Value(c)]).collect();
+    // Light values 1..=light of attribute 0: one extension each.
     for i in 1..=light as u64 {
-        r_rows.push(vec![Value(rng.gen_range(0..hot_u.max(1))), Value(i)]);
-        s_rows.push(vec![Value(i), Value(rng.gen_range(0..hot_u.max(1)))]);
+        r_rows.push(vec![Value(i), Value(rng.gen_range(0..hot_u.max(1)))]);
+        t_rows.push(vec![Value(i), Value(rng.gen_range(0..hot_u.max(1)))]);
     }
     let r = Relation::from_rows(Schema::of(&[0, 1]), r_rows).expect("arity 2");
-    let s = Relation::from_rows(Schema::of(&[1, 2]), s_rows).expect("arity 2");
-    let t = random_relation(seed.wrapping_add(1), &[0, 2], 4 * hot, hot_u.max(1));
+    let s = random_relation(seed.wrapping_add(1), &[1, 2], 4 * hot, hot_u.max(1));
+    let t = Relation::from_rows(Schema::of(&[0, 2]), t_rows).expect("arity 2");
     vec![r, s, t]
 }
 
@@ -352,19 +353,19 @@ mod tests {
     fn hot_key_triangle_is_skewed() {
         let rels = hot_key_triangle(9, 64, 4);
         assert_eq!(rels.len(), 3);
-        // hot value 0 of attribute 1 has 64 extensions in R and S
-        let hot_in_r = rels[0].iter_rows().filter(|r| r[1] == Value(0)).count();
-        let hot_in_s = rels[1].iter_rows().filter(|r| r[0] == Value(0)).count();
+        // hot value 0 of attribute 0 has 64 extensions in R and T
+        let hot_in_r = rels[0].iter_rows().filter(|r| r[0] == Value(0)).count();
+        let hot_in_t = rels[2].iter_rows().filter(|r| r[0] == Value(0)).count();
         assert_eq!(hot_in_r, 64);
-        assert_eq!(hot_in_s, 64);
+        assert_eq!(hot_in_t, 64);
         // light values have exactly one extension each
         for i in 1..=4u64 {
-            assert_eq!(rels[0].iter_rows().filter(|r| r[1] == Value(i)).count(), 1);
-            assert_eq!(rels[1].iter_rows().filter(|r| r[0] == Value(i)).count(), 1);
+            assert_eq!(rels[0].iter_rows().filter(|r| r[0] == Value(i)).count(), 1);
+            assert_eq!(rels[2].iter_rows().filter(|r| r[0] == Value(i)).count(), 1);
         }
         // the hot key carries ≥ 90% of the level-1 fanout work
-        let hot_work = (hot_in_r + hot_in_s) as f64;
-        let total: f64 = hot_work + (2 * 4) as f64;
+        let hot_work = (1 + hot_in_r + hot_in_t) as f64;
+        let total: f64 = hot_work + (3 * 4) as f64;
         assert!(hot_work / total >= 0.9, "{hot_work}/{total}");
         // deterministic given the seed
         let again = hot_key_triangle(9, 64, 4);

@@ -848,15 +848,16 @@ mod tests {
 
     #[test]
     fn empty_root_domain_returns_zero_shard_plan() {
-        // Triangle whose root attribute (1) has a non-trivial domain in
-        // each relation but an empty intersection: π₁(R) = {1,2,3},
-        // π₁(S) = {7,8,9} → no candidate survives, the join is empty, and
+        // Triangle whose root attribute (0) has a non-trivial domain in
+        // each relation but an empty intersection: π₀(R) = {10,11},
+        // π₀(T) = {12,13} → no candidate survives, the join is empty, and
         // the plan says so: the service returns without running the engine.
         let r = rel(&[0, 1], &[&[10, 1], &[10, 2], &[11, 3]]);
-        let s = rel(&[1, 2], &[&[7, 20], &[8, 20], &[9, 21]]);
-        let t = rel(&[0, 2], &[&[10, 20], &[11, 21]]);
+        let s = rel(&[1, 2], &[&[1, 20], &[2, 20], &[3, 21]]);
+        let t = rel(&[0, 2], &[&[12, 20], &[13, 21]]);
         let rels = [r, s, t];
         let prepared = PreparedQuery::new(&rels).unwrap();
+        assert_eq!(prepared.total_order()[0], 0);
         for factor in [0, HEAVY_SPLIT_DEFAULT] {
             let cfg = ExecConfig {
                 heavy_split_factor: factor,

@@ -7,7 +7,7 @@ use crate::jobs::Job;
 use crate::ServerState;
 use std::time::{Duration, Instant};
 use wcoj_query::{load_csv, parse_program, parse_query, run_program, submit_query, QueryTextError};
-use wcoj_storage::Relation;
+use wcoj_storage::{Dictionary, Relation};
 
 /// How long `GET /query/{id}?block=1` waits before reporting the state
 /// as-is. Bounded so a stuck query cannot pin a connection thread.
@@ -383,34 +383,39 @@ fn fail_job(
     }
 }
 
-/// Decodes one row to a CSV line through the shared dictionary.
-fn csv_line(state: &ServerState, row: &[wcoj_storage::Value]) -> String {
-    let mut line = String::new();
-    for (i, &v) in row.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        match state.dict.decode(v) {
-            Some(d) => {
-                use std::fmt::Write as _;
-                let _ = write!(line, "{d}");
+/// Appends `rel`'s rows to `out` as CSV lines: an integer in decimal, a
+/// string as its interned text copied out of the dictionary (read-locked
+/// once per call), a code naming no interned string as its raw number.
+fn append_csv(dict: &Dictionary, rel: &Relation, out: &mut Vec<u8>) {
+    dict.with_strings(|strings| {
+        for row in rel.iter_rows() {
+            for (i, &v) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                match Dictionary::string_slot(v).and_then(|slot| strings.get(slot)) {
+                    Some(s) => out.extend_from_slice(s.as_bytes()),
+                    None => append_u64(v.0, out),
+                }
             }
-            None => {
-                use std::fmt::Write as _;
-                let _ = write!(line, "{}", v.0);
-            }
+            out.push(b'\n');
         }
-    }
-    line.push('\n');
-    line
+    });
 }
 
-fn relation_csv(state: &ServerState, rel: &Relation) -> String {
-    let mut out = String::new();
-    for row in rel.iter_rows() {
-        out.push_str(&csv_line(state, row));
+/// Appends `v` in decimal.
+fn append_u64(mut v: u64, out: &mut Vec<u8>) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    out
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// `GET /query/{id}/rows`: streams the result as chunked CSV. For an
@@ -461,7 +466,8 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
     match fetch {
         Fetch::Answer(status, message) => error_response(conn, status, &message),
         Fetch::Materialized(relation) => {
-            let body = relation_csv(state, &relation);
+            let mut body = Vec::new();
+            append_csv(&state.dict, &relation, &mut body);
             let mut w = ChunkedWriter::start(
                 conn,
                 200,
@@ -469,7 +475,7 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
                 "text/csv",
                 &[("X-Streaming", "buffered".to_owned())],
             )?;
-            w.chunk(body.as_bytes())?;
+            w.chunk(&body)?;
             w.finish()?;
             state.metrics.rows_streamed_total.add(relation.len() as u64);
             Ok(())
@@ -518,9 +524,11 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
             };
             let mut rows: u64 = 0;
             let mut batch = first;
+            let mut data = Vec::new();
             while let Some(rel) = batch {
-                let data = relation_csv(state, &rel);
-                if let Err(e) = w.chunk(data.as_bytes()) {
+                data.clear();
+                append_csv(&state.dict, &rel, &mut data);
+                if let Err(e) = w.chunk(&data) {
                     // Client vanished mid-stream. Dropping `pending`
                     // cancels still-queued shards and frees the
                     // admission slot.
@@ -557,5 +565,65 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
             });
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wcoj_storage::{Schema, Value};
+
+    #[test]
+    fn u64_formatting_matches_display() {
+        for v in [
+            0,
+            7,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            1 << 62,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut out = Vec::new();
+            append_u64(v, &mut out);
+            assert_eq!(out, v.to_string().into_bytes());
+        }
+    }
+
+    #[test]
+    fn csv_bytes_match_the_decoded_text() {
+        let dict = Dictionary::new();
+        let alice = dict.encode_str("alice");
+        let spaced = dict.encode_str("x y");
+        let unknown = Value((1 << 63) | 99);
+        let rel = Relation::from_rows(
+            Schema::of(&[0, 1, 2]),
+            vec![
+                vec![Value(0), alice, Value(42)],
+                vec![spaced, unknown, Value((1 << 63) - 1)],
+            ],
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        append_csv(&dict, &rel, &mut out);
+        let want: String = rel
+            .iter_rows()
+            .map(|row| {
+                let fields: Vec<String> = row
+                    .iter()
+                    .map(|&v| dict.decode(v).map_or(v.0.to_string(), |d| d.to_string()))
+                    .collect();
+                fields.join(",") + "\n"
+            })
+            .collect();
+        assert_eq!(String::from_utf8(out).unwrap(), want);
+        assert!(want.contains("alice") && want.contains(&(u64::MAX / 2).to_string()));
+        // The nullary relation holding the empty tuple is one empty line.
+        let mut out = Vec::new();
+        append_csv(&dict, &Relation::nullary_true(), &mut out);
+        assert_eq!(out, b"\n");
     }
 }

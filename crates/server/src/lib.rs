@@ -40,13 +40,14 @@
 //!
 //! Shard reassembly in the service is slot-ordered: output slots
 //! partition the result into disjoint `(root, anchor)` rectangles in
-//! ascending slot order. When the plan's total order starts with the
-//! output schema (so concatenating settled slots reproduces the final
-//! output byte-for-byte — `PreparedQuery::slots_stream_sorted`), each
+//! ascending slot order. When the plan's total order is the output
+//! schema (so concatenating settled slots reproduces the final output
+//! byte-for-byte — `PreparedQuery::slots_stream_sorted`; the planner
+//! picks its atom order to make it so, e.g. for the full triangle), each
 //! root slot's rows go out as an HTTP chunk the moment that slot
-//! settles, *before* later shards finish. Otherwise rows are merged and
-//! sent as one chunk; the `X-Streaming` response header says which mode
-//! was used.
+//! settles, *before* later shards finish. Otherwise (e.g. the 4-cycle)
+//! rows are merged and sent as one chunk; the `X-Streaming` response
+//! header says which mode was used.
 //!
 //! ## Status mapping
 //!

@@ -180,18 +180,33 @@ fn edge_csv(rows: usize) -> String {
 /// What the server should stream: the same CSV loaded into a fresh
 /// local catalog and executed sequentially.
 fn expected_csv(csv: &str, query: &str) -> (Vec<String>, String) {
-    let mut catalog = Catalog::new();
-    let rel = wcoj_query::load_csv(csv, catalog.dictionary()).unwrap();
-    catalog.insert("E", rel);
+    let catalog = local_catalog(&[("E", csv)]);
     let q = wcoj_query::parse_query(query).unwrap();
     let result = wcoj_query::execute(&q, &catalog).unwrap();
+    let body = render(&result, &catalog);
+    (result.columns, body)
+}
+
+/// `relations` loaded in order into a fresh catalog, so string data
+/// interns to the same codes as on a fresh server loaded the same way.
+fn local_catalog(relations: &[(&str, &str)]) -> Catalog {
+    let mut catalog = Catalog::new();
+    for &(name, csv) in relations {
+        let rel = wcoj_query::load_csv(csv, catalog.dictionary()).unwrap();
+        catalog.insert(name, rel);
+    }
+    catalog
+}
+
+/// `result` as the CSV text the server writes: one decoded row per line.
+fn render(result: &wcoj_query::QueryResult, catalog: &Catalog) -> String {
     let mut body = String::new();
-    for row in result.decoded_rows(&catalog) {
+    for row in result.decoded_rows(catalog) {
         let line: Vec<String> = row.iter().map(|d| format!("{d}")).collect();
         body.push_str(&line.join(","));
         body.push('\n');
     }
-    (result.columns, body)
+    body
 }
 
 // ----------------------------------------------------------- edge cases
@@ -316,20 +331,7 @@ fn query_protocol_round_trip() {
     assert!(r.text().contains("\"finished\":true"), "{}", r.text());
 
     // Rows match a local sequential execution of the same query.
-    let (columns, expected) = {
-        let mut catalog = Catalog::new();
-        let rel = wcoj_query::load_csv(csv, catalog.dictionary()).unwrap();
-        catalog.insert("E", rel);
-        let q = wcoj_query::parse_query(query).unwrap();
-        let result = wcoj_query::execute(&q, &catalog).unwrap();
-        let mut body = String::new();
-        for row in result.decoded_rows(&catalog) {
-            let line: Vec<String> = row.iter().map(|d| format!("{d}")).collect();
-            body.push_str(&line.join(","));
-            body.push('\n');
-        }
-        (result.columns, body)
-    };
+    let (columns, expected) = expected_csv(csv, query);
     assert_eq!(columns, vec!["x".to_owned(), "z".to_owned()]);
     let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
     assert_eq!(r.status, 200);
@@ -451,6 +453,68 @@ fn extract_id(json: &str) -> u64 {
 }
 
 // ------------------------------------------------- streaming edge cases
+
+/// The full triangle has an output-ordered plan, so it streams slot by
+/// slot with no merge, byte-equal to a sequential run — over integer data
+/// and over string data (the CSV writer's dictionary path). A Datalog
+/// program's materialized answer goes out buffered, byte-equal too.
+#[test]
+fn full_triangle_streams_incrementally_over_int_and_string_data() {
+    let (server, _service) = streaming_server(0);
+    let addr = server.addr();
+    let query = "tri(a, b, c) :- R(a, b), S(b, c), T(a, c).";
+    let program = "two(a, c) :- R(a, b), S(b, c). out(a, c) :- two(a, c), T(a, c).";
+    let ints = edge_csv(300);
+    let strings: String = ints
+        .lines()
+        .map(|l| {
+            let (a, b) = l.split_once(',').unwrap();
+            format!("v{a},v{b}\n")
+        })
+        .collect();
+    for (kind, csv) in [("int", &ints), ("string", &strings)] {
+        let relations = [("R", csv.as_str()), ("S", csv), ("T", csv)];
+        for &(name, csv) in &relations {
+            let r = request(addr, "PUT", &format!("/relation/{name}"), Some(csv));
+            assert_eq!(r.status, 200, "{kind}: {}", r.text());
+        }
+        let mut catalog = local_catalog(&relations);
+        let expected = {
+            let q = wcoj_query::parse_query(query).unwrap();
+            render(&wcoj_query::execute(&q, &catalog).unwrap(), &catalog)
+        };
+        assert!(
+            expected.lines().count() > 50,
+            "{kind}: a non-trivial answer"
+        );
+
+        let r = request(addr, "POST", "/query", Some(query));
+        assert_eq!(r.status, 202, "{kind}: {}", r.text());
+        assert!(
+            r.text().contains("\"streaming\":true"),
+            "{kind}: {}",
+            r.text()
+        );
+        let id = extract_id(r.text());
+        let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
+        assert_eq!(r.status, 200);
+        assert_eq!(r.header("x-streaming"), Some("incremental"), "{kind}");
+        assert!(!r.truncated);
+        assert_eq!(r.text(), expected, "{kind}: streamed body");
+
+        let expected = {
+            let p = wcoj_query::parse_program(program).unwrap();
+            let outputs = wcoj_query::run_program(&p, &mut catalog).unwrap();
+            render(&outputs.last().unwrap().1, &catalog)
+        };
+        let r = request(addr, "POST", "/query", Some(program));
+        assert_eq!(r.status, 202, "{kind}: {}", r.text());
+        let id = extract_id(r.text());
+        let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
+        assert_eq!(r.header("x-streaming"), Some("buffered"), "{kind}");
+        assert_eq!(r.text(), expected, "{kind}: materialized body");
+    }
+}
 
 #[test]
 fn concurrent_rows_fetches_conflict_then_settle() {

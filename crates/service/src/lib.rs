@@ -1988,7 +1988,7 @@ mod tests {
             PreparedQuery::new(&[
                 rel(&[0, 1], &[&[10, 1], &[10, 2]]),
                 rel(&[1, 2], &[&[7, 20], &[8, 20]]),
-                rel(&[0, 2], &[&[10, 20]]),
+                rel(&[0, 2], &[&[12, 20]]),
             ])
             .unwrap(),
         );
@@ -2045,7 +2045,7 @@ mod tests {
             PreparedQuery::new(&[
                 rel(&[0, 1], &[&[10, 1], &[10, 2]]),
                 rel(&[1, 2], &[&[7, 20], &[8, 20]]),
-                rel(&[0, 2], &[&[10, 20]]),
+                rel(&[0, 2], &[&[12, 20]]),
             ])
             .unwrap(),
         );
@@ -2423,7 +2423,7 @@ mod tests {
             PreparedQuery::new(&[
                 rel(&[0, 1], &[&[10, 1], &[10, 2]]),
                 rel(&[1, 2], &[&[7, 20], &[8, 20]]),
-                rel(&[0, 2], &[&[10, 20]]),
+                rel(&[0, 2], &[&[12, 20]]),
             ])
             .unwrap(),
         );
@@ -2648,11 +2648,8 @@ mod tests {
     #[test]
     fn next_merged_yields_the_remaining_slots_as_one_sorted_batch() {
         let service = Service::new(ServiceConfig::with_workers(2));
-        let rels = [
-            wcoj_datagen::random_relation(61, &[0, 1], 150, 14),
-            wcoj_datagen::random_relation(62, &[1, 2], 150, 14),
-            wcoj_datagen::random_relation(63, &[0, 2], 150, 14),
-        ];
+        // The 4-cycle has no output-ordered plan.
+        let rels = wcoj_datagen::cycle_instance(61, 4, 150, 14);
         let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         assert!(!prepared.slots_stream_sorted(), "the merge is needed");
         let cfg = ExecConfig {

@@ -168,15 +168,28 @@ impl Dictionary {
     /// Decodes a value; `None` if it references an unknown intern slot.
     #[must_use]
     pub fn decode(&self, v: Value) -> Option<Datum> {
-        if v.0 & STR_TAG == 0 {
-            Some(Datum::Int(v.0))
-        } else {
-            let idx = (v.0 & !STR_TAG) as usize;
-            self.read_inner()
+        match Dictionary::string_slot(v) {
+            None => Some(Datum::Int(v.0)),
+            Some(slot) => self
+                .read_inner()
                 .strings
-                .get(idx)
-                .map(|s| Datum::Str(s.clone()))
+                .get(slot)
+                .map(|s| Datum::Str(s.clone())),
         }
+    }
+
+    /// The intern slot a string value points at; `None` for an inline
+    /// integer.
+    #[must_use]
+    pub fn string_slot(v: Value) -> Option<usize> {
+        (v.0 & STR_TAG != 0).then_some((v.0 & !STR_TAG) as usize)
+    }
+
+    /// Runs `f` over the interned strings, indexed by
+    /// [`Dictionary::string_slot`], under one read lock: a caller decoding
+    /// many values neither locks nor copies a string per value.
+    pub fn with_strings<R>(&self, f: impl FnOnce(&[Box<str>]) -> R) -> R {
+        f(&self.read_inner().strings)
     }
 
     /// Number of interned strings.
@@ -230,6 +243,17 @@ mod tests {
     fn decode_unknown_string_slot() {
         let d = Dictionary::new();
         assert_eq!(d.decode(Value(STR_TAG | 99)), None);
+    }
+
+    #[test]
+    fn string_slots_index_the_interned_strings() {
+        let d = Dictionary::new();
+        let a = d.encode_str("alice");
+        let b = d.encode_str("bob");
+        assert_eq!(Dictionary::string_slot(Value(7)), None);
+        let slots = [a, b].map(|v| Dictionary::string_slot(v).unwrap());
+        let texts = d.with_strings(|strings| slots.map(|s| strings[s].to_string()));
+        assert_eq!(texts, ["alice", "bob"]);
     }
 
     #[test]

@@ -247,12 +247,13 @@ fn zero_shard_plans_resolve_cleanly() {
     };
 
     // Empty root domain: π_root intersection is empty though every
-    // relation is populated.
+    // relation is populated (the root is attribute 0, in R and T).
     let rels = vec![
         Relation::from_u32_rows(Schema::of(&[0, 1]), &[&[10, 1], &[10, 2], &[11, 3]]),
-        Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[7, 20], &[8, 20], &[9, 21]]),
-        Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[10, 20], &[11, 21]]),
+        Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[1, 20], &[2, 20], &[3, 21]]),
+        Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[12, 20], &[13, 21]]),
     ];
+    assert_eq!(PreparedQuery::new(&rels).unwrap().total_order()[0], 0);
     let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
     assert!(service.shard_layout(&*prepared, &cfg).is_empty());
     let out = service.submit(&prepared, &cfg).unwrap().wait().unwrap();
