@@ -3,7 +3,7 @@
 //! interchangeable).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wcoj_core::nprr::{join_nprr, join_nprr_indexed};
+use wcoj_core::nprr::{join_nprr, PreparedQuery};
 use wcoj_core::JoinQuery;
 use wcoj_storage::HashTrieIndex;
 
@@ -19,16 +19,13 @@ fn bench(c: &mut Criterion) {
         let q = JoinQuery::new(&rels).unwrap();
         let sol = q.optimal_cover().unwrap();
         g.bench_with_input(BenchmarkId::new("flat_trie", rows), &(), |b, ()| {
-            b.iter(|| {
-                join_nprr(&q, &sol.x, sol.log2_bound)
-                    .unwrap()
-                    .relation
-                    .len()
-            });
+            b.iter(|| join_nprr(&q, &sol.x).unwrap().relation.len());
         });
         g.bench_with_input(BenchmarkId::new("hash_trie", rows), &(), |b, ()| {
             b.iter(|| {
-                join_nprr_indexed::<HashTrieIndex>(&q, &sol.x, sol.log2_bound)
+                PreparedQuery::<HashTrieIndex>::from_query(q.clone())
+                    .unwrap()
+                    .evaluate(Some(&sol.x))
                     .unwrap()
                     .relation
                     .len()

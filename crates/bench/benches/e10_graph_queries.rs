@@ -2,7 +2,8 @@
 //! queries through the half-integral star/cycle path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wcoj_core::{join_with, naive, Algorithm};
+use wcoj_core::graph_join::join_graph;
+use wcoj_core::{naive, JoinQuery};
 use wcoj_storage::Relation;
 
 fn bench(c: &mut Criterion) {
@@ -17,7 +18,7 @@ fn bench(c: &mut Criterion) {
             .collect();
         g.bench_with_input(BenchmarkId::new("graph_join", rows), &rels, |b, rels| {
             b.iter(|| {
-                join_with(rels, Algorithm::GraphJoin, None)
+                join_graph(&JoinQuery::new(rels).unwrap())
                     .unwrap()
                     .relation
                     .len()

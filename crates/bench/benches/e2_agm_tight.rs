@@ -2,7 +2,8 @@
 //! triangle (output = N^{3/2}, so runtime is output-bound).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wcoj_core::{join_with, Algorithm};
+use wcoj_core::lw::join_lw;
+use wcoj_core::{join_with, Algorithm, JoinQuery};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e2_agm_tight");
@@ -10,7 +11,12 @@ fn bench(c: &mut Criterion) {
     for k in [8u64, 16, 24] {
         let rels = wcoj_datagen::agm_tight_triangle(k);
         g.bench_with_input(BenchmarkId::new("lw", k), &rels, |b, rels| {
-            b.iter(|| join_with(rels, Algorithm::Lw, None).unwrap().relation.len());
+            b.iter(|| {
+                join_lw(&JoinQuery::new(rels).unwrap())
+                    .unwrap()
+                    .relation
+                    .len()
+            });
         });
         g.bench_with_input(BenchmarkId::new("nprr", k), &rels, |b, rels| {
             b.iter(|| {

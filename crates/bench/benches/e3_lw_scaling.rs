@@ -2,7 +2,8 @@
 //! on random Loomis–Whitney instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wcoj_core::{join_with, Algorithm};
+use wcoj_core::lw::join_lw;
+use wcoj_core::{join_with, Algorithm, JoinQuery};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e3_lw_scaling");
@@ -13,7 +14,12 @@ fn bench(c: &mut Criterion) {
             let rels = wcoj_datagen::random_lw(7, n_attr, rows, dom.max(4));
             let id = format!("n{n_attr}_rows{rows}");
             g.bench_with_input(BenchmarkId::new("lw", &id), &rels, |b, rels| {
-                b.iter(|| join_with(rels, Algorithm::Lw, None).unwrap().relation.len());
+                b.iter(|| {
+                    join_lw(&JoinQuery::new(rels).unwrap())
+                        .unwrap()
+                        .relation
+                        .len()
+                });
             });
             g.bench_with_input(BenchmarkId::new("nprr", &id), &rels, |b, rels| {
                 b.iter(|| {

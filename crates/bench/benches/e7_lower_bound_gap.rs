@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wcoj_baselines::plan::execute_left_deep;
-use wcoj_core::{join_with, Algorithm};
+use wcoj_core::lw::join_lw;
+use wcoj_core::{join_with, Algorithm, JoinQuery};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e7_lower_bound_gap");
@@ -23,7 +24,12 @@ fn bench(c: &mut Criterion) {
             });
         });
         g.bench_with_input(BenchmarkId::new("lw", n), &rels, |b, rels| {
-            b.iter(|| join_with(rels, Algorithm::Lw, None).unwrap().relation.len());
+            b.iter(|| {
+                join_lw(&JoinQuery::new(rels).unwrap())
+                    .unwrap()
+                    .relation
+                    .len()
+            });
         });
     }
     g.finish();

@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wcoj_baselines::plan::execute_left_deep;
-use wcoj_core::{join_with, Algorithm};
+use wcoj_core::graph_join::join_graph;
+use wcoj_core::JoinQuery;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e9_cycles");
@@ -19,7 +20,7 @@ fn bench(c: &mut Criterion) {
         let order: Vec<usize> = (0..m).collect();
         g.bench_with_input(BenchmarkId::new("graph_join", m), &rels, |b, rels| {
             b.iter(|| {
-                join_with(rels, Algorithm::GraphJoin, None)
+                join_graph(&JoinQuery::new(rels).unwrap())
                     .unwrap()
                     .relation
                     .len()

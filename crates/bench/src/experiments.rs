@@ -5,9 +5,11 @@
 use crate::table::{ms, time_secs, Table};
 use wcoj_baselines::plan::execute_left_deep;
 use wcoj_baselines::{best_actual_left_deep, optimize_left_deep};
+use wcoj_core::graph_join::join_graph;
+use wcoj_core::lw::join_lw;
 use wcoj_core::nprr::qptree::build_qp_tree;
 use wcoj_core::nprr::total_order::total_order;
-use wcoj_core::{bt, fd, fullcq, graph_join, join_with, naive, relaxed, Algorithm, JoinQuery};
+use wcoj_core::{bt, fd, fullcq, join_with, naive, relaxed, Algorithm, JoinQuery};
 use wcoj_datagen as gen;
 use wcoj_hypergraph::agm;
 use wcoj_hypergraph::tighten::tighten;
@@ -54,7 +56,7 @@ pub fn e1_triangle_hard(quick: bool) -> Vec<Table> {
     });
     for (n, rels) in instances {
         let ((_, bstats), t_bin) = time_secs(|| execute_left_deep(&rels, &[0, 1, 2]).unwrap());
-        let (lw_out, t_lw) = time_secs(|| join_with(&rels, Algorithm::Lw, None).unwrap());
+        let (lw_out, t_lw) = time_secs(|| join_lw(&JoinQuery::new(&rels).unwrap()).unwrap());
         let (nprr_out, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
         assert!(lw_out.relation.is_empty() && nprr_out.relation.is_empty());
         t.row(vec![
@@ -92,7 +94,7 @@ pub fn e2_agm_tight(quick: bool) -> Vec<Table> {
     for k in ks {
         let rels = gen::agm_tight_triangle(k);
         let n = (k * k) as f64;
-        let (lw_out, t_lw) = time_secs(|| join_with(&rels, Algorithm::Lw, None).unwrap());
+        let (lw_out, t_lw) = time_secs(|| join_lw(&JoinQuery::new(&rels).unwrap()).unwrap());
         let (nprr_out, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
         assert_eq!(lw_out.relation.len(), nprr_out.relation.len());
         let bound = agm::best_bound(
@@ -122,22 +124,33 @@ pub fn e3_lw_scaling(quick: bool) -> Vec<Table> {
         let mut t = Table::new(
             "e3",
             &format!("Theorem 4.1: LW algorithm on random LW(n={n_attr}) instances"),
-            &["N", "bound=(∏N)^(1/(n-1))", "output", "lw_ms", "naive_ms"],
-            "lw_ms grows like the bound column (≈N^{n/(n-1)}), not like naive blowups",
+            &[
+                "N",
+                "bound=(∏N)^(1/(n-1))",
+                "output",
+                "lw_ms",
+                "nprr_ms",
+                "naive_ms",
+            ],
+            "lw_ms grows like the bound column (≈N^{n/(n-1)}), not like naive blowups; \
+             nprr_ms is what join() runs on the same instance",
         );
         for (i, n) in ns.iter().enumerate() {
             let dom = (*n as f64).powf(1.0 / (n_attr as f64 - 1.0)).ceil() as u64 * 2;
             let rels = gen::random_lw(42 + i as u64, n_attr, *n as usize, dom.max(4));
             let sizes: Vec<usize> = rels.iter().map(Relation::len).collect();
             let bound = sizes.iter().map(|&s| (s as f64).ln()).sum::<f64>() / (n_attr as f64 - 1.0);
-            let (out, t_lw) = time_secs(|| join_with(&rels, Algorithm::Lw, None).unwrap());
+            let (out, t_lw) = time_secs(|| join_lw(&JoinQuery::new(&rels).unwrap()).unwrap());
+            let (nprr, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
             let (nv, t_naive) = time_secs(|| naive::join(&rels));
             assert_eq!(out.relation.len(), nv.len());
+            assert_eq!(out.relation, nprr.relation);
             t.row(vec![
                 n.to_string(),
                 format!("{:.0}", bound.exp()),
                 out.relation.len().to_string(),
                 ms(t_lw),
+                ms(t_nprr),
                 ms(t_naive),
             ]);
         }
@@ -343,7 +356,8 @@ pub fn e8_embedded_gap(quick: bool) -> Vec<Table> {
     tables
 }
 
-/// E9 — Lemma 7.1: cycle queries in `O(m·√∏N)` via the graph-join path.
+/// E9 — Lemma 7.1: cycle queries in `O(m·√∏N)` via the graph-join path,
+/// beside NPRR (what `join()` runs) on the same instances.
 #[must_use]
 pub fn e9_cycles(quick: bool) -> Vec<Table> {
     let mut t = Table::new(
@@ -355,10 +369,12 @@ pub fn e9_cycles(quick: bool) -> Vec<Table> {
             "sqrt_prod",
             "output",
             "cycle_ms",
+            "nprr_ms",
             "naive_ms",
             "matches",
         ],
-        "cycle_ms tracks √(∏N) (= N^{m/2} worst case), beating naive's intermediates",
+        "cycle_ms tracks √(∏N) (= N^{m/2} worst case), beating naive's intermediates; \
+         nprr_ms is what join() runs on the same instance",
     );
     // Cycle joins legitimately cost Θ(√∏N) = Θ(N^{m/2}); pick N per m so
     // the budget stays around a few million tuples.
@@ -378,14 +394,17 @@ pub fn e9_cycles(quick: bool) -> Vec<Table> {
         let rels = gen::cycle_instance(m as u64, m, n, dom);
         let sizes: Vec<usize> = rels.iter().map(Relation::len).collect();
         let sqrt_prod: f64 = (sizes.iter().map(|&s| (s as f64).ln()).sum::<f64>() / 2.0).exp();
-        let (out, t_cyc) = time_secs(|| join_with(&rels, Algorithm::GraphJoin, None).unwrap());
+        let (out, t_cyc) = time_secs(|| join_graph(&JoinQuery::new(&rels).unwrap()).unwrap());
+        let (nprr, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
         let (nv, t_naive) = time_secs(|| naive::join(&rels));
+        assert_eq!(out.relation, nprr.relation);
         t.row(vec![
             m.to_string(),
             n.to_string(),
             format!("{sqrt_prod:.0}"),
             out.relation.len().to_string(),
             ms(t_cyc),
+            ms(t_nprr),
             ms(t_naive),
             (out.relation.len() == nv.len()).to_string(),
         ]);
@@ -394,41 +413,78 @@ pub fn e9_cycles(quick: bool) -> Vec<Table> {
 }
 
 /// E10 — Theorem 7.3 + Lemma 7.2: random arity-≤2 queries, their
-/// half-integral cover structure, and timing.
+/// half-integral cover structure, and timing — beside NPRR (what `join()`
+/// runs) with each path's `intermediate_tuples`. The last row is a pure
+/// star, where Theorem 7.3's hash joins beat NPRR (every split is case b).
 #[must_use]
 pub fn e10_graph_queries(quick: bool) -> Vec<Table> {
     let mut t = Table::new(
         "e10",
-        "Theorem 7.3: arity-≤2 queries via stars + odd cycles",
+        "Theorem 7.3: arity-≤2 queries via stars + odd cycles, vs NPRR",
         &[
-            "seed", "edges", "stars", "cycles", "zeros", "output", "graph_ms", "naive_ms",
+            "instance",
+            "edges",
+            "stars",
+            "cycles",
+            "zeros",
+            "output",
+            "graph_ms",
+            "graph_intermediate",
+            "nprr_ms",
+            "nprr_intermediate",
+            "naive_ms",
         ],
         "every optimal BFS cover decomposes (Lemma 7.2); outputs match the oracle",
     );
     let rows_per_rel = if quick { 60 } else { 500 };
-    for seed in 0..6u64 {
-        // a triangle + a path + a pendant star, randomly populated
-        let shapes: &[&[u32]] = &[&[0, 1], &[1, 2], &[0, 2], &[2, 3], &[3, 4], &[0, 5]];
-        let rels: Vec<Relation> = shapes
-            .iter()
-            .enumerate()
-            .map(|(i, attrs)| gen::random_relation(seed * 100 + i as u64, attrs, rows_per_rel, 10))
-            .collect();
+    // a triangle + a path + a pendant star, randomly populated
+    let mixed: &[&[u32]] = &[&[0, 1], &[1, 2], &[0, 2], &[2, 3], &[3, 4], &[0, 5]];
+    let mut instances: Vec<(String, Vec<Relation>)> = (0..6u64)
+        .map(|seed| {
+            let rels = mixed
+                .iter()
+                .enumerate()
+                .map(|(i, attrs)| {
+                    gen::random_relation(seed * 100 + i as u64, attrs, rows_per_rel, 10)
+                })
+                .collect();
+            (format!("mixed seed {seed}"), rels)
+        })
+        .collect();
+    // R(0,1) ⋈ S(0,2) ⋈ T(0,3): about ten rows per center value in each.
+    let star_rows = if quick { 300 } else { 2000 };
+    let star = (1..=3u32)
+        .map(|leaf| {
+            gen::random_relation(
+                u64::from(leaf),
+                &[0, leaf],
+                star_rows,
+                star_rows as u64 / 10,
+            )
+        })
+        .collect();
+    instances.push(("star".to_owned(), star));
+    for (name, rels) in instances {
         let q = JoinQuery::new(&rels).unwrap();
         let cover = q.optimal_cover().unwrap();
         let decomp =
             wcoj_hypergraph::half_integral::decompose(q.hypergraph(), &cover.exact).unwrap();
-        let (out, t_g) = time_secs(|| graph_join::join_graph(&q).unwrap());
+        let (out, t_g) = time_secs(|| join_graph(&q).unwrap());
+        let (nprr, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
         let (nv, t_naive) = time_secs(|| naive::join(&rels));
         assert_eq!(out.relation.len(), nv.len());
+        assert_eq!(out.relation, nprr.relation);
         t.row(vec![
-            seed.to_string(),
-            shapes.len().to_string(),
+            name,
+            rels.len().to_string(),
             decomp.stars.len().to_string(),
             decomp.cycles.len().to_string(),
             decomp.zero_edges.len().to_string(),
             out.relation.len().to_string(),
             ms(t_g),
+            out.stats.intermediate_tuples.to_string(),
+            ms(t_nprr),
+            nprr.stats.intermediate_tuples.to_string(),
             ms(t_naive),
         ]);
     }
@@ -1366,12 +1422,14 @@ mod tests {
     fn e9_smoke() {
         let t = e9_cycles(true);
         for row in &t[0].rows {
-            assert_eq!(row[6], "true");
+            assert_eq!(row[7], "true");
         }
     }
     #[test]
     fn e10_smoke() {
-        let _ = e10_graph_queries(true);
+        let t = e10_graph_queries(true);
+        let star = t[0].rows.last().unwrap();
+        assert_eq!((star[0].as_str(), star[2].as_str()), ("star", "1"));
     }
     #[test]
     fn e11_smoke() {

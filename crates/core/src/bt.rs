@@ -45,7 +45,7 @@ pub fn reconstruct(projections: &[Relation]) -> Result<BtOutput, QueryError> {
         .map(|r| (r.len().max(1) as f64).log2())
         .sum::<f64>()
         / d as f64;
-    let out = join_nprr(&q, &x, log2_bound)?;
+    let out = join_nprr(&q, &x)?;
     Ok(BtOutput {
         relation: out.relation,
         d,

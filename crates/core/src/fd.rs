@@ -18,7 +18,7 @@
 //! join equals the unexpanded one on random instances.
 
 use crate::query::{JoinQuery, QueryError};
-use crate::{Algorithm, JoinOutput};
+use crate::{join_with, Algorithm, JoinOutput};
 use std::fmt;
 use wcoj_storage::hash::{map_with_capacity, FxHashMap};
 use wcoj_storage::ops::{natural_join, project};
@@ -138,8 +138,7 @@ pub fn expand(relations: &[Relation], fds: &[Fd]) -> Result<Vec<Relation>, FdErr
 pub fn join_with_fds(relations: &[Relation], fds: &[Fd]) -> Result<JoinOutput, QueryError> {
     let expanded =
         expand(relations, fds).map_err(|e| QueryError::BadCover(format!("FD error: {e}")))?;
-    let q = JoinQuery::new(&expanded)?;
-    q.evaluate(Algorithm::Auto, None)
+    join_with(&expanded, Algorithm::Nprr, None)
 }
 
 /// The AGM `log₂` bound of the query *after* FD expansion — used by the

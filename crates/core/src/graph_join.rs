@@ -16,6 +16,11 @@
 //! * the components' results are glued by cross product (they share no
 //!   vertices) and every zero-weight relation filters the result per
 //!   tuple.
+//!
+//! This is a **reproduction** of §7.1, not an engine anything dispatches
+//! to: [`crate::join`] runs NPRR on arity-≤2 queries too. Call
+//! [`join_graph`] directly; the e9 and e10 experiments and this module's
+//! tests do.
 
 use crate::lw::join_lw;
 use crate::query::{JoinQuery, QueryError};
@@ -361,7 +366,7 @@ impl Bundler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{naive, Algorithm};
+    use crate::naive;
     use rand::{Rng, SeedableRng};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
@@ -370,7 +375,7 @@ mod tests {
 
     fn check_matches_naive(rels: &[Relation]) {
         let q = JoinQuery::new(rels).unwrap();
-        let out = q.evaluate(Algorithm::GraphJoin, None).unwrap();
+        let out = join_graph(&q).unwrap();
         let expect = naive::join(rels);
         let expect = reorder(&expect, out.relation.schema()).unwrap();
         assert_eq!(out.relation, expect);
@@ -471,7 +476,7 @@ mod tests {
         let r = Relation::from_u32_rows(Schema::of(&[0, 1, 2]), &[&[1, 2, 3]]);
         let q = JoinQuery::new(&[r]).unwrap();
         assert!(matches!(
-            q.evaluate(Algorithm::GraphJoin, None),
+            join_graph(&q),
             Err(QueryError::AlgorithmMismatch(_))
         ));
     }
@@ -498,7 +503,7 @@ mod tests {
             // construction — attrs not used simply don't exist).
             let _ = covered;
             let q = JoinQuery::new(&rels).unwrap();
-            let out = q.evaluate(Algorithm::GraphJoin, None);
+            let out = join_graph(&q);
             match out {
                 Ok(o) => {
                     let expect = naive::join(&rels);

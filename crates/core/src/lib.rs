@@ -5,9 +5,9 @@
 //!
 //! | Module | Paper reference | Contents |
 //! |--------|-----------------|----------|
-//! | [`nprr`] | §5, Algorithms 2–4, Procedure 5 | the generic worst-case optimal join: query-plan tree, total order, `Recursive-Join` |
-//! | [`lw`] | §4, Algorithm 1 | the specialised Loomis–Whitney algorithm with heavy/light key partitioning |
-//! | [`graph_join`] | §7.1, Lemma 7.1 + Theorem 7.3 | arity-≤2 queries via half-integral covers: stars + odd cycles (Cycle Lemma) |
+//! | [`nprr`] | §5, Algorithms 2–4, Procedure 5 | the generic worst-case optimal join: query-plan tree, total order, `Recursive-Join` — the one engine behind [`join`] and every served query |
+//! | [`lw`] | §4, Algorithm 1 | reproduction, called directly: the specialised Loomis–Whitney algorithm with heavy/light key partitioning |
+//! | [`graph_join`] | §7.1, Lemma 7.1 + Theorem 7.3 | reproduction, called directly: arity-≤2 queries via half-integral covers, stars + odd cycles (Cycle Lemma) |
 //! | [`relaxed`] | §7.2, Algorithm 6 | relaxed joins `q_r` via `BFS`-equivalence classes |
 //! | [`fullcq`] | §7.3 | full conjunctive queries (constants, repeated variables) reduced to natural joins |
 //! | [`fd`] | §7.3 | simple functional dependencies: closure-based relation expansion |
@@ -16,7 +16,10 @@
 //!
 //! The main entry point is [`join`] / [`join_with`], which assemble the
 //! query hypergraph from relation schemas, solve the fractional-cover LP
-//! (via `wcoj-hypergraph`), and dispatch to an algorithm.
+//! (via `wcoj-hypergraph`), and run NPRR through
+//! [`nprr::PreparedQuery`] — the same pipeline the catalog, the service
+//! and the HTTP server run. Algorithm 1 and Theorem 7.3 are special cases
+//! Theorem 5.1 subsumes; nothing dispatches to them.
 //!
 //! ```
 //! use wcoj_storage::{Relation, Schema};
@@ -43,21 +46,15 @@ pub mod relaxed;
 pub use query::{JoinQuery, QueryError};
 
 use wcoj_hypergraph::agm::CoverSolution;
-use wcoj_storage::Relation;
+use wcoj_storage::{FlatIndex, Relation};
 
 /// Which algorithm evaluates the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
-    /// Pick automatically: LW algorithm for Loomis–Whitney instances,
-    /// star/cycle evaluation for arity-≤2 queries, NPRR otherwise.
+    /// The generic NPRR algorithm (§5) — works for every query, and is
+    /// what [`join`] and every served query run.
     #[default]
-    Auto,
-    /// The generic NPRR algorithm (§5) — works for every query.
     Nprr,
-    /// Algorithm 1 (§4) — only for LW instances.
-    Lw,
-    /// Theorem 7.3 (§7.1) — only for arity-≤2 queries.
-    GraphJoin,
     /// Reference pairwise hash joins (test oracle; *not* worst-case
     /// optimal).
     Naive,
@@ -103,15 +100,20 @@ impl JoinStats {
 /// Result of [`join_with`].
 #[derive(Debug, Clone)]
 pub struct JoinOutput {
-    /// The join result. Attribute order of the schema is
-    /// implementation-defined (use `ops::reorder` for a canonical layout).
+    /// The join result. [`Algorithm::Nprr`] returns it over
+    /// [`JoinQuery::output_schema`] (attributes ascending), rows sorted
+    /// and duplicate-free, bit-identical to [`nprr::join_nprr`] and to
+    /// [`nprr::PreparedQuery::evaluate`]. [`Algorithm::Naive`] returns the
+    /// pairwise plan's layout instead: attributes in order of first
+    /// appearance, rows in hash-join order (use `ops::reorder` to compare).
     pub relation: Relation,
     /// Execution statistics.
     pub stats: JoinStats,
 }
 
-/// Computes the natural join of `relations` with automatic algorithm
-/// selection and the LP-optimal fractional cover.
+/// Computes the natural join of `relations`: runs NPRR under the
+/// LP-optimal fractional cover, over [`JoinQuery::output_schema`] with
+/// sorted rows.
 ///
 /// # Errors
 /// Propagates [`QueryError`] for malformed inputs (duplicate attributes
@@ -119,23 +121,34 @@ pub struct JoinOutput {
 /// [`wcoj_storage::Schema`]; errors arise from empty queries and LP
 /// failures).
 pub fn join(relations: &[Relation]) -> Result<Relation, QueryError> {
-    Ok(join_with(relations, Algorithm::Auto, None)?.relation)
+    Ok(join_with(relations, Algorithm::Nprr, None)?.relation)
 }
 
 /// Computes the natural join with an explicit algorithm and, optionally, an
 /// explicit fractional cover (one weight per relation, in input order).
+/// [`Algorithm::Nprr`] runs `PreparedQuery::from_query(..).evaluate(cover)`
+/// and reports `"nprr"`; [`Algorithm::Naive`] ignores `cover` and reports
+/// `"naive"`.
 ///
 /// # Errors
-/// [`QueryError`] on malformed input, a non-cover `cover`, or an algorithm
-/// that does not apply to the query shape (e.g. [`Algorithm::Lw`] on a
-/// non-LW query).
+/// [`QueryError`] on malformed input or a `cover` that is the wrong length
+/// or not a fractional edge cover ([`QueryError::BadCover`]).
 pub fn join_with(
     relations: &[Relation],
     algorithm: Algorithm,
     cover: Option<&[f64]>,
 ) -> Result<JoinOutput, QueryError> {
     let q = JoinQuery::new(relations)?;
-    q.evaluate(algorithm, cover)
+    match algorithm {
+        Algorithm::Nprr => nprr::PreparedQuery::<FlatIndex>::from_query(q)?.evaluate(cover),
+        Algorithm::Naive => Ok(JoinOutput {
+            relation: naive::join(q.relations()),
+            stats: JoinStats {
+                algorithm_used: "naive",
+                ..JoinStats::default()
+            },
+        }),
+    }
 }
 
 /// Convenience: the optimal fractional cover and AGM bound for the query

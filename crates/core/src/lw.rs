@@ -19,6 +19,11 @@
 //! into `D(x)` for an ancestor to resolve against a different relation.
 //! The root joins whatever is left and a final **prune** against all input
 //! relations yields exactly `J`.
+//!
+//! This is a **reproduction** of §4, not an engine anything dispatches to:
+//! [`crate::join`] runs NPRR on LW instances too (Theorem 5.1 subsumes
+//! Theorem 4.1). Call [`join_lw`] directly; the e1–e3 and e7 experiments
+//! and this module's tests do.
 
 use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
@@ -211,7 +216,6 @@ fn split_heavy_light(
 mod tests {
     use super::*;
     use crate::naive;
-    use crate::Algorithm;
     use wcoj_storage::ops::reorder as ops_reorder;
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
@@ -220,7 +224,7 @@ mod tests {
 
     fn check_matches_naive(rels: &[Relation]) {
         let q = JoinQuery::new(rels).unwrap();
-        let out = q.evaluate(Algorithm::Lw, None).unwrap();
+        let out = join_lw(&q).unwrap();
         let expect = naive::join(rels);
         let expect = ops_reorder(&expect, out.relation.schema()).unwrap();
         assert_eq!(out.relation, expect);
@@ -246,7 +250,7 @@ mod tests {
         let s = Relation::from_rows(Schema::of(&[1, 2]), rows.clone()).unwrap();
         let t = Relation::from_rows(Schema::of(&[0, 2]), rows).unwrap();
         let q = JoinQuery::new(&[r, s, t]).unwrap();
-        let out = q.evaluate(Algorithm::Lw, None).unwrap();
+        let out = join_lw(&q).unwrap();
         assert!(out.relation.is_empty());
     }
 
@@ -266,7 +270,7 @@ mod tests {
         let r1 = rel(&[1], &[&[10], &[20]]);
         let r0 = rel(&[0], &[&[1], &[2], &[3]]);
         let q = JoinQuery::new(&[r1, r0]).unwrap();
-        let out = q.evaluate(Algorithm::Lw, None).unwrap();
+        let out = join_lw(&q).unwrap();
         assert_eq!(out.relation.len(), 6);
     }
 
@@ -275,18 +279,17 @@ mod tests {
         let r = rel(&[0, 1], &[&[1, 2]]);
         let s = rel(&[1, 2], &[&[2, 3]]);
         let q = JoinQuery::new(&[r, s]).unwrap();
-        assert!(matches!(
-            q.evaluate(Algorithm::Lw, None),
-            Err(QueryError::AlgorithmMismatch(_))
-        ));
+        assert!(matches!(join_lw(&q), Err(QueryError::AlgorithmMismatch(_))));
     }
 
     #[test]
     fn heavy_keys_are_postponed_not_lost() {
-        // Construct skew: value 0 in the join key has huge fan-out.
+        // Construct skew: every relation gets the same rows, in which
+        // value 0 of the first column has fan-out 20 (a heavy key) and
+        // values 1..=20 have fan-out 1.
         let mut rr = Vec::new();
         for j in 0..20u32 {
-            rr.push(vec![Value(0), Value(u64::from(j))]); // heavy B=... wait A=0 heavy
+            rr.push(vec![Value(0), Value(u64::from(j))]);
             rr.push(vec![Value(u64::from(j + 1)), Value(50)]);
         }
         let r = Relation::from_rows(Schema::of(&[0, 1]), rr.clone()).unwrap();
@@ -318,7 +321,7 @@ mod tests {
             let sizes = [r.len(), s.len(), t.len()];
             let bound = (sizes.iter().map(|&x| x as f64).product::<f64>()).sqrt();
             let q = JoinQuery::new(&[r.clone(), s.clone(), t.clone()]).unwrap();
-            let out = q.evaluate(Algorithm::Lw, None).unwrap();
+            let out = join_lw(&q).unwrap();
             assert!(
                 (out.relation.len() as f64) <= bound + 1e-9,
                 "trial {trial}: AGM violated"

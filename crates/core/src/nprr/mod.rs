@@ -46,76 +46,18 @@ use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
 use plan::{CheckEdge, JoinPlan, NodeKind, NodePlan, Section, Split};
 use wcoj_storage::index::SearchTree;
-use wcoj_storage::{Attr, FlatIndex, Relation, RowBuf, Schema, Value};
+use wcoj_storage::{FlatIndex, RowBuf, Value};
 
-/// Evaluates `q` with the NPRR algorithm under fractional cover `x`
-/// (`log2_bound` is the corresponding AGM bound, reported in stats), over
-/// one [`FlatIndex`] per relation.
+/// Evaluates `q` with the NPRR algorithm under fractional cover `x` (one
+/// weight per relation, in input order) over one [`FlatIndex`] per
+/// relation: `PreparedQuery::from_query(q).evaluate(Some(x))`. Every
+/// parallel and served path must reproduce its rows *and* their order.
 ///
 /// # Errors
-/// Propagates storage errors from index construction (none expected for a
-/// well-formed [`JoinQuery`]).
-pub fn join_nprr(q: &JoinQuery, x: &[f64], log2_bound: f64) -> Result<JoinOutput, QueryError> {
-    join_nprr_indexed::<FlatIndex>(q, x, log2_bound)
-}
-
-/// The NPRR pipeline, generic over the [`SearchTree`] realisation (e.g.
-/// `HashTrieIndex`, the paper's "collection of hash indices" alternative
-/// of §5.1: same output, different constant factors — see the
-/// `ablation_index` bench).
-///
-/// # Errors
-/// Same as [`join_nprr`].
-pub fn join_nprr_indexed<S: SearchTree>(
-    q: &JoinQuery,
-    x: &[f64],
-    log2_bound: f64,
-) -> Result<JoinOutput, QueryError> {
-    debug_assert_eq!(x.len(), q.relations().len());
-    let plan = JoinPlan::compile(q.hypergraph());
-    let tries: Vec<S> = q
-        .relations()
-        .iter()
-        .zip(&plan.edge_vertices)
-        .map(|(rel, vs)| {
-            let attr_order: Vec<Attr> = vs.iter().map(|&v| q.attr_of_vertex(v)).collect();
-            S::build(rel, &attr_order)
-        })
-        .collect::<Result<_, _>>()?;
-    let stats = JoinStats {
-        algorithm_used: "nprr",
-        log2_agm_bound: log2_bound,
-        cover: x.to_vec(),
-        ..JoinStats::default()
-    };
-    let (rows, stats) = run_plan(&plan, &tries, x, None, stats);
-    let relation = assemble_rows(q, &plan.order, rows)?;
-    Ok(JoinOutput { relation, stats })
-}
-
-/// Moves `Recursive-Join`'s rows (over the total order) into a relation
-/// in the canonical sorted-attribute layout: one column permutation, one
-/// sort.
-pub(crate) fn assemble_rows(
-    q: &JoinQuery,
-    order: &[usize],
-    rows: RowBuf,
-) -> Result<Relation, QueryError> {
-    if order.is_empty() {
-        // No attributes: the join of non-empty nullary relations is the
-        // single empty tuple, if any shard produced it.
-        return Ok(if rows.is_empty() {
-            Relation::empty(q.output_schema())
-        } else {
-            Relation::nullary_true()
-        });
-    }
-    let order_attrs: Vec<Attr> = order.iter().map(|&v| q.attr_of_vertex(v)).collect();
-    let schema = Schema::new(order_attrs).expect("order is a permutation");
-    let mut relation = Relation::from_flat(schema, rows.into_data())?;
-    relation.reorder_columns(&q.output_schema())?;
-    relation.sort_dedup();
-    Ok(relation)
+/// [`QueryError::BadCover`] when `x` has the wrong length or is not a
+/// fractional edge cover of `q`.
+pub fn join_nprr(q: &JoinQuery, x: &[f64]) -> Result<JoinOutput, QueryError> {
+    PreparedQuery::<FlatIndex>::from_query(q.clone())?.evaluate(Some(x))
 }
 
 /// Inclusive value range restricting the attribute at total-order

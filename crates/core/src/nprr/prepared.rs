@@ -27,12 +27,14 @@
 //! `PreparedQuery::<HashTrieIndex>::new_indexed`).
 
 use super::plan::JoinPlan;
-use super::{assemble_rows, run_plan, RootShard};
+use super::{run_plan, RootShard};
 use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
 use std::sync::{Arc, OnceLock};
 use wcoj_hypergraph::cover::validate_cover;
-use wcoj_storage::{gallop, Attr, FlatIndex, Relation, RowBuf, SearchTree, StorageError, Value};
+use wcoj_storage::{
+    gallop, Attr, FlatIndex, Relation, RowBuf, Schema, SearchTree, StorageError, Value,
+};
 
 /// Intersects two sorted value lists (galloping/adaptive; differential
 /// proptests in `wcoj-storage` pin it to the naive two-pointer merge).
@@ -366,7 +368,7 @@ impl<S: SearchTree> PreparedQuery<S> {
         shard: Option<RootShard>,
     ) -> (RowBuf, JoinStats) {
         let stats = JoinStats {
-            algorithm_used: "nprr-prepared",
+            algorithm_used: "nprr",
             log2_agm_bound: log2_bound,
             cover: x.to_vec(),
             ..JoinStats::default()
@@ -387,9 +389,10 @@ impl<S: SearchTree> PreparedQuery<S> {
     }
 
     /// Moves **one shard slot's** raw total-order rows into a relation
-    /// over the canonical output schema, sorted and deduplicated *within
-    /// the slot* — the unit an incremental consumer (a streaming `/rows`
-    /// endpoint) emits as each slot settles.
+    /// over the canonical output schema — one column permutation, one
+    /// sort — sorted and deduplicated *within the slot*: the unit an
+    /// incremental consumer (a streaming `/rows` endpoint) emits as each
+    /// slot settles.
     ///
     /// Shards partition the output by disjoint root ranges (and, for
     /// anchor sub-shards, disjoint anchor ranges within one root value),
@@ -409,7 +412,27 @@ impl<S: SearchTree> PreparedQuery<S> {
             }
             .into());
         }
-        assemble_rows(&self.q, &self.plan.order, rows)
+        let q = &self.q;
+        if self.plan.order.is_empty() {
+            // No attributes: the join of non-empty nullary relations is
+            // the single empty tuple, if any shard produced it.
+            return Ok(if rows.is_empty() {
+                Relation::empty(q.output_schema())
+            } else {
+                Relation::nullary_true()
+            });
+        }
+        let order_attrs: Vec<Attr> = self
+            .plan
+            .order
+            .iter()
+            .map(|&v| q.attr_of_vertex(v))
+            .collect();
+        let schema = Schema::new(order_attrs).expect("order is a permutation");
+        let mut relation = Relation::from_flat(schema, rows.into_data())?;
+        relation.reorder_columns(&q.output_schema())?;
+        relation.sort_dedup();
+        Ok(relation)
     }
 
     /// `true` iff concatenating [`Self::assemble_slot`] relations in slot
@@ -442,7 +465,11 @@ impl<S: SearchTree> PreparedQuery<S> {
     }
 
     /// Evaluates with the given fractional cover, or the LP optimum when
-    /// `None`. Only the `O(mn·∏N^x)` evaluation cost is paid here.
+    /// `None`. Only the `O(mn·∏N^x)` evaluation cost is paid here. This is
+    /// the sequential NPRR pipeline — [`crate::join`], [`crate::join_with`]
+    /// and [`super::join_nprr`] all end here — and its one empty-input
+    /// short-circuit: an effectively empty relation empties the join
+    /// (paper §2) with no cover resolved.
     ///
     /// # Errors
     /// [`QueryError::BadCover`] for invalid covers; LP errors when solving
@@ -452,7 +479,7 @@ impl<S: SearchTree> PreparedQuery<S> {
             return Ok(JoinOutput {
                 relation: Relation::empty(self.q.output_schema()),
                 stats: JoinStats {
-                    algorithm_used: "nprr-prepared",
+                    algorithm_used: "nprr",
                     ..JoinStats::default()
                 },
             });
@@ -490,7 +517,7 @@ mod tests {
         let a = prepared.evaluate(None).unwrap();
         let b = join_with(&rels, Algorithm::Nprr, None).unwrap();
         assert_eq!(a.relation, b.relation);
-        assert_eq!(a.stats.algorithm_used, "nprr-prepared");
+        assert_eq!(a.stats.algorithm_used, "nprr");
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! Query assembly: from a list of relations to a hypergraph, a cover, and
-//! an algorithm dispatch.
+//! Query assembly: from a list of relations to a hypergraph and a cover.
 
-use crate::{graph_join, lw, naive, nprr, Algorithm, JoinOutput, JoinStats};
 use std::fmt;
 use wcoj_hypergraph::agm::{self, CoverSolution};
-use wcoj_hypergraph::cover::validate_cover;
-use wcoj_hypergraph::{lw as lwshape, HgError, Hypergraph};
+use wcoj_hypergraph::{HgError, Hypergraph};
 use wcoj_storage::{Attr, Relation, Schema, StorageError};
 
 /// Errors from query assembly and evaluation.
@@ -17,7 +14,8 @@ pub enum QueryError {
     Hypergraph(HgError),
     /// Storage-level failure.
     Storage(StorageError),
-    /// The requested algorithm cannot evaluate this query shape.
+    /// A shape-specific algorithm (`lw::join_lw`, `graph_join::join_graph`,
+    /// `bt::reconstruct`) was called on a query outside its shape.
     AlgorithmMismatch(&'static str),
     /// A user-supplied cover vector was rejected.
     BadCover(String),
@@ -149,85 +147,5 @@ impl JoinQuery {
     #[must_use]
     pub fn output_schema(&self) -> Schema {
         Schema::new(self.attrs.clone()).expect("attrs deduplicated")
-    }
-
-    /// Evaluates the query.
-    ///
-    /// # Errors
-    /// See [`crate::join_with`].
-    pub fn evaluate(
-        &self,
-        algorithm: Algorithm,
-        cover: Option<&[f64]>,
-    ) -> Result<JoinOutput, QueryError> {
-        // An empty input relation empties the join (and is the one case
-        // where no fractional-cover reasoning is needed — paper §2).
-        if self.relations.iter().any(Relation::is_empty) {
-            return Ok(JoinOutput {
-                relation: Relation::empty(self.output_schema()),
-                stats: JoinStats {
-                    algorithm_used: "empty-input-short-circuit",
-                    ..JoinStats::default()
-                },
-            });
-        }
-
-        let algorithm = match algorithm {
-            Algorithm::Auto => {
-                if lwshape::is_lw_instance(&self.hypergraph) {
-                    Algorithm::Lw
-                } else if self.hypergraph.is_graph() {
-                    Algorithm::GraphJoin
-                } else {
-                    Algorithm::Nprr
-                }
-            }
-            a => a,
-        };
-
-        match algorithm {
-            Algorithm::Auto => unreachable!("resolved above"),
-            Algorithm::Naive => {
-                let relation = naive::join(&self.relations);
-                Ok(JoinOutput {
-                    relation,
-                    stats: JoinStats {
-                        algorithm_used: "naive",
-                        ..JoinStats::default()
-                    },
-                })
-            }
-            Algorithm::Lw => {
-                if !lwshape::is_lw_instance(&self.hypergraph) {
-                    return Err(QueryError::AlgorithmMismatch(
-                        "Algorithm::Lw requires a Loomis-Whitney instance",
-                    ));
-                }
-                lw::join_lw(self)
-            }
-            Algorithm::GraphJoin => {
-                if !self.hypergraph.is_graph() {
-                    return Err(QueryError::AlgorithmMismatch(
-                        "Algorithm::GraphJoin requires arity ≤ 2",
-                    ));
-                }
-                graph_join::join_graph(self)
-            }
-            Algorithm::Nprr => {
-                // Resolve the cover: user-supplied (validated) or LP-optimal.
-                let (x, log2_bound) = match cover {
-                    Some(x) => {
-                        validate_cover(&self.hypergraph, x)
-                            .map_err(|e| QueryError::BadCover(e.to_string()))?;
-                        (x.to_vec(), agm::log2_bound(&self.sizes(), x))
-                    }
-                    None => {
-                        let sol = self.optimal_cover()?;
-                        (sol.x, sol.log2_bound)
-                    }
-                };
-                nprr::join_nprr(self, &x, log2_bound)
-            }
-        }
     }
 }

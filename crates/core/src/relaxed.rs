@@ -135,7 +135,7 @@ pub fn relaxed_join(relations: &[Relation], r: usize) -> Result<RelaxedOutput, Q
         // all attributes.
         debug_assert_eq!(sub_q.attrs().len(), n, "support must cover V");
         let sol = sub_q.optimal_cover()?;
-        let phi = join_nprr(&sub_q, &sol.x, sol.log2_bound)?.relation;
+        let phi = join_nprr(&sub_q, &sol.x)?.relation;
 
         let mut kept = Relation::empty(out_schema.clone());
         let phi = reorder(&phi, &out_schema)?;

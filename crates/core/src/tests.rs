@@ -1,9 +1,13 @@
-//! Cross-algorithm consistency tests: every algorithm must agree with the
-//! naive oracle on every query shape it claims to support, and outputs must
-//! respect the AGM bound.
+//! Cross-algorithm consistency tests: NPRR, and the paper's shape-specific
+//! reproductions (`lw::join_lw`, `graph_join::join_graph`) called directly,
+//! must agree with the naive oracle on every query shape they support, and
+//! outputs must respect the AGM bound.
 
+use crate::graph_join::join_graph;
+use crate::lw::join_lw;
+use crate::nprr::{join_nprr, PreparedQuery};
 use crate::query::JoinQuery;
-use crate::{agm_cover, join, join_with, naive, Algorithm, QueryError};
+use crate::{agm_cover, join, join_with, naive, Algorithm, JoinOutput, QueryError};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use wcoj_storage::ops::reorder;
@@ -20,11 +24,24 @@ fn random_rel(rng: &mut rand::rngs::StdRng, attrs: &[u32], n: usize, dom: u64) -
     Relation::from_rows(Schema::of(attrs), rows).unwrap()
 }
 
-fn assert_matches_naive(rels: &[Relation], algo: Algorithm, ctx: &str) {
-    let out = join_with(rels, algo, None).unwrap_or_else(|e| panic!("{ctx}: {algo:?} failed: {e}"));
+fn assert_output_matches_naive(rels: &[Relation], out: Result<JoinOutput, QueryError>, ctx: &str) {
+    let out = out.unwrap_or_else(|e| panic!("{ctx} failed: {e}"));
     let expect = naive::join(rels);
     let expect = reorder(&expect, out.relation.schema()).unwrap();
-    assert_eq!(out.relation, expect, "{ctx}: {algo:?} disagrees with naive");
+    assert_eq!(out.relation, expect, "{ctx} disagrees with naive");
+}
+
+fn assert_matches_naive(rels: &[Relation], algo: Algorithm, ctx: &str) {
+    let out = join_with(rels, algo, None);
+    assert_output_matches_naive(rels, out, &format!("{ctx}: {algo:?}"));
+}
+
+/// A reproduction the library does not dispatch to, called directly.
+type Reproduction = fn(&JoinQuery) -> Result<JoinOutput, QueryError>;
+
+fn assert_reproduction_matches_naive(rels: &[Relation], run: Reproduction, ctx: &str) {
+    let out = run(&JoinQuery::new(rels).unwrap());
+    assert_output_matches_naive(rels, out, ctx);
 }
 
 #[test]
@@ -46,14 +63,10 @@ fn all_algorithms_agree_on_triangles() {
         let s = random_rel(&mut rng, &[1, 2], 50, 9);
         let t = random_rel(&mut rng, &[0, 2], 50, 9);
         let rels = [r, s, t];
-        for algo in [
-            Algorithm::Nprr,
-            Algorithm::Lw,
-            Algorithm::GraphJoin,
-            Algorithm::Auto,
-        ] {
-            assert_matches_naive(&rels, algo, &format!("triangle trial {trial}"));
-        }
+        let ctx = format!("triangle trial {trial}");
+        assert_matches_naive(&rels, Algorithm::Nprr, &ctx);
+        assert_reproduction_matches_naive(&rels, join_lw, &format!("{ctx}: join_lw"));
+        assert_reproduction_matches_naive(&rels, join_graph, &format!("{ctx}: join_graph"));
     }
 }
 
@@ -86,15 +99,14 @@ fn example_2_2_instance_is_empty_everywhere() {
     let s = Relation::from_rows(Schema::of(&[1, 2]), rows.clone()).unwrap();
     let t = Relation::from_rows(Schema::of(&[0, 2]), rows).unwrap();
     assert_eq!(r.len(), n as usize);
-    for algo in [
-        Algorithm::Nprr,
-        Algorithm::Lw,
-        Algorithm::GraphJoin,
-        Algorithm::Naive,
-    ] {
-        let out = join_with(&[r.clone(), s.clone(), t.clone()], algo, None).unwrap();
+    let rels = [r.clone(), s.clone(), t.clone()];
+    for algo in [Algorithm::Nprr, Algorithm::Naive] {
+        let out = join_with(&rels, algo, None).unwrap();
         assert!(out.relation.is_empty(), "{algo:?} must report empty");
     }
+    let q = JoinQuery::new(&rels).unwrap();
+    assert!(join_lw(&q).unwrap().relation.is_empty(), "join_lw");
+    assert!(join_graph(&q).unwrap().relation.is_empty(), "join_graph");
     // while the pairwise join is quadratic:
     let pairwise = wcoj_storage::ops::natural_join(&r, &s);
     assert_eq!(pairwise.len(), (n * n / 4 + n / 2) as usize);
@@ -150,14 +162,49 @@ fn nprr_with_explicit_cover() {
     ));
 }
 
+fn small_triangle() -> JoinQuery {
+    let r = rel(&[0, 1], &[&[1, 2], &[1, 3]]);
+    let s = rel(&[1, 2], &[&[2, 4], &[3, 4]]);
+    let t = rel(&[0, 2], &[&[1, 4]]);
+    JoinQuery::new(&[r, s, t]).unwrap()
+}
+
+#[test]
+fn join_nprr_rejects_a_wrong_length_cover() {
+    // A cover with one weight too few or too many is a `BadCover`, never
+    // an index past the end of it while the plan resolves node covers.
+    let q = small_triangle();
+    for x in [&[1.0, 1.0][..], &[1.0; 4], &[]] {
+        assert!(
+            matches!(join_nprr(&q, x), Err(QueryError::BadCover(_))),
+            "{x:?}"
+        );
+    }
+    assert_eq!(join_nprr(&q, &[1.0; 3]).unwrap().relation.len(), 2);
+}
+
+#[test]
+fn join_nprr_rejects_a_non_cover() {
+    let q = small_triangle();
+    // (1, 0, 0) leaves attribute 2 (in S and T only) uncovered, 0.1
+    // weights cover nothing, and a negative weight is never a cover.
+    for x in [[1.0, 0.0, 0.0], [0.1, 0.1, 0.1], [-1.0, 1.0, 1.0]] {
+        assert!(
+            matches!(join_nprr(&q, &x), Err(QueryError::BadCover(_))),
+            "{x:?}"
+        );
+    }
+}
+
 #[test]
 fn empty_input_short_circuits() {
     let r = rel(&[0, 1], &[&[1, 2]]);
     let e = Relation::empty(Schema::of(&[1, 2]));
-    let out = join_with(&[r, e], Algorithm::Auto, None).unwrap();
+    let out = join_with(&[r, e], Algorithm::Nprr, None).unwrap();
     assert!(out.relation.is_empty());
     assert_eq!(out.relation.arity(), 3);
-    assert_eq!(out.stats.algorithm_used, "empty-input-short-circuit");
+    assert_eq!(out.stats.algorithm_used, "nprr");
+    assert!(out.stats.cover.is_empty(), "no cover is resolved");
 }
 
 #[test]
@@ -203,7 +250,7 @@ fn chain_and_star_queries_match_naive() {
             random_rel(&mut rng, &[2, 3], 40, 7),
         ];
         assert_matches_naive(&chain, Algorithm::Nprr, &format!("chain {trial}"));
-        assert_matches_naive(&chain, Algorithm::GraphJoin, &format!("chain {trial}"));
+        assert_reproduction_matches_naive(&chain, join_graph, &format!("chain {trial}"));
         // star
         let star = [
             random_rel(&mut rng, &[0, 1], 40, 7),
@@ -211,7 +258,7 @@ fn chain_and_star_queries_match_naive() {
             random_rel(&mut rng, &[0, 3], 40, 7),
         ];
         assert_matches_naive(&star, Algorithm::Nprr, &format!("star {trial}"));
-        assert_matches_naive(&star, Algorithm::GraphJoin, &format!("star {trial}"));
+        assert_reproduction_matches_naive(&star, join_graph, &format!("star {trial}"));
     }
 }
 
@@ -247,39 +294,55 @@ fn lw5_matches_naive() {
             random_rel(&mut rng, &attrs, 25, 3)
         })
         .collect();
-    assert_matches_naive(&rels, Algorithm::Lw, "lw5");
+    assert_reproduction_matches_naive(&rels, join_lw, "lw5: join_lw");
     assert_matches_naive(&rels, Algorithm::Nprr, "lw5");
-    // Auto picks LW for this shape
-    let out = join_with(&rels, Algorithm::Auto, None).unwrap();
-    assert_eq!(out.stats.algorithm_used, "lw");
 }
 
 #[test]
-fn auto_dispatch_choices() {
+fn join_runs_nprr_on_every_shape() {
+    // One engine behind `join()`, whatever the shape: an LW instance, a
+    // graph query and a hypergraph query all run NPRR, and `join()` is
+    // bit-identical (rows and order) to `join_nprr` and to
+    // `PreparedQuery::evaluate`, the pipeline every served query runs.
     let mut rng = rand::rngs::StdRng::seed_from_u64(800);
-    // graph query → graph-join
-    let chain = [
-        random_rel(&mut rng, &[0, 1], 10, 4),
-        random_rel(&mut rng, &[1, 2], 10, 4),
+    let triangle = vec![
+        random_rel(&mut rng, &[0, 1], 30, 5),
+        random_rel(&mut rng, &[1, 2], 30, 5),
+        random_rel(&mut rng, &[0, 2], 30, 5),
     ];
-    let out = join_with(&chain, Algorithm::Auto, None).unwrap();
-    assert_eq!(out.stats.algorithm_used, "graph-join");
-    // triangle is an LW instance → lw
-    let tri = [
-        random_rel(&mut rng, &[0, 1], 10, 4),
-        random_rel(&mut rng, &[1, 2], 10, 4),
-        random_rel(&mut rng, &[0, 2], 10, 4),
+    let chain = vec![
+        random_rel(&mut rng, &[0, 1], 30, 5),
+        random_rel(&mut rng, &[1, 2], 30, 5),
     ];
-    let out = join_with(&tri, Algorithm::Auto, None).unwrap();
-    assert_eq!(out.stats.algorithm_used, "lw");
-    // hypergraph → nprr
-    let hyper = [
-        random_rel(&mut rng, &[0, 1, 2], 10, 4),
-        random_rel(&mut rng, &[2, 3], 10, 4),
-        random_rel(&mut rng, &[0, 3], 10, 4),
+    let lw5: Vec<Relation> = (0..5u32)
+        .map(|omit| {
+            let attrs: Vec<u32> = (0..5).filter(|&v| v != omit).collect();
+            random_rel(&mut rng, &attrs, 70, 3)
+        })
+        .collect();
+    let hyper = vec![
+        random_rel(&mut rng, &[0, 1, 2], 30, 4),
+        random_rel(&mut rng, &[2, 3], 30, 4),
+        random_rel(&mut rng, &[0, 3], 30, 4),
     ];
-    let out = join_with(&hyper, Algorithm::Auto, None).unwrap();
-    assert_eq!(out.stats.algorithm_used, "nprr");
+    for (name, rels) in [
+        ("triangle", triangle),
+        ("chain", chain),
+        ("lw5", lw5),
+        ("hyperedge", hyper),
+    ] {
+        let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        assert_eq!(out.stats.algorithm_used, "nprr", "{name}");
+        assert!(!out.relation.is_empty(), "{name}: a non-empty instance");
+        let joined = join(&rels).unwrap();
+        assert_eq!(joined, out.relation, "{name}: join() = join_with(Nprr)");
+        let q = JoinQuery::new(&rels).unwrap();
+        let direct = join_nprr(&q, &q.optimal_cover().unwrap().x).unwrap();
+        assert_eq!(joined, direct.relation, "{name}: join() = join_nprr");
+        let prepared = PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap();
+        assert_eq!(joined, prepared.relation, "{name}: join() = PreparedQuery");
+        assert_eq!(joined.schema(), &q.output_schema(), "{name}: output schema");
+    }
 }
 
 #[test]
@@ -367,7 +430,6 @@ proptest! {
 
 #[test]
 fn hash_indexed_nprr_matches_sorted_trie() {
-    use crate::nprr::{join_nprr, join_nprr_indexed};
     use wcoj_storage::HashTrieIndex;
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     for trial in 0..6 {
@@ -378,8 +440,11 @@ fn hash_indexed_nprr_matches_sorted_trie() {
         ];
         let q = JoinQuery::new(&rels).unwrap();
         let sol = q.optimal_cover().unwrap();
-        let a = join_nprr(&q, &sol.x, sol.log2_bound).unwrap();
-        let b = join_nprr_indexed::<HashTrieIndex>(&q, &sol.x, sol.log2_bound).unwrap();
+        let a = join_nprr(&q, &sol.x).unwrap();
+        let b = PreparedQuery::<HashTrieIndex>::from_query(q)
+            .unwrap()
+            .evaluate(Some(&sol.x))
+            .unwrap();
         assert_eq!(a.relation, b.relation, "trial {trial}");
         // same per-tuple decisions: the size checks see identical counts
         assert_eq!(a.stats.case_a, b.stats.case_a, "trial {trial}");
@@ -412,9 +477,7 @@ fn contained_edges() {
     let s = rel(&[1, 2], &[&[2, 3], &[5, 6]]);
     let u = rel(&[1], &[&[2]]);
     let rels = [r, s, u];
-    for algo in [Algorithm::Nprr, Algorithm::Auto] {
-        assert_matches_naive(&rels, algo, "contained edges");
-    }
+    assert_matches_naive(&rels, Algorithm::Nprr, "contained edges");
     let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
     assert_eq!(out.relation.len(), 2); // (1,2,3) and (7,2,3)
 }
@@ -493,7 +556,7 @@ fn fnv1a(rel: &Relation) -> u64 {
 
 fn assert_golden<S: wcoj_storage::SearchTree>(
     name: &str,
-    prepared: &crate::nprr::PreparedQuery<S>,
+    prepared: &PreparedQuery<S>,
     fnv: u64,
     golden: [(Option<f64>, Counts); 3],
 ) {
@@ -521,7 +584,7 @@ fn assert_golden<S: wcoj_storage::SearchTree>(
 /// holds every other row plus a few rows outside the value domain, `ins`
 /// the remaining rows and `del` the outsiders, so the merged view is
 /// exactly `rels` while every component is non-empty.
-fn prepared_over_live_buffers(rels: &[Relation]) -> crate::nprr::PreparedQuery<DeltaIndex> {
+fn prepared_over_live_buffers(rels: &[Relation]) -> PreparedQuery<DeltaIndex> {
     let deltas: Vec<DeltaRelation> = rels
         .iter()
         .map(|rel| {
@@ -547,7 +610,7 @@ fn prepared_over_live_buffers(rels: &[Relation]) -> crate::nprr::PreparedQuery<D
     let stale: Vec<Relation> = deltas.iter().map(|d| (**d.base()).clone()).collect();
     let sizes = deltas.iter().map(DeltaRelation::len).collect();
     let q = std::sync::Arc::new(JoinQuery::new(&stale).unwrap());
-    crate::nprr::PreparedQuery::from_shared(q, Some(sizes), |i, order| {
+    PreparedQuery::from_shared(q, Some(sizes), |i, order| {
         let d = &deltas[i];
         DeltaIndex::over(d.base_index(order)?, d.ins(), d.del(), order)
     })
@@ -560,7 +623,6 @@ fn assert_golden_all_backends(
     fnv: u64,
     golden: [(Option<f64>, Counts); 3],
 ) {
-    use crate::nprr::PreparedQuery;
     use wcoj_storage::HashTrieIndex;
     let flat = PreparedQuery::new(rels).unwrap();
     assert_golden(&format!("{name}, flat"), &flat, fnv, golden);
@@ -631,7 +693,7 @@ fn golden_counts_loomis_whitney() {
 
 #[test]
 fn golden_counts_per_shard() {
-    use crate::nprr::{AnchorRange, PreparedQuery, RootShard};
+    use crate::nprr::{AnchorRange, RootShard};
     const MAX: u64 = u64::MAX;
     let anchored = |root: u64, lo: u64, hi: u64| RootShard {
         lo: Value(root),

@@ -115,7 +115,7 @@ proptest! {
             let q = JoinQuery::new(&rels).unwrap();
             let sol = q.optimal_cover().unwrap();
             let (x, bound) = (&sol.x[..], sol.log2_bound);
-            let oracle = join_nprr(&q, x, bound).unwrap();
+            let oracle = join_nprr(&q, x).unwrap();
             let naive = reorder(&naive::join(&rels), oracle.relation.schema()).unwrap();
             prop_assert_eq!(&oracle.relation, &naive, "{}: naive", ctx);
 

@@ -120,7 +120,7 @@ proptest! {
 
         // The engine under the chosen plan is still the join.
         let sol = q.optimal_cover().unwrap();
-        let out = join_nprr(&q, &sol.x, sol.log2_bound).unwrap();
+        let out = join_nprr(&q, &sol.x).unwrap();
         let expect = reorder(&naive::join(&rels), out.relation.schema()).unwrap();
         prop_assert_eq!(&out.relation, &expect, "{}: naive", ctx);
         let full = prepared.evaluate(None).unwrap().relation;

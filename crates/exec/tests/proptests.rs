@@ -82,7 +82,7 @@ proptest! {
         for (which, rels) in instances.iter().enumerate() {
             let q = JoinQuery::new(rels).unwrap();
             let sol = q.optimal_cover().unwrap();
-            let seq = wcoj_core::nprr::join_nprr(&q, &sol.x, sol.log2_bound).unwrap().relation;
+            let seq = wcoj_core::nprr::join_nprr(&q, &sol.x).unwrap().relation;
             let flat = PreparedQuery::new(rels).unwrap();
             let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(rels).unwrap();
             let workers = [1usize, 2, 4, 8][rng.gen_range(0..4usize)];

@@ -27,9 +27,17 @@ fn main() {
         cover.bound()
     );
 
-    // --- 3. explicit algorithm choice + execution stats ------------------
-    for algo in [Algorithm::Lw, Algorithm::Nprr, Algorithm::GraphJoin] {
-        let res = join_with(&[r.clone(), s.clone(), t.clone()], algo, None).expect("evaluates");
+    // --- 3. execution stats, and the paper's reproductions ----------------
+    // `join` runs NPRR (§5) on every shape. Algorithm 1 (§4) and Theorem
+    // 7.3 (§7.1) are special cases it subsumes; call them directly.
+    let rels = [r.clone(), s.clone(), t.clone()];
+    let q = JoinQuery::new(&rels).expect("well-formed query");
+    for res in [
+        join_with(&rels, Algorithm::Nprr, None),
+        wcoj::core::lw::join_lw(&q),
+        wcoj::core::graph_join::join_graph(&q),
+    ] {
+        let res = res.expect("evaluates");
         println!(
             "{:<12} → {} tuples (case_a={}, case_b={}, intermediates={})",
             res.stats.algorithm_used,

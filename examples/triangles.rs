@@ -1,5 +1,6 @@
 //! Triangle listing in a social graph — the workload the paper's
-//! introduction motivates (and the `n = 3` Loomis–Whitney instance).
+//! introduction motivates (and the `n = 3` Loomis–Whitney instance, which
+//! `join` runs with NPRR like every other shape).
 //!
 //! Enumerates all triangles of a power-law graph twice — with the
 //! worst-case-optimal join and with a binary hash-join plan — and compares
@@ -27,9 +28,9 @@ fn main() {
     let exz = rename(&edges, &[(Attr(1), Attr(2))]).expect("rename");
     let rels = [exy, eyz, exz];
 
-    // worst-case optimal (Algorithm 1 — the triangle is LW(3))
+    // worst-case optimal (NPRR, §5)
     let start = Instant::now();
-    let out = join_with(&rels, Algorithm::Auto, None).expect("join");
+    let out = join_with(&rels, Algorithm::Nprr, None).expect("join");
     let t_wcoj = start.elapsed();
     println!(
         "wcoj ({}): {} triangles in {:.1} ms (intermediates: {})",
@@ -69,7 +70,7 @@ fn main() {
     println!("\n--- adversarial instance (Example 2.2, N = 4096) ---");
     let hard = wcoj::datagen::example_2_2(4096);
     let start = Instant::now();
-    let out = join_with(&hard, Algorithm::Auto, None).expect("join");
+    let out = join_with(&hard, Algorithm::Nprr, None).expect("join");
     let t_wcoj = start.elapsed();
     let start = Instant::now();
     let (bout, stats) = execute_left_deep(&hard, &[0, 1, 2]).expect("plan");

@@ -11,7 +11,7 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5), the Loomis–Whitney algorithm (§4), arity-≤2 star/cycle joins (§7.1), relaxed joins (§7.2), full CQs + FDs (§7.3), algorithmic BT/LW (§3) |
+//! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5) — the one engine behind `join` and every served query — plus, as reproductions called directly, the Loomis–Whitney algorithm (§4) and arity-≤2 star/cycle joins (§7.1); relaxed joins (§7.2), full CQs + FDs (§7.3), algorithmic BT/LW (§3) |
 //! | [`exec`] (`wcoj-exec`) | the root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`ShardPlan`, `ExecConfig`) — plus the warn-once `WCOJ_*` env parsing |
 //! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans with bounded admission (shed or block under overload) and round-robin fair dispatch (`Service`, `QueryHandle`, `SubmitError`) |
 //! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), its delta-merged view over live insert/delete buffers (`DeltaIndex`), and the hash-trie alternative (`HashTrieIndex`) |

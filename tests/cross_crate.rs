@@ -4,6 +4,8 @@
 
 use wcoj::baselines::pairwise::{hash_join, nested_loop_join, sort_merge_join};
 use wcoj::baselines::plan::{execute, JoinImpl, JoinPlan};
+use wcoj::core::graph_join::join_graph;
+use wcoj::core::lw::join_lw;
 use wcoj::core::{naive, relaxed};
 use wcoj::hypergraph::agm;
 use wcoj::prelude::*;
@@ -28,10 +30,15 @@ fn all_algorithms_and_all_baselines_agree() {
         ];
         let expected = naive::join(&rels);
 
-        for algo in [Algorithm::Lw, Algorithm::Nprr, Algorithm::GraphJoin] {
-            let out = join_with(&rels, algo, None).unwrap();
+        let q = JoinQuery::new(&rels).unwrap();
+        for (name, out) in [
+            ("nprr", join_with(&rels, Algorithm::Nprr, None)),
+            ("join_lw", join_lw(&q)),
+            ("join_graph", join_graph(&q)),
+        ] {
+            let out = out.unwrap();
             let exp = reorder(&expected, out.relation.schema()).unwrap();
-            assert_eq!(out.relation, exp, "seed {seed}, {algo:?}");
+            assert_eq!(out.relation, exp, "seed {seed}, {name}");
         }
         for imp in [JoinImpl::Hash, JoinImpl::SortMerge, JoinImpl::NestedLoop] {
             let (out, _) = execute(&JoinPlan::left_deep(&[0, 1, 2]), &rels, imp).unwrap();

@@ -5,12 +5,21 @@
 //! ```
 //!
 //! Hundreds of random queries per shape class, every algorithm against the
-//! pairwise oracle, plus AGM-bound auditing on every instance.
+//! pairwise oracle, plus AGM-bound auditing on every instance. `join()` must
+//! also equal `join_nprr` bit for bit (rows and order) on every shape; the
+//! paper's shape-specific reproductions (`join_lw`, `join_graph`), which
+//! `join()` does not dispatch to, are called directly on their shapes.
 
 use rand::{Rng, SeedableRng};
+use wcoj::core::graph_join::join_graph;
+use wcoj::core::lw::join_lw;
 use wcoj::core::naive;
+use wcoj::core::nprr::join_nprr;
+use wcoj::core::QueryError;
+use wcoj::hypergraph::lw::is_lw_instance;
 use wcoj::prelude::*;
 use wcoj::storage::ops::reorder;
+use wcoj::JoinOutput;
 
 fn random_rel(rng: &mut rand::rngs::StdRng, attrs: &[u32], n: usize, dom: u64) -> Relation {
     let rows: Vec<Vec<Value>> = (0..n)
@@ -19,17 +28,39 @@ fn random_rel(rng: &mut rand::rngs::StdRng, attrs: &[u32], n: usize, dom: u64) -
     Relation::from_rows(Schema::of(attrs), rows).unwrap()
 }
 
-fn check(rels: &[Relation], algo: Algorithm, ctx: &str) {
-    let out = join_with(rels, algo, None).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+/// `out` equals the pairwise oracle and stays within its own AGM bound.
+fn check_output(rels: &[Relation], out: &JoinOutput, ctx: &str) {
     let expect = naive::join(rels);
     let expect = reorder(&expect, out.relation.schema()).unwrap();
-    assert_eq!(out.relation, expect, "{ctx} ({algo:?})");
+    assert_eq!(out.relation, expect, "{ctx}");
     if !out.relation.is_empty() && out.stats.log2_agm_bound > 0.0 {
         assert!(
             (out.relation.len() as f64).log2() <= out.stats.log2_agm_bound + 1e-6,
             "{ctx}: AGM bound violated"
         );
     }
+}
+
+/// `join_with(Nprr)` against the oracle, and `join()` against `join_nprr`
+/// under the LP cover: the same rows in the same order.
+fn check_join(rels: &[Relation], ctx: &str) {
+    let out = join_with(rels, Algorithm::Nprr, None).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    check_output(rels, &out, &format!("{ctx} (nprr)"));
+    let q = JoinQuery::new(rels).unwrap();
+    let direct = join_nprr(&q, &q.optimal_cover().unwrap().x).unwrap();
+    assert_eq!(
+        join(rels).unwrap(),
+        direct.relation,
+        "{ctx}: join() vs join_nprr"
+    );
+}
+
+/// A reproduction the library does not dispatch to, called directly.
+type Reproduction = fn(&JoinQuery) -> Result<JoinOutput, QueryError>;
+
+fn check_reproduction(rels: &[Relation], run: Reproduction, ctx: &str) {
+    let out = run(&JoinQuery::new(rels).unwrap()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    check_output(rels, &out, ctx);
 }
 
 #[test]
@@ -52,8 +83,16 @@ fn stress_random_hypergraph_queries() {
             let dom = rng.gen_range(2..8u64);
             rels.push(random_rel(&mut rng, &attrs, rows, dom));
         }
-        check(&rels, Algorithm::Nprr, &format!("hyper trial {trial}"));
-        check(&rels, Algorithm::Auto, &format!("hyper trial {trial}"));
+        let ctx = format!("hyper trial {trial}");
+        check_join(&rels, &ctx);
+        // LW and arity-≤2 shapes also run their reproduction.
+        let q = JoinQuery::new(&rels).unwrap();
+        let h = q.hypergraph();
+        if is_lw_instance(h) {
+            check_reproduction(&rels, join_lw, &format!("{ctx} (join_lw)"));
+        } else if h.is_graph() {
+            check_reproduction(&rels, join_graph, &format!("{ctx} (join_graph)"));
+        }
     }
 }
 
@@ -82,8 +121,8 @@ fn stress_graph_queries_all_algorithms() {
             let rows = rng.gen_range(1..50);
             rels.push(random_rel(&mut rng, &attrs, rows, 6));
         }
-        check(&rels, Algorithm::GraphJoin, &format!("graph trial {trial}"));
-        check(&rels, Algorithm::Nprr, &format!("graph trial {trial}"));
+        check_reproduction(&rels, join_graph, &format!("graph trial {trial}"));
+        check_join(&rels, &format!("graph trial {trial}"));
     }
 }
 
@@ -101,8 +140,8 @@ fn stress_lw_instances() {
                 random_rel(&mut rng, &attrs, rows, dom)
             })
             .collect();
-        check(&rels, Algorithm::Lw, &format!("lw trial {trial}"));
-        check(&rels, Algorithm::Nprr, &format!("lw trial {trial}"));
+        check_reproduction(&rels, join_lw, &format!("lw trial {trial}"));
+        check_join(&rels, &format!("lw trial {trial}"));
     }
 }
 
@@ -121,11 +160,9 @@ fn stress_cycles_odd_and_even() {
                 random_rel(&mut rng, &attrs, rows, dom)
             })
             .collect();
-        check(
-            &rels,
-            Algorithm::GraphJoin,
-            &format!("cycle m={m} trial {trial}"),
-        );
+        let ctx = format!("cycle m={m} trial {trial}");
+        check_reproduction(&rels, join_graph, &ctx);
+        check_join(&rels, &ctx);
     }
 }
 
