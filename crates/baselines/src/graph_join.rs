@@ -18,16 +18,15 @@
 //!   tuple.
 //!
 //! This is a **reproduction** of §7.1, not an engine anything dispatches
-//! to: [`crate::join`] runs NPRR on arity-≤2 queries too. Call
-//! [`join_graph`] directly; the e9 and e10 experiments and this module's
+//! to: `wcoj_core::join` runs NPRR on arity-≤2 queries too. Call
+//! [`join_graph`] directly; the e9 and e10 experiments and this crate's
 //! tests do.
 
+use crate::half_integral::{decompose, Cycle};
 use crate::lw::join_lw;
-use crate::query::{JoinQuery, QueryError};
-use crate::{JoinOutput, JoinStats};
-use wcoj_hypergraph::half_integral::{decompose, Cycle};
+use wcoj_core::{JoinOutput, JoinQuery, JoinStats, QueryError};
 use wcoj_storage::hash::{map_with_capacity, FxHashMap};
-use wcoj_storage::ops::{natural_join, reorder};
+use wcoj_storage::ops::{natural_join, project, reorder, semijoin};
 use wcoj_storage::{Attr, Relation, Schema, Value};
 
 /// Evaluates an arity-≤2 query via the half-integral cover structure.
@@ -69,25 +68,10 @@ pub fn join_graph(q: &JoinQuery) -> Result<JoinOutput, QueryError> {
     }
 
     // Filter against the zero-weight relations (each check is O(1)).
-    let mut filters = Vec::new();
-    for &e in &d.zero_edges {
-        let rel = &q.relations()[e];
-        let pos = acc.schema().positions_of(rel.schema().attrs())?;
-        filters.push((pos, rel.row_set()));
-    }
-    let mut out = Relation::empty(acc.schema().clone());
-    let mut key = Vec::new();
-    for row in acc.iter_rows() {
-        let ok = filters.iter().all(|(pos, set)| {
-            key.clear();
-            key.extend(pos.iter().map(|&p| row[p]));
-            set.contains(&key)
-        });
-        if ok {
-            out.push_row(row).expect("same arity");
-        }
-    }
-    out.sort_dedup();
+    let out = d
+        .zero_edges
+        .iter()
+        .fold(acc, |j, &e| semijoin(&j, &q.relations()[e]));
     let relation = reorder(&out, &q.output_schema())?;
     Ok(JoinOutput { relation, stats })
 }
@@ -110,36 +94,17 @@ fn triangle_join(q: &JoinQuery, edges: &[usize]) -> Result<Relation, QueryError>
     Ok(join_lw(&sub)?.relation)
 }
 
-/// Joins an even "cycle segment" — used both directly for even cycles (not
-/// produced by `decompose`, but exposed for the §7.1 lemma's even case via
-/// [`even_cycle_join`]) and inside the odd-cycle reduction: cross-product
-/// one alternating class, filter with the other.
-fn alternating_join(
-    q: &JoinQuery,
-    cross_edges: &[usize],
-    filter_edges: &[usize],
-) -> Result<Relation, QueryError> {
+/// Joins an even cycle (not produced by `decompose`, but exposed for the
+/// §7.1 lemma's even case via [`even_cycle_join`]): cross-product one
+/// alternating class, filter with the other.
+fn alternating_join(q: &JoinQuery, cross_edges: &[usize], filter_edges: &[usize]) -> Relation {
     let mut x = Relation::nullary_true();
     for &e in cross_edges {
         x = natural_join(&x, &q.relations()[e]); // disjoint attrs → cross
     }
-    for &e in filter_edges {
-        let rel = &q.relations()[e];
-        let pos = x.schema().positions_of(rel.schema().attrs())?;
-        let set = rel.row_set();
-        let mut kept = Relation::empty(x.schema().clone());
-        let mut key = Vec::new();
-        for row in x.iter_rows() {
-            key.clear();
-            key.extend(pos.iter().map(|&p| row[p]));
-            if set.contains(&key) {
-                kept.push_row(row).expect("same arity");
-            }
-        }
-        x = kept;
-    }
-    x.sort_dedup();
-    Ok(x)
+    filter_edges
+        .iter()
+        .fold(x, |x, &e| semijoin(&x, &q.relations()[e]))
 }
 
 /// Lemma 7.1, even case, exposed for direct use (the decomposition never
@@ -147,10 +112,8 @@ fn alternating_join(
 /// cross-product the cheaper alternating class, filter with the other.
 ///
 /// `edges` must be in traversal order.
-///
-/// # Errors
-/// Storage errors (none expected for consistent inputs).
-pub fn even_cycle_join(q: &JoinQuery, edges: &[usize]) -> Result<Relation, QueryError> {
+#[must_use]
+pub fn even_cycle_join(q: &JoinQuery, edges: &[usize]) -> Relation {
     debug_assert_eq!(edges.len() % 2, 0);
     let evens: Vec<usize> = edges.iter().copied().step_by(2).collect();
     let odds: Vec<usize> = edges.iter().copied().skip(1).step_by(2).collect();
@@ -211,24 +174,9 @@ fn odd_cycle_join(
 
     // S = {v2, …, v_{2k'−1}}; W = π_S(X) filtered by the even interior.
     let s_attrs: Vec<Attr> = (1..2 * kp - 1).map(|i| q.attr_of_vertex(vat(i))).collect();
-    let xs = wcoj_storage::ops::project(&x, &s_attrs)?;
-    let mut w = xs;
-    for &e in &even_interior {
-        let rel = &q.relations()[e];
-        let pos = w.schema().positions_of(rel.schema().attrs())?;
-        let set = rel.row_set();
-        let mut kept = Relation::empty(w.schema().clone());
-        let mut key = Vec::new();
-        for row in w.iter_rows() {
-            key.clear();
-            key.extend(pos.iter().map(|&p| row[p]));
-            if set.contains(&key) {
-                kept.push_row(row).expect("same arity");
-            }
-        }
-        kept.sort_dedup();
-        w = kept;
-    }
+    let w = even_interior.iter().fold(project(&x, &s_attrs)?, |w, &e| {
+        semijoin(&w, &q.relations()[e])
+    });
     stats.intermediate_tuples += w.len() as u64;
 
     // Pick the cheaper of e_{2k'} and e_{2k'+1} to extend W with — the
@@ -366,8 +314,8 @@ impl Bundler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
     use rand::{Rng, SeedableRng};
+    use wcoj_core::naive;
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -443,7 +391,7 @@ mod tests {
             .collect();
         let q = JoinQuery::new(&rels).unwrap();
         let edges: Vec<usize> = (0..6).collect();
-        let j = even_cycle_join(&q, &edges).unwrap();
+        let j = even_cycle_join(&q, &edges);
         let expect = naive::join(&rels);
         let expect = reorder(&expect, j.schema()).unwrap();
         assert_eq!(j, expect);

@@ -8,11 +8,11 @@
 //!
 //! This module *verifies and extracts* that structure from an exact cover
 //! vector (as produced by the exact simplex in `wcoj-lp`), returning a
-//! [`HalfIntegralDecomposition`] that `wcoj-core::graph_join` evaluates via
+//! [`HalfIntegralDecomposition`] that [`crate::graph_join`] evaluates via
 //! Theorem 7.3: odd cycles via the Cycle Lemma 7.1, stars via hash joins,
 //! glued with cross products.
 
-use crate::{HgError, Hypergraph};
+use wcoj_hypergraph::{HgError, Hypergraph};
 use wcoj_rational::Rational;
 
 /// A star component of weight-1 edges.
@@ -50,16 +50,18 @@ pub struct HalfIntegralDecomposition {
 /// Verifies half-integrality and extracts the star/odd-cycle structure.
 ///
 /// # Errors
-/// * [`HgError::NotAGraph`] if some edge has more than two vertices;
-/// * [`HgError::StructureViolation`] if `x` is not half-integral or the
-///   positive edges do not form the Lemma 7.2 shape (which would mean `x`
-///   is not a basic feasible solution).
+/// [`HgError::StructureViolation`] if some edge has more than two
+/// vertices, if `x` is not half-integral, or if the positive edges do not
+/// form the Lemma 7.2 shape (which would mean `x` is not a basic feasible
+/// solution).
 pub fn decompose(h: &Hypergraph, x: &[Rational]) -> Result<HalfIntegralDecomposition, HgError> {
     if x.len() != h.num_edges() {
         return Err(HgError::CoverArityMismatch);
     }
     if let Some(i) = (0..h.num_edges()).find(|&i| h.edge(i).len() > 2) {
-        return Err(HgError::NotAGraph { edge: i });
+        return Err(HgError::StructureViolation(format!(
+            "edge {i} has arity > 2"
+        )));
     }
 
     let mut ones = Vec::new();
@@ -216,7 +218,7 @@ pub fn uncovered_by_positive(h: &Hypergraph, x: &[Rational]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agm::optimal_cover;
+    use wcoj_hypergraph::agm::optimal_cover;
 
     #[test]
     fn triangle_cover_is_one_odd_cycle() {
@@ -310,7 +312,7 @@ mod tests {
         let h = Hypergraph::new(3, vec![vec![0, 1, 2]]).unwrap();
         assert_eq!(
             decompose(&h, &[Rational::ONE]),
-            Err(HgError::NotAGraph { edge: 0 })
+            Err(HgError::StructureViolation("edge 0 has arity > 2".into()))
         );
     }
 
@@ -340,7 +342,6 @@ mod tests {
     fn random_graph_covers_decompose() {
         // Lemma 7.2 end-to-end: for random graphs, the exact optimal BFS
         // always decomposes.
-        use crate::agm::optimal_cover;
         let cases: Vec<(usize, Vec<Vec<usize>>)> = vec![
             (
                 6,

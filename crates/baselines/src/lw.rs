@@ -21,15 +21,14 @@
 //! relations yields exactly `J`.
 //!
 //! This is a **reproduction** of §4, not an engine anything dispatches to:
-//! [`crate::join`] runs NPRR on LW instances too (Theorem 5.1 subsumes
+//! `wcoj_core::join` runs NPRR on LW instances too (Theorem 5.1 subsumes
 //! Theorem 4.1). Call [`join_lw`] directly; the e1–e3 and e7 experiments
-//! and this module's tests do.
+//! and this crate's tests do.
 
-use crate::query::{JoinQuery, QueryError};
-use crate::{JoinOutput, JoinStats};
+use wcoj_core::{JoinOutput, JoinQuery, JoinStats, QueryError};
 use wcoj_hypergraph::lw::lw_omitted_vertices;
 use wcoj_storage::hash::{map_with_capacity, FxHashMap};
-use wcoj_storage::ops::{natural_join, reorder, union};
+use wcoj_storage::ops::{natural_join, reorder, semijoin, union};
 use wcoj_storage::{Attr, Relation, Schema, Value};
 
 /// Evaluates an LW-instance query with Algorithm 1.
@@ -70,33 +69,9 @@ pub fn join_lw(q: &JoinQuery) -> Result<JoinOutput, QueryError> {
     let leaves: Vec<usize> = (0..n).collect();
     let (c, _d) = lw_rec(q, &rel_of_leaf, &leaves, p, &full_schema, true, &mut stats)?;
 
-    // Prune: keep tuples of C whose projection onto every edge is in R_e.
-    let relation = prune(q, &c)?;
+    // Prune: `J = {t ∈ C : π_e(t) ∈ R_e ∀e}`, one semijoin per edge.
+    let relation = q.relations().iter().fold(c, |j, rel| semijoin(&j, rel));
     Ok(JoinOutput { relation, stats })
-}
-
-/// Final pruning step: `J = {t ∈ C : π_e(t) ∈ R_e ∀e}`.
-fn prune(q: &JoinQuery, c: &Relation) -> Result<Relation, QueryError> {
-    let mut checkers: Vec<(Vec<usize>, wcoj_storage::RowSet)> = Vec::new();
-    for rel in q.relations() {
-        // positions of rel's attrs inside C's schema, in rel's storage order
-        let pos = c.schema().positions_of(rel.schema().attrs())?;
-        checkers.push((pos, rel.row_set()));
-    }
-    let mut out = Relation::empty(c.schema().clone());
-    let mut key = Vec::new();
-    for row in c.iter_rows() {
-        let ok = checkers.iter().all(|(pos, set)| {
-            key.clear();
-            key.extend(pos.iter().map(|&p| row[p]));
-            set.contains(&key)
-        });
-        if ok {
-            out.push_row(row).expect("same arity");
-        }
-    }
-    out.sort_dedup();
-    Ok(out)
 }
 
 /// Recursive LW step over a set of leaves. Returns `(C, D)`.
@@ -215,7 +190,7 @@ fn split_heavy_light(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
+    use wcoj_core::naive;
     use wcoj_storage::ops::reorder as ops_reorder;
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {

@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of two design choices behind the engine:
 //!
 //! 1. **Cover quality** — NPRR run with the LP-optimal fractional cover vs
 //!    the always-feasible all-ones cover (§2: the bound, and hence the

@@ -2,7 +2,7 @@
 //! queries through the half-integral star/cycle path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wcoj_core::graph_join::join_graph;
+use wcoj_baselines::graph_join::join_graph;
 use wcoj_core::{naive, JoinQuery};
 use wcoj_storage::Relation;
 

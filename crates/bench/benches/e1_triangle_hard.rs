@@ -2,8 +2,8 @@
 //! LW/NPRR on the empty-output hard triangle family.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use wcoj_baselines::lw::join_lw;
 use wcoj_baselines::plan::execute_left_deep;
-use wcoj_core::lw::join_lw;
 use wcoj_core::{join_with, Algorithm, JoinQuery};
 
 fn bench(c: &mut Criterion) {

@@ -2,7 +2,7 @@
 //! on random Loomis–Whitney instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wcoj_core::lw::join_lw;
+use wcoj_baselines::lw::join_lw;
 use wcoj_core::{join_with, Algorithm, JoinQuery};
 
 fn bench(c: &mut Criterion) {

@@ -2,8 +2,8 @@
 //! star/odd-cycle decomposition vs binary plans.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use wcoj_baselines::graph_join::join_graph;
 use wcoj_baselines::plan::execute_left_deep;
-use wcoj_core::graph_join::join_graph;
 use wcoj_core::JoinQuery;
 
 fn bench(c: &mut Criterion) {

@@ -1,10 +1,11 @@
-//! Experiment harness: regenerates every table in `EXPERIMENTS.md`.
+//! Experiment harness: regenerates every experiment table described in
+//! `crates/bench/README.md`.
 //!
 //! ```text
 //! harness [--quick] [--json DIR] [e1 e2 …]
 //! ```
 //!
-//! With no experiment ids, runs every experiment (e1–e22). `--quick`
+//! With no experiment ids, runs every experiment (e1–e15). `--quick`
 //! shrinks sweeps, `--json DIR` additionally writes each table as JSON.
 
 use std::io::Write as _;

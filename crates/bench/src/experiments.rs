@@ -1,12 +1,12 @@
-//! The fifteen experiments of `DESIGN.md` §4. Each function regenerates
-//! one of the paper's quantitative claims; sizes are chosen so the full
-//! suite runs in a couple of minutes on a laptop.
+//! The fifteen experiments of `crates/bench/README.md`. Each function
+//! regenerates one of the paper's quantitative claims; sizes are chosen so
+//! the full suite runs in a couple of minutes on a laptop.
 
 use crate::table::{ms, time_secs, Table};
+use wcoj_baselines::graph_join::join_graph;
+use wcoj_baselines::lw::join_lw;
 use wcoj_baselines::plan::execute_left_deep;
 use wcoj_baselines::{best_actual_left_deep, optimize_left_deep};
-use wcoj_core::graph_join::join_graph;
-use wcoj_core::lw::join_lw;
 use wcoj_core::nprr::qptree::build_qp_tree;
 use wcoj_core::nprr::total_order::total_order;
 use wcoj_core::{bt, fd, fullcq, join_with, naive, relaxed, Algorithm, JoinQuery};
@@ -468,7 +468,7 @@ pub fn e10_graph_queries(quick: bool) -> Vec<Table> {
         let q = JoinQuery::new(&rels).unwrap();
         let cover = q.optimal_cover().unwrap();
         let decomp =
-            wcoj_hypergraph::half_integral::decompose(q.hypergraph(), &cover.exact).unwrap();
+            wcoj_baselines::half_integral::decompose(q.hypergraph(), &cover.exact).unwrap();
         let (out, t_g) = time_secs(|| join_graph(&q).unwrap());
         let (nprr, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
         let (nv, t_naive) = time_secs(|| naive::join(&rels));
@@ -738,636 +738,6 @@ pub fn e15_tighten() -> Vec<Table> {
     vec![t]
 }
 
-/// E17 — shared-pool query service (`wcoj-service`): queries/sec at
-/// 1–64 concurrent submissions of mixed seed-family queries onto one
-/// worker pool, every output verified bit-identical to the sequential
-/// engine. (On a single-core host the qps column is expectedly flat;
-/// the verification still exercises the full scheduler.)
-#[must_use]
-pub fn e17_service_throughput(quick: bool) -> Vec<Table> {
-    use std::sync::Arc;
-    use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::ExecConfig;
-    use wcoj_service::{Service, ServiceConfig};
-
-    let mut t = Table::new(
-        "e17",
-        "wcoj-service shared-pool scheduler: mixed-query throughput vs concurrency",
-        &[
-            "concurrency",
-            "queries",
-            "workers",
-            "total_ms",
-            "qps",
-            "identical",
-        ],
-        "qps roughly flat in concurrency (one shared pool, no oversubscription); identical = true",
-    );
-    let size = if quick { 1 } else { 4 };
-    let instances: Vec<(&str, Vec<Relation>)> = vec![
-        ("triangle_hard", gen::example_2_2(64 * size as u64)),
-        ("agm_tight", gen::agm_tight_triangle(4 * size as u64)),
-        ("cycle4", gen::cycle_instance(13, 4, 120 * size, 40)),
-        ("lw4", gen::random_lw(5, 4, 60 * size, 8)),
-        ("figure2", gen::worked_example(7, 40 * size, 6)),
-        (
-            "zipf_triangle",
-            vec![
-                gen::zipf_relation(21, &[0, 1], 150 * size, 30, 1.2),
-                gen::zipf_relation(22, &[1, 2], 150 * size, 30, 1.2),
-                gen::zipf_relation(23, &[0, 2], 150 * size, 30, 1.2),
-            ],
-        ),
-    ];
-    let prepared: Vec<Arc<PreparedQuery>> = instances
-        .iter()
-        .map(|(_, rels)| Arc::new(PreparedQuery::new(rels).expect("well-formed instance")))
-        .collect();
-    let expected: Vec<Relation> = instances
-        .iter()
-        .map(|(_, rels)| {
-            join_with(rels, Algorithm::Nprr, None)
-                .expect("sequential oracle")
-                .relation
-        })
-        .collect();
-
-    let workers = std::thread::available_parallelism().map_or(2, std::num::NonZero::get);
-    let service = Arc::new(Service::new(ServiceConfig::with_workers(workers)));
-    let cfg = ExecConfig {
-        shard_min_size: 1,
-        ..service.exec_config()
-    };
-    let levels: &[usize] = if quick { &[1, 4, 16] } else { &[1, 4, 16, 64] };
-    for &concurrency in levels {
-        let queries_per_thread = if quick { 2 } else { 4 };
-        let total = concurrency * queries_per_thread;
-        let all_ok = std::sync::atomic::AtomicBool::new(true);
-        let (_, secs) = time_secs(|| {
-            std::thread::scope(|scope| {
-                for submitter in 0..concurrency {
-                    let service = Arc::clone(&service);
-                    let cfg = cfg.clone();
-                    let prepared = &prepared;
-                    let expected = &expected;
-                    let all_ok = &all_ok;
-                    scope.spawn(move || {
-                        for j in 0..queries_per_thread {
-                            let q = (submitter + j) % prepared.len();
-                            let out = service
-                                .submit(&prepared[q], &cfg)
-                                .expect("submit")
-                                .wait()
-                                .expect("join");
-                            if out.relation != expected[q] {
-                                all_ok.store(false, std::sync::atomic::Ordering::Relaxed);
-                            }
-                        }
-                    });
-                }
-            });
-        });
-        let ok = all_ok.load(std::sync::atomic::Ordering::Relaxed);
-        t.row(vec![
-            concurrency.to_string(),
-            total.to_string(),
-            workers.to_string(),
-            ms(secs),
-            format!("{:.0}", total as f64 / secs.max(1e-12)),
-            ok.to_string(),
-        ]);
-        assert!(ok, "service output diverged from sequential");
-    }
-    vec![t]
-}
-
-/// E19 — service admission control (`wcoj-service` bounded injector): a
-/// 2-worker service with a small queue bound flooded from 2–8 submitter
-/// threads (shed-and-retry, so overload delays but never loses queries).
-/// Records accepted/shed counts and the p50/p99 submit-to-result wait
-/// latency of accepted queries; every output is verified bit-identical
-/// to the sequential engine. Shed counts grow with the offered load
-/// while the bounded queue keeps worker-side latency flat — the
-/// backpressure story in one table.
-#[must_use]
-pub fn e19_overload_shedding(quick: bool) -> Vec<Table> {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
-    use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::ExecConfig;
-    use wcoj_service::{Service, ServiceConfig, SubmitError};
-
-    const QUEUE_DEPTH: usize = 4;
-    let mut t = Table::new(
-        "e19",
-        "wcoj-service admission control: flood past the queue bound, shed-and-retry",
-        &[
-            "submitters",
-            "offered",
-            "accepted",
-            "shed",
-            "p50_wait_ms",
-            "p99_wait_ms",
-            "identical",
-        ],
-        "shed grows with offered load (0 possible at low concurrency); accepted = offered \
-         (retries); identical = true",
-    );
-    let size = if quick { 1 } else { 3 };
-    let instances: Vec<(&str, Vec<Relation>)> = vec![
-        ("triangle_hard", gen::example_2_2(64 * size as u64)),
-        ("cycle4", gen::cycle_instance(13, 4, 120 * size, 40)),
-        (
-            "zipf_triangle",
-            vec![
-                gen::zipf_relation(21, &[0, 1], 150 * size, 30, 1.2),
-                gen::zipf_relation(22, &[1, 2], 150 * size, 30, 1.2),
-                gen::zipf_relation(23, &[0, 2], 150 * size, 30, 1.2),
-            ],
-        ),
-        ("figure2", gen::worked_example(7, 40 * size, 6)),
-    ];
-    let prepared: Vec<Arc<PreparedQuery>> = instances
-        .iter()
-        .map(|(_, rels)| Arc::new(PreparedQuery::new(rels).expect("well-formed instance")))
-        .collect();
-    let expected: Vec<Relation> = instances
-        .iter()
-        .map(|(_, rels)| {
-            join_with(rels, Algorithm::Nprr, None)
-                .expect("sequential oracle")
-                .relation
-        })
-        .collect();
-
-    let levels: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
-    for &submitters in levels {
-        // Fresh service per level so shed/latency columns are per-row.
-        let service = Arc::new(Service::new(
-            ServiceConfig::with_workers(2).with_queue_depth(QUEUE_DEPTH),
-        ));
-        let cfg = ExecConfig {
-            shard_min_size: 1,
-            ..service.exec_config()
-        };
-        let per_submitter = if quick { 3 } else { 6 };
-        let offered = submitters * per_submitter;
-        let all_ok = AtomicBool::new(true);
-        let local_shed = AtomicU64::new(0);
-        let waits_ms: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(offered));
-        std::thread::scope(|scope| {
-            for submitter in 0..submitters {
-                let service = Arc::clone(&service);
-                let cfg = cfg.clone();
-                let prepared = &prepared;
-                let expected = &expected;
-                let all_ok = &all_ok;
-                let local_shed = &local_shed;
-                let waits_ms = &waits_ms;
-                scope.spawn(move || {
-                    for j in 0..per_submitter {
-                        let q = (submitter + j) % prepared.len();
-                        let start = std::time::Instant::now();
-                        let handle = loop {
-                            match service.submit(&prepared[q], &cfg) {
-                                Ok(handle) => break handle,
-                                Err(SubmitError::Overloaded { .. }) => {
-                                    local_shed.fetch_add(1, Ordering::Relaxed);
-                                    std::thread::yield_now();
-                                }
-                                Err(e) => panic!("unexpected submit error: {e}"),
-                            }
-                        };
-                        let out = handle.wait().expect("accepted query evaluates");
-                        waits_ms
-                            .lock()
-                            .expect("collector")
-                            .push(start.elapsed().as_secs_f64() * 1e3);
-                        if out.relation != expected[q] {
-                            all_ok.store(false, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        let counters = service.counters();
-        assert_eq!(
-            counters.shed,
-            local_shed.load(Ordering::Relaxed),
-            "sheds reported, not dropped"
-        );
-        assert_eq!(counters.submitted, offered as u64, "retries land all");
-        assert_eq!(counters.completed, offered as u64);
-        let mut waits = waits_ms.into_inner().expect("collector");
-        waits.sort_by(f64::total_cmp);
-        // Nearest-rank via the workspace's single percentile definition
-        // (the old `(len-1) * p` truncation biased high quantiles low —
-        // the p99 of 10 samples came out as the second-largest, not the
-        // max).
-        let pct = |p: f64| wcoj_obs::percentile_f64(&waits, p);
-        let ok = all_ok.load(Ordering::Relaxed);
-        assert!(ok, "service output diverged from sequential under overload");
-        t.row(vec![
-            submitters.to_string(),
-            offered.to_string(),
-            counters.submitted.to_string(),
-            counters.shed.to_string(),
-            format!("{:.2}", pct(0.50)),
-            format!("{:.2}", pct(0.99)),
-            ok.to_string(),
-        ]);
-    }
-    vec![t]
-}
-
-/// E20 — execution profiles and the trace ring (`wcoj-obs`): every seed
-/// query family through a profiled service. Per instance: the profile
-/// covers every scheduled shard, lifecycle phases are monotone, per-shard
-/// rows sum to the output size, and per-shard `JoinStats` reassemble into
-/// the output's stats — while the output stays bit-identical to the
-/// sequential engine. The summary-level trace ring records the query's
-/// admit/finish decisions, and the registry's Prometheus rendering passes
-/// the format check. p50/p99 of per-shard run time use the workspace's
-/// single nearest-rank definition (`wcoj_obs::percentile_u64`) — the same
-/// one e19's wait columns use.
-#[must_use]
-pub fn e20_obs_profiles(quick: bool) -> Vec<Table> {
-    use std::sync::Arc;
-    use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::ExecConfig;
-    use wcoj_obs::{trace, TraceEvent, TraceLevel};
-    use wcoj_service::{Service, ServiceConfig};
-
-    let mut t = Table::new(
-        "e20",
-        "wcoj-obs per-query profiles: per-shard coverage, monotone phases, trace audit",
-        &[
-            "instance",
-            "shards",
-            "rows",
-            "p50_run_us",
-            "p99_run_us",
-            "trace_events",
-            "identical",
-        ],
-        "profile covers every shard; Σ shard rows = output rows; identical = true",
-    );
-    let size = if quick { 1 } else { 3 };
-    let instances: Vec<(&str, Vec<Relation>)> = vec![
-        ("triangle_hard", gen::example_2_2(64 * size as u64)),
-        ("agm_tight", gen::agm_tight_triangle(4 + size as u64)),
-        ("lw4", gen::random_lw(31, 4, 80 * size, 8)),
-        ("figure2", gen::worked_example(7, 40 * size, 6)),
-        (
-            "zipf_triangle",
-            vec![
-                gen::zipf_relation(21, &[0, 1], 150 * size, 30, 1.2),
-                gen::zipf_relation(22, &[1, 2], 150 * size, 30, 1.2),
-                gen::zipf_relation(23, &[0, 2], 150 * size, 30, 1.2),
-            ],
-        ),
-        ("hot_key", gen::hot_key_triangle(17, 96 * size, 3)),
-    ];
-
-    let ring = trace();
-    let saved_level = ring.level();
-    ring.set_level(TraceLevel::Summary);
-    let service = Service::new(ServiceConfig::with_workers(2));
-    let cfg = ExecConfig {
-        shard_min_size: 1,
-        ..service.exec_config()
-    };
-    for (name, rels) in &instances {
-        let oracle = join_with(rels, Algorithm::Nprr, None)
-            .expect("sequential oracle")
-            .relation;
-        let prepared = Arc::new(PreparedQuery::new(rels).expect("well-formed instance"));
-        let handle = service
-            .submit(&prepared, &cfg)
-            .expect("unbounded admission");
-        let query_id = handle.profile().query_id;
-        let (out, profile) = handle.wait_profiled().expect("query evaluates");
-        let identical = out.relation == oracle;
-        assert!(identical, "{name}: profiling changes no output");
-
-        // The tentpole acceptance shape, asserted per family.
-        assert!(profile.is_complete(), "{name}: every shard reported");
-        assert!(
-            profile.shards.iter().all(|s| !s.skipped),
-            "{name}: nothing was cancelled"
-        );
-        assert_eq!(
-            profile.total_rows(),
-            out.relation.len() as u64,
-            "{name}: per-shard rows sum to the output"
-        );
-        let mut stats = wcoj_core::JoinStats::default();
-        for shard in &profile.shards {
-            stats.absorb(&shard.stats);
-        }
-        assert_eq!(
-            stats.case_a + stats.case_b,
-            out.stats.case_a + out.stats.case_b,
-            "{name}: per-shard stats reassemble"
-        );
-        let planned = profile.planned.expect("planning ran");
-        let first = profile.first_dispatch.expect("dispatched");
-        let last = profile.last_finish.expect("finished");
-        let reassembled = profile.reassembled.expect("waited");
-        assert!(
-            profile.admitted <= planned && planned <= first && first <= last && last <= reassembled,
-            "{name}: monotone phases: {profile:?}"
-        );
-
-        let events = ring.drain();
-        let ours = events
-            .iter()
-            .filter(|e| match e {
-                TraceEvent::Admit { query, .. }
-                | TraceEvent::Cancel { query }
-                | TraceEvent::SkipTask { query, .. }
-                | TraceEvent::RingRotate { query, .. }
-                | TraceEvent::TaskRun { query, .. }
-                | TraceEvent::Finish { query } => *query == query_id,
-                TraceEvent::Shed { .. } | TraceEvent::HeavySplit { .. } => false,
-            })
-            .count();
-        assert!(ours >= 2, "{name}: at least Admit + Finish traced");
-
-        let mut runs_us: Vec<u64> = profile
-            .shards
-            .iter()
-            .map(|s| u64::try_from(s.run.as_micros()).unwrap_or(u64::MAX))
-            .collect();
-        runs_us.sort_unstable();
-        t.row(vec![
-            (*name).to_owned(),
-            profile.total_shards.to_string(),
-            out.relation.len().to_string(),
-            wcoj_obs::percentile_u64(&runs_us, 0.50).to_string(),
-            wcoj_obs::percentile_u64(&runs_us, 0.99).to_string(),
-            ours.to_string(),
-            identical.to_string(),
-        ]);
-    }
-    ring.set_level(saved_level);
-
-    // The scrape surface the service fed while the families ran.
-    let text = wcoj_obs::global().render_prometheus();
-    assert!(text.contains("wcoj_query_latency_us_count"));
-    wcoj_obs::check_exposition(&text).expect("valid Prometheus exposition");
-    vec![t]
-}
-
-/// E21 — prepared-plan cache (`wcoj-query`): repeated submission of the
-/// same text query through a `Catalog`. The first (cold) submission pays
-/// parsing, §7.3 reduction, the cover LP, and flat-index construction;
-/// every later (warm) submission reuses the cached `PreparedQuery` and
-/// pays only parsing + the engine run. Reports cold vs warm submission
-/// cost per family plus the cache's hit/miss account — the repeat-query
-/// cost drop is planning work, not parallelism, so it shows even on a
-/// single-core host. Every round's output is verified bit-identical to
-/// the first.
-#[must_use]
-pub fn e21_plan_cache(quick: bool) -> Vec<Table> {
-    use wcoj_query::{execute, parse_query, Catalog};
-
-    let mut t = Table::new(
-        "e21",
-        "wcoj-query prepared-plan cache: cold build vs warm cache-hit submissions",
-        &[
-            "instance",
-            "rounds",
-            "rows",
-            "cold_ms",
-            "warm_p50_ms",
-            "cold/warm",
-            "hits",
-            "misses",
-            "identical",
-        ],
-        "warm rounds skip reduction + cover LP + indexing; hits = rounds-1, misses = 1",
-    );
-    let size = if quick { 1 } else { 3 };
-    let rounds = if quick { 4usize } else { 16 };
-    let instances: Vec<(&str, Vec<Relation>)> = vec![
-        (
-            "random_triangle",
-            vec![
-                gen::random_relation(41, &[0, 1], 400 * size, 24),
-                gen::random_relation(51, &[1, 2], 400 * size, 24),
-                gen::random_relation(61, &[0, 2], 400 * size, 24),
-            ],
-        ),
-        (
-            "zipf_triangle",
-            vec![
-                gen::zipf_relation(71, &[0, 1], 400 * size, 40, 1.3),
-                gen::zipf_relation(81, &[1, 2], 400 * size, 40, 1.3),
-                gen::zipf_relation(91, &[0, 2], 400 * size, 40, 1.3),
-            ],
-        ),
-        ("hot_key", gen::hot_key_triangle(17, 96 * size, 4)),
-    ];
-    let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").expect("well-formed query");
-    for (name, rels) in instances {
-        let mut catalog = Catalog::new();
-        for (rel_name, rel) in ["R", "S", "T"].iter().zip(rels) {
-            catalog.insert(*rel_name, rel);
-        }
-        let (first, cold_secs) = time_secs(|| execute(&q, &catalog).expect("cold round"));
-        assert_eq!(catalog.plan_cache_stats(), (0, 1), "{name}: cold build");
-        let mut warm_secs = Vec::with_capacity(rounds - 1);
-        for round in 1..rounds {
-            let (out, secs) = time_secs(|| execute(&q, &catalog).expect("warm round"));
-            assert_eq!(
-                out.relation, first.relation,
-                "{name}: round {round} bit-identical to the cold round"
-            );
-            warm_secs.push(secs);
-        }
-        let (hits, misses) = catalog.plan_cache_stats();
-        assert_eq!(
-            (hits, misses),
-            ((rounds - 1) as u64, 1),
-            "{name}: every warm round was a cache hit"
-        );
-        warm_secs.sort_by(f64::total_cmp);
-        let warm_p50 = warm_secs[warm_secs.len() / 2];
-        t.row(vec![
-            name.to_owned(),
-            rounds.to_string(),
-            first.relation.len().to_string(),
-            ms(cold_secs),
-            ms(warm_p50),
-            format!("{:.2}", cold_secs / warm_p50.max(1e-12)),
-            hits.to_string(),
-            misses.to_string(),
-            "true".to_owned(),
-        ]);
-    }
-    vec![t]
-}
-
-/// E22 — query latency under sustained ingest (`wcoj-query` mutable
-/// catalog): a triangle query re-executed while rows stream into its
-/// relations. Three regimes per instance: `base` (frozen relations, the
-/// pre-ingest reference), `fresh` (growing insert/delete buffers merged
-/// into every scan via `DeltaIndex` views — plans *refresh* their
-/// weights instead of rebuilding), and `compacted` (buffers folded into
-/// fresh base indexes, one full rebuild then pure cache hits). Reports
-/// p50/p99 latency and the plan cache's hit/refresh/miss account per
-/// regime; each regime's output is verified against a materialized
-/// re-run of the same catalog state.
-#[must_use]
-pub fn e22_ingest_latency(quick: bool) -> Vec<Table> {
-    use wcoj_query::{execute, parse_query, Catalog};
-    use wcoj_storage::Value;
-
-    let mut t = Table::new(
-        "e22",
-        "wcoj-query ingest: query latency with fresh delta buffers vs after compaction",
-        &[
-            "instance",
-            "mode",
-            "delta_rows",
-            "rounds",
-            "rows",
-            "p50_ms",
-            "p99_ms",
-            "hits",
-            "refreshes",
-            "misses",
-            "identical",
-        ],
-        "fresh rounds pay the base+delta merge and a weights refresh; compaction restores base-only scans",
-    );
-    let size = if quick { 1 } else { 3 };
-    let rounds = if quick { 4usize } else { 12 };
-    let batches = if quick { 3usize } else { 10 };
-    let batch_rows = 32 * size;
-    let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").expect("well-formed query");
-
-    let instances: Vec<(&str, Vec<Relation>, u64)> = vec![
-        (
-            "random_triangle",
-            vec![
-                gen::random_relation(43, &[0, 1], 400 * size, 24),
-                gen::random_relation(53, &[1, 2], 400 * size, 24),
-                gen::random_relation(63, &[0, 2], 400 * size, 24),
-            ],
-            24,
-        ),
-        (
-            "zipf_triangle",
-            vec![
-                gen::zipf_relation(73, &[0, 1], 400 * size, 40, 1.3),
-                gen::zipf_relation(83, &[1, 2], 400 * size, 40, 1.3),
-                gen::zipf_relation(93, &[0, 2], 400 * size, 40, 1.3),
-            ],
-            40,
-        ),
-    ];
-
-    // Checks one regime: `rounds` timed executions, output verified
-    // against a fresh catalog holding the materialized relations.
-    let regime = |t: &mut Table,
-                  name: &str,
-                  mode: &str,
-                  catalog: &Catalog,
-                  q: &wcoj_query::ParsedQuery,
-                  stats_before: (u64, u64, u64)| {
-        let mut secs = Vec::with_capacity(rounds);
-        let mut first: Option<Relation> = None;
-        for _ in 0..rounds {
-            let (out, s) = time_secs(|| execute(q, catalog).expect("execute"));
-            if let Some(ref f) = first {
-                assert_eq!(&out.relation, f, "{name}/{mode}: rounds bit-identical");
-            } else {
-                first = Some(out.relation);
-            }
-            secs.push(s);
-        }
-        let first = first.expect("≥ 1 round");
-        let mut plain = Catalog::new();
-        for rel_name in ["R", "S", "T"] {
-            plain.insert(rel_name, catalog.get(rel_name).expect("relation"));
-        }
-        let reference = execute(q, &plain).expect("materialized run");
-        assert_eq!(
-            first, reference.relation,
-            "{name}/{mode}: delta views match materialized relations"
-        );
-        secs.sort_by(f64::total_cmp);
-        let (hits, misses) = catalog.plan_cache_stats();
-        let refreshes = catalog.plan_cache().refreshes();
-        let delta_rows: usize = ["R", "S", "T"]
-            .iter()
-            .map(|n| catalog.delta(n).expect("registered").delta_len())
-            .sum();
-        t.row(vec![
-            name.to_owned(),
-            mode.to_owned(),
-            delta_rows.to_string(),
-            rounds.to_string(),
-            first.len().to_string(),
-            ms(secs[secs.len() / 2]),
-            ms(secs[secs.len() - 1]),
-            (hits - stats_before.0).to_string(),
-            (refreshes - stats_before.1).to_string(),
-            (misses - stats_before.2).to_string(),
-            "true".to_owned(),
-        ]);
-        (hits, refreshes, misses)
-    };
-
-    for (name, rels, domain) in instances {
-        let mut catalog = Catalog::new();
-        // Keep auto-compaction out of the way: compaction timing is the
-        // regime boundary here, not a background effect.
-        catalog.set_compact_threshold(usize::MAX);
-        for (rel_name, rel) in ["R", "S", "T"].iter().zip(rels) {
-            catalog.insert(*rel_name, rel);
-        }
-
-        // Frozen reference.
-        let stats = regime(&mut t, name, "base", &catalog, &q, (0, 0, 0));
-
-        // Sustained ingest: alternate append/delete batches, querying
-        // after each batch so every round re-merges grown buffers.
-        let mut seed = 0x1A7E_0001u64 ^ domain;
-        let mut step = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            seed >> 33
-        };
-        for b in 0..batches {
-            for rel_name in ["R", "S", "T"] {
-                let rows: Vec<Vec<Value>> = (0..batch_rows)
-                    .map(|_| vec![Value(step() % domain), Value(step() % domain)])
-                    .collect();
-                let changed = if b % 3 == 2 {
-                    catalog.delete_rows(rel_name, &rows)
-                } else {
-                    catalog.insert_rows(rel_name, &rows)
-                };
-                changed.expect("mutation").expect("registered");
-            }
-            let _ = execute(&q, &catalog).expect("mid-ingest query");
-        }
-        let stats = regime(&mut t, name, "fresh", &catalog, &q, stats);
-
-        // Fold the buffers into fresh bases and measure the recovery.
-        for rel_name in ["R", "S", "T"] {
-            assert!(catalog.compact(rel_name), "{name}: buffers to fold");
-            assert_eq!(catalog.delta(rel_name).expect("registered").delta_len(), 0);
-        }
-        regime(&mut t, name, "compacted", &catalog, &q, stats);
-    }
-    vec![t]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1457,71 +827,5 @@ mod tests {
     #[test]
     fn e15_smoke() {
         let _ = e15_tighten();
-    }
-    #[test]
-    fn e17_smoke() {
-        let t = e17_service_throughput(true);
-        // 3 concurrency levels; every row verified identical
-        assert_eq!(t[0].rows.len(), 3);
-        for row in &t[0].rows {
-            assert_eq!(row[5], "true");
-        }
-    }
-    #[test]
-    fn e19_smoke() {
-        let t = e19_overload_shedding(true);
-        // 2 concurrency levels; identical verified, sheds reported
-        assert_eq!(t[0].rows.len(), 2);
-        for row in &t[0].rows {
-            assert_eq!(row[6], "true");
-            assert_eq!(row[1], row[2], "retries land every offered query");
-        }
-    }
-
-    #[test]
-    fn e20_smoke() {
-        let t = e20_obs_profiles(true);
-        // 6 instances; shard coverage, phase monotonicity, row totals,
-        // and the exposition check are asserted inside the experiment
-        assert_eq!(t[0].rows.len(), 6);
-        for row in &t[0].rows {
-            assert_eq!(row[6], "true");
-            let shards: usize = row[1].parse().unwrap();
-            assert!(shards >= 1, "{row:?}");
-        }
-    }
-
-    #[test]
-    fn e22_smoke() {
-        let t = e22_ingest_latency(true);
-        // 2 instances × 3 regimes; bit-identity against materialized
-        // relations is asserted inside the experiment
-        assert_eq!(t[0].rows.len(), 6);
-        for row in &t[0].rows {
-            match row[1].as_str() {
-                "base" | "compacted" => assert_eq!(row[2], "0", "{row:?}"),
-                "fresh" => {
-                    let delta_rows: usize = row[2].parse().unwrap();
-                    assert!(delta_rows > 0, "{row:?}");
-                    let refreshes: u64 = row[8].parse().unwrap();
-                    assert!(refreshes >= 1, "{row:?}");
-                }
-                other => panic!("unknown regime {other}"),
-            }
-            assert_eq!(row[10], "true");
-        }
-    }
-
-    #[test]
-    fn e21_smoke() {
-        let t = e21_plan_cache(true);
-        // 3 families; hit/miss accounting and bit-identical warm rounds
-        // are asserted inside the experiment
-        assert_eq!(t[0].rows.len(), 3);
-        for row in &t[0].rows {
-            assert_eq!(row[6], "3", "quick mode: 3 warm hits");
-            assert_eq!(row[7], "1", "one cold build");
-            assert_eq!(row[8], "true");
-        }
     }
 }

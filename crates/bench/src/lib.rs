@@ -1,28 +1,22 @@
-//! Experiment library: one function per experiment in `DESIGN.md` §4
-//! (E1–E15), each regenerating the corresponding quantitative claim of the
-//! paper as a printable/serialisable table.
+//! Experiment library: one function per experiment E1–E15 of
+//! `crates/bench/README.md`, each regenerating the corresponding
+//! quantitative claim of the paper as a printable/serialisable table.
 //!
 //! The paper has no empirical tables of its own (it is a theory paper), so
 //! the "figures" reproduced here are its *worked examples, theorems, and
-//! lower-bound constructions*; `EXPERIMENTS.md` records the expected vs
+//! lower-bound constructions*; the README records the expected vs
 //! measured shape for each. The `harness` binary prints these tables and
-//! can dump them as JSON.
+//! can dump them as JSON. Speed figures for the serving stack come from
+//! the repo's `benchmark/`, not from here.
 
 pub mod experiments;
 pub mod table;
 
 pub use table::{time_secs, Table};
 
-/// All experiment ids, in order. E1–E15 regenerate the paper's claims;
-/// E17 records the shared-pool query service's concurrent throughput,
-/// E19 service admission
-/// control (shed counts + wait-latency percentiles under a flood), E20
-/// per-query execution profiles and the scheduler trace ring, E21 the
-/// prepared-plan cache's repeat-query submission cost drop, E22 query
-/// latency under sustained ingest (fresh delta buffers vs compacted).
-pub const ALL_EXPERIMENTS: [&str; 20] = [
+/// All experiment ids, in order: E1–E15 regenerate the paper's claims.
+pub const ALL_EXPERIMENTS: [&str; 15] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e17", "e19", "e20", "e21", "e22",
 ];
 
 /// Runs one experiment by id. `quick` shrinks the sweeps for CI-speed runs.
@@ -47,11 +41,6 @@ pub fn run_experiment(id: &str, quick: bool) -> Vec<Table> {
         "e13" => experiments::e13_bt(quick),
         "e14" => experiments::e14_full_cq(),
         "e15" => experiments::e15_tighten(),
-        "e17" => experiments::e17_service_throughput(quick),
-        "e19" => experiments::e19_overload_shedding(quick),
-        "e20" => experiments::e20_obs_profiles(quick),
-        "e21" => experiments::e21_plan_cache(quick),
-        "e22" => experiments::e22_ingest_latency(quick),
         other => panic!("unknown experiment id {other}"),
     }
 }

@@ -13,7 +13,8 @@ pub struct Table {
     pub columns: Vec<String>,
     /// Rows (pre-formatted cells).
     pub rows: Vec<Vec<String>>,
-    /// Expected shape per the paper, for EXPERIMENTS.md.
+    /// Expected shape per the paper, printed under the table and kept in
+    /// its JSON.
     pub expected: String,
 }
 

@@ -6,8 +6,6 @@
 //! | Module | Paper reference | Contents |
 //! |--------|-----------------|----------|
 //! | [`nprr`] | §5, Algorithms 2–4, Procedure 5 | the generic worst-case optimal join: query-plan tree, total order, `Recursive-Join` — the one engine behind [`join`] and every served query |
-//! | [`lw`] | §4, Algorithm 1 | reproduction, called directly: the specialised Loomis–Whitney algorithm with heavy/light key partitioning |
-//! | [`graph_join`] | §7.1, Lemma 7.1 + Theorem 7.3 | reproduction, called directly: arity-≤2 queries via half-integral covers, stars + odd cycles (Cycle Lemma) |
 //! | [`relaxed`] | §7.2, Algorithm 6 | relaxed joins `q_r` via `BFS`-equivalence classes |
 //! | [`fullcq`] | §7.3 | full conjunctive queries (constants, repeated variables) reduced to natural joins |
 //! | [`fd`] | §7.3 | simple functional dependencies: closure-based relation expansion |
@@ -18,8 +16,10 @@
 //! query hypergraph from relation schemas, solve the fractional-cover LP
 //! (via `wcoj-hypergraph`), and run NPRR through
 //! [`nprr::PreparedQuery`] — the same pipeline the catalog, the service
-//! and the HTTP server run. Algorithm 1 and Theorem 7.3 are special cases
-//! Theorem 5.1 subsumes; nothing dispatches to them.
+//! and the HTTP server run. Algorithm 1 (§4), Theorem 7.3 (§7.1) and
+//! Lemma 7.2's half-integral covers are special cases Theorem 5.1
+//! subsumes: they live in `wcoj-baselines` as reproductions, checked
+//! against NPRR there, and no crate on the served path depends on them.
 //!
 //! ```
 //! use wcoj_storage::{Relation, Schema};
@@ -36,8 +36,6 @@
 pub mod bt;
 pub mod fd;
 pub mod fullcq;
-pub mod graph_join;
-pub mod lw;
 pub mod naive;
 pub mod nprr;
 pub mod query;

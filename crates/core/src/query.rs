@@ -14,8 +14,9 @@ pub enum QueryError {
     Hypergraph(HgError),
     /// Storage-level failure.
     Storage(StorageError),
-    /// A shape-specific algorithm (`lw::join_lw`, `graph_join::join_graph`,
-    /// `bt::reconstruct`) was called on a query outside its shape.
+    /// A shape-specific algorithm (`bt::reconstruct`, or one of
+    /// `wcoj-baselines`' reproductions) was called on a query outside its
+    /// shape.
     AlgorithmMismatch(&'static str),
     /// A user-supplied cover vector was rejected.
     BadCover(String),

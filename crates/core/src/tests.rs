@@ -1,13 +1,11 @@
-//! Cross-algorithm consistency tests: NPRR, and the paper's shape-specific
-//! reproductions (`lw::join_lw`, `graph_join::join_graph`) called directly,
-//! must agree with the naive oracle on every query shape they support, and
-//! outputs must respect the AGM bound.
+//! Consistency tests: NPRR must agree with the naive oracle on every query
+//! shape, and outputs must respect the AGM bound. (`wcoj-baselines`' tests
+//! run the paper's shape-specific reproductions on the same seeded
+//! instances.)
 
-use crate::graph_join::join_graph;
-use crate::lw::join_lw;
 use crate::nprr::{join_nprr, PreparedQuery};
 use crate::query::JoinQuery;
-use crate::{agm_cover, join, join_with, naive, Algorithm, JoinOutput, QueryError};
+use crate::{agm_cover, join, join_with, naive, Algorithm, QueryError};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use wcoj_storage::ops::reorder;
@@ -24,24 +22,11 @@ fn random_rel(rng: &mut rand::rngs::StdRng, attrs: &[u32], n: usize, dom: u64) -
     Relation::from_rows(Schema::of(attrs), rows).unwrap()
 }
 
-fn assert_output_matches_naive(rels: &[Relation], out: Result<JoinOutput, QueryError>, ctx: &str) {
-    let out = out.unwrap_or_else(|e| panic!("{ctx} failed: {e}"));
+fn assert_matches_naive(rels: &[Relation], algo: Algorithm, ctx: &str) {
+    let out = join_with(rels, algo, None).unwrap_or_else(|e| panic!("{ctx}: {algo:?} failed: {e}"));
     let expect = naive::join(rels);
     let expect = reorder(&expect, out.relation.schema()).unwrap();
-    assert_eq!(out.relation, expect, "{ctx} disagrees with naive");
-}
-
-fn assert_matches_naive(rels: &[Relation], algo: Algorithm, ctx: &str) {
-    let out = join_with(rels, algo, None);
-    assert_output_matches_naive(rels, out, &format!("{ctx}: {algo:?}"));
-}
-
-/// A reproduction the library does not dispatch to, called directly.
-type Reproduction = fn(&JoinQuery) -> Result<JoinOutput, QueryError>;
-
-fn assert_reproduction_matches_naive(rels: &[Relation], run: Reproduction, ctx: &str) {
-    let out = run(&JoinQuery::new(rels).unwrap());
-    assert_output_matches_naive(rels, out, ctx);
+    assert_eq!(out.relation, expect, "{ctx}: {algo:?} disagrees with naive");
 }
 
 #[test]
@@ -65,8 +50,6 @@ fn all_algorithms_agree_on_triangles() {
         let rels = [r, s, t];
         let ctx = format!("triangle trial {trial}");
         assert_matches_naive(&rels, Algorithm::Nprr, &ctx);
-        assert_reproduction_matches_naive(&rels, join_lw, &format!("{ctx}: join_lw"));
-        assert_reproduction_matches_naive(&rels, join_graph, &format!("{ctx}: join_graph"));
     }
 }
 
@@ -104,9 +87,6 @@ fn example_2_2_instance_is_empty_everywhere() {
         let out = join_with(&rels, algo, None).unwrap();
         assert!(out.relation.is_empty(), "{algo:?} must report empty");
     }
-    let q = JoinQuery::new(&rels).unwrap();
-    assert!(join_lw(&q).unwrap().relation.is_empty(), "join_lw");
-    assert!(join_graph(&q).unwrap().relation.is_empty(), "join_graph");
     // while the pairwise join is quadratic:
     let pairwise = wcoj_storage::ops::natural_join(&r, &s);
     assert_eq!(pairwise.len(), (n * n / 4 + n / 2) as usize);
@@ -250,7 +230,6 @@ fn chain_and_star_queries_match_naive() {
             random_rel(&mut rng, &[2, 3], 40, 7),
         ];
         assert_matches_naive(&chain, Algorithm::Nprr, &format!("chain {trial}"));
-        assert_reproduction_matches_naive(&chain, join_graph, &format!("chain {trial}"));
         // star
         let star = [
             random_rel(&mut rng, &[0, 1], 40, 7),
@@ -258,7 +237,6 @@ fn chain_and_star_queries_match_naive() {
             random_rel(&mut rng, &[0, 3], 40, 7),
         ];
         assert_matches_naive(&star, Algorithm::Nprr, &format!("star {trial}"));
-        assert_reproduction_matches_naive(&star, join_graph, &format!("star {trial}"));
     }
 }
 
@@ -294,7 +272,6 @@ fn lw5_matches_naive() {
             random_rel(&mut rng, &attrs, 25, 3)
         })
         .collect();
-    assert_reproduction_matches_naive(&rels, join_lw, "lw5: join_lw");
     assert_matches_naive(&rels, Algorithm::Nprr, "lw5");
 }
 

@@ -14,14 +14,13 @@
 //!   the bound or changing the join;
 //! * [`lw`] — builders and recognisers for Loomis–Whitney instances
 //!   (`E = all (n−1)-subsets of [n]`) and Bollobás–Thomason regular
-//!   families (§3);
-//! * [`half_integral`] — **Lemma 7.2**: basic feasible covers of *graphs*
-//!   (arity ≤ 2) are half-integral and decompose into vertex-disjoint
-//!   stars and odd cycles.
+//!   families (§3; `wcoj-core`'s `bt` uses [`lw::bt_regularity`]).
+//!
+//! Lemma 7.2's half-integral decomposition of graph covers serves only
+//! the Theorem 7.3 reproduction and lives beside it in `wcoj-baselines`.
 
 pub mod agm;
 pub mod cover;
-pub mod half_integral;
 pub mod lw;
 pub mod tighten;
 
@@ -57,13 +56,8 @@ pub enum HgError {
     },
     /// The LP solver failed (overflow in exact mode).
     Lp(String),
-    /// An operation required arity ≤ 2 but saw a bigger edge.
-    NotAGraph {
-        /// Offending edge index.
-        edge: usize,
-    },
-    /// A claimed structural property (half-integrality, star/cycle shape)
-    /// does not hold.
+    /// A claimed structural property (arity ≤ 2, half-integrality,
+    /// star/cycle shape) does not hold.
     StructureViolation(String),
 }
 
@@ -82,7 +76,6 @@ impl fmt::Display for HgError {
                 )
             }
             HgError::Lp(m) => write!(f, "cover LP failed: {m}"),
-            HgError::NotAGraph { edge } => write!(f, "edge {edge} has arity > 2"),
             HgError::StructureViolation(m) => write!(f, "structure violation: {m}"),
         }
     }

@@ -4,7 +4,7 @@
 //! *work bounds*; this crate makes the work **visible**. It sits at the
 //! bottom of the workspace dependency graph — no dependencies at all,
 //! `std` only — so every layer (`wcoj-exec`'s planner, `wcoj-service`'s
-//! scheduler, the bench harness) can instrument itself without cycles,
+//! scheduler, the repo's `benchmark/`) can instrument itself without cycles,
 //! and a future network server can link it alone for a `/metrics`
 //! endpoint.
 //!
@@ -20,9 +20,11 @@
 //!   cancel / skip, ring rotation, heavy-split). Levels: off / summary /
 //!   verbose; when off, recording costs a single atomic load.
 //! * [`percentile_f64`] / [`percentile_u64`] — the **one** percentile
-//!   definition (nearest-rank) shared by raw-sample consumers (harness
-//!   experiment e19) and [`Histogram::quantile`] (e20), so the two can
-//!   never disagree about what "p99" means.
+//!   definition (nearest-rank) shared by raw-sample consumers (the
+//!   benchmark's latency percentiles) and [`Histogram::quantile`] (the
+//!   service's `wcoj_task_queue_wait_us`, which the benchmark reads as
+//!   `service.queue_wait_us`), so the two can never disagree about what
+//!   "p99" means.
 //!
 //! Instrumentation contract (enforced by the users of this crate, stated
 //! here as the design rule): *zero allocation on the hot path, timestamps

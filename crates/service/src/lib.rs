@@ -133,8 +133,9 @@ pub struct ServiceConfig {
     /// Whether the service records into the process-wide `wcoj-obs`
     /// metrics registry and takes per-task timestamps for
     /// [`QueryProfile`]s (default `true`). Off, the per-task `Instant`
-    /// reads and histogram updates become no-ops — the comparison arm of
-    /// the `e17_obs_overhead` bench — while [`Service::counters`],
+    /// reads and histogram updates become no-ops — what it saves is
+    /// bounded by the benchmark's `obs.tracing_overhead_frac` — while
+    /// [`Service::counters`],
     /// correctness accounting, and per-shard row/stats bookkeeping stay
     /// on.
     pub obs: bool,
@@ -2454,8 +2455,7 @@ mod tests {
     }
 
     /// With obs off the service still produces identical outputs and
-    /// complete (if zero-duration) profiles — the no-op arm of the
-    /// `e17_obs_overhead` bench.
+    /// complete (if zero-duration) profiles.
     #[test]
     fn obs_off_keeps_outputs_and_profile_shape() {
         let service = Service::new(ServiceConfig::with_workers(2).with_obs(false));

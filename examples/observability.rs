@@ -109,6 +109,10 @@ fn main() {
     let text = global().render_prometheus();
     check_exposition(&text).expect("well-formed exposition");
     assert!(
+        text.contains("wcoj_query_latency_us_count"),
+        "service query latencies are exported"
+    );
+    assert!(
         text.contains("wcoj_plan_cache_hits_total")
             && text.contains("wcoj_plan_cache_misses_total"),
         "plan-cache counters are mirrored into the registry"

@@ -29,13 +29,14 @@ fn main() {
 
     // --- 3. execution stats, and the paper's reproductions ----------------
     // `join` runs NPRR (§5) on every shape. Algorithm 1 (§4) and Theorem
-    // 7.3 (§7.1) are special cases it subsumes; call them directly.
+    // 7.3 (§7.1) are special cases it subsumes; `wcoj::baselines` keeps
+    // them as reproductions to call directly.
     let rels = [r.clone(), s.clone(), t.clone()];
     let q = JoinQuery::new(&rels).expect("well-formed query");
     for res in [
         join_with(&rels, Algorithm::Nprr, None),
-        wcoj::core::lw::join_lw(&q),
-        wcoj::core::graph_join::join_graph(&q),
+        wcoj::baselines::lw::join_lw(&q),
+        wcoj::baselines::graph_join::join_graph(&q),
     ] {
         let res = res.expect("evaluates");
         println!(

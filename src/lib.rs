@@ -11,14 +11,14 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5) — the one engine behind `join` and every served query — plus, as reproductions called directly, the Loomis–Whitney algorithm (§4) and arity-≤2 star/cycle joins (§7.1); relaxed joins (§7.2), full CQs + FDs (§7.3), algorithmic BT/LW (§3) |
+//! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5) — the one engine behind `join` and every served query — plus the library extensions that run it: relaxed joins (§7.2), full CQs + FDs (§7.3), algorithmic BT/LW (§3) |
 //! | [`exec`] (`wcoj-exec`) | the root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`ShardPlan`, `ExecConfig`) — plus the warn-once `WCOJ_*` env parsing |
 //! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans with bounded admission (shed or block under overload) and round-robin fair dispatch (`Service`, `QueryHandle`, `SubmitError`) |
 //! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), its delta-merged view over live insert/delete buffers (`DeltaIndex`), and the hash-trie alternative (`HashTrieIndex`) |
-//! | [`hypergraph`] | query hypergraphs, fractional covers, AGM bounds, Lemma 3.2 tightening, Lemma 7.2 half-integrality |
+//! | [`hypergraph`] | query hypergraphs, fractional covers, AGM bounds, Lemma 3.2 tightening, Loomis–Whitney / BT families |
 //! | [`lp`] | the two-phase simplex solver (f64 + exact rational) |
 //! | [`rational`] | exact `i128` rationals |
-//! | [`baselines`] | hash/sort-merge/nested-loop joins, binary plans, a System-R-style optimizer |
+//! | [`baselines`] (`wcoj-baselines`) | reference implementations no served crate links: hash/sort-merge/nested-loop joins, binary plans, a System-R-style optimizer, and the special cases Theorem 5.1 subsumes — the Loomis–Whitney algorithm (§4), arity-≤2 star/cycle joins (§7.1, Theorem 7.3) and Lemma 7.2's half-integral covers |
 //! | [`datagen`] | every instance family the paper's claims use |
 //! | [`query`] | a Datalog-style text front-end and CSV loader |
 //! | [`server`] (`wcoj-server`) | a std-only TCP/HTTP front end: blocking accept loop + connection threads over the shared service, with incremental chunked row streaming, `429`+`Retry-After` under overload, and `/metrics` exposition |

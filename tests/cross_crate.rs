@@ -2,10 +2,10 @@
 //! generator output down to verified join results, exercising every crate
 //! through the facade.
 
+use wcoj::baselines::graph_join::join_graph;
+use wcoj::baselines::lw::join_lw;
 use wcoj::baselines::pairwise::{hash_join, nested_loop_join, sort_merge_join};
 use wcoj::baselines::plan::{execute, JoinImpl, JoinPlan};
-use wcoj::core::graph_join::join_graph;
-use wcoj::core::lw::join_lw;
 use wcoj::core::{naive, relaxed};
 use wcoj::hypergraph::agm;
 use wcoj::prelude::*;

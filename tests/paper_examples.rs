@@ -98,7 +98,8 @@ fn relaxed_lower_bound_instance() {
 /// uniform weights.
 #[test]
 fn half_integrality_small_graph_sweep() {
-    use wcoj::hypergraph::{agm::optimal_cover, half_integral::decompose, Hypergraph};
+    use wcoj::baselines::half_integral::decompose;
+    use wcoj::hypergraph::{agm::optimal_cover, Hypergraph};
     // enumerate all connected graphs on 4 vertices (up to our edge-set
     // representation), solve, and decompose
     let all_pairs: Vec<(usize, usize)> = (0..4)

@@ -7,12 +7,13 @@
 //! Hundreds of random queries per shape class, every algorithm against the
 //! pairwise oracle, plus AGM-bound auditing on every instance. `join()` must
 //! also equal `join_nprr` bit for bit (rows and order) on every shape; the
-//! paper's shape-specific reproductions (`join_lw`, `join_graph`), which
-//! `join()` does not dispatch to, are called directly on their shapes.
+//! paper's shape-specific reproductions in `wcoj-baselines` (`join_lw`,
+//! `join_graph`), which `join()` does not dispatch to, are called directly
+//! on their shapes.
 
 use rand::{Rng, SeedableRng};
-use wcoj::core::graph_join::join_graph;
-use wcoj::core::lw::join_lw;
+use wcoj::baselines::graph_join::join_graph;
+use wcoj::baselines::lw::join_lw;
 use wcoj::core::naive;
 use wcoj::core::nprr::join_nprr;
 use wcoj::core::QueryError;
