@@ -25,6 +25,10 @@ pub enum QueryError {
     /// retrying later (or submitting with a blocking/deadline variant) is
     /// safe.
     Overloaded,
+    /// An executing service's worker panicked while running one of the
+    /// query's shards: the query has no output. The pool itself keeps
+    /// serving.
+    ShardPanicked,
 }
 
 impl fmt::Display for QueryError {
@@ -40,6 +44,9 @@ impl fmt::Display for QueryError {
                     f,
                     "service overloaded: submission shed by admission control"
                 )
+            }
+            QueryError::ShardPanicked => {
+                write!(f, "a service worker panicked while running a shard")
             }
         }
     }

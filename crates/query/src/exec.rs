@@ -8,6 +8,7 @@ use std::sync::Arc;
 use wcoj_core::fullcq::{Selection, Subgoal, Term};
 use wcoj_core::nprr::PreparedQuery;
 use wcoj_core::JoinQuery;
+use wcoj_service::{QueryHandle, QueryProfile};
 use wcoj_storage::ops::project;
 use wcoj_storage::{Attr, Datum, DeltaIndex, DeltaRelation, FlatIndex, Relation, StorageError};
 
@@ -35,35 +36,31 @@ impl QueryResult {
     }
 }
 
-/// A parsed query bound against a catalog: the cached prepared plan plus
-/// the head projection. Shared by the blocking ([`execute_profiled`]) and
-/// streaming ([`submit_query`]) execution paths.
+/// A parsed query bound against a catalog, as [`submit_query`] runs it:
+/// the cached prepared plan plus the head projection.
 struct Bound {
     plan: crate::plan_cache::CachedPlan,
-    head_attrs: Vec<Attr>,
+    /// The head's attributes, when projecting the join output onto them
+    /// is not the identity.
+    project: Option<Vec<Attr>>,
     columns: Vec<String>,
 }
 
-impl Bound {
-    /// `true` iff the head keeps every join variable in join-output
-    /// order — projection is the identity.
-    fn identity(&self) -> bool {
-        self.plan.query().output_schema().attrs() == self.head_attrs.as_slice()
-    }
-}
-
 /// Executes a parsed query against a catalog: §7.3 reduction per atom,
-/// worst-case-optimal join, projection onto the head.
+/// worst-case-optimal join, projection onto the head. The same path as
+/// [`submit_query`], drained at once: `submit_query(q, catalog)?.collect()`.
 ///
 /// # Errors
 /// Binding errors ([`QueryTextError::UnknownRelation`] /
 /// [`QueryTextError::ArityMismatch`] /
-/// [`QueryTextError::UnboundHeadVariable`]) or evaluation failures.
+/// [`QueryTextError::UnboundHeadVariable`]),
+/// [`QueryTextError::Overloaded`] when admission sheds the submission, or
+/// evaluation failures.
 pub fn execute(q: &ParsedQuery, catalog: &Catalog) -> Result<QueryResult, QueryTextError> {
-    execute_profiled(q, catalog).map(|(result, _)| result)
+    submit_query(q, catalog)?.collect()
 }
 
-/// Name resolution + plan-cache lookup, shared by every execution path.
+/// Name resolution + plan-cache lookup.
 fn bind(q: &ParsedQuery, catalog: &Catalog) -> Result<Bound, QueryTextError> {
     // Variable name → id (= attribute id), in first-occurrence order.
     let mut var_names: Vec<String> = Vec::new();
@@ -135,14 +132,14 @@ fn bind(q: &ParsedQuery, catalog: &Catalog) -> Result<Bound, QueryTextError> {
     }
 
     // Head variables must occur in the body.
-    let head_ids: Vec<u32> = q
+    let head_attrs: Vec<Attr> = q
         .head_vars
         .iter()
         .map(|v| {
             var_names
                 .iter()
                 .position(|x| x == v)
-                .map(|i| i as u32)
+                .map(|i| Attr(i as u32))
                 .ok_or_else(|| QueryTextError::UnboundHeadVariable(v.clone()))
         })
         .collect::<Result<_, _>>()?;
@@ -161,9 +158,12 @@ fn bind(q: &ParsedQuery, catalog: &Catalog) -> Result<Bound, QueryTextError> {
             |old| build_plan(catalog, &atoms, Some(old)),
         )
         .map_err(|e| QueryTextError::Eval(e.to_string()))?;
+    // A head keeping every join variable in join-output order projects
+    // onto itself.
+    let identity = plan.query().output_schema().attrs() == head_attrs.as_slice();
     Ok(Bound {
         plan,
-        head_attrs: head_ids.into_iter().map(Attr).collect(),
+        project: (!identity).then_some(head_attrs),
         columns: q.head_vars.clone(),
     })
 }
@@ -288,51 +288,12 @@ fn map_engine_error(e: wcoj_core::QueryError) -> QueryTextError {
     }
 }
 
-/// [`execute`] plus the scheduler's per-query execution profile. The
-/// profile is `Some` exactly when the catalog routes through an attached
-/// [`Service`](wcoj_service::Service) — the sequential engine has no
-/// scheduler to profile.
-///
-/// # Errors
-/// Same as [`execute`].
-pub fn execute_profiled(
-    q: &ParsedQuery,
-    catalog: &Catalog,
-) -> Result<(QueryResult, Option<wcoj_service::QueryProfile>), QueryTextError> {
-    let bound = bind(q, catalog)?;
-
-    // The worst-case-optimal join over the cached plan — scheduled on the
-    // shared-pool service when one is attached, sequentially otherwise.
-    let mut profile = None;
-    let full = if let Some(service) = catalog.service() {
-        let (out, query_profile) = service
-            .submit(&bound.plan, &service.exec_config())
-            .map_err(wcoj_core::QueryError::from)
-            .and_then(wcoj_service::QueryHandle::wait_profiled)
-            .map_err(map_engine_error)?;
-        profile = Some(query_profile);
-        out.relation
-    } else {
-        bound
-            .plan
-            .evaluate(None)
-            .map_err(|e| QueryTextError::Eval(e.to_string()))?
-            .relation
-    };
-
-    // Project onto the head (identity for full queries).
-    let relation = if bound.identity() {
-        full
-    } else {
-        project(&full, &bound.head_attrs).map_err(|e| QueryTextError::Eval(e.to_string()))?
-    };
-    Ok((
-        QueryResult {
-            relation,
-            columns: bound.columns,
-        },
-        profile,
-    ))
+/// Projects the join output onto the head (`None`: the identity).
+fn project_head(full: Relation, head: Option<&[Attr]>) -> Result<Relation, QueryTextError> {
+    match head {
+        None => Ok(full),
+        Some(attrs) => project(&full, attrs).map_err(|e| QueryTextError::Eval(e.to_string())),
+    }
 }
 
 /// The future of a [`submit_query`] submission: yields the result in
@@ -345,9 +306,9 @@ pub fn execute_profiled(
 /// consumer cannot leak pool capacity.
 pub struct PendingQuery {
     columns: Vec<String>,
-    head_attrs: Vec<Attr>,
-    /// The head projection is the identity (full query, join order).
-    identity: bool,
+    /// The head's attributes, when projecting onto them is not the
+    /// identity.
+    project: Option<Vec<Attr>>,
     /// Batches can be pushed to the consumer as they arrive: projection
     /// is the identity AND slot batches concatenate in output order.
     /// Otherwise every batch is buffered and merged into one.
@@ -356,14 +317,30 @@ pub struct PendingQuery {
 }
 
 enum PendingInner {
-    /// Live subscription on the shared pool.
-    Stream(wcoj_service::RowStream),
-    /// Resolved eagerly (no service attached, or degenerate input):
-    /// one synthetic batch, already projected.
-    Ready(Option<Relation>),
+    /// Live on the shared pool.
+    Pool(QueryHandle),
+    /// Resolved eagerly (no service attached, or a materialized program
+    /// result): one batch, already projected, until `taken`.
+    Ready { relation: Relation, taken: bool },
 }
 
 impl PendingQuery {
+    /// A result already materialized in-process — a Datalog program's
+    /// last rule — as a pending query holding it as one buffered batch
+    /// ([`incremental`](PendingQuery::incremental) is `false`).
+    #[must_use]
+    pub fn materialized(result: QueryResult) -> PendingQuery {
+        PendingQuery {
+            columns: result.columns,
+            project: None,
+            incremental: false,
+            inner: PendingInner::Ready {
+                relation: result.relation,
+                taken: false,
+            },
+        }
+    }
+
     /// Head variable names, aligned with every batch's columns.
     #[must_use]
     pub fn columns(&self) -> &[String] {
@@ -385,15 +362,27 @@ impl PendingQuery {
     #[must_use]
     pub fn is_finished(&self) -> bool {
         match &self.inner {
-            PendingInner::Stream(stream) => stream.is_finished(),
-            PendingInner::Ready(..) => true,
+            PendingInner::Pool(handle) => handle.is_finished(),
+            PendingInner::Ready { .. } => true,
         }
     }
 
     /// Blocks until every shard has settled, without consuming batches.
     pub fn wait_settled(&self) {
-        if let PendingInner::Stream(stream) = &self.inner {
-            stream.wait_settled();
+        if let PendingInner::Pool(handle) = &self.inner {
+            handle.wait_settled();
+        }
+    }
+
+    /// The scheduler's execution profile so far: `Some` exactly when the
+    /// catalog routed the query through an attached
+    /// [`Service`](wcoj_service::Service) — the sequential engine has no
+    /// scheduler to profile.
+    #[must_use]
+    pub fn profile(&self) -> Option<QueryProfile> {
+        match &self.inner {
+            PendingInner::Pool(handle) => Some(handle.profile()),
+            PendingInner::Ready { .. } => None,
         }
     }
 
@@ -402,123 +391,95 @@ impl PendingQuery {
     /// [`columns`](PendingQuery::columns).
     ///
     /// # Errors
-    /// Evaluation failures, surfaced on the batch they interrupt.
-    ///
-    /// # Panics
-    /// If a pool worker panicked while running one of this query's
-    /// shards (mirrors [`QueryHandle::wait`](wcoj_service::QueryHandle)).
+    /// Evaluation failures — a pool worker panicking on one of the
+    /// query's shards among them — surfaced on the batch they interrupt.
     pub fn next_batch(&mut self) -> Option<Result<Relation, QueryTextError>> {
-        match &mut self.inner {
-            PendingInner::Ready(slot) => slot.take().map(Ok),
-            PendingInner::Stream(stream) => {
-                if self.incremental {
-                    // identity projection + output-ordered slots: forward
-                    // each slot relation untouched.
-                    let batch = stream.next_batch()?;
-                    Some(batch.map(|b| b.relation).map_err(map_engine_error))
-                } else {
-                    // Merge path: every slot's raw rows in one batch,
-                    // sorted once, then projected. Yields exactly one
-                    // batch; subsequent calls find the stream drained.
-                    let full = match stream.next_merged()? {
-                        Ok(batch) => batch.relation,
-                        Err(e) => return Some(Err(map_engine_error(e))),
-                    };
-                    let relation = if self.identity {
-                        full
-                    } else {
-                        match project(&full, &self.head_attrs) {
-                            Ok(r) => r,
-                            Err(e) => return Some(Err(QueryTextError::Eval(e.to_string()))),
-                        }
-                    };
-                    Some(Ok(relation))
-                }
+        let handle = match &mut self.inner {
+            PendingInner::Ready { relation, taken } => {
+                return (!std::mem::replace(taken, true)).then(|| Ok(relation.clone()));
             }
+            PendingInner::Pool(handle) => handle,
+        };
+        if self.incremental {
+            // Identity projection + output-ordered slots: forward each
+            // slot relation untouched.
+            let batch = handle.next_batch()?;
+            return Some(batch.map(|b| b.relation).map_err(map_engine_error));
         }
+        // Merge path: every slot's raw rows in one batch, sorted once,
+        // then projected. Yields exactly one batch; subsequent calls find
+        // the handle drained.
+        let merged = handle.next_merged()?.map_err(map_engine_error);
+        Some(merged.and_then(|b| project_head(b.relation, self.project.as_deref())))
     }
 
-    /// Drains every remaining batch into a single [`QueryResult`] —
-    /// the convergence point with [`execute`]: for a freshly submitted
-    /// query, `submit_query(q, c)?.collect()` equals `execute(q, c)`.
+    /// Drains every remaining batch into a single [`QueryResult`] — what
+    /// [`execute`] returns for a freshly submitted query.
     ///
     /// # Errors
     /// Same as [`next_batch`](PendingQuery::next_batch).
-    pub fn collect(mut self) -> Result<QueryResult, QueryTextError> {
-        let mut merged: Option<Relation> = None;
-        while let Some(batch) = self.next_batch() {
-            let batch = batch?;
-            match &mut merged {
-                None => merged = Some(batch),
-                Some(m) => {
-                    for row in batch.iter_rows() {
-                        m.push_row(row)
-                            .map_err(|e| QueryTextError::Eval(e.to_string()))?;
-                    }
-                }
+    pub fn collect(self) -> Result<QueryResult, QueryTextError> {
+        let relation = match self.inner {
+            PendingInner::Ready {
+                relation,
+                taken: false,
+            } => relation,
+            PendingInner::Ready {
+                relation,
+                taken: true,
+            } => Relation::empty(relation.schema().clone()),
+            PendingInner::Pool(handle) => {
+                let full = handle.wait().map_err(map_engine_error)?.relation;
+                project_head(full, self.project.as_deref())?
             }
-        }
-        let relation = merged.unwrap_or_else(|| {
-            // Fully drained before collect: the empty relation over the
-            // head schema (duplicate-free by UnboundHeadVariable + the
-            // projection having succeeded on every earlier batch).
-            Relation::empty(
-                self.head_attrs
-                    .iter()
-                    .copied()
-                    .collect::<wcoj_storage::Schema>(),
-            )
-        });
+        };
         Ok(QueryResult {
             relation,
-            columns: self.columns.clone(),
+            columns: self.columns,
         })
     }
 }
 
-/// Submits a parsed query for **streaming** execution: binds it against
-/// the catalog (same plan cache as [`execute`]), schedules it on the
-/// attached [`Service`](wcoj_service::Service) when there is one, and
-/// returns a [`PendingQuery`] yielding the result in per-slot batches as
-/// the pool settles them. Without a service the query is evaluated
-/// eagerly and sequentially, and the pending query holds one ready batch.
+/// Submits a parsed query: binds it against the catalog (through the
+/// shared plan cache), schedules it on the attached
+/// [`Service`](wcoj_service::Service) when there is one, and returns a
+/// [`PendingQuery`] yielding the result in per-slot batches as the pool
+/// settles them. Without a service the query is evaluated eagerly and
+/// sequentially, and the pending query holds one ready batch.
 ///
 /// # Errors
 /// Binding errors, [`QueryTextError::Overloaded`] when admission sheds
 /// the submission, and eager-path evaluation failures.
 pub fn submit_query(q: &ParsedQuery, catalog: &Catalog) -> Result<PendingQuery, QueryTextError> {
-    let bound = bind(q, catalog)?;
-    let identity = bound.identity();
-    if let Some(service) = catalog.service() {
-        let stream = service
-            .submit(&bound.plan, &service.exec_config())
-            .map_err(wcoj_core::QueryError::from)
-            .map_err(map_engine_error)?
-            .into_stream();
-        return Ok(PendingQuery {
-            columns: bound.columns,
-            incremental: identity && stream.ordered(),
-            identity,
-            head_attrs: bound.head_attrs,
-            inner: PendingInner::Stream(stream),
-        });
-    }
-    let full = bound
-        .plan
-        .evaluate(None)
-        .map_err(|e| QueryTextError::Eval(e.to_string()))?
-        .relation;
-    let relation = if identity {
-        full
+    let Bound {
+        plan,
+        project,
+        columns,
+    } = bind(q, catalog)?;
+    let (incremental, inner) = if let Some(service) = catalog.service() {
+        let handle = service
+            .submit(&plan, &service.exec_config())
+            .map_err(|e| map_engine_error(e.into()))?;
+        (
+            project.is_none() && handle.ordered(),
+            PendingInner::Pool(handle),
+        )
     } else {
-        project(&full, &bound.head_attrs).map_err(|e| QueryTextError::Eval(e.to_string()))?
+        let full = plan.evaluate(None).map_err(map_engine_error)?.relation;
+        let relation = project_head(full, project.as_deref())?;
+        (
+            true,
+            PendingInner::Ready {
+                relation,
+                taken: false,
+            },
+        )
     };
     Ok(PendingQuery {
-        columns: bound.columns,
-        head_attrs: bound.head_attrs,
-        identity,
-        incremental: true,
-        inner: PendingInner::Ready(Some(relation)),
+        columns,
+        project,
+        incremental,
+        inner,
     })
 }
 
@@ -678,27 +639,32 @@ mod tests {
 
     #[test]
     fn profiled_execution_through_catalog_routes() {
-        use std::sync::Arc;
         use wcoj_service::{Service, ServiceConfig};
         let mut c = catalog_with_triangle();
         let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
 
-        // No service attached: same result, no profile to report.
-        let (seq, profile) = super::execute_profiled(&q, &c).unwrap();
-        assert!(profile.is_none(), "no scheduler, no profile");
+        // No service attached: no scheduler, no profile to report.
+        let pending = crate::submit_query(&q, &c).unwrap();
+        assert!(pending.profile().is_none(), "no scheduler, no profile");
+        let seq = pending.collect().unwrap();
 
-        // Service route: the profile arrives complete, covers every
-        // scheduled shard, and its row total matches the *pre-projection*
-        // join — which for this full query is the output itself.
+        // Service route: once every batch is taken, the profile is
+        // complete, covers every scheduled shard, and its row total
+        // matches the *pre-projection* join — which for this full query
+        // is the output itself.
         let service = Arc::new(Service::new(ServiceConfig::with_workers(2)));
         c.set_service(Some(Arc::clone(&service)));
-        let (out, profile) = super::execute_profiled(&q, &c).unwrap();
-        assert_eq!(out.relation, seq.relation);
-        let profile = profile.expect("service route reports a profile");
+        let mut pending = crate::submit_query(&q, &c).unwrap();
+        let mut rows = 0;
+        while let Some(batch) = pending.next_batch() {
+            rows += batch.unwrap().len();
+        }
+        let profile = pending.profile().expect("service route reports a profile");
         assert!(profile.is_complete());
-        assert!(profile.reassembled.is_some());
-        assert_eq!(profile.total_rows(), out.relation.len() as u64);
-        // execute() is the same path minus the profile.
+        assert!(profile.reassembled.is_some(), "every slot taken");
+        assert_eq!(rows, seq.relation.len());
+        assert_eq!(profile.total_rows(), rows as u64);
+        // execute() is the same path, drained at once.
         assert_eq!(execute(&q, &c).unwrap().relation, seq.relation);
         assert_eq!(service.submitted(), 2);
     }
@@ -928,34 +894,68 @@ mod tests {
     }
 
     #[test]
-    fn submit_query_collect_matches_execute_on_every_route() {
-        use std::sync::Arc;
+    fn submit_query_matches_sequential_evaluation_on_every_route() {
+        // Every next_batch branch — a full head in schema order (streams
+        // slot by slot), a permuted full head (merge), a projecting head
+        // (merge + project) and the 4-cycle (no output-ordered plan, so
+        // merge) — with and without a service, against sequential
+        // evaluation of the bound plan plus the head projection.
         use wcoj_service::{Service, ServiceConfig};
-        let mut c = catalog_with_triangle();
-        for q in [
-            "Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).",
-            "Ans(z, x) :- R(x, y), S(y, z), T(x, z).",
-            "Ans(y) :- R(1, y)",
+        let mut c = Catalog::new();
+        c.insert("E", wcoj_datagen::random_relation(11, &[0, 1], 150, 14));
+        let service = Arc::new(Service::new(ServiceConfig {
+            exec: wcoj_exec::ExecConfig {
+                shard_min_size: 1,
+                ..wcoj_exec::ExecConfig::default()
+            },
+            ..ServiceConfig::with_workers(2)
+        }));
+        for (text, streams) in [
+            ("Ans(x, y, z) :- E(x, y), E(y, z), E(x, z).", true),
+            ("Ans(z, x, y) :- E(x, y), E(y, z), E(x, z).", false),
+            ("Ans(x) :- E(x, y), E(y, z), E(x, z).", false),
+            (
+                "Ans(a, b, c, d) :- E(a, b), E(b, c), E(c, d), E(d, a).",
+                false,
+            ),
         ] {
-            let q = parse_query(q).unwrap();
-            let expected = execute(&q, &c).unwrap();
-
-            // sequential (eager) route
-            let pending = crate::submit_query(&q, &c).unwrap();
-            assert!(pending.incremental(), "eager results are one final batch");
-            assert_eq!(pending.columns(), expected.columns.as_slice());
-            let got = pending.collect().unwrap();
-            assert_eq!(got.relation, expected.relation);
-            assert_eq!(got.columns, expected.columns);
-
-            // service route
-            let service = Arc::new(Service::new(ServiceConfig::with_workers(2)));
-            c.set_service(Some(Arc::clone(&service)));
-            let got = crate::submit_query(&q, &c).unwrap().collect().unwrap();
-            assert_eq!(got.relation, expected.relation);
-            assert_eq!(got.columns, expected.columns);
-            c.set_service(None);
+            let q = parse_query(text).unwrap();
+            let bound = bind(&q, &c).unwrap();
+            let full = bound.plan.evaluate(None).unwrap().relation;
+            let expected = match &bound.project {
+                Some(head) => project(&full, head).unwrap(),
+                None => full,
+            };
+            assert!(!expected.is_empty(), "{text}");
+            for pooled in [false, true] {
+                c.set_service(pooled.then(|| Arc::clone(&service)));
+                let mut pending = crate::submit_query(&q, &c).unwrap();
+                assert_eq!(pending.columns(), q.head_vars.as_slice());
+                // Without a service the one eager batch is final.
+                assert_eq!(pending.incremental(), streams || !pooled, "{text}");
+                let batches: Vec<Relation> = std::iter::from_fn(|| pending.next_batch())
+                    .map(Result::unwrap)
+                    .collect();
+                if streams && pooled {
+                    assert!(batches.len() >= 2, "{text}: one batch per slot");
+                } else {
+                    assert_eq!(batches.len(), 1, "{text}, pooled: {pooled}");
+                }
+                // Plain concatenation, no final sort.
+                let mut batches = batches.into_iter();
+                let mut got = batches.next().unwrap();
+                for batch in batches {
+                    for row in batch.iter_rows() {
+                        got.push_row(row).unwrap();
+                    }
+                }
+                assert_eq!(got, expected, "{text}, pooled: {pooled}");
+                let collected = crate::submit_query(&q, &c).unwrap().collect().unwrap();
+                assert_eq!(collected.relation, expected, "{text}, pooled: {pooled}");
+                assert_eq!(collected.columns, q.head_vars);
+            }
         }
+        assert_eq!(service.submitted(), 8, "two submissions per query");
     }
 
     #[test]

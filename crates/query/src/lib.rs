@@ -54,7 +54,7 @@ pub(crate) mod test_support {
 
 pub use catalog::{Catalog, Snapshot};
 pub use csv::load_csv;
-pub use exec::{execute, execute_profiled, submit_query, PendingQuery, QueryResult};
+pub use exec::{execute, submit_query, PendingQuery, QueryResult};
 pub use parser::{parse_query, ParsedAtom, ParsedQuery, ParsedTerm};
 pub use plan_cache::{CachedPlan, PlanCache};
 pub use program::{parse_program, run_program, Program};

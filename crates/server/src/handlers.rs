@@ -6,7 +6,9 @@ use crate::http::{json_escape, write_response, ChunkedWriter, Conn, Request};
 use crate::jobs::Job;
 use crate::ServerState;
 use std::time::{Duration, Instant};
-use wcoj_query::{load_csv, parse_program, parse_query, run_program, submit_query, QueryTextError};
+use wcoj_query::{
+    load_csv, parse_program, parse_query, run_program, submit_query, PendingQuery, QueryTextError,
+};
 use wcoj_storage::{Dictionary, Relation};
 
 /// How long `GET /query/{id}?block=1` waits before reporting the state
@@ -185,7 +187,7 @@ fn delete_relation(state: &ServerState, name: &str, conn: &mut Conn<'_>) -> std:
 
 /// `POST /query`: a single conjunctive query is submitted through the
 /// service for streaming; a multi-statement Datalog program runs eagerly
-/// and the last rule's result is materialized.
+/// and its last rule's result becomes the job's one buffered batch.
 ///
 /// Submission pins a copy-on-write [`wcoj_query::Snapshot`] of the
 /// catalog taken at admission: the query plans and streams against that
@@ -196,69 +198,42 @@ fn post_query(state: &ServerState, req: &Request, conn: &mut Conn<'_>) -> std::i
         return error_response(conn, 400, "query body must be UTF-8");
     };
     state.metrics.queries_total.inc();
-    match parse_query(text) {
+    let submitted = match parse_query(text) {
         Ok(q) => {
             let snapshot = state.catalog().freeze();
             snapshot.record_age();
-            match submit_query(&q, snapshot.catalog()) {
-                Ok(pending) => {
-                    let columns = pending.columns().to_vec();
-                    let streaming = pending.incremental();
-                    let id = state.jobs.insert(Job::Pending {
-                        query: pending,
-                        snapshot,
-                    });
-                    let body = format!(
-                        "{{\"id\":{id},\"columns\":[{}],\"streaming\":{streaming}}}\n",
-                        columns_json(&columns)
-                    );
-                    write_response(
-                        conn,
-                        202,
-                        "Accepted",
-                        "application/json",
-                        &[],
-                        body.as_bytes(),
-                    )
-                }
-                Err(e) => query_error(state, conn, &e),
-            }
+            submit_query(&q, snapshot.catalog()).map(|query| (query, Some(snapshot), String::new()))
         }
         // Not a single query — maybe a program. If the program parse
-        // fails too, report *its* error (a superset grammar).
-        Err(_) => match parse_program(text) {
-            Ok(program) => {
-                let ran = {
-                    let mut catalog = state.catalog_mut();
-                    run_program(&program, &mut catalog)
-                };
-                match ran {
-                    Ok(outputs) => {
-                        let (name, last) = outputs.last().expect("programs have ≥ 1 rule");
-                        let id = state.jobs.insert(Job::Materialized {
-                            columns: last.columns.clone(),
-                            relation: last.relation.clone(),
-                        });
-                        let body = format!(
-                            "{{\"id\":{id},\"head\":\"{}\",\"rules\":{},\"columns\":[{}],\"streaming\":false}}\n",
-                            json_escape(name),
-                            outputs.len(),
-                            columns_json(&last.columns)
-                        );
-                        write_response(
-                            conn,
-                            202,
-                            "Accepted",
-                            "application/json",
-                            &[],
-                            body.as_bytes(),
-                        )
-                    }
-                    Err(e) => query_error(state, conn, &e),
-                }
-            }
-            Err(e) => query_error(state, conn, &e),
-        },
+        // fails too, report *its* error (a superset grammar). A program
+        // registers its derived relations, so it runs against the live
+        // catalog, not a snapshot.
+        Err(_) => parse_program(text).and_then(|program| {
+            let mut outputs = run_program(&program, &mut state.catalog_mut())?;
+            let rules = outputs.len();
+            let (name, last) = outputs.pop().expect("programs have ≥ 1 rule");
+            let head = format!("\"head\":\"{}\",\"rules\":{rules},", json_escape(&name));
+            Ok((PendingQuery::materialized(last), None, head))
+        }),
+    };
+    match submitted {
+        Ok((query, snapshot, head)) => {
+            let columns = columns_json(query.columns());
+            let streaming = query.incremental();
+            let id = state.jobs.insert(Job::Pending { query, snapshot });
+            let body = format!(
+                "{{\"id\":{id},{head}\"columns\":[{columns}],\"streaming\":{streaming}}}\n"
+            );
+            write_response(
+                conn,
+                202,
+                "Accepted",
+                "application/json",
+                &[],
+                body.as_bytes(),
+            )
+        }
+        Err(e) => query_error(state, conn, &e),
     }
 }
 
@@ -316,14 +291,6 @@ fn query_status(
                     format!(
                         "{{\"id\":{id},\"state\":\"done\",\"columns\":[{}],\"rows\":{rows}}}\n",
                         columns_json(columns)
-                    ),
-                    true,
-                ),
-                Job::Materialized { columns, relation } => (
-                    format!(
-                        "{{\"id\":{id},\"state\":\"done\",\"columns\":[{}],\"rows\":{}}}\n",
-                        columns_json(columns),
-                        relation.len()
                     ),
                     true,
                 ),
@@ -424,148 +391,112 @@ fn append_u64(mut v: u64, out: &mut Vec<u8>) {
 fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Result<()> {
     // Take ownership of the pending query (or a terminal answer) while
     // holding the lock only for the swap.
-    enum Fetch {
-        Pending(
-            wcoj_query::PendingQuery,
-            std::sync::Arc<wcoj_query::Snapshot>,
-        ),
-        Materialized(Relation),
-        Answer(u16, String),
-    }
     let fetch = state.jobs.with(|map| match map.remove(&id) {
-        None => Fetch::Answer(404, "no such job".to_owned()),
+        None => Err((404, "no such job".to_owned())),
         Some(Job::Pending { query, snapshot }) => {
             map.insert(id, Job::Streaming);
-            Fetch::Pending(query, snapshot)
-        }
-        Some(Job::Materialized { columns, relation }) => {
-            map.insert(
-                id,
-                Job::Done {
-                    columns: columns.clone(),
-                    rows: relation.len() as u64,
-                },
-            );
-            Fetch::Materialized(relation)
+            Ok((query, snapshot))
         }
         Some(job @ Job::Streaming) => {
             map.insert(id, job);
-            Fetch::Answer(409, "rows are already being streamed".to_owned())
+            Err((409, "rows are already being streamed".to_owned()))
         }
         Some(job @ Job::Done { .. }) => {
             map.insert(id, job);
-            Fetch::Answer(410, "rows were already streamed".to_owned())
+            Err((410, "rows were already streamed".to_owned()))
         }
         Some(Job::Failed { status, message }) => {
-            let answer = Fetch::Answer(status, message.clone());
+            let answer = Err((status, message.clone()));
             map.insert(id, Job::Failed { status, message });
             answer
         }
     });
-
-    match fetch {
-        Fetch::Answer(status, message) => error_response(conn, status, &message),
-        Fetch::Materialized(relation) => {
-            let mut body = Vec::new();
-            append_csv(&state.dict, &relation, &mut body);
-            let mut w = ChunkedWriter::start(
-                conn,
-                200,
-                "OK",
-                "text/csv",
-                &[("X-Streaming", "buffered".to_owned())],
-            )?;
-            w.chunk(&body)?;
-            w.finish()?;
-            state.metrics.rows_streamed_total.add(relation.len() as u64);
-            Ok(())
+    let (mut pending, snapshot) = match fetch {
+        Ok(fetched) => fetched,
+        Err((status, message)) => return error_response(conn, status, &message),
+    };
+    // The snapshot stays pinned for the whole stream: the rows going out
+    // were planned against it, and concurrent catalog mutations must not
+    // be able to retire its storage.
+    let _pinned = snapshot;
+    let columns = pending.columns().to_vec();
+    let mode = if pending.incremental() {
+        "incremental"
+    } else {
+        "buffered"
+    };
+    // The first batch decides the response shape: an error here can still
+    // be answered with a plain status; past it the chunked headers are on
+    // the wire.
+    let first = match pending.next_batch() {
+        Some(Err(e)) => {
+            drop(pending);
+            return fail_job(state, conn, id, e.http_status(), &e.to_string(), false);
         }
-        Fetch::Pending(mut pending, snapshot) => {
-            // The snapshot stays pinned for the whole stream: the rows
-            // going out were planned against it, and concurrent catalog
-            // mutations must not be able to retire its storage.
-            let _pinned = snapshot;
-            let columns = pending.columns().to_vec();
-            let mode = if pending.incremental() {
-                "incremental"
-            } else {
-                "buffered"
-            };
-            // The first batch decides the response shape: an error here
-            // can still be answered with a plain status; past it the
-            // chunked headers are on the wire.
-            let first = match pending.next_batch() {
-                Some(Err(e)) => {
-                    drop(pending);
-                    return fail_job(state, conn, id, e.http_status(), &e.to_string(), false);
-                }
-                other => other.map(|r| r.expect("Err handled above")),
-            };
-            let mut w = match ChunkedWriter::start(
+        other => other.map(|r| r.expect("Err handled above")),
+    };
+    let mut w = match ChunkedWriter::start(
+        conn,
+        200,
+        "OK",
+        "text/csv",
+        &[("X-Streaming", mode.to_owned())],
+    ) {
+        Ok(w) => w,
+        Err(e) => {
+            drop(pending);
+            let _ = fail_job(
+                state,
                 conn,
-                200,
-                "OK",
-                "text/csv",
-                &[("X-Streaming", mode.to_owned())],
-            ) {
-                Ok(w) => w,
-                Err(e) => {
-                    drop(pending);
-                    let _ = fail_job(
-                        state,
-                        conn,
-                        id,
-                        499,
-                        "client disconnected before the stream started",
-                        true,
-                    );
-                    return Err(e);
-                }
-            };
-            let mut rows: u64 = 0;
-            let mut batch = first;
-            let mut data = Vec::new();
-            while let Some(rel) = batch {
-                data.clear();
-                append_csv(&state.dict, &rel, &mut data);
-                if let Err(e) = w.chunk(&data) {
-                    // Client vanished mid-stream. Dropping `pending`
-                    // cancels still-queued shards and frees the
-                    // admission slot.
-                    drop(pending);
-                    let _ = fail_job(state, conn, id, 499, "client disconnected mid-stream", true);
-                    return Err(e);
-                }
-                rows += rel.len() as u64;
-                batch = match pending.next_batch() {
-                    Some(Ok(rel)) => Some(rel),
-                    None => None,
-                    Some(Err(e)) => {
-                        // Headers already sent: the only honest signal
-                        // is a truncated chunked stream (no terminator).
-                        drop(pending);
-                        return fail_job(state, conn, id, e.http_status(), &e.to_string(), true);
-                    }
-                };
-            }
-            if let Err(e) = w.finish() {
-                let _ = fail_job(
-                    state,
-                    conn,
-                    id,
-                    499,
-                    "client disconnected at stream end",
-                    true,
-                );
-                return Err(e);
-            }
-            state.metrics.rows_streamed_total.add(rows);
-            state.jobs.with(|map| {
-                map.insert(id, Job::Done { columns, rows });
-            });
-            Ok(())
+                id,
+                499,
+                "client disconnected before the stream started",
+                true,
+            );
+            return Err(e);
         }
+    };
+    let mut rows: u64 = 0;
+    let mut batch = first;
+    let mut data = Vec::new();
+    while let Some(rel) = batch {
+        data.clear();
+        append_csv(&state.dict, &rel, &mut data);
+        if let Err(e) = w.chunk(&data) {
+            // Client vanished mid-stream. Dropping `pending` cancels
+            // still-queued shards and frees the admission slot.
+            drop(pending);
+            let _ = fail_job(state, conn, id, 499, "client disconnected mid-stream", true);
+            return Err(e);
+        }
+        rows += rel.len() as u64;
+        batch = match pending.next_batch() {
+            Some(Ok(rel)) => Some(rel),
+            None => None,
+            Some(Err(e)) => {
+                // Headers already sent: the only honest signal is a
+                // truncated chunked stream (no terminator).
+                drop(pending);
+                return fail_job(state, conn, id, e.http_status(), &e.to_string(), true);
+            }
+        };
     }
+    if let Err(e) = w.finish() {
+        let _ = fail_job(
+            state,
+            conn,
+            id,
+            499,
+            "client disconnected at stream end",
+            true,
+        );
+        return Err(e);
+    }
+    state.metrics.rows_streamed_total.add(rows);
+    state.jobs.with(|map| {
+        map.insert(id, Job::Done { columns, rows });
+    });
+    Ok(())
 }
 
 #[cfg(test)]

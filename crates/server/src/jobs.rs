@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use wcoj_query::{PendingQuery, Snapshot};
-use wcoj_storage::Relation;
 
 /// Jobs are evicted past this many entries (see [`Jobs::insert`]), so a
 /// client that submits and never fetches cannot grow the table without
@@ -16,14 +15,17 @@ const MAX_JOBS: usize = 256;
 pub enum Job {
     /// Submitted; rows not yet requested. Holds the live handle — if the
     /// job is evicted or the table dropped, the handle's drop cancels
-    /// any still-queued shards and frees the admission slot.
+    /// any still-queued shards and frees the admission slot. A Datalog
+    /// program's result, materialized in-process, waits here too, as a
+    /// ready one-batch [`PendingQuery`].
     Pending {
         /// The live query handle.
         query: PendingQuery,
         /// The copy-on-write catalog snapshot the query was admitted
         /// against, pinned until the rows are fetched so catalog
-        /// mutations after admission cannot touch what it reads.
-        snapshot: Arc<Snapshot>,
+        /// mutations after admission cannot touch what it reads. `None`
+        /// for a program result, which reads no catalog any more.
+        snapshot: Option<Arc<Snapshot>>,
     },
     /// A `/rows` fetch is in progress on some connection thread; a
     /// second concurrent fetch is refused (`409`).
@@ -34,14 +36,6 @@ pub enum Job {
         columns: Vec<String>,
         /// Total rows that went over the wire.
         rows: u64,
-    },
-    /// Result already materialized in-process (Datalog programs run
-    /// eagerly); `/rows` serves it as a single chunk.
-    Materialized {
-        /// Head column names of the final rule.
-        columns: Vec<String>,
-        /// The final rule's result.
-        relation: Relation,
     },
     /// The query (or its row stream) failed.
     Failed {
@@ -127,6 +121,8 @@ impl Jobs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wcoj_query::QueryResult;
+    use wcoj_storage::Relation;
 
     #[test]
     fn eviction_drops_the_oldest_jobs() {
@@ -147,9 +143,12 @@ mod tests {
 
     #[test]
     fn eviction_spares_jobs_still_waiting_for_their_fetch() {
-        let unfetched = || Job::Materialized {
-            columns: vec![],
-            relation: Relation::unit(),
+        let unfetched = || Job::Pending {
+            query: PendingQuery::materialized(QueryResult {
+                relation: Relation::unit(),
+                columns: vec![],
+            }),
+            snapshot: None,
         };
         let jobs = Jobs::new();
         let waiting = jobs.insert(unfetched());

@@ -47,13 +47,19 @@
 //! root slot's rows go out as an HTTP chunk the moment that slot
 //! settles, *before* later shards finish. Otherwise (e.g. the 4-cycle)
 //! rows are merged and sent as one chunk; the `X-Streaming` response
-//! header says which mode was used.
+//! header says which mode was used. A Datalog program runs eagerly
+//! against the live catalog, and its last rule's result enters the job
+//! table as a pending query holding one ready batch: `/rows` serves it
+//! through the same path, `buffered`, and until then the job's status
+//! reads `"state":"pending","finished":true`.
 //!
 //! ## Status mapping
 //!
 //! Admission rejections (`SubmitError::Overloaded`) surface as `429`
 //! with `Retry-After`; parse failures as `400`; unknown relations as
-//! `404`; protocol edge cases per [`http::RequestError`].
+//! `404`; a shard that panicked on the pool as `500` (or a truncated
+//! stream, once the chunked headers are out); protocol edge cases per
+//! [`http::RequestError`].
 
 mod config;
 mod handlers;

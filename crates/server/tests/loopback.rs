@@ -351,12 +351,30 @@ fn query_protocol_round_trip() {
     assert_eq!(r.status, 202, "{}", r.text());
     assert!(r.text().contains("\"streaming\":false"), "{}", r.text());
     let pid = extract_id(r.text());
+    // Until its rows are fetched, a program job is a pending query whose
+    // one batch is already there.
+    let r = request(addr, "GET", &format!("/query/{pid}"), None);
+    assert_eq!(r.status, 200);
+    assert!(
+        r.text().contains(
+            "\"state\":\"pending\",\"finished\":true,\"columns\":[\"z\"],\"streaming\":false"
+        ),
+        "{}",
+        r.text()
+    );
     let r = request(addr, "GET", &format!("/query/{pid}/rows"), None);
     assert_eq!(r.status, 200);
     assert_eq!(r.header("x-streaming"), Some("buffered"));
     let mut got: Vec<&str> = r.text().lines().collect();
     got.sort_unstable();
     assert_eq!(got, vec!["3", "4"]);
+    let r = request(addr, "GET", &format!("/query/{pid}"), None);
+    assert!(
+        r.text()
+            .contains("\"state\":\"done\",\"columns\":[\"z\"],\"rows\":2"),
+        "{}",
+        r.text()
+    );
 }
 
 #[test]

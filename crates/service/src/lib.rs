@@ -37,36 +37,39 @@
 //!   range — and, for a sub-shard, its anchor range —
 //!   ([`PreparedQuery::run_shard`]) against the query's shared, immutable
 //!   indexes.
-//! * [`QueryHandle::wait`] blocks until the query's last shard lands,
-//!   then reassembles per-shard row sets **in slot order** — root-value
-//!   order, then anchor order within a sub-split root value — and folds
-//!   per-shard [`JoinStats`] with [`JoinStats::absorb`] — the output
-//!   relation is bit-identical to the sequential
+//! * **One way out**: each shard's rows land in the query's slot for it,
+//!   and a [`QueryHandle`] takes the slots **in slot order** — root-value
+//!   order, then anchor order within a sub-split root value.
+//!   [`QueryHandle::next_batch`] yields one slot as soon as it settles,
+//!   [`QueryHandle::next_merged`] every remaining slot as one batch, and
+//!   [`QueryHandle::wait`] is `next_merged` plus the per-shard
+//!   [`JoinStats`] folded with [`JoinStats::absorb`] in slot order. The
+//!   output relation is bit-identical to the sequential
 //!   [`join_nprr`](wcoj_core::nprr::join_nprr), no matter how the pool
 //!   interleaved the shards (dispatch order never reaches the output, so
 //!   fairness is free of correctness risk).
-//! * **Cancellation**: dropping a [`QueryHandle`] before waiting marks
-//!   the query cancelled; workers still pop its queued tasks but *skip*
-//!   the engine run, so an abandoned handle stops burning the pool
-//!   almost immediately (and its admission slot is released when the
-//!   ring drains).
-//! * **Observability** (all of it compiled in, cheap or free when off):
-//!   [`Service::counters`] snapshots lifetime `submitted` / `completed` /
-//!   `shed` / `cancelled` / `skipped_tasks` plus instantaneous
-//!   `in_flight` and `queued_tasks` — taken under the scheduler lock, so
-//!   every snapshot is *internally consistent* (never `completed >
-//!   submitted`, never `queued_tasks > 0` with `in_flight == 0`). With
-//!   [`ServiceConfig::obs`] on (the default) the service also feeds the
-//!   process-wide `wcoj-obs` metrics registry (counters, gauges, and
-//!   latency histograms — `wcoj_obs::global().render_prometheus()` is a
-//!   `/metrics` endpoint body) and records per-query
-//!   [`QueryProfile`]s: lifecycle phase timestamps (admitted → planned →
-//!   first/last task → reassembled) plus a per-shard breakdown (queue
-//!   wait, run time, rows, [`JoinStats`]) via [`QueryHandle::profile`] /
-//!   [`QueryHandle::wait_profiled`]. Timestamps are taken at *task*
-//!   granularity only, never per tuple. Scheduler decisions (admit /
-//!   shed / cancel / skip / ring rotation) additionally land in the
-//!   bounded `wcoj_obs::trace()` event ring when `WCOJ_TRACE` (or
+//! * **Cancellation**: dropping a [`QueryHandle`] before it took every
+//!   slot marks the query cancelled; workers still pop its queued tasks
+//!   but *skip* the engine run, so an abandoned handle stops burning the
+//!   pool almost immediately (and its admission slot is released when the
+//!   ring drains). A shard whose engine run panics fails its query with
+//!   [`QueryError::ShardPanicked`]; the pool keeps serving.
+//! * **Observability**: [`Service::counters`] snapshots lifetime
+//!   `submitted` / `completed` / `shed` / `cancelled` / `skipped_tasks`
+//!   plus instantaneous `in_flight` and `queued_tasks` — taken under the
+//!   scheduler lock, so every snapshot is *internally consistent* (never
+//!   `completed > submitted`, never `queued_tasks > 0` with `in_flight ==
+//!   0`). The service also feeds the process-wide `wcoj-obs` metrics
+//!   registry (counters, gauges, and latency histograms —
+//!   `wcoj_obs::global().render_prometheus()` is a `/metrics` endpoint
+//!   body) and records per-query [`QueryProfile`]s: lifecycle phase
+//!   timestamps (admitted → planned → first/last task → reassembled) plus
+//!   a per-shard breakdown (queue wait, run time, rows, [`JoinStats`])
+//!   via [`QueryHandle::profile`] / [`QueryHandle::wait_profiled`].
+//!   Timestamps are taken at *task* granularity only, never per tuple.
+//!   Scheduler decisions (admit / shed / cancel / skip / ring rotation)
+//!   additionally land in the bounded `wcoj_obs::trace()` event ring when
+//!   `WCOJ_TRACE` (or
 //!   [`TraceRing::set_level`](wcoj_obs::TraceRing::set_level)) raises its
 //!   level.
 //!
@@ -95,7 +98,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -130,15 +133,6 @@ pub struct ServiceConfig {
     /// immediately release a slot, so they are also shed under overload
     /// — admission stays a pure front-door check that costs no planning.
     pub queue_depth: usize,
-    /// Whether the service records into the process-wide `wcoj-obs`
-    /// metrics registry and takes per-task timestamps for
-    /// [`QueryProfile`]s (default `true`). Off, the per-task `Instant`
-    /// reads and histogram updates become no-ops — what it saves is
-    /// bounded by the benchmark's `obs.tracing_overhead_frac` — while
-    /// [`Service::counters`],
-    /// correctness accounting, and per-shard row/stats bookkeeping stay
-    /// on.
-    pub obs: bool,
 }
 
 impl Default for ServiceConfig {
@@ -147,7 +141,6 @@ impl Default for ServiceConfig {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             exec: ExecConfig::default(),
             queue_depth: 0,
-            obs: true,
         }
     }
 }
@@ -167,14 +160,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_queue_depth(mut self, queue_depth: usize) -> ServiceConfig {
         self.queue_depth = queue_depth;
-        self
-    }
-
-    /// Returns `self` with observability recording toggled (see
-    /// [`ServiceConfig::obs`]).
-    #[must_use]
-    pub fn with_obs(mut self, obs: bool) -> ServiceConfig {
-        self.obs = obs;
         self
     }
 
@@ -287,8 +272,8 @@ pub struct ServiceCounters {
 
 /// The service's handles into the process-wide `wcoj-obs` registry.
 /// Registered once per process (get-or-create by name), shared by every
-/// [`Service`] whose config has [`ServiceConfig::obs`] on — the registry
-/// aggregates across services the way a scrape endpoint would.
+/// [`Service`] — the registry aggregates across services the way a
+/// scrape endpoint would.
 struct ServiceMetrics {
     submitted: Arc<Counter>,
     completed: Arc<Counter>,
@@ -386,13 +371,10 @@ pub struct QueryProfile {
     /// Submit → the first worker picked up a task. `None` until then and
     /// for degenerate queries (no task ever dispatched).
     pub first_dispatch: Option<Duration>,
-    /// Submit → the last task drained. `None` while the query is still
-    /// running. Zero-duration per-task timing (obs off) still sets this
-    /// phase's *presence*, but the value collapses toward the coarse
-    /// lifecycle clock.
+    /// Submit → the last task drained. `None` while no task has.
     pub last_finish: Option<Duration>,
-    /// Submit → output reassembled (slot-order merge done). `None` until
-    /// `wait()`; degenerate queries reassemble at submit time.
+    /// Submit → the handle took and assembled its last slot. `None`
+    /// until then; degenerate queries reassemble at submit time.
     pub reassembled: Option<Duration>,
     /// Tasks the shard plan scheduled (0 for degenerate queries).
     pub total_shards: usize,
@@ -424,11 +406,9 @@ impl QueryProfile {
 pub struct ShardProfile {
     /// Slot index in the shard plan (= reassembly order).
     pub slot: usize,
-    /// Ring push → worker pop ([`Duration::ZERO`] when
-    /// [`ServiceConfig::obs`] is off).
+    /// Ring push → worker pop.
     pub queue_wait: Duration,
-    /// Engine run time ([`Duration::ZERO`] when obs is off or the task
-    /// was skipped).
+    /// Engine run time (≈ 0 when the task was skipped).
     pub run: Duration,
     /// Rows this shard produced (0 for skipped tasks).
     pub rows: u64,
@@ -437,64 +417,6 @@ pub struct ShardProfile {
     /// The shard's engine stats; [`JoinStats::absorb`]ing them in slot
     /// order over a zeroed base reproduces the final output's stats.
     pub stats: JoinStats,
-}
-
-/// Profile bookkeeping shared between the submitting thread, the pool
-/// workers, and the handle. Timestamps are nanosecond offsets from
-/// `base` (submit entry), stored in atomics so workers never take a lock
-/// for a phase mark.
-struct ProfileState {
-    query_id: u64,
-    /// The submit-entry instant every offset is relative to.
-    base: Instant,
-    admitted_ns: u64,
-    planned_ns: u64,
-    /// First task pickup; `u64::MAX` = no task dispatched yet
-    /// (`fetch_min` keeps the earliest).
-    first_dispatch_ns: AtomicU64,
-    /// Last task drained; `0` = none yet (`fetch_max` keeps the latest).
-    last_finish_ns: AtomicU64,
-    /// Output reassembled; `0` = not yet.
-    reassembled_ns: AtomicU64,
-    /// One slot per scheduled shard, filled as tasks drain.
-    shards: Mutex<Vec<Option<ShardProfile>>>,
-}
-
-impl ProfileState {
-    /// Nanoseconds since submit entry (saturating far beyond any
-    /// realistic run).
-    fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.base.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    fn snapshot(&self, cancelled: bool, finished: bool) -> QueryProfile {
-        let first = self.first_dispatch_ns.load(Ordering::Acquire);
-        let last = self.last_finish_ns.load(Ordering::Acquire);
-        let reassembled = self.reassembled_ns.load(Ordering::Acquire);
-        let (shards, total_shards) = {
-            let slots = self
-                .shards
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            (
-                slots.iter().flatten().cloned().collect::<Vec<_>>(),
-                slots.len(),
-            )
-        };
-        QueryProfile {
-            query_id: self.query_id,
-            admitted: Duration::from_nanos(self.admitted_ns),
-            planned: Some(Duration::from_nanos(self.planned_ns)),
-            first_dispatch: (first != u64::MAX).then(|| Duration::from_nanos(first)),
-            // With per-task timing off every task stores mark 0, so use
-            // job completion (`finished`) for the phase's presence.
-            last_finish: (finished || last > 0).then(|| Duration::from_nanos(last)),
-            reassembled: (reassembled > 0).then(|| Duration::from_nanos(reassembled)),
-            total_shards,
-            shards,
-            cancelled,
-        }
-    }
 }
 
 /// A schedulable unit: one shard of one query.
@@ -547,18 +469,15 @@ struct Injector {
     /// (blocking submitters wait here).
     space_ready: Condvar,
     shutdown: AtomicBool,
-    /// Global-registry handles, `None` when [`ServiceConfig::obs`] is
-    /// off. Mirrors of the mutex-guarded counters are bumped *after* the
-    /// critical sections — the registry is a reporting surface, the
-    /// locked counters stay the source of truth.
-    metrics: Option<&'static ServiceMetrics>,
+    /// Global-registry handles. Mirrors of the mutex-guarded counters are
+    /// bumped *after* the critical sections — the registry is a reporting
+    /// surface, the locked counters stay the source of truth.
+    metrics: &'static ServiceMetrics,
 }
 
 impl Injector {
     fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Enqueues one admitted query's tasks as a fresh ring at the back of
@@ -573,10 +492,8 @@ impl Injector {
             q.submitted += 1;
             q.rings.push_back(QueryRing { query, tasks });
         }
-        if let Some(m) = self.metrics {
-            m.submitted.inc();
-            m.queued_tasks.add(n as i64);
-        }
+        self.metrics.submitted.inc();
+        self.metrics.queued_tasks.add(n as i64);
         trace().record(
             TraceLevel::Summary,
             TraceEvent::Admit {
@@ -607,9 +524,7 @@ impl Injector {
             q.queued_tasks += n;
             q.rings.push_back(QueryRing { query, tasks });
         }
-        if let Some(m) = self.metrics {
-            m.queued_tasks.add(n as i64);
-        }
+        self.metrics.queued_tasks.add(n as i64);
         if n == 1 {
             self.task_ready.notify_one();
         } else {
@@ -636,9 +551,7 @@ impl Injector {
                     Some(info)
                 };
                 drop(q);
-                if let Some(m) = self.metrics {
-                    m.queued_tasks.sub(1);
-                }
+                self.metrics.queued_tasks.sub(1);
                 if let Some((query, remaining)) = rotated {
                     trace().record(
                         TraceLevel::Verbose,
@@ -653,7 +566,7 @@ impl Injector {
             q = self
                 .task_ready
                 .wait(q)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -666,9 +579,7 @@ impl Injector {
             debug_assert!(q.in_flight > 0, "release without admission");
             q.in_flight -= 1;
         }
-        if let Some(m) = self.metrics {
-            m.in_flight.sub(1);
-        }
+        self.metrics.in_flight.sub(1);
         self.space_ready.notify_one();
     }
 
@@ -683,10 +594,8 @@ impl Injector {
             q.completed += 1;
             q.in_flight -= 1;
         }
-        if let Some(m) = self.metrics {
-            m.completed.inc();
-            m.in_flight.sub(1);
-        }
+        self.metrics.completed.inc();
+        self.metrics.in_flight.sub(1);
         trace().record(TraceLevel::Summary, TraceEvent::Finish { query });
         self.space_ready.notify_one();
     }
@@ -697,9 +606,7 @@ impl Injector {
     /// already in.
     fn note_skipped(&self, query: u64, slot: usize) {
         self.lock().skipped_tasks += 1;
-        if let Some(m) = self.metrics {
-            m.skipped_tasks.inc();
-        }
+        self.metrics.skipped_tasks.inc();
         trace().record(
             TraceLevel::Summary,
             TraceEvent::SkipTask {
@@ -712,180 +619,285 @@ impl Injector {
     /// A pending handle was dropped: its query is cancelled.
     fn note_cancelled(&self, query: u64) {
         self.lock().cancelled += 1;
-        if let Some(m) = self.metrics {
-            m.cancelled.inc();
-        }
+        self.metrics.cancelled.inc();
         trace().record(TraceLevel::Summary, TraceEvent::Cancel { query });
     }
 }
 
-/// One shard's result: raw rows over the total order (one flat buffer)
-/// plus run stats.
-type ShardResult = (RowBuf, JoinStats);
-
-/// Per-query completion state: one slot per shard, filled by workers in
-/// whatever order the pool interleaves them; reassembly reads the slots
-/// in index (= root-value) order, which is what makes the merge
-/// deterministic.
+/// Per-query state shared between the submitting thread, the pool
+/// workers and the [`QueryHandle`]. Phase marks are nanosecond offsets
+/// from `base` (submit entry) in atomics, so a worker takes no lock for
+/// one; everything a shard hands over goes under the one `slots` mutex.
 struct JobState {
-    slots: Mutex<Vec<Option<ShardResult>>>,
+    query_id: u64,
+    /// The submit-entry instant every offset is relative to.
+    base: Instant,
+    admitted_ns: u64,
+    planned_ns: u64,
+    /// First task pickup; `u64::MAX` = no task dispatched yet
+    /// (`fetch_min` keeps the earliest).
+    first_dispatch_ns: AtomicU64,
+    /// Last task drained; `0` = none yet (`fetch_max` keeps the latest).
+    last_finish_ns: AtomicU64,
+    /// Last slot taken and assembled; `0` = not yet.
+    reassembled_ns: AtomicU64,
+    /// Width of a raw row: the total order's length.
+    width: usize,
+    /// Shards not yet drained.
     remaining: AtomicUsize,
-    /// A worker panicked while running one of this query's shards.
-    poisoned: AtomicBool,
-    /// The handle was dropped before waiting: workers skip the engine run
-    /// for this query's remaining tasks.
+    /// The handle was dropped with slots it never took: workers skip the
+    /// engine run for this query's remaining tasks.
     cancelled: AtomicBool,
-    done: Mutex<bool>,
-    done_ready: Condvar,
-    /// Signalled (paired with the `slots` mutex) every time a slot
-    /// settles — the [`RowStream`] subscription point, woken per shard
-    /// instead of only at the final [`JobState::notify_done`].
-    slot_ready: Condvar,
+    slots: Mutex<Slots>,
+    /// Signalled under `slots` whenever a shard drains and when the query
+    /// settles.
+    changed: Condvar,
+}
+
+/// What the workers hand over to the handle, guarded by
+/// [`JobState::slots`]. Workers fill the entries in whatever order the
+/// pool interleaves them; the handle takes them in index (= root-value)
+/// order, which is what makes the output deterministic.
+struct Slots {
+    /// Each shard's raw rows over the total order, from the moment it
+    /// drains until the handle takes them.
+    rows: Vec<Option<RowBuf>>,
+    /// Each drained shard's profile.
+    profiles: Vec<Option<ShardProfile>>,
+    /// A shard's engine run panicked: the query has no output.
+    poisoned: bool,
+    /// The last shard drained **and** the service counted the query
+    /// finished, so its admission slot is free.
+    settled: bool,
 }
 
 impl JobState {
-    fn new(shards: usize) -> JobState {
-        JobState {
-            slots: Mutex::new(vec![None; shards]),
-            remaining: AtomicUsize::new(shards),
-            poisoned: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            done: Mutex::new(false),
-            done_ready: Condvar::new(),
-            slot_ready: Condvar::new(),
-        }
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records one shard's result; returns `true` iff it was the query's
-    /// last outstanding shard. The caller then settles the query with the
-    /// service **before** calling [`JobState::notify_done`], so by the
-    /// time `wait()` returns, the admission slot is released and the
-    /// counters have settled.
-    fn complete(&self, index: usize, result: Option<ShardResult>) -> bool {
-        // Both the slot write and the poison mark happen under the
-        // slots mutex, and the per-slot condvar is notified inside
-        // the same critical section: a RowStream waiter checking its
-        // slot can never miss the wakeup (it either sees the new
-        // state or is already parked when the notify fires). The shard
-        // is also counted down *before* the notify, in the same
-        // critical section — a stream that consumes the final slot must
-        // observe `remaining == 0` (`is_finished`) immediately, not
-        // after a window in which the worker has published rows but not
-        // yet decremented.
-        let mut slots = self
-            .slots
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match result {
-            Some(result) => slots[index] = Some(result),
-            None => self.poisoned.store(true, Ordering::Release),
+    /// Nanoseconds since submit entry (saturating far beyond any
+    /// realistic run).
+    fn elapsed_ns(&self) -> u64 {
+        u64::try_from(self.base.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Records one drained shard — its rows and profile, or `None` when
+    /// its engine run panicked — and returns `true` iff it was the
+    /// query's last. The caller then settles the query with the service
+    /// **before** calling [`JobState::settle`].
+    fn complete(&self, index: usize, shard: Option<(RowBuf, ShardProfile)>) -> bool {
+        // The shard is counted down and the condvar notified in the same
+        // critical section that publishes it: a handle that takes the
+        // final slot observes `remaining == 0` (`is_finished`) at once.
+        let mut slots = self.lock();
+        match shard {
+            Some((rows, profile)) => {
+                slots.rows[index] = Some(rows);
+                slots.profiles[index] = Some(profile);
+            }
+            None => slots.poisoned = true,
         }
         let last = self.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
-        self.slot_ready.notify_all();
+        self.changed.notify_all();
         last
     }
 
-    /// Blocks until slot `index` has settled and takes its raw rows.
+    /// Marks the query settled; call only after the service counted it
+    /// finished.
+    fn settle(&self) {
+        self.lock().settled = true;
+        self.changed.notify_all();
+    }
+
+    fn wait_settled(&self) {
+        let mut slots = self.lock();
+        while !slots.settled {
+            slots = self
+                .changed
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Blocks until slot `index` has drained and takes its raw rows.
     ///
-    /// # Panics
-    /// If a worker panicked while running one of the query's shards.
-    fn take_slot(&self, index: usize) -> RowBuf {
-        let mut slots = self
-            .slots
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    /// # Errors
+    /// [`QueryError::ShardPanicked`] once any shard of the query has
+    /// panicked.
+    fn take_slot(&self, index: usize) -> Result<RowBuf, QueryError> {
+        let mut slots = self.lock();
         loop {
-            assert!(
-                !self.poisoned.load(Ordering::Acquire),
-                "a service worker panicked while running a shard of this query"
-            );
-            if let Some((rows, _stats)) = slots[index].take() {
-                return rows;
+            if slots.poisoned {
+                return Err(QueryError::ShardPanicked);
+            }
+            if let Some(rows) = slots.rows[index].take() {
+                return Ok(rows);
             }
             slots = self
-                .slot_ready
+                .changed
                 .wait(slots)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Wakes waiters; call only after the last [`JobState::complete`].
-    fn notify_done(&self) {
-        let mut done = self
-            .done
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *done = true;
-        self.done_ready.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self
-            .done
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while !*done {
-            done = self
-                .done_ready
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn snapshot(&self) -> QueryProfile {
+        let first = self.first_dispatch_ns.load(Ordering::Acquire);
+        let last = self.last_finish_ns.load(Ordering::Acquire);
+        let reassembled = self.reassembled_ns.load(Ordering::Acquire);
+        let (shards, total_shards) = {
+            let slots = self.lock();
+            let shards: Vec<ShardProfile> = slots.profiles.iter().flatten().cloned().collect();
+            (shards, slots.profiles.len())
+        };
+        QueryProfile {
+            query_id: self.query_id,
+            admitted: Duration::from_nanos(self.admitted_ns),
+            planned: Some(Duration::from_nanos(self.planned_ns)),
+            first_dispatch: (first != u64::MAX).then(|| Duration::from_nanos(first)),
+            last_finish: (last > 0).then(|| Duration::from_nanos(last)),
+            reassembled: (reassembled > 0).then(|| Duration::from_nanos(reassembled)),
+            total_shards,
+            shards,
+            cancelled: self.cancelled.load(Ordering::Acquire),
         }
     }
 }
 
-/// The future of a submitted query. [`wait`](QueryHandle::wait) blocks
-/// until every shard has run on the pool and returns the reassembled
-/// output. **Dropping** the handle without waiting *cancels* the query:
-/// workers skip the engine run for its remaining tasks, so an abandoned
-/// handle stops burning the shared pool (and frees its admission slot
-/// as its ring drains).
-pub struct QueryHandle {
-    inner: Option<HandleInner>,
-}
-
-/// Moves one settled slot's raw rows into a standalone [`Relation`]
-/// (sorted + deduplicated within the slot). Shared by every batch of a
-/// [`RowStream`], hence `Fn`, not `FnOnce`.
+/// Moves raw rows — one slot's, or several slots' concatenated in slot
+/// order — into a standalone sorted, deduplicated [`Relation`] over the
+/// output schema ([`PreparedQuery::assemble_slot`]).
 type SlotAssemble = Box<dyn Fn(RowBuf) -> Result<Relation, QueryError> + Send>;
 
+/// A submitted query: the one way its rows leave the service. Each shard
+/// fills one **slot**; the handle takes the slots in slot order, either
+/// one batch per slot as each settles ([`next_batch`](QueryHandle::next_batch),
+/// the streaming hook the HTTP front end's chunked `/query/{id}/rows`
+/// rides on) or every remaining slot at once
+/// ([`next_merged`](QueryHandle::next_merged),
+/// [`wait`](QueryHandle::wait)).
+///
+/// Slot rectangles partition the output (disjoint `(root, anchor)`
+/// ranges), so concatenating every batch and running one final
+/// `sort_dedup` always reproduces [`wait`](QueryHandle::wait)'s relation.
+/// When [`ordered`](QueryHandle::ordered) is `true` even the final sort is
+/// unnecessary: plain concatenation in batch order is already the full
+/// output, byte for byte.
+///
+/// **Dropping** the handle before it took every slot *cancels* the query:
+/// workers skip the engine run for its remaining tasks, so an abandoned
+/// handle — or a client that disconnects mid-stream — stops burning the
+/// shared pool and frees its admission slot as its ring drains.
+pub struct QueryHandle {
+    inner: HandleInner,
+    /// Stats before any shard is absorbed: label, bound, cover.
+    stats: JoinStats,
+    /// The first slot not yet taken.
+    next_slot: usize,
+    total_slots: usize,
+    /// Concatenating per-slot batches in slot order reproduces the full
+    /// output byte-for-byte (see [`PreparedQuery::slots_stream_sorted`]).
+    ordered: bool,
+}
+
 enum HandleInner {
-    /// Resolved at submit time (empty input, zero-shard plan). Boxed so
-    /// the common `Pending` variant stays small.
-    Ready(Box<(Result<JoinOutput, QueryError>, QueryProfile)>),
-    /// Waits on the pool, then assembles.
-    Pending {
+    /// Resolved at submit time (empty input, zero-shard plan): the empty
+    /// output, yielded as one batch. The profile is boxed so the handle
+    /// stays small.
+    Ready {
+        empty: Relation,
+        profile: Box<QueryProfile>,
+    },
+    /// Takes the slots the pool fills.
+    Pool {
         state: Arc<JobState>,
         injector: Arc<Injector>,
-        profile: Arc<ProfileState>,
-        assemble: Box<dyn FnOnce() -> Result<JoinOutput, QueryError> + Send>,
-        slot_assemble: SlotAssemble,
-        /// Concatenating per-slot batches in slot order reproduces the
-        /// full output byte-for-byte (see
-        /// [`PreparedQuery::slots_stream_sorted`]).
-        ordered: bool,
+        assemble: SlotAssemble,
     },
 }
 
+/// One taken slot range's output, yielded by
+/// [`QueryHandle::next_batch`] and [`QueryHandle::next_merged`].
+#[derive(Debug)]
+pub struct RowBatch {
+    /// The first slot (= shard = root rectangle) the batch holds. Batches
+    /// arrive in strictly ascending slot order.
+    pub slot: usize,
+    /// The batch's rows, sorted and deduplicated within the batch.
+    pub relation: Relation,
+}
+
 impl QueryHandle {
-    fn ready(result: Result<JoinOutput, QueryError>, profile: QueryProfile) -> QueryHandle {
-        QueryHandle {
-            inner: Some(HandleInner::Ready(Box::new((result, profile)))),
-        }
+    /// Takes slots `next_slot..end`, blocking until each settles, and
+    /// assembles their raw rows, concatenated in slot order, into one
+    /// relation. Taking the last slot marks the profile reassembled.
+    fn take(&mut self, end: usize) -> Result<Relation, QueryError> {
+        let from = self.next_slot;
+        let relation = match &self.inner {
+            HandleInner::Ready { empty, .. } => empty.clone(),
+            HandleInner::Pool {
+                state, assemble, ..
+            } => {
+                let mut rows = if from < end {
+                    state.take_slot(from)?
+                } else {
+                    RowBuf::new(state.width)
+                };
+                for slot in from + 1..end {
+                    rows.append(&state.take_slot(slot)?);
+                }
+                let relation = assemble(rows)?;
+                if end == self.total_slots {
+                    state
+                        .reassembled_ns
+                        .store(state.elapsed_ns().max(1), Ordering::Release);
+                }
+                relation
+            }
+        };
+        self.next_slot = end;
+        Ok(relation)
     }
 
-    /// Blocks until the query finishes; returns its output.
+    fn batch_until(&mut self, end: usize) -> Option<Result<RowBatch, QueryError>> {
+        let slot = self.next_slot;
+        (slot < self.total_slots)
+            .then(|| self.take(end).map(|relation| RowBatch { slot, relation }))
+    }
+
+    /// Blocks until the next slot settles and yields its rows as a
+    /// standalone sorted, deduplicated batch; `None` once every slot has
+    /// been taken. A front end can push early shards to the client while
+    /// the pool is still running later ones.
     ///
     /// # Errors
-    /// Propagates evaluation errors.
+    /// [`QueryError::ShardPanicked`] if a shard's engine run panicked.
+    pub fn next_batch(&mut self) -> Option<Result<RowBatch, QueryError>> {
+        self.batch_until(self.next_slot + 1)
+    }
+
+    /// Blocks until **every** remaining slot has settled and yields them
+    /// as one batch: the slots' raw rows concatenated in slot order, then
+    /// one column permutation and one sort. A consumer of a handle that
+    /// is not [`ordered`](QueryHandle::ordered) has to merge the batches
+    /// anyway; this skips the per-slot sorts such a merge throws away.
+    /// `None` once every slot has been taken.
     ///
-    /// # Panics
-    /// If a pool worker panicked while running one of this query's shards
-    /// (the panic is re-raised here instead of deadlocking the caller).
-    pub fn wait(mut self) -> Result<JoinOutput, QueryError> {
-        match self.inner.take().expect("handle consumed exactly once") {
-            HandleInner::Ready(ready) => ready.0,
-            HandleInner::Pending { assemble, .. } => assemble(),
-        }
+    /// # Errors
+    /// Same as [`next_batch`](QueryHandle::next_batch).
+    pub fn next_merged(&mut self) -> Option<Result<RowBatch, QueryError>> {
+        self.batch_until(self.total_slots)
+    }
+
+    /// Blocks until the query finishes and returns the rows of every slot
+    /// not yet taken — the whole output for a fresh handle — with the
+    /// shards' [`JoinStats`] absorbed in slot order. By the time it
+    /// returns, the query's admission slot is free.
+    ///
+    /// # Errors
+    /// Same as [`next_batch`](QueryHandle::next_batch).
+    pub fn wait(self) -> Result<JoinOutput, QueryError> {
+        self.wait_profiled().map(|(out, _)| out)
     }
 
     /// Like [`wait`](QueryHandle::wait), but also returns the query's
@@ -893,306 +905,98 @@ impl QueryHandle {
     /// reported.
     ///
     /// # Errors
-    /// Propagates evaluation errors.
-    ///
-    /// # Panics
-    /// Same as [`wait`](QueryHandle::wait).
+    /// Same as [`next_batch`](QueryHandle::next_batch).
     pub fn wait_profiled(mut self) -> Result<(JoinOutput, QueryProfile), QueryError> {
-        match self.inner.take().expect("handle consumed exactly once") {
-            HandleInner::Ready(ready) => {
-                let (result, profile) = *ready;
-                result.map(|out| (out, profile))
-            }
-            HandleInner::Pending {
-                profile, assemble, ..
-            } => {
-                let out = assemble()?;
-                Ok((out, profile.snapshot(false, true)))
-            }
+        let relation = self.take(self.total_slots)?;
+        self.wait_settled();
+        let profile = self.profile();
+        let mut stats = std::mem::take(&mut self.stats);
+        for shard in &profile.shards {
+            stats.absorb(&shard.stats);
         }
+        Ok((JoinOutput { relation, stats }, profile))
     }
 
     /// A point-in-time [`QueryProfile`] snapshot — non-blocking, callable
     /// while the query is still running (phases that have not happened
     /// are `None`, `shards` holds only drained tasks).
-    ///
-    /// # Panics
-    /// If the handle was already consumed by `wait` (unreachable through
-    /// safe use: both consume `self`).
     #[must_use]
     pub fn profile(&self) -> QueryProfile {
-        match self.inner.as_ref().expect("handle not consumed") {
-            HandleInner::Ready(ready) => ready.1.clone(),
-            HandleInner::Pending { state, profile, .. } => profile.snapshot(
-                state.cancelled.load(Ordering::Acquire),
-                state.remaining.load(Ordering::Acquire) == 0,
-            ),
+        match &self.inner {
+            HandleInner::Ready { profile, .. } => (**profile).clone(),
+            HandleInner::Pool { state, .. } => state.snapshot(),
         }
     }
 
-    /// `true` iff every shard of the query has already drained — `wait`
-    /// would return without blocking. Degenerate submit-time resolutions
-    /// are always finished.
+    /// `true` iff every shard of the query has already drained — taking
+    /// the remaining slots will not block. Degenerate submit-time
+    /// resolutions are always finished.
     #[must_use]
     pub fn is_finished(&self) -> bool {
         match &self.inner {
-            Some(HandleInner::Ready(..)) | None => true,
-            Some(HandleInner::Pending { state, .. }) => {
-                state.remaining.load(Ordering::Acquire) == 0
-            }
+            HandleInner::Ready { .. } => true,
+            HandleInner::Pool { state, .. } => state.remaining.load(Ordering::Acquire) == 0,
         }
     }
 
-    /// Turns the handle into an **incremental** subscription: each call
-    /// to [`RowStream::next_batch`] blocks only until the *next* slot
-    /// settles and yields that slot's rows as a standalone sorted,
-    /// deduplicated [`Relation`] — a front end can push early shards to
-    /// the client while the pool is still running later ones.
-    ///
-    /// Slot rectangles partition the output (disjoint `(root, anchor)`
-    /// ranges), so concatenating every batch and running one final
-    /// `sort_dedup` always reproduces [`wait`](QueryHandle::wait)'s
-    /// relation exactly. When [`RowStream::ordered`] is `true` even the
-    /// final sort is unnecessary: plain concatenation in batch order is
-    /// already the full output, byte for byte.
-    ///
-    /// Dropping the stream before draining it cancels the query exactly
-    /// like dropping an unwaited handle would.
-    #[must_use]
-    pub fn into_stream(mut self) -> RowStream {
-        match self.inner.take().expect("handle consumed exactly once") {
-            HandleInner::Ready(ready) => RowStream {
-                inner: StreamInner::Ready(Some(ready.0)),
-                next_slot: 0,
-                total_slots: 1,
-                ordered: true,
-            },
-            HandleInner::Pending {
-                state,
-                injector,
-                profile,
-                slot_assemble,
-                ordered,
-                ..
-            } => {
-                let total_slots = state
-                    .slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len();
-                RowStream {
-                    inner: StreamInner::Pending {
-                        state,
-                        injector,
-                        profile,
-                        convert: slot_assemble,
-                    },
-                    next_slot: 0,
-                    total_slots,
-                    ordered,
-                }
-            }
+    /// Blocks until every shard has drained and the service has released
+    /// the query's admission slot, without taking any slot.
+    pub fn wait_settled(&self) {
+        if let HandleInner::Pool { state, .. } = &self.inner {
+            state.wait_settled();
         }
     }
-}
 
-impl fmt::Debug for QueryHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
-            Some(HandleInner::Ready(..)) => f.write_str("QueryHandle(ready)"),
-            Some(HandleInner::Pending { state, .. }) => write!(
-                f,
-                "QueryHandle(pending, {} shards outstanding)",
-                state.remaining.load(Ordering::Relaxed)
-            ),
-            None => f.write_str("QueryHandle(consumed)"),
-        }
-    }
-}
-
-impl Drop for QueryHandle {
-    /// Abandoning a pending handle cancels its query: remaining tasks are
-    /// skipped by the workers instead of burning the pool for a result
-    /// nobody can read any more.
-    fn drop(&mut self) {
-        if let Some(HandleInner::Pending {
-            state,
-            injector,
-            profile,
-            ..
-        }) = &self.inner
-        {
-            state.cancelled.store(true, Ordering::Release);
-            if state.remaining.load(Ordering::Acquire) > 0 {
-                injector.note_cancelled(profile.query_id);
-            }
-        }
-    }
-}
-
-/// One settled slot's output, yielded by [`RowStream::next_batch`].
-#[derive(Debug)]
-pub struct RowBatch {
-    /// The slot (= shard = root-rectangle) index this batch came from.
-    /// Batches arrive in strictly ascending slot order.
-    pub slot: usize,
-    /// The slot's rows, sorted and deduplicated within the slot.
-    pub relation: Relation,
-}
-
-enum StreamInner {
-    /// Degenerate submit-time resolution: one synthetic batch.
-    Ready(Option<Result<JoinOutput, QueryError>>),
-    Pending {
-        state: Arc<JobState>,
-        injector: Arc<Injector>,
-        profile: Arc<ProfileState>,
-        convert: SlotAssemble,
-    },
-}
-
-/// An incremental subscription to a running query, made by
-/// [`QueryHandle::into_stream`]. Yields one [`RowBatch`] per slot, in
-/// slot order, each as soon as that slot settles — the streaming hook
-/// the HTTP front end's chunked `/query/{id}/rows` endpoint rides on.
-pub struct RowStream {
-    inner: StreamInner,
-    next_slot: usize,
-    total_slots: usize,
-    ordered: bool,
-}
-
-impl RowStream {
-    /// `true` iff concatenating the batches in arrival order reproduces
-    /// the full query output byte-for-byte (the prepared total order
-    /// already matches the output schema). When `false` the consumer
-    /// must merge: concatenate all batches, then sort + dedup once.
+    /// `true` iff concatenating the per-slot batches in order reproduces
+    /// the full output byte-for-byte (the prepared total order already
+    /// matches the output schema). When `false` the consumer must merge:
+    /// concatenate all batches, then sort + dedup once — or take them all
+    /// at once with [`next_merged`](QueryHandle::next_merged).
     #[must_use]
     pub fn ordered(&self) -> bool {
         self.ordered
     }
 
-    /// Number of batches the stream will yield in total.
+    /// Number of slots the handle yields in total (1 for a degenerate
+    /// submit-time resolution).
     #[must_use]
     pub fn total_slots(&self) -> usize {
         self.total_slots
     }
 
-    /// Batches already yielded by [`next_batch`](RowStream::next_batch).
+    /// Slots already taken.
     #[must_use]
     pub fn slots_emitted(&self) -> usize {
         self.next_slot
     }
-
-    /// `true` iff every shard has already drained on the pool —
-    /// remaining `next_batch` calls will not block.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        match &self.inner {
-            StreamInner::Ready(..) => true,
-            StreamInner::Pending { state, .. } => state.remaining.load(Ordering::Acquire) == 0,
-        }
-    }
-
-    /// Blocks until **every** shard has drained (without consuming any
-    /// batches) — the poll-with-block endpoint's primitive.
-    pub fn wait_settled(&self) {
-        if let StreamInner::Pending { state, .. } = &self.inner {
-            state.wait();
-        }
-    }
-
-    /// Blocks until the next slot settles and yields its rows; `None`
-    /// once every slot has been yielded.
-    ///
-    /// # Errors
-    /// Propagates evaluation errors (degenerate submissions only — shard
-    /// evaluation itself is infallible once admitted; worker *panics*
-    /// re-raise here, see below).
-    ///
-    /// # Panics
-    /// If a pool worker panicked while running one of this query's
-    /// shards (mirrors [`QueryHandle::wait`]).
-    pub fn next_batch(&mut self) -> Option<Result<RowBatch, QueryError>> {
-        if self.next_slot >= self.total_slots {
-            return None;
-        }
-        let slot = self.next_slot;
-        match &mut self.inner {
-            StreamInner::Ready(result) => {
-                self.next_slot += 1;
-                let result = result.take().expect("ready batch yielded exactly once");
-                Some(result.map(|out| RowBatch {
-                    slot,
-                    relation: out.relation,
-                }))
-            }
-            StreamInner::Pending { state, convert, .. } => {
-                let rows = state.take_slot(slot);
-                self.next_slot += 1;
-                Some(convert(rows).map(|relation| RowBatch { slot, relation }))
-            }
-        }
-    }
-
-    /// Blocks until **every** remaining slot has settled and yields them
-    /// as one batch: the slots' raw rows concatenated in slot order, then
-    /// one column permutation and one sort. The consumer of a stream that
-    /// is not [`ordered`](RowStream::ordered) has to merge the batches
-    /// anyway; this skips the per-slot sorts such a merge throws away.
-    /// The batch's `slot` is the first one merged; `None` once every slot
-    /// has been yielded.
-    ///
-    /// # Errors
-    /// Same as [`next_batch`](RowStream::next_batch).
-    ///
-    /// # Panics
-    /// Same as [`next_batch`](RowStream::next_batch).
-    pub fn next_merged(&mut self) -> Option<Result<RowBatch, QueryError>> {
-        let slot = self.next_slot;
-        let StreamInner::Pending { state, convert, .. } = &mut self.inner else {
-            return self.next_batch();
-        };
-        if slot >= self.total_slots {
-            return None;
-        }
-        let mut rows = state.take_slot(slot);
-        for later in slot + 1..self.total_slots {
-            rows.append(&state.take_slot(later));
-        }
-        self.next_slot = self.total_slots;
-        Some(convert(rows).map(|relation| RowBatch { slot, relation }))
-    }
 }
 
-impl fmt::Debug for RowStream {
+impl fmt::Debug for QueryHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "RowStream({}/{} slots emitted, ordered: {})",
-            self.next_slot, self.total_slots, self.ordered
+            "QueryHandle({}/{} slots taken, finished: {}, ordered: {})",
+            self.next_slot,
+            self.total_slots,
+            self.is_finished(),
+            self.ordered
         )
     }
 }
 
-impl Drop for RowStream {
-    /// Abandoning a partially drained stream cancels the query, exactly
-    /// like dropping an unwaited [`QueryHandle`]: workers skip the
-    /// remaining shards, the admission slot frees as the ring drains. A
-    /// client that disconnects mid-stream therefore cannot leak pool
-    /// capacity.
+impl Drop for QueryHandle {
+    /// Abandoning a handle with slots it never took cancels its query:
+    /// remaining tasks are skipped by the workers instead of burning the
+    /// pool for rows nobody can read any more.
     fn drop(&mut self) {
-        if let StreamInner::Pending {
-            state,
-            injector,
-            profile,
-            ..
+        if let HandleInner::Pool {
+            state, injector, ..
         } = &self.inner
         {
             if self.next_slot < self.total_slots {
                 state.cancelled.store(true, Ordering::Release);
                 if state.remaining.load(Ordering::Acquire) > 0 {
-                    injector.note_cancelled(profile.query_id);
+                    injector.note_cancelled(state.query_id);
                 }
             }
         }
@@ -1221,13 +1025,9 @@ impl TaskBatch {
     /// a panicking task still counts down, so the batch can't hang).
     pub fn wait(&self) {
         let (lock, cv) = &*self.latch;
-        let mut remaining = lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut remaining = lock.lock().unwrap_or_else(PoisonError::into_inner);
         while *remaining > 0 {
-            remaining = cv
-                .wait(remaining)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            remaining = cv.wait(remaining).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -1239,9 +1039,7 @@ struct LatchGuard(Arc<(Mutex<usize>, Condvar)>);
 impl Drop for LatchGuard {
     fn drop(&mut self) {
         let (lock, cv) = &*self.0;
-        let mut remaining = lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut remaining = lock.lock().unwrap_or_else(PoisonError::into_inner);
         *remaining -= 1;
         if *remaining == 0 {
             cv.notify_all();
@@ -1280,7 +1078,7 @@ impl Service {
             task_ready: Condvar::new(),
             space_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            metrics: cfg.obs.then(ServiceMetrics::get),
+            metrics: ServiceMetrics::get(),
         });
         let workers = (0..cfg.workers)
             .map(|i| {
@@ -1289,10 +1087,10 @@ impl Service {
                     .name(format!("wcoj-service-{i}"))
                     .spawn(move || {
                         while let Some(task) = injector.pop() {
-                            // A panicking shard must not take the worker
-                            // down with it: the task itself reports the
-                            // failure to its job, the pool keeps serving
-                            // the other queries.
+                            // A panicking task must not take the worker
+                            // down with it: a query shard has already
+                            // reported the failure to its job, and the
+                            // pool keeps serving the other queries.
                             let _ = catch_unwind(AssertUnwindSafe(task));
                         }
                     })
@@ -1413,9 +1211,7 @@ impl Service {
             if depth == 0 || q.in_flight < depth {
                 q.in_flight += 1;
                 drop(q);
-                if let Some(m) = self.injector.metrics {
-                    m.in_flight.add(1);
-                }
+                self.injector.metrics.in_flight.add(1);
                 return Ok(());
             }
             let in_flight = q.in_flight;
@@ -1431,9 +1227,7 @@ impl Service {
             if shed_now {
                 q.shed += 1;
                 drop(q);
-                if let Some(m) = self.injector.metrics {
-                    m.shed.inc();
-                }
+                self.injector.metrics.shed.inc();
                 trace().record(
                     TraceLevel::Summary,
                     TraceEvent::Shed {
@@ -1447,13 +1241,13 @@ impl Service {
                     .injector
                     .space_ready
                     .wait(q)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                    .unwrap_or_else(PoisonError::into_inner),
                 Admission::Deadline(deadline) => {
                     let left = deadline.saturating_duration_since(Instant::now());
                     self.injector
                         .space_ready
                         .wait_timeout(q, left)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .unwrap_or_else(PoisonError::into_inner)
                         .0
                 }
                 Admission::Shed => unreachable!("shed handled above"),
@@ -1539,19 +1333,21 @@ impl Service {
         self.submit_inner(prepared, cover, cfg, &Admission::Shed)
     }
 
-    /// An accepted submission that resolved at submit time: it holds an
-    /// admission slot (acquired in `admit`) that must be released, and it
-    /// counts as submitted **and** completed in one critical section, so
-    /// a concurrent [`Service::counters`] snapshot never observes
-    /// `completed > submitted` or a phantom in-flight query.
+    /// An accepted submission that resolved at submit time with an empty
+    /// output: it holds an admission slot (acquired in `admit`) that must
+    /// be released, and it counts as submitted **and** completed in one
+    /// critical section, so a concurrent [`Service::counters`] snapshot
+    /// never observes `completed > submitted` or a phantom in-flight
+    /// query.
     fn accept_ready(
         &self,
         query_id: u64,
         submit_start: Instant,
         admitted_ns: u64,
         planned_ns: Option<u64>,
-        result: Result<JoinOutput, QueryError>,
-    ) -> Result<QueryHandle, SubmitError> {
+        empty: Relation,
+        stats: JoinStats,
+    ) -> QueryHandle {
         {
             let mut q = self.injector.lock();
             q.submitted += 1;
@@ -1561,13 +1357,12 @@ impl Service {
         }
         self.injector.space_ready.notify_one();
         let elapsed = submit_start.elapsed();
-        if let Some(m) = self.injector.metrics {
-            m.submitted.inc();
-            m.completed.inc();
-            m.in_flight.sub(1);
-            m.query_latency_us
-                .observe(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-        }
+        let m = self.injector.metrics;
+        m.submitted.inc();
+        m.completed.inc();
+        m.in_flight.sub(1);
+        m.query_latency_us
+            .observe(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
         trace().record(
             TraceLevel::Summary,
             TraceEvent::Admit {
@@ -1587,7 +1382,16 @@ impl Service {
             shards: Vec::new(),
             cancelled: false,
         };
-        Ok(QueryHandle::ready(result, profile))
+        QueryHandle {
+            inner: HandleInner::Ready {
+                empty,
+                profile: Box::new(profile),
+            },
+            stats,
+            next_slot: 0,
+            total_slots: 1,
+            ordered: true,
+        }
     }
 
     fn submit_inner<S>(
@@ -1605,9 +1409,10 @@ impl Service {
         // *before* any planning work (shedding is supposed to be cheap).
         self.admit(how)?;
         let admitted_ns = u64::try_from(submit_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Some(m) = self.injector.metrics {
-            m.admission_wait_us.observe(admitted_ns / 1_000);
-        }
+        self.injector
+            .metrics
+            .admission_wait_us
+            .observe(admitted_ns / 1_000);
         let query_id = next_query_id();
 
         let base_stats = |log2_bound: f64, x: &[f64]| JoinStats {
@@ -1616,20 +1421,20 @@ impl Service {
             cover: x.to_vec(),
             ..JoinStats::default()
         };
+        let empty = || Relation::empty(prepared.query().output_schema());
 
         // Degenerate inputs resolve immediately — no tasks, no workers
         // (and no shard plan: `planned` stays unset).
         if prepared.input_is_empty() {
-            return self.accept_ready(
+            let stats = base_stats(0.0, &[]);
+            return Ok(self.accept_ready(
                 query_id,
                 submit_start,
                 admitted_ns,
                 None,
-                Ok(JoinOutput {
-                    relation: Relation::empty(prepared.query().output_schema()),
-                    stats: base_stats(0.0, &[]),
-                }),
-            );
+                empty(),
+                stats,
+            ));
         }
         let (x, log2_bound) = match prepared.resolve_cover(cover) {
             Ok(resolved) => resolved,
@@ -1646,20 +1451,19 @@ impl Service {
         if tasks.is_empty() {
             // Zero-shard plan: no root value survives the level-0
             // intersection, the output is empty.
-            return self.accept_ready(
+            let stats = base_stats(log2_bound, &x);
+            return Ok(self.accept_ready(
                 query_id,
                 submit_start,
                 admitted_ns,
                 Some(planned_ns),
-                prepared.assemble(
-                    RowBuf::new(prepared.total_order().len()),
-                    base_stats(log2_bound, &x),
-                ),
-            );
+                empty(),
+                stats,
+            ));
         }
 
-        let timed = self.cfg.obs;
-        let profile = Arc::new(ProfileState {
+        let total_slots = tasks.len();
+        let state = Arc::new(JobState {
             query_id,
             base: submit_start,
             admitted_ns,
@@ -1667,96 +1471,82 @@ impl Service {
             first_dispatch_ns: AtomicU64::new(u64::MAX),
             last_finish_ns: AtomicU64::new(0),
             reassembled_ns: AtomicU64::new(0),
-            shards: Mutex::new(vec![None; tasks.len()]),
+            width: prepared.total_order().len(),
+            remaining: AtomicUsize::new(total_slots),
+            cancelled: AtomicBool::new(false),
+            slots: Mutex::new(Slots {
+                rows: vec![None; total_slots],
+                profiles: vec![None; total_slots],
+                poisoned: false,
+                settled: false,
+            }),
+            changed: Condvar::new(),
         });
-        let state = Arc::new(JobState::new(tasks.len()));
-        let mut ring: VecDeque<Task> = VecDeque::with_capacity(tasks.len());
+        let mut ring: VecDeque<Task> = VecDeque::with_capacity(total_slots);
         for (i, shard) in tasks.into_iter().enumerate() {
             let prepared = Arc::clone(prepared);
             let state = Arc::clone(&state);
             let injector = Arc::clone(&self.injector);
-            let profile = Arc::clone(&profile);
             let x = x.clone();
             // Offset of the ring push, so the worker can compute its
-            // queue wait with one subtraction (zero when timing is off).
-            let enqueued_ns = if timed { profile.elapsed_ns() } else { 0 };
+            // queue wait with one subtraction.
+            let enqueued_ns = state.elapsed_ns();
             ring.push_back(Box::new(move || {
-                // With timing off the mark is 0: the phase still reads as
-                // "happened" (≠ the MAX sentinel), just with a zero value.
-                let started_ns = if timed { profile.elapsed_ns() } else { 0 };
-                profile
+                let started_ns = state.elapsed_ns();
+                state
                     .first_dispatch_ns
                     .fetch_min(started_ns, Ordering::AcqRel);
-                let mut payload = None;
                 let skipped = state.cancelled.load(Ordering::Acquire);
-                let result = if skipped {
+                let ran = if skipped {
                     // The handle is gone: nobody can read the rows, skip
                     // the engine run and just drain the accounting.
-                    injector.note_skipped(profile.query_id, i);
-                    let no_rows = RowBuf::new(prepared.total_order().len());
-                    Some((no_rows, JoinStats::default()))
+                    injector.note_skipped(state.query_id, i);
+                    Some((RowBuf::new(state.width), JoinStats::default()))
                 } else {
-                    // Report a panic to the job before re-raising, so
-                    // wait() fails loudly instead of blocking forever.
-                    match catch_unwind(AssertUnwindSafe(|| {
+                    // A panic poisons the job: the handle's next take
+                    // reports it instead of blocking forever.
+                    catch_unwind(AssertUnwindSafe(|| {
                         prepared.run_shard(&x, log2_bound, shard)
-                    })) {
-                        Ok(rows_stats) => Some(rows_stats),
-                        Err(p) => {
-                            payload = Some(p);
-                            None
-                        }
-                    }
+                    }))
+                    .ok()
                 };
-                if let Some((rows, stats)) = &result {
-                    let finished_ns = if timed { profile.elapsed_ns() } else { 0 };
+                let drained = ran.map(|(rows, stats)| {
+                    let finished_ns = state.elapsed_ns();
                     let queue_wait = started_ns.saturating_sub(enqueued_ns);
                     let run = finished_ns.saturating_sub(started_ns);
-                    if timed {
-                        profile
-                            .last_finish_ns
-                            .fetch_max(finished_ns, Ordering::AcqRel);
-                        if let Some(m) = injector.metrics {
-                            m.task_queue_wait_us.observe(queue_wait / 1_000);
-                            m.task_run_us.observe(run / 1_000);
-                            m.shard_rows.observe(rows.len() as u64);
-                        }
-                        trace().record(
-                            TraceLevel::Verbose,
-                            TraceEvent::TaskRun {
-                                query: profile.query_id,
-                                slot: i as u32,
-                                run_us: run / 1_000,
-                            },
-                        );
-                    }
-                    let shard_profile = ShardProfile {
+                    state
+                        .last_finish_ns
+                        .fetch_max(finished_ns, Ordering::AcqRel);
+                    let m = injector.metrics;
+                    m.task_queue_wait_us.observe(queue_wait / 1_000);
+                    m.task_run_us.observe(run / 1_000);
+                    m.shard_rows.observe(rows.len() as u64);
+                    trace().record(
+                        TraceLevel::Verbose,
+                        TraceEvent::TaskRun {
+                            query: state.query_id,
+                            slot: i as u32,
+                            run_us: run / 1_000,
+                        },
+                    );
+                    let profile = ShardProfile {
                         slot: i,
                         queue_wait: Duration::from_nanos(queue_wait),
                         run: Duration::from_nanos(run),
                         rows: rows.len() as u64,
                         skipped,
-                        stats: stats.clone(),
+                        stats,
                     };
-                    profile
-                        .shards
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)[i] =
-                        Some(shard_profile);
-                }
-                if state.complete(i, result) {
+                    (rows, profile)
+                });
+                if state.complete(i, drained) {
                     // Settle with the service first: once wait() returns,
                     // the admission slot is free and the counters agree.
-                    injector.finish_query(profile.query_id);
-                    if let Some(m) = injector.metrics {
-                        m.query_latency_us.observe(
-                            u64::try_from(profile.base.elapsed().as_micros()).unwrap_or(u64::MAX),
-                        );
-                    }
-                    state.notify_done();
-                }
-                if let Some(p) = payload {
-                    std::panic::resume_unwind(p);
+                    injector.finish_query(state.query_id);
+                    injector.metrics.query_latency_us.observe(
+                        u64::try_from(state.base.elapsed().as_micros()).unwrap_or(u64::MAX),
+                    );
+                    state.settle();
                 }
             }));
         }
@@ -1765,53 +1555,17 @@ impl Service {
         // every shard only *after* `submitted` already reads right.
         self.injector.push_ring(query_id, ring);
 
-        let ordered = prepared.slots_stream_sorted();
-        let slot_prepared = Arc::clone(prepared);
-        let prepared = Arc::clone(prepared);
-        let stats = base_stats(log2_bound, &x);
-        let assemble_state = Arc::clone(&state);
-        let assemble_profile = Arc::clone(&profile);
+        let assembler = Arc::clone(prepared);
         Ok(QueryHandle {
-            inner: Some(HandleInner::Pending {
-                state: Arc::clone(&state),
+            inner: HandleInner::Pool {
+                state,
                 injector: Arc::clone(&self.injector),
-                profile: Arc::clone(&profile),
-                slot_assemble: Box::new(move |rows| slot_prepared.assemble_slot(rows)),
-                ordered,
-                assemble: Box::new(move || {
-                    let state = assemble_state;
-                    state.wait();
-                    assert!(
-                        !state.poisoned.load(Ordering::Acquire),
-                        "a service worker panicked while running a shard of this query"
-                    );
-                    let mut slots = state
-                        .slots
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let mut stats = stats;
-                    let total = slots
-                        .iter()
-                        .map(|s| s.as_ref().map_or(0, |(r, _)| r.len()))
-                        .sum();
-                    let mut rows = RowBuf::with_capacity(prepared.total_order().len(), total);
-                    // Deterministic merge: slot (= shard = root-value)
-                    // order, regardless of the order the pool finished
-                    // them in. Each shard's buffer is freed as soon as it
-                    // has been copied across.
-                    for slot in slots.iter_mut() {
-                        let (shard_rows, shard_stats) = slot.take().expect("every shard completed");
-                        rows.append(&shard_rows);
-                        stats.absorb(&shard_stats);
-                    }
-                    drop(slots);
-                    let out = prepared.assemble(rows, stats);
-                    assemble_profile
-                        .reassembled_ns
-                        .store(assemble_profile.elapsed_ns().max(1), Ordering::Release);
-                    out
-                }),
-            }),
+                assemble: Box::new(move |rows| assembler.assemble_slot(rows)),
+            },
+            stats: base_stats(log2_bound, &x),
+            next_slot: 0,
+            total_slots,
+            ordered: prepared.slots_stream_sorted(),
         })
     }
 }
@@ -1841,7 +1595,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use wcoj_core::{join_with, Algorithm};
-    use wcoj_storage::{HashTrieIndex, Schema};
+    use wcoj_storage::{Attr, FlatIndex, HashTrieIndex, Schema, StorageError, Value};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -2454,40 +2208,6 @@ mod tests {
         }
     }
 
-    /// With obs off the service still produces identical outputs and
-    /// complete (if zero-duration) profiles.
-    #[test]
-    fn obs_off_keeps_outputs_and_profile_shape() {
-        let service = Service::new(ServiceConfig::with_workers(2).with_obs(false));
-        let rels = triangle();
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
-        let cfg = ExecConfig {
-            shard_min_size: 1,
-            ..service.exec_config()
-        };
-        let (out, profile) = service
-            .submit(&prepared, &cfg)
-            .unwrap()
-            .wait_profiled()
-            .unwrap();
-        assert_eq!(out.relation, seq.relation);
-        assert!(profile.is_complete());
-        assert!(profile.total_shards >= 1);
-        // Per-task durations collapse to zero, but rows/stats stay exact.
-        for shard in &profile.shards {
-            assert_eq!(shard.queue_wait, Duration::ZERO);
-            assert_eq!(shard.run, Duration::ZERO);
-        }
-        assert_eq!(profile.total_rows(), out.relation.len() as u64);
-        assert_eq!(profile.first_dispatch, Some(Duration::ZERO));
-        // Lifecycle marks taken on the submit path still tick.
-        assert!(profile.reassembled.is_some());
-        let counters = service.counters();
-        assert_eq!(counters.submitted, 1, "accounting is not gated by obs");
-        assert_eq!(counters.completed, 1);
-    }
-
     /// Scheduler decisions land in the global trace ring when the level
     /// is raised — filtered by this test's own query ids, because the
     /// ring is process-wide and other tests run concurrently.
@@ -2575,6 +2295,111 @@ mod tests {
         assert_eq!(handle.wait().unwrap().relation, seq.relation);
     }
 
+    /// The root value a pool worker may not descend into.
+    const POISON: Value = Value(7);
+
+    /// A [`FlatIndex`] that panics when a pool worker descends into
+    /// [`POISON`]: the engine dies inside one root range, while planning
+    /// on the submitting thread walks the same index unharmed.
+    struct PanicAt(FlatIndex);
+
+    impl SearchTree for PanicAt {
+        type Node = <FlatIndex as SearchTree>::Node;
+
+        fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
+            FlatIndex::build(rel, order).map(PanicAt)
+        }
+
+        fn root(&self) -> Self::Node {
+            self.0.root()
+        }
+
+        fn descend(&self, node: Self::Node, v: Value) -> Option<Self::Node> {
+            let worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("wcoj-service-"));
+            assert!(!(worker && v == POISON), "injected engine fault");
+            self.0.descend(node, v)
+        }
+
+        fn distinct_count(&self, node: Self::Node, extra: usize) -> usize {
+            self.0.distinct_count(node, extra)
+        }
+
+        fn for_each_extension(&self, node: Self::Node, extra: usize, f: impl FnMut(&[Value])) {
+            self.0.for_each_extension(node, extra, f);
+        }
+
+        fn child_slice(&self, node: Self::Node) -> Option<&[Value]> {
+            SearchTree::child_slice(&self.0, node)
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_its_query_and_the_pool_keeps_serving() {
+        // x ∈ 0..12, y ∈ 100..108, z ∈ 200..208: POISON is only ever a
+        // value of the root attribute x.
+        let pairs =
+            |xs: std::ops::Range<u64>, ys: std::ops::Range<u64>, keep: fn(u64, u64) -> bool| {
+                xs.flat_map(|x| ys.clone().map(move |y| (x, y)))
+                    .filter(|&(x, y)| keep(x, y))
+                    .map(|(x, y)| vec![Value(x), Value(y)])
+                    .collect::<Vec<_>>()
+            };
+        let rels = [
+            Relation::from_rows(
+                Schema::of(&[0, 1]),
+                pairs(0..12, 100..108, |x, y| (x + y) % 2 == 0),
+            ),
+            Relation::from_rows(
+                Schema::of(&[1, 2]),
+                pairs(100..108, 200..208, |y, z| (y * z) % 3 != 0),
+            ),
+            Relation::from_rows(
+                Schema::of(&[0, 2]),
+                pairs(0..12, 200..208, |x, z| (x + z) % 3 != 1),
+            ),
+        ]
+        .map(Result::unwrap);
+        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        assert!(seq.relation.iter_rows().any(|row| row[0] == POISON));
+
+        let service = Service::new(ServiceConfig::with_workers(2));
+        let cfg = ExecConfig {
+            shard_min_size: 1,
+            ..service.exec_config()
+        };
+        let poisoned = Arc::new(PreparedQuery::<PanicAt>::new_indexed(&rels).unwrap());
+        assert_eq!(poisoned.evaluate(None).unwrap().relation, seq.relation);
+        assert!(service.shard_layout(&*poisoned, &cfg).len() >= 2);
+
+        // wait() reports the panic as an error…
+        let waited = service.submit(&poisoned, &cfg).unwrap().wait();
+        assert_eq!(waited.unwrap_err(), QueryError::ShardPanicked);
+        // …and so does the stream, on the batch the panic interrupts.
+        let mut stream = service.submit(&poisoned, &cfg).unwrap();
+        let failed = std::iter::from_fn(|| stream.next_batch()).find_map(Result::err);
+        assert_eq!(failed, Some(QueryError::ShardPanicked));
+        drop(stream);
+
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let c = service.counters();
+            if c.in_flight == 0 && c.queued_tasks == 0 {
+                assert_eq!((c.submitted, c.completed), (2, 2), "{c:?}");
+                break;
+            }
+            assert!(Instant::now() < deadline, "poisoned queries never drained");
+            std::thread::yield_now();
+        }
+        // The pool survived: the next query is bit-identical to
+        // sequential.
+        let healthy = Arc::new(PreparedQuery::new(&rels).unwrap());
+        let out = service.submit(&healthy, &cfg).unwrap().wait().unwrap();
+        assert_eq!(out.relation, seq.relation);
+        assert_eq!(service.workers(), 2);
+    }
+
     #[test]
     fn row_stream_concatenates_in_order_for_a_canonical_total_order() {
         let service = Service::new(ServiceConfig::with_workers(3));
@@ -2593,7 +2418,7 @@ mod tests {
             .unwrap()
             .relation;
 
-        let mut stream = service.submit(&prepared, &cfg).unwrap().into_stream();
+        let mut stream = service.submit(&prepared, &cfg).unwrap();
         assert!(stream.ordered(), "identity order streams sorted");
         assert!(stream.total_slots() >= 2, "multi-shard plan: {stream:?}");
         let total = stream.total_slots();
@@ -2631,7 +2456,7 @@ mod tests {
             .unwrap()
             .relation;
 
-        let mut stream = service.submit(&prepared, &cfg).unwrap().into_stream();
+        let mut stream = service.submit(&prepared, &cfg).unwrap();
         assert_eq!(stream.ordered(), prepared.slots_stream_sorted());
         // The universal consumer contract: concatenate every batch, one
         // final sort+dedup, equals wait() regardless of `ordered`.
@@ -2659,7 +2484,7 @@ mod tests {
         let expected = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
 
         // From the start: the whole output, bit-identical to sequential.
-        let mut stream = service.submit(&prepared, &cfg).unwrap().into_stream();
+        let mut stream = service.submit(&prepared, &cfg).unwrap();
         assert!(stream.total_slots() >= 3);
         let all = stream.next_merged().unwrap().unwrap();
         assert_eq!((all.slot, &all.relation), (0, &expected));
@@ -2667,7 +2492,7 @@ mod tests {
         assert!(stream.next_merged().is_none() && stream.next_batch().is_none());
 
         // Mid-stream: the first slot on its own, the rest merged.
-        let mut stream = service.submit(&prepared, &cfg).unwrap().into_stream();
+        let mut stream = service.submit(&prepared, &cfg).unwrap();
         let first = stream.next_batch().unwrap().unwrap();
         let rest = stream.next_merged().unwrap().unwrap();
         assert_eq!((first.slot, rest.slot), (0, 1));
@@ -2690,10 +2515,7 @@ mod tests {
             ])
             .unwrap(),
         );
-        let mut stream = service
-            .submit(&prepared, &service.exec_config())
-            .unwrap()
-            .into_stream();
+        let mut stream = service.submit(&prepared, &service.exec_config()).unwrap();
         assert!(stream.ordered());
         assert!(stream.is_finished());
         assert_eq!(stream.total_slots(), 1);
@@ -2716,7 +2538,7 @@ mod tests {
             shard_min_size: 1,
             ..service.exec_config()
         };
-        let mut stream = service.submit(&prepared, &cfg).unwrap().into_stream();
+        let mut stream = service.submit(&prepared, &cfg).unwrap();
         stream.wait_settled();
         assert!(stream.is_finished());
         let mut merged = Relation::empty(seq.relation.schema().clone());
@@ -2765,10 +2587,7 @@ mod tests {
         // parks again with every other shard still queued.
         let (pinned, release_first, first_pin) = pin_worker(&service);
         pinned.recv().expect("the worker is parked");
-        let mut stream = service
-            .submit_with_cover(&heavy, Some(&x), &cfg)
-            .unwrap()
-            .into_stream();
+        let mut stream = service.submit_with_cover(&heavy, Some(&x), &cfg).unwrap();
         let (pinned_again, release_second, second_pin) = pin_worker(&service);
         release_first.send(()).unwrap();
         let first = stream.next_batch().unwrap().unwrap();

@@ -9,9 +9,8 @@
 //! ```
 //!
 //! Everything here is std-only (`wcoj-obs` has no dependencies) and
-//! compiled in unconditionally — when tracing is off and
-//! `ServiceConfig::obs` is false, the hot path pays a single relaxed
-//! atomic load per decision point.
+//! compiled in unconditionally — when tracing is off, the hot path pays a
+//! single relaxed atomic load per trace decision point.
 
 use std::sync::Arc;
 
@@ -73,8 +72,13 @@ fn main() {
     catalog.insert("E", edges);
     catalog.set_service(Some(Arc::clone(&service)));
     let q = parse_query("Tri(x, y, z) :- E(x, y), E(y, z), E(x, z).").expect("parse");
-    let (res, profile) = execute_profiled(&q, &catalog).expect("execute");
-    let profile = profile.expect("catalog routes through the service");
+    let pending = submit_query(&q, &catalog).expect("submit");
+    pending.wait_settled();
+    let profile = pending
+        .profile()
+        .expect("catalog routes through the service");
+    assert!(profile.is_complete(), "every shard reports a profile");
+    let res = pending.collect().expect("execute");
     println!(
         "catalog query: {} rows over {} shards (query id {})",
         res.relation.len(),
@@ -84,7 +88,7 @@ fn main() {
     // Repeat the same query: the prepared plan (reduction + cover LP +
     // flat indexes) is served from the catalog's plan cache, and the
     // hit/miss account is mirrored into the metrics registry.
-    let (repeat, _) = execute_profiled(&q, &catalog).expect("repeat execute");
+    let repeat = execute(&q, &catalog).expect("repeat execute");
     assert_eq!(repeat.relation, res.relation, "cache hit changes nothing");
     let (hits, misses) = catalog.plan_cache_stats();
     assert!(hits >= 1, "the repeat submission hit the plan cache");

@@ -13,7 +13,7 @@
 //! |-------|----------|
 //! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5) — the one engine behind `join` and every served query — plus the library extensions that run it: relaxed joins (§7.2), full CQs + FDs (§7.3), algorithmic BT/LW (§3) |
 //! | [`exec`] (`wcoj-exec`) | the root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`ShardPlan`, `ExecConfig`) — plus the warn-once `WCOJ_*` env parsing |
-//! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans with bounded admission (shed or block under overload) and round-robin fair dispatch (`Service`, `QueryHandle`, `SubmitError`) |
+//! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans with bounded admission (shed or block under overload) and round-robin fair dispatch; a `QueryHandle` takes a query's shard slots in order, one batch at a time or all at once (`Service`, `QueryHandle`, `SubmitError`) |
 //! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), its delta-merged view over live insert/delete buffers (`DeltaIndex`), and the hash-trie alternative (`HashTrieIndex`) |
 //! | [`hypergraph`] | query hypergraphs, fractional covers, AGM bounds, Lemma 3.2 tightening, Loomis–Whitney / BT families |
 //! | [`lp`] | the two-phase simplex solver (f64 + exact rational) |
@@ -54,14 +54,15 @@ pub use wcoj_core::{agm_cover, join, join_with, Algorithm, JoinOutput, JoinQuery
 pub use wcoj_exec::ExecConfig;
 pub use wcoj_obs::{TraceEvent, TraceLevel};
 pub use wcoj_service::{
-    QueryHandle, QueryProfile, Service, ServiceConfig, ServiceCounters, ShardProfile, SubmitError,
+    QueryHandle, QueryProfile, RowBatch, Service, ServiceConfig, ServiceCounters, ShardProfile,
+    SubmitError,
 };
 
 /// The names most programs need.
 pub mod prelude {
     pub use crate::core::{agm_cover, Algorithm, JoinQuery};
     pub use crate::exec::ExecConfig;
-    pub use crate::query::{execute, execute_profiled, load_csv, parse_query, Catalog};
+    pub use crate::query::{execute, load_csv, parse_query, submit_query, Catalog};
     pub use crate::service::{
         QueryHandle, QueryProfile, Service, ServiceConfig, ServiceCounters, SubmitError,
     };
