@@ -22,8 +22,7 @@ pub enum QueryError {
     BadCover(String),
     /// An executing service shed the query under overload: its admission
     /// queue was at the configured bound. The query was never scheduled;
-    /// retrying later (or submitting with a blocking/deadline variant) is
-    /// safe.
+    /// retrying later is safe.
     Overloaded,
     /// An executing service's worker panicked while running one of the
     /// query's shards: the query has no output. The pool itself keeps

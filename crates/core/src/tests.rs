@@ -696,9 +696,9 @@ fn golden_counts_per_shard() {
         let full = prepared.evaluate(None).unwrap();
         assert_eq!(total, full.relation.len(), "{name}: shards partition");
     };
-    // The 8-shard plan `ShardPlan::plan(.., 8, {min size 1, Work, heavy
-    // split 8})` cuts for the hot-key triangle: seven anchor sub-shards of
-    // the hot root value, then everything else.
+    // The 8-shard plan `plan_shards(.., 8, {min size 1, heavy split 8})`
+    // cuts for the hot-key triangle: seven anchor sub-shards of the hot
+    // root value, then everything else.
     check(
         "hot_key",
         &wcoj_datagen::hot_key_triangle(5, 140, 10),

@@ -13,17 +13,18 @@
 //! simple concatenation in root-value order.
 //!
 //! This crate turns that observation into a **plan**; it runs nothing and
-//! spawns no threads. [`ShardPlan::plan`] walks level 0 of the prepared
-//! [`SearchTree`] indexes ([`PreparedQuery::cached_root_weights`]: the
-//! root candidates with their level-1 fanout as estimated work) and splits
-//! them into contiguous ranges of roughly equal work. The plan is
-//! **two-level**: a heavy root value is first isolated, and one heavy
-//! enough to span several work targets is further broken into *anchor
-//! sub-shards* — [`RootShard`]s carrying an [`AnchorRange`] over the
-//! level-1 attribute ([`ExecConfig::heavy_split_factor`]) — so even a
-//! single hot key spreads across workers instead of pinning one. The
-//! ranges jointly cover the whole value domain (root × anchor), so
-//! correctness never depends on the candidate computation being tight.
+//! spawns no threads. One planner, [`plan_shards`], plans every query the
+//! service runs: it walks level 0 of the prepared [`SearchTree`] indexes
+//! ([`PreparedQuery::cached_root_weights`]: the root candidates with their
+//! level-1 fanout as estimated work) and splits them into contiguous
+//! ranges of roughly equal work. The plan is **two-level**: a heavy root
+//! value is first isolated, and one heavy enough to span several work
+//! targets is further broken into *anchor sub-shards* — [`RootShard`]s
+//! carrying an [`AnchorRange`] over the level-1 attribute
+//! ([`ExecConfig::heavy_split_factor`]) — so even a single hot key spreads
+//! across workers instead of pinning one. The ranges jointly cover the
+//! whole value domain (root × anchor), so correctness never depends on
+//! the candidate computation being tight.
 //!
 //! The `wcoj-service` shared pool executes the plan: one task per shard
 //! ([`PreparedQuery::run_shard`]), rows concatenated in slot order and
@@ -145,89 +146,6 @@ pub fn trace_level_from_env() -> Option<TraceLevel> {
     }
 }
 
-/// Work-based shard planning: splits the sorted `(candidate, weight)` list
-/// into contiguous inclusive ranges of roughly equal **total weight**
-/// (each shard targets `⌈Σw / max_shards⌉`), jointly covering the entire
-/// value domain. A *heavy* candidate — one whose weight alone reaches the
-/// target — is isolated into a singleton shard so a hot key never drags
-/// its neighbours onto the same worker (splitting *inside* one root value
-/// is [`plan_weighted_shards_split`]'s job). `max_shards` sets the weight
-/// target, not a hard cap: heavy-hitter isolation can emit a few more,
-/// smaller, shards — extra entries for the pool to steal, never extra
-/// parallelism.
-///
-/// The plan size is bounded even in the all-heavy degenerate case: a
-/// candidate is heavy only when its weight reaches `⌈Σw / max_shards⌉`,
-/// so at most `max_shards` singletons exist, each light group (other
-/// than a tail flushed by a heavy neighbour) carries a full target of
-/// weight, and the plan never exceeds `2 × max_shards + 1` entries — no
-/// 1-task-per-candidate explosion, pinned by
-/// `all_heavy_degenerate_plans_stay_bounded`.
-///
-/// Returns an empty plan when there is nothing to split (`≤ 1` shard
-/// requested, or fewer than `2 × min_size` candidates).
-#[must_use]
-pub fn plan_weighted_shards(
-    weights: &[(Value, u64)],
-    max_shards: usize,
-    min_size: usize,
-) -> Vec<RootShard> {
-    let min_size = min_size.max(1);
-    let max_shards = max_shards.min(weights.len() / min_size);
-    if max_shards <= 1 {
-        return Vec::new();
-    }
-    let total = saturating_total(weights);
-    let target = total.div_ceil(max_shards as u128).max(1);
-
-    // Group boundaries: exclusive end index of each group of candidates.
-    let mut bounds: Vec<usize> = Vec::new();
-    let mut acc: u128 = 0;
-    let mut open = false; // does an unclosed group precede index i?
-    for (i, &(_, w)) in weights.iter().enumerate() {
-        let w = u128::from(w);
-        if w >= target {
-            // Heavy hitter: close the open group, then isolate the key.
-            if open {
-                bounds.push(i);
-            }
-            bounds.push(i + 1);
-            acc = 0;
-            open = false;
-        } else {
-            acc = acc.saturating_add(w);
-            open = true;
-            if acc >= target {
-                bounds.push(i + 1);
-                acc = 0;
-                open = false;
-            }
-        }
-    }
-    if open {
-        bounds.push(weights.len());
-    }
-    if bounds.len() <= 1 {
-        return Vec::new();
-    }
-
-    // Convert candidate groups into gap-free inclusive value ranges: each
-    // shard also owns the gap up to the next group's first candidate, so
-    // the plan covers [0, u64::MAX] no matter how loose the candidates.
-    let mut out = Vec::with_capacity(bounds.len());
-    let mut lo = Value(u64::MIN);
-    for (g, &end) in bounds.iter().enumerate() {
-        let hi = if g + 1 == bounds.len() {
-            Value(u64::MAX)
-        } else {
-            Value(weights[end].0 .0 - 1)
-        };
-        out.push(RootShard::range(lo, hi));
-        lo = Value(hi.0.wrapping_add(1));
-    }
-    out
-}
-
 /// Total estimated work of a weight list, accumulated in `u128` with
 /// saturating adds so the per-shard target math is monotone even for
 /// adversarial near-`u64::MAX` per-candidate weights (a wrapped total
@@ -253,39 +171,48 @@ impl GroupSpec {
     }
 }
 
-/// [`plan_weighted_shards`] extended with **intra-value parallelism**: a
-/// root value whose weight spans `s ≥ 2` per-shard work targets is broken
-/// into `min(s, heavy_split, |anchor slice|)` *sub-shards* — [`RootShard`]s
-/// sharing the value's root range whose [`AnchorRange`]s partition the
-/// level-1 anchor domain at boundaries drawn from `anchor_slice(value)`
-/// (the sorted anchor candidates under that root value,
-/// [`PreparedQuery::anchor_candidates`]). The sub-shards jointly cover the
-/// root range × the whole anchor domain `[0, u64::MAX]` exactly once, so
-/// their union is bit-identical to the unsplit shard's output while a hot
-/// key occupies up to `heavy_split` workers instead of one.
+/// Work-based shard planning over the sorted `(candidate, weight)` list,
+/// in two levels.
 ///
-/// Unlike level-0 grouping, sub-split sizing deliberately ignores the
-/// candidate-count floor: a root domain of a *single* candidate (the
-/// extreme the planner exists for) can still fill the whole pool. The
-/// task budget stays bounded in every degenerate case — splittable values
-/// each span ≥ 2 targets so their sub-shards sum to ≤ `max_shards`, and
-/// the level-0 groups obey [`plan_weighted_shards`]'s `2 × max_shards + 1`
-/// bound — so the plan never exceeds `3 × max_shards + 1` entries.
+/// **Level 0** splits the candidates into contiguous inclusive ranges of
+/// roughly equal **total weight** (each group targets
+/// `⌈Σw / min(max_shards, ⌊|weights| / min_size⌋)⌉`), jointly covering
+/// the entire value domain. A *heavy* candidate — one whose weight alone
+/// reaches the target — is isolated into a singleton range so a hot key
+/// never drags its neighbours onto the same worker. `max_shards` sets the
+/// weight target, not a hard cap: heavy-hitter isolation can emit a few
+/// more, smaller, shards — extra entries for the pool to steal, never
+/// extra parallelism. The level-0 groups stay bounded even when every
+/// candidate is heavy: at most `max_shards` singletons exist and each
+/// light group (other than a tail flushed by a heavy neighbour) carries a
+/// full target, so there are at most `2 × max_shards + 1`.
 ///
-/// `heavy_split ≤ 1` disables splitting and defers to
-/// [`plan_weighted_shards`] exactly. Returns an empty plan when nothing
-/// can be split at either level.
-#[must_use]
-pub fn plan_weighted_shards_split(
+/// **Level 1** adds intra-value parallelism: a root value whose weight
+/// spans `s ≥ 2` per-shard work targets (`⌈Σw / max_shards⌉`) is broken
+/// into `min(s, heavy_split, |anchor slice|)` *sub-shards* —
+/// [`RootShard`]s sharing the value's root range whose [`AnchorRange`]s
+/// partition the level-1 anchor domain at boundaries drawn from
+/// `anchor_slice(value)` (the sorted anchor candidates under that root
+/// value, [`PreparedQuery::anchor_candidates`]). The sub-shards jointly
+/// cover the root range × the whole anchor domain `[0, u64::MAX]` exactly
+/// once, so their union is bit-identical to the unsplit shard's output
+/// while a hot key occupies up to `heavy_split` workers instead of one.
+/// Sub-split sizing deliberately ignores the candidate-count floor: a root
+/// domain of a *single* candidate (the extreme the planner exists for)
+/// can still fill the whole pool. Splittable values each span ≥ 2 targets,
+/// so their sub-shards sum to ≤ `max_shards` and the whole plan never
+/// exceeds `3 × max_shards + 1` entries — pinned by
+/// `all_heavy_degenerate_plans_stay_bounded`. `heavy_split ≤ 1` disables
+/// level 1 (`anchor_slice` is then never called).
+///
+/// Returns an empty plan when nothing can be split at either level.
+fn plan_weighted_shards(
     weights: &[(Value, u64)],
     max_shards: usize,
     min_size: usize,
     heavy_split: usize,
     anchor_slice: impl Fn(Value) -> Vec<Value>,
 ) -> Vec<RootShard> {
-    if heavy_split <= 1 {
-        return plan_weighted_shards(weights, max_shards, min_size);
-    }
     let min_size = min_size.max(1);
     if weights.is_empty() || max_shards <= 1 {
         return Vec::new();
@@ -293,9 +220,9 @@ pub fn plan_weighted_shards_split(
     let total = saturating_total(weights);
     // Sub-split target: what a full complement of shards would each carry.
     let target_split = total.div_ceil(max_shards as u128).max(1);
-    // Level-0 grouping respects the same candidate floor as
-    // `plan_weighted_shards`; a domain too small for level-0 splitting
-    // becomes one group (sub-splits can still multiply it).
+    // Level-0 grouping respects the candidate floor; a domain too small
+    // for level-0 splitting becomes one group (sub-splits can still
+    // multiply it).
     let capped = max_shards.min(weights.len() / min_size);
     let target_group = if capped >= 2 {
         total.div_ceil(capped as u128).max(1)
@@ -371,11 +298,11 @@ pub fn plan_weighted_shards_split(
         return Vec::new();
     }
 
-    // Emit gap-free inclusive root ranges exactly like
-    // `plan_weighted_shards` (each group owns the gap up to the next
-    // group's first candidate); a sub-split group emits one shard per
-    // anchor chunk, all sharing the group's root range, their anchor
-    // ranges jointly covering [0, u64::MAX].
+    // Emit gap-free inclusive root ranges (each group owns the gap up to
+    // the next group's first candidate, so the plan covers [0, u64::MAX]
+    // no matter how loose the candidates); a sub-split group emits one
+    // shard per anchor chunk, all sharing the group's root range, their
+    // anchor ranges jointly covering [0, u64::MAX].
     let mut out = Vec::with_capacity(groups.iter().map(GroupSpec::tasks).sum());
     let mut lo = Value(u64::MIN);
     for (g, group) in groups.iter().enumerate() {
@@ -421,117 +348,71 @@ pub fn plan_weighted_shards_split(
 /// service plans `workers × OVERSPLIT` shards per query.
 pub const OVERSPLIT: usize = 4;
 
-/// A planned decomposition of one query into schedulable root-range
-/// shards — the unit the shared-pool `wcoj-service` scheduler executes.
-/// Built by [`ShardPlan::plan`] from a preparation; carries the candidate
-/// count so callers can distinguish "domain too small to split" from
-/// "**no** root value can produce output" (the zero-shard case: skip the
-/// engine entirely).
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    shards: Vec<RootShard>,
-    root_candidates: usize,
-}
-
-impl ShardPlan {
-    /// Plans shards for `prepared` under `cfg`: `max_shards` ranges of
-    /// equal estimated work as the sizing target (isolating or
-    /// sub-splitting heavy hitters may exceed it, bounded by
-    /// `3 × max_shards + 1`), never splitting level-0 domains finer than
-    /// `shard_min_size` candidates per shard. Intra-value sub-shards need
-    /// an anchor level to split on, so they are only planned for total
-    /// orders of ≥ 2 attributes.
-    #[must_use]
-    pub fn plan<S: SearchTree>(
-        prepared: &PreparedQuery<S>,
-        max_shards: usize,
-        cfg: &ExecConfig,
-    ) -> ShardPlan {
-        // Memoized on the preparation: repeat submissions of a cached
-        // PreparedQuery skip the level-0 weight sweep.
-        let weights = prepared.cached_root_weights();
-        let heavy_split = if prepared.total_order().len() >= 2 {
-            cfg.heavy_split_factor
-        } else {
-            0
-        };
-        let shards =
-            plan_weighted_shards_split(weights, max_shards, cfg.shard_min_size, heavy_split, |v| {
-                prepared.anchor_candidates(v)
-            });
-        // Heavy-split decisions are worth tracing: they are the planner's
-        // answer to skew, and sub-shard counts explain why a plan exceeds
-        // its sizing target. Payload is only computed when tracing is on.
-        let ring = wcoj_obs::trace();
-        if ring.enabled(TraceLevel::Summary) {
-            let sub_shards = shards.iter().filter(|s| s.anchor.is_some()).count();
-            if sub_shards > 0 {
-                // Sub-shards of one root value are contiguous and share
-                // their root range; count the runs to count the values.
-                let values = shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, s)| s.anchor.is_some() && (*i == 0 || shards[i - 1].lo != s.lo))
-                    .count();
-                ring.record(
-                    TraceLevel::Summary,
-                    TraceEvent::HeavySplit {
-                        values: values as u32,
-                        sub_shards: sub_shards as u32,
-                    },
-                );
-            }
-        }
-        ShardPlan {
-            shards,
-            root_candidates: weights.len(),
+/// The shard planner: the schedulable task list for one query — the unit
+/// the shared-pool `wcoj-service` scheduler executes, one task per entry,
+/// in slot order. `max_shards` ranges of equal estimated work are the
+/// sizing target (isolating or sub-splitting heavy hitters may exceed it,
+/// bounded by `3 × max_shards + 1`); level-0 domains are never split finer
+/// than `shard_min_size` candidates per shard. Intra-value sub-shards need
+/// an anchor level to split on, so they are only planned for total orders
+/// of ≥ 2 attributes.
+///
+/// * **Empty** — a zero-shard plan: no root value survives the level-0
+///   intersection of a non-nullary query, so the join is empty and needs
+///   no engine run at all.
+/// * **`[None]`** — the domain is too small to split: one unrestricted
+///   run (nullary queries always land here: they have no root attribute).
+/// * Otherwise one `Some(shard)` per planned range, ≥ 2 of them.
+///
+/// Deterministic for a given preparation, `max_shards` and `cfg`, so a
+/// differential test can re-run the layout shard by shard.
+#[must_use]
+pub fn plan_shards<S: SearchTree>(
+    prepared: &PreparedQuery<S>,
+    max_shards: usize,
+    cfg: &ExecConfig,
+) -> Vec<Option<RootShard>> {
+    // Memoized on the preparation: repeat submissions of a cached
+    // PreparedQuery skip the level-0 weight sweep.
+    let weights = prepared.cached_root_weights();
+    if weights.is_empty() && !prepared.total_order().is_empty() {
+        return Vec::new();
+    }
+    let heavy_split = if prepared.total_order().len() >= 2 {
+        cfg.heavy_split_factor
+    } else {
+        0
+    };
+    let shards = plan_weighted_shards(weights, max_shards, cfg.shard_min_size, heavy_split, |v| {
+        prepared.anchor_candidates(v)
+    });
+    // Heavy-split decisions are worth tracing: they are the planner's
+    // answer to skew, and sub-shard counts explain why a plan exceeds
+    // its sizing target. Payload is only computed when tracing is on.
+    let ring = wcoj_obs::trace();
+    if ring.enabled(TraceLevel::Summary) {
+        let sub_shards = shards.iter().filter(|s| s.anchor.is_some()).count();
+        if sub_shards > 0 {
+            // Sub-shards of one root value are contiguous and share
+            // their root range; count the runs to count the values.
+            let values = shards
+                .iter()
+                .enumerate()
+                .filter(|(i, s)| s.anchor.is_some() && (*i == 0 || shards[i - 1].lo != s.lo))
+                .count();
+            ring.record(
+                TraceLevel::Summary,
+                TraceEvent::HeavySplit {
+                    values: values as u32,
+                    sub_shards: sub_shards as u32,
+                },
+            );
         }
     }
-
-    /// The planned ranges (empty for degenerate single-run plans).
-    #[must_use]
-    pub fn shards(&self) -> &[RootShard] {
-        &self.shards
-    }
-
-    /// Number of planned shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// `true` iff the plan has no shards (degenerate: run unrestricted).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Number of root-candidate values the planner saw.
-    #[must_use]
-    pub fn root_candidates(&self) -> usize {
-        self.root_candidates
-    }
-
-    /// `true` iff no root value can produce output for a non-nullary
-    /// query: the candidate intersection is empty, so the join is empty
-    /// and needs **zero** shard tasks (nullary queries have no root
-    /// attribute and are excluded — they still need their single run).
-    #[must_use]
-    pub fn root_domain_is_empty<S: SearchTree>(&self, prepared: &PreparedQuery<S>) -> bool {
-        self.root_candidates == 0 && !prepared.total_order().is_empty()
-    }
-
-    /// The schedulable task list: one entry per shard, or a single
-    /// unrestricted task (`None`) when the plan is degenerate. Callers
-    /// must check [`Self::root_domain_is_empty`] first — a zero-output
-    /// query needs no tasks at all.
-    #[must_use]
-    pub fn tasks(&self) -> Vec<Option<RootShard>> {
-        if self.shards.len() <= 1 {
-            vec![None]
-        } else {
-            self.shards.iter().copied().map(Some).collect()
-        }
+    if shards.is_empty() {
+        vec![None]
+    } else {
+        shards.into_iter().map(Some).collect()
     }
 }
 
@@ -553,11 +434,21 @@ mod tests {
         }
     }
 
+    /// Level-0 grouping alone (no intra-value splitting).
+    fn level0(weights: &[(Value, u64)], max_shards: usize, min_size: usize) -> Vec<RootShard> {
+        plan_weighted_shards(weights, max_shards, min_size, 0, |_| unreachable!())
+    }
+
+    /// The planned ranges of a task list (none for a single-run plan).
+    fn ranges(tasks: &[Option<RootShard>]) -> Vec<RootShard> {
+        tasks.iter().flatten().copied().collect()
+    }
+
     /// What the service does with a plan, minus its threads: every task
     /// run in slot order, rows concatenated, stats absorbed, assembled.
     fn run_plan<S: SearchTree>(
         prepared: &PreparedQuery<S>,
-        plan: &ShardPlan,
+        tasks: &[Option<RootShard>],
         cover: Option<&[f64]>,
     ) -> JoinOutput {
         let (x, log2_bound) = prepared.resolve_cover(cover).unwrap();
@@ -567,12 +458,10 @@ mod tests {
             cover: x.clone(),
             ..JoinStats::default()
         };
-        if !plan.root_domain_is_empty(prepared) {
-            for task in plan.tasks() {
-                let (shard_rows, run) = prepared.run_shard(&x, log2_bound, task);
-                rows.append(&shard_rows);
-                stats.absorb(&run);
-            }
+        for &task in tasks {
+            let (shard_rows, run) = prepared.run_shard(&x, log2_bound, task);
+            rows.append(&shard_rows);
+            stats.absorb(&run);
         }
         prepared.assemble(rows, stats).unwrap()
     }
@@ -587,8 +476,8 @@ mod tests {
     ) -> JoinOutput {
         let seq = join_with(rels, Algorithm::Nprr, None).unwrap();
         let prepared = PreparedQuery::new(rels).unwrap();
-        let plan = ShardPlan::plan(&prepared, workers * OVERSPLIT, cfg);
-        let out = run_plan(&prepared, &plan, None);
+        let tasks = plan_shards(&prepared, workers * OVERSPLIT, cfg);
+        let out = run_plan(&prepared, &tasks, None);
         assert_eq!(out.relation, seq.relation, "{ctx}");
         out
     }
@@ -596,7 +485,7 @@ mod tests {
     #[test]
     fn plan_covers_domain_and_respects_floor() {
         let cands: Vec<(Value, u64)> = (0..40u64).map(|i| (Value(i * 3), 1)).collect();
-        let plan = plan_weighted_shards(&cands, 4, 1);
+        let plan = level0(&cands, 4, 1);
         assert_eq!(plan.len(), 4);
         assert_eq!(plan[0].lo, Value(0));
         assert_eq!(plan.last().unwrap().hi, Value(u64::MAX));
@@ -606,9 +495,9 @@ mod tests {
         // each shard owns the gap up to the next shard's first candidate
         assert_eq!(plan[1].lo, Value(30));
         // floor: 40 candidates at min 30 per shard → no useful split
-        assert!(plan_weighted_shards(&cands, 4, 30).is_empty());
-        assert!(plan_weighted_shards(&[], 4, 1).is_empty());
-        assert!(plan_weighted_shards(&cands, 1, 1).is_empty());
+        assert!(level0(&cands, 4, 30).is_empty());
+        assert!(level0(&[], 4, 1).is_empty());
+        assert!(level0(&cands, 1, 1).is_empty());
     }
 
     #[test]
@@ -617,7 +506,7 @@ mod tests {
         // total work.
         let mut weights: Vec<(Value, u64)> = (0..10u64).map(|i| (Value(i * 2), 1)).collect();
         weights[4].1 = 100; // Value(8) is the heavy hitter
-        let plan = plan_weighted_shards(&weights, 4, 1);
+        let plan = level0(&weights, 4, 1);
         assert!(plan.len() >= 3, "hot key plus its flanks: {plan:?}");
         // covering and gap-free
         assert_eq!(plan[0].lo, Value(0));
@@ -639,13 +528,13 @@ mod tests {
 
         // uniform weights ≈ count-based chunks
         let uniform: Vec<(Value, u64)> = (0..40u64).map(|i| (Value(i), 1)).collect();
-        let plan = plan_weighted_shards(&uniform, 4, 1);
+        let plan = level0(&uniform, 4, 1);
         assert_eq!(plan.len(), 4);
 
         // degenerate inputs
-        assert!(plan_weighted_shards(&[], 4, 1).is_empty());
-        assert!(plan_weighted_shards(&uniform, 1, 1).is_empty());
-        assert!(plan_weighted_shards(&uniform, 4, 30).is_empty());
+        assert!(level0(&[], 4, 1).is_empty());
+        assert!(level0(&uniform, 1, 1).is_empty());
+        assert!(level0(&uniform, 4, 30).is_empty());
     }
 
     /// Every plan is a gap-free cover of root × anchor space: root ranges
@@ -695,7 +584,7 @@ mod tests {
         // pre-intra-value planner had no parallelism to offer here at all.
         let weights = vec![(Value(7), 1_000_000u64)];
         let anchors: Vec<Value> = (0..100u64).map(|a| Value(a * 5)).collect();
-        let plan = plan_weighted_shards_split(&weights, 16, 16, 8, |v| {
+        let plan = plan_weighted_shards(&weights, 16, 16, 8, |v| {
             assert_eq!(v, Value(7));
             anchors.clone()
         });
@@ -715,11 +604,11 @@ mod tests {
         }
         // factor ≤ 1 disables intra-value splitting entirely
         for factor in [0, 1] {
-            let plan = plan_weighted_shards_split(&weights, 16, 16, factor, |_| anchors.clone());
+            let plan = plan_weighted_shards(&weights, 16, 16, factor, |_| anchors.clone());
             assert!(plan.is_empty(), "factor {factor} defers to level-0 plan");
         }
         // a hot key with a single anchor candidate cannot be split
-        let plan = plan_weighted_shards_split(&weights, 16, 16, 8, |_| vec![Value(3)]);
+        let plan = plan_weighted_shards(&weights, 16, 16, 8, |_| vec![Value(3)]);
         assert!(plan.is_empty(), "one anchor candidate: nothing to split");
     }
 
@@ -728,7 +617,7 @@ mod tests {
         // 30 unit-weight candidates plus one dominating hot key.
         let mut weights: Vec<(Value, u64)> = (0..31u64).map(|i| (Value(i * 2), 1)).collect();
         weights[15].1 = 10_000; // Value(30) carries ~99.7% of the work
-        let plan = plan_weighted_shards_split(&weights, 16, 1, 8, |v| {
+        let plan = plan_weighted_shards(&weights, 16, 1, 8, |v| {
             assert_eq!(v, Value(30), "only the hot key's slice is fetched");
             (0..64u64).map(Value).collect()
         });
@@ -764,7 +653,7 @@ mod tests {
                     ("ones", &ones),
                 ] {
                     let ctx = format!("{shape} n={n} max={max_shards}");
-                    let plan = plan_weighted_shards(weights, max_shards, 1);
+                    let plan = level0(weights, max_shards, 1);
                     assert!(
                         plan.len() <= 2 * max_shards + 1,
                         "{ctx}: level-0 budget ({})",
@@ -774,10 +663,9 @@ mod tests {
                         assert_covers_domain(&plan, &ctx);
                     }
                     for factor in [2usize, 8, 64, usize::MAX] {
-                        let plan =
-                            plan_weighted_shards_split(weights, max_shards, 1, factor, |_| {
-                                anchors.clone()
-                            });
+                        let plan = plan_weighted_shards(weights, max_shards, 1, factor, |_| {
+                            anchors.clone()
+                        });
                         assert!(
                             plan.len() <= 3 * max_shards + 1,
                             "{ctx} factor={factor}: split budget ({})",
@@ -826,12 +714,11 @@ mod tests {
             hot as f64 / total as f64 >= 0.9,
             "hot key dominates: {hot}/{total}"
         );
-        let plan = ShardPlan::plan(&prepared, 4 * OVERSPLIT, &fine());
-        let subs = plan.shards().iter().filter(|s| s.anchor.is_some()).count();
+        let plan = plan_shards(&prepared, 4 * OVERSPLIT, &fine());
+        let subs = ranges(&plan).iter().filter(|s| s.anchor.is_some()).count();
         assert!(
             subs >= 2,
-            "hot key split into ≥ 2 anchor sub-shards: {:?}",
-            plan.shards()
+            "hot key split into ≥ 2 anchor sub-shards: {plan:?}"
         );
         assert!(plan.len() > 1, "multi-task plan");
         assert_matches_sequential(&rels, 4, &fine(), "hot-key triangle");
@@ -841,8 +728,8 @@ mod tests {
             heavy_split_factor: 0,
             ..fine()
         };
-        let plan_off = ShardPlan::plan(&prepared, 4 * OVERSPLIT, &cfg_off);
-        assert!(plan_off.shards().iter().all(|s| s.anchor.is_none()));
+        let plan_off = plan_shards(&prepared, 4 * OVERSPLIT, &cfg_off);
+        assert!(ranges(&plan_off).iter().all(|s| s.anchor.is_none()));
         assert_matches_sequential(&rels, 4, &cfg_off, "hot-key triangle, split off");
     }
 
@@ -863,9 +750,9 @@ mod tests {
                 heavy_split_factor: factor,
                 ..fine()
             };
-            let plan = ShardPlan::plan(&prepared, 16, &cfg);
-            assert_eq!(plan.root_candidates(), 0, "factor {factor}");
-            assert!(plan.root_domain_is_empty(&prepared), "factor {factor}");
+            let plan = plan_shards(&prepared, 16, &cfg);
+            assert!(prepared.cached_root_weights().is_empty(), "factor {factor}");
+            assert!(plan.is_empty(), "zero tasks: factor {factor}");
             let out = run_plan(&prepared, &plan, None);
             assert!(out.relation.is_empty(), "factor {factor}");
             assert_eq!(out.relation.arity(), 3, "factor {factor}");
@@ -881,9 +768,9 @@ mod tests {
             rel(&[0, 2], &[&[1, 4]]),
         ])
         .unwrap();
-        let plan = ShardPlan::plan(&populated, 16, &fine());
-        assert!(!plan.root_domain_is_empty(&populated));
-        assert_eq!(plan.tasks().len(), plan.len().max(1));
+        let plan = plan_shards(&populated, 16, &fine());
+        assert!(!plan.is_empty());
+        assert_eq!(plan.len(), ranges(&plan).len().max(1));
     }
 
     #[test]
@@ -926,9 +813,7 @@ mod tests {
         // is "true"
         let nullary = [Relation::nullary_true()];
         let prepared = PreparedQuery::new(&nullary).unwrap();
-        let plan = ShardPlan::plan(&prepared, 16, &fine());
-        assert!(!plan.root_domain_is_empty(&prepared));
-        assert_eq!(plan.tasks(), vec![None]);
+        assert_eq!(plan_shards(&prepared, 16, &fine()), vec![None]);
         let out = assert_matches_sequential(&nullary, 4, &fine(), "nullary");
         assert_eq!(out.relation.len(), 1);
         assert_eq!(out.relation.arity(), 0);
@@ -943,7 +828,7 @@ mod tests {
         ];
         let cover = [1.0, 1.0, 1.0];
         let prepared = PreparedQuery::new(&rels).unwrap();
-        let plan = ShardPlan::plan(&prepared, 8, &fine());
+        let plan = plan_shards(&prepared, 8, &fine());
         let out = run_plan(&prepared, &plan, Some(&cover));
         let seq = join_with(&rels, Algorithm::Nprr, Some(&cover)).unwrap();
         assert_eq!(out.relation, seq.relation);
@@ -963,9 +848,9 @@ mod tests {
         let flat = PreparedQuery::new(&rels).unwrap();
         let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
         for workers in [2, 8] {
-            let flat_plan = ShardPlan::plan(&flat, workers * OVERSPLIT, &fine());
-            let hashed_plan = ShardPlan::plan(&hashed, workers * OVERSPLIT, &fine());
-            assert_eq!(flat_plan.shards(), hashed_plan.shards(), "w={workers}");
+            let flat_plan = plan_shards(&flat, workers * OVERSPLIT, &fine());
+            let hashed_plan = plan_shards(&hashed, workers * OVERSPLIT, &fine());
+            assert_eq!(flat_plan, hashed_plan, "w={workers}");
             let a = run_plan(&flat, &flat_plan, None);
             let b = run_plan(&hashed, &hashed_plan, None);
             assert_eq!(a.relation, seq.relation, "flat w={workers}");
@@ -973,9 +858,9 @@ mod tests {
         }
         // reuse: re-planning the same preparation reads the memoized root
         // weights and yields the same plan
-        let first = ShardPlan::plan(&flat, 16, &fine());
-        let again = ShardPlan::plan(&flat, 16, &fine());
-        assert_eq!(first.shards(), again.shards());
+        let first = plan_shards(&flat, 16, &fine());
+        let again = plan_shards(&flat, 16, &fine());
+        assert_eq!(first, again);
         assert_eq!(run_plan(&flat, &again, None).relation, seq.relation);
     }
 
@@ -1001,7 +886,7 @@ mod tests {
         // keeps the plan a bounded, covering, multi-shard split.
         let weights: Vec<(Value, u64)> = (0..8u64).map(|i| (Value(i * 10), u64::MAX - i)).collect();
         for max_shards in [2usize, 4, 16] {
-            let plan = plan_weighted_shards(&weights, max_shards, 1);
+            let plan = level0(&weights, max_shards, 1);
             assert!(
                 plan.len() >= 2,
                 "max={max_shards}: near-MAX weights still split ({plan:?})"
@@ -1009,7 +894,7 @@ mod tests {
             assert!(plan.len() <= 2 * max_shards + 1, "max={max_shards}");
             assert_covers_domain(&plan, &format!("near-max max={max_shards}"));
             let anchors: Vec<Value> = (0..64u64).map(Value).collect();
-            let split = plan_weighted_shards_split(&weights, max_shards, 1, 8, |_| anchors.clone());
+            let split = plan_weighted_shards(&weights, max_shards, 1, 8, |_| anchors.clone());
             assert!(split.len() >= 2, "max={max_shards}: split planner too");
             assert!(split.len() <= 3 * max_shards + 1, "max={max_shards}");
             assert_covers_domain(&split, &format!("near-max split max={max_shards}"));
@@ -1018,7 +903,7 @@ mod tests {
         // wrapped into its neighbours.
         let mut mixed: Vec<(Value, u64)> = (0..10u64).map(|i| (Value(i * 2), 1)).collect();
         mixed[5].1 = u64::MAX;
-        let plan = plan_weighted_shards(&mixed, 4, 1);
+        let plan = level0(&mixed, 4, 1);
         let hot = plan
             .iter()
             .find(|s| s.contains(Value(10)))
@@ -1111,10 +996,10 @@ mod tests {
         let ring = wcoj_obs::trace();
         let level_before = ring.level();
         ring.set_level(TraceLevel::Summary);
-        let plan = ShardPlan::plan(&prepared, 8, &cfg);
+        let plan = plan_shards(&prepared, 8, &cfg);
         let events = ring.drain();
         ring.set_level(level_before);
-        let planned_subs = plan.shards().iter().filter(|s| s.anchor.is_some()).count();
+        let planned_subs = ranges(&plan).iter().filter(|s| s.anchor.is_some()).count();
         assert!(planned_subs >= 2, "hot key sub-split: {plan:?}");
         assert!(
             events.iter().any(|e| matches!(
@@ -1126,7 +1011,7 @@ mod tests {
         );
         // with tracing off, planning records nothing
         let before = ring.len();
-        let _ = ShardPlan::plan(&prepared, 8, &cfg);
+        let _ = plan_shards(&prepared, 8, &cfg);
         assert_eq!(ring.len(), before, "Off level records nothing");
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the shard planner (mirrors the style of
 //! `crates/storage/src/proptests.rs`). The contract the `wcoj-service`
 //! pool relies on, checked without threads: every task of
-//! `ShardPlan::plan(..).tasks()` run in slot order, the rows concatenated
+//! `plan_shards(..)` run in slot order, the rows concatenated
 //! and assembled, equals the sequential `join_nprr` output **bit for bit
 //! — rows and order** — for every `heavy_split_factor` (0, 1, sensible,
 //! huge) on random, Zipf and single-hot-key instances. Alongside it,
@@ -11,20 +11,18 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use wcoj_core::nprr::PreparedQuery;
+use wcoj_core::nprr::{PreparedQuery, RootShard};
 use wcoj_core::{JoinQuery, JoinStats};
-use wcoj_exec::{ExecConfig, ShardPlan, OVERSPLIT};
+use wcoj_exec::{plan_shards, ExecConfig, OVERSPLIT};
 use wcoj_storage::{HashTrieIndex, Relation, RowBuf, SearchTree, Value};
 
 /// What the service does with a plan, minus its threads: every task run
 /// in slot order, rows concatenated, then assembled.
-fn run_plan<S: SearchTree>(prepared: &PreparedQuery<S>, plan: &ShardPlan) -> Relation {
+fn run_plan<S: SearchTree>(prepared: &PreparedQuery<S>, tasks: &[Option<RootShard>]) -> Relation {
     let (x, log2_bound) = prepared.resolve_cover(None).unwrap();
     let mut rows = RowBuf::new(prepared.total_order().len());
-    if !plan.root_domain_is_empty(prepared) {
-        for task in plan.tasks() {
-            rows.append(&prepared.run_shard(&x, log2_bound, task).0);
-        }
+    for &task in tasks {
+        rows.append(&prepared.run_shard(&x, log2_bound, task).0);
     }
     prepared
         .assemble(rows, JoinStats::default())
@@ -89,9 +87,9 @@ proptest! {
             for factor in [0usize, 1, 2, 8, 1 << 20, usize::MAX] {
                 let cfg = ExecConfig { shard_min_size: 1, heavy_split_factor: factor };
                 let ctx = format!("instance {which}, {workers} workers, factor {factor}, seed {seed}");
-                let plan = ShardPlan::plan(&flat, workers * OVERSPLIT, &cfg);
+                let plan = plan_shards(&flat, workers * OVERSPLIT, &cfg);
                 prop_assert_eq!(&run_plan(&flat, &plan), &seq, "flat, {}", ctx);
-                let plan = ShardPlan::plan(&hashed, workers * OVERSPLIT, &cfg);
+                let plan = plan_shards(&hashed, workers * OVERSPLIT, &cfg);
                 prop_assert_eq!(&run_plan(&hashed, &plan), &seq, "hash, {}", ctx);
             }
         }
@@ -118,9 +116,9 @@ proptest! {
             shard_min_size: 1,
             heavy_split_factor: factor,
         };
-        let plan = ShardPlan::plan(&prepared, threads * OVERSPLIT, &cfg);
+        let shards: Vec<RootShard> =
+            plan_shards(&prepared, threads * OVERSPLIT, &cfg).into_iter().flatten().collect();
         // degenerate single-run plans have nothing to tile
-        let shards = plan.shards();
         if !shards.is_empty() {
         // task budget: never more than 3 × requested + 1
         prop_assert!(shards.len() <= 3 * threads * OVERSPLIT + 1, "{:?}", shards);
@@ -176,7 +174,7 @@ proptest! {
         let (expect, _) = prepared.run_shard(&x, b, None);
         let mut expect: Vec<Vec<Value>> = expect.rows().map(<[Value]>::to_vec).collect();
         let mut got: Vec<Vec<Value>> = Vec::new();
-        for &shard in shards {
+        for &shard in &shards {
             let (rows, _) = prepared.run_shard(&x, b, Some(shard));
             got.extend(rows.rows().map(<[Value]>::to_vec));
         }

@@ -24,11 +24,11 @@ pub(crate) mod test_support {
     use wcoj_service::{QueryHandle, Service, ServiceConfig};
 
     /// A 1-worker service with both of its two admission slots pinned by
-    /// long-running 5-cycle blockers. The blockers are submitted with a
-    /// *precomputed* cover, so submission costs microseconds while each
-    /// engine run takes tens of milliseconds — the service is reliably
-    /// still overloaded when the caller routes its next query. Wait the
-    /// returned handles to drain the queue again.
+    /// long-running 5-cycle blockers. The blockers' cover is solved (and
+    /// memoized) before they are submitted, so submission costs
+    /// microseconds while each engine run takes tens of milliseconds —
+    /// the service is reliably still overloaded when the caller routes its
+    /// next query. Wait the returned handles to drain the queue again.
     pub(crate) fn overloaded_service(seed: u64) -> (Arc<Service>, Vec<QueryHandle>) {
         let service = Arc::new(Service::new(
             ServiceConfig::with_workers(1).with_queue_depth(2),
@@ -36,17 +36,13 @@ pub(crate) mod test_support {
         let rels = wcoj_datagen::cycle_instance(seed, 5, 400, 20);
         let prepared =
             Arc::new(wcoj_core::nprr::PreparedQuery::new(&rels).expect("well-formed blocker"));
-        let (x, _) = prepared.resolve_cover(None).expect("cover");
+        prepared.resolve_cover(None).expect("cover");
         let cfg = wcoj_exec::ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
         };
         let blockers = (0..2)
-            .map(|_| {
-                service
-                    .submit_with_cover(&prepared, Some(&x), &cfg)
-                    .expect("within the bound")
-            })
+            .map(|_| service.submit(&prepared, &cfg).expect("within the bound"))
             .collect();
         (service, blockers)
     }

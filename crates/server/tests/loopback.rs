@@ -400,9 +400,7 @@ fn row_mutation_endpoints_and_pinned_snapshots() {
     // Admit a query while the single worker is occupied, so its rows
     // stream only after the mutations below have landed.
     let heavy = blocker(41);
-    let guard = service
-        .submit_with_cover(&heavy, None, &service.exec_config())
-        .unwrap();
+    let guard = service.submit(&heavy, &service.exec_config()).unwrap();
     let r = request(addr, "POST", "/query", Some(query));
     assert_eq!(r.status, 202, "{}", r.text());
     let pinned_id = extract_id(r.text());
@@ -548,9 +546,7 @@ fn concurrent_rows_fetches_conflict_then_settle() {
     // Occupy the single worker so the streamed query's slots settle
     // one by one behind the blocker's shards.
     let heavy = blocker(23);
-    let guard = service
-        .submit_with_cover(&heavy, None, &service.exec_config())
-        .unwrap();
+    let guard = service.submit(&heavy, &service.exec_config()).unwrap();
 
     let r = request(addr, "POST", "/query", Some(query));
     assert_eq!(r.status, 202, "{}", r.text());
@@ -598,9 +594,7 @@ fn mid_stream_disconnect_cancels_and_frees_the_admission_slot() {
     assert_eq!(r.status, 200, "{}", r.text());
 
     let heavy = blocker(29);
-    let guard = service
-        .submit_with_cover(&heavy, None, &service.exec_config())
-        .unwrap();
+    let guard = service.submit(&heavy, &service.exec_config()).unwrap();
     let base = service.counters().cancelled;
 
     let r = request(addr, "POST", "/query", Some("q(x, y) :- E(x, y)."));
@@ -773,10 +767,10 @@ fn overload_maps_to_429_with_retry_after() {
 
     // Fill both admission slots with blockers submitted out-of-band.
     let g1 = service
-        .submit_with_cover(&blocker(31), None, &service.exec_config())
+        .submit(&blocker(31), &service.exec_config())
         .unwrap();
     let g2 = service
-        .submit_with_cover(&blocker(37), None, &service.exec_config())
+        .submit(&blocker(37), &service.exec_config())
         .unwrap();
 
     let shed_before = service.counters().shed;

@@ -9,8 +9,10 @@
 //! `PreparedQuery::evaluate` / `join_nprr`, stays the oracle every
 //! parallel result is checked against.)
 //!
-//! * [`Service::submit`] plans a prepared query's shards with the
-//!   work-based splitter ([`ShardPlan::plan`] over
+//! * **One way in**: [`Service::submit`] is the only way a query reaches
+//!   the pool. It resolves the prepared query's memoized LP-optimal cover
+//!   and plans its shards with the one shard planner
+//!   ([`wcoj_exec::plan_shards`] over
 //!   [`PreparedQuery::root_candidate_weights`]). The plan is
 //!   **two-level**: heavy root values get singleton shards so one hot
 //!   key cannot drag its neighbours along, and a value heavy enough to
@@ -20,15 +22,15 @@
 //!   spreads across the pool. Submission pushes the tasks as one
 //!   per-query **ring** and returns a [`QueryHandle`] immediately — it
 //!   never blocks on other queries.
-//! * **Admission control**: [`ServiceConfig::queue_depth`] bounds how
-//!   many queries may be admitted-but-unfinished at once (env
+//! * **Admission control only sheds**: [`ServiceConfig::queue_depth`]
+//!   bounds how many queries may be admitted-but-unfinished at once (env
 //!   `WCOJ_QUEUE_DEPTH` via [`ServiceConfig::from_env`]; `0` =
-//!   unbounded). At the bound, [`Service::submit`] *sheds* — it returns
-//!   [`SubmitError::Overloaded`] without planning or scheduling anything,
-//!   the 429 of this scheduler — while [`Service::submit_blocking`] and
-//!   [`Service::try_submit_timeout`] wait on a condvar (optionally with a
-//!   deadline) for capacity instead. Either way the queue can no longer
-//!   grow without limit under a submission burst.
+//!   unbounded). At the bound, [`Service::submit`] returns
+//!   [`SubmitError::Overloaded`] at once, without planning or scheduling
+//!   anything — the 429 of this scheduler. Admission never waits, so the
+//!   queue cannot grow without limit under a submission burst, and a
+//!   caller that prefers delay retries on its own clock (the HTTP front
+//!   end answers `429` + `Retry-After`).
 //! * **Fair dispatch**: workers drain the per-query rings **round-robin,
 //!   one task at a time**, so shards of concurrent queries interleave by
 //!   construction — a 10k-sub-shard hot-key query no longer
@@ -44,7 +46,10 @@
 //!   [`QueryHandle::next_merged`] every remaining slot as one batch, and
 //!   [`QueryHandle::wait`] is `next_merged` plus the per-shard
 //!   [`JoinStats`] folded with [`JoinStats::absorb`] in slot order. The
-//!   output relation is bit-identical to the sequential
+//!   last shard to drain counts its query finished in the critical
+//!   section that publishes its rows, so once `wait` returns the
+//!   admission slot is free. The output relation is bit-identical to the
+//!   sequential
 //!   [`join_nprr`](wcoj_core::nprr::join_nprr), no matter how the pool
 //!   interleaved the shards (dispatch order never reaches the output, so
 //!   fairness is free of correctness risk).
@@ -104,7 +109,7 @@ use std::time::{Duration, Instant};
 
 use wcoj_core::nprr::{PreparedQuery, RootShard};
 use wcoj_core::{JoinOutput, JoinStats, QueryError};
-use wcoj_exec::{ExecConfig, ShardPlan, OVERSPLIT};
+use wcoj_exec::{plan_shards, ExecConfig, OVERSPLIT};
 use wcoj_obs::{trace, Counter, Gauge, Histogram, TraceEvent, TraceLevel};
 use wcoj_storage::{Relation, RowBuf, SearchTree};
 
@@ -121,17 +126,16 @@ pub struct ServiceConfig {
     /// Default per-query planning knobs, recommended for
     /// [`Service::submit`] via [`Service::exec_config`] (the catalog
     /// routes use them): `shard_min_size` and `heavy_split_factor` steer
-    /// the per-query [`ShardPlan`].
+    /// the per-query shard plan ([`wcoj_exec::plan_shards`]).
     pub exec: ExecConfig,
     /// Admission bound: the maximum number of queries that may be
     /// admitted-but-unfinished (queued or running) at once. `0` (the
     /// default) means unbounded — the pre-admission-control behaviour.
     /// At the bound, [`Service::submit`] sheds with
-    /// [`SubmitError::Overloaded`]; [`Service::submit_blocking`] /
-    /// [`Service::try_submit_timeout`] wait for capacity instead.
-    /// Degenerate submissions (resolved at submit time) acquire and
-    /// immediately release a slot, so they are also shed under overload
-    /// — admission stays a pure front-door check that costs no planning.
+    /// [`SubmitError::Overloaded`]. Degenerate submissions (resolved at
+    /// submit time) acquire and immediately release a slot, so they are
+    /// also shed under overload — admission stays a pure front-door check
+    /// that costs no planning.
     pub queue_depth: usize,
 }
 
@@ -185,12 +189,11 @@ impl ServiceConfig {
     }
 }
 
-/// Why [`Service::submit`] (or a sibling) refused a query.
+/// Why [`Service::submit`] refused a query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SubmitError {
     /// Admission control shed the submission: the service already had
-    /// [`queue_depth`](ServiceConfig::queue_depth) queries in flight (for
-    /// the deadline variant: still had, when the deadline expired). The
+    /// [`queue_depth`](ServiceConfig::queue_depth) queries in flight. The
     /// query was never planned or scheduled; retrying later is safe.
     Overloaded {
         /// Queries in flight when the submission was refused.
@@ -198,8 +201,8 @@ pub enum SubmitError {
         /// The configured admission bound.
         queue_depth: usize,
     },
-    /// Planning/validation failed before any task was scheduled (bad
-    /// cover, LP failure, …).
+    /// Solving for the optimal cover failed before any task was
+    /// scheduled.
     Query(QueryError),
 }
 
@@ -252,8 +255,7 @@ pub struct ServiceCounters {
     /// (run or skipped), or they resolved at submit time. Eventually
     /// `completed == submitted` once the service idles.
     pub completed: u64,
-    /// Submissions shed by admission control ([`SubmitError::Overloaded`],
-    /// including deadline expiries of [`Service::try_submit_timeout`]).
+    /// Submissions shed by admission control ([`SubmitError::Overloaded`]).
     pub shed: u64,
     /// Queries whose [`QueryHandle`] was dropped before the query
     /// finished (best-effort: a drop racing the final task may count
@@ -283,7 +285,6 @@ struct ServiceMetrics {
     in_flight: Arc<Gauge>,
     queued_tasks: Arc<Gauge>,
     query_latency_us: Arc<Histogram>,
-    admission_wait_us: Arc<Histogram>,
     task_queue_wait_us: Arc<Histogram>,
     task_run_us: Arc<Histogram>,
     shard_rows: Arc<Histogram>,
@@ -327,10 +328,6 @@ impl ServiceMetrics {
                     "wcoj_query_latency_us",
                     "Submit to last-task-drained, per accepted query (microseconds)",
                 ),
-                admission_wait_us: r.histogram(
-                    "wcoj_admission_wait_us",
-                    "Time spent waiting for an admission slot (microseconds)",
-                ),
                 task_queue_wait_us: r.histogram(
                     "wcoj_task_queue_wait_us",
                     "Per task: ring push to worker pop (microseconds)",
@@ -362,8 +359,8 @@ pub struct QueryProfile {
     /// Process-unique id (matches the `query` field of this query's
     /// [`TraceEvent`]s).
     pub query_id: u64,
-    /// Submit → admission slot acquired (how long admission control made
-    /// the submitter wait; ≈ 0 for non-blocking accepts).
+    /// Submit → admission slot acquired. Admission never waits, so this
+    /// is the scheduler lock's acquisition time.
     pub admitted: Duration,
     /// Submit → shard plan computed. `None` for empty-input degenerates
     /// (planning never ran).
@@ -432,7 +429,7 @@ struct QueryRing {
 }
 
 /// Everything guarded by the injector mutex: the rings, the admission
-/// accounting the condvars signal on, **and** the lifetime counters.
+/// accounting, **and** the lifetime counters.
 /// Keeping the counters under the same lock as the queue is what makes a
 /// [`Service::counters`] snapshot internally consistent — with them
 /// outside (the pre-observability design), a snapshot racing a fast pool
@@ -465,9 +462,6 @@ struct Injector {
     queue: Mutex<QueueState>,
     /// Signalled when tasks are pushed (workers wait here).
     task_ready: Condvar,
-    /// Signalled when a query finishes, freeing an admission slot
-    /// (blocking submitters wait here).
-    space_ready: Condvar,
     shutdown: AtomicBool,
     /// Global-registry handles. Mirrors of the mutex-guarded counters are
     /// bumped *after* the critical sections — the registry is a reporting
@@ -572,7 +566,7 @@ impl Injector {
 
     /// Releases one admission slot (a query errored at planning time —
     /// finished queries go through [`Injector::finish_query`], which also
-    /// counts them) and wakes blocked submitters.
+    /// counts them).
     fn release_slot(&self) {
         {
             let mut q = self.lock();
@@ -580,7 +574,6 @@ impl Injector {
             q.in_flight -= 1;
         }
         self.metrics.in_flight.sub(1);
-        self.space_ready.notify_one();
     }
 
     /// A query's last task drained (or it resolved at submit time):
@@ -597,7 +590,6 @@ impl Injector {
         self.metrics.completed.inc();
         self.metrics.in_flight.sub(1);
         trace().record(TraceLevel::Summary, TraceEvent::Finish { query });
-        self.space_ready.notify_one();
     }
 
     /// A worker popped a task of a cancelled query and skipped the engine
@@ -649,8 +641,7 @@ struct JobState {
     /// engine run for this query's remaining tasks.
     cancelled: AtomicBool,
     slots: Mutex<Slots>,
-    /// Signalled under `slots` whenever a shard drains and when the query
-    /// settles.
+    /// Signalled under `slots` whenever a shard drains.
     changed: Condvar,
 }
 
@@ -666,9 +657,6 @@ struct Slots {
     profiles: Vec<Option<ShardProfile>>,
     /// A shard's engine run panicked: the query has no output.
     poisoned: bool,
-    /// The last shard drained **and** the service counted the query
-    /// finished, so its admission slot is free.
-    settled: bool,
 }
 
 impl JobState {
@@ -683,13 +671,13 @@ impl JobState {
     }
 
     /// Records one drained shard — its rows and profile, or `None` when
-    /// its engine run panicked — and returns `true` iff it was the
-    /// query's last. The caller then settles the query with the service
-    /// **before** calling [`JobState::settle`].
-    fn complete(&self, index: usize, shard: Option<(RowBuf, ShardProfile)>) -> bool {
-        // The shard is counted down and the condvar notified in the same
-        // critical section that publishes it: a handle that takes the
-        // final slot observes `remaining == 0` (`is_finished`) at once.
+    /// its engine run panicked — and, for the query's last, counts the
+    /// query finished with the service.
+    fn complete(&self, index: usize, shard: Option<(RowBuf, ShardProfile)>, injector: &Injector) {
+        // The shard is counted down, the query settled with the service
+        // and the condvar notified in the same critical section that
+        // publishes it: whoever observes the final slot — or
+        // `remaining == 0` — finds the admission slot already free.
         let mut slots = self.lock();
         match shard {
             Some((rows, profile)) => {
@@ -698,21 +686,21 @@ impl JobState {
             }
             None => slots.poisoned = true,
         }
-        let last = self.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
-        self.changed.notify_all();
-        last
-    }
-
-    /// Marks the query settled; call only after the service counted it
-    /// finished.
-    fn settle(&self) {
-        self.lock().settled = true;
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            injector.finish_query(self.query_id);
+            injector
+                .metrics
+                .query_latency_us
+                .observe(u64::try_from(self.base.elapsed().as_micros()).unwrap_or(u64::MAX));
+        }
         self.changed.notify_all();
     }
 
+    /// Blocks until every shard has drained (and so the query's
+    /// admission slot is free).
     fn wait_settled(&self) {
         let mut slots = self.lock();
-        while !slots.settled {
+        while self.remaining.load(Ordering::Acquire) > 0 {
             slots = self
                 .changed
                 .wait(slots)
@@ -907,8 +895,9 @@ impl QueryHandle {
     /// # Errors
     /// Same as [`next_batch`](QueryHandle::next_batch).
     pub fn wait_profiled(mut self) -> Result<(JoinOutput, QueryProfile), QueryError> {
+        // Every slot taken means every shard drained, and the last one to
+        // drain freed the admission slot before it published its rows.
         let relation = self.take(self.total_slots)?;
-        self.wait_settled();
         let profile = self.profile();
         let mut stats = std::mem::take(&mut self.stats);
         for shard in &profile.shards {
@@ -1003,16 +992,6 @@ impl Drop for QueryHandle {
     }
 }
 
-/// How a submission behaves when the service is at its admission bound.
-enum Admission {
-    /// Fail fast with [`SubmitError::Overloaded`].
-    Shed,
-    /// Wait (on the space condvar) until a slot frees up.
-    Block,
-    /// Wait until the deadline, then shed.
-    Deadline(Instant),
-}
-
 /// A batch of auxiliary tasks dispatched through the pool by
 /// [`Service::run_tasks`]: a countdown latch the caller blocks on.
 /// Dropping without waiting is allowed — the tasks still run.
@@ -1076,7 +1055,6 @@ impl Service {
                 skipped_tasks: 0,
             }),
             task_ready: Condvar::new(),
-            space_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             metrics: ServiceMetrics::get(),
         });
@@ -1113,8 +1091,7 @@ impl Service {
     /// Accepted submissions over the service's lifetime: every submit
     /// call that returned a [`QueryHandle`], **including** degenerate
     /// queries resolved at submit time; shed submissions and
-    /// planning-error (e.g. bad cover / LP failure) submissions are not
-    /// counted.
+    /// planning-error (LP failure) submissions are not counted.
     #[must_use]
     pub fn submitted(&self) -> u64 {
         self.injector.lock().submitted
@@ -1145,8 +1122,8 @@ impl Service {
     /// compaction chunks, index rebuilds) uses to share workers with
     /// queries instead of spawning threads. The batch **bypasses
     /// admission control** and the submitted/completed counters: it is
-    /// not a query, and it must not be shed or block behind queue-depth
-    /// limits it doesn't consume.
+    /// not a query, and it must not be shed by a queue-depth limit it
+    /// doesn't consume.
     ///
     /// Returns a [`TaskBatch`]; call [`TaskBatch::wait`] to block until
     /// every closure has run. Panicking closures are caught by the
@@ -1184,9 +1161,10 @@ impl Service {
         self.cfg.queue_depth
     }
 
-    /// The shard layout [`submit`](Service::submit) would schedule for
-    /// `prepared` on this service: the planned ranges, or a single
-    /// unrestricted task for degenerate plans. Empty exactly when the
+    /// The shard layout [`submit`](Service::submit) schedules for
+    /// `prepared` on this service: [`wcoj_exec::plan_shards`] sized for
+    /// `workers × OVERSPLIT` shards — the planned ranges, a single
+    /// unrestricted task for degenerate plans, and empty exactly when the
     /// query is a zero-shard plan (deterministic, so differential tests
     /// can re-run the layout shard by shard).
     #[must_use]
@@ -1195,142 +1173,34 @@ impl Service {
         prepared: &PreparedQuery<S>,
         cfg: &ExecConfig,
     ) -> Vec<Option<RootShard>> {
-        let plan = ShardPlan::plan(prepared, self.workers.len() * OVERSPLIT, cfg);
-        if plan.root_domain_is_empty(prepared) {
-            Vec::new()
-        } else {
-            plan.tasks()
-        }
+        plan_shards(prepared, self.workers.len() * OVERSPLIT, cfg)
     }
 
-    /// Acquires an admission slot according to `how`.
-    fn admit(&self, how: &Admission) -> Result<(), SubmitError> {
+    /// Acquires an admission slot, or sheds the submission when
+    /// [`ServiceConfig::queue_depth`] queries are already in flight.
+    fn admit(&self) -> Result<(), SubmitError> {
         let depth = self.cfg.queue_depth;
         let mut q = self.injector.lock();
-        loop {
-            if depth == 0 || q.in_flight < depth {
-                q.in_flight += 1;
-                drop(q);
-                self.injector.metrics.in_flight.add(1);
-                return Ok(());
-            }
-            let in_flight = q.in_flight;
-            let overloaded = SubmitError::Overloaded {
-                in_flight,
-                queue_depth: depth,
-            };
-            let shed_now = match how {
-                Admission::Shed => true,
-                Admission::Deadline(deadline) => Instant::now() >= *deadline,
-                Admission::Block => false,
-            };
-            if shed_now {
-                q.shed += 1;
-                drop(q);
-                self.injector.metrics.shed.inc();
-                trace().record(
-                    TraceLevel::Summary,
-                    TraceEvent::Shed {
-                        in_flight: in_flight as u32,
-                    },
-                );
-                return Err(overloaded);
-            }
-            q = match how {
-                Admission::Block => self
-                    .injector
-                    .space_ready
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner),
-                Admission::Deadline(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    self.injector
-                        .space_ready
-                        .wait_timeout(q, left)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
-                Admission::Shed => unreachable!("shed handled above"),
-            };
+        if depth == 0 || q.in_flight < depth {
+            q.in_flight += 1;
+            drop(q);
+            self.injector.metrics.in_flight.add(1);
+            return Ok(());
         }
-    }
-
-    /// Submits a prepared query with the LP-optimal fractional cover.
-    /// Returns immediately; the shards run on the shared pool. Under
-    /// overload ([`ServiceConfig::queue_depth`] queries already in
-    /// flight) the submission is **shed**, not queued.
-    ///
-    /// # Errors
-    /// [`SubmitError::Overloaded`] when admission control sheds the
-    /// query; [`SubmitError::Query`] for LP errors from solving for the
-    /// optimal cover.
-    pub fn submit<S>(
-        &self,
-        prepared: &Arc<PreparedQuery<S>>,
-        cfg: &ExecConfig,
-    ) -> Result<QueryHandle, SubmitError>
-    where
-        S: SearchTree + Send + Sync + 'static,
-    {
-        self.submit_inner(prepared, None, cfg, &Admission::Shed)
-    }
-
-    /// Like [`submit`](Service::submit), but **waits** for an admission
-    /// slot instead of shedding when the service is at its bound — for
-    /// callers that prefer delay over a 429.
-    ///
-    /// # Errors
-    /// [`SubmitError::Query`] for LP errors (never
-    /// [`SubmitError::Overloaded`]).
-    pub fn submit_blocking<S>(
-        &self,
-        prepared: &Arc<PreparedQuery<S>>,
-        cfg: &ExecConfig,
-    ) -> Result<QueryHandle, SubmitError>
-    where
-        S: SearchTree + Send + Sync + 'static,
-    {
-        self.submit_inner(prepared, None, cfg, &Admission::Block)
-    }
-
-    /// Like [`submit_blocking`](Service::submit_blocking) with a
-    /// deadline: waits up to `timeout` for an admission slot, then sheds.
-    ///
-    /// # Errors
-    /// [`SubmitError::Overloaded`] when no slot freed up within
-    /// `timeout`; [`SubmitError::Query`] for LP errors.
-    pub fn try_submit_timeout<S>(
-        &self,
-        prepared: &Arc<PreparedQuery<S>>,
-        cfg: &ExecConfig,
-        timeout: Duration,
-    ) -> Result<QueryHandle, SubmitError>
-    where
-        S: SearchTree + Send + Sync + 'static,
-    {
-        let deadline = Instant::now()
-            .checked_add(timeout)
-            .unwrap_or_else(|| Instant::now() + Duration::from_secs(86_400));
-        self.submit_inner(prepared, None, cfg, &Admission::Deadline(deadline))
-    }
-
-    /// Like [`submit`](Service::submit) with an explicit fractional cover
-    /// (validated; one weight per relation in input order).
-    ///
-    /// # Errors
-    /// [`SubmitError::Overloaded`] under overload;
-    /// [`SubmitError::Query`] wrapping [`QueryError::BadCover`] for
-    /// invalid covers or LP errors when solving for the optimum.
-    pub fn submit_with_cover<S>(
-        &self,
-        prepared: &Arc<PreparedQuery<S>>,
-        cover: Option<&[f64]>,
-        cfg: &ExecConfig,
-    ) -> Result<QueryHandle, SubmitError>
-    where
-        S: SearchTree + Send + Sync + 'static,
-    {
-        self.submit_inner(prepared, cover, cfg, &Admission::Shed)
+        let in_flight = q.in_flight;
+        q.shed += 1;
+        drop(q);
+        self.injector.metrics.shed.inc();
+        trace().record(
+            TraceLevel::Summary,
+            TraceEvent::Shed {
+                in_flight: in_flight as u32,
+            },
+        );
+        Err(SubmitError::Overloaded {
+            in_flight,
+            queue_depth: depth,
+        })
     }
 
     /// An accepted submission that resolved at submit time with an empty
@@ -1355,7 +1225,6 @@ impl Service {
             debug_assert!(q.in_flight > 0, "accept without admission");
             q.in_flight -= 1;
         }
-        self.injector.space_ready.notify_one();
         let elapsed = submit_start.elapsed();
         let m = self.injector.metrics;
         m.submitted.inc();
@@ -1394,12 +1263,20 @@ impl Service {
         }
     }
 
-    fn submit_inner<S>(
+    /// Submits a prepared query — the one way a query reaches the pool.
+    /// Returns immediately; the shards run on the shared pool under the
+    /// query's LP-optimal fractional cover (memoized on the preparation).
+    /// Under overload ([`ServiceConfig::queue_depth`] queries already in
+    /// flight) the submission is **shed**, not queued.
+    ///
+    /// # Errors
+    /// [`SubmitError::Overloaded`] when admission control sheds the
+    /// query; [`SubmitError::Query`] for LP errors from solving for the
+    /// optimal cover.
+    pub fn submit<S>(
         &self,
         prepared: &Arc<PreparedQuery<S>>,
-        cover: Option<&[f64]>,
         cfg: &ExecConfig,
-        how: &Admission,
     ) -> Result<QueryHandle, SubmitError>
     where
         S: SearchTree + Send + Sync + 'static,
@@ -1407,12 +1284,8 @@ impl Service {
         let submit_start = Instant::now();
         // Admission first: under overload the submission is refused
         // *before* any planning work (shedding is supposed to be cheap).
-        self.admit(how)?;
+        self.admit()?;
         let admitted_ns = u64::try_from(submit_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.injector
-            .metrics
-            .admission_wait_us
-            .observe(admitted_ns / 1_000);
         let query_id = next_query_id();
 
         let base_stats = |log2_bound: f64, x: &[f64]| JoinStats {
@@ -1436,7 +1309,7 @@ impl Service {
                 stats,
             ));
         }
-        let (x, log2_bound) = match prepared.resolve_cover(cover) {
+        let (x, log2_bound) = match prepared.resolve_cover(None) {
             Ok(resolved) => resolved,
             Err(e) => {
                 // Rejected before scheduling: give the slot back and do
@@ -1478,7 +1351,6 @@ impl Service {
                 rows: vec![None; total_slots],
                 profiles: vec![None; total_slots],
                 poisoned: false,
-                settled: false,
             }),
             changed: Condvar::new(),
         });
@@ -1539,15 +1411,7 @@ impl Service {
                     };
                     (rows, profile)
                 });
-                if state.complete(i, drained) {
-                    // Settle with the service first: once wait() returns,
-                    // the admission slot is free and the counters agree.
-                    injector.finish_query(state.query_id);
-                    injector.metrics.query_latency_us.observe(
-                        u64::try_from(state.base.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    );
-                    state.settle();
-                }
+                state.complete(i, drained, &injector);
             }));
         }
         // The acceptance is counted inside push_ring, under the same lock
@@ -1648,14 +1512,14 @@ mod tests {
 
     /// A blocker query for the admission tests: a 5-cycle whose *engine*
     /// run takes tens of milliseconds (even in release mode) while
-    /// submitting it with the returned precomputed cover costs
-    /// microseconds — so a blocker is reliably still in flight when the
-    /// next submission's admission check runs.
-    fn heavy_blocker(seed: u64) -> (Vec<Relation>, Arc<PreparedQuery>, Vec<f64>) {
+    /// submitting it costs microseconds — its cover is solved here and
+    /// memoized on the preparation — so a blocker is reliably still in
+    /// flight when the next submission's admission check runs.
+    fn heavy_blocker(seed: u64) -> (Vec<Relation>, Arc<PreparedQuery>) {
         let rels = wcoj_datagen::cycle_instance(seed, 5, 400, 20);
         let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
-        let (x, _) = prepared.resolve_cover(None).unwrap();
-        (rels, prepared, x)
+        prepared.resolve_cover(None).unwrap();
+        (rels, prepared)
     }
 
     #[test]
@@ -1765,11 +1629,11 @@ mod tests {
         assert_eq!(out.relation.arity(), 0);
     }
 
-    /// Satellite pin-down: `submitted` counts every *accepted* submit —
-    /// including degenerate queries resolved at submit time — and never
-    /// counts planning-error or shed submissions. Accepted queries all
-    /// eventually count as `completed`, and admission slots drain back to
-    /// zero.
+    /// `submitted` counts every *accepted* submit — including degenerate
+    /// queries resolved at submit time. Accepted queries all eventually
+    /// count as `completed`, and admission slots drain back to zero.
+    /// (Shed submissions are not counted:
+    /// `burst_past_queue_depth_sheds_deterministically`.)
     #[test]
     fn submitted_counter_semantics() {
         let service = Service::new(ServiceConfig::with_workers(2));
@@ -1807,11 +1671,6 @@ mod tests {
         service.submit(&zero_shard, &cfg).unwrap().wait().unwrap();
         assert_eq!(service.submitted(), 3);
 
-        // 4. a bad cover (planning error): NOT counted
-        let err = service.submit_with_cover(&populated, Some(&[0.1, 0.1, 0.1]), &cfg);
-        assert!(matches!(err, Err(SubmitError::Query(_))));
-        assert_eq!(service.submitted(), 3, "LP-error submissions don't count");
-
         let counters = service.counters();
         assert_eq!(counters.submitted, 3);
         assert_eq!(counters.completed, 3, "degenerate resolutions complete");
@@ -1829,10 +1688,10 @@ mod tests {
         let service = Service::new(ServiceConfig::with_workers(2).with_queue_depth(Q));
         assert_eq!(service.queue_depth(), Q);
         // The blocker's engine run takes tens of milliseconds while each
-        // burst submission below costs microseconds (precomputed cover,
+        // burst submission below costs microseconds (memoized cover,
         // and the admission check precedes all planning), so none of the
         // admitted queries can finish before the burst loop ends.
-        let (heavy_rels, heavy, x) = heavy_blocker(11);
+        let (heavy_rels, heavy) = heavy_blocker(11);
         let seq = join_with(&heavy_rels, Algorithm::Nprr, None).unwrap();
         let cfg = ExecConfig {
             shard_min_size: 1,
@@ -1842,12 +1701,12 @@ mod tests {
         let accepted: Vec<QueryHandle> = (0..Q)
             .map(|i| {
                 service
-                    .submit_with_cover(&heavy, Some(&x), &cfg)
+                    .submit(&heavy, &cfg)
                     .unwrap_or_else(|e| panic!("submission {i} within the bound accepted: {e}"))
             })
             .collect();
         // The (Q+1)-th burst submission is shed.
-        match service.submit_with_cover(&heavy, Some(&x), &cfg) {
+        match service.submit(&heavy, &cfg) {
             Err(SubmitError::Overloaded {
                 in_flight,
                 queue_depth,
@@ -1876,42 +1735,11 @@ mod tests {
     }
 
     #[test]
-    fn blocking_and_deadline_submission_under_overload() {
-        let service = Service::new(ServiceConfig::with_workers(1).with_queue_depth(1));
-        let (heavy_rels, heavy, x) = heavy_blocker(13);
-        let seq = join_with(&heavy_rels, Algorithm::Nprr, None).unwrap();
-        let cfg = ExecConfig {
-            shard_min_size: 1,
-            ..service.exec_config()
-        };
-
-        let first = service.submit_with_cover(&heavy, Some(&x), &cfg).unwrap();
-        // Full: a zero-deadline submission sheds…
-        match service.try_submit_timeout(&heavy, &cfg, Duration::ZERO) {
-            Err(SubmitError::Overloaded { .. }) => {}
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        // …while a blocking submission waits for the slot and succeeds.
-        let blocked = service.submit_blocking(&heavy, &cfg).unwrap();
-        assert_eq!(first.wait().unwrap().relation, seq.relation);
-        assert_eq!(blocked.wait().unwrap().relation, seq.relation);
-        // A generous deadline also gets through once the queue is idle.
-        let timed = service
-            .try_submit_timeout(&heavy, &cfg, Duration::from_secs(60))
-            .unwrap();
-        assert_eq!(timed.wait().unwrap().relation, seq.relation);
-        let counters = service.counters();
-        assert_eq!(counters.submitted, 3);
-        assert_eq!(counters.shed, 1);
-        assert_eq!(counters.in_flight, 0);
-    }
-
-    #[test]
     fn dropped_handle_cancels_remaining_tasks() {
         // One worker: after the handle is dropped mid-run, the remaining
         // ring entries are popped but skipped instead of burning the pool.
         let service = Service::new(ServiceConfig::with_workers(1));
-        let (_, heavy, x) = heavy_blocker(17);
+        let (_, heavy) = heavy_blocker(17);
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -1919,7 +1747,7 @@ mod tests {
         let layout = service.shard_layout(&*heavy, &cfg);
         assert!(layout.len() >= 3, "the plan is multi-task: {layout:?}");
 
-        let handle = service.submit_with_cover(&heavy, Some(&x), &cfg).unwrap();
+        let handle = service.submit(&heavy, &cfg).unwrap();
         drop(handle); // cancel
         assert_eq!(service.counters().cancelled, 1);
 
@@ -1947,22 +1775,6 @@ mod tests {
             assert!(Instant::now() < deadline, "cancelled query never drained");
             std::thread::yield_now();
         }
-    }
-
-    #[test]
-    fn bad_cover_rejected_at_submit() {
-        let service = Service::new(ServiceConfig::with_workers(2));
-        let prepared = Arc::new(PreparedQuery::new(&triangle()).unwrap());
-        let err =
-            service.submit_with_cover(&prepared, Some(&[0.1, 0.1, 0.1]), &ExecConfig::default());
-        assert!(err.is_err());
-        // explicit valid cover works
-        let out = service
-            .submit_with_cover(&prepared, Some(&[1.0, 1.0, 1.0]), &ExecConfig::default())
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(out.relation.len(), 2);
     }
 
     #[test]
@@ -2189,8 +2001,8 @@ mod tests {
 
         // Cancelled: the snapshot taken later shows the cancellation and
         // skipped shards.
-        let (_, heavy, x) = heavy_blocker(29);
-        let handle = service.submit_with_cover(&heavy, Some(&x), &cfg).unwrap();
+        let (_, heavy) = heavy_blocker(29);
+        let handle = service.submit(&heavy, &cfg).unwrap();
         let pending_profile = handle.profile();
         assert!(pending_profile.total_shards >= 3);
         drop(handle);
@@ -2218,15 +2030,15 @@ mod tests {
         ring.set_level(TraceLevel::Summary);
 
         let service = Service::new(ServiceConfig::with_workers(1).with_queue_depth(1));
-        let (_, heavy, x) = heavy_blocker(31);
+        let (_, heavy) = heavy_blocker(31);
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
         };
-        let first = service.submit_with_cover(&heavy, Some(&x), &cfg).unwrap();
+        let first = service.submit(&heavy, &cfg).unwrap();
         let first_id = first.profile().query_id;
         // Overload: the second submission sheds.
-        let shed = service.submit_with_cover(&heavy, Some(&x), &cfg);
+        let shed = service.submit(&heavy, &cfg);
         assert!(matches!(shed, Err(SubmitError::Overloaded { .. })));
         first.wait().unwrap();
 
@@ -2573,7 +2385,7 @@ mod tests {
         // goes away. The remaining shards must be skipped and the
         // admission slot freed — a vanished client cannot leak capacity.
         let service = Service::new(ServiceConfig::with_workers(1));
-        let (_, heavy, x) = heavy_blocker(23);
+        let (_, heavy) = heavy_blocker(23);
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -2587,7 +2399,7 @@ mod tests {
         // parks again with every other shard still queued.
         let (pinned, release_first, first_pin) = pin_worker(&service);
         pinned.recv().expect("the worker is parked");
-        let mut stream = service.submit_with_cover(&heavy, Some(&x), &cfg).unwrap();
+        let mut stream = service.submit(&heavy, &cfg).unwrap();
         let (pinned_again, release_second, second_pin) = pin_worker(&service);
         release_first.send(()).unwrap();
         let first = stream.next_batch().unwrap().unwrap();

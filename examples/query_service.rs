@@ -91,11 +91,12 @@ fn main() {
         res.columns,
     );
 
-    // --- 4. bounded admission: shed or wait under overload ------------
+    // --- 4. bounded admission: shed under overload, retry later -------
     // A service with a queue bound refuses (sheds) burst submissions
-    // past the bound instead of queueing without limit; callers that
-    // prefer delay use submit_blocking. WCOJ_QUEUE_DEPTH overrides the
-    // bound (ServiceConfig::from_env); default here: 2.
+    // past the bound instead of queueing without limit; admission never
+    // waits, so a caller that prefers delay retries on its own clock.
+    // WCOJ_QUEUE_DEPTH overrides the bound (ServiceConfig::from_env);
+    // default here: 2.
     let mut bounded_cfg = ServiceConfig::from_env();
     bounded_cfg.workers = 2;
     if bounded_cfg.queue_depth == 0 {
@@ -112,11 +113,18 @@ fn main() {
             Err(e) => panic!("submit: {e}"),
         }
     }
-    // a blocking submission waits out the overload instead
-    let blocked = bounded
-        .submit_blocking(&prepared, &cfg)
-        .expect("blocking submit never sheds");
-    handles.push(blocked);
+    // a retrying caller lands its query once a slot frees up
+    let retried = loop {
+        match bounded.submit(&prepared, &cfg) {
+            Ok(h) => break h,
+            Err(SubmitError::Overloaded { .. }) => {
+                shed += 1;
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            Err(e) => panic!("submit: {e}"),
+        }
+    };
+    handles.push(retried);
     for h in handles {
         assert_eq!(h.wait().expect("join").relation.len(), out.relation.len());
     }

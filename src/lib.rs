@@ -12,8 +12,8 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5) — the one engine behind `join` and every served query — plus the library extensions that run it: relaxed joins (§7.2), full CQs + FDs (§7.3), algorithmic BT/LW (§3) |
-//! | [`exec`] (`wcoj-exec`) | the root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`ShardPlan`, `ExecConfig`) — plus the warn-once `WCOJ_*` env parsing |
-//! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans with bounded admission (shed or block under overload) and round-robin fair dispatch; a `QueryHandle` takes a query's shard slots in order, one batch at a time or all at once (`Service`, `QueryHandle`, `SubmitError`) |
+//! | [`exec`] (`wcoj-exec`) | the one root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`plan_shards`, `ExecConfig`) — plus the warn-once `WCOJ_*` env parsing |
+//! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans, one way in (`Service::submit`), bounded admission that sheds under overload, and round-robin fair dispatch; a `QueryHandle` takes a query's shard slots in order, one batch at a time or all at once (`Service`, `QueryHandle`, `SubmitError`) |
 //! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), its delta-merged view over live insert/delete buffers (`DeltaIndex`), and the hash-trie alternative (`HashTrieIndex`) |
 //! | [`hypergraph`] | query hypergraphs, fractional covers, AGM bounds, Lemma 3.2 tightening, Loomis–Whitney / BT families |
 //! | [`lp`] | the two-phase simplex solver (f64 + exact rational) |

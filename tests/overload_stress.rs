@@ -14,8 +14,9 @@
 //! * **round-robin fairness** — a small query submitted right after a
 //!   huge one completes long before the huge one finishes, instead of
 //!   head-of-line-blocking behind its thousands of tasks;
-//! * **blocking submission** — `submit_blocking` waits out the overload
-//!   instead of shedding, and all its queries land;
+//! * **admission only sheds** — `Service::submit` never waits for a
+//!   slot; a submitter that retries on `Overloaded` lands every query, on
+//!   the hash and the flat backend alike;
 //! * **cancellation** — dropping handles mid-flood skips the abandoned
 //!   work and frees admission slots.
 //!
@@ -144,24 +145,25 @@ fn flood_past_queue_bound_sheds_and_stays_correct() {
     };
 
     // Phase 1 — deterministic overload: pin every admission slot with a
-    // long-running blocker (precomputed cover: submission itself is
-    // microseconds, the engine run tens of milliseconds), then flood from
-    // 8 threads. The first wave of flood submissions is *guaranteed* to
-    // be shed — and shed loudly, not dropped.
+    // long-running blocker (its cover solved and memoized up front:
+    // submission itself is microseconds, the engine run tens of
+    // milliseconds), then flood from 8 threads. The first wave of flood
+    // submissions is *guaranteed* to be shed — and shed loudly, not
+    // dropped.
     let blocker_rels = gen::cycle_instance(43, 5, 300, 15);
     let blocker = Arc::new(PreparedQuery::new(&blocker_rels).expect("well-formed"));
-    let (bx, _) = blocker.resolve_cover(None).expect("cover");
+    blocker.resolve_cover(None).expect("cover");
     let blocker_seq = join_with(&blocker_rels, Algorithm::Nprr, None)
         .unwrap()
         .relation;
     let blockers: Vec<QueryHandle> = (0..QUEUE_DEPTH)
         .map(|_| {
             service
-                .submit_with_cover(&blocker, Some(&bx), &cfg)
+                .submit(&blocker, &cfg)
                 .expect("blockers fill the queue exactly")
         })
         .collect();
-    match service.submit_with_cover(&blocker, Some(&bx), &cfg) {
+    match service.submit(&blocker, &cfg) {
         Err(SubmitError::Overloaded {
             in_flight,
             queue_depth,
@@ -236,11 +238,12 @@ fn flood_past_queue_bound_sheds_and_stays_correct() {
     assert!(shed >= 1, "the flood actually overloaded the service");
 }
 
-/// Blocking submitters never shed: under the same flood, every
-/// submission waits out the overload and all queries land, bit-identical.
-/// Generic over the index backend so the flat columnar layout takes the
-/// same beating as the hash trie.
-fn blocking_flood_delays_instead_of_shedding_impl<S>()
+/// Admission never waits: under the same flood with a tighter bound,
+/// every submitter retries its shed submissions on its own clock, all
+/// queries land bit-identical, and the service counts exactly the sheds
+/// the submitters saw. Generic over the index backend so the flat
+/// columnar layout takes the same beating as the hash trie.
+fn retry_flood_lands_every_query_impl<S>()
 where
     S: SearchTree + Send + Sync + 'static,
 {
@@ -260,21 +263,29 @@ where
     };
     const SUBMITTERS: usize = 8;
     const PER_SUBMITTER: usize = 6;
+    let shed_seen = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for submitter in 0..SUBMITTERS {
             let service = Arc::clone(&service);
             let cfg = cfg.clone();
             let prepared = &prepared;
             let instances = &instances;
+            let shed_seen = &shed_seen;
             scope.spawn(move || {
                 for j in 0..PER_SUBMITTER {
                     let q = (submitter * PER_SUBMITTER + j) % prepared.len();
-                    let (out, profile) = service
-                        .submit_blocking(&prepared[q], &cfg)
-                        .expect("blocking submit never sheds")
-                        .wait_profiled()
-                        .expect("query evaluates");
-                    let ctx = format!("{} blocking submitter {submitter}", instances[q].0);
+                    let handle = loop {
+                        match service.submit(&prepared[q], &cfg) {
+                            Ok(handle) => break handle,
+                            Err(SubmitError::Overloaded { .. }) => {
+                                shed_seen.fetch_add(1, Ordering::Relaxed);
+                                std::thread::yield_now();
+                            }
+                            Err(e) => panic!("unexpected submit error: {e}"),
+                        }
+                    };
+                    let (out, profile) = handle.wait_profiled().expect("query evaluates");
+                    let ctx = format!("{} retrying submitter {submitter}", instances[q].0);
                     assert_bit_identical(&out.relation, &instances[q].2, &ctx);
                     assert_profile_consistent(&profile, &out, &ctx);
                 }
@@ -282,20 +293,20 @@ where
         }
     });
     let counters = service.counters();
-    assert_eq!(counters.shed, 0, "blocking submissions never shed");
+    assert_eq!(counters.shed, shed_seen.load(Ordering::Relaxed));
     assert_eq!(counters.submitted, (SUBMITTERS * PER_SUBMITTER) as u64);
     assert_eq!(counters.completed, counters.submitted);
     assert_eq!(counters.in_flight, 0);
 }
 
 #[test]
-fn blocking_flood_delays_instead_of_shedding() {
-    blocking_flood_delays_instead_of_shedding_impl::<HashTrieIndex>();
+fn retry_flood_lands_every_query() {
+    retry_flood_lands_every_query_impl::<HashTrieIndex>();
 }
 
 #[test]
-fn blocking_flood_delays_instead_of_shedding_flat() {
-    blocking_flood_delays_instead_of_shedding_impl::<FlatIndex>();
+fn retry_flood_lands_every_query_flat() {
+    retry_flood_lands_every_query_impl::<FlatIndex>();
 }
 
 /// Satellite (c): round-robin dispatch. A huge multi-task query is
@@ -320,16 +331,16 @@ fn small_query_behind_huge_one_finishes_first() {
         // not sneak back in through the test harness itself.
         let gate_rels = gen::cycle_instance(43, 5, 300, 15);
         let gate_prepared = Arc::new(PreparedQuery::new(&gate_rels).expect("well-formed"));
-        let (gx, _) = gate_prepared.resolve_cover(None).expect("cover");
+        gate_prepared.resolve_cover(None).expect("cover");
 
         // Huge: a 5-cycle with a multi-task plan and ~100 ms of engine
         // work (release mode) — after the small query lands, several
         // tasks' worth of work remain, orders of magnitude more than the
-        // waiter's wake-up latency. Submitted with a precomputed cover so
-        // the small query can chase it within microseconds.
+        // waiter's wake-up latency. Its cover is solved up front (and
+        // memoized), so the small query can chase it within microseconds.
         let huge_rels = gen::cycle_instance(47, 5, 500, 22);
         let huge_prepared = Arc::new(PreparedQuery::new(&huge_rels).expect("well-formed"));
-        let (x, _) = huge_prepared.resolve_cover(None).expect("cover");
+        huge_prepared.resolve_cover(None).expect("cover");
         let huge_seq = join_with(&huge_rels, Algorithm::Nprr, None)
             .unwrap()
             .relation;
@@ -346,20 +357,14 @@ fn small_query_behind_huge_one_finishes_first() {
             Relation::from_u32_rows(Schema::of(&[0, 2]), &[&[1, 4]]),
         ];
         let small_prepared = Arc::new(PreparedQuery::new(&small_rels).expect("well-formed"));
-        let (sx, _) = small_prepared.resolve_cover(None).expect("cover");
+        small_prepared.resolve_cover(None).expect("cover");
         let small_seq = join_with(&small_rels, Algorithm::Nprr, None)
             .unwrap()
             .relation;
 
-        let gate = service
-            .submit_with_cover(&gate_prepared, Some(&gx), &cfg)
-            .unwrap();
-        let huge = service
-            .submit_with_cover(&huge_prepared, Some(&x), &cfg)
-            .unwrap();
-        let small = service
-            .submit_with_cover(&small_prepared, Some(&sx), &cfg)
-            .unwrap();
+        let gate = service.submit(&gate_prepared, &cfg).unwrap();
+        let huge = service.submit(&huge_prepared, &cfg).unwrap();
+        let small = service.submit(&small_prepared, &cfg).unwrap();
 
         // Round-robin across the three rings reaches the small query's
         // single task within a couple of turns; the huge ring still holds
@@ -453,67 +458,4 @@ fn cancellation_under_load_frees_the_pool() {
         );
         std::thread::yield_now();
     }
-}
-
-/// Deadline submissions under a steady drain: some eventually get
-/// through, none hang past their deadline by orders of magnitude, and
-/// results are bit-identical.
-#[test]
-fn deadline_submission_flood() {
-    // Deadline path on the flat columnar backend.
-    let instances = flood_instances();
-    let prepared: Vec<Arc<PreparedQuery<FlatIndex>>> = instances
-        .iter()
-        .map(|(_, rels, _)| {
-            Arc::new(PreparedQuery::<FlatIndex>::new_indexed(rels).expect("well-formed instance"))
-        })
-        .collect();
-    let service = Arc::new(Service::new(
-        ServiceConfig::with_workers(2).with_queue_depth(2),
-    ));
-    let cfg = ExecConfig {
-        shard_min_size: 1,
-        ..service.exec_config()
-    };
-    let accepted = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for submitter in 0..4usize {
-            let service = Arc::clone(&service);
-            let cfg = cfg.clone();
-            let prepared = &prepared;
-            let instances = &instances;
-            let accepted = &accepted;
-            scope.spawn(move || {
-                for j in 0..8usize {
-                    let q = (submitter * 3 + j) % prepared.len();
-                    match service.try_submit_timeout(
-                        &prepared[q],
-                        &cfg,
-                        std::time::Duration::from_secs(30),
-                    ) {
-                        Ok(handle) => {
-                            accepted.fetch_add(1, Ordering::Relaxed);
-                            let out = handle.wait().expect("query evaluates");
-                            assert_bit_identical(
-                                &out.relation,
-                                &instances[q].2,
-                                &format!("{} deadline submitter {submitter}", instances[q].0),
-                            );
-                        }
-                        Err(SubmitError::Overloaded { .. }) => {
-                            // a 30s deadline expiring would mean the pool
-                            // stalled — treat as failure
-                            panic!("30s deadline expired under a steady drain");
-                        }
-                        Err(e) => panic!("unexpected submit error: {e}"),
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(accepted.load(Ordering::Relaxed), 32);
-    let counters = service.counters();
-    assert_eq!(counters.submitted, 32);
-    assert_eq!(counters.completed, 32);
-    assert_eq!(counters.in_flight, 0);
 }

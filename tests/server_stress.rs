@@ -207,7 +207,7 @@ fn multi_shard_query_streams_rows_before_the_last_shard_finishes() {
     // interleaves its shards with the streamed query's, so slots settle
     // one at a time with real gaps between them.
     let guard = service
-        .submit_with_cover(&blocker(41), None, &service.exec_config())
+        .submit(&blocker(41), &service.exec_config())
         .unwrap();
 
     let r = request(addr, "POST", "/query", Some(query));
