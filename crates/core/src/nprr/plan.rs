@@ -70,8 +70,13 @@ pub(crate) struct NodePlan {
 
 pub(crate) enum NodeKind {
     /// Procedure 5 lines 3–9: intersect the sections of the edges that
-    /// span all of `univ(u)`.
-    Leaf { covering: Vec<Section> },
+    /// span all of `univ(u)`. `filters` are the anchors pushed down from
+    /// enclosing case-a splits ([`Split::filters`]): each candidate must
+    /// also extend their sections, but they are never scanned or sized.
+    Leaf {
+        covering: Vec<Section>,
+        filters: Vec<Section>,
+    },
     /// `univ(u) ∩ e_k = ∅` (line 17): the node's rows are its left
     /// child's.
     Pass { left: usize },
@@ -99,6 +104,15 @@ pub(crate) struct Split {
     pub(crate) anchor: Section,
     /// Edges at QP positions `i < k − 1` that meet `W⁻`, ascending.
     pub(crate) checks: Vec<CheckEdge>,
+    /// **Pushed filters**: the anchors of the enclosing splits whose right
+    /// subtree holds this node, innermost last, each as its section under
+    /// `t_S ∪ t_W`. Case a of a split keeps only the right child's rows
+    /// its anchor `e_k` contains (lines 22–25); every node under `rc(u)`
+    /// has `univ ⊆ W⁻ ⊆ e_k`, so the compiler hands `e_k` down to each of
+    /// them and they drop those rows while they build them. A filter binds
+    /// every `W⁻` level of the case-b walk, like a check edge over all of
+    /// `W⁻`, but it is not one: the line-21 size check never reads it.
+    pub(crate) filters: Vec<Section>,
 }
 
 /// `R_e[t]` for `t` the bound prefix restricted to `e`: a descent from
@@ -150,7 +164,7 @@ impl JoinPlan {
         };
         let (root, levels) = match &tree {
             Some(t) => {
-                let (id, levels) = compiler.node(t);
+                let (id, levels) = compiler.node(t, &[]);
                 (Some(id), levels)
             }
             None => (None, 0),
@@ -279,9 +293,10 @@ impl Compiler<'_> {
         }
     }
 
-    /// Compiles `u`'s subtree; returns its arena index and how many
-    /// buffer levels it needs.
-    fn node(&mut self, u: &QpNode) -> (usize, usize) {
+    /// Compiles `u`'s subtree under the pushed filters `pushed` (QP
+    /// positions of the enclosing case-a anchors); returns its arena index
+    /// and how many buffer levels it needs.
+    fn node(&mut self, u: &QpNode, pushed: &[usize]) -> (usize, usize) {
         let h = self.h;
         let k = u.label;
         let mut univ = u.univ.clone();
@@ -314,7 +329,8 @@ impl Compiler<'_> {
             if covering.is_empty() {
                 (NodeKind::Dead, 0)
             } else {
-                (NodeKind::Leaf { covering }, 0)
+                let filters = pushed.iter().map(|&at| self.section(at, start)).collect();
+                (NodeKind::Leaf { covering, filters }, 0)
             }
         } else {
             let ek = k - 1;
@@ -323,7 +339,7 @@ impl Compiler<'_> {
                 univ.iter().partition(|&&v| h.edge_contains(ek, v));
             match (&u.left, wminus.first()) {
                 (Some(lc), None) => {
-                    let (left, levels) = self.node(lc);
+                    let (left, levels) = self.node(lc, pushed);
                     (NodeKind::Pass { left }, levels)
                 }
                 (None, _) if !w.is_empty() => (NodeKind::Dead, 0),
@@ -349,12 +365,11 @@ impl Compiler<'_> {
                     let rc_coverable = wminus
                         .iter()
                         .all(|&v| (0..ek).any(|i| h.edge_contains(i, v)));
-                    let left = lc.as_deref().map(|lc| self.node(lc));
-                    let right = u
-                        .right
-                        .as_deref()
-                        .filter(|_| rc_coverable)
-                        .map(|rc| self.node(rc));
+                    let left = lc.as_deref().map(|lc| self.node(lc, pushed));
+                    let right = u.right.as_deref().filter(|_| rc_coverable).map(|rc| {
+                        let pushed: Vec<usize> = pushed.iter().copied().chain([ek]).collect();
+                        self.node(rc, &pushed)
+                    });
                     let deeper = left.map_or(0, |l| l.1).max(right.map_or(0, |r| r.1));
                     let split = Split {
                         left: left.map(|l| l.0),
@@ -362,6 +377,10 @@ impl Compiler<'_> {
                         wm_start,
                         anchor,
                         checks,
+                        filters: pushed
+                            .iter()
+                            .map(|&at| self.section(at, wm_start))
+                            .collect(),
                     };
                     (NodeKind::Split(split), 1 + deeper)
                 }
@@ -411,14 +430,18 @@ mod tests {
             checks,
             [(0, 0, &[0][..], &[0][..]), (1, 2, &[0][..], &[1][..])]
         );
-        // The left child {0} is a leaf over R and T.
+        // Nothing encloses the root, so it carries no pushed filter.
+        assert!(s.filters.is_empty());
+        // The left child {0} is a leaf over R and T. It lies left of the
+        // root's split, so the root's anchor is not pushed into it.
         let left = &plan.nodes[s.left.unwrap()];
         assert_eq!((left.k, left.arity, left.start), (2, 1, 0));
-        let NodeKind::Leaf { covering } = &left.kind else {
+        let NodeKind::Leaf { covering, filters } = &left.kind else {
             panic!("{{0}} lies in R and T");
         };
         let covering: Vec<_> = covering.iter().map(|c| c.edge).collect();
         assert_eq!(covering, [0, 2]);
+        assert!(filters.is_empty());
         // The right child {1, 2} anchors at T: W = {1}, W⁻ = {2}. No
         // earlier edge holds 2, so it has no checks and no right child.
         let right = &plan.nodes[s.right.expect("1 ∈ R, 2 ∈ T")];
@@ -428,6 +451,20 @@ mod tests {
         };
         assert_eq!((rs.anchor.edge, rs.wm_start), (2, 2));
         assert!(rs.checks.is_empty() && rs.right.is_none() && rs.left.is_some());
+        // The root's anchor S(1,2) is pushed into its right subtree. At
+        // the split it is a section under t_W = {1} (position 1), which the
+        // case-b walk over T's {2} level intersects with.
+        let sections = |fs: &[Section]| -> Vec<(usize, Vec<usize>)> {
+            fs.iter().map(|f| (f.edge, f.positions.clone())).collect()
+        };
+        assert_eq!(sections(&rs.filters), [(1, vec![1])]);
+        // Its left child {1} is a leaf over R; the filter is S's root: a
+        // candidate must start some row of S.
+        let NodeKind::Leaf { covering, filters } = &plan.nodes[rs.left.unwrap()].kind else {
+            panic!("{{1}} lies in R");
+        };
+        assert_eq!(covering.iter().map(|c| c.edge).collect::<Vec<_>>(), [0]);
+        assert_eq!(sections(filters), [(1, vec![])]);
         assert_eq!(plan.levels, 2);
     }
 

@@ -8,12 +8,12 @@
 
 mod common;
 
-use common::over_delta;
+use common::{over_delta, Buffers};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use wcoj_core::nprr::PreparedQuery;
+use wcoj_core::nprr::{AnchorRange, PreparedQuery, RootShard};
 use wcoj_datagen::cycle_instance;
-use wcoj_storage::{FlatIndex, Relation, SearchTree};
+use wcoj_storage::{FlatIndex, Relation, SearchTree, Value};
 
 thread_local! {
     /// Allocations made by this thread (tests run on parallel threads).
@@ -74,10 +74,13 @@ fn assert_budget(rels: &[Relation], max_per_row: f64) {
             "flat",
             allocations_per_row(&PreparedQuery::<FlatIndex>::new_indexed(rels).unwrap()),
         ),
-        ("delta", allocations_per_row(&over_delta(rels, false))),
+        (
+            "delta",
+            allocations_per_row(&over_delta(rels, Buffers::Empty)),
+        ),
         (
             "delta, live buffers",
-            allocations_per_row(&over_delta(rels, true)),
+            allocations_per_row(&over_delta(rels, Buffers::Live)),
         ),
     ];
     for (backend, per_row) in columns {
@@ -96,4 +99,92 @@ fn four_cycle_stays_under_two_allocations_per_row() {
 #[test]
 fn wide_triangle_stays_under_one_allocation_per_row() {
     assert_budget(&cycle_instance(7, 3, 4000, 150), 1.0);
+}
+
+/// Allocations of one warm `run_shard` restricted to `shard`, with the
+/// run's `(rows, case_a + case_b)`.
+fn shard_allocations<S: SearchTree>(
+    prepared: &PreparedQuery<S>,
+    shard: RootShard,
+) -> (u64, usize, u64) {
+    let (x, bound) = prepared.resolve_cover(None).unwrap();
+    let (warm, _) = prepared.run_shard(&x, bound, Some(shard));
+    let before = ALLOCATIONS.with(Cell::get);
+    let (rows, stats) = prepared.run_shard(&x, bound, Some(shard));
+    let spent = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(rows.len(), warm.len());
+    (spent, rows.len(), stats.case_a + stats.case_b)
+}
+
+/// An anchored sub-shard: one root value, a range of the second
+/// attribute in the total order.
+fn anchored(root: u64, lo: u64, hi: u64) -> RootShard {
+    RootShard {
+        lo: Value(root),
+        hi: Value(root),
+        anchor: Some(AnchorRange {
+            lo: Value(lo),
+            hi: Value(hi),
+        }),
+    }
+}
+
+/// The served (sharded) path: the shard plans `golden_counts_per_shard`
+/// pins, anchored sub-shards included, on every backend. A shard run
+/// allocates its fixed buffers and their doublings, whatever its work: the
+/// same budget holds for a run of one split decision and one of 8 744, so
+/// nothing on the `Recursive-Join` path — the range-filtered scans
+/// included — allocates per call.
+#[test]
+fn shard_runs_allocate_per_run_not_per_call() {
+    const BUDGET: u64 = 64;
+    let cases = [
+        (
+            "hot_key",
+            wcoj_datagen::hot_key_triangle(5, 140, 10),
+            vec![
+                anchored(0, 0, 19),
+                anchored(0, 20, 40),
+                anchored(0, 41, 60),
+                anchored(0, 61, 80),
+                anchored(0, 81, 101),
+                anchored(0, 102, 121),
+                anchored(0, 122, u64::MAX),
+                RootShard::range(Value(1), Value(u64::MAX)),
+            ],
+        ),
+        (
+            "cycle4",
+            cycle_instance(11, 4, 2000, 200),
+            vec![
+                RootShard::range(Value(0), Value(49)),
+                anchored(50, 0, 99),
+                anchored(50, 100, u64::MAX),
+                RootShard::range(Value(51), Value(120)),
+                RootShard::range(Value(121), Value(u64::MAX)),
+            ],
+        ),
+    ];
+    let mut decisions = 0;
+    for (name, rels, shards) in cases {
+        let flat = PreparedQuery::<FlatIndex>::new_indexed(&rels).unwrap();
+        let empty = over_delta(&rels, Buffers::Empty);
+        let live = over_delta(&rels, Buffers::Live);
+        for shard in shards {
+            let runs = [
+                ("flat", shard_allocations(&flat, shard)),
+                ("delta", shard_allocations(&empty, shard)),
+                ("delta, live buffers", shard_allocations(&live, shard)),
+            ];
+            for (backend, (spent, _, calls)) in runs {
+                assert!(
+                    spent <= BUDGET,
+                    "{name}, {backend}, {shard:?}: {spent} allocations for {calls} split decisions"
+                );
+                assert_eq!((runs[0].1).1, (runs[2].1).1, "{name}: rows agree");
+            }
+            decisions = decisions.max(runs[0].1 .2);
+        }
+    }
+    assert!(decisions > 100 * BUDGET, "some shard outworks the budget");
 }

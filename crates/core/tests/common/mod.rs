@@ -5,21 +5,36 @@ use wcoj_core::nprr::PreparedQuery;
 use wcoj_core::JoinQuery;
 use wcoj_storage::{DeltaIndex, DeltaRelation, Relation, Value};
 
+/// How [`over_delta`] spreads each relation over a base and its buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(dead_code)] // each test binary uses its own subset
+pub enum Buffers {
+    /// Every row in the base, both buffers empty.
+    Empty,
+    /// Every other row in the base and the rest inserted, plus a few rows
+    /// outside the data in the base and deleted again: every component is
+    /// non-empty, and the nodes merged from them have no contiguous child
+    /// slice.
+    Live,
+    /// All rows but two in the base, those two inserted and one outsider
+    /// deleted: the nodes on their paths are merged, every other node is
+    /// base-only and keeps the base's child slice.
+    Sparse,
+}
+
 /// `rels` served the way the server serves them: one `DeltaIndex` per
-/// relation over its base's shared index. With `live`, each base holds
-/// every other row plus a few rows outside the data, `ins` holds the rest
-/// and `del` the outsiders, so the view is exactly `rels` while every
-/// component is non-empty and merged nodes have no contiguous child
-/// slice. Without it the buffers are empty.
-pub fn over_delta(rels: &[Relation], live: bool) -> PreparedQuery<DeltaIndex> {
+/// relation over its base's shared index, laid out as `buffers` says.
+/// The merged view is exactly `rels` in every layout.
+pub fn over_delta(rels: &[Relation], buffers: Buffers) -> PreparedQuery<DeltaIndex> {
     let deltas: Vec<DeltaRelation> = rels
         .iter()
         .map(|rel| {
-            if !live {
+            if buffers == Buffers::Empty || rel.is_empty() {
                 return DeltaRelation::new(rel.clone());
             }
             let rows: Vec<Vec<Value>> = rel.iter_rows().map(<[Value]>::to_vec).collect();
-            let outsiders: Vec<Vec<Value>> = (0..3u64)
+            let n_outsiders = if buffers == Buffers::Live { 3 } else { 1 };
+            let outsiders: Vec<Vec<Value>> = (0..n_outsiders)
                 .map(|j| {
                     let mut row = rows[j as usize * rows.len() / 3].clone();
                     let at = j as usize % row.len();
@@ -27,7 +42,15 @@ pub fn over_delta(rels: &[Relation], live: bool) -> PreparedQuery<DeltaIndex> {
                     row
                 })
                 .collect();
-            let base = rows.iter().step_by(2).chain(&outsiders).cloned().collect();
+            let in_base = |i: usize| match buffers {
+                Buffers::Live => i.is_multiple_of(2),
+                _ => i != 0 && i != rows.len() / 2,
+            };
+            let base = (0..rows.len())
+                .filter(|&i| in_base(i))
+                .map(|i| rows[i].clone())
+                .chain(outsiders.iter().cloned())
+                .collect();
             let mut d =
                 DeltaRelation::new(Relation::from_rows(rel.schema().clone(), base).unwrap());
             d.insert_rows(&rows).unwrap();

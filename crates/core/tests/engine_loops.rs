@@ -1,24 +1,29 @@
-//! Differential property test for `Recursive-Join`'s two per-tuple loops:
-//! case a's anchor filter, which resumes the previous row's descent, and
-//! case b's anchor walk, which probes each check edge at the level where
-//! it binds.
+//! Differential property test for `Recursive-Join`'s per-tuple loops:
+//! case a's right subtree, which drops the rows its anchor lacks while it
+//! builds them (the anchor is pushed into every node below as a filter),
+//! and case b's anchor walk, a leapfrog that intersects the anchor's
+//! children with those of every check and filter binding the level.
 //!
-//! Both loops read the search tree through `child_slice` when a backend
-//! has a contiguous level and through `for_each_extension` when it does
-//! not (a `DeltaIndex` node merged from live buffers). So every instance
-//! runs on three backends and under the shard plans of `wcoj-exec`, and
-//! each run must reproduce `join_nprr` (the flat backend) exactly: the
-//! same raw rows in the same order and the same `JoinStats` counters. The
-//! output must also equal the naive join.
+//! The leapfrog reads a search tree through `child_slice` when a backend
+//! has a contiguous level and through resumable `seek`s when it does not
+//! (a `DeltaIndex` node merged from live buffers). So every instance runs
+//! on four backends — flat, hashed, a `DeltaIndex` whose every node is
+//! merged, and one whose buffers touch only a few paths, so merged and
+//! base-only nodes meet in one query — and under the shard plans of
+//! `wcoj-exec`. Each run must reproduce `join_nprr` (the flat backend)
+//! exactly: the same raw rows in the same order and the same `JoinStats`
+//! counters. The output must also equal the naive join.
 //!
 //! Shapes are random hypergraphs with relations of arity ≤ 3, so some
-//! nodes have `|W⁻| ≥ 2`, plus one fixed shape whose check edge binds the
-//! walk's levels 0 and 2 but not 1. Data is uniform, Zipf-skewed, or
-//! Example 2.2's.
+//! nodes have `|W⁻| ≥ 2`, plus fixed ones: a check edge that binds the
+//! walk's levels 0 and 2 but not 1; the pure star `R(0,1) S(0,2) T(0,3)`,
+//! where every split is case b; and Loomis–Whitney on four attributes,
+//! whose nested case a stacks two pushed filters on one node. Data is
+//! uniform, Zipf-skewed, or Example 2.2's.
 
 mod common;
 
-use common::over_delta;
+use common::{over_delta, Buffers};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use wcoj_core::nprr::{join_nprr, PreparedQuery, RootShard};
@@ -79,10 +84,18 @@ fn instances(seed: u64) -> Vec<(&'static str, Vec<Relation>)> {
         .enumerate()
         .map(|(i, attrs)| wcoj_datagen::random_relation(seed * 41 + i as u64, attrs, 40, 5))
         .collect();
+    // R(0,1), S(0,2), T(0,3): the center is bound after the leaves.
+    let star = [&[0u32, 1][..], &[0, 2], &[0, 3]]
+        .iter()
+        .enumerate()
+        .map(|(i, attrs)| wcoj_datagen::random_relation(seed * 43 + i as u64, attrs, 40, 6))
+        .collect();
     vec![
         ("uniform", uniform),
         ("skewed", skewed),
         ("non-adjacent", non_adjacent),
+        ("star", star),
+        ("lw4", wcoj_datagen::random_lw(seed * 47, 4, 90, 5)),
         (
             "example 2.2",
             wcoj_datagen::example_2_2(2 * (seed % 24 + 1)),
@@ -121,7 +134,8 @@ proptest! {
 
             let flat = PreparedQuery::<FlatIndex>::new_indexed(&rels).unwrap();
             let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
-            let delta = over_delta(&rels, true);
+            let delta = over_delta(&rels, Buffers::Live);
+            let sparse = over_delta(&rels, Buffers::Sparse);
             let want = run(&flat, x, bound, None);
             prop_assert_eq!(want.1, counters(&oracle.stats), "{}: flat", ctx);
             let mut rows = RowBuf::new(flat.total_order().len());
@@ -130,6 +144,7 @@ proptest! {
             prop_assert_eq!(&assembled.relation, &oracle.relation, "{}: assembled", ctx);
             prop_assert_eq!(&run(&hashed, x, bound, None), &want, "{}: hash", ctx);
             prop_assert_eq!(&run(&delta, x, bound, None), &want, "{}: delta", ctx);
+            prop_assert_eq!(&run(&sparse, x, bound, None), &want, "{}: sparse delta", ctx);
 
             // Shard plans, anchored sub-shards included: per shard the
             // backends agree on rows and counters, and the shards' rows
@@ -145,9 +160,45 @@ proptest! {
                 let shard = run(&flat, x, bound, task);
                 prop_assert_eq!(&run(&hashed, x, bound, task), &shard, "{}: hash {:?}", ctx, task);
                 prop_assert_eq!(&run(&delta, x, bound, task), &shard, "{}: delta {:?}", ctx, task);
+                prop_assert_eq!(&run(&sparse, x, bound, task), &shard, "{}: sparse {:?}", ctx, task);
                 slots.extend(shard.0);
             }
             prop_assert_eq!(&slots, &want.0, "{}: {} shards in slot order", ctx, plan.len());
+        }
+    }
+}
+
+/// The fixed shapes exercise what they are here for: every split of the
+/// star is case b, LW4's case a recurses through a node with two pushed
+/// filters, and the sparse `DeltaIndex` mixes merged nodes, which have no
+/// child slice, with base-only ones, which do.
+#[test]
+fn fixed_shapes_reach_their_paths() {
+    let star = instances(7).remove(3);
+    assert_eq!(star.0, "star");
+    let out = join_nprr(&JoinQuery::new(&star.1).unwrap(), &[1.0; 3]).unwrap();
+    assert!(out.stats.case_b > 0 && out.stats.case_a == 0);
+
+    let lw4 = wcoj_datagen::random_lw(3, 4, 300, 12);
+    let q = JoinQuery::new(&lw4).unwrap();
+    let sol = q.optimal_cover().unwrap();
+    assert!(join_nprr(&q, &sol.x).unwrap().stats.case_a > 0);
+
+    for (_, rels) in instances(7) {
+        let sparse = over_delta(&rels, Buffers::Sparse);
+        for index in sparse.indexes() {
+            let root = index.root();
+            assert!(index.child_slice(root).is_none(), "the root is merged");
+            let children = index.child_values(root);
+            let base_only = children
+                .iter()
+                .filter_map(|&v| index.descend(root, v))
+                .filter(|&n| index.child_slice(n).is_some())
+                .count();
+            assert!(
+                base_only > 0 || children.len() <= 2,
+                "some root child is base-only"
+            );
         }
     }
 }

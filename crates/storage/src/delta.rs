@@ -45,7 +45,7 @@
 //! disjoint, so concatenation is the sorted merge).
 
 use crate::flat::permutation_of;
-use crate::index::{with_tuple_scratch, SearchTree};
+use crate::index::{with_tuple_scratch, Cursor, SearchTree};
 use crate::{Attr, FlatIndex, FlatNode, Relation, Schema, StorageError, Value};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -774,6 +774,50 @@ impl SearchTree for DeltaIndex {
             return Some(node.ins.map_or(&[][..], |i| self.ins.child_slice(i)));
         }
         None
+    }
+
+    /// A base-only node seeks in the base. A merged node gallops the base
+    /// and insert children forward from the cursor's offsets 0 and 1 and
+    /// takes the smaller label; the delete buffer (offset 2) follows that
+    /// label, and a child whose every row is deleted is stepped over. No
+    /// merged level is ever listed, so a leapfrog over a node merged from
+    /// live buffers gallops as it does over a base node.
+    #[inline]
+    fn seek(&self, node: Self::Node, cursor: &mut Cursor, v: Value) -> Option<(Value, Self::Node)> {
+        if node.ins.is_none() && node.del.is_none() {
+            let (w, base) = self.base.seek_list(node.base?, cursor, 0, v)?;
+            return Some((
+                w,
+                DeltaNode {
+                    depth: node.depth + 1,
+                    base: Some(base),
+                    ins: None,
+                    del: None,
+                },
+            ));
+        }
+        let mut v = v;
+        loop {
+            let base = node.base.and_then(|b| self.base.seek_list(b, cursor, 0, v));
+            let ins = node.ins.and_then(|i| self.ins.seek_list(i, cursor, 1, v));
+            let w = match (base, ins) {
+                (None, None) => return None,
+                (Some((b, _)), None) => b,
+                (None, Some((i, _))) => i,
+                (Some((b, _)), Some((i, _))) => b.min(i),
+            };
+            let at = |hit: Option<(Value, FlatNode)>| hit.filter(|&(l, _)| l == w).map(|h| h.1);
+            let child = DeltaNode {
+                depth: node.depth + 1,
+                base: at(base),
+                ins: at(ins),
+                del: at(node.del.and_then(|d| self.del.seek_list(d, cursor, 2, w))),
+            };
+            if self.effective_full(&child) > 0 {
+                return Some((w, child));
+            }
+            v = Value(w.0.checked_add(1)?);
+        }
     }
 }
 

@@ -20,9 +20,10 @@
 //! * **(ST1)** `descend` finds the child by *galloping* (exponential
 //!   search, [`crate::gallop`]) from the start of the child slice —
 //!   `O(log d)` for a child at offset `d` (footnote 3 allows the `log`
-//!   factor). It keeps no memory of earlier probes; the join exploits
-//!   the order of its probes one level up, by resuming the previous
-//!   probe's descent path (`wcoj-core`'s `Recursive-Join`);
+//!   factor). [`FlatIndex::seek`] is its resumable form: the first child
+//!   `≥ v`, galloping from where the previous seek on the same node
+//!   landed, so a sorted run of probes (`Recursive-Join`'s leapfrog over
+//!   a case-b level) costs `O(log gap)` per step;
 //! * **(ST2)** `|π_{aᵢ₊₁..aⱼ}(Rₑ[t])|` is the width of the offset range the
 //!   prefix spans at level `j`, `O(j − i)` lookups after the descent;
 //! * **(ST3)** enumeration walks the level arrays **forward** through the
@@ -36,7 +37,7 @@
 //! tuple prefix `t` **is** the search tree of the section `Rₑ[t]`, so the
 //! recursive sub-problems of `Recursive-Join` need no re-indexing.
 
-use crate::index::{with_tuple_scratch, SearchTree};
+use crate::index::{with_tuple_scratch, Cursor, SearchTree};
 use crate::relation::{sort_dedup_flat, strictly_sorted};
 use crate::{gallop, Attr, Relation, Schema, StorageError, Value};
 
@@ -181,6 +182,7 @@ impl FlatIndex {
     /// (prefixes of length `target_depth`) extending `node` — pure
     /// offset-range composition, the arithmetic every count and
     /// enumeration reduces to.
+    #[inline]
     fn range_at(&self, node: FlatNode, target_depth: usize) -> (u32, u32) {
         let depth = node.depth as usize;
         debug_assert!(depth <= target_depth && target_depth <= self.arity());
@@ -219,6 +221,40 @@ impl FlatIndex {
             depth: node.depth + 1,
             idx: lo + off as u32,
         })
+    }
+
+    /// (ST1), resumable: the first child of `node` labelled `≥ v`, with its
+    /// label, galloping from where `cursor` left off
+    /// ([`SearchTree::seek`]).
+    #[inline]
+    #[must_use]
+    pub fn seek(&self, node: FlatNode, cursor: &mut Cursor, v: Value) -> Option<(Value, FlatNode)> {
+        self.seek_list(node, cursor, 0, v)
+    }
+
+    /// [`FlatIndex::seek`] on `cursor`'s offset `list`.
+    #[inline]
+    pub(crate) fn seek_list(
+        &self,
+        node: FlatNode,
+        cursor: &mut Cursor,
+        list: usize,
+        v: Value,
+    ) -> Option<(Value, FlatNode)> {
+        if node.depth as usize >= self.arity() {
+            return None;
+        }
+        let (lo, hi) = self.range_at(node, node.depth as usize + 1);
+        let vals = &self.levels[node.depth as usize].values[lo as usize..hi as usize];
+        let off = cursor.gallop(list, vals, v);
+        let label = *vals.get(off)?;
+        Some((
+            label,
+            FlatNode {
+                depth: node.depth + 1,
+                idx: lo + off as u32,
+            },
+        ))
     }
 
     /// (ST1) Descends along a whole tuple prefix.
@@ -344,6 +380,10 @@ impl SearchTree for FlatIndex {
     }
     fn child_slice(&self, node: FlatNode) -> Option<&[Value]> {
         Some(FlatIndex::child_slice(self, node))
+    }
+    #[inline]
+    fn seek(&self, node: FlatNode, cursor: &mut Cursor, v: Value) -> Option<(Value, FlatNode)> {
+        FlatIndex::seek(self, node, cursor, v)
     }
 }
 

@@ -30,6 +30,7 @@ use crate::Value;
 ///
 /// Requires `slice` sorted ascending (duplicates allowed). `start` past
 /// the end is clamped.
+#[inline]
 #[must_use]
 pub fn lower_bound_from(slice: &[Value], start: usize, v: Value) -> usize {
     let n = slice.len();

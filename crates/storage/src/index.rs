@@ -18,7 +18,7 @@
 //! `ablation_index` bench compares the sorted and hashed tries.
 
 use crate::hash::{map_with_capacity, FxHashMap};
-use crate::{Attr, Relation, Schema, StorageError, Value};
+use crate::{gallop, Attr, Relation, Schema, StorageError, Value};
 
 /// Index interface required by the join algorithms: prefix descent,
 /// O(1)-ish distinct-extension counts, and output-linear enumeration.
@@ -70,12 +70,62 @@ pub trait SearchTree: Sized {
         let _ = node;
         None
     }
+
+    /// (ST1), resumable for sorted scans: the first child of `node`
+    /// labelled `≥ v`, with its label; `None` when every child is `< v`.
+    ///
+    /// `cursor` remembers where the previous seek on the same node landed,
+    /// and the search starts there, so a run of seeks with ascending `v`
+    /// (a leapfrog intersection) costs `O(log gap)` per step instead of a
+    /// search from the first child. Start every run on a node with
+    /// `Cursor::default()`, and never seek a `v` below the previous one
+    /// on the same cursor.
+    ///
+    /// [`FlatIndex`](crate::FlatIndex) and [`HashTrieIndex`] gallop their
+    /// sorted child lists. [`DeltaIndex`](crate::DeltaIndex) gallops the
+    /// base's and the insert buffer's children together on a merged node,
+    /// takes the smaller label and steps over children whose rows are all
+    /// deleted, so the merged view seeks without listing a level. The
+    /// default gallops [`SearchTree::child_slice`] and takes the child by
+    /// [`SearchTree::descend`].
+    ///
+    /// # Panics
+    /// The default panics on a node without a child slice: a backend that
+    /// does not store every level contiguously overrides `seek`.
+    fn seek(&self, node: Self::Node, cursor: &mut Cursor, v: Value) -> Option<(Value, Self::Node)> {
+        let children = self
+            .child_slice(node)
+            .expect("a backend without child slices overrides `seek`");
+        let label = *children.get(cursor.gallop(0, children, v))?;
+        Some((
+            label,
+            self.descend(node, label).expect("a listed child exists"),
+        ))
+    }
+}
+
+/// Where [`SearchTree::seek`] left off among one node's children: an
+/// offset into each of up to three sorted child lists (a
+/// [`DeltaIndex`](crate::DeltaIndex) merges its base, insert and delete
+/// buffers). Opaque to callers; `Cursor::default()` is the first child.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Cursor([u32; 3]);
+
+impl Cursor {
+    /// Gallops list `i`'s offset forward to the first element of `slice`
+    /// that is `≥ v` and returns it (`slice.len()` when there is none).
+    #[inline]
+    pub(crate) fn gallop(&mut self, i: usize, slice: &[Value], v: Value) -> usize {
+        let at = gallop::lower_bound_from(slice, self.0[i] as usize, v);
+        self.0[i] = at as u32;
+        at
+    }
 }
 
 /// Runs `f` on a scratch tuple of `len` values — on the stack for every
 /// arity a query realistically has, so an (ST3) enumeration performs no
 /// allocation per call (the engine issues one per partial tuple).
-pub(crate) fn with_tuple_scratch<R>(len: usize, f: impl FnOnce(&mut [Value]) -> R) -> R {
+pub fn with_tuple_scratch<R>(len: usize, f: impl FnOnce(&mut [Value]) -> R) -> R {
     const INLINE: usize = 8;
     if len <= INLINE {
         f(&mut [Value(0); INLINE][..len])
@@ -242,6 +292,12 @@ impl SearchTree for HashTrieIndex {
 
     fn child_slice(&self, node: u32) -> Option<&[Value]> {
         Some(&self.nodes[node as usize].sorted)
+    }
+
+    fn seek(&self, node: u32, cursor: &mut Cursor, v: Value) -> Option<(Value, u32)> {
+        let n = &self.nodes[node as usize];
+        let label = *n.sorted.get(cursor.gallop(0, &n.sorted, v))?;
+        Some((label, n.children[&label]))
     }
 }
 

@@ -54,7 +54,7 @@ mod value;
 
 pub use delta::{DeltaIndex, DeltaNode, DeltaRelation, MergeChunk};
 pub use flat::{FlatIndex, FlatNode};
-pub use index::{HashTrieIndex, SearchTree};
+pub use index::{Cursor, HashTrieIndex, SearchTree};
 pub use relation::{Relation, RowSet};
 pub use rowbuf::RowBuf;
 pub use schema::{Attr, Schema};

@@ -6,7 +6,10 @@
 //! pointwise.
 
 use crate::ops::{project, select_eq};
-use crate::{gallop, Attr, FlatIndex, HashTrieIndex, Relation, Schema, SearchTree, Value};
+use crate::{
+    gallop, Attr, Cursor, DeltaIndex, DeltaRelation, FlatIndex, HashTrieIndex, Relation, Schema,
+    SearchTree, StorageError, Value,
+};
 use proptest::prelude::*;
 
 fn arb_rel(arity: usize, max_rows: usize, dom: u64) -> impl Strategy<Value = Relation> {
@@ -38,8 +41,107 @@ fn listed<S: SearchTree>(index: &S, node: S::Node, extra: usize) -> Vec<Vec<Valu
     out
 }
 
+/// A backend with only the required methods and a child slice: runs
+/// [`SearchTree::seek`]'s default.
+struct Plain(FlatIndex);
+
+impl SearchTree for Plain {
+    type Node = crate::FlatNode;
+
+    fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
+        FlatIndex::build(rel, order).map(Plain)
+    }
+    fn root(&self) -> Self::Node {
+        self.0.root()
+    }
+    fn descend(&self, node: Self::Node, v: Value) -> Option<Self::Node> {
+        self.0.descend(node, v)
+    }
+    fn distinct_count(&self, node: Self::Node, extra: usize) -> usize {
+        self.0.distinct_count(node, extra)
+    }
+    fn for_each_extension(&self, node: Self::Node, extra: usize, f: impl FnMut(&[Value])) {
+        self.0.for_each_extension(node, extra, f);
+    }
+    fn child_slice(&self, node: Self::Node) -> Option<&[Value]> {
+        Some(self.0.child_slice(node))
+    }
+}
+
+/// Every seek of an ascending run over `node`'s children lands on the
+/// first child `≥` its target, and on the same subtree `descend` reaches.
+fn check_seeks<S: SearchTree>(index: &S, node: S::Node, rem: usize, targets: &[u64]) {
+    let children: Vec<Value> = listed(index, node, 1).into_iter().map(|t| t[0]).collect();
+    let mut cursor = Cursor::default();
+    for &t in targets {
+        let want = children.iter().copied().find(|&c| c >= Value(t));
+        let got = index.seek(node, &mut cursor, Value(t));
+        prop_assert_eq!(got.map(|g| g.0), want, "seek {}", t);
+        if let Some((w, child)) = got {
+            let direct = index.descend(node, w).expect("a child");
+            prop_assert_eq!(
+                listed(index, child, rem - 1),
+                listed(index, direct, rem - 1)
+            );
+        }
+    }
+}
+
+/// [`check_seeks`] at the root and under every root child.
+fn check_seeks_two_levels<S: SearchTree>(index: &S, arity: usize, targets: &[u64]) {
+    check_seeks(index, index.root(), arity, targets);
+    for t in listed(index, index.root(), 1) {
+        let child = index.descend(index.root(), t[0]).expect("listed");
+        check_seeks(index, child, arity - 1, targets);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `seek` on every backend — flat, hashed, the trait's default, and a
+    /// `DeltaIndex` whose nodes are merged from live buffers or base-only —
+    /// agrees with the listed children over an ascending run of targets
+    /// (repeats and targets past the end included).
+    #[test]
+    fn seek_runs_match_listed_children(
+        rel in arb_rel(3, 40, 6),
+        targets in prop::collection::vec(0..9u64, 0..12),
+        split in any::<u64>(),
+    ) {
+        let mut targets = targets;
+        targets.sort_unstable();
+        let order: Vec<Attr> = rel.schema().attrs().to_vec();
+        let flat = FlatIndex::build(&rel, &order).expect("permutation");
+        check_seeks_two_levels(&flat, 3, &targets);
+        let hash = HashTrieIndex::build(&rel, &order).expect("permutation");
+        check_seeks_two_levels(&hash, 3, &targets);
+        check_seeks_two_levels(&Plain(flat.clone()), 3, &targets);
+        // The merged view of the same rows: `split`'s bits put each row in
+        // the base or the insert buffer, and rows with a value past the
+        // domain sit in the base and are deleted again, so the first two
+        // levels hold children whose every row is deleted.
+        let rows: Vec<Vec<Value>> = rel.iter_rows().map(<[Value]>::to_vec).collect();
+        let outsiders: Vec<Vec<Value>> = rows
+            .iter()
+            .take(1)
+            .flat_map(|r| [vec![Value(7), r[1], r[2]], vec![r[0], Value(7), r[2]]])
+            .collect();
+        let base: Vec<Vec<Value>> = rows
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| split >> (i % 64) & 1 == 1)
+            .map(|(_, r)| r.clone())
+            .chain(outsiders.iter().cloned())
+            .collect();
+        let mut d = DeltaRelation::new(Relation::from_rows(rel.schema().clone(), base).expect("arity"));
+        d.insert_rows(&rows).expect("arity");
+        d.delete_rows(&outsiders).expect("arity");
+        let delta = DeltaIndex::over(d.base_index(&order).expect("order"), d.ins(), d.del(), &order)
+            .expect("order");
+        prop_assert_eq!(listed(&delta, delta.root(), 3), listed(&flat, flat.root(), 3));
+        check_seeks_two_levels(&delta, 3, &targets);
+    }
 
     /// Root-level distinct counts equal projection cardinalities for every
     /// prefix depth, under both the identity and the reversed order.

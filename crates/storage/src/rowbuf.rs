@@ -110,6 +110,16 @@ impl RowBuf {
         (0..self.len).map(move |i| &self.data[i * self.arity..(i + 1) * self.arity])
     }
 
+    /// Returns the spare capacity that growth by doubling left (up to half
+    /// the buffer) to the allocator, when it spans at least a page: a
+    /// finished buffer that waits to be read then holds only its rows.
+    pub fn release_slack(&mut self) {
+        const PAGE_VALUES: usize = 4096 / std::mem::size_of::<Value>();
+        if self.data.capacity() - self.data.len() >= PAGE_VALUES {
+            self.data.shrink_to_fit();
+        }
+    }
+
     /// Consumes the buffer, returning the flat row-major data.
     #[must_use]
     pub fn into_data(self) -> Vec<Value> {
@@ -123,6 +133,25 @@ mod tests {
 
     fn vals(vs: &[u64]) -> Vec<Value> {
         vs.iter().copied().map(Value).collect()
+    }
+
+    #[test]
+    fn released_slack_keeps_the_rows() {
+        // 2200 values: doubling leaves the buffer at 4096.
+        let mut b = RowBuf::new(2);
+        for i in 0..1100u64 {
+            b.push_row(&vals(&[i, i + 1]));
+        }
+        let rows: Vec<Vec<Value>> = b.rows().map(<[Value]>::to_vec).collect();
+        b.release_slack();
+        assert!(b.rows().map(<[Value]>::to_vec).eq(rows));
+        let data = b.into_data();
+        assert!(data.capacity() - data.len() < 512, "the slack went back");
+        // Less than a page of slack stays.
+        let mut small = RowBuf::new(1);
+        small.push_row(&vals(&[7]));
+        small.release_slack();
+        assert_eq!(small.row(0), vals(&[7]).as_slice());
     }
 
     #[test]
