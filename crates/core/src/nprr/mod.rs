@@ -6,7 +6,7 @@
 //!
 //! * **Compiled once per query** ([`PreparedQuery`] construction): the
 //!   [query plan tree](qptree) (Algorithm 3) under the first edge order
-//!   whose [total order](total_order()) of attributes (Algorithm 4) is the
+//!   whose [total order](total_order) of attributes (Algorithm 4) is the
 //!   output schema, or input order when none is; one search
 //!   tree per relation along it, and a `NodePlan` per QP-tree node — its
 //!   `W`/`W⁻` position ranges, the anchor's and every check edge's section
@@ -41,10 +41,17 @@
 //! as a **leapfrog** intersection (Veldhuizen's Leapfrog Triejoin, the
 //! Generic Join loop of Ngo–Ré–Rudra): at each level the anchor's
 //! children meet those of every check edge binding the level and of every
-//! filter, each side seeking forward from where it stood
-//! ([`SearchTree::seek`]), so a value one side lacks lets the others skip
-//! to its next one, and a value some check lacks prunes its whole
-//! subtree (`AnchorScan`).
+//! filter, each side seeking forward from where it stood, so a value one
+//! side lacks lets the others skip to its next one, and a value some
+//! check lacks prunes its whole subtree (`AnchorScan`).
+//!
+//! The engine reads a node's children one way: it opens the backend's
+//! child scan on the node ([`SearchTree::children`]), seeks forward in it
+//! ([`SearchTree::seek`]) and takes the child it landed on
+//! ([`SearchTree::child`]). The leapfrog's sides, a split's probes and a
+//! shard-filtered leaf scan all do; how a scan reads a level (a borrowed
+//! slice, or a merge of a `DeltaIndex`'s base and buffers) is the
+//! backend's business.
 //!
 //! The per-tuple **size check** (Procedure 5, line 21) is the algorithmic
 //! heart: for each partial tuple it compares the *estimated* output of the
@@ -62,8 +69,9 @@ pub use prepared::PreparedQuery;
 use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
 use plan::{CheckEdge, JoinPlan, NodeKind, NodePlan, Section, Split};
-use wcoj_storage::index::{with_tuple_scratch, Cursor, SearchTree};
-use wcoj_storage::{gallop, FlatIndex, RowBuf, Value};
+use std::ops::RangeInclusive;
+use wcoj_storage::index::{for_each_child, with_tuple_scratch, SearchTree, ALL_LABELS};
+use wcoj_storage::{FlatIndex, RowBuf, Value};
 
 /// Evaluates `q` with the NPRR algorithm under fractional cover `x` (one
 /// weight per relation, in input order) over one [`FlatIndex`] per
@@ -157,27 +165,9 @@ impl RootShard {
 /// An optional inclusive value interval restricting one scan level.
 type LevelRange = Option<(Value, Value)>;
 
-/// The children of `node` whose labels lie in `range` (all of them when
-/// absent), in ascending order, each with its node: a run of resumable
-/// seeks, so it needs neither a contiguous child level nor a copy of one.
-fn for_each_child_in<S: SearchTree>(
-    trie: &S,
-    node: S::Node,
-    range: LevelRange,
-    mut f: impl FnMut(Value, S::Node),
-) {
-    let (mut v, hi) = range.unwrap_or((Value(u64::MIN), Value(u64::MAX)));
-    let mut cursor = Cursor::default();
-    while let Some((c, child)) = trie.seek(node, &mut cursor, v) {
-        if c > hi {
-            return;
-        }
-        f(c, child);
-        let Some(next) = c.0.checked_add(1) else {
-            return;
-        };
-        v = Value(next);
-    }
+/// The labels a [`LevelRange`] admits.
+fn labels(range: LevelRange) -> RangeInclusive<Value> {
+    range.map_or(ALL_LABELS, |(lo, hi)| lo..=hi)
 }
 
 /// (ST3) restricted to per-level value ranges: visits each length-`extra`
@@ -201,7 +191,7 @@ fn for_each_extension_filtered<S: SearchTree>(
     }
     debug_assert!(extra >= 1);
     with_tuple_scratch(extra, |buf| {
-        for_each_child_in(trie, node, level0, |v, child| {
+        for_each_child(trie, node, labels(level0), |v, child| {
             buf[0] = v;
             if extra == 1 {
                 f(buf);
@@ -211,7 +201,7 @@ fn for_each_extension_filtered<S: SearchTree>(
                     f(buf);
                 });
             } else {
-                for_each_child_in(trie, child, level1, |w, grand| {
+                for_each_child(trie, child, labels(level1), |w, grand| {
                     buf[1] = w;
                     trie.for_each_extension(grand, extra - 2, |rest| {
                         buf[2..].copy_from_slice(rest);
@@ -251,7 +241,7 @@ pub(crate) fn run_plan<S: SearchTree>(
         shard,
         stats,
     };
-    let mut levels: Vec<Level<S::Node>> = (0..plan.levels).map(|_| Level::default()).collect();
+    let mut levels: Vec<Level<S>> = (0..plan.levels).map(|_| Level::default()).collect();
     engine.recursive_join(root, &mut levels, &mut out);
     // A shard's rows wait in their slot until the client has read the
     // slots before it; the faster the engine, the more slots wait at once.
@@ -262,20 +252,20 @@ pub(crate) fn run_plan<S: SearchTree>(
 /// The buffers one nesting level of [`NodeKind::Split`] nodes works in.
 /// At most one node per level is active at a time, so a run allocates one
 /// set per level and every call at that level reuses it.
-struct Level<'t, N> {
+struct Level<'t, S: SearchTree + 't> {
     /// `L`: the left child's rows (`t_W` candidates).
     left: RowBuf,
     /// Case a: the right child's rows (`t_{W⁻}` candidates).
     right: RowBuf,
     /// The split's probes: its check edges' sections, then its pushed
     /// filters', under the current `t_W`.
-    probes: Vec<Probe<N>>,
+    probes: Vec<Probe<'t, S>>,
     /// Case b: the leapfrog's sides, one row per level of the anchor walk
     /// (`AnchorScan`) — every probe's, then the anchor's.
-    walk: Vec<Side<'t, N>>,
+    walk: Vec<Side<S::Node, S::Children<'t>>>,
 }
 
-impl<N> Default for Level<'_, N> {
+impl<S: SearchTree> Default for Level<'_, S> {
     fn default() -> Self {
         Level {
             left: RowBuf::default(),
@@ -293,19 +283,17 @@ impl<N> Default for Level<'_, N> {
 /// sorted, so the first `W` value only grows while the `W` values before
 /// it stay: its seek resumes where the previous row's landed, and a row
 /// that changes none of the probe's `W` values keeps its section.
-#[derive(Clone, Copy)]
-struct Probe<N> {
+struct Probe<'t, S: SearchTree + 't> {
     /// How many of the section's positions lie in `t_S`.
     fixed: usize,
     /// The node under the `t_S` part; `None` when it is absent.
-    base: Option<N>,
-    /// Where the last seek for the first `W` value stands among `base`'s
-    /// children.
-    cursor: Cursor,
+    base: Option<S::Node>,
+    /// The scan of `base`'s children for the first `W` value.
+    children: S::Children<'t>,
     /// The node under the `t_S` part and the first `W` value.
-    first: Option<N>,
+    first: Option<S::Node>,
     /// The section under `t_S ∪ t_W`; `None` when it is empty.
-    section: Option<N>,
+    section: Option<S::Node>,
 }
 
 /// The sections a split probes: its check edges', then its pushed
@@ -322,7 +310,7 @@ fn probe_sections(split: &Split) -> impl Iterator<Item = &Section> {
 /// walk goes down the anchor section one level of `W⁻` at a time, and at
 /// each level it intersects the anchor's children with those of every
 /// probe that binds the level — the check edges holding that attribute
-/// and every pushed filter. Each side seeks forward from where it stood
+/// and every pushed filter. Each side seeks forward in its child scan
 /// ([`SearchTree::seek`]), and a probe's next label lets the anchor skip
 /// every value below it. A value some probe lacks prunes its whole
 /// subtree, so a mismatch on `W⁻`'s first attribute costs one seek, not
@@ -360,18 +348,18 @@ impl<'t, S: SearchTree> AnchorScan<'t, S> {
     fn level(
         &self,
         j: usize,
-        sides: &mut [Side<'t, S::Node>],
+        sides: &mut [Side<S::Node, S::Children<'t>>],
         row: &mut [Value],
         out: &mut RowBuf,
     ) {
         let probes = self.checks.len() + self.filters.len();
         let (here, deeper) = sides.split_at_mut(probes + 1);
         let (anchor, here) = here.split_last_mut().expect("the anchor's side");
-        anchor.open(self.anchor);
+        anchor.children = self.anchor.children(anchor.node);
         for (p, side) in here.iter_mut().enumerate() {
             let (trie, binds) = self.probe(p, j);
             if binds {
-                side.open(trie);
+                side.children = trie.children(side.node);
             }
         }
         let last = j + 1 == self.wm_len;
@@ -387,7 +375,7 @@ impl<'t, S: SearchTree> AnchorScan<'t, S> {
             .copied()
             .flatten()
             .unwrap_or((Value(u64::MIN), Value(u64::MAX)));
-        'scan: while let Some(a) = anchor.seek(self.anchor, v) {
+        'scan: while let Some(a) = self.anchor.seek(&mut anchor.children, v) {
             if a > hi {
                 return;
             }
@@ -397,7 +385,7 @@ impl<'t, S: SearchTree> AnchorScan<'t, S> {
                 if !binds {
                     continue;
                 }
-                match side.seek(trie, v) {
+                match trie.seek(&mut side.children, v) {
                     Some(w) if w == v => {}
                     // The probe has nothing in [v, w): the anchor skips.
                     Some(w) => {
@@ -414,10 +402,10 @@ impl<'t, S: SearchTree> AnchorScan<'t, S> {
                 for (p, side) in here.iter().enumerate() {
                     let (trie, binds) = self.probe(p, j);
                     if binds {
-                        deeper[p].node = side.child(trie, v);
+                        deeper[p].node = trie.child(&side.children);
                     }
                 }
-                deeper[probes].node = anchor.child(self.anchor, v);
+                deeper[probes].node = self.anchor.child(&anchor.children);
                 self.level(j + 1, deeper, row, out);
             }
             let Some(after) = v.0.checked_add(1) else {
@@ -429,76 +417,20 @@ impl<'t, S: SearchTree> AnchorScan<'t, S> {
 }
 
 /// One side of case b's leapfrog at one walk level: a probe's or the
-/// anchor's node there, and where the scan of its children stands.
+/// anchor's node there, and the scan of its children
+/// ([`SearchTree::children`]), opened when the walk reaches the level.
 #[derive(Clone, Copy)]
-struct Side<'t, N> {
+struct Side<N, C> {
     node: N,
-    scan: Scan<'t, N>,
+    children: C,
 }
 
-/// How a [`Side`] reads its node's children: galloping the backend's
-/// contiguous child level when it has one, by resumable
-/// [`SearchTree::seek`]s when it has not (a `DeltaIndex` node merged from
-/// live buffers). `seek` alone gives the same rows but finds the node's
-/// child range again on every call: on a flat index, single-threaded
-/// `evaluate` ran ≈ 15 % slower on the 4-cycle and ≈ 30 % slower on the
-/// triangle without the borrowed slice (2-vCPU x86-64 VM).
-#[derive(Clone, Copy)]
-enum Scan<'t, N> {
-    Slice {
-        children: &'t [Value],
-        /// Where the last seek landed.
-        at: usize,
-    },
-    Seek {
-        cursor: Cursor,
-        /// The node of the last child found.
-        hit: Option<N>,
-    },
-}
-
-impl<'t, N: Copy> Side<'t, N> {
+impl<N, C: Default> Side<N, C> {
     fn new(node: N) -> Self {
         Side {
             node,
-            scan: Scan::Seek {
-                cursor: Cursor::default(),
-                hit: None,
-            },
+            children: C::default(),
         }
-    }
-
-    /// Starts a scan of the node's children at the first one.
-    fn open<S: SearchTree<Node = N>>(&mut self, trie: &'t S) {
-        self.scan = match trie.child_slice(self.node) {
-            Some(children) => Scan::Slice { children, at: 0 },
-            None => Side::new(self.node).scan,
-        };
-    }
-
-    /// The first child labelled `≥ v`, from where the last seek landed.
-    #[inline]
-    fn seek<S: SearchTree<Node = N>>(&mut self, trie: &S, v: Value) -> Option<Value> {
-        match &mut self.scan {
-            Scan::Slice { children, at } => {
-                *at = gallop::lower_bound_from(children, *at, v);
-                children.get(*at).copied()
-            }
-            Scan::Seek { cursor, hit } => {
-                let (w, n) = trie.seek(self.node, cursor, v)?;
-                *hit = Some(n);
-                Some(w)
-            }
-        }
-    }
-
-    /// The child labelled `v`, which the last seek found.
-    fn child<S: SearchTree<Node = N>>(&self, trie: &S, v: Value) -> N {
-        match self.scan {
-            Scan::Slice { .. } => trie.descend(self.node, v),
-            Scan::Seek { hit, .. } => hit,
-        }
-        .expect("the last seek found this child")
     }
 }
 
@@ -559,7 +491,7 @@ impl<'a, S: SearchTree> Engine<'a, S> {
     /// Procedure 5 at plan node `id`: fills `out` with the node's rows
     /// over `univ(u)` in total-order sequence. `levels` are the buffer
     /// sets for this node's depth and below.
-    fn recursive_join(&mut self, id: usize, levels: &mut [Level<'a, S::Node>], out: &mut RowBuf) {
+    fn recursive_join(&mut self, id: usize, levels: &mut [Level<'a, S>], out: &mut RowBuf) {
         let plan = self.plan;
         let node = &plan.nodes[id];
         out.reset(node.arity);
@@ -576,7 +508,7 @@ impl<'a, S: SearchTree> Engine<'a, S> {
 
     /// Sets up `probes` for one call of the split at `node`: descends each
     /// probe's `t_S` part, which no `t_W` changes.
-    fn open_probes(&self, node: &NodePlan, split: &Split, probes: &mut Vec<Probe<S::Node>>) {
+    fn open_probes(&self, node: &NodePlan, split: &Split, probes: &mut Vec<Probe<'a, S>>) {
         probes.clear();
         probes.extend(probe_sections(split).map(|s| {
             let trie = &self.tries[s.edge];
@@ -587,7 +519,7 @@ impl<'a, S: SearchTree> Engine<'a, S> {
             Probe {
                 fixed,
                 base,
-                cursor: Cursor::default(),
+                children: base.map_or_else(Default::default, |n| trie.children(n)),
                 first: None,
                 section: base,
             }
@@ -600,7 +532,7 @@ impl<'a, S: SearchTree> Engine<'a, S> {
         &self,
         node: &NodePlan,
         split: &Split,
-        probes: &mut [Probe<S::Node>],
+        probes: &mut [Probe<'a, S>],
         shared: usize,
     ) {
         let changed = node.start + shared;
@@ -617,12 +549,11 @@ impl<'a, S: SearchTree> Engine<'a, S> {
             if first >= changed {
                 if first > changed {
                     // A W value before the first one changed: it may shrink.
-                    probe.cursor = Cursor::default();
+                    probe.children = trie.children(base);
                 }
                 let v = self.bound[first];
-                probe.first = trie
-                    .seek(base, &mut probe.cursor, v)
-                    .and_then(|(w, n)| (w == v).then_some(n));
+                probe.first = (trie.seek(&mut probe.children, v) == Some(v))
+                    .then(|| trie.child(&probe.children));
             }
             probe.section = rest.iter().fold(probe.first, |n, &q| {
                 n.and_then(|n| trie.descend(n, self.bound[q]))
@@ -644,7 +575,7 @@ impl<'a, S: SearchTree> Engine<'a, S> {
         &mut self,
         node: &NodePlan,
         split: &'a Split,
-        levels: &mut [Level<'a, S::Node>],
+        levels: &mut [Level<'a, S>],
         out: &mut RowBuf,
     ) {
         let (level, deeper) = levels

@@ -42,15 +42,6 @@ fn intersect_sorted(a: &[Value], b: &[Value]) -> Vec<Value> {
     gallop::intersect(a, b)
 }
 
-/// Runs `f` on `node`'s branch labels, borrowing the backend's contiguous
-/// slice when it has one and copying only as a fallback.
-fn with_child_slice<S: SearchTree, R>(trie: &S, node: S::Node, f: impl FnOnce(&[Value]) -> R) -> R {
-    match trie.child_slice(node) {
-        Some(s) => f(s),
-        None => f(&trie.child_values(node)),
-    }
-}
-
 /// A query prepared for repeated NPRR evaluation: the compiled plan (QP
 /// tree, total order, per-node `Recursive-Join` layout) and all search
 /// trees, built once.
@@ -243,11 +234,11 @@ impl<S: SearchTree> PreparedQuery<S> {
                 continue; // relation does not contain the root attribute
             }
             let trie = &self.tries[e];
-            let prev = acc.take();
-            acc = Some(with_child_slice(trie, trie.root(), |level0| match prev {
-                None => level0.to_vec(),
-                Some(prev) => intersect_sorted(&prev, level0),
-            }));
+            let level0 = trie.child_values(trie.root());
+            acc = Some(match acc.take() {
+                None => level0,
+                Some(prev) => intersect_sorted(&prev, &level0),
+            });
         }
         acc.unwrap_or_default()
     }
@@ -283,11 +274,11 @@ impl<S: SearchTree> PreparedQuery<S> {
             } else {
                 continue; // relation does not constrain the anchor level
             };
-            let prev = acc.take();
-            acc = Some(with_child_slice(trie, node, |slice| match prev {
-                None => slice.to_vec(),
-                Some(prev) => intersect_sorted(&prev, slice),
-            }));
+            let level = trie.child_values(node);
+            acc = Some(match acc.take() {
+                None => level,
+                Some(prev) => intersect_sorted(&prev, &level),
+            });
         }
         acc.unwrap_or_default()
     }

@@ -4,15 +4,16 @@
 //! and case b's anchor walk, a leapfrog that intersects the anchor's
 //! children with those of every check and filter binding the level.
 //!
-//! The leapfrog reads a search tree through `child_slice` when a backend
-//! has a contiguous level and through resumable `seek`s when it does not
-//! (a `DeltaIndex` node merged from live buffers). So every instance runs
-//! on four backends — flat, hashed, a `DeltaIndex` whose every node is
-//! merged, and one whose buffers touch only a few paths, so merged and
-//! base-only nodes meet in one query — and under the shard plans of
-//! `wcoj-exec`. Each run must reproduce `join_nprr` (the flat backend)
-//! exactly: the same raw rows in the same order and the same `JoinStats`
-//! counters. The output must also equal the naive join.
+//! The leapfrog reads every search tree through its own child scan
+//! (`SearchTree::children` / `seek` / `child`): a gallop over a contiguous
+//! level on a flat or hashed node and on a base-only `DeltaIndex` node, a
+//! merge of the base with the buffers on a node touched by live buffers.
+//! So every instance runs on four backends — flat, hashed, a `DeltaIndex`
+//! whose every node is merged, and one whose buffers touch only a few
+//! paths, so merged and base-only nodes meet in one query — and under the
+//! shard plans of `wcoj-exec`. Each run must reproduce `join_nprr` (the
+//! flat backend) exactly: the same raw rows in the same order and the same
+//! `JoinStats` counters. The output must also equal the naive join.
 //!
 //! Shapes are random hypergraphs with relations of arity ≤ 3, so some
 //! nodes have `|W⁻| ≥ 2`, plus fixed ones: a check edge that binds the
@@ -30,7 +31,7 @@ use wcoj_core::nprr::{join_nprr, PreparedQuery, RootShard};
 use wcoj_core::{naive, JoinQuery, JoinStats};
 use wcoj_exec::{plan_shards, ExecConfig};
 use wcoj_storage::ops::reorder;
-use wcoj_storage::{FlatIndex, HashTrieIndex, Relation, RowBuf, SearchTree, Value};
+use wcoj_storage::{DeltaChildren, FlatIndex, HashTrieIndex, Relation, RowBuf, SearchTree, Value};
 
 /// `(intermediate_tuples, case_a, case_b)`.
 fn counters(s: &JoinStats) -> (u64, u64, u64) {
@@ -170,8 +171,9 @@ proptest! {
 
 /// The fixed shapes exercise what they are here for: every split of the
 /// star is case b, LW4's case a recurses through a node with two pushed
-/// filters, and the sparse `DeltaIndex` mixes merged nodes, which have no
-/// child slice, with base-only ones, which do.
+/// filters, and the sparse `DeltaIndex` mixes merged nodes, whose child
+/// scan merges the base with the buffers, with base-only ones, whose scan
+/// is the base's.
 #[test]
 fn fixed_shapes_reach_their_paths() {
     let star = instances(7).remove(3);
@@ -188,12 +190,13 @@ fn fixed_shapes_reach_their_paths() {
         let sparse = over_delta(&rels, Buffers::Sparse);
         for index in sparse.indexes() {
             let root = index.root();
-            assert!(index.child_slice(root).is_none(), "the root is merged");
+            let merged = |n| matches!(index.children(n), DeltaChildren::Merged(_));
+            assert!(merged(root), "the root is merged");
             let children = index.child_values(root);
             let base_only = children
                 .iter()
                 .filter_map(|&v| index.descend(root, v))
-                .filter(|&n| index.child_slice(n).is_some())
+                .filter(|&n| !merged(n))
                 .count();
             assert!(
                 base_only > 0 || children.len() <= 2,

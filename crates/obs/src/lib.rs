@@ -10,7 +10,7 @@
 //!
 //! Three pieces:
 //!
-//! * [`metrics`] — a process-wide [`Registry`] of atomic [`Counter`]s,
+//! * `metrics` — a process-wide [`Registry`] of atomic [`Counter`]s,
 //!   [`Gauge`]s, and fixed-bucket log2 [`Histogram`]s, with a
 //!   [`Registry::render_prometheus`] text exposition (validated by
 //!   [`check_exposition`]). Hot-path cost is one atomic RMW per update;

@@ -2110,13 +2110,24 @@ mod tests {
     /// The root value a pool worker may not descend into.
     const POISON: Value = Value(7);
 
-    /// A [`FlatIndex`] that panics when a pool worker descends into
-    /// [`POISON`]: the engine dies inside one root range, while planning
-    /// on the submitting thread walks the same index unharmed.
+    /// A [`FlatIndex`] that panics when a pool worker reaches the child
+    /// [`POISON`], by `descend` or by a child scan: the engine dies inside
+    /// one root range, while planning on the submitting thread walks the
+    /// same index unharmed.
     struct PanicAt(FlatIndex);
+
+    /// Panics on a pool worker that reaches the child labelled `v`.
+    fn poison_check(v: Value) {
+        let worker = std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("wcoj-service-"));
+        assert!(!(worker && v == POISON), "injected engine fault");
+    }
 
     impl SearchTree for PanicAt {
         type Node = <FlatIndex as SearchTree>::Node;
+        /// The flat scan, and the label its last seek found.
+        type Children<'a> = (<FlatIndex as SearchTree>::Children<'a>, Value);
 
         fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
             FlatIndex::build(rel, order).map(PanicAt)
@@ -2127,10 +2138,7 @@ mod tests {
         }
 
         fn descend(&self, node: Self::Node, v: Value) -> Option<Self::Node> {
-            let worker = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("wcoj-service-"));
-            assert!(!(worker && v == POISON), "injected engine fault");
+            poison_check(v);
             self.0.descend(node, v)
         }
 
@@ -2142,8 +2150,18 @@ mod tests {
             self.0.for_each_extension(node, extra, f);
         }
 
-        fn child_slice(&self, node: Self::Node) -> Option<&[Value]> {
-            SearchTree::child_slice(&self.0, node)
+        fn children(&self, node: Self::Node) -> Self::Children<'_> {
+            (self.0.children(node), Value(0))
+        }
+
+        fn seek(&self, children: &mut Self::Children<'_>, v: Value) -> Option<Value> {
+            children.1 = SearchTree::seek(&self.0, &mut children.0, v)?;
+            Some(children.1)
+        }
+
+        fn child(&self, children: &Self::Children<'_>) -> Self::Node {
+            poison_check(children.1);
+            SearchTree::child(&self.0, &children.0)
         }
     }
 
@@ -2173,32 +2191,35 @@ mod tests {
             ),
         ]
         .map(Result::unwrap);
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        assert!(seq.relation.iter_rows().any(|row| row[0] == POISON));
-
         let service = Service::new(ServiceConfig::with_workers(2));
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
         };
-        let poisoned = Arc::new(PreparedQuery::<PanicAt>::new_indexed(&rels).unwrap());
-        assert_eq!(poisoned.evaluate(None).unwrap().relation, seq.relation);
-        assert!(service.shard_layout(&*poisoned, &cfg).len() >= 2);
+        // The triangle descends into POISON (a leaf probes T's section
+        // under R's candidates); the path R(x,y) S(y,z) holds x in R alone,
+        // so its workers reach POISON only through R's child scan.
+        for rels in [&rels[..], &rels[..2]] {
+            let seq = join_with(rels, Algorithm::Nprr, None).unwrap();
+            assert!(seq.relation.iter_rows().any(|row| row[0] == POISON));
+            let poisoned = Arc::new(PreparedQuery::<PanicAt>::new_indexed(rels).unwrap());
+            assert_eq!(poisoned.evaluate(None).unwrap().relation, seq.relation);
+            assert!(service.shard_layout(&*poisoned, &cfg).len() >= 2);
 
-        // wait() reports the panic as an error…
-        let waited = service.submit(&poisoned, &cfg).unwrap().wait();
-        assert_eq!(waited.unwrap_err(), QueryError::ShardPanicked);
-        // …and so does the stream, on the batch the panic interrupts.
-        let mut stream = service.submit(&poisoned, &cfg).unwrap();
-        let failed = std::iter::from_fn(|| stream.next_batch()).find_map(Result::err);
-        assert_eq!(failed, Some(QueryError::ShardPanicked));
-        drop(stream);
+            // wait() reports the panic as an error…
+            let waited = service.submit(&poisoned, &cfg).unwrap().wait();
+            assert_eq!(waited.unwrap_err(), QueryError::ShardPanicked);
+            // …and so does the stream, on the batch the panic interrupts.
+            let mut stream = service.submit(&poisoned, &cfg).unwrap();
+            let failed = std::iter::from_fn(|| stream.next_batch()).find_map(Result::err);
+            assert_eq!(failed, Some(QueryError::ShardPanicked));
+        }
 
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let c = service.counters();
             if c.in_flight == 0 && c.queued_tasks == 0 {
-                assert_eq!((c.submitted, c.completed), (2, 2), "{c:?}");
+                assert_eq!((c.submitted, c.completed), (4, 4), "{c:?}");
                 break;
             }
             assert!(Instant::now() < deadline, "poisoned queries never drained");
@@ -2208,7 +2229,10 @@ mod tests {
         // sequential.
         let healthy = Arc::new(PreparedQuery::new(&rels).unwrap());
         let out = service.submit(&healthy, &cfg).unwrap().wait().unwrap();
-        assert_eq!(out.relation, seq.relation);
+        assert_eq!(
+            out.relation,
+            join_with(&rels, Algorithm::Nprr, None).unwrap().relation
+        );
         assert_eq!(service.workers(), 2);
     }
 

@@ -124,7 +124,7 @@ pub mod distributions {
         fn sample<R: RngCore>(&self, rng: &mut R) -> T;
     }
 
-    /// The "standard" distribution, reached through [`Rng::gen`].
+    /// The "standard" distribution, reached through [`Rng::gen`](crate::Rng::gen).
     pub trait Standard: Sized {
         /// Draws one standard sample.
         fn sample_standard<R: RngCore>(rng: &mut R) -> Self;

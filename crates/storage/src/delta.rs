@@ -30,11 +30,13 @@
 //! * a prefix exists in the merged view iff its **effective full count**
 //!   `base − del + ins` (each at full remaining depth, an O(1) offset
 //!   lookup per component) is positive;
-//! * enumeration is a sorted merge-walk of the surviving base children
-//!   with the ins children, delegating to the pure base (or pure ins)
-//!   fast path whenever the other two components are empty below the
-//!   node — so an all-base prefix still borrows the base's contiguous
-//!   `child_slice`.
+//! * a node's children are one scan ([`DeltaChildren`]): a node no
+//!   buffer touches scans the base's children alone, and a merged node
+//!   gallops the base's and the insert buffer's children together,
+//!   stepping over children whose rows are all deleted;
+//! * enumeration walks that scan, delegating to the pure base (or pure
+//!   ins) fast path whenever the other two components are empty below
+//!   the node.
 //!
 //! **Minor compaction** folds the buffers into a fresh base once they
 //! grow past a policy threshold (the caller's decision): either in one
@@ -45,7 +47,8 @@
 //! disjoint, so concatenation is the sorted merge).
 
 use crate::flat::permutation_of;
-use crate::index::{with_tuple_scratch, Cursor, SearchTree};
+use crate::flat::FlatChildren;
+use crate::index::{for_each_child, with_tuple_scratch, SearchTree, ALL_LABELS};
 use crate::{Attr, FlatIndex, FlatNode, Relation, Schema, StorageError, Value};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -485,7 +488,7 @@ fn filter_rows(rel: &Relation, mut keep: impl FnMut(&[Value]) -> bool) -> Relati
 
 /// A position in a [`DeltaIndex`]: the component positions for one merged
 /// prefix. A component is `None` when the prefix does not occur in it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaNode {
     depth: u32,
     base: Option<FlatNode>,
@@ -498,6 +501,58 @@ impl DeltaNode {
     #[must_use]
     pub fn depth(&self) -> usize {
         self.depth as usize
+    }
+
+    /// The node at `base` when no buffer touches it.
+    #[inline]
+    fn base_only(base: FlatNode) -> DeltaNode {
+        DeltaNode {
+            depth: base.depth() as u32,
+            base: Some(base),
+            ins: None,
+            del: None,
+        }
+    }
+}
+
+/// A scan over one [`DeltaIndex`] node's children
+/// ([`SearchTree::children`]).
+#[derive(Debug, Clone, Copy)]
+pub enum DeltaChildren<'a> {
+    /// A node only the base holds: the base's scan.
+    Base(FlatChildren<'a>),
+    /// A node merged from the base and live buffers.
+    Merged(MergedChildren<'a>),
+}
+
+impl Default for DeltaChildren<'_> {
+    fn default() -> Self {
+        DeltaChildren::Base(FlatChildren::default())
+    }
+}
+
+/// A merged node's scan: one scan per component, and the label of the
+/// child the last seek found.
+#[derive(Debug, Clone, Copy)]
+pub struct MergedChildren<'a> {
+    depth: u32,
+    base: FlatChildren<'a>,
+    ins: FlatChildren<'a>,
+    del: FlatChildren<'a>,
+    label: Value,
+}
+
+impl MergedChildren<'_> {
+    /// The child labelled `label`: each component that holds it.
+    #[inline]
+    fn child(&self) -> DeltaNode {
+        let at = |c: &FlatChildren<'_>| (c.label() == Some(self.label)).then(|| c.child());
+        DeltaNode {
+            depth: self.depth,
+            base: at(&self.base),
+            ins: at(&self.ins),
+            del: at(&self.del),
+        }
     }
 }
 
@@ -574,46 +629,6 @@ impl DeltaIndex {
         node.del.map_or(0, |n| self.del.distinct_count(n, rem))
     }
 
-    /// Surviving merged children of `node`, in ascending label order: a
-    /// sorted merge of the base children that outlive their deletions
-    /// with the ins children.
-    fn for_each_child(&self, node: &DeltaNode, mut f: impl FnMut(Value, DeltaNode)) {
-        let depth = node.depth as usize;
-        if depth >= self.arity {
-            return;
-        }
-        let base_vals = node.base.map_or(&[][..], |b| self.base.child_slice(b));
-        let ins_vals = node.ins.map_or(&[][..], |i| self.ins.child_slice(i));
-        let (mut bi, mut ii) = (0usize, 0usize);
-        loop {
-            let v = match (base_vals.get(bi), ins_vals.get(ii)) {
-                (None, None) => return,
-                (Some(&b), None) => b,
-                (None, Some(&i)) => i,
-                (Some(&b), Some(&i)) => b.min(i),
-            };
-            let child = DeltaNode {
-                depth: node.depth + 1,
-                base: if base_vals.get(bi) == Some(&v) {
-                    bi += 1;
-                    node.base.and_then(|b| self.base.descend(b, v))
-                } else {
-                    None
-                },
-                ins: if ins_vals.get(ii) == Some(&v) {
-                    ii += 1;
-                    node.ins.and_then(|i| self.ins.descend(i, v))
-                } else {
-                    None
-                },
-                del: node.del.and_then(|d| self.del.descend(d, v)),
-            };
-            if self.effective_full(&child) > 0 {
-                f(v, child);
-            }
-        }
-    }
-
     /// Recursive (ST3) walk over merged children, filling `buf[at..]`.
     fn walk_merged(
         &self,
@@ -647,16 +662,13 @@ impl DeltaIndex {
             }
             return;
         }
-        if remaining == 1 {
-            self.for_each_child(node, |v, _| {
-                buf[at] = v;
-                f(buf);
-            });
-            return;
-        }
-        self.for_each_child(node, |v, child| {
+        for_each_child(self, *node, ALL_LABELS, |v, child| {
             buf[at] = v;
-            self.walk_merged(&child, at + 1, buf, f);
+            if remaining == 1 {
+                f(buf);
+            } else {
+                self.walk_merged(&child, at + 1, buf, f);
+            }
         });
     }
 }
@@ -666,6 +678,7 @@ impl DeltaIndex {
 // out of reach of the engine's inlining.
 impl SearchTree for DeltaIndex {
     type Node = DeltaNode;
+    type Children<'a> = DeltaChildren<'a>;
 
     /// Batch build: a fresh base index plus empty buffers — a valid
     /// drop-in for any other backend.
@@ -701,13 +714,7 @@ impl SearchTree for DeltaIndex {
         }
         if node.ins.is_none() && node.del.is_none() {
             // Base only: a present `FlatIndex` child is never empty.
-            let base = self.base.descend(node.base?, v)?;
-            return Some(DeltaNode {
-                depth: node.depth + 1,
-                base: Some(base),
-                ins: None,
-                del: None,
-            });
+            return self.base.descend(node.base?, v).map(DeltaNode::base_only);
         }
         let child = DeltaNode {
             depth: node.depth + 1,
@@ -738,7 +745,7 @@ impl SearchTree for DeltaIndex {
             return node.ins.map_or(0, |i| self.ins.distinct_count(i, extra));
         }
         let mut total = 0usize;
-        self.for_each_child(&node, |_, child| {
+        for_each_child(self, node, ALL_LABELS, |_, child| {
             total += if extra == 1 {
                 1
             } else {
@@ -757,66 +764,56 @@ impl SearchTree for DeltaIndex {
         with_tuple_scratch(extra, |buf| self.walk_merged(&node, 0, buf, &mut f));
     }
 
-    fn child_values(&self, node: Self::Node) -> Vec<Value> {
-        let mut out = Vec::new();
-        self.for_each_child(&node, |v, _| out.push(v));
-        out
-    }
-
+    /// A base-only node scans the base's children. A merged node scans
+    /// the base's, the insert buffer's and the delete buffer's.
     #[inline]
-    fn child_slice(&self, node: Self::Node) -> Option<&[Value]> {
-        // Borrowed views exist only when one component owns the subtree.
-        if self.ins_below(&node) == 0 && self.del_below(&node) == 0 {
-            return Some(node.base.map_or(&[][..], |b| self.base.child_slice(b)));
+    fn children(&self, node: Self::Node) -> DeltaChildren<'_> {
+        fn scan(index: &FlatIndex, n: Option<FlatNode>) -> FlatChildren<'_> {
+            n.map_or_else(FlatChildren::default, |n| index.children(n))
         }
-        let rem = self.arity - node.depth as usize;
-        if node.base.map_or(0, |b| self.base.distinct_count(b, rem)) == self.del_below(&node) {
-            return Some(node.ins.map_or(&[][..], |i| self.ins.child_slice(i)));
-        }
-        None
-    }
-
-    /// A base-only node seeks in the base. A merged node gallops the base
-    /// and insert children forward from the cursor's offsets 0 and 1 and
-    /// takes the smaller label; the delete buffer (offset 2) follows that
-    /// label, and a child whose every row is deleted is stepped over. No
-    /// merged level is ever listed, so a leapfrog over a node merged from
-    /// live buffers gallops as it does over a base node.
-    #[inline]
-    fn seek(&self, node: Self::Node, cursor: &mut Cursor, v: Value) -> Option<(Value, Self::Node)> {
         if node.ins.is_none() && node.del.is_none() {
-            let (w, base) = self.base.seek_list(node.base?, cursor, 0, v)?;
-            return Some((
-                w,
-                DeltaNode {
-                    depth: node.depth + 1,
-                    base: Some(base),
-                    ins: None,
-                    del: None,
-                },
-            ));
+            return DeltaChildren::Base(scan(&self.base, node.base));
         }
-        let mut v = v;
+        DeltaChildren::Merged(MergedChildren {
+            depth: node.depth + 1,
+            base: scan(&self.base, node.base),
+            ins: scan(&self.ins, node.ins),
+            del: scan(&self.del, node.del),
+            label: Value(0),
+        })
+    }
+
+    /// A merged node gallops the base and insert children forward and
+    /// takes the smaller label; the delete buffer follows that label, and
+    /// a child whose every row is deleted is stepped over. No merged level
+    /// is ever listed, so a leapfrog over a node merged from live buffers
+    /// gallops as it does over a base node.
+    #[inline]
+    fn seek(&self, children: &mut DeltaChildren<'_>, mut v: Value) -> Option<Value> {
+        let m = match children {
+            DeltaChildren::Base(base) => return base.seek(v),
+            DeltaChildren::Merged(m) => m,
+        };
         loop {
-            let base = node.base.and_then(|b| self.base.seek_list(b, cursor, 0, v));
-            let ins = node.ins.and_then(|i| self.ins.seek_list(i, cursor, 1, v));
-            let w = match (base, ins) {
+            m.label = match (m.base.seek(v), m.ins.seek(v)) {
                 (None, None) => return None,
-                (Some((b, _)), None) => b,
-                (None, Some((i, _))) => i,
-                (Some((b, _)), Some((i, _))) => b.min(i),
+                (Some(b), None) => b,
+                (None, Some(i)) => i,
+                (Some(b), Some(i)) => b.min(i),
             };
-            let at = |hit: Option<(Value, FlatNode)>| hit.filter(|&(l, _)| l == w).map(|h| h.1);
-            let child = DeltaNode {
-                depth: node.depth + 1,
-                base: at(base),
-                ins: at(ins),
-                del: at(node.del.and_then(|d| self.del.seek_list(d, cursor, 2, w))),
-            };
-            if self.effective_full(&child) > 0 {
-                return Some((w, child));
+            m.del.seek(m.label);
+            if self.effective_full(&m.child()) > 0 {
+                return Some(m.label);
             }
-            v = Value(w.0.checked_add(1)?);
+            v = Value(m.label.0.checked_add(1)?);
+        }
+    }
+
+    #[inline]
+    fn child(&self, children: &DeltaChildren<'_>) -> DeltaNode {
+        match children {
+            DeltaChildren::Base(base) => DeltaNode::base_only(base.child()),
+            DeltaChildren::Merged(m) => m.child(),
         }
     }
 }
@@ -1059,10 +1056,10 @@ mod tests {
                     flat.child_slice(fnode).to_vec(),
                     "trial {trial}, v {v0}: children"
                 );
-                // child_slice, when borrowed, matches child_values
-                if let Some(s) = SearchTree::child_slice(&delta, dnode) {
-                    assert_eq!(s.to_vec(), SearchTree::child_values(&delta, dnode));
-                }
+                // the child scan lists what the (ST3) walk lists
+                let mut walked = Vec::new();
+                SearchTree::for_each_extension(&delta, dnode, 1, |t| walked.push(t[0]));
+                assert_eq!(walked, SearchTree::child_values(&delta, dnode));
                 for extra in 1..=2usize {
                     assert_eq!(
                         SearchTree::distinct_count(&delta, dnode, extra),
@@ -1097,16 +1094,12 @@ mod tests {
         let order = attrs(&[0, 1]);
         let idx = index_of(&d, &order);
         let root = SearchTree::root(&idx);
-        // No deltas: the borrowed level-0 slice is the base's.
-        assert_eq!(
-            SearchTree::child_slice(&idx, root).unwrap(),
-            &[Value(1), Value(2)]
-        );
+        // No deltas: every node scans the base's children alone.
+        assert!(matches!(idx.children(root), DeltaChildren::Base(_)));
+        assert_eq!(idx.child_values(root), vec![Value(1), Value(2)]);
         let n1 = SearchTree::descend(&idx, root, Value(1)).unwrap();
-        assert_eq!(
-            SearchTree::child_slice(&idx, n1).unwrap(),
-            &[Value(10), Value(20)]
-        );
+        assert!(matches!(idx.children(n1), DeltaChildren::Base(_)));
+        assert_eq!(idx.child_values(n1), vec![Value(10), Value(20)]);
     }
 
     #[test]
@@ -1119,9 +1112,12 @@ mod tests {
         assert_eq!(SearchTree::distinct_count(&idx, root, 1), 1);
         assert_eq!(SearchTree::child_values(&idx, root), vec![Value(2)]);
         assert!(SearchTree::descend(&idx, root, Value(1)).is_none());
-        // the surviving subtree is pure-ins-free → still borrows base
+        // the root is merged; the surviving subtree no buffer touches
+        // scans the base alone
+        assert!(matches!(idx.children(root), DeltaChildren::Merged(_)));
         let n2 = SearchTree::descend(&idx, root, Value(2)).unwrap();
-        assert_eq!(SearchTree::child_slice(&idx, n2).unwrap(), &[Value(30)]);
+        assert!(matches!(idx.children(n2), DeltaChildren::Base(_)));
+        assert_eq!(idx.child_values(n2), vec![Value(30)]);
     }
 
     #[test]

@@ -20,24 +20,22 @@
 //! * **(ST1)** `descend` finds the child by *galloping* (exponential
 //!   search, [`crate::gallop`]) from the start of the child slice —
 //!   `O(log d)` for a child at offset `d` (footnote 3 allows the `log`
-//!   factor). [`FlatIndex::seek`] is its resumable form: the first child
-//!   `≥ v`, galloping from where the previous seek on the same node
-//!   landed, so a sorted run of probes (`Recursive-Join`'s leapfrog over
-//!   a case-b level) costs `O(log gap)` per step;
+//!   factor). Its resumable form is a [`FlatChildren`] scan: opened on a
+//!   node, it borrows the node's child slice once, and each seek for the
+//!   first child `≥ v` gallops from where the previous one landed, so a
+//!   sorted run of probes (`Recursive-Join`'s leapfrog over a case-b
+//!   level) costs `O(log gap)` per step;
 //! * **(ST2)** `|π_{aᵢ₊₁..aⱼ}(Rₑ[t])|` is the width of the offset range the
 //!   prefix spans at level `j`, `O(j − i)` lookups after the descent;
 //! * **(ST3)** enumeration walks the level arrays **forward** through the
 //!   offset ranges (a nested range scan, sequential at every level):
-//!   output-linear;
-//! * [`FlatIndex::child_slice`] exposes a node's branch labels as a
-//!   borrowed contiguous `&[Value]`, so scan sites and the shard planner
-//!   intersect level slices without copying them out first.
+//!   output-linear.
 //!
 //! Crucially (paper §5.2, step 2a): the subtree under the branch for a
 //! tuple prefix `t` **is** the search tree of the section `Rₑ[t]`, so the
 //! recursive sub-problems of `Recursive-Join` need no re-indexing.
 
-use crate::index::{with_tuple_scratch, Cursor, SearchTree};
+use crate::index::{with_tuple_scratch, SearchTree};
 use crate::relation::{sort_dedup_flat, strictly_sorted};
 use crate::{gallop, Attr, Relation, Schema, StorageError, Value};
 
@@ -78,6 +76,46 @@ impl FlatNode {
     #[must_use]
     pub fn depth(self) -> usize {
         self.depth as usize
+    }
+}
+
+/// A scan over one [`FlatIndex`] node's children
+/// ([`SearchTree::children`]): their contiguous slice of the level below,
+/// where that slice starts in its level, and where the last seek landed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlatChildren<'a> {
+    labels: &'a [Value],
+    /// The children's depth.
+    depth: u32,
+    /// Level offset of `labels[0]`.
+    lo: u32,
+    /// Where the last seek landed in `labels`.
+    at: usize,
+}
+
+impl FlatChildren<'_> {
+    /// The first child labelled `≥ v`, galloping from where the last seek
+    /// landed ([`SearchTree::seek`]).
+    #[inline]
+    pub(crate) fn seek(&mut self, v: Value) -> Option<Value> {
+        self.at = gallop::lower_bound_from(self.labels, self.at, v);
+        self.label()
+    }
+
+    /// The label the scan stands on; `None` past the last child.
+    #[inline]
+    pub(crate) fn label(&self) -> Option<Value> {
+        self.labels.get(self.at).copied()
+    }
+
+    /// The child the scan stands on.
+    #[inline]
+    pub(crate) fn child(&self) -> FlatNode {
+        debug_assert!(self.at < self.labels.len(), "a seek found this child");
+        FlatNode {
+            depth: self.depth,
+            idx: self.lo + self.at as u32,
+        }
     }
 }
 
@@ -211,50 +249,25 @@ impl FlatIndex {
     /// galloping over the child slice.
     #[must_use]
     pub fn descend(&self, node: FlatNode, v: Value) -> Option<FlatNode> {
-        if node.depth as usize >= self.arity() {
-            return None;
-        }
-        let (lo, hi) = self.range_at(node, node.depth as usize + 1);
-        let vals = &self.levels[node.depth as usize].values[lo as usize..hi as usize];
-        let off = gallop::find(vals, v)?;
-        Some(FlatNode {
-            depth: node.depth + 1,
-            idx: lo + off as u32,
-        })
+        let mut children = self.children(node);
+        (children.seek(v)? == v).then(|| children.child())
     }
 
-    /// (ST1), resumable: the first child of `node` labelled `≥ v`, with its
-    /// label, galloping from where `cursor` left off
-    /// ([`SearchTree::seek`]).
+    /// A scan over `node`'s children ([`SearchTree::children`]): their
+    /// slice of the level below, resolved once. Empty at full depth.
     #[inline]
     #[must_use]
-    pub fn seek(&self, node: FlatNode, cursor: &mut Cursor, v: Value) -> Option<(Value, FlatNode)> {
-        self.seek_list(node, cursor, 0, v)
-    }
-
-    /// [`FlatIndex::seek`] on `cursor`'s offset `list`.
-    #[inline]
-    pub(crate) fn seek_list(
-        &self,
-        node: FlatNode,
-        cursor: &mut Cursor,
-        list: usize,
-        v: Value,
-    ) -> Option<(Value, FlatNode)> {
+    pub fn children(&self, node: FlatNode) -> FlatChildren<'_> {
         if node.depth as usize >= self.arity() {
-            return None;
+            return FlatChildren::default();
         }
         let (lo, hi) = self.range_at(node, node.depth as usize + 1);
-        let vals = &self.levels[node.depth as usize].values[lo as usize..hi as usize];
-        let off = cursor.gallop(list, vals, v);
-        let label = *vals.get(off)?;
-        Some((
-            label,
-            FlatNode {
-                depth: node.depth + 1,
-                idx: lo + off as u32,
-            },
-        ))
+        FlatChildren {
+            labels: &self.levels[node.depth as usize].values[lo as usize..hi as usize],
+            depth: node.depth + 1,
+            lo,
+            at: 0,
+        }
     }
 
     /// (ST1) Descends along a whole tuple prefix.
@@ -280,11 +293,7 @@ impl FlatIndex {
     /// contiguous value array. Empty at full depth.
     #[must_use]
     pub fn child_slice(&self, node: FlatNode) -> &[Value] {
-        if node.depth as usize >= self.arity() {
-            return &[];
-        }
-        let (lo, hi) = self.range_at(node, node.depth as usize + 1);
-        &self.levels[node.depth as usize].values[lo as usize..hi as usize]
+        self.children(node).labels
     }
 
     /// (ST3), visitor form: calls `f` with each distinct length-`extra`
@@ -359,6 +368,7 @@ impl FlatIndex {
 
 impl SearchTree for FlatIndex {
     type Node = FlatNode;
+    type Children<'a> = FlatChildren<'a>;
 
     fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
         FlatIndex::build(rel, order)
@@ -378,12 +388,17 @@ impl SearchTree for FlatIndex {
     fn child_values(&self, node: FlatNode) -> Vec<Value> {
         FlatIndex::child_slice(self, node).to_vec()
     }
-    fn child_slice(&self, node: FlatNode) -> Option<&[Value]> {
-        Some(FlatIndex::child_slice(self, node))
+    #[inline]
+    fn children(&self, node: FlatNode) -> FlatChildren<'_> {
+        FlatIndex::children(self, node)
     }
     #[inline]
-    fn seek(&self, node: FlatNode, cursor: &mut Cursor, v: Value) -> Option<(Value, FlatNode)> {
-        FlatIndex::seek(self, node, cursor, v)
+    fn seek(&self, children: &mut FlatChildren<'_>, v: Value) -> Option<Value> {
+        children.seek(v)
+    }
+    #[inline]
+    fn child(&self, children: &FlatChildren<'_>) -> FlatNode {
+        children.child()
     }
 }
 

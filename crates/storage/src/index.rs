@@ -5,7 +5,14 @@
 //! > same purpose."
 //!
 //! [`SearchTree`] captures the operations `Recursive-Join` needs
-//! ((ST1)–(ST3) of §5.3.2); three implementations are provided:
+//! ((ST1)–(ST3) of §5.3.2). (ST1) comes in two forms: a one-step
+//! `descend`, and a child scan in the style of a Leapfrog Triejoin trie
+//! iterator — opened on a node once ([`SearchTree::children`]), it keeps
+//! its place and seeks forward ([`SearchTree::seek`],
+//! [`SearchTree::child`]). Each backend owns its scan type, so what a
+//! scan holds (a borrowed level slice, a sorted label list, a merge of
+//! three components) never leaks into the engine. Three implementations
+//! are provided:
 //!
 //! * [`FlatIndex`](crate::FlatIndex) — the sorted counted trie (comparison
 //!   based, `O(log N)` per descent step, cache-friendly flat levels);
@@ -19,12 +26,22 @@
 
 use crate::hash::{map_with_capacity, FxHashMap};
 use crate::{gallop, Attr, Relation, Schema, StorageError, Value};
+use std::ops::RangeInclusive;
 
 /// Index interface required by the join algorithms: prefix descent,
-/// O(1)-ish distinct-extension counts, and output-linear enumeration.
+/// O(1)-ish distinct-extension counts, output-linear enumeration, and a
+/// resumable scan over a node's children.
 pub trait SearchTree: Sized {
     /// Handle to a trie position (a tuple prefix).
     type Node: Copy;
+
+    /// A scan over one node's children, opened by
+    /// [`SearchTree::children`]: what the backend resolved about the node
+    /// once (its child range), and where the last [`SearchTree::seek`]
+    /// landed. `Default` is a scan with no children.
+    type Children<'a>: Copy + Default
+    where
+        Self: 'a;
 
     /// Builds the index for `rel` under attribute order `order` (must be a
     /// permutation of the relation's schema).
@@ -57,68 +74,59 @@ pub trait SearchTree: Sized {
     /// is the search tree of that section (paper §5.2, step 2a), so
     /// disjoint label ranges denote fully independent sub-joins.
     fn child_values(&self, node: Self::Node) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.distinct_count(node, 1));
-        self.for_each_extension(node, 1, |t| out.push(t[0]));
+        let mut out = Vec::new();
+        for_each_child(self, node, ALL_LABELS, |v, _| out.push(v));
         out
     }
 
-    /// Branch labels of `node` as a **borrowed** sorted slice, when the
-    /// backend stores them contiguously; `None` means the caller must fall
-    /// back to [`SearchTree::child_values`]. Hot-path scan sites prefer
-    /// this to avoid copying a level out before intersecting it.
-    fn child_slice(&self, node: Self::Node) -> Option<&[Value]> {
-        let _ = node;
-        None
-    }
+    /// Opens a scan over `node`'s children, before the first one. A node
+    /// at full depth has none.
+    fn children(&self, node: Self::Node) -> Self::Children<'_>;
 
-    /// (ST1), resumable for sorted scans: the first child of `node`
-    /// labelled `≥ v`, with its label; `None` when every child is `< v`.
+    /// (ST1), resumable for sorted scans: moves `children` to the first
+    /// child labelled `≥ v` and returns its label; `None` when every child
+    /// is `< v`.
     ///
-    /// `cursor` remembers where the previous seek on the same node landed,
-    /// and the search starts there, so a run of seeks with ascending `v`
-    /// (a leapfrog intersection) costs `O(log gap)` per step instead of a
-    /// search from the first child. Start every run on a node with
-    /// `Cursor::default()`, and never seek a `v` below the previous one
-    /// on the same cursor.
+    /// The search starts where the previous seek on the same scan landed,
+    /// so a run of seeks with ascending `v` (a leapfrog intersection) costs
+    /// `O(log gap)` per step instead of a search from the first child.
+    /// Never seek a `v` below the previous one on the same scan.
     ///
     /// [`FlatIndex`](crate::FlatIndex) and [`HashTrieIndex`] gallop their
     /// sorted child lists. [`DeltaIndex`](crate::DeltaIndex) gallops the
     /// base's and the insert buffer's children together on a merged node,
     /// takes the smaller label and steps over children whose rows are all
-    /// deleted, so the merged view seeks without listing a level. The
-    /// default gallops [`SearchTree::child_slice`] and takes the child by
-    /// [`SearchTree::descend`].
-    ///
-    /// # Panics
-    /// The default panics on a node without a child slice: a backend that
-    /// does not store every level contiguously overrides `seek`.
-    fn seek(&self, node: Self::Node, cursor: &mut Cursor, v: Value) -> Option<(Value, Self::Node)> {
-        let children = self
-            .child_slice(node)
-            .expect("a backend without child slices overrides `seek`");
-        let label = *children.get(cursor.gallop(0, children, v))?;
-        Some((
-            label,
-            self.descend(node, label).expect("a listed child exists"),
-        ))
-    }
+    /// deleted, so the merged view seeks without listing a level.
+    fn seek(&self, children: &mut Self::Children<'_>, v: Value) -> Option<Value>;
+
+    /// The child the last [`SearchTree::seek`] on `children` found; call it
+    /// only after that seek returned a label.
+    fn child(&self, children: &Self::Children<'_>) -> Self::Node;
 }
 
-/// Where [`SearchTree::seek`] left off among one node's children: an
-/// offset into each of up to three sorted child lists (a
-/// [`DeltaIndex`](crate::DeltaIndex) merges its base, insert and delete
-/// buffers). Opaque to callers; `Cursor::default()` is the first child.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Cursor([u32; 3]);
+/// Every label: [`for_each_child`] over it lists all of a node's children.
+pub const ALL_LABELS: RangeInclusive<Value> = Value(0)..=Value(u64::MAX);
 
-impl Cursor {
-    /// Gallops list `i`'s offset forward to the first element of `slice`
-    /// that is `≥ v` and returns it (`slice.len()` when there is none).
-    #[inline]
-    pub(crate) fn gallop(&mut self, i: usize, slice: &[Value], v: Value) -> usize {
-        let at = gallop::lower_bound_from(slice, self.0[i] as usize, v);
-        self.0[i] = at as u32;
-        at
+/// Visits the children of `node` labelled inside `labels`, in ascending
+/// order, each with its node: one scan ([`SearchTree::children`]), so it
+/// needs neither a contiguous child level nor a copy of one.
+pub fn for_each_child<S: SearchTree>(
+    trie: &S,
+    node: S::Node,
+    labels: RangeInclusive<Value>,
+    mut f: impl FnMut(Value, S::Node),
+) {
+    let mut children = trie.children(node);
+    let mut v = *labels.start();
+    while let Some(w) = trie.seek(&mut children, v) {
+        if w > *labels.end() {
+            return;
+        }
+        f(w, trie.child(&children));
+        let Some(next) = w.0.checked_add(1) else {
+            return;
+        };
+        v = Value(next);
     }
 }
 
@@ -151,6 +159,16 @@ struct HashNode {
     sorted: Vec<Value>,
     /// `counts[j]` = number of distinct length-`(j+1)` extensions.
     counts: Vec<u32>,
+}
+
+/// A scan over one [`HashTrieIndex`] node's children
+/// ([`SearchTree::children`]): the node's sorted labels and where the last
+/// seek landed among them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HashChildren<'a> {
+    labels: &'a [Value],
+    node: u32,
+    at: usize,
 }
 
 impl HashTrieIndex {
@@ -237,6 +255,7 @@ impl HashTrieIndex {
 
 impl SearchTree for HashTrieIndex {
     type Node = u32;
+    type Children<'a> = HashChildren<'a>;
 
     fn build(rel: &Relation, order: &[Attr]) -> Result<HashTrieIndex, StorageError> {
         let target = Schema::new(order.to_vec()).map_err(|_| StorageError::SchemaMismatch)?;
@@ -286,18 +305,21 @@ impl SearchTree for HashTrieIndex {
         with_tuple_scratch(extra, |buf| self.visit(node, 0, buf, &mut f));
     }
 
-    fn child_values(&self, node: u32) -> Vec<Value> {
-        self.nodes[node as usize].sorted.clone()
+    fn children(&self, node: u32) -> HashChildren<'_> {
+        HashChildren {
+            labels: &self.nodes[node as usize].sorted,
+            node,
+            at: 0,
+        }
     }
 
-    fn child_slice(&self, node: u32) -> Option<&[Value]> {
-        Some(&self.nodes[node as usize].sorted)
+    fn seek(&self, children: &mut HashChildren<'_>, v: Value) -> Option<Value> {
+        children.at = gallop::lower_bound_from(children.labels, children.at, v);
+        children.labels.get(children.at).copied()
     }
 
-    fn seek(&self, node: u32, cursor: &mut Cursor, v: Value) -> Option<(Value, u32)> {
-        let n = &self.nodes[node as usize];
-        let label = *n.sorted.get(cursor.gallop(0, &n.sorted, v))?;
-        Some((label, n.children[&label]))
+    fn child(&self, children: &HashChildren<'_>) -> u32 {
+        self.nodes[children.node as usize].children[&children.labels[children.at]]
     }
 }
 

@@ -52,9 +52,9 @@ mod rowbuf;
 mod schema;
 mod value;
 
-pub use delta::{DeltaIndex, DeltaNode, DeltaRelation, MergeChunk};
-pub use flat::{FlatIndex, FlatNode};
-pub use index::{Cursor, HashTrieIndex, SearchTree};
+pub use delta::{DeltaChildren, DeltaIndex, DeltaNode, DeltaRelation, MergeChunk, MergedChildren};
+pub use flat::{FlatChildren, FlatIndex, FlatNode};
+pub use index::{HashChildren, HashTrieIndex, SearchTree};
 pub use relation::{Relation, RowSet};
 pub use rowbuf::RowBuf;
 pub use schema::{Attr, Schema};

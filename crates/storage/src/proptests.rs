@@ -7,8 +7,8 @@
 
 use crate::ops::{project, select_eq};
 use crate::{
-    gallop, Attr, Cursor, DeltaIndex, DeltaRelation, FlatIndex, HashTrieIndex, Relation, Schema,
-    SearchTree, StorageError, Value,
+    gallop, Attr, DeltaIndex, DeltaRelation, FlatIndex, HashTrieIndex, Relation, Schema,
+    SearchTree, Value,
 };
 use proptest::prelude::*;
 
@@ -41,44 +41,23 @@ fn listed<S: SearchTree>(index: &S, node: S::Node, extra: usize) -> Vec<Vec<Valu
     out
 }
 
-/// A backend with only the required methods and a child slice: runs
-/// [`SearchTree::seek`]'s default.
-struct Plain(FlatIndex);
-
-impl SearchTree for Plain {
-    type Node = crate::FlatNode;
-
-    fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
-        FlatIndex::build(rel, order).map(Plain)
-    }
-    fn root(&self) -> Self::Node {
-        self.0.root()
-    }
-    fn descend(&self, node: Self::Node, v: Value) -> Option<Self::Node> {
-        self.0.descend(node, v)
-    }
-    fn distinct_count(&self, node: Self::Node, extra: usize) -> usize {
-        self.0.distinct_count(node, extra)
-    }
-    fn for_each_extension(&self, node: Self::Node, extra: usize, f: impl FnMut(&[Value])) {
-        self.0.for_each_extension(node, extra, f);
-    }
-    fn child_slice(&self, node: Self::Node) -> Option<&[Value]> {
-        Some(self.0.child_slice(node))
-    }
-}
-
 /// Every seek of an ascending run over `node`'s children lands on the
-/// first child `≥` its target, and on the same subtree `descend` reaches.
-fn check_seeks<S: SearchTree>(index: &S, node: S::Node, rem: usize, targets: &[u64]) {
+/// first child `≥` its target, on the node `descend` reaches, and on the
+/// same subtree.
+fn check_seeks<S: SearchTree>(index: &S, node: S::Node, rem: usize, targets: &[u64])
+where
+    S::Node: PartialEq + std::fmt::Debug,
+{
     let children: Vec<Value> = listed(index, node, 1).into_iter().map(|t| t[0]).collect();
-    let mut cursor = Cursor::default();
+    let mut scan = index.children(node);
     for &t in targets {
         let want = children.iter().copied().find(|&c| c >= Value(t));
-        let got = index.seek(node, &mut cursor, Value(t));
-        prop_assert_eq!(got.map(|g| g.0), want, "seek {}", t);
-        if let Some((w, child)) = got {
+        let got = index.seek(&mut scan, Value(t));
+        prop_assert_eq!(got, want, "seek {}", t);
+        if let Some(w) = got {
+            let child = index.child(&scan);
             let direct = index.descend(node, w).expect("a child");
+            prop_assert_eq!(child, direct);
             prop_assert_eq!(
                 listed(index, child, rem - 1),
                 listed(index, direct, rem - 1)
@@ -87,22 +66,33 @@ fn check_seeks<S: SearchTree>(index: &S, node: S::Node, rem: usize, targets: &[u
     }
 }
 
-/// [`check_seeks`] at the root and under every root child.
-fn check_seeks_two_levels<S: SearchTree>(index: &S, arity: usize, targets: &[u64]) {
+/// [`check_seeks`] at the root and under every root child, and a node at
+/// full depth has no children.
+fn check_seeks_two_levels<S: SearchTree>(index: &S, arity: usize, targets: &[u64])
+where
+    S::Node: PartialEq + std::fmt::Debug,
+{
     check_seeks(index, index.root(), arity, targets);
     for t in listed(index, index.root(), 1) {
         let child = index.descend(index.root(), t[0]).expect("listed");
         check_seeks(index, child, arity - 1, targets);
+    }
+    if let Some(row) = listed(index, index.root(), arity).first() {
+        let leaf = index
+            .descend_tuple(index.root(), row)
+            .expect("a listed row");
+        prop_assert_eq!(index.seek(&mut index.children(leaf), Value(0)), None);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `seek` on every backend — flat, hashed, the trait's default, and a
-    /// `DeltaIndex` whose nodes are merged from live buffers or base-only —
-    /// agrees with the listed children over an ascending run of targets
-    /// (repeats and targets past the end included).
+    /// The child scan of every backend — flat, hashed, a `DeltaIndex` with
+    /// empty buffers, and one whose nodes are merged from live buffers or
+    /// base-only — agrees with the listed children and with `descend` over
+    /// an ascending run of targets (repeats and targets past the end
+    /// included).
     #[test]
     fn seek_runs_match_listed_children(
         rel in arb_rel(3, 40, 6),
@@ -116,7 +106,9 @@ proptest! {
         check_seeks_two_levels(&flat, 3, &targets);
         let hash = HashTrieIndex::build(&rel, &order).expect("permutation");
         check_seeks_two_levels(&hash, 3, &targets);
-        check_seeks_two_levels(&Plain(flat.clone()), 3, &targets);
+        // Empty buffers: every node scans the base alone.
+        let base_only = <DeltaIndex as SearchTree>::build(&rel, &order).expect("permutation");
+        check_seeks_two_levels(&base_only, 3, &targets);
         // The merged view of the same rows: `split`'s bits put each row in
         // the base or the insert buffer, and rows with a value past the
         // domain sit in the base and are deleted again, so the first two
@@ -203,7 +195,7 @@ proptest! {
 
     /// The hash trie is pointwise equivalent to the flat counted trie:
     /// same counts, same descents, same enumerations in the same order,
-    /// same child slices — for random relations and both orders.
+    /// same children — for random relations and both orders.
     #[test]
     fn flat_index_matches_trie(rel in arb_rel(3, 40, 4), reversed in any::<bool>()) {
         let mut order: Vec<Attr> = rel.schema().attrs().to_vec();
@@ -218,7 +210,7 @@ proptest! {
                 flat.distinct_count(flat.root(), depth)
             );
         }
-        prop_assert_eq!(hash.child_slice(hash.root()), Some(flat.child_slice(flat.root())));
+        prop_assert_eq!(hash.child_values(hash.root()), flat.child_slice(flat.root()).to_vec());
         for v0 in 0..4u64 {
             let hn = hash.descend(hash.root(), Value(v0));
             let fnode = flat.descend(flat.root(), Value(v0));
@@ -226,7 +218,7 @@ proptest! {
             let (Some(hn), Some(fnode)) = (hn, fnode) else { continue };
             prop_assert_eq!(hash.distinct_count(hn, 1), flat.distinct_count(fnode, 1));
             prop_assert_eq!(hash.distinct_count(hn, 2), flat.distinct_count(fnode, 2));
-            prop_assert_eq!(hash.child_slice(hn), Some(flat.child_slice(fnode)));
+            prop_assert_eq!(hash.child_values(hn), flat.child_slice(fnode).to_vec());
             prop_assert_eq!(listed(&hash, hn, 2), listed(&flat, fnode, 2));
         }
         // full-depth enumerations agree, including order
@@ -296,7 +288,7 @@ proptest! {
             let fnode = flat.descend(flat.root(), Value(v));
             prop_assert_eq!(hn.is_some(), fnode.is_some());
             if let (Some(hn), Some(fnode)) = (hn, fnode) {
-                prop_assert_eq!(hash.child_slice(hn), Some(flat.child_slice(fnode)));
+                prop_assert_eq!(hash.child_values(hn), flat.child_slice(fnode).to_vec());
             }
         }
     }
