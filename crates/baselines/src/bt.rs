@@ -9,9 +9,9 @@
 //! computable in time `Õ((∏|S_F|)^{1/d})` by running the NPRR algorithm
 //! with the uniform cover `x_F = 1/d`.
 
-use crate::nprr::join_nprr;
-use crate::query::{JoinQuery, QueryError};
-use wcoj_hypergraph::lw::bt_regularity;
+use crate::lw::bt_regularity;
+use wcoj_core::nprr::join_nprr;
+use wcoj_core::{JoinQuery, QueryError};
 use wcoj_storage::Relation;
 
 /// Result of a BT reconstruction.

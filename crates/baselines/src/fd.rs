@@ -17,9 +17,8 @@
 //! rows of `R_f` could never contribute. The tests verify the expanded
 //! join equals the unexpanded one on random instances.
 
-use crate::query::{JoinQuery, QueryError};
-use crate::{join_with, Algorithm, JoinOutput};
 use std::fmt;
+use wcoj_core::{join_with, Algorithm, JoinOutput, JoinQuery, QueryError};
 use wcoj_storage::hash::{map_with_capacity, FxHashMap};
 use wcoj_storage::ops::{natural_join, project};
 use wcoj_storage::{Attr, Relation, Value};
@@ -156,7 +155,7 @@ pub fn expanded_log2_bound(relations: &[Relation], fds: &[Fd]) -> Result<f64, Qu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
+    use wcoj_core::naive;
     use wcoj_storage::ops::reorder;
     use wcoj_storage::Schema;
 

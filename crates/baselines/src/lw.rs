@@ -24,9 +24,14 @@
 //! `wcoj_core::join` runs NPRR on LW instances too (Theorem 5.1 subsumes
 //! Theorem 4.1). Call [`join_lw`] directly; the e1–e3 and e7 experiments
 //! and this crate's tests do.
+//!
+//! The instance shapes live here too: [`lw_hypergraph`] builds an LW
+//! hypergraph, [`is_lw_instance`] / [`lw_omitted_vertices`] recognise one,
+//! and [`bt_regularity`] checks the Bollobás–Thomason regularity of
+//! Theorem 3.1 that [`crate::bt`] needs.
 
 use wcoj_core::{JoinOutput, JoinQuery, JoinStats, QueryError};
-use wcoj_hypergraph::lw::lw_omitted_vertices;
+use wcoj_hypergraph::Hypergraph;
 use wcoj_storage::hash::{map_with_capacity, FxHashMap};
 use wcoj_storage::ops::{natural_join, reorder, semijoin, union};
 use wcoj_storage::{Attr, Relation, Schema, Value};
@@ -187,6 +192,94 @@ fn split_heavy_light(
     Ok((joined, heavy))
 }
 
+/// Builds the LW hypergraph on `n ≥ 2` attributes: edges are all the
+/// `(n−1)`-subsets of `{0,…,n−1}`, edge `i` omitting vertex `i` (so edge
+/// `i` corresponds to the paper's `R_{[n]∖{i}}`).
+///
+/// # Panics
+/// Panics if `n < 2`.
+#[must_use]
+pub fn lw_hypergraph(n: usize) -> Hypergraph {
+    assert!(n >= 2, "LW instances need n ≥ 2");
+    let edges = (0..n)
+        .map(|omit| (0..n).filter(|&v| v != omit).collect())
+        .collect();
+    Hypergraph::new(n, edges).expect("vertices in range by construction")
+}
+
+/// Recognises LW instances: every edge is an `(n−1)`-subset and all `n`
+/// such subsets appear exactly once (in any order).
+#[must_use]
+pub fn is_lw_instance(h: &Hypergraph) -> bool {
+    let n = h.num_vertices();
+    if n < 2 || h.num_edges() != n {
+        return false;
+    }
+    let mut omitted = vec![false; n];
+    for e in h.edges() {
+        if e.len() != n - 1 {
+            return false;
+        }
+        // which vertex is missing?
+        let mut present = vec![false; n];
+        for &v in e {
+            present[v] = true;
+        }
+        let Some(miss) = (0..n).find(|&v| !present[v]) else {
+            return false;
+        };
+        if omitted[miss] {
+            return false; // duplicate edge
+        }
+        omitted[miss] = true;
+    }
+    omitted.iter().all(|&b| b)
+}
+
+/// For an LW instance, returns `missing[i]` = the vertex omitted by edge
+/// `i`; `None` if `h` is not an LW instance.
+#[must_use]
+pub fn lw_omitted_vertices(h: &Hypergraph) -> Option<Vec<usize>> {
+    if !is_lw_instance(h) {
+        return None;
+    }
+    let n = h.num_vertices();
+    Some(
+        h.edges()
+            .iter()
+            .map(|e| {
+                let mut present = vec![false; n];
+                for &v in e {
+                    present[v] = true;
+                }
+                (0..n).find(|&v| !present[v]).expect("LW edge omits one")
+            })
+            .collect(),
+    )
+}
+
+/// Checks the Bollobás–Thomason regularity condition of Theorem 3.1: every
+/// vertex occurs in exactly `d` edges. Returns `Some(d)` when regular.
+#[must_use]
+pub fn bt_regularity(h: &Hypergraph) -> Option<usize> {
+    let n = h.num_vertices();
+    if n == 0 || h.num_edges() == 0 {
+        return None;
+    }
+    let mut deg = vec![0usize; n];
+    for e in h.edges() {
+        for &v in e {
+            deg[v] += 1;
+        }
+    }
+    let d = deg[0];
+    if d > 0 && deg.iter().all(|&x| x == d) {
+        Some(d)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,5 +396,58 @@ mod tests {
             );
             check_matches_naive(&[r, s, t]);
         }
+    }
+
+    #[test]
+    fn lw_builder_shapes() {
+        let h = lw_hypergraph(3);
+        assert_eq!(h.num_edges(), 3);
+        assert_eq!(h.edge(0), &[1, 2]);
+        assert_eq!(h.edge(1), &[0, 2]);
+        assert_eq!(h.edge(2), &[0, 1]);
+        assert!(is_lw_instance(&h));
+        assert_eq!(lw_omitted_vertices(&h), Some(vec![0, 1, 2]));
+
+        let h5 = lw_hypergraph(5);
+        assert_eq!(h5.num_edges(), 5);
+        assert!(h5.edges().iter().all(|e| e.len() == 4));
+        assert!(is_lw_instance(&h5));
+    }
+
+    #[test]
+    #[should_panic(expected = "n ≥ 2")]
+    fn lw_needs_two_attrs() {
+        let _ = lw_hypergraph(1);
+    }
+
+    #[test]
+    fn lw_recognition_rejects_non_lw() {
+        // triangle query is the n=3 LW instance — in a permuted edge order.
+        let t = Hypergraph::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap();
+        assert!(is_lw_instance(&t));
+        // missing one edge
+        let h = Hypergraph::new(3, vec![vec![0, 1], vec![1, 2], vec![1, 2]]).unwrap();
+        assert!(!is_lw_instance(&h));
+        // wrong arity
+        let h = Hypergraph::new(3, vec![vec![0, 1, 2], vec![1, 2], vec![0, 2]]).unwrap();
+        assert!(!is_lw_instance(&h));
+        // wrong edge count
+        let h = Hypergraph::new(3, vec![vec![0, 1], vec![1, 2]]).unwrap();
+        assert!(!is_lw_instance(&h));
+    }
+
+    #[test]
+    fn bt_regularity_detection() {
+        // LW(n) is (n−1)-regular.
+        assert_eq!(bt_regularity(&lw_hypergraph(4)), Some(3));
+        // 4-cycle is 2-regular.
+        let c4 = Hypergraph::new(4, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![0, 3]]).unwrap();
+        assert_eq!(bt_regularity(&c4), Some(2));
+        // path is not regular.
+        let p = Hypergraph::new(3, vec![vec![0, 1], vec![1, 2]]).unwrap();
+        assert_eq!(bt_regularity(&p), None);
+        // isolated vertex → degree 0 somewhere.
+        let iso = Hypergraph::new(3, vec![vec![0, 1]]).unwrap();
+        assert_eq!(bt_regularity(&iso), None);
     }
 }

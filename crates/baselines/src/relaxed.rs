@@ -19,8 +19,8 @@
 //!    with the optimal cover `x*_T`, then keep tuples agreeing with at
 //!    least `m − r` relations of the *full* query.
 
-use crate::nprr::join_nprr;
-use crate::query::{JoinQuery, QueryError};
+use wcoj_core::nprr::join_nprr;
+use wcoj_core::{JoinQuery, QueryError};
 use wcoj_hypergraph::agm;
 use wcoj_hypergraph::Hypergraph;
 use wcoj_storage::ops::{reorder, union};
@@ -213,7 +213,7 @@ pub fn relaxed_join_bruteforce(relations: &[Relation], r: usize) -> Result<Relat
         if !covered.iter().all(|&c| c) {
             continue;
         }
-        let j = crate::naive::join(&subset);
+        let j = wcoj_core::naive::join(&subset);
         let j = reorder(&j, &out_schema)?;
         result = union(&result, &j)?;
     }
@@ -234,7 +234,7 @@ mod tests {
         let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
         let s = rel(&[1, 2], &[&[2, 5], &[4, 6]]);
         let out = relaxed_join(&[r.clone(), s.clone()], 0).unwrap();
-        let plain = crate::join(&[r, s]).unwrap();
+        let plain = wcoj_core::join(&[r, s]).unwrap();
         assert_eq!(out.relation, plain);
         assert_eq!(out.classes, 1);
     }
@@ -260,7 +260,7 @@ mod tests {
         let r = rel(&[0, 1], &[&[1, 2]]);
         let s = rel(&[1, 2], &[&[2, 3], &[9, 9]]);
         let out = relaxed_join(&[r.clone(), s.clone()], 1).unwrap();
-        let plain = crate::join(&[r, s]).unwrap();
+        let plain = wcoj_core::join(&[r, s]).unwrap();
         assert_eq!(out.relation, plain);
     }
 

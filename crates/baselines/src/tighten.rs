@@ -16,9 +16,13 @@
 //! slack part `f_{¬t}`, move `ρ = min(x_f, min_slack)` of `f`'s weight onto
 //! the new edge `f_t`. Each step either zeroes a variable or tightens a
 //! vertex, so at most `|V| + |E|` steps occur.
+//!
+//! The exact-rational cover checks it needs ([`validate_cover_exact`],
+//! [`is_tight_cover`]) and the uniform Loomis–Whitney cover
+//! ([`lw_uniform`]) live here too: a served query checks its cover in
+//! `f64` only (`wcoj_hypergraph::cover::validate_cover`).
 
-use crate::cover::{is_tight_cover, validate_cover_exact};
-use crate::{HgError, Hypergraph};
+use wcoj_hypergraph::{HgError, Hypergraph};
 use wcoj_rational::Rational;
 
 /// Where each edge of the tightened instance came from.
@@ -152,13 +156,110 @@ pub fn bound_not_worse(
     new_log <= old_log + 1e-6
 }
 
+/// Exact-rational cover check.
+///
+/// # Errors
+/// [`HgError::CoverArityMismatch`] or [`HgError::NotACover`].
+pub fn validate_cover_exact(h: &Hypergraph, x: &[Rational]) -> Result<(), HgError> {
+    if x.len() != h.num_edges() {
+        return Err(HgError::CoverArityMismatch);
+    }
+    if x.iter().any(|v| v.is_negative()) {
+        return Err(HgError::NotACover { vertex: usize::MAX });
+    }
+    for v in 0..h.num_vertices() {
+        let mut total = Rational::ZERO;
+        for (e, xe) in x.iter().enumerate() {
+            if h.edge_contains(e, v) {
+                total = total
+                    .checked_add(*xe)
+                    .ok_or_else(|| HgError::Lp("overflow summing cover".into()))?;
+            }
+        }
+        if total < Rational::ONE {
+            return Err(HgError::NotACover { vertex: v });
+        }
+    }
+    Ok(())
+}
+
+/// `true` iff every vertex's constraint holds with *equality* — the "tight"
+/// covers produced by Lemma 3.2.
+#[must_use]
+pub fn is_tight_cover(h: &Hypergraph, x: &[Rational]) -> bool {
+    if validate_cover_exact(h, x).is_err() {
+        return false;
+    }
+    (0..h.num_vertices()).all(|v| {
+        let mut total = Rational::ZERO;
+        for (e, xe) in x.iter().enumerate() {
+            if h.edge_contains(e, v) {
+                total += *xe;
+            }
+        }
+        total == Rational::ONE
+    })
+}
+
+/// The uniform LW cover `x_e = 1/(n−1)` for a Loomis–Whitney instance.
+#[must_use]
+pub fn lw_uniform(h: &Hypergraph) -> Vec<Rational> {
+    let n = h.num_vertices() as i128;
+    vec![Rational::new(1, n - 1); h.num_edges()]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cover::lw_uniform;
 
     fn triangle() -> Hypergraph {
         Hypergraph::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap()
+    }
+
+    #[test]
+    fn half_cover_is_tight_for_triangle() {
+        let h = triangle();
+        let half = vec![Rational::ONE_HALF; 3];
+        assert!(validate_cover_exact(&h, &half).is_ok());
+        assert!(is_tight_cover(&h, &half));
+        // all-ones is a cover but not tight
+        let ones = vec![Rational::ONE; 3];
+        assert!(validate_cover_exact(&h, &ones).is_ok());
+        assert!(!is_tight_cover(&h, &ones));
+    }
+
+    #[test]
+    fn insufficient_cover_rejected() {
+        let h = triangle();
+        let third = Rational::new(1, 3);
+        assert_eq!(
+            validate_cover_exact(&h, &[third, third, third]),
+            Err(HgError::NotACover { vertex: 0 })
+        );
+    }
+
+    #[test]
+    fn negative_entries_rejected() {
+        let h = triangle();
+        assert!(validate_cover_exact(
+            &h,
+            &[-Rational::ONE, Rational::from_int(2), Rational::from_int(2)]
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn lw_uniform_covers_lw_instances() {
+        // n = 4 LW instance
+        let h = Hypergraph::new(
+            4,
+            vec![vec![1, 2, 3], vec![0, 2, 3], vec![0, 1, 3], vec![0, 1, 2]],
+        )
+        .unwrap();
+        let x = lw_uniform(&h);
+        assert_eq!(x[0], Rational::new(1, 3));
+        assert!(validate_cover_exact(&h, &x).is_ok());
+        assert!(is_tight_cover(&h, &x));
     }
 
     #[test]

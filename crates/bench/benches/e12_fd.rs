@@ -2,8 +2,8 @@
 //! FD-blind worst join order.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use wcoj_baselines::fd::{join_with_fds, Fd};
 use wcoj_baselines::plan::execute_left_deep;
-use wcoj_core::fd::{join_with_fds, Fd};
 use wcoj_storage::Attr;
 
 fn bench(c: &mut Criterion) {

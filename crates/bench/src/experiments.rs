@@ -6,13 +6,13 @@ use crate::table::{ms, time_secs, Table};
 use wcoj_baselines::graph_join::join_graph;
 use wcoj_baselines::lw::join_lw;
 use wcoj_baselines::plan::execute_left_deep;
-use wcoj_baselines::{best_actual_left_deep, optimize_left_deep};
+use wcoj_baselines::tighten::{bound_not_worse, is_tight_cover, tighten};
+use wcoj_baselines::{best_actual_left_deep, bt, fd, optimize_left_deep, relaxed};
 use wcoj_core::nprr::qptree::build_qp_tree;
 use wcoj_core::nprr::total_order::total_order;
-use wcoj_core::{bt, fd, fullcq, join_with, naive, relaxed, Algorithm, JoinQuery};
+use wcoj_core::{fullcq, join_with, naive, Algorithm, JoinQuery};
 use wcoj_datagen as gen;
 use wcoj_hypergraph::agm;
-use wcoj_hypergraph::tighten::tighten;
 use wcoj_rational::Rational;
 use wcoj_storage::{Attr, Relation};
 
@@ -722,10 +722,10 @@ pub fn e15_tighten() -> Vec<Table> {
     ];
     for (name, h, x) in shapes {
         let res = tighten(&h, &x).unwrap();
-        let tight = wcoj_hypergraph::cover::is_tight_cover(&res.hypergraph, &res.cover);
+        let tight = is_tight_cover(&res.hypergraph, &res.cover);
         // projections can only shrink: model |π(R)| = |R| (worst case)
         let sizes = vec![100usize; h.num_edges()];
-        let ok = wcoj_hypergraph::tighten::bound_not_worse(&res, &sizes, &x, |s, _| sizes[s]);
+        let ok = bound_not_worse(&res, &sizes, &x, |s, _| sizes[s]);
         t.row(vec![
             name.to_owned(),
             h.num_edges().to_string(),

@@ -6,10 +6,7 @@
 //! | Module | Paper reference | Contents |
 //! |--------|-----------------|----------|
 //! | [`nprr`] | §5, Algorithms 2–4, Procedure 5 | the generic worst-case optimal join: query-plan tree, total order, `Recursive-Join` — the one engine behind [`join`] and every served query |
-//! | [`relaxed`] | §7.2, Algorithm 6 | relaxed joins `q_r` via `BFS`-equivalence classes |
 //! | [`fullcq`] | §7.3 | full conjunctive queries (constants, repeated variables) reduced to natural joins |
-//! | [`fd`] | §7.3 | simple functional dependencies: closure-based relation expansion |
-//! | [`bt`] | §3 + Corollary 5.3 | the algorithmic Bollobás–Thomason / Loomis–Whitney inequality |
 //! | [`naive`] | baseline semantics | reference pairwise-hash-join evaluation used as the test oracle |
 //!
 //! The main entry point is [`join`] / [`join_with`], which assemble the
@@ -18,8 +15,11 @@
 //! [`nprr::PreparedQuery`] — the same pipeline the catalog, the service
 //! and the HTTP server run. Algorithm 1 (§4), Theorem 7.3 (§7.1) and
 //! Lemma 7.2's half-integral covers are special cases Theorem 5.1
-//! subsumes: they live in `wcoj-baselines` as reproductions, checked
-//! against NPRR there, and no crate on the served path depends on them.
+//! subsumes, and relaxed joins (§7.2), the FD expansion (§7.3), the
+//! algorithmic BT inequality (Corollary 5.3) and Lemma 3.2's tightening
+//! are reductions that call [`join`]: they all live in `wcoj-baselines`,
+//! checked against NPRR there, and no crate on the served path depends
+//! on them.
 //!
 //! ```
 //! use wcoj_storage::{Relation, Schema};
@@ -33,13 +33,10 @@
 //! assert_eq!(out.len(), 2); // (1,2,4) and (1,3,4)
 //! ```
 
-pub mod bt;
-pub mod fd;
 pub mod fullcq;
 pub mod naive;
 pub mod nprr;
 pub mod query;
-pub mod relaxed;
 
 pub use query::{JoinQuery, QueryError};
 

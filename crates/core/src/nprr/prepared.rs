@@ -23,8 +23,7 @@
 //!
 //! The preparation is generic over the [`SearchTree`] realisation
 //! ([`FlatIndex`] by default, a delta-merged view via
-//! `PreparedQuery::<DeltaIndex>::from_shared`, hash tries via
-//! `PreparedQuery::<HashTrieIndex>::new_indexed`).
+//! `PreparedQuery::<DeltaIndex>::from_shared`).
 
 use super::plan::JoinPlan;
 use super::{run_plan, RootShard};
@@ -486,7 +485,7 @@ mod tests {
     use super::*;
     use crate::{join_with, naive, Algorithm};
     use wcoj_storage::ops::reorder;
-    use wcoj_storage::{HashTrieIndex, Schema, Value};
+    use wcoj_storage::{DeltaIndex, DeltaRelation, Schema, Value};
 
     fn random_rel(seed: u64, attrs: &[u32], n: usize, dom: u64) -> Relation {
         use rand::{Rng, SeedableRng};
@@ -519,11 +518,11 @@ mod tests {
             random_rel(13, &[0, 2], 60, 7),
         ];
         let sorted = PreparedQuery::new(&rels).unwrap();
-        let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
+        let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
         let a = sorted.evaluate(None).unwrap();
-        let b = hashed.evaluate(None).unwrap();
+        let b = delta.evaluate(None).unwrap();
         assert_eq!(a.relation, b.relation);
-        assert_eq!(sorted.root_candidates(), hashed.root_candidates());
+        assert_eq!(sorted.root_candidates(), delta.root_candidates());
     }
 
     #[test]
@@ -613,12 +612,12 @@ mod tests {
         // v=2: 4 extensions in R (2 → {10,11,12,13}) plus 2 in T; v=3: 1
         // in R plus 1 in T. Weight = 1 + fanout.
         assert_eq!(weights, vec![(Value(2), 7), (Value(3), 3)]);
-        // The hash backend agrees (the flat backend computes fanouts by
-        // offset-range arithmetic instead of node child counts; if the
-        // weights diverged, so would shard plans and task budgets).
+        // The delta backend agrees (the flat backend computes fanouts by
+        // offset-range arithmetic, the delta view by its (ST2) counts; if
+        // the weights diverged, so would shard plans and task budgets).
         let rels = rels();
-        let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
-        assert_eq!(hashed.root_candidate_weights(), weights);
+        let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
+        assert_eq!(delta.root_candidate_weights(), weights);
         // the memoized view is identical and stable across calls
         assert_eq!(prepared.cached_root_weights(), weights.as_slice());
         assert_eq!(prepared.cached_root_weights(), weights.as_slice());
@@ -627,7 +626,7 @@ mod tests {
     #[test]
     fn root_candidate_weights_differential_across_backends() {
         // Random instances: Work-split weights must be identical across
-        // the flat and hash backends, or shard plans silently diverge.
+        // the flat and delta backends, or shard plans silently diverge.
         for seed in 0..8u64 {
             let rels = [
                 random_rel(seed * 3 + 100, &[0, 1], 70, 9),
@@ -635,15 +634,15 @@ mod tests {
                 random_rel(seed * 3 + 102, &[0, 2], 70, 9),
             ];
             let flat = PreparedQuery::new(&rels).unwrap();
-            let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
-            let want = hashed.root_candidate_weights();
+            let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
+            let want = delta.root_candidate_weights();
             assert_eq!(flat.root_candidate_weights(), want, "seed {seed}");
             assert_eq!(flat.cached_root_weights(), want.as_slice(), "seed {seed}");
             // anchor candidates agree for every root candidate too
             for &(v, _) in &want {
                 assert_eq!(
                     flat.anchor_candidates(v),
-                    hashed.anchor_candidates(v),
+                    delta.anchor_candidates(v),
                     "seed {seed}, root {v:?}"
                 );
             }
@@ -652,7 +651,6 @@ mod tests {
 
     #[test]
     fn delta_backend_matches_flat_over_materialized() {
-        use wcoj_storage::{DeltaIndex, DeltaRelation};
         // A delta-backed preparation (stale bases + ins/del buffers,
         // composed via from_shared with merged-view sizes) must be
         // bit-identical to a batch FlatIndex preparation over the
@@ -707,7 +705,6 @@ mod tests {
 
     #[test]
     fn effective_sizes_short_circuit_a_delta_emptied_input() {
-        use wcoj_storage::{DeltaIndex, DeltaRelation};
         // Base is non-empty, but deletions empty the view: the prepared
         // query must short-circuit on effective sizes, not base sizes.
         let base = random_rel(300, &[0, 1], 10, 4);
@@ -774,10 +771,10 @@ mod tests {
         assert_eq!(prepared.anchor_candidates(Value(3)), vec![Value(10)]);
         // absent root value: empty section, no candidates
         assert!(prepared.anchor_candidates(Value(99)).is_empty());
-        // hash backend agrees
-        let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
+        // delta backend agrees
+        let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
         assert_eq!(
-            hashed.anchor_candidates(Value(2)),
+            delta.anchor_candidates(Value(2)),
             prepared.anchor_candidates(Value(2))
         );
         // a single-attribute order has no anchor level

@@ -405,9 +405,11 @@ proptest! {
     }
 }
 
+/// `join_nprr` over flat tries and `PreparedQuery` over `DeltaIndex` —
+/// with empty buffers and with live ones — return the same rows and take
+/// the same per-tuple decisions under an explicit cover.
 #[test]
 fn hash_indexed_nprr_matches_sorted_trie() {
-    use wcoj_storage::HashTrieIndex;
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     for trial in 0..6 {
         let rels = [
@@ -418,14 +420,20 @@ fn hash_indexed_nprr_matches_sorted_trie() {
         let q = JoinQuery::new(&rels).unwrap();
         let sol = q.optimal_cover().unwrap();
         let a = join_nprr(&q, &sol.x).unwrap();
-        let b = PreparedQuery::<HashTrieIndex>::from_query(q)
-            .unwrap()
-            .evaluate(Some(&sol.x))
-            .unwrap();
-        assert_eq!(a.relation, b.relation, "trial {trial}");
-        // same per-tuple decisions: the size checks see identical counts
-        assert_eq!(a.stats.case_a, b.stats.case_a, "trial {trial}");
-        assert_eq!(a.stats.case_b, b.stats.case_b, "trial {trial}");
+        let empty_buffers = PreparedQuery::<DeltaIndex>::from_query(q).unwrap();
+        let live_buffers = prepared_over_live_buffers(&rels);
+        for (backend, b) in [
+            (
+                "empty buffers",
+                empty_buffers.evaluate(Some(&sol.x)).unwrap(),
+            ),
+            ("live buffers", live_buffers.evaluate(Some(&sol.x)).unwrap()),
+        ] {
+            assert_eq!(a.relation, b.relation, "trial {trial}, {backend}");
+            // same per-tuple decisions: the size checks see identical counts
+            assert_eq!(a.stats.case_a, b.stats.case_a, "trial {trial}, {backend}");
+            assert_eq!(a.stats.case_b, b.stats.case_b, "trial {trial}, {backend}");
+        }
     }
 }
 
@@ -607,11 +615,10 @@ fn assert_golden_all_backends(
     fnv: u64,
     golden: [(Option<f64>, Counts); 3],
 ) {
-    use wcoj_storage::HashTrieIndex;
     let flat = PreparedQuery::new(rels).unwrap();
     assert_golden(&format!("{name}, flat"), &flat, fnv, golden);
-    let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(rels).unwrap();
-    assert_golden(&format!("{name}, hash"), &hashed, fnv, golden);
+    let empty = PreparedQuery::<DeltaIndex>::new_indexed(rels).unwrap();
+    assert_golden(&format!("{name}, empty delta"), &empty, fnv, golden);
     let delta = prepared_over_live_buffers(rels);
     assert_golden(&format!("{name}, delta"), &delta, fnv, golden);
     let canonical = JoinQuery::new(rels).unwrap().output_schema();

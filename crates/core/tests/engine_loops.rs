@@ -6,11 +6,12 @@
 //!
 //! The leapfrog reads every search tree through its own child scan
 //! (`SearchTree::children` / `seek` / `child`): a gallop over a contiguous
-//! level on a flat or hashed node and on a base-only `DeltaIndex` node, a
-//! merge of the base with the buffers on a node touched by live buffers.
-//! So every instance runs on four backends — flat, hashed, a `DeltaIndex`
-//! whose every node is merged, and one whose buffers touch only a few
-//! paths, so merged and base-only nodes meet in one query — and under the
+//! level on a flat node and on a base-only `DeltaIndex` node, a merge of
+//! the base with the buffers on a node touched by live buffers. So every
+//! instance runs on four backends — flat, a `DeltaIndex` with empty
+//! buffers (every node base-only), one whose every node is merged, and one
+//! whose buffers touch only a few paths, so merged and base-only nodes
+//! meet in one query — and under the
 //! shard plans of `wcoj-exec`. Each run must reproduce `join_nprr` (the
 //! flat backend) exactly: the same raw rows in the same order and the same
 //! `JoinStats` counters. The output must also equal the naive join.
@@ -31,7 +32,7 @@ use wcoj_core::nprr::{join_nprr, PreparedQuery, RootShard};
 use wcoj_core::{naive, JoinQuery, JoinStats};
 use wcoj_exec::{plan_shards, ExecConfig};
 use wcoj_storage::ops::reorder;
-use wcoj_storage::{DeltaChildren, FlatIndex, HashTrieIndex, Relation, RowBuf, SearchTree, Value};
+use wcoj_storage::{DeltaChildren, FlatIndex, Relation, RowBuf, SearchTree, Value};
 
 /// `(intermediate_tuples, case_a, case_b)`.
 fn counters(s: &JoinStats) -> (u64, u64, u64) {
@@ -134,7 +135,7 @@ proptest! {
             prop_assert_eq!(&oracle.relation, &naive, "{}: naive", ctx);
 
             let flat = PreparedQuery::<FlatIndex>::new_indexed(&rels).unwrap();
-            let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
+            let empty = over_delta(&rels, Buffers::Empty);
             let delta = over_delta(&rels, Buffers::Live);
             let sparse = over_delta(&rels, Buffers::Sparse);
             let want = run(&flat, x, bound, None);
@@ -143,7 +144,7 @@ proptest! {
             want.0.iter().for_each(|r| rows.push_row(r));
             let assembled = flat.assemble(rows, JoinStats::default()).unwrap();
             prop_assert_eq!(&assembled.relation, &oracle.relation, "{}: assembled", ctx);
-            prop_assert_eq!(&run(&hashed, x, bound, None), &want, "{}: hash", ctx);
+            prop_assert_eq!(&run(&empty, x, bound, None), &want, "{}: empty delta", ctx);
             prop_assert_eq!(&run(&delta, x, bound, None), &want, "{}: delta", ctx);
             prop_assert_eq!(&run(&sparse, x, bound, None), &want, "{}: sparse delta", ctx);
 
@@ -159,7 +160,7 @@ proptest! {
             let mut slots = Vec::new();
             for &task in &plan {
                 let shard = run(&flat, x, bound, task);
-                prop_assert_eq!(&run(&hashed, x, bound, task), &shard, "{}: hash {:?}", ctx, task);
+                prop_assert_eq!(&run(&empty, x, bound, task), &shard, "{}: empty {:?}", ctx, task);
                 prop_assert_eq!(&run(&delta, x, bound, task), &shard, "{}: delta {:?}", ctx, task);
                 prop_assert_eq!(&run(&sparse, x, bound, task), &shard, "{}: sparse {:?}", ctx, task);
                 slots.extend(shard.0);

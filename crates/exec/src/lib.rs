@@ -420,7 +420,7 @@ pub fn plan_shards<S: SearchTree>(
 mod tests {
     use super::*;
     use wcoj_core::{join_with, Algorithm, JoinOutput, JoinStats};
-    use wcoj_storage::{HashTrieIndex, Relation, RowBuf, Schema};
+    use wcoj_storage::{DeltaIndex, Relation, RowBuf, Schema};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -846,15 +846,15 @@ mod tests {
         ];
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
         let flat = PreparedQuery::new(&rels).unwrap();
-        let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
+        let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
         for workers in [2, 8] {
             let flat_plan = plan_shards(&flat, workers * OVERSPLIT, &fine());
-            let hashed_plan = plan_shards(&hashed, workers * OVERSPLIT, &fine());
-            assert_eq!(flat_plan, hashed_plan, "w={workers}");
+            let delta_plan = plan_shards(&delta, workers * OVERSPLIT, &fine());
+            assert_eq!(flat_plan, delta_plan, "w={workers}");
             let a = run_plan(&flat, &flat_plan, None);
-            let b = run_plan(&hashed, &hashed_plan, None);
+            let b = run_plan(&delta, &delta_plan, None);
             assert_eq!(a.relation, seq.relation, "flat w={workers}");
-            assert_eq!(b.relation, seq.relation, "hashed w={workers}");
+            assert_eq!(b.relation, seq.relation, "delta w={workers}");
         }
         // reuse: re-planning the same preparation reads the memoized root
         // weights and yields the same plan

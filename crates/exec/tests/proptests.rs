@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use wcoj_core::nprr::{PreparedQuery, RootShard};
 use wcoj_core::{JoinQuery, JoinStats};
 use wcoj_exec::{plan_shards, ExecConfig, OVERSPLIT};
-use wcoj_storage::{HashTrieIndex, Relation, RowBuf, SearchTree, Value};
+use wcoj_storage::{DeltaIndex, Relation, RowBuf, SearchTree, Value};
 
 /// What the service does with a plan, minus its threads: every task run
 /// in slot order, rows concatenated, then assembled.
@@ -62,8 +62,9 @@ proptest! {
 
     /// `heavy_split_factor` is a pure performance knob, and so is the
     /// pool size the plan is sized for: on random instances, on Zipf skew
-    /// and on the single-hot-key family, with both backends, the merged
-    /// shard runs equal sequential `join_nprr` bit for bit.
+    /// and on the single-hot-key family, over flat tries and over
+    /// `DeltaIndex` views, the merged shard runs equal sequential
+    /// `join_nprr` bit for bit.
     #[test]
     fn heavy_split_factor_never_changes_output(seed in 0u64..10_000) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_mul(6151));
@@ -82,15 +83,15 @@ proptest! {
             let sol = q.optimal_cover().unwrap();
             let seq = wcoj_core::nprr::join_nprr(&q, &sol.x).unwrap().relation;
             let flat = PreparedQuery::new(rels).unwrap();
-            let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(rels).unwrap();
+            let delta = PreparedQuery::<DeltaIndex>::new_indexed(rels).unwrap();
             let workers = [1usize, 2, 4, 8][rng.gen_range(0..4usize)];
             for factor in [0usize, 1, 2, 8, 1 << 20, usize::MAX] {
                 let cfg = ExecConfig { shard_min_size: 1, heavy_split_factor: factor };
                 let ctx = format!("instance {which}, {workers} workers, factor {factor}, seed {seed}");
                 let plan = plan_shards(&flat, workers * OVERSPLIT, &cfg);
                 prop_assert_eq!(&run_plan(&flat, &plan), &seq, "flat, {}", ctx);
-                let plan = plan_shards(&hashed, workers * OVERSPLIT, &cfg);
-                prop_assert_eq!(&run_plan(&hashed, &plan), &seq, "hash, {}", ctx);
+                let plan = plan_shards(&delta, workers * OVERSPLIT, &cfg);
+                prop_assert_eq!(&run_plan(&delta, &plan), &seq, "delta, {}", ctx);
             }
         }
     }

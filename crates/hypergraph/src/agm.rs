@@ -270,58 +270,54 @@ mod tests {
     }
 }
 
-/// The dual of the cover LP: `max Σ_v y_v` subject to
-/// `Σ_{v∈e} y_v ≤ log₂ N_e` and `y ≥ 0` — Gottlob–Lee–Valiant's
-/// **coloring number** in the uniform-size case (the paper's related
-/// work). By LP duality its optimum equals the optimal cover objective,
-/// so `2^{coloring}` is again the AGM bound; we expose it both as an
-/// alternative certificate and as a strong-duality cross-check.
-///
-/// # Errors
-/// Same as [`optimal_cover`].
-pub fn dual_assignment(h: &Hypergraph, sizes: &[usize]) -> Result<DualSolution, HgError> {
-    if sizes.len() != h.num_edges() {
-        return Err(HgError::CoverArityMismatch);
-    }
-    if let Some(&v) = h.uncovered_vertices().first() {
-        return Err(HgError::UncoveredVertex(v));
-    }
-    // maximise Σ y_v  ⇔  minimise Σ (−1)·y_v
-    let n = h.num_vertices();
-    let mut lp = wcoj_lp::LinearProgram::minimize(vec![-1.0; n]);
-    debug_assert_eq!(sizes.len(), h.num_edges());
-    for (e, &size) in sizes.iter().enumerate() {
-        let coeffs: Vec<f64> = (0..n)
-            .map(|v| if h.edge_contains(e, v) { 1.0 } else { 0.0 })
-            .collect();
-        lp.le(coeffs, (size.max(1) as f64).log2());
-    }
-    let sol = solve(&lp).map_err(|e| HgError::Lp(e.to_string()))?;
-    if sol.status != Status::Optimal {
-        return Err(HgError::Lp(format!(
-            "dual: unexpected status {:?}",
-            sol.status
-        )));
-    }
-    Ok(DualSolution {
-        y: sol.x,
-        coloring_number_log2: -sol.objective,
-    })
-}
-
-/// Optimal dual (vertex) weights for the cover LP.
-#[derive(Debug, Clone)]
-pub struct DualSolution {
-    /// Per-vertex dual weight `y_v ≥ 0`.
-    pub y: Vec<f64>,
-    /// `Σ y_v` = the GLV coloring number (in `log₂` scale) = `log₂` of the
-    /// AGM bound, by strong duality.
-    pub coloring_number_log2: f64,
-}
-
 #[cfg(test)]
 mod dual_tests {
     use super::*;
+
+    /// The dual of the cover LP: `max Σ_v y_v` subject to
+    /// `Σ_{v∈e} y_v ≤ log₂ N_e` and `y ≥ 0` — Gottlob–Lee–Valiant's
+    /// **coloring number** in the uniform-size case (the paper's related
+    /// work). By LP duality its optimum equals the optimal cover objective,
+    /// so `2^{coloring}` is again the AGM bound; the tests below
+    /// use it as a strong-duality cross-check.
+    fn dual_assignment(h: &Hypergraph, sizes: &[usize]) -> Result<DualSolution, HgError> {
+        if sizes.len() != h.num_edges() {
+            return Err(HgError::CoverArityMismatch);
+        }
+        if let Some(&v) = h.uncovered_vertices().first() {
+            return Err(HgError::UncoveredVertex(v));
+        }
+        // maximise Σ y_v  ⇔  minimise Σ (−1)·y_v
+        let n = h.num_vertices();
+        let mut lp = wcoj_lp::LinearProgram::minimize(vec![-1.0; n]);
+        debug_assert_eq!(sizes.len(), h.num_edges());
+        for (e, &size) in sizes.iter().enumerate() {
+            let coeffs: Vec<f64> = (0..n)
+                .map(|v| if h.edge_contains(e, v) { 1.0 } else { 0.0 })
+                .collect();
+            lp.le(coeffs, (size.max(1) as f64).log2());
+        }
+        let sol = solve(&lp).map_err(|e| HgError::Lp(e.to_string()))?;
+        if sol.status != Status::Optimal {
+            return Err(HgError::Lp(format!(
+                "dual: unexpected status {:?}",
+                sol.status
+            )));
+        }
+        Ok(DualSolution {
+            y: sol.x,
+            coloring_number_log2: -sol.objective,
+        })
+    }
+
+    /// Optimal dual (vertex) weights for the cover LP.
+    struct DualSolution {
+        /// Per-vertex dual weight `y_v ≥ 0`.
+        y: Vec<f64>,
+        /// `Σ y_v` = the GLV coloring number (in `log₂` scale) = `log₂` of the
+        /// AGM bound, by strong duality.
+        coloring_number_log2: f64,
+    }
 
     fn triangle() -> Hypergraph {
         Hypergraph::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap()

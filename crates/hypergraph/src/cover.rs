@@ -34,79 +34,16 @@ pub fn validate_cover(h: &Hypergraph, x: &[f64]) -> Result<(), HgError> {
     Ok(())
 }
 
-/// Exact-rational cover check.
-///
-/// # Errors
-/// [`HgError::CoverArityMismatch`] or [`HgError::NotACover`].
-pub fn validate_cover_exact(h: &Hypergraph, x: &[Rational]) -> Result<(), HgError> {
-    if x.len() != h.num_edges() {
-        return Err(HgError::CoverArityMismatch);
-    }
-    if x.iter().any(|v| v.is_negative()) {
-        return Err(HgError::NotACover { vertex: usize::MAX });
-    }
-    for v in 0..h.num_vertices() {
-        let mut total = Rational::ZERO;
-        for (e, xe) in x.iter().enumerate() {
-            if h.edge_contains(e, v) {
-                total = total
-                    .checked_add(*xe)
-                    .ok_or_else(|| HgError::Lp("overflow summing cover".into()))?;
-            }
-        }
-        if total < Rational::ONE {
-            return Err(HgError::NotACover { vertex: v });
-        }
-    }
-    Ok(())
-}
-
-/// `true` iff every vertex's constraint holds with *equality* — the "tight"
-/// covers produced by Lemma 3.2.
-#[must_use]
-pub fn is_tight_cover(h: &Hypergraph, x: &[Rational]) -> bool {
-    if validate_cover_exact(h, x).is_err() {
-        return false;
-    }
-    (0..h.num_vertices()).all(|v| {
-        let mut total = Rational::ZERO;
-        for (e, xe) in x.iter().enumerate() {
-            if h.edge_contains(e, v) {
-                total += *xe;
-            }
-        }
-        total == Rational::ONE
-    })
-}
-
 /// The always-feasible all-ones cover (`x_e = 1`), paper §2.
 #[must_use]
 pub fn all_ones(h: &Hypergraph) -> Vec<f64> {
     vec![1.0; h.num_edges()]
 }
 
-/// The uniform LW cover `x_e = 1/(n−1)` for a Loomis–Whitney instance.
-#[must_use]
-pub fn lw_uniform(h: &Hypergraph) -> Vec<Rational> {
-    let n = h.num_vertices() as i128;
-    vec![Rational::new(1, n - 1); h.num_edges()]
-}
-
 /// Converts an exact cover to `f64`.
 #[must_use]
 pub fn to_f64(x: &[Rational]) -> Vec<f64> {
     x.iter().map(|r| r.to_f64()).collect()
-}
-
-/// Approximates an `f64` cover by rationals (denominators ≤ `max_den`),
-/// then *repairs* feasibility by rounding up any violated constraint's
-/// variables is not attempted — callers should use exact LP output when
-/// exactness matters. Returns `None` if any entry is non-finite.
-#[must_use]
-pub fn to_exact(x: &[f64], max_den: i128) -> Option<Vec<Rational>> {
-    x.iter()
-        .map(|&v| Rational::approximate_f64(v, max_den))
-        .collect()
 }
 
 #[cfg(test)]
@@ -124,18 +61,6 @@ mod tests {
     }
 
     #[test]
-    fn half_cover_is_tight_for_triangle() {
-        let h = triangle();
-        let half = vec![Rational::ONE_HALF; 3];
-        assert!(validate_cover_exact(&h, &half).is_ok());
-        assert!(is_tight_cover(&h, &half));
-        // all-ones is a cover but not tight
-        let ones = vec![Rational::ONE; 3];
-        assert!(validate_cover_exact(&h, &ones).is_ok());
-        assert!(!is_tight_cover(&h, &ones));
-    }
-
-    #[test]
     fn short_vectors_rejected() {
         let h = triangle();
         assert_eq!(validate_cover(&h, &[1.0]), Err(HgError::CoverArityMismatch));
@@ -148,36 +73,12 @@ mod tests {
             validate_cover(&h, &[0.4, 0.4, 0.4]),
             Err(HgError::NotACover { vertex: 0 })
         );
-        let third = Rational::new(1, 3);
-        assert_eq!(
-            validate_cover_exact(&h, &[third, third, third]),
-            Err(HgError::NotACover { vertex: 0 })
-        );
     }
 
     #[test]
     fn negative_entries_rejected() {
         let h = triangle();
         assert!(validate_cover(&h, &[-0.5, 2.0, 2.0]).is_err());
-        assert!(validate_cover_exact(
-            &h,
-            &[-Rational::ONE, Rational::from_int(2), Rational::from_int(2)]
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn lw_uniform_covers_lw_instances() {
-        // n = 4 LW instance
-        let h = Hypergraph::new(
-            4,
-            vec![vec![1, 2, 3], vec![0, 2, 3], vec![0, 1, 3], vec![0, 1, 2]],
-        )
-        .unwrap();
-        let x = lw_uniform(&h);
-        assert_eq!(x[0], Rational::new(1, 3));
-        assert!(validate_cover_exact(&h, &x).is_ok());
-        assert!(is_tight_cover(&h, &x));
     }
 
     #[test]
@@ -185,7 +86,5 @@ mod tests {
         let x = vec![Rational::ONE_HALF, Rational::ONE];
         let f = to_f64(&x);
         assert_eq!(f, vec![0.5, 1.0]);
-        assert_eq!(to_exact(&f, 1000).unwrap(), x);
-        assert!(to_exact(&[f64::NAN], 10).is_none());
     }
 }

@@ -5,24 +5,19 @@
 //! hyperedge of its attributes. This crate provides:
 //!
 //! * [`Hypergraph`] — vertices `0..n` and hyperedges as sorted vertex sets;
-//! * [`cover`] — fractional edge covers (`Σ_{e∋v} x_e ≥ 1`), both `f64`
-//!   and exact-rational, with feasibility/tightness checks;
+//! * [`cover`] — fractional edge covers (`Σ_{e∋v} x_e ≥ 1`) and their
+//!   feasibility check;
 //! * [`agm`] — the cover LP `min Σ (log N_e)·x_e` and the **AGM bound**
-//!   `∏ N_e^{x_e}` (paper inequality (2));
-//! * [`tighten`] — the constructive transformation of **Lemma 3.2**
-//!   producing a *tight* cover on an enlarged edge set without worsening
-//!   the bound or changing the join;
-//! * [`lw`] — builders and recognisers for Loomis–Whitney instances
-//!   (`E = all (n−1)-subsets of [n]`) and Bollobás–Thomason regular
-//!   families (§3; `wcoj-core`'s `bt` uses [`lw::bt_regularity`]).
+//!   `∏ N_e^{x_e}` (paper inequality (2)).
 //!
-//! Lemma 7.2's half-integral decomposition of graph covers serves only
-//! the Theorem 7.3 reproduction and lives beside it in `wcoj-baselines`.
+//! That is all a served query uses. Lemma 3.2's tightening (with the
+//! exact-rational cover checks), the Loomis–Whitney / Bollobás–Thomason
+//! instance shapes and Lemma 7.2's half-integral decomposition of graph
+//! covers serve only the paper's reproductions and live beside them in
+//! `wcoj-baselines`.
 
 pub mod agm;
 pub mod cover;
-pub mod lw;
-pub mod tighten;
 
 use std::fmt;
 

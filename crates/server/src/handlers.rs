@@ -26,6 +26,9 @@ pub(crate) fn handle(
     let segments: Vec<&str> = path.split('/').skip(1).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => write_response(conn, 200, "OK", "text/plain", &[], b"ok\n"),
+        // Stands in for a handler bug: the accept loop must survive it.
+        #[cfg(test)]
+        ("GET", ["panic"]) => panic!("a handler died mid-request"),
         ("GET", ["metrics"]) => {
             let body = wcoj_obs::global().render_prometheus();
             write_response(

@@ -70,6 +70,7 @@ pub use config::{ServerConfig, DEFAULT_BIND};
 pub use jobs::{Job, Jobs};
 
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -86,7 +87,8 @@ pub struct ServerMetrics {
     pub requests_total: Arc<Counter>,
     /// `POST /query` submissions (accepted or not).
     pub queries_total: Arc<Counter>,
-    /// Requests answered with a non-overload error status.
+    /// Requests answered with a non-overload error status, plus
+    /// connections dropped because their handler panicked.
     pub errors_total: Arc<Counter>,
     /// Submissions shed with `429` at the HTTP layer.
     pub overloaded_total: Arc<Counter>,
@@ -113,7 +115,7 @@ impl ServerMetrics {
                 ),
                 errors_total: reg.counter(
                     "wcoj_server_http_errors_total",
-                    "requests answered with a non-429 error status",
+                    "requests answered with a non-429 error status or dropped by a panicking handler",
                 ),
                 overloaded_total: reg.counter(
                     "wcoj_server_http_overloaded_total",
@@ -273,7 +275,15 @@ fn accept_loop(
         }
         let _ = stream.set_read_timeout(cfg.read_timeout);
         let _ = stream.set_nodelay(true);
-        serve_connection(state, &mut stream, cfg);
+        // A handler that panics costs its connection, not this thread:
+        // the server keeps all `conn_threads` accepting for its lifetime.
+        // The locks it may have held recover from poisoning.
+        let served = panic::catch_unwind(AssertUnwindSafe(|| {
+            serve_connection(state, &mut stream, cfg);
+        }));
+        if served.is_err() {
+            state.metrics.errors_total.inc();
+        }
         // The serve loop decided the connection's fate — just drop it.
     }
 }
@@ -378,6 +388,11 @@ mod tests {
             body.len()
         );
         stream.write_all(req.as_bytes()).expect("send");
+        // A server with no thread left to accept must fail the test, not
+        // hang it.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .expect("read timeout");
         let mut raw = String::new();
         stream.read_to_string(&mut raw).expect("read response");
         let (head, rest) = raw.split_once("\r\n\r\n").expect("header terminator");
@@ -431,5 +446,32 @@ mod tests {
         let (status, metrics) = request(&server, "GET", "/metrics", "");
         assert_eq!(status, 200);
         assert!(metrics.contains("wcoj_server_http_requests_total"));
+    }
+
+    #[test]
+    fn a_panicking_handler_does_not_kill_its_accept_thread() {
+        // One connection thread: if the panic unwound out of it, nothing
+        // would be left to accept the next request.
+        let cfg = ServerConfig {
+            bind: "127.0.0.1:0".parse().unwrap(),
+            conn_threads: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start_with(cfg, Catalog::new()).expect("bind loopback");
+        let errors = server.state.metrics.errors_total.get();
+
+        // The handler dies mid-request: the connection closes unanswered.
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .write_all(b"GET /panic HTTP/1.1\r\nHost: loopback\r\nConnection: close\r\n\r\n")
+            .expect("send");
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        assert!(raw.is_empty(), "no response from a panicked handler");
+        assert!(server.state.metrics.errors_total.get() > errors);
+
+        // The same thread accepts and answers the next requests.
+        assert_eq!(request(&server, "GET", "/healthz", "").0, 200);
+        assert_eq!(request(&server, "PUT", "/relation/E", "1,2\n").0, 200);
     }
 }

@@ -1459,7 +1459,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use wcoj_core::{join_with, Algorithm};
-    use wcoj_storage::{Attr, FlatIndex, HashTrieIndex, Schema, StorageError, Value};
+    use wcoj_storage::{Attr, DeltaIndex, FlatIndex, Schema, StorageError, Value};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -1568,12 +1568,14 @@ mod tests {
         assert_eq!(counters.cancelled, 0);
     }
 
+    /// A second search tree, the `DeltaIndex` view the server reads, runs
+    /// through the pool like the flat trie.
     #[test]
     fn hash_backend_through_the_pool() {
         let service = Service::new(ServiceConfig::with_workers(4));
         let rels = triangle();
         let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        let prepared = Arc::new(PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()

@@ -29,8 +29,6 @@
 //!   paper's footnote 3 explicitly allows) in a **flat columnar** layout:
 //!   contiguous sorted value arrays per level plus offset ranges, with
 //!   [`gallop`]ing lookups;
-//! * [`HashTrieIndex`] — §5.1's "collection of hash indices" alternative,
-//!   kept as an ablation and a second backend for differential tests;
 //! * [`DeltaRelation`] / [`DeltaIndex`] — a mutable view over a frozen,
 //!   `Arc`-shared base: sorted insert/delete buffers merged with the base
 //!   [`FlatIndex`] at scan time, plus shard-parallelisable minor compaction;
@@ -54,7 +52,7 @@ mod value;
 
 pub use delta::{DeltaChildren, DeltaIndex, DeltaNode, DeltaRelation, MergeChunk, MergedChildren};
 pub use flat::{FlatChildren, FlatIndex, FlatNode};
-pub use index::{HashChildren, HashTrieIndex, SearchTree};
+pub use index::SearchTree;
 pub use relation::{Relation, RowSet};
 pub use rowbuf::RowBuf;
 pub use schema::{Attr, Schema};

@@ -2,15 +2,15 @@
 //! with the relational algebra on every section/projection query, for
 //! random relations and random attribute orders — this is the
 //! load-bearing equivalence behind `Recursive-Join`'s (ST1)–(ST3) usage —
-//! and the hash alternative ([`HashTrieIndex`]) must agree with it
-//! pointwise.
+//! and pointwise with the trie's definition: the relation's distinct rows,
+//! sorted, and their prefixes.
 
 use crate::ops::{project, select_eq};
 use crate::{
-    gallop, Attr, DeltaIndex, DeltaRelation, FlatIndex, HashTrieIndex, Relation, Schema,
-    SearchTree, Value,
+    gallop, Attr, DeltaIndex, DeltaRelation, FlatIndex, Relation, Schema, SearchTree, Value,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arb_rel(arity: usize, max_rows: usize, dom: u64) -> impl Strategy<Value = Relation> {
     let attrs: Vec<u32> = (0..arity as u32).collect();
@@ -32,6 +32,35 @@ fn section_by_ops(rel: &Relation, order: &[Attr], prefix: &[Value], extra: usize
     }
     let keep: Vec<Attr> = order[prefix.len()..prefix.len() + extra].to_vec();
     project(&cur, &keep).expect("attrs present")
+}
+
+/// The relation's rows with columns in `order`, sorted and distinct — an
+/// oracle built without any index.
+fn sorted_rows(rel: &Relation, order: &[Attr]) -> BTreeSet<Vec<Value>> {
+    let positions = rel.schema().positions_of(order).expect("permutation");
+    rel.iter_rows()
+        .map(|r| positions.iter().map(|&p| r[p]).collect())
+        .collect()
+}
+
+/// The distinct length-`extra` extensions of `prefix` among `rows`, in
+/// ascending order: what (ST3) must list under the node `prefix` reaches.
+fn extensions(rows: &BTreeSet<Vec<Value>>, prefix: &[Value], extra: usize) -> Vec<Vec<Value>> {
+    let k = prefix.len();
+    let set: BTreeSet<Vec<Value>> = rows
+        .iter()
+        .filter(|r| r.starts_with(prefix))
+        .map(|r| r[k..k + extra].to_vec())
+        .collect();
+    set.into_iter().collect()
+}
+
+/// The labels of `extensions(rows, prefix, 1)`.
+fn child_labels(rows: &BTreeSet<Vec<Value>>, prefix: &[Value]) -> Vec<Value> {
+    extensions(rows, prefix, 1)
+        .into_iter()
+        .map(|t| t[0])
+        .collect()
 }
 
 /// (ST3) as a list: every length-`extra` extension of `node`, in order.
@@ -88,7 +117,7 @@ where
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The child scan of every backend — flat, hashed, a `DeltaIndex` with
+    /// The child scan of every backend — flat, a `DeltaIndex` with
     /// empty buffers, and one whose nodes are merged from live buffers or
     /// base-only — agrees with the listed children and with `descend` over
     /// an ascending run of targets (repeats and targets past the end
@@ -104,8 +133,6 @@ proptest! {
         let order: Vec<Attr> = rel.schema().attrs().to_vec();
         let flat = FlatIndex::build(&rel, &order).expect("permutation");
         check_seeks_two_levels(&flat, 3, &targets);
-        let hash = HashTrieIndex::build(&rel, &order).expect("permutation");
-        check_seeks_two_levels(&hash, 3, &targets);
         // Empty buffers: every node scans the base alone.
         let base_only = <DeltaIndex as SearchTree>::build(&rel, &order).expect("permutation");
         check_seeks_two_levels(&base_only, 3, &targets);
@@ -193,36 +220,39 @@ proptest! {
         }
     }
 
-    /// The hash trie is pointwise equivalent to the flat counted trie:
-    /// same counts, same descents, same enumerations in the same order,
-    /// same children — for random relations and both orders.
+    /// The flat counted trie is pointwise equivalent to its definition
+    /// over the relation's sorted, distinct rows: same counts, same
+    /// descents, same enumerations in the same order, same children — for
+    /// random relations and both orders.
     #[test]
     fn flat_index_matches_trie(rel in arb_rel(3, 40, 4), reversed in any::<bool>()) {
         let mut order: Vec<Attr> = rel.schema().attrs().to_vec();
         if reversed {
             order.reverse();
         }
-        let hash = HashTrieIndex::build(&rel, &order).expect("permutation");
+        let rows = sorted_rows(&rel, &order);
         let flat = FlatIndex::build(&rel, &order).expect("permutation");
         for depth in 1..=3usize {
             prop_assert_eq!(
-                hash.distinct_count(hash.root(), depth),
-                flat.distinct_count(flat.root(), depth)
+                flat.distinct_count(flat.root(), depth),
+                extensions(&rows, &[], depth).len()
             );
         }
-        prop_assert_eq!(hash.child_values(hash.root()), flat.child_slice(flat.root()).to_vec());
+        prop_assert_eq!(flat.child_slice(flat.root()).to_vec(), child_labels(&rows, &[]));
+        prop_assert_eq!(flat.child_values(flat.root()), child_labels(&rows, &[]));
         for v0 in 0..4u64 {
-            let hn = hash.descend(hash.root(), Value(v0));
+            let prefix = [Value(v0)];
             let fnode = flat.descend(flat.root(), Value(v0));
-            prop_assert_eq!(hn.is_some(), fnode.is_some());
-            let (Some(hn), Some(fnode)) = (hn, fnode) else { continue };
-            prop_assert_eq!(hash.distinct_count(hn, 1), flat.distinct_count(fnode, 1));
-            prop_assert_eq!(hash.distinct_count(hn, 2), flat.distinct_count(fnode, 2));
-            prop_assert_eq!(hash.child_values(hn), flat.child_slice(fnode).to_vec());
-            prop_assert_eq!(listed(&hash, hn, 2), listed(&flat, fnode, 2));
+            prop_assert_eq!(fnode.is_some(), !extensions(&rows, &prefix, 0).is_empty());
+            let Some(fnode) = fnode else { continue };
+            prop_assert_eq!(flat.distinct_count(fnode, 1), extensions(&rows, &prefix, 1).len());
+            prop_assert_eq!(flat.distinct_count(fnode, 2), extensions(&rows, &prefix, 2).len());
+            prop_assert_eq!(flat.child_slice(fnode).to_vec(), child_labels(&rows, &prefix));
+            prop_assert_eq!(flat.child_values(fnode), child_labels(&rows, &prefix));
+            prop_assert_eq!(listed(&flat, fnode, 2), extensions(&rows, &prefix, 2));
         }
-        // full-depth enumerations agree, including order
-        prop_assert_eq!(listed(&hash, hash.root(), 3), listed(&flat, flat.root(), 3));
+        // full-depth enumeration, including order
+        prop_assert_eq!(listed(&flat, flat.root(), 3), rows.into_iter().collect::<Vec<_>>());
     }
 
     /// Galloping lower bound agrees with std's `partition_point` from
@@ -275,20 +305,20 @@ proptest! {
         prop_assert_eq!(gallop::intersect(&bv, &av), want);
     }
 
-    /// `HashTrieIndex::descend` (hash probe) and `FlatIndex::descend`
-    /// (galloping) agree on hit/miss and land on nodes with identical
-    /// sections, for needles inside and past the key range.
+    /// `FlatIndex::descend` (galloping) hits exactly the values that
+    /// start a row and lands on a node whose children are that value's
+    /// extensions, for needles inside and past the key range.
     #[test]
     fn descend_lookup_sweep(rel in arb_rel(2, 30, 6)) {
         let order: Vec<Attr> = rel.schema().attrs().to_vec();
-        let hash = HashTrieIndex::build(&rel, &order).expect("permutation");
+        let rows = sorted_rows(&rel, &order);
         let flat = FlatIndex::build(&rel, &order).expect("permutation");
         for v in 0..9u64 { // domain is 0..6: values 6..9 probe past the end
-            let hn = hash.descend(hash.root(), Value(v));
+            let prefix = [Value(v)];
             let fnode = flat.descend(flat.root(), Value(v));
-            prop_assert_eq!(hn.is_some(), fnode.is_some());
-            if let (Some(hn), Some(fnode)) = (hn, fnode) {
-                prop_assert_eq!(hash.child_values(hn), flat.child_slice(fnode).to_vec());
+            prop_assert_eq!(fnode.is_some(), !extensions(&rows, &prefix, 0).is_empty());
+            if let Some(fnode) = fnode {
+                prop_assert_eq!(flat.child_slice(fnode).to_vec(), child_labels(&rows, &prefix));
             }
         }
     }

@@ -7,7 +7,7 @@
 //! cargo run --release --example bt_inequality
 //! ```
 
-use wcoj::core::bt;
+use wcoj::baselines::bt;
 use wcoj::prelude::*;
 use wcoj::storage::ops::project;
 

@@ -10,8 +10,8 @@
 //! ```
 
 use std::time::Instant;
+use wcoj::baselines::fd::{expanded_log2_bound, join_with_fds, Fd};
 use wcoj::baselines::plan::execute_left_deep;
-use wcoj::core::fd::{expanded_log2_bound, join_with_fds, Fd};
 use wcoj::prelude::*;
 
 fn main() {

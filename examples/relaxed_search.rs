@@ -10,7 +10,7 @@
 //! cargo run --release --example relaxed_search
 //! ```
 
-use wcoj::core::relaxed::relaxed_join;
+use wcoj::baselines::relaxed::relaxed_join;
 use wcoj::prelude::*;
 
 fn main() {

@@ -11,14 +11,14 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5) — the one engine behind `join` and every served query — plus the library extensions that run it: relaxed joins (§7.2), full CQs + FDs (§7.3), algorithmic BT/LW (§3) |
+//! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5) — the one engine behind `join` and every served query — plus full conjunctive queries (constants, repeated variables; §7.3), which the query front end reduces to natural joins |
 //! | [`exec`] (`wcoj-exec`) | the one root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`plan_shards`, `ExecConfig`) — plus the warn-once `WCOJ_*` env parsing |
 //! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans, one way in (`Service::submit`), bounded admission that sheds under overload, and round-robin fair dispatch; a `QueryHandle` takes a query's shard slots in order, one batch at a time or all at once (`Service`, `QueryHandle`, `SubmitError`) |
-//! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), its delta-merged view over live insert/delete buffers (`DeltaIndex`), and the hash-trie alternative (`HashTrieIndex`) |
-//! | [`hypergraph`] | query hypergraphs, fractional covers, AGM bounds, Lemma 3.2 tightening, Loomis–Whitney / BT families |
+//! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), and its delta-merged view over live insert/delete buffers (`DeltaIndex`) |
+//! | [`hypergraph`] | query hypergraphs, fractional covers, the cover LP and AGM bounds |
 //! | [`lp`] | the two-phase simplex solver (f64 + exact rational) |
 //! | [`rational`] | exact `i128` rationals |
-//! | [`baselines`] (`wcoj-baselines`) | reference implementations no served crate links: hash/sort-merge/nested-loop joins, binary plans, a System-R-style optimizer, and the special cases Theorem 5.1 subsumes — the Loomis–Whitney algorithm (§4), arity-≤2 star/cycle joins (§7.1, Theorem 7.3) and Lemma 7.2's half-integral covers |
+//! | [`baselines`] (`wcoj-baselines`) | reference implementations no served crate links: hash/sort-merge/nested-loop joins, binary plans, a System-R-style optimizer, the special cases Theorem 5.1 subsumes — the Loomis–Whitney algorithm (§4) with the LW/BT instance shapes, arity-≤2 star/cycle joins (§7.1, Theorem 7.3) and Lemma 7.2's half-integral covers — and the reductions that call the join: relaxed joins (§7.2), FD expansion (§7.3), the algorithmic BT inequality (Corollary 5.3) and Lemma 3.2's tight covers |
 //! | [`datagen`] | every instance family the paper's claims use |
 //! | [`query`] | a Datalog-style text front-end and CSV loader |
 //! | [`server`] (`wcoj-server`) | a std-only TCP/HTTP front end: blocking accept loop + connection threads over the shared service, with incremental chunked row streaming, `429`+`Retry-After` under overload, and `/metrics` exposition |

@@ -6,7 +6,8 @@ use wcoj::baselines::graph_join::join_graph;
 use wcoj::baselines::lw::join_lw;
 use wcoj::baselines::pairwise::{hash_join, nested_loop_join, sort_merge_join};
 use wcoj::baselines::plan::{execute, JoinImpl, JoinPlan};
-use wcoj::core::{naive, relaxed};
+use wcoj::baselines::relaxed;
+use wcoj::core::naive;
 use wcoj::hypergraph::agm;
 use wcoj::prelude::*;
 use wcoj::storage::ops::reorder;

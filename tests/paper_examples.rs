@@ -1,10 +1,10 @@
 //! Assertions of the *exact* numbers and structures printed in the paper:
 //! worked examples, counting identities, and named special cases.
 
+use wcoj::baselines::lw::{bt_regularity, is_lw_instance, lw_hypergraph};
+use wcoj::baselines::relaxed::relaxed_join;
 use wcoj::core::nprr::qptree::build_qp_tree;
 use wcoj::core::nprr::total_order::{check_to1, check_to2, total_order};
-use wcoj::core::relaxed::relaxed_join;
-use wcoj::hypergraph::lw::{bt_regularity, is_lw_instance, lw_hypergraph};
 use wcoj::prelude::*;
 use wcoj::rational::Rational;
 use wcoj::storage::ops::natural_join;

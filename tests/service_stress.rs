@@ -21,7 +21,7 @@ use wcoj::core::nprr::PreparedQuery;
 use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
 use wcoj::prelude::*;
-use wcoj::storage::{FlatIndex, HashTrieIndex, SearchTree};
+use wcoj::storage::{DeltaIndex, FlatIndex, SearchTree};
 
 /// The seed query families, `variants` instances each, with sizes small
 /// enough that the full matrix stays debug-mode friendly.
@@ -431,7 +431,7 @@ proptest! {
         for (rels, seq) in mix.iter().zip(&oracles) {
             let ctx = format!("seed {seed}, {workers} workers");
             check_service_run::<FlatIndex>(&service, rels, seq, &cfg, &format!("{ctx}, flat"));
-            check_service_run::<HashTrieIndex>(&service, rels, seq, &cfg, &format!("{ctx}, hashed"));
+            check_service_run::<DeltaIndex>(&service, rels, seq, &cfg, &format!("{ctx}, delta"));
         }
     }
 
@@ -450,7 +450,7 @@ proptest! {
             let cfg = ExecConfig { shard_min_size: 1, ..service.exec_config() };
             let ctx = format!("zipf seed {seed}, {workers} workers");
             check_service_run::<FlatIndex>(&service, &rels, &seq, &cfg, &format!("{ctx}, flat"));
-            check_service_run::<HashTrieIndex>(&service, &rels, &seq, &cfg, &format!("{ctx}, hashed"));
+            check_service_run::<DeltaIndex>(&service, &rels, &seq, &cfg, &format!("{ctx}, delta"));
         }
     }
 }

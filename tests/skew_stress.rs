@@ -3,8 +3,8 @@
 //! NPRR's worst-case optimality hinges on handling skew; this suite pins
 //! the runtime's side of that bargain. A Zipf or single-hot-key workload
 //! must not change *anything* observable: across pool sizes
-//! {1, 2, 4, 8}, both index backends (flat and hashed), and any
-//! `heavy_split_factor`,
+//! {1, 2, 4, 8}, both index backends (flat and the `DeltaIndex` view),
+//! and any `heavy_split_factor`,
 //! the shared service pool produces rows bit-identical (including row
 //! order) to the sequential `join_nprr`, and the absorbed `JoinStats` are
 //! bit-identical to a deterministic shard-by-shard sequential re-run of
@@ -23,7 +23,7 @@ use wcoj::core::nprr::PreparedQuery;
 use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
 use wcoj::prelude::*;
-use wcoj::storage::{HashTrieIndex, SearchTree};
+use wcoj::storage::{DeltaIndex, SearchTree};
 
 /// The skewed instance families: high-exponent Zipf triangles (many
 /// moderately hot keys) and the single-hot-key triangle (one root value
@@ -180,14 +180,13 @@ fn skew_matrix_matches_sequential() {
                 .expect("sequential oracle")
                 .relation;
             let flat = Arc::new(PreparedQuery::new(&rels).expect("prepare"));
-            let hashed =
-                Arc::new(PreparedQuery::<HashTrieIndex>::new_indexed(&rels).expect("prepare"));
-            (name, seq, flat, hashed)
+            let delta = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).expect("prepare"));
+            (name, seq, flat, delta)
         })
         .collect();
     for workers in [1usize, 2, 4, 8] {
         let service = Service::new(ServiceConfig::with_workers(workers));
-        for (name, seq, flat, hashed) in &instances {
+        for (name, seq, flat, delta) in &instances {
             for factor in [0, service.exec_config().heavy_split_factor] {
                 let cfg = ExecConfig {
                     shard_min_size: 1,
@@ -195,7 +194,7 @@ fn skew_matrix_matches_sequential() {
                 };
                 let ctx = format!("{name}, {workers} workers, factor {factor}");
                 check_service_run(&service, flat, seq, &cfg, &format!("{ctx}, flat"));
-                check_service_run(&service, hashed, seq, &cfg, &format!("{ctx}, hashed"));
+                check_service_run(&service, delta, seq, &cfg, &format!("{ctx}, delta"));
             }
         }
     }
@@ -327,11 +326,11 @@ proptest! {
         let ctx = format!("seed {seed}, {workers} workers, factor {factor}");
         assert_bit_identical(&out.relation, &seq, &ctx);
         assert_profile_consistent(&profile, &out, &ctx);
-        // Same instance through the hash backend: still bit-identical
+        // Same instance through the delta backend: still bit-identical
         // under random split factors and pool sizes.
-        let hashed = Arc::new(PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap());
-        let (out, profile) = service.submit(&hashed, &cfg).unwrap().wait_profiled().unwrap();
-        assert_bit_identical(&out.relation, &seq, &format!("{ctx}, hashed"));
-        assert_profile_consistent(&profile, &out, &format!("{ctx}, hashed"));
+        let delta = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap());
+        let (out, profile) = service.submit(&delta, &cfg).unwrap().wait_profiled().unwrap();
+        assert_bit_identical(&out.relation, &seq, &format!("{ctx}, delta"));
+        assert_profile_consistent(&profile, &out, &format!("{ctx}, delta"));
     }
 }

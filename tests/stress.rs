@@ -13,11 +13,10 @@
 
 use rand::{Rng, SeedableRng};
 use wcoj::baselines::graph_join::join_graph;
-use wcoj::baselines::lw::join_lw;
+use wcoj::baselines::lw::{is_lw_instance, join_lw};
 use wcoj::core::naive;
 use wcoj::core::nprr::join_nprr;
 use wcoj::core::QueryError;
-use wcoj::hypergraph::lw::is_lw_instance;
 use wcoj::prelude::*;
 use wcoj::storage::ops::reorder;
 use wcoj::JoinOutput;
@@ -181,8 +180,8 @@ fn stress_relaxed_joins() {
             })
             .collect();
         for r in 0..=2usize {
-            let fast = wcoj::core::relaxed::relaxed_join(&rels, r).unwrap();
-            let brute = wcoj::core::relaxed::relaxed_join_bruteforce(&rels, r).unwrap();
+            let fast = wcoj::baselines::relaxed::relaxed_join(&rels, r).unwrap();
+            let brute = wcoj::baselines::relaxed::relaxed_join_bruteforce(&rels, r).unwrap();
             assert_eq!(fast.relation, brute, "trial {trial}, r = {r}");
         }
     }
