@@ -25,7 +25,7 @@
 
 use crate::plan_cache::{next_generation, PlanCache};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use wcoj_obs::{Counter, Gauge};
 use wcoj_service::Service;
@@ -87,13 +87,14 @@ struct Stored {
 /// plus small sorted insert/delete buffers. [`Catalog::insert_rows`] and
 /// [`Catalog::delete_rows`] mutate the buffers in place; once
 /// `|ins| + |del|` passes the compaction threshold the buffers are folded
-/// into a fresh base (shard-parallel through the attached [`Service`]'s
-/// pool when one is set). Each relation carries two version stamps drawn
-/// from one process-global sequence: `base_gen` (changes on replace and
-/// compaction) and `delta_ver` (changes on every row mutation, `0` when
-/// the buffers are empty). The plan cache keys prepared shapes on
-/// `base_gen` and re-merges deltas on `delta_ver` drift, so an append
-/// refreshes only the cheap delta side of a cached plan.
+/// into a fresh base by one sequential merge on the mutating thread
+/// ([`DeltaRelation::compact`]). Each relation carries two version
+/// stamps drawn from one process-global sequence: `base_gen` (changes on
+/// replace and compaction) and `delta_ver` (changes on every row
+/// mutation, `0` when the buffers are empty). The plan cache keys
+/// prepared shapes on `base_gen` and re-merges deltas on `delta_ver`
+/// drift, so an append refreshes only the cheap delta side of a cached
+/// plan.
 ///
 /// ## Snapshots
 ///
@@ -250,7 +251,7 @@ impl Catalog {
             Metrics::get().deltas.inc();
         }
         if stored.delta.delta_len() >= self.compact_threshold {
-            Self::compact_stored(stored, self.service.as_deref(), &self.plan_cache);
+            Self::compact_stored(stored, &self.plan_cache);
         }
         Ok(Some(changed))
     }
@@ -269,63 +270,17 @@ impl Catalog {
 
     /// Folds `name`'s delta buffers into a fresh frozen base now,
     /// regardless of the threshold. Returns `false` when there is
-    /// nothing to fold (or no such relation). Shard-parallel through
-    /// the attached service's pool when one is set.
+    /// nothing to fold (or no such relation). The merge runs on the
+    /// calling thread ([`DeltaRelation::compact`]).
     pub fn compact(&mut self, name: &str) -> bool {
-        let service = self.service.clone();
         let Some(stored) = self.relations.get_mut(name) else {
             return false;
         };
-        Self::compact_stored(stored, service.as_deref(), &self.plan_cache)
+        Self::compact_stored(stored, &self.plan_cache)
     }
 
-    fn compact_stored(
-        stored: &mut Stored,
-        service: Option<&Service>,
-        plan_cache: &PlanCache,
-    ) -> bool {
-        if stored.delta.delta_len() == 0 {
-            return false;
-        }
-        let compacted = match service {
-            Some(service) if service.workers() > 1 && stored.delta.arity() > 0 => {
-                // Shard the merge across the shared pool: each chunk is an
-                // independent sorted merge over a COW view of the store.
-                let shards = service.workers() * 2;
-                let view = Arc::new(stored.delta.clone());
-                let plan = view.merge_plan(shards);
-                let slots: Arc<Vec<Mutex<Option<Vec<Value>>>>> =
-                    Arc::new(plan.iter().map(|_| Mutex::new(None)).collect());
-                let tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = plan
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, chunk)| {
-                        let view = Arc::clone(&view);
-                        let slots = Arc::clone(&slots);
-                        Box::new(move || {
-                            let part = view.merge_chunk(chunk);
-                            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(part);
-                        }) as Box<dyn FnOnce() + Send + 'static>
-                    })
-                    .collect();
-                service.run_tasks(tasks).wait();
-                let parts: Option<Vec<Vec<Value>>> = slots
-                    .iter()
-                    .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).take())
-                    .collect();
-                match parts {
-                    Some(parts) => {
-                        stored.delta.apply_merged(parts);
-                        true
-                    }
-                    // A pool task died (panicked before writing its
-                    // slot): fall back to the sequential fold — the COW
-                    // view kept the store itself untouched.
-                    None => stored.delta.compact(),
-                }
-            }
-            _ => stored.delta.compact(),
-        };
+    fn compact_stored(stored: &mut Stored, plan_cache: &PlanCache) -> bool {
+        let compacted = stored.delta.compact();
         if compacted {
             plan_cache.retire_generation(stored.base_gen);
             stored.base_gen = next_generation();
@@ -659,6 +614,9 @@ mod tests {
                 .collect();
             let snapshot = c.freeze();
             retire(&mut c);
+            // The snapshot still answers over the old base, but a plan
+            // it rebuilds there is served, not cached.
+            crate::execute(&full, snapshot.catalog()).unwrap();
             assert!(
                 indexes.iter().all(|ix| ix.upgrade().is_some()),
                 "{what}: the snapshot still reads the old base"
@@ -704,35 +662,5 @@ mod tests {
         assert!(!c.remove("R"));
         assert!(c.get("R").is_none());
         assert!(c.generation("R").is_none());
-    }
-
-    #[test]
-    fn service_backed_compaction_matches_sequential() {
-        use wcoj_service::{Service, ServiceConfig};
-        let service = Arc::new(Service::new(ServiceConfig::with_workers(2)));
-        let mut seq = Catalog::new();
-        let mut par = Catalog::new();
-        par.set_service(Some(Arc::clone(&service)));
-        for c in [&mut seq, &mut par] {
-            c.set_compact_threshold(usize::MAX);
-            c.insert(
-                "R",
-                Relation::from_u32_rows(
-                    Schema::of(&[0, 1]),
-                    &(0..200u32)
-                        .map(|i| [i, i + 1])
-                        .collect::<Vec<_>>()
-                        .iter()
-                        .map(|r| &r[..])
-                        .collect::<Vec<_>>(),
-                ),
-            );
-            c.insert_rows("R", &rows(&[&[500, 1], &[600, 2]])).unwrap();
-            c.delete_rows("R", &rows(&[&[0, 1], &[7, 8]])).unwrap();
-            assert!(c.compact("R"));
-        }
-        assert_eq!(seq.get("R"), par.get("R"));
-        assert_eq!(seq.delta("R").unwrap().delta_len(), 0);
-        assert_eq!(par.delta("R").unwrap().delta_len(), 0);
     }
 }

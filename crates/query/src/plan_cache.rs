@@ -39,7 +39,11 @@
 //!   pins its whole frozen base (relations and indexes), and under
 //!   sustained ingest those would otherwise pile up one per compaction
 //!   until 64 newer plans pushed them out. The next submission rebuilds
-//!   the plan, and re-indexes the one relation whose base changed.
+//!   the plan, and re-indexes the one relation whose base changed. The
+//!   retired generation also leaves a tombstone: a snapshot pinned
+//!   before the retirement still gets its plan over the old base built
+//!   and served, but never cached, so the old base goes when the last
+//!   snapshot does.
 //! * **Delta drift** (row appends / deletes) leaves the key intact but
 //!   changes the per-atom *delta versions* stored alongside the entry.
 //!   A lookup whose versions disagree keeps the entry's prepared shape —
@@ -55,7 +59,7 @@
 //! Counts are mirrored into the process-wide `wcoj-obs` registry as
 //! `wcoj_plan_cache_{hits,misses,refreshes}_total`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use wcoj_core::nprr::PreparedQuery;
@@ -66,6 +70,12 @@ use wcoj_storage::DeltaIndex;
 /// Upper bound on cached plans; past it the least-recently-used entry is
 /// evicted.
 const CAPACITY: usize = 64;
+
+/// Retired base generations remembered as tombstones; past it the
+/// oldest is forgotten. Only a snapshot frozen before a retirement can
+/// still ask for a plan over that generation, so this need only outlast
+/// the snapshots in flight, not the process.
+const TOMBSTONES: usize = 1024;
 
 /// Process-wide generation stamps for catalog versions. Monotone and
 /// never reused, so a `(name, generation)` pair identifies one exact
@@ -125,6 +135,18 @@ struct Inner {
     entries: HashMap<String, Entry>,
     /// LRU clock: bumped on every touch.
     tick: u64,
+    /// Retired base generations, oldest first, at most [`TOMBSTONES`]:
+    /// a plan whose key names one is served but not cached.
+    retired: VecDeque<u64>,
+}
+
+/// The base generations a cache key names: the `g` of every `@g(`
+/// segment (see the module docs for the key format).
+fn key_generations(key: &str) -> impl Iterator<Item = u64> + '_ {
+    key.split('@').skip(1).filter_map(|segment| {
+        let (digits, _) = segment.split_once('(')?;
+        digits.parse().ok()
+    })
 }
 
 /// A shared LRU of prepared queries, keyed by canonical query shape +
@@ -152,6 +174,7 @@ impl PlanCache {
             inner: Arc::new(Mutex::new(Inner {
                 entries: HashMap::new(),
                 tick: 0,
+                retired: VecDeque::new(),
             })),
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
@@ -233,6 +256,9 @@ impl PlanCache {
             }
         };
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if key_generations(key).any(|generation| inner.retired.contains(&generation)) {
+            return Ok(plan);
+        }
         inner.tick += 1;
         let tick = inner.tick;
         inner.entries.insert(
@@ -261,17 +287,21 @@ impl PlanCache {
     /// relation value, so the superseded plans stop pinning its frozen
     /// base and indexes. Generations are never reused, so such a plan
     /// could only ever be asked for again through a catalog clone that
-    /// still holds the old value (a pinned snapshot); that reader simply
-    /// rebuilds.
+    /// still holds the old value (a pinned snapshot); that reader
+    /// rebuilds, and the generation's tombstone keeps the rebuilt plan
+    /// out of the cache.
     pub fn retire_generation(&self, generation: u64) {
-        let segment = format!("@{generation}(");
-        let retired: Vec<(String, Entry)> = self
-            .inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .extract_if(|key, _| key.contains(&segment))
-            .collect();
+        let retired: Vec<(String, Entry)> = {
+            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            if inner.retired.len() == TOMBSTONES {
+                inner.retired.pop_front();
+            }
+            inner.retired.push_back(generation);
+            inner
+                .entries
+                .extract_if(|key, _| key_generations(key).any(|g| g == generation))
+                .collect()
+        };
         // Freeing a plan's bases and indexes can be megabytes of work:
         // do it after the cache lock is released.
         drop(retired);
@@ -410,6 +440,7 @@ mod tests {
             })
             .unwrap();
         assert!(rebuilt, "a reader of the old value rebuilds");
+        assert_eq!(cache.len(), 1, "…and its plan is served, not cached");
     }
 
     #[test]

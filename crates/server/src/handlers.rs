@@ -223,7 +223,14 @@ fn post_query(state: &ServerState, req: &Request, conn: &mut Conn<'_>) -> std::i
         Ok((query, snapshot, head)) => {
             let columns = columns_json(query.columns());
             let streaming = query.incremental();
-            let id = state.jobs.insert(Job::Pending { query, snapshot });
+            let Some(id) = state.jobs.insert(Job::Pending {
+                query,
+                snapshot,
+                since: Instant::now(),
+            }) else {
+                state.metrics.overloaded_total.inc();
+                return error_response(conn, 429, "job table full of unfetched queries");
+            };
             let body = format!(
                 "{{\"id\":{id},{head}\"columns\":[{columns}],\"streaming\":{streaming}}}\n"
             );
@@ -286,7 +293,7 @@ fn query_status(
                     ),
                     p.is_finished(),
                 ),
-                Job::Streaming => (
+                Job::Streaming { .. } => (
                     format!("{{\"id\":{id},\"state\":\"streaming\"}}\n"),
                     true,
                 ),
@@ -334,15 +341,13 @@ fn fail_job(
     } else {
         state.metrics.errors_total.inc();
     }
-    state.jobs.with(|map| {
-        map.insert(
-            id,
-            Job::Failed {
-                status,
-                message: message.to_owned(),
-            },
-        );
-    });
+    state.jobs.settle(
+        id,
+        Job::Failed {
+            status,
+            message: message.to_owned(),
+        },
+    );
     if mid_stream {
         // Chunked headers are on the wire and the stream is truncated:
         // the connection's framing is unusable, close it.
@@ -396,11 +401,18 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
     // holding the lock only for the swap.
     let fetch = state.jobs.with(|map| match map.remove(&id) {
         None => Err((404, "no such job".to_owned())),
-        Some(Job::Pending { query, snapshot }) => {
-            map.insert(id, Job::Streaming);
+        Some(Job::Pending {
+            query, snapshot, ..
+        }) => {
+            map.insert(
+                id,
+                Job::Streaming {
+                    since: Instant::now(),
+                },
+            );
             Ok((query, snapshot))
         }
-        Some(job @ Job::Streaming) => {
+        Some(job @ Job::Streaming { .. }) => {
             map.insert(id, job);
             Err((409, "rows are already being streamed".to_owned()))
         }
@@ -496,9 +508,7 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
         return Err(e);
     }
     state.metrics.rows_streamed_total.add(rows);
-    state.jobs.with(|map| {
-        map.insert(id, Job::Done { columns, rows });
-    });
+    state.jobs.settle(id, Job::Done { columns, rows });
     Ok(())
 }
 

@@ -4,18 +4,27 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 use wcoj_query::{PendingQuery, Snapshot};
 
-/// Jobs are evicted past this many entries (see [`Jobs::insert`]), so a
-/// client that submits and never fetches cannot grow the table without
+/// The job table holds at most this many entries (see [`Jobs::insert`]),
+/// so a client that submits and never fetches cannot grow it without
 /// bound.
-const MAX_JOBS: usize = 256;
+pub(crate) const MAX_JOBS: usize = 256;
+
+/// A job still waiting for its fetch, or still marked as streaming, this
+/// long after it got there counts as abandoned: its client crashed or
+/// gave up between the `202` and the `GET`, or the handler streaming it
+/// died. A full table evicts such a job to make room (see
+/// [`Jobs::insert`]), so abandoned jobs cannot refuse every later
+/// submission.
+pub(crate) const ABANDONED_AFTER: Duration = Duration::from_secs(30);
 
 /// One submitted query's lifecycle.
 pub enum Job {
     /// Submitted; rows not yet requested. Holds the live handle — if the
-    /// job is evicted or the table dropped, the handle's drop cancels
-    /// any still-queued shards and frees the admission slot. A Datalog
+    /// table is dropped, the handle's drop cancels any still-queued
+    /// shards and frees the admission slot. A Datalog
     /// program's result, materialized in-process, waits here too, as a
     /// ready one-batch [`PendingQuery`].
     Pending {
@@ -26,10 +35,15 @@ pub enum Job {
         /// mutations after admission cannot touch what it reads. `None`
         /// for a program result, which reads no catalog any more.
         snapshot: Option<Arc<Snapshot>>,
+        /// When the job was submitted.
+        since: Instant,
     },
     /// A `/rows` fetch is in progress on some connection thread; a
     /// second concurrent fetch is refused (`409`).
-    Streaming,
+    Streaming {
+        /// When the fetch began.
+        since: Instant,
+    },
     /// Rows were streamed to completion.
     Done {
         /// Head column names, for the status endpoint.
@@ -78,26 +92,52 @@ impl Jobs {
         self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Inserts a job, returning its id. Past the cap it evicts the oldest
-    /// job whose rows nobody can still fetch ([`Job::Done`] /
-    /// [`Job::Failed`]), and only when every entry is live the oldest of
-    /// those (dropping an evicted [`Job::Pending`] cancels it). Evicting
-    /// by age alone turned a client stalled between its `POST` and its
-    /// `GET` into a `404` as soon as other clients had submitted 256 more
-    /// queries — some 50 ms of traffic on the point workload.
-    pub fn insert(&self, job: Job) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+    /// Inserts a job, returning its id. At the cap it first evicts the
+    /// oldest job whose rows nobody can still fetch ([`Job::Done`] /
+    /// [`Job::Failed`]), then the oldest abandoned one (pending or
+    /// streaming for `ABANDONED_AFTER`, 30 s; evicting it cancels its
+    /// query). When every entry is live and younger than that it
+    /// refuses: it returns `None` and drops the job, which cancels its
+    /// query, so the caller answers `429` instead of a live job's client
+    /// later getting a `404`.
+    pub fn insert(&self, job: Job) -> Option<u64> {
+        self.insert_at(job, Instant::now())
+    }
+
+    /// [`Jobs::insert`] with the clock read at `now`.
+    fn insert_at(&self, job: Job, now: Instant) -> Option<u64> {
         let mut map = self.lock();
-        map.insert(id, job);
-        while map.len() > MAX_JOBS {
+        if map.len() >= MAX_JOBS {
             let settled = |job: &Job| matches!(job, Job::Done { .. } | Job::Failed { .. });
-            let victim = map
-                .iter()
-                .find_map(|(&id, job)| settled(job).then_some(id))
-                .unwrap_or_else(|| *map.keys().next().expect("non-empty past cap"));
+            let abandoned = |job: &Job| match job {
+                Job::Pending { since, .. } | Job::Streaming { since } => {
+                    now.saturating_duration_since(*since) >= ABANDONED_AFTER
+                }
+                Job::Done { .. } | Job::Failed { .. } => false,
+            };
+            let oldest = |evictable: &dyn Fn(&Job) -> bool| {
+                map.iter()
+                    .find_map(|(&id, job)| evictable(job).then_some(id))
+            };
+            let Some(victim) = oldest(&settled).or_else(|| oldest(&abandoned)) else {
+                // The refused job drops after the lock is released.
+                drop(map);
+                return None;
+            };
             map.remove(&victim);
         }
-        id
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        map.insert(id, job);
+        Some(id)
+    }
+
+    /// Replaces job `id`'s entry with its outcome, if the entry is still
+    /// there: a fetch that outlived `ABANDONED_AFTER` may have been
+    /// evicted, and re-adding it would grow the table past the cap.
+    pub fn settle(&self, id: u64, outcome: Job) {
+        if let Some(job) = self.lock().get_mut(&id) {
+            *job = outcome;
+        }
     }
 
     /// Runs `f` on the locked map (lookups, state swaps). Keep `f` quick.
@@ -124,18 +164,36 @@ mod tests {
     use wcoj_query::QueryResult;
     use wcoj_storage::Relation;
 
+    /// Inserts a job the table has room for.
+    fn admit(jobs: &Jobs, job: Job) -> u64 {
+        jobs.insert(job).expect("the table had room")
+    }
+
+    /// A job submitted at `since` whose rows nobody has fetched yet.
+    fn unfetched_at(since: Instant) -> Job {
+        Job::Pending {
+            query: PendingQuery::materialized(QueryResult {
+                relation: Relation::unit(),
+                columns: vec![],
+            }),
+            snapshot: None,
+            since,
+        }
+    }
+
+    fn done() -> Job {
+        Job::Done {
+            columns: vec![],
+            rows: 0,
+        }
+    }
+
     #[test]
     fn eviction_drops_the_oldest_jobs() {
         let jobs = Jobs::new();
-        let first = jobs.insert(Job::Done {
-            columns: vec![],
-            rows: 0,
-        });
+        let first = admit(&jobs, done());
         for _ in 0..MAX_JOBS {
-            jobs.insert(Job::Done {
-                columns: vec![],
-                rows: 0,
-            });
+            admit(&jobs, done());
         }
         assert_eq!(jobs.len(), MAX_JOBS);
         assert!(jobs.with(|m| !m.contains_key(&first)), "oldest evicted");
@@ -143,31 +201,71 @@ mod tests {
 
     #[test]
     fn eviction_spares_jobs_still_waiting_for_their_fetch() {
-        let unfetched = || Job::Pending {
-            query: PendingQuery::materialized(QueryResult {
-                relation: Relation::unit(),
-                columns: vec![],
-            }),
-            snapshot: None,
-        };
+        let now = Instant::now();
+        let unfetched = || unfetched_at(now);
         let jobs = Jobs::new();
-        let waiting = jobs.insert(unfetched());
+        let waiting = admit(&jobs, unfetched());
         for _ in 0..2 * MAX_JOBS {
-            jobs.insert(Job::Done {
-                columns: vec![],
-                rows: 0,
-            });
+            admit(&jobs, done());
         }
         assert_eq!(jobs.len(), MAX_JOBS);
         assert!(
             jobs.with(|m| m.contains_key(&waiting)),
             "settled jobs go first, however old the waiting one is"
         );
-        // A table of nothing but waiting jobs is still bounded.
+        // A table of nothing but waiting jobs stays bounded by refusing
+        // new ones: every job already waiting, the oldest too, survives.
+        let mut refused = 0;
         for _ in 0..2 * MAX_JOBS {
-            jobs.insert(unfetched());
+            refused += usize::from(jobs.insert(unfetched()).is_none());
         }
         assert_eq!(jobs.len(), MAX_JOBS);
-        assert!(jobs.with(|m| !m.contains_key(&waiting)));
+        assert_eq!(refused, MAX_JOBS + 1, "settled jobs made room first");
+        assert!(jobs.with(|m| m.contains_key(&waiting)));
+    }
+
+    #[test]
+    fn a_full_table_evicts_abandoned_jobs_instead_of_refusing_forever() {
+        let t0 = Instant::now();
+        let later = t0 + ABANDONED_AFTER;
+        let jobs = Jobs::new();
+        // What a handler that died mid-stream leaves behind.
+        let stuck = admit(&jobs, Job::Streaming { since: t0 });
+        let ids: Vec<u64> = (1..MAX_JOBS)
+            .map(|_| admit(&jobs, unfetched_at(t0)))
+            .collect();
+        assert!(
+            jobs.insert_at(unfetched_at(t0), t0).is_none(),
+            "all live, all young"
+        );
+        assert!(
+            jobs.insert_at(unfetched_at(later), later - Duration::from_millis(1))
+                .is_none(),
+            "not abandoned a moment before the limit"
+        );
+
+        // Once the limit has passed, the oldest abandoned job makes room,
+        // one per insert, and only when the table is full.
+        let fresh = jobs
+            .insert_at(unfetched_at(later), later)
+            .expect("evicted one");
+        assert_eq!(jobs.len(), MAX_JOBS);
+        assert!(jobs.with(|m| !m.contains_key(&stuck) && m.contains_key(&ids[0])));
+        jobs.insert_at(unfetched_at(later), later)
+            .expect("evicted another");
+        assert!(jobs.with(|m| !m.contains_key(&ids[0]) && m.contains_key(&ids[1])));
+
+        // A settled job still goes before an abandoned one.
+        jobs.with(|m| m.insert(ids[5], done()));
+        jobs.insert_at(unfetched_at(later), later)
+            .expect("evicted the settled job");
+        assert!(jobs.with(|m| !m.contains_key(&ids[5]) && m.contains_key(&ids[1])));
+        // Jobs submitted at `later` are not abandoned at `later`.
+        assert_eq!(jobs.with(|m| m.range(fresh..).count()), 3);
+
+        // The evicted stream settles without re-entering the table.
+        jobs.settle(stuck, done());
+        assert_eq!(jobs.len(), MAX_JOBS);
+        assert!(jobs.with(|m| !m.contains_key(&stuck)));
     }
 }

@@ -55,8 +55,10 @@
 //!
 //! ## Status mapping
 //!
-//! Admission rejections (`SubmitError::Overloaded`) surface as `429`
-//! with `Retry-After`; parse failures as `400`; unknown relations as
+//! Admission rejections (`SubmitError::Overloaded`), and a `POST /query`
+//! that finds the job table full of jobs still waiting for their fetch
+//! (256 of them, none abandoned for 30 s), surface as `429` with
+//! `Retry-After`; parse failures as `400`; unknown relations as
 //! `404`; a shard that panicked on the pool as `500` (or a truncated
 //! stream, once the chunked headers are out); protocol edge cases per
 //! [`http::RequestError`].
@@ -376,6 +378,7 @@ fn serve_connection(state: &ServerState, stream: &mut TcpStream, cfg: &ServerCon
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::{ABANDONED_AFTER, MAX_JOBS};
     use std::io::{Read, Write};
 
     /// One request on its own connection; `(status, everything after the
@@ -446,6 +449,60 @@ mod tests {
         let (status, metrics) = request(&server, "GET", "/metrics", "");
         assert_eq!(status, 200);
         assert!(metrics.contains("wcoj_server_http_requests_total"));
+    }
+
+    /// A table full of jobs whose clients never came back for their rows
+    /// refuses new ones only until they are abandoned: then each new
+    /// `POST /query` evicts the oldest of them and is accepted.
+    #[test]
+    fn a_table_full_of_abandoned_jobs_accepts_new_posts_again() {
+        let cfg = ServerConfig {
+            bind: "127.0.0.1:0".parse().unwrap(),
+            conn_threads: 2,
+            ..ServerConfig::default()
+        };
+        let server = Server::start_with(cfg, Catalog::new()).expect("bind loopback");
+        assert_eq!(
+            request(&server, "PUT", "/relation/E", "1,2\n2,3\n1,3\n").0,
+            200
+        );
+        let query = "Tri(x, y, z) :- E(x, y), E(y, z), E(x, z).";
+        let post = || {
+            let (status, body) = request(&server, "POST", "/query", query);
+            let id = body
+                .split_once("\"id\":")
+                .and_then(|(_, rest)| rest.split_once(','))
+                .map(|(id, _)| id.to_owned());
+            (status, id)
+        };
+        let ids: Vec<String> = (0..MAX_JOBS)
+            .map(|_| match post() {
+                (202, Some(id)) => id,
+                other => panic!("expected a job id: {other:?}"),
+            })
+            .collect();
+        assert_eq!(post().0, 429, "full of live jobs");
+
+        // Every client vanishes: the clock moves past the limit for all
+        // of their jobs at once.
+        server.state.jobs.with(|map| {
+            for job in map.values_mut() {
+                if let Job::Pending { since, .. } = job {
+                    *since = since
+                        .checked_sub(ABANDONED_AFTER)
+                        .expect("the clock has run that long");
+                }
+            }
+        });
+        let (status, fresh) = post();
+        assert_eq!(status, 202);
+        assert_eq!(server.jobs_len(), MAX_JOBS);
+        let rows = |id: &str| request(&server, "GET", &format!("/query/{id}/rows"), "");
+        assert_eq!(rows(&ids[0]).0, 404, "the oldest abandoned job made room");
+        let (status, body) = rows(&ids[1]);
+        assert_eq!(status, 200, "the rest are still there: {body}");
+        assert!(body.contains("1,2,3\n"), "the one triangle: {body}");
+        assert_eq!(rows(&fresh.expect("job id")).0, 200);
     }
 
     #[test]

@@ -782,3 +782,40 @@ fn overload_maps_to_429_with_retry_after() {
     drop(g1);
     drop(g2);
 }
+
+/// A job table full of queries nobody has fetched yet refuses the next
+/// `POST /query` with `429` instead of evicting a waiting job, so the
+/// first client's rows are still there when it comes back for them.
+#[test]
+fn a_full_job_table_refuses_instead_of_evicting() {
+    let server = small_caps_server();
+    let addr = server.addr();
+    let csv = "1,2\n2,3\n3,4\n";
+    assert_eq!(request(addr, "PUT", "/relation/E", Some(csv)).status, 200);
+    let query = "path(x, z) :- E(x, y), E(y, z).";
+    // Fill the table: every POST gets 202 until the first 429.
+    let mut ids = Vec::new();
+    let refused = loop {
+        let r = request(addr, "POST", "/query", Some(query));
+        if r.status != 202 {
+            break r;
+        }
+        ids.push(extract_id(r.text()));
+        assert!(ids.len() <= 1_000, "the job table never filled");
+    };
+    assert_eq!(refused.status, 429, "{}", refused.text());
+    assert_eq!(refused.header("retry-after"), Some("1"));
+    assert_eq!(server.jobs_len(), ids.len(), "the refused job is not kept");
+    let r = request(addr, "POST", "/query", Some(query));
+    assert_eq!(r.status, 429, "still full: {}", r.text());
+
+    let r = request(addr, "GET", &format!("/query/{}/rows", ids[0]), None);
+    assert_eq!(r.status, 200, "the oldest waiting job survived");
+    assert_eq!(r.text(), expected_csv(csv, query).1);
+    // A fetched job is settled, so it makes room for exactly one more.
+    let r = request(addr, "POST", "/query", Some(query));
+    assert_eq!(r.status, 202, "{}", r.text());
+    let r = request(addr, "POST", "/query", Some(query));
+    assert_eq!(r.status, 429, "{}", r.text());
+    assert_eq!(server.jobs_len(), ids.len());
+}

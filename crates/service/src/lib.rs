@@ -502,30 +502,6 @@ impl Injector {
         }
     }
 
-    /// Enqueues **auxiliary** (non-query) tasks — maintenance work such
-    /// as shard-parallel delta compaction — as a ring in the same
-    /// round-robin rotation, *without* counting a query admission:
-    /// `submitted`/`completed`/`in_flight` stay untouched, so admission
-    /// control never sheds a query because maintenance is running and
-    /// the counters snapshot keeps its `completed == submitted` idle
-    /// invariant. Workers still interleave the ring fairly with query
-    /// shards (one task per rotation turn).
-    fn push_aux_ring(&self, query: u64, tasks: VecDeque<Task>) {
-        debug_assert!(!tasks.is_empty(), "rings hold at least one task");
-        let n = tasks.len();
-        {
-            let mut q = self.lock();
-            q.queued_tasks += n;
-            q.rings.push_back(QueryRing { query, tasks });
-        }
-        self.metrics.queued_tasks.add(n as i64);
-        if n == 1 {
-            self.task_ready.notify_one();
-        } else {
-            self.task_ready.notify_all();
-        }
-    }
-
     /// Worker side: next task — **round-robin across query rings**, one
     /// task per turn — or `None` once shut down *and* drained (pending
     /// queries always finish, so handles never dangle).
@@ -992,40 +968,6 @@ impl Drop for QueryHandle {
     }
 }
 
-/// A batch of auxiliary tasks dispatched through the pool by
-/// [`Service::run_tasks`]: a countdown latch the caller blocks on.
-/// Dropping without waiting is allowed — the tasks still run.
-pub struct TaskBatch {
-    latch: Arc<(Mutex<usize>, Condvar)>,
-}
-
-impl TaskBatch {
-    /// Blocks until every task in the batch has finished (or panicked —
-    /// a panicking task still counts down, so the batch can't hang).
-    pub fn wait(&self) {
-        let (lock, cv) = &*self.latch;
-        let mut remaining = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        while *remaining > 0 {
-            remaining = cv.wait(remaining).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// Counts a [`TaskBatch`] task down on drop, so a panic inside the task
-/// body still releases the latch.
-struct LatchGuard(Arc<(Mutex<usize>, Condvar)>);
-
-impl Drop for LatchGuard {
-    fn drop(&mut self) {
-        let (lock, cv) = &*self.0;
-        let mut remaining = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        *remaining -= 1;
-        if *remaining == 0 {
-            cv.notify_all();
-        }
-    }
-}
-
 /// A long-lived executor owning one global worker pool; queries from any
 /// thread share it. See the crate docs for the scheduling model
 /// (round-robin fair dispatch, bounded admission, cancellation).
@@ -1115,38 +1057,6 @@ impl Service {
             in_flight: q.in_flight,
             queued_tasks: q.queued_tasks,
         }
-    }
-
-    /// Runs a batch of independent closures on the worker pool as one
-    /// auxiliary ring — the injector-task path maintenance work (delta
-    /// compaction chunks, index rebuilds) uses to share workers with
-    /// queries instead of spawning threads. The batch **bypasses
-    /// admission control** and the submitted/completed counters: it is
-    /// not a query, and it must not be shed by a queue-depth limit it
-    /// doesn't consume.
-    ///
-    /// Returns a [`TaskBatch`]; call [`TaskBatch::wait`] to block until
-    /// every closure has run. Panicking closures are caught by the
-    /// worker (and still count down), like panicking query shards.
-    /// Empty batches return an already-settled latch.
-    #[must_use]
-    pub fn run_tasks(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'static>>) -> TaskBatch {
-        let latch = Arc::new((Mutex::new(tasks.len()), Condvar::new()));
-        if tasks.is_empty() {
-            return TaskBatch { latch };
-        }
-        let ring: VecDeque<Task> = tasks
-            .into_iter()
-            .map(|task| {
-                let guard = LatchGuard(Arc::clone(&latch));
-                Box::new(move || {
-                    let _count_down = guard;
-                    task();
-                }) as Task
-            })
-            .collect();
-        self.injector.push_aux_ring(next_query_id(), ring);
-        TaskBatch { latch }
     }
 
     /// The service's default per-query planning config.
@@ -1463,43 +1373,6 @@ mod tests {
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
-    }
-
-    #[test]
-    fn run_tasks_executes_all_without_counting_a_query() {
-        let service = Service::new(ServiceConfig::with_workers(2));
-        let before = service.counters();
-        let hits = Arc::new(AtomicU64::new(0));
-        let batch = service.run_tasks(
-            (0..16)
-                .map(|_| {
-                    let hits = Arc::clone(&hits);
-                    Box::new(move || {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect(),
-        );
-        batch.wait();
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-        let after = service.counters();
-        assert_eq!(after.submitted, before.submitted, "not a query");
-        assert_eq!(after.in_flight, 0);
-        assert_eq!(after.queued_tasks, 0, "ring fully drained");
-        // empty batches settle immediately
-        service.run_tasks(Vec::new()).wait();
-        // a panicking task still counts down — wait() must not hang
-        let batch = service.run_tasks(vec![
-            Box::new(|| panic!("maintenance task blew up")) as Box<dyn FnOnce() + Send>,
-            Box::new(|| {}) as Box<dyn FnOnce() + Send>,
-        ]);
-        batch.wait();
-        // queries keep working after an aux panic
-        let rels = triangle();
-        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
-        let cfg = service.exec_config();
-        let out = service.submit(&prepared, &cfg).unwrap().wait().unwrap();
-        assert!(!out.relation.is_empty());
     }
 
     fn triangle() -> Vec<Relation> {
@@ -2392,16 +2265,94 @@ mod tests {
         assert_eq!(service.counters().cancelled, 0);
     }
 
-    /// Parks one worker inside an auxiliary task: returns a receiver that
-    /// fires once the task is running and a sender that lets it finish.
-    fn pin_worker(service: &Service) -> (mpsc::Receiver<()>, mpsc::Sender<()>, TaskBatch) {
-        let (running, pinned) = mpsc::channel();
-        let (release, released) = mpsc::channel::<()>();
-        let batch = service.run_tasks(vec![Box::new(move || {
-            let _ = running.send(());
-            let _ = released.recv();
-        })]);
-        (pinned, release, batch)
+    /// A parked worker's handshake: it reports on the sender, then waits
+    /// for one message on the receiver. Taken by the first parking.
+    type Gate = Arc<Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>>;
+
+    /// A [`FlatIndex`] whose first `descend` on a pool worker parks that
+    /// worker at its [`Gate`]. Planning on the submitting thread descends
+    /// freely.
+    struct Park {
+        index: FlatIndex,
+        gate: Gate,
+    }
+
+    impl SearchTree for Park {
+        type Node = <FlatIndex as SearchTree>::Node;
+        type Children<'a> = <FlatIndex as SearchTree>::Children<'a>;
+
+        fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
+            Ok(Park {
+                index: FlatIndex::build(rel, order)?,
+                gate: Arc::default(),
+            })
+        }
+
+        fn root(&self) -> Self::Node {
+            self.index.root()
+        }
+
+        fn descend(&self, node: Self::Node, v: Value) -> Option<Self::Node> {
+            let worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("wcoj-service-"));
+            if worker {
+                let gate = self.gate.lock().unwrap().take();
+                if let Some((parked, release)) = gate {
+                    parked.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+            }
+            self.index.descend(node, v)
+        }
+
+        fn distinct_count(&self, node: Self::Node, extra: usize) -> usize {
+            self.index.distinct_count(node, extra)
+        }
+
+        fn for_each_extension(&self, node: Self::Node, extra: usize, f: impl FnMut(&[Value])) {
+            self.index.for_each_extension(node, extra, f);
+        }
+
+        fn children(&self, node: Self::Node) -> Self::Children<'_> {
+            self.index.children(node)
+        }
+
+        fn seek(&self, children: &mut Self::Children<'_>, v: Value) -> Option<Value> {
+            SearchTree::seek(&self.index, children, v)
+        }
+
+        fn child(&self, children: &Self::Children<'_>) -> Self::Node {
+            SearchTree::child(&self.index, children)
+        }
+    }
+
+    /// Submits a one-shard query that parks the worker running it:
+    /// returns its handle, a receiver that fires once the worker is
+    /// parked and a sender that lets it finish.
+    fn pin_worker(service: &Service) -> (QueryHandle, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (parked, on_parked) = mpsc::channel();
+        let (release, on_release) = mpsc::channel();
+        let gate: Gate = Arc::new(Mutex::new(Some((parked, on_release))));
+        // A one-row triangle: its leaf probes T's section, so the run
+        // descends.
+        let rels = [
+            rel(&[0, 1], &[&[1, 2]]),
+            rel(&[1, 2], &[&[2, 4]]),
+            rel(&[0, 2], &[&[1, 4]]),
+        ];
+        let query = Arc::new(wcoj_core::JoinQuery::new(&rels).unwrap());
+        let pin = Arc::new(
+            PreparedQuery::<Park>::from_shared(Arc::clone(&query), None, |i, order| {
+                let mut park = Park::build(&query.relations()[i], order)?;
+                park.gate = Arc::clone(&gate);
+                Ok(park)
+            })
+            .unwrap(),
+        );
+        let cfg = service.exec_config();
+        assert_eq!(service.shard_layout(&*pin, &cfg).len(), 1);
+        (service.submit(&pin, &cfg).unwrap(), on_parked, release)
     }
 
     #[test]
@@ -2420,24 +2371,25 @@ mod tests {
         assert!(layout.len() >= 3, "the plan is multi-task: {layout:?}");
 
         // Force the interleaving instead of racing the engine: with the
-        // worker parked, queue the query's ring and a second pin behind
-        // it. Round-robin then runs shard 0, rotates to the pin, and
-        // parks again with every other shard still queued.
-        let (pinned, release_first, first_pin) = pin_worker(&service);
-        pinned.recv().expect("the worker is parked");
+        // worker parked in a pin query, queue the heavy query's ring and a
+        // second pin behind it. Round-robin then runs shard 0, rotates to
+        // the pin, and parks again with every other shard still queued.
+        let (first_pin, pinned, release_first) = pin_worker(&service);
+        let parked = Duration::from_secs(60);
+        pinned.recv_timeout(parked).expect("the worker is parked");
         let mut stream = service.submit(&heavy, &cfg).unwrap();
-        let (pinned_again, release_second, second_pin) = pin_worker(&service);
+        let (second_pin, pinned_again, release_second) = pin_worker(&service);
         release_first.send(()).unwrap();
         let first = stream.next_batch().unwrap().unwrap();
         assert_eq!(first.slot, 0);
         pinned_again
-            .recv()
+            .recv_timeout(parked)
             .expect("the worker is parked behind shard 0");
         drop(stream); // client disconnected mid-stream
         assert_eq!(service.counters().cancelled, 1);
         release_second.send(()).unwrap();
-        first_pin.wait();
-        second_pin.wait();
+        first_pin.wait().unwrap();
+        second_pin.wait().unwrap();
 
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
@@ -2448,7 +2400,7 @@ mod tests {
                     layout.len() as u64 - 1,
                     "every shard after the first was skipped: {c:?}"
                 );
-                assert_eq!(c.completed, 1, "cancelled query still drains");
+                assert_eq!(c.completed, 3, "cancelled query still drains");
                 break;
             }
             assert!(Instant::now() < deadline, "cancelled query never drained");

@@ -38,13 +38,10 @@
 //!   ins) fast path whenever the other two components are empty below
 //!   the node.
 //!
-//! **Minor compaction** folds the buffers into a fresh base once they
-//! grow past a policy threshold (the caller's decision): either in one
-//! call ([`DeltaRelation::compact`]) or shard-parallel through
-//! [`DeltaRelation::merge_plan`] / [`DeltaRelation::merge_chunk`] /
-//! [`DeltaRelation::apply_merged`], whose chunks an executor pool can
-//! run independently (each chunk's output is sorted and chunk ranges are
-//! disjoint, so concatenation is the sorted merge).
+//! **Minor compaction** ([`DeltaRelation::compact`]) folds the buffers
+//! into a fresh base once they grow past a policy threshold (the
+//! caller's decision): one sequential sorted merge of the three
+//! components, run by whoever holds the store.
 
 use crate::flat::permutation_of;
 use crate::flat::FlatChildren;
@@ -78,16 +75,6 @@ fn sorted_contains(rel: &Relation, row: &[Value]) -> bool {
     }
     let i = lower_bound(rel, row);
     i < rel.len() && rel.row(i) == row
-}
-
-/// One chunk of a shard-parallel compaction: half-open row ranges into
-/// the base, ins, and del buffers that merge independently of every
-/// other chunk (see [`DeltaRelation::merge_plan`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergeChunk {
-    base: (usize, usize),
-    ins: (usize, usize),
-    del: (usize, usize),
 }
 
 /// The indexes of one frozen base: attribute order → the cell that
@@ -317,8 +304,7 @@ impl DeltaRelation {
                 Relation::unit()
             };
         }
-        let whole = self.merge_plan(1).pop().expect("a plan has a chunk");
-        Relation::from_flat(self.schema().clone(), self.merge_chunk(whole))
+        Relation::from_flat(self.schema().clone(), self.merge())
             .expect("merged rows share the schema")
     }
 
@@ -333,74 +319,21 @@ impl DeltaRelation {
         true
     }
 
-    /// Splits the compaction merge into at most `n` independent chunks:
-    /// the base is cut into contiguous row ranges, and each cut row also
-    /// partitions `ins`/`del` by binary search (the buffers are sorted,
-    /// so rows ordered below a cut row merge strictly left of it). Chunk
-    /// outputs are sorted and range-disjoint — concatenating them in
-    /// order **is** the sorted merge, so chunks can run on any pool.
-    ///
-    /// Always returns at least one chunk; nullary relations and empty
-    /// bases return exactly one.
-    #[must_use]
-    pub fn merge_plan(&self, n: usize) -> Vec<MergeChunk> {
-        let whole = MergeChunk {
-            base: (0, self.base.len()),
-            ins: (0, self.ins.len()),
-            del: (0, self.del.len()),
-        };
-        let n = n.max(1);
-        if self.arity() == 0 || n == 1 || self.base.len() < 2 {
-            return vec![whole];
-        }
-        let per = self.base.len().div_ceil(n);
-        let mut chunks = Vec::new();
-        let mut prev = MergeChunk {
-            base: (0, 0),
-            ins: (0, 0),
-            del: (0, 0),
-        };
-        let mut lo = 0usize;
-        while lo < self.base.len() {
-            let hi = (lo + per).min(self.base.len());
-            let (ins_hi, del_hi) = if hi == self.base.len() {
-                (self.ins.len(), self.del.len())
-            } else {
-                let cut = self.base.row(hi);
-                (lower_bound(&self.ins, cut), lower_bound(&self.del, cut))
-            };
-            chunks.push(MergeChunk {
-                base: (lo, hi),
-                ins: (prev.ins.1, ins_hi),
-                del: (prev.del.1, del_hi),
-            });
-            prev = *chunks.last().expect("just pushed");
-            lo = hi;
-        }
-        chunks
-    }
-
-    /// Merges one [`MergeChunk`]: `(base[range] ∖ del[range]) ∪
-    /// ins[range]` as sorted row-major data. Pure — safe to run
-    /// concurrently for distinct chunks of one plan.
-    #[must_use]
-    pub fn merge_chunk(&self, chunk: MergeChunk) -> Vec<Value> {
+    /// `(base ∖ del) ∪ ins` as sorted row-major data, in one pass over the
+    /// three sorted components (positive arity).
+    fn merge(&self) -> Vec<Value> {
         let k = self.arity();
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut out =
-            Vec::with_capacity((chunk.base.1 - chunk.base.0 + chunk.ins.1 - chunk.ins.0) * k);
-        let (mut b, mut i, mut d) = (chunk.base.0, chunk.ins.0, chunk.del.0);
-        while b < chunk.base.1 || i < chunk.ins.1 {
-            let take_base = if b < chunk.base.1 && i < chunk.ins.1 {
+        let mut out = Vec::with_capacity((self.base.len() + self.ins.len()) * k);
+        let (mut b, mut i, mut d) = (0, 0, 0);
+        while b < self.base.len() || i < self.ins.len() {
+            let take_base = if b < self.base.len() && i < self.ins.len() {
                 self.base.row(b) < self.ins.row(i)
             } else {
-                b < chunk.base.1
+                b < self.base.len()
             };
             if take_base {
                 let row = self.base.row(b);
-                if d < chunk.del.1 && self.del.row(d) == row {
+                if d < self.del.len() && self.del.row(d) == row {
                     d += 1; // tombstoned
                 } else {
                     out.extend_from_slice(row);
@@ -412,35 +345,6 @@ impl DeltaRelation {
             }
         }
         out
-    }
-
-    /// Installs the concatenation of a full plan's [`Self::merge_chunk`]
-    /// outputs (in plan order) as the new base and clears the buffers —
-    /// the commit step of a shard-parallel compaction.
-    ///
-    /// # Panics
-    /// Debug-asserts the concatenation is sorted (it is, for a complete
-    /// plan applied in order).
-    pub fn apply_merged(&mut self, parts: Vec<Vec<Value>>) {
-        if self.arity() == 0 {
-            self.compact();
-            return;
-        }
-        let merged = Relation::from_flat(self.schema().clone(), parts.concat())
-            .expect("merged rows share the schema");
-        debug_assert!(
-            merged
-                .iter_rows()
-                .zip(merged.iter_rows().skip(1))
-                .all(|(a, b)| a < b),
-            "plan concatenation must be sorted and duplicate-free"
-        );
-        *self = DeltaRelation {
-            base: Arc::new(merged),
-            base_indexes: Arc::default(),
-            ins: Relation::empty(self.schema().clone()),
-            del: Relation::empty(self.schema().clone()),
-        };
     }
 
     /// Arity-checks, sorts, and dedups an incoming batch.
@@ -892,30 +796,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_plan_chunks_equal_materialize() {
+    fn materialize_and_compact_match_a_set_model() {
         use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         for trial in 0..20 {
             let base_rows: Vec<Vec<Value>> = (0..rng.gen_range(0..60))
                 .map(|_| (0..2).map(|_| Value(rng.gen_range(0..9u64))).collect())
                 .collect();
-            let base = Relation::from_rows(Schema::of(&[0, 1]), base_rows).unwrap();
-            let mut d = DeltaRelation::new(base.clone());
+            let base = Relation::from_rows(Schema::of(&[0, 1]), base_rows.clone()).unwrap();
+            let mut d = DeltaRelation::new(base);
             let muts: Vec<Vec<Value>> = (0..rng.gen_range(0..30))
                 .map(|_| (0..2).map(|_| Value(rng.gen_range(0..9u64))).collect())
                 .collect();
-            d.insert_rows(&muts[..muts.len() / 2]).unwrap();
-            d.delete_rows(&muts[muts.len() / 3..]).unwrap();
-            let want = d.materialize();
-            for n in [1usize, 2, 3, 7, 64] {
-                let plan = d.merge_plan(n);
-                assert!(!plan.is_empty());
-                let parts: Vec<Vec<Value>> = plan.iter().map(|&c| d.merge_chunk(c)).collect();
-                let mut clone = d.clone();
-                clone.apply_merged(parts);
-                assert_eq!(**clone.base(), want, "trial {trial}, {n} chunks");
-                assert_eq!(clone.delta_len(), 0);
+            let (ins, del) = (&muts[..muts.len() / 2], &muts[muts.len() / 3..]);
+            d.insert_rows(ins).unwrap();
+            d.delete_rows(del).unwrap();
+            // The model applies the same inserts, then the same deletes.
+            let mut model: BTreeSet<Vec<Value>> = base_rows.into_iter().collect();
+            model.extend(ins.iter().cloned());
+            for row in del {
+                model.remove(row);
             }
+            let want =
+                Relation::from_rows(Schema::of(&[0, 1]), model.into_iter().collect()).unwrap();
+            assert_eq!(d.materialize(), want, "trial {trial}: materialize");
+            let buffered = d.delta_len();
+            assert_eq!(d.compact(), buffered > 0, "trial {trial}");
+            assert_eq!(**d.base(), want, "trial {trial}: base after compact");
+            assert_eq!(d.delta_len(), 0, "trial {trial}");
         }
     }
 

@@ -31,7 +31,8 @@
 //!   [`gallop`]ing lookups;
 //! * [`DeltaRelation`] / [`DeltaIndex`] — a mutable view over a frozen,
 //!   `Arc`-shared base: sorted insert/delete buffers merged with the base
-//!   [`FlatIndex`] at scan time, plus shard-parallelisable minor compaction;
+//!   [`FlatIndex`] at scan time, plus minor compaction (one sequential
+//!   merge into a fresh base);
 //! * [`gallop`] — exponential search and adaptive intersection over sorted
 //!   slices, shared by the flat backend and the engine's scan sites;
 //! * [`hash`] — a fast non-cryptographic hasher (`FxHashMap`/`FxHashSet`)
@@ -50,7 +51,7 @@ mod rowbuf;
 mod schema;
 mod value;
 
-pub use delta::{DeltaChildren, DeltaIndex, DeltaNode, DeltaRelation, MergeChunk, MergedChildren};
+pub use delta::{DeltaChildren, DeltaIndex, DeltaNode, DeltaRelation, MergedChildren};
 pub use flat::{FlatChildren, FlatIndex, FlatNode};
 pub use index::SearchTree;
 pub use relation::{Relation, RowSet};
