@@ -39,6 +39,14 @@ pub(crate) struct JoinPlan {
     pub(crate) edge_order: Vec<usize>,
     /// The total order of attributes (vertex ids).
     pub(crate) order: Vec<usize>,
+    /// Per output column (vertex `v`, the output schema's `v`-th
+    /// attribute): its total-order position, where a raw row holds it.
+    pub(crate) columns: Vec<usize>,
+    /// How many leading output columns the raw rows must be re-sorted
+    /// by: the shortest prefix of the output schema whose removal from
+    /// the total order leaves the rest of the schema in order. 0 when the
+    /// total order is the output schema.
+    pub(crate) key_len: usize,
     /// Per input edge: its vertices sorted by total-order position (= the
     /// level order of its search tree).
     pub(crate) edge_vertices: Vec<Vec<usize>>,
@@ -172,9 +180,14 @@ impl JoinPlan {
         let Compiler {
             nodes, cover_len, ..
         } = compiler;
+        let key_len = (0..=pos.len())
+            .find(|&j| pos[j..].is_sorted())
+            .expect("an empty tail is in order");
         JoinPlan {
             edge_order,
             order,
+            columns: pos,
+            key_len,
             edge_vertices,
             nodes,
             root,
@@ -407,6 +420,7 @@ mod tests {
         let plan = JoinPlan::compile(&triangle());
         assert_eq!(plan.edge_order, [0, 2, 1]);
         assert_eq!(plan.order, [0, 1, 2]);
+        assert_eq!((&plan.columns[..], plan.key_len), (&[0, 1, 2][..], 0));
         assert_eq!(plan.edge_vertices, [[0, 1], [1, 2], [0, 2]]);
         let root = &plan.nodes[plan.root.unwrap()];
         assert_eq!((root.k, root.arity, root.start), (3, 3, 0));
@@ -475,6 +489,17 @@ mod tests {
         let plan = JoinPlan::compile(&h);
         assert_eq!(plan.edge_order, [0, 1, 2, 3]);
         assert_eq!(plan.order, [1, 2, 0, 3]);
+        // Attribute 0 sits at position 2; without it the order is 1, 2, 3.
+        assert_eq!((&plan.columns[..], plan.key_len), (&[2, 0, 1, 3][..], 1));
+    }
+
+    #[test]
+    fn the_star_re_sorts_by_its_center_alone() {
+        // R(0,1) S(0,2) T(0,3): the center is bound after the leaves.
+        let h = Hypergraph::new(4, vec![vec![0, 1], vec![0, 2], vec![0, 3]]).unwrap();
+        let plan = JoinPlan::compile(&h);
+        assert_eq!(plan.order, [1, 2, 0, 3]);
+        assert_eq!(plan.key_len, 1);
     }
 
     #[test]
@@ -554,6 +579,7 @@ mod tests {
         let h = Hypergraph::new(0, vec![vec![], vec![]]).unwrap();
         let plan = JoinPlan::compile(&h);
         assert!(plan.root.is_none() && plan.nodes.is_empty() && plan.order.is_empty());
+        assert_eq!(plan.key_len, 0);
         assert_eq!(plan.edge_vertices, vec![Vec::<usize>::new(); 2]);
         assert!(plan.resolve_covers(&[1.0, 1.0]).is_empty());
     }

@@ -31,9 +31,7 @@ use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
 use std::sync::{Arc, OnceLock};
 use wcoj_hypergraph::cover::validate_cover;
-use wcoj_storage::{
-    gallop, Attr, FlatIndex, Relation, RowBuf, Schema, SearchTree, StorageError, Value,
-};
+use wcoj_storage::{gallop, Attr, FlatIndex, Relation, RowBuf, SearchTree, StorageError, Value};
 
 /// Intersects two sorted value lists (galloping/adaptive; differential
 /// proptests in `wcoj-storage` pin it to the naive two-pointer merge).
@@ -366,92 +364,89 @@ impl<S: SearchTree> PreparedQuery<S> {
         run_plan(&self.plan, &self.tries, x, shard, stats)
     }
 
-    /// Moves raw total-order rows (one shard's, or the concatenation of
-    /// every shard's in slot order) into a [`JoinOutput`] in the
-    /// canonical attribute layout.
+    /// [`Self::assemble_slots`] with the run's statistics: the whole
+    /// output of the slots a query ran, as a [`JoinOutput`].
     ///
     /// # Errors
-    /// [`StorageError::ArityMismatch`] (as a [`QueryError`]) if the rows
-    /// are not as wide as the total order.
-    pub fn assemble(&self, rows: RowBuf, stats: JoinStats) -> Result<JoinOutput, QueryError> {
-        let relation = self.assemble_slot(rows)?;
+    /// As [`Self::assemble_slots`].
+    pub fn assemble(
+        &self,
+        slots: impl IntoIterator<Item = RowBuf>,
+        stats: JoinStats,
+    ) -> Result<JoinOutput, QueryError> {
+        let relation = self.assemble_slots(slots)?;
         Ok(JoinOutput { relation, stats })
     }
 
-    /// Moves **one shard slot's** raw total-order rows into a relation
-    /// over the canonical output schema — one column permutation, one
-    /// sort — sorted and deduplicated *within the slot*: the unit an
-    /// incremental consumer (a streaming `/rows` endpoint) emits as each
-    /// slot settles.
+    /// Moves raw total-order rows — one shard slot's, or consecutive
+    /// slots' in slot order — into one relation over the output schema,
+    /// sorted in schema order: the one assembly every way out of the
+    /// engine takes ([`Self::evaluate`], a streamed slot, a merge of the
+    /// remaining slots). `slots` may yield each slot as it settles: a
+    /// plan whose total order is the schema copies it in right away.
     ///
-    /// Shards partition the output by disjoint root ranges (and, for
-    /// anchor sub-shards, disjoint anchor ranges within one root value),
-    /// so per-slot deduplication equals global deduplication: a row's
-    /// root/anchor values pin it to exactly one slot. Whether the
-    /// *concatenation* of slot relations in slot order is additionally
-    /// bit-identical to [`Self::assemble`]'s single relation is exactly
-    /// [`Self::slots_stream_sorted`].
+    /// `Recursive-Join` emits each slot's rows strictly ascending in the
+    /// total order, and slots partition the output by ascending root
+    /// ranges (anchor sub-shards by ascending anchor ranges within one
+    /// root value), so consecutive slots ascend strictly too. The plan
+    /// knows the shortest prefix of the output schema whose removal from
+    /// the total order leaves the rest of the schema in order; a stable
+    /// re-key on that prefix alone ([`RowBuf::rekey`]) yields schema
+    /// order, and distinct rows stay distinct, so nothing is compared
+    /// whole and nothing is deduplicated. When the total order is the
+    /// output schema ([`Self::slots_stream_sorted`]) the rows are adopted
+    /// as they are.
     ///
     /// # Errors
-    /// Same as [`Self::assemble`].
-    pub fn assemble_slot(&self, rows: RowBuf) -> Result<Relation, QueryError> {
-        if rows.arity() != self.plan.order.len() {
+    /// [`StorageError::ArityMismatch`] (as a [`QueryError`]) if a slot's
+    /// rows are not as wide as the total order.
+    pub fn assemble_slots(
+        &self,
+        slots: impl IntoIterator<Item = RowBuf>,
+    ) -> Result<Relation, QueryError> {
+        let width = self.plan.order.len();
+        let mut got = width;
+        let mut slots = slots.into_iter().map_while(|s| {
+            got = s.arity();
+            (got == width).then_some(s)
+        });
+        let schema = self.q.output_schema();
+        let relation = if width == 0 {
+            // No attributes: the join of non-empty nullary relations is
+            // the single empty tuple, if any shard produced it.
+            if slots.all(|s| s.is_empty()) {
+                Relation::empty(schema)
+            } else {
+                Relation::nullary_true()
+            }
+        } else {
+            let rows = RowBuf::rekey(slots, &self.plan.columns, self.plan.key_len);
+            Relation::from_flat(schema, rows.into_data())?
+        };
+        if got != width {
             return Err(StorageError::ArityMismatch {
-                expected: self.plan.order.len(),
-                got: rows.arity(),
+                expected: width,
+                got,
             }
             .into());
         }
-        let q = &self.q;
-        if self.plan.order.is_empty() {
-            // No attributes: the join of non-empty nullary relations is
-            // the single empty tuple, if any shard produced it.
-            return Ok(if rows.is_empty() {
-                Relation::empty(q.output_schema())
-            } else {
-                Relation::nullary_true()
-            });
-        }
-        let order_attrs: Vec<Attr> = self
-            .plan
-            .order
-            .iter()
-            .map(|&v| q.attr_of_vertex(v))
-            .collect();
-        let schema = Schema::new(order_attrs).expect("order is a permutation");
-        let mut relation = Relation::from_flat(schema, rows.into_data())?;
-        relation.reorder_columns(&q.output_schema())?;
-        relation.sort_dedup();
         Ok(relation)
     }
 
-    /// `true` iff concatenating [`Self::assemble_slot`] relations in slot
-    /// (= ascending root-range) order reproduces [`Self::assemble`]'s
-    /// output **bit-identically, including row order**.
-    ///
-    /// The final output is sorted in output-schema lexicographic order;
-    /// slot concatenation yields total-order-major order with the root
-    /// attribute leading. The two agree exactly when the total order
-    /// visits the attributes in the canonical (output-schema) sequence:
-    /// then the root attribute is the primary sort key, slots ascend by
-    /// root range (anchor sub-shards by anchor range, the secondary key),
-    /// and each slot is internally sorted — so the concatenation is
-    /// globally sorted and per-slot dedup is global dedup. The plan picks
-    /// its edge order to make this `true` whenever some order can
-    /// ([`Self::edge_order`]): the triangle and every single-relation
-    /// query stream. When it is `false` (e.g. the 4-cycle, whose total
-    /// order starts at attribute 1 under every edge order), a consumer
-    /// must buffer all slots and merge before comparing against the
-    /// assembled output.
+    /// `true` iff the total order is the output schema, so concatenating
+    /// [`Self::assemble_slots`] relations of single slots in slot (=
+    /// ascending root-range) order reproduces the whole output
+    /// **bit-identically, including row order**: each slot's rows are
+    /// adopted as the engine emitted them. The plan picks its edge order
+    /// to make this `true` whenever some order can ([`Self::edge_order`]):
+    /// the triangle and every single-relation query stream. When it is
+    /// `false` (e.g. the 4-cycle, whose total order starts at attribute 1
+    /// under every edge order), a slot's assembly is sorted within the
+    /// slot only, and a consumer assembles the slots together to get the
+    /// output.
     #[must_use]
     pub fn slots_stream_sorted(&self) -> bool {
-        let order_attrs: Vec<Attr> = self
-            .plan
-            .order
-            .iter()
-            .map(|&v| self.q.attr_of_vertex(v))
-            .collect();
-        order_attrs.as_slice() == self.q.output_schema().attrs()
+        self.plan.key_len == 0
     }
 
     /// Evaluates with the given fractional cover, or the LP optimum when
@@ -476,7 +471,7 @@ impl<S: SearchTree> PreparedQuery<S> {
         }
         let (x, log2_bound) = self.resolve_cover(cover)?;
         let (rows, stats) = self.run_shard(&x, log2_bound, None);
-        self.assemble(rows, stats)
+        self.assemble([rows], stats)
     }
 }
 
@@ -838,7 +833,7 @@ mod tests {
         let mut streamed = Relation::empty(full.schema().clone());
         for shard in shards {
             let (rows, _) = prepared.run_shard(&x, b, Some(shard));
-            let slot = prepared.assemble_slot(rows).unwrap();
+            let slot = prepared.assemble_slots(vec![rows]).unwrap();
             assert_eq!(slot.schema(), full.schema());
             for row in slot.iter_rows() {
                 streamed.push_row(row).unwrap();
@@ -852,9 +847,9 @@ mod tests {
     fn slot_assembly_needs_a_merge_when_order_is_not_canonical() {
         // The 4-cycle's total order is (1, 2, 0, 3) under every edge
         // order: slots stream in root-attribute-major order, which is NOT
-        // the output's lex order — the predicate must say so, and a
-        // buffered merge (push + sort_dedup) must still reproduce the
-        // output.
+        // the output's lex order — the predicate must say so. A buffered
+        // merge of the slot relations (push + sort_dedup) reproduces the
+        // output, and so does assembling the slots' raw rows together.
         let rels = [
             random_rel(41, &[0, 1], 60, 8),
             random_rel(42, &[1, 2], 60, 8),
@@ -871,18 +866,22 @@ mod tests {
         assert!(!cands.is_empty());
         let mid = cands[cands.len() / 2];
         let mut merged = Relation::empty(full.schema().clone());
+        let mut slots = Vec::new();
         for shard in [
             RootShard::range(Value(u64::MIN), mid),
             RootShard::range(Value(mid.0 + 1), Value(u64::MAX)),
         ] {
             let (rows, _) = prepared.run_shard(&x, b, Some(shard));
-            let slot = prepared.assemble_slot(rows).unwrap();
+            let slot = prepared.assemble_slots(vec![rows.clone()]).unwrap();
             for row in slot.iter_rows() {
                 merged.push_row(row).unwrap();
             }
+            slots.push(rows);
         }
+        assert_ne!(merged, full, "slot relations do not concatenate");
         merged.sort_dedup();
         assert_eq!(merged, full);
+        assert_eq!(prepared.assemble_slots(slots).unwrap(), full);
     }
 
     #[test]

@@ -13,7 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use wcoj_core::nprr::{AnchorRange, PreparedQuery, RootShard};
 use wcoj_datagen::cycle_instance;
-use wcoj_storage::{FlatIndex, Relation, SearchTree, Value};
+use wcoj_exec::{plan_shards, ExecConfig};
+use wcoj_storage::{FlatIndex, Relation, RowBuf, SearchTree, Value};
 
 thread_local! {
     /// Allocations made by this thread (tests run on parallel threads).
@@ -187,4 +188,66 @@ fn shard_runs_allocate_per_run_not_per_call() {
         }
     }
     assert!(decisions > 100 * BUDGET, "some shard outworks the budget");
+}
+
+/// Allocations of one assembly of `rels`' raw rows, split into the slots
+/// of `shards` root ranges (one unrestricted slot for 0), with the rows
+/// it produced.
+fn assembly_allocations(rels: &[Relation], shards: usize) -> (u64, usize) {
+    let prepared = PreparedQuery::<FlatIndex>::new_indexed(rels).unwrap();
+    let (x, bound) = prepared.resolve_cover(None).unwrap();
+    let tasks = if shards == 0 {
+        vec![None]
+    } else {
+        let cfg = ExecConfig {
+            shard_min_size: 1,
+            heavy_split_factor: 0,
+        };
+        plan_shards(&prepared, shards, &cfg)
+    };
+    let slots: Vec<RowBuf> = tasks
+        .iter()
+        .map(|&t| prepared.run_shard(&x, bound, t).0)
+        .collect();
+    assert_eq!(slots.len(), shards.max(1));
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = prepared.assemble_slots(slots).unwrap();
+    let spent = ALLOCATIONS.with(Cell::get) - before;
+    (spent, out.len())
+}
+
+/// The assembly allocates a fixed number of times per call and per slot,
+/// whatever the row count. Every call builds the output schema (its
+/// attributes and `Schema::new`'s duplicate check) and the relation's
+/// `Arc`. The 4-cycle re-keys its rows by counting: the packed key
+/// column, a counter per key value and the output buffer, however many
+/// slots there are. The triangle adopts one slot as it is; of several,
+/// the first slot's buffer grows to take the others, at most once per
+/// later slot. No row gets an allocation of its own and no sort allocates
+/// scratch.
+#[test]
+fn assembly_allocates_per_call_not_per_row() {
+    // (shape, arity, two sizes, allocations for one slot, at most for four)
+    let cases = [
+        ("4-cycle", 4, [(200, 40), (2000, 200)], 6, 6),
+        ("triangle", 3, [(1000, 60), (4000, 150)], 3, 3 + 3),
+    ];
+    for (name, arity, sizes, one_slot, four_slots) in cases {
+        let mut rows_seen = Vec::new();
+        for (n, dom) in sizes {
+            let rels = cycle_instance(11, arity, n, dom);
+            let (spent, rows) = assembly_allocations(&rels, 0);
+            assert_eq!(spent, one_slot, "{name}, n = {n}: {rows} rows");
+            rows_seen.push(rows);
+            let (spent, rows) = assembly_allocations(&rels, 4);
+            assert!(
+                spent <= four_slots,
+                "{name}, n = {n}, 4 slots: {spent} allocations for {rows} rows"
+            );
+        }
+        assert!(
+            rows_seen[1] > 2 * rows_seen[0],
+            "{name}: sizes {rows_seen:?}"
+        );
+    }
 }

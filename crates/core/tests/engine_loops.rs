@@ -142,7 +142,7 @@ proptest! {
             prop_assert_eq!(want.1, counters(&oracle.stats), "{}: flat", ctx);
             let mut rows = RowBuf::new(flat.total_order().len());
             want.0.iter().for_each(|r| rows.push_row(r));
-            let assembled = flat.assemble(rows, JoinStats::default()).unwrap();
+            let assembled = flat.assemble(vec![rows], JoinStats::default()).unwrap();
             prop_assert_eq!(&assembled.relation, &oracle.relation, "{}: assembled", ctx);
             prop_assert_eq!(&run(&empty, x, bound, None), &want, "{}: empty delta", ctx);
             prop_assert_eq!(&run(&delta, x, bound, None), &want, "{}: delta", ctx);

@@ -13,10 +13,20 @@
 //!   relations listed in the chosen order make the same decisions under
 //!   the correspondingly permuted cover (covers and search trees are
 //!   indexed by input edge, the QP tree by position in the chosen order);
-//! * when `slots_stream_sorted()`, the per-slot assemblies of every
-//!   `wcoj-exec` shard plan, anchored sub-shards included, concatenate to
-//!   `assemble`'s output with no merge.
+//! * under every `wcoj-exec` shard plan, anchored sub-shards included, on
+//!   the flat backend and on a `DeltaIndex` with live buffers, the one
+//!   assembly (`assemble_slots`) of one slot (what `next_batch` yields),
+//!   of the slots after a mid-stream cut (`next_merged`) and of every
+//!   slot (`wait`) equals, bit for bit, what it replaced: the raw rows
+//!   as a relation over the total order, reordered into the schema,
+//!   sorted and deduplicated. Shapes with no output-ordered plan re-key
+//!   the rows; the others adopt them;
+//! * when `slots_stream_sorted()`, the per-slot assemblies concatenate to
+//!   the output with no merge.
 
+mod common;
+
+use common::{over_delta, Buffers};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use wcoj_core::nprr::qptree::build_qp_tree;
@@ -26,7 +36,7 @@ use wcoj_core::{naive, JoinQuery};
 use wcoj_exec::{plan_shards, ExecConfig};
 use wcoj_hypergraph::Hypergraph;
 use wcoj_storage::ops::reorder;
-use wcoj_storage::{Relation, RowBuf};
+use wcoj_storage::{Relation, RowBuf, Schema, SearchTree};
 
 /// A random hypergraph over 2–6 attributes: 2–6 relations of arity ≤ 3.
 fn random_shape(rng: &mut rand::rngs::StdRng) -> Vec<Vec<u32>> {
@@ -73,6 +83,72 @@ fn permutations(m: usize) -> Vec<Vec<usize>> {
 
 fn ascending(order: &[usize]) -> bool {
     order.windows(2).all(|w| w[0] < w[1])
+}
+
+/// The assembly `assemble_slots` replaced: the slots' raw rows as one
+/// relation over the total order, its columns permuted into the output
+/// schema, then sorted and deduplicated.
+fn reorder_then_sort<S: SearchTree>(prepared: &PreparedQuery<S>, slots: &[RowBuf]) -> Relation {
+    let q = prepared.query();
+    let order: Vec<_> = prepared
+        .total_order()
+        .iter()
+        .map(|&v| q.attr_of_vertex(v))
+        .collect();
+    let data = slots.iter().flat_map(|s| s.clone().into_data()).collect();
+    let mut rel = Relation::from_flat(Schema::new(order).unwrap(), data).unwrap();
+    rel.reorder_columns(&q.output_schema()).unwrap();
+    rel.sort_dedup();
+    rel
+}
+
+/// Runs every shard plan of `prepared` and checks each way its slots are
+/// assembled against [`reorder_then_sort`] and against `full`.
+fn assembly_matches_the_old_merge<S: SearchTree>(
+    prepared: &PreparedQuery<S>,
+    full: &Relation,
+    ctx: &str,
+) {
+    let (x, bound) = prepared.resolve_cover(None).unwrap();
+    for factor in [0usize, 2, 8] {
+        for shards in [2usize, 8, 32] {
+            let cfg = ExecConfig {
+                shard_min_size: 1,
+                heavy_split_factor: factor,
+            };
+            // A zero-task plan (empty root domain) has no slots and no rows.
+            let plan = plan_shards(prepared, shards, &cfg);
+            let ctx = format!("{ctx}: {} shards, factor {factor}", plan.len());
+            let slots: Vec<RowBuf> = plan
+                .iter()
+                .map(|&t| prepared.run_shard(&x, bound, t).0)
+                .collect();
+            // wait: every slot at once is the output.
+            let all = prepared.assemble_slots(slots.clone()).unwrap();
+            assert_eq!(&all, &reorder_then_sort(prepared, &slots), "{}: wait", ctx);
+            assert_eq!(&all, full, "{}: wait is the output", ctx);
+            // next_batch: one slot at a time.
+            let mut streamed = RowBuf::new(full.arity());
+            for (i, slot) in slots.iter().enumerate() {
+                let batch = prepared.assemble_slots(vec![slot.clone()]).unwrap();
+                let want = reorder_then_sort(prepared, std::slice::from_ref(slot));
+                assert_eq!(&batch, &want, "{}: next_batch {}", ctx, i);
+                batch.iter_rows().for_each(|row| streamed.push_row(row));
+            }
+            // Streaming order: the batches concatenate to the output.
+            if prepared.slots_stream_sorted() {
+                assert_eq!(streamed.into_data(), full.raw_data(), "{}: streamed", ctx);
+            }
+            // next_merged after a mid-stream cut: the rest at once.
+            for cut in [1, slots.len() / 2, slots.len().saturating_sub(1)] {
+                if (1..slots.len()).contains(&cut) {
+                    let rest = prepared.assemble_slots(slots[cut..].to_vec()).unwrap();
+                    let want = reorder_then_sort(prepared, &slots[cut..]);
+                    assert_eq!(&rest, &want, "{}: next_merged from slot {}", ctx, cut);
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -145,30 +221,33 @@ proptest! {
         );
         prop_assert_eq!(&stats.cover, &sol.x, "{}: stats keep input order", ctx);
 
-        // Streaming order: slots concatenate to the output, no merge.
-        if prepared.slots_stream_sorted() {
-            let (x, bound) = prepared.resolve_cover(None).unwrap();
-            for factor in [0usize, 2, 8] {
-                for shards in [2usize, 8, 32] {
-                    let cfg = ExecConfig { shard_min_size: 1, heavy_split_factor: factor };
-                    // A zero-task plan (empty root domain) streams nothing.
-                    let plan = plan_shards(&prepared, shards, &cfg);
-                    let mut streamed = RowBuf::new(full.arity());
-                    for &task in &plan {
-                        let (rows, _) = prepared.run_shard(&x, bound, task);
-                        let slot = prepared.assemble_slot(rows).unwrap();
-                        slot.iter_rows().for_each(|row| streamed.push_row(row));
-                    }
-                    prop_assert_eq!(
-                        streamed.into_data(),
-                        full.raw_data(),
-                        "{}: {} shards, factor {}",
-                        ctx,
-                        plan.len(),
-                        factor
-                    );
-                }
-            }
-        }
+        // Every shard plan on the flat backend and on live buffers.
+        assembly_matches_the_old_merge(&prepared, &full, &format!("{ctx}, flat"));
+        let live = over_delta(&rels, Buffers::Live);
+        assembly_matches_the_old_merge(&live, &full, &format!("{ctx}, live delta"));
+    }
+}
+
+/// The shapes with no output-ordered plan that the served workloads and
+/// e10 run, at a size where slots hold many rows: the 4-cycle and the
+/// star re-key on one column, and their assemblies match the old merge
+/// under every shard plan, on both backends.
+#[test]
+fn shapes_without_an_output_ordered_plan_assemble_like_the_old_merge() {
+    let star = [&[0u32, 1][..], &[0, 2], &[0, 3]]
+        .iter()
+        .enumerate()
+        .map(|(i, attrs)| wcoj_datagen::random_relation(90 + i as u64, attrs, 60, 7))
+        .collect();
+    for (name, rels) in [
+        ("4-cycle", wcoj_datagen::cycle_instance(11, 4, 300, 30)),
+        ("star", star),
+    ] {
+        let prepared = PreparedQuery::new(&rels).unwrap();
+        assert!(!prepared.slots_stream_sorted(), "{name}");
+        let full = prepared.evaluate(None).unwrap().relation;
+        assert!(full.len() > 100, "{name}: {} rows", full.len());
+        assembly_matches_the_old_merge(&prepared, &full, name);
+        assembly_matches_the_old_merge(&over_delta(&rels, Buffers::Live), &full, name);
     }
 }

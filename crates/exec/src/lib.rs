@@ -420,7 +420,7 @@ pub fn plan_shards<S: SearchTree>(
 mod tests {
     use super::*;
     use wcoj_core::{join_with, Algorithm, JoinOutput, JoinStats};
-    use wcoj_storage::{DeltaIndex, Relation, RowBuf, Schema};
+    use wcoj_storage::{DeltaIndex, Relation, Schema};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -445,25 +445,25 @@ mod tests {
     }
 
     /// What the service does with a plan, minus its threads: every task
-    /// run in slot order, rows concatenated, stats absorbed, assembled.
+    /// run in slot order, stats absorbed, the slots assembled together.
     fn run_plan<S: SearchTree>(
         prepared: &PreparedQuery<S>,
         tasks: &[Option<RootShard>],
         cover: Option<&[f64]>,
     ) -> JoinOutput {
         let (x, log2_bound) = prepared.resolve_cover(cover).unwrap();
-        let mut rows = RowBuf::new(prepared.total_order().len());
+        let mut slots = Vec::with_capacity(tasks.len());
         let mut stats = JoinStats {
             log2_agm_bound: log2_bound,
             cover: x.clone(),
             ..JoinStats::default()
         };
         for &task in tasks {
-            let (shard_rows, run) = prepared.run_shard(&x, log2_bound, task);
-            rows.append(&shard_rows);
+            let (rows, run) = prepared.run_shard(&x, log2_bound, task);
+            slots.push(rows);
             stats.absorb(&run);
         }
-        prepared.assemble(rows, stats).unwrap()
+        prepared.assemble(slots, stats).unwrap()
     }
 
     /// Plans `rels` for a `workers`-thread pool under `cfg` and checks the

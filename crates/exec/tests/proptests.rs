@@ -1,8 +1,8 @@
 //! Property tests for the shard planner (mirrors the style of
 //! `crates/storage/src/proptests.rs`). The contract the `wcoj-service`
 //! pool relies on, checked without threads: every task of
-//! `plan_shards(..)` run in slot order, the rows concatenated
-//! and assembled, equals the sequential `join_nprr` output **bit for bit
+//! `plan_shards(..)` run in slot order, the slots assembled together,
+//! equals the sequential `join_nprr` output **bit for bit
 //! — rows and order** — for every `heavy_split_factor` (0, 1, sensible,
 //! huge) on random, Zipf and single-hot-key instances. Alongside it,
 //! every planned sub-shard family tiles the anchor domain exactly once —
@@ -12,22 +12,18 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use wcoj_core::nprr::{PreparedQuery, RootShard};
-use wcoj_core::{JoinQuery, JoinStats};
+use wcoj_core::JoinQuery;
 use wcoj_exec::{plan_shards, ExecConfig, OVERSPLIT};
-use wcoj_storage::{DeltaIndex, Relation, RowBuf, SearchTree, Value};
+use wcoj_storage::{DeltaIndex, Relation, SearchTree, Value};
 
-/// What the service does with a plan, minus its threads: every task run
-/// in slot order, rows concatenated, then assembled.
+/// What the service does with a plan, minus its threads: every task run,
+/// then the slots assembled together in slot order.
 fn run_plan<S: SearchTree>(prepared: &PreparedQuery<S>, tasks: &[Option<RootShard>]) -> Relation {
     let (x, log2_bound) = prepared.resolve_cover(None).unwrap();
-    let mut rows = RowBuf::new(prepared.total_order().len());
-    for &task in tasks {
-        rows.append(&prepared.run_shard(&x, log2_bound, task).0);
-    }
-    prepared
-        .assemble(rows, JoinStats::default())
-        .unwrap()
-        .relation
+    let slots = tasks
+        .iter()
+        .map(|&task| prepared.run_shard(&x, log2_bound, task).0);
+    prepared.assemble_slots(slots).unwrap()
 }
 
 /// A random multi-relation query instance: shapes drawn like the core

@@ -406,9 +406,9 @@ impl PendingQuery {
             let batch = handle.next_batch()?;
             return Some(batch.map(|b| b.relation).map_err(map_engine_error));
         }
-        // Merge path: every slot's raw rows in one batch, sorted once,
-        // then projected. Yields exactly one batch; subsequent calls find
-        // the handle drained.
+        // Merge path: every slot's raw rows assembled into one batch in
+        // schema order, then projected. Yields exactly one batch;
+        // subsequent calls find the handle drained.
         let merged = handle.next_merged()?.map_err(map_engine_error);
         Some(merged.and_then(|b| project_head(b.relation, self.project.as_deref())))
     }

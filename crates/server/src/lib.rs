@@ -46,7 +46,8 @@
 //! picks its atom order to make it so, e.g. for the full triangle), each
 //! root slot's rows go out as an HTTP chunk the moment that slot
 //! settles, *before* later shards finish. Otherwise (e.g. the 4-cycle)
-//! rows are merged and sent as one chunk; the `X-Streaming` response
+//! the slots are assembled together, their rows re-keyed into schema
+//! order without a sort, and sent as one chunk; the `X-Streaming` response
 //! header says which mode was used. A Datalog program runs eagerly
 //! against the live catalog, and its last rule's result enters the job
 //! table as a pending query holding one ready batch: `/rows` serves it

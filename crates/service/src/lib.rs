@@ -728,10 +728,11 @@ impl JobState {
     }
 }
 
-/// Moves raw rows — one slot's, or several slots' concatenated in slot
-/// order — into a standalone sorted, deduplicated [`Relation`] over the
-/// output schema ([`PreparedQuery::assemble_slot`]).
-type SlotAssemble = Box<dyn Fn(RowBuf) -> Result<Relation, QueryError> + Send>;
+/// Moves the raw rows of consecutive slots, handed over as they are in
+/// slot order as each settles, into one [`Relation`] sorted in
+/// output-schema order ([`PreparedQuery::assemble_slots`]).
+type SlotAssemble =
+    Box<dyn Fn(&mut dyn Iterator<Item = RowBuf>) -> Result<Relation, QueryError> + Send>;
 
 /// A submitted query: the one way its rows leave the service. Each shard
 /// fills one **slot**; the handle takes the slots in slot order, either
@@ -741,12 +742,13 @@ type SlotAssemble = Box<dyn Fn(RowBuf) -> Result<Relation, QueryError> + Send>;
 /// ([`next_merged`](QueryHandle::next_merged),
 /// [`wait`](QueryHandle::wait)).
 ///
-/// Slot rectangles partition the output (disjoint `(root, anchor)`
-/// ranges), so concatenating every batch and running one final
-/// `sort_dedup` always reproduces [`wait`](QueryHandle::wait)'s relation.
-/// When [`ordered`](QueryHandle::ordered) is `true` even the final sort is
-/// unnecessary: plain concatenation in batch order is already the full
-/// output, byte for byte.
+/// Every batch is one call of [`PreparedQuery::assemble_slots`] on the
+/// slots it takes. Slot rectangles partition the output (disjoint
+/// `(root, anchor)` ranges), so concatenating every batch and running one
+/// final `sort_dedup` always reproduces [`wait`](QueryHandle::wait)'s
+/// relation. When [`ordered`](QueryHandle::ordered) is `true` even that
+/// sort is unnecessary: plain concatenation in batch order is already the
+/// full output, byte for byte.
 ///
 /// **Dropping** the handle before it took every slot *cancels* the query:
 /// workers skip the engine run for its remaining tasks, so an abandoned
@@ -787,14 +789,15 @@ pub struct RowBatch {
     /// The first slot (= shard = root rectangle) the batch holds. Batches
     /// arrive in strictly ascending slot order.
     pub slot: usize,
-    /// The batch's rows, sorted and deduplicated within the batch.
+    /// The batch's rows in output-schema order, sorted within the batch.
     pub relation: Relation,
 }
 
 impl QueryHandle {
     /// Takes slots `next_slot..end`, blocking until each settles, and
-    /// assembles their raw rows, concatenated in slot order, into one
-    /// relation. Taking the last slot marks the profile reassembled.
+    /// assembles their raw rows, handed over as they are in slot order,
+    /// into one relation. Taking the last slot marks the profile
+    /// reassembled.
     fn take(&mut self, end: usize) -> Result<Relation, QueryError> {
         let from = self.next_slot;
         let relation = match &self.inner {
@@ -802,15 +805,19 @@ impl QueryHandle {
             HandleInner::Pool {
                 state, assemble, ..
             } => {
-                let mut rows = if from < end {
-                    state.take_slot(from)?
-                } else {
-                    RowBuf::new(state.width)
-                };
-                for slot in from + 1..end {
-                    rows.append(&state.take_slot(slot)?);
+                // Each slot goes to the assembly as it settles, so rows
+                // already in schema order are copied while later shards
+                // still run. A failed slot ends the slots early; its
+                // error wins over the partial relation.
+                let mut failed = None;
+                let assembled =
+                    assemble(&mut (from..end).map_while(|slot| {
+                        state.take_slot(slot).map_err(|e| failed = Some(e)).ok()
+                    }));
+                if let Some(e) = failed {
+                    return Err(e);
                 }
-                let relation = assemble(rows)?;
+                let relation = assembled?;
                 if end == self.total_slots {
                     state
                         .reassembled_ns
@@ -830,8 +837,8 @@ impl QueryHandle {
     }
 
     /// Blocks until the next slot settles and yields its rows as a
-    /// standalone sorted, deduplicated batch; `None` once every slot has
-    /// been taken. A front end can push early shards to the client while
+    /// standalone batch in output-schema order; `None` once every slot
+    /// has been taken. A front end can push early shards to the client while
     /// the pool is still running later ones.
     ///
     /// # Errors
@@ -841,11 +848,11 @@ impl QueryHandle {
     }
 
     /// Blocks until **every** remaining slot has settled and yields them
-    /// as one batch: the slots' raw rows concatenated in slot order, then
-    /// one column permutation and one sort. A consumer of a handle that
-    /// is not [`ordered`](QueryHandle::ordered) has to merge the batches
-    /// anyway; this skips the per-slot sorts such a merge throws away.
-    /// `None` once every slot has been taken.
+    /// as one batch: one assembly over the slots' raw rows in slot order,
+    /// which re-keys them into output-schema order with one write per
+    /// value. A consumer of a handle that is not
+    /// [`ordered`](QueryHandle::ordered) has to merge the batches anyway;
+    /// this skips the merge. `None` once every slot has been taken.
     ///
     /// # Errors
     /// Same as [`next_batch`](QueryHandle::next_batch).
@@ -915,8 +922,9 @@ impl QueryHandle {
     /// `true` iff concatenating the per-slot batches in order reproduces
     /// the full output byte-for-byte (the prepared total order already
     /// matches the output schema). When `false` the consumer must merge:
-    /// concatenate all batches, then sort + dedup once — or take them all
-    /// at once with [`next_merged`](QueryHandle::next_merged).
+    /// take the remaining slots at once with
+    /// [`next_merged`](QueryHandle::next_merged), or concatenate all
+    /// batches and sort + dedup once.
     #[must_use]
     pub fn ordered(&self) -> bool {
         self.ordered
@@ -1334,7 +1342,7 @@ impl Service {
             inner: HandleInner::Pool {
                 state,
                 injector: Arc::clone(&self.injector),
-                assemble: Box::new(move |rows| assembler.assemble_slot(rows)),
+                assemble: Box::new(move |slots| assembler.assemble_slots(slots)),
             },
             stats: base_stats(log2_bound, &x),
             next_slot: 0,
@@ -1368,8 +1376,8 @@ impl Drop for Service {
 mod tests {
     use super::*;
     use std::sync::mpsc;
-    use wcoj_core::{join_with, Algorithm};
-    use wcoj_storage::{Attr, DeltaIndex, FlatIndex, Schema, StorageError, Value};
+    use wcoj_core::{join_with, Algorithm, JoinQuery};
+    use wcoj_storage::{Attr, DeltaIndex, DeltaRelation, FlatIndex, Schema, StorageError, Value};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -2214,6 +2222,122 @@ mod tests {
         merged.sort_dedup();
         assert_eq!(merged, expected);
         assert!(stream.next_merged().is_none());
+    }
+
+    /// `rels` served from live buffers: each relation's even rows and one
+    /// outsider row in the base, every row inserted, the outsider deleted.
+    fn live_delta(rels: &[Relation]) -> Arc<PreparedQuery<DeltaIndex>> {
+        let deltas: Vec<DeltaRelation> = rels
+            .iter()
+            .map(|rel| {
+                let rows: Vec<Vec<Value>> = rel.iter_rows().map(<[Value]>::to_vec).collect();
+                let outsider = vec![Value(u64::MAX); rel.arity()];
+                let base = rows.iter().step_by(2).cloned().chain([outsider.clone()]);
+                let base = Relation::from_rows(rel.schema().clone(), base.collect()).unwrap();
+                let mut d = DeltaRelation::new(base);
+                d.insert_rows(&rows).unwrap();
+                d.delete_rows(&[outsider]).unwrap();
+                d
+            })
+            .collect();
+        let stale: Vec<Relation> = deltas.iter().map(|d| (**d.base()).clone()).collect();
+        let sizes = deltas.iter().map(DeltaRelation::len).collect();
+        let q = Arc::new(JoinQuery::new(&stale).unwrap());
+        let prepared = PreparedQuery::from_shared(q, Some(sizes), |i, order| {
+            let d = &deltas[i];
+            DeltaIndex::over(d.base_index(order)?, d.ins(), d.del(), order)
+        });
+        Arc::new(prepared.unwrap())
+    }
+
+    /// What a batch was before the re-key: the slots' raw rows as one
+    /// relation over the total order, reordered into the output schema,
+    /// sorted and deduplicated.
+    fn reorder_then_sort<S: SearchTree>(prepared: &PreparedQuery<S>, slots: &[RowBuf]) -> Relation {
+        let q = prepared.query();
+        let order = prepared.total_order().iter().map(|&v| q.attr_of_vertex(v));
+        let data = slots.iter().flat_map(|s| s.clone().into_data()).collect();
+        let mut rel = Relation::from_flat(Schema::new(order.collect()).unwrap(), data).unwrap();
+        rel.reorder_columns(&q.output_schema()).unwrap();
+        rel.sort_dedup();
+        rel
+    }
+
+    /// `next_batch` per slot, `next_merged` after a mid-stream cut and
+    /// `wait` each equal the old reorder → `sort_dedup` of the slots they
+    /// take, and `wait` is the sequential output.
+    fn handle_batches_match_the_old_merge<S>(
+        service: &Service,
+        prepared: &Arc<PreparedQuery<S>>,
+        expected: &Relation,
+        ctx: &str,
+    ) where
+        S: SearchTree + Send + Sync + 'static,
+    {
+        let cfg = ExecConfig {
+            shard_min_size: 1,
+            ..service.exec_config()
+        };
+        assert!(!prepared.slots_stream_sorted(), "{ctx}: the shape re-keys");
+        let (x, bound) = prepared.resolve_cover(None).unwrap();
+        let slots: Vec<RowBuf> = service
+            .shard_layout(&**prepared, &cfg)
+            .into_iter()
+            .map(|task| prepared.run_shard(&x, bound, task).0)
+            .collect();
+        assert!(slots.len() >= 3, "{ctx}: {} slots", slots.len());
+
+        let waited = service.submit(prepared, &cfg).unwrap().wait().unwrap();
+        assert_eq!(
+            waited.relation,
+            reorder_then_sort(prepared, &slots),
+            "{ctx}: wait"
+        );
+        assert_eq!(&waited.relation, expected, "{ctx}: wait is the output");
+
+        let mut handle = service.submit(prepared, &cfg).unwrap();
+        for (i, slot) in slots.iter().enumerate() {
+            let batch = handle.next_batch().unwrap().unwrap();
+            let want = reorder_then_sort(prepared, std::slice::from_ref(slot));
+            assert_eq!(
+                (batch.slot, &batch.relation),
+                (i, &want),
+                "{ctx}: next_batch"
+            );
+        }
+        assert!(handle.next_batch().is_none());
+
+        let cut = slots.len() / 2;
+        let mut handle = service.submit(prepared, &cfg).unwrap();
+        for _ in 0..cut {
+            handle.next_batch().unwrap().unwrap();
+        }
+        let rest = handle.next_merged().unwrap().unwrap();
+        let want = reorder_then_sort(prepared, &slots[cut..]);
+        assert_eq!(
+            (rest.slot, &rest.relation),
+            (cut, &want),
+            "{ctx}: next_merged"
+        );
+    }
+
+    #[test]
+    fn handle_batches_match_the_old_merge_on_flat_and_live_buffers() {
+        let service = Service::new(ServiceConfig::with_workers(2));
+        let star: Vec<Relation> = (1..=3u32)
+            .map(|leaf| wcoj_datagen::random_relation(u64::from(leaf), &[0, leaf], 80, 12))
+            .collect();
+        for (name, rels) in [
+            ("4-cycle", wcoj_datagen::cycle_instance(61, 4, 150, 14)),
+            ("star", star),
+        ] {
+            let expected = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+            let flat = Arc::new(PreparedQuery::new(&rels).unwrap());
+            handle_batches_match_the_old_merge(&service, &flat, &expected, name);
+            let live = live_delta(&rels);
+            let ctx = format!("{name}, live buffers");
+            handle_batches_match_the_old_merge(&service, &live, &expected, &ctx);
+        }
     }
 
     #[test]

@@ -2,12 +2,18 @@
 
 use crate::Value;
 
+/// How many times the row count a key's value range may span for
+/// [`RowBuf::rekey`] to place rows by counting: a counting pass keeps one
+/// counter per value in the range.
+const COUNTING_SPAN: u64 = 4;
+
 /// A bag of equal-arity rows stored back to back in one `Vec<Value>` —
 /// the layout [`Relation`](crate::Relation) uses, without a schema or set
 /// semantics. This is what `Recursive-Join` reads and writes at every
 /// level and what a shard run hands back: appending a row is an
-/// `extend_from_slice`, concatenating shard outputs is one `memcpy` per
-/// shard, and [`RowBuf::into_data`] moves the finished buffer into
+/// `extend_from_slice`, [`RowBuf::rekey`] lays shard outputs out in
+/// another column order with one write per value, and
+/// [`RowBuf::into_data`] moves the finished buffer into
 /// [`Relation::from_flat`](crate::Relation::from_flat) without touching
 /// the rows.
 ///
@@ -83,16 +89,6 @@ impl RowBuf {
         self.push_concat(row, &[]);
     }
 
-    /// Appends every row of `other`.
-    ///
-    /// # Panics
-    /// If the arities differ.
-    pub fn append(&mut self, other: &RowBuf) {
-        assert_eq!(self.arity, other.arity, "row width");
-        self.data.extend_from_slice(&other.data);
-        self.len += other.len;
-    }
-
     /// Row `i`.
     ///
     /// # Panics
@@ -125,11 +121,146 @@ impl RowBuf {
     pub fn into_data(self) -> Vec<Value> {
         self.data
     }
+
+    /// Lays out rows that ascend strictly in one column order T in
+    /// another column order S, sorted in S: the join engine's raw rows
+    /// (T its total order) as the output schema wants them. `slots` are
+    /// consecutive pieces of one T-ascending sequence, in order. Output
+    /// column `s` is input column `columns[s]`, and `key` is the length
+    /// of the shortest prefix of S whose removal from T leaves the rest
+    /// of S in order: `columns[key..]` ascends.
+    ///
+    /// Rows that agree on `S[..key]` then already follow S among
+    /// themselves, so a *stable* sort on those `key` columns alone puts
+    /// the rows in S order, and distinct rows stay distinct: no row is
+    /// compared whole and none is deduplicated. `key == 0` means T is S:
+    /// the rows are adopted as they are, the first slot's buffer growing
+    /// to take each later one as `slots` yields it. Otherwise one key
+    /// column whose values span less than `COUNTING_SPAN` times the row
+    /// count is placed by one counting pass; any other key stable-sorts
+    /// `u32` row indices. Either way one scatter writes each permuted row
+    /// once, straight from the slots.
+    ///
+    /// # Panics
+    /// If a slot is not `columns.len()` wide, `key` exceeds it or
+    /// `columns[key..]` does not ascend, or a key needs the index sort
+    /// over `2³²` rows or more. Debug builds also check that the rows
+    /// ascend strictly in T, across slot boundaries too.
+    #[must_use]
+    pub fn rekey(slots: impl IntoIterator<Item = RowBuf>, columns: &[usize], key: usize) -> RowBuf {
+        let arity = columns.len();
+        assert!(columns[key..].is_sorted(), "S[key..] keeps its T order");
+        let mut slots = slots
+            .into_iter()
+            .inspect(|s| assert_eq!(s.arity, arity, "row width"));
+        if key == 0 {
+            let mut out = slots.next().unwrap_or_else(|| RowBuf::new(arity));
+            for slot in slots {
+                out.data.extend_from_slice(&slot.data);
+                out.len += slot.len;
+            }
+            debug_assert!(
+                strictly_ascending(std::slice::from_ref(&out)),
+                "rows ascend strictly in T, across slots too"
+            );
+            return out;
+        }
+        let slots: Vec<RowBuf> = slots.collect();
+        debug_assert!(
+            strictly_ascending(&slots),
+            "rows ascend strictly in T, across slots too"
+        );
+        let len = slots.iter().map(RowBuf::len).sum();
+        if len == 0 {
+            return RowBuf::new(arity);
+        }
+        // The key columns of every row, packed: one pass over the rows,
+        // and every later pass reads these instead of the rows.
+        let mut keys = Vec::with_capacity(len * key);
+        for row in slots.iter().flat_map(|s| s.data.chunks_exact(arity)) {
+            for &c in &columns[..key] {
+                keys.push(row[c]);
+            }
+        }
+        let mut out = RowBuf {
+            arity,
+            len,
+            data: vec![Value(0); len * arity],
+        };
+        let span = (key == 1).then(|| {
+            let widen = |(lo, hi): (u64, u64), v: &Value| (lo.min(v.0), hi.max(v.0));
+            keys.iter().fold((u64::MAX, 0), widen)
+        });
+        if let Some((lo, hi)) =
+            span.filter(|&(lo, hi)| hi - lo < COUNTING_SPAN.saturating_mul(len as u64))
+        {
+            // next[v - lo]: where the next row keyed v goes.
+            let mut next = vec![0usize; (hi - lo) as usize + 1];
+            for v in &keys {
+                next[(v.0 - lo) as usize] += 1;
+            }
+            let mut at = 0;
+            for n in &mut next {
+                (*n, at) = (at, at + *n);
+            }
+            scatter(&slots, columns, &mut out.data, |i| {
+                let n = &mut next[(keys[i].0 - lo) as usize];
+                *n += 1;
+                *n - 1
+            });
+        } else {
+            let n = u32::try_from(len).expect("an index sort places fewer than 2^32 rows");
+            let key_of = |i: u32| &keys[i as usize * key..][..key];
+            let mut order: Vec<u32> = (0..n).collect();
+            order.sort_by(|&a, &b| key_of(a).cmp(key_of(b)));
+            // rank[i]: the output row of input row i.
+            let mut rank = vec![0u32; len];
+            for (r, &i) in (0..n).zip(&order) {
+                rank[i as usize] = r;
+            }
+            scatter(&slots, columns, &mut out.data, |i| rank[i] as usize);
+        }
+        out
+    }
+}
+
+/// Writes row `i` of `slots` (counted across them, arity ≥ 1), its
+/// columns permuted by `columns`, to output row `dest(i)` of `out`.
+fn scatter(
+    slots: &[RowBuf],
+    columns: &[usize],
+    out: &mut [Value],
+    mut dest: impl FnMut(usize) -> usize,
+) {
+    let arity = columns.len();
+    let mut i = 0;
+    for slot in slots {
+        for row in slot.data.chunks_exact(arity) {
+            let at = dest(i) * arity;
+            for (o, &c) in out[at..at + arity].iter_mut().zip(columns) {
+                *o = row[c];
+            }
+            i += 1;
+        }
+    }
+}
+
+/// `true` iff the rows of `slots`, taken in order, ascend strictly.
+fn strictly_ascending(slots: &[RowBuf]) -> bool {
+    let mut rows = slots.iter().flat_map(RowBuf::rows);
+    let Some(mut prev) = rows.next() else {
+        return true;
+    };
+    rows.all(|row| std::mem::replace(&mut prev, row) < row)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Relation, Schema};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn vals(vs: &[u64]) -> Vec<Value> {
         vs.iter().copied().map(Value).collect()
@@ -180,16 +311,167 @@ mod tests {
     }
 
     #[test]
-    fn reset_keeps_the_allocation_and_append_concatenates() {
+    fn reset_keeps_the_allocation_and_rekey_concatenates() {
         let mut a = RowBuf::with_capacity(2, 4);
         a.push_row(&vals(&[1, 2]));
         let mut b = RowBuf::new(2);
         b.push_row(&vals(&[3, 4]));
-        a.append(&b);
+        // Key 0: the columns stay, the slots are concatenated.
+        let mut a = RowBuf::rekey(vec![a, b], &[0, 1], 0);
         assert_eq!(a.data, vals(&[1, 2, 3, 4]));
         let cap = a.data.capacity();
         a.reset(1);
         assert_eq!((a.arity(), a.len(), a.data.capacity()), (1, 0, cap));
+    }
+
+    /// What [`RowBuf::rekey`] replaces: the rows as a relation over T,
+    /// its columns permuted into S, then sorted and deduplicated.
+    fn reorder_then_sort(slots: &[RowBuf], columns: &[usize]) -> Vec<Value> {
+        let mut t_attrs = vec![0; columns.len()];
+        for (s, &t) in columns.iter().enumerate() {
+            t_attrs[t] = s as u32;
+        }
+        let data = slots.iter().flat_map(|b| b.data.iter().copied()).collect();
+        let mut rel = Relation::from_flat(Schema::of(&t_attrs), data).unwrap();
+        let s_attrs: Vec<u32> = (0..columns.len() as u32).collect();
+        rel.reorder_columns(&Schema::of(&s_attrs)).unwrap();
+        rel.sort_dedup();
+        rel.raw_data().to_vec()
+    }
+
+    /// `n` distinct rows of `arity` values drawn by `value`, ascending,
+    /// cut into up to four slots at random.
+    fn t_sorted_slots(
+        rng: &mut StdRng,
+        arity: usize,
+        n: usize,
+        mut value: impl FnMut(&mut StdRng) -> u64,
+    ) -> Vec<RowBuf> {
+        let rows: BTreeSet<Vec<Value>> = (0..n)
+            .map(|_| (0..arity).map(|_| Value(value(rng))).collect())
+            .collect();
+        let rows: Vec<Vec<Value>> = rows.into_iter().collect();
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0..4))
+            .map(|_| rng.gen_range(0..=rows.len()))
+            .collect();
+        cuts.extend([0, rows.len()]);
+        cuts.sort_unstable();
+        cuts.windows(2)
+            .map(|w| {
+                let mut slot = RowBuf::new(arity);
+                rows[w[0]..w[1]].iter().for_each(|r| slot.push_row(r));
+                slot
+            })
+            .collect()
+    }
+
+    /// A random column map and a key it admits: the shortest one, or any
+    /// longer one (`columns[key..]` ascends for every `key` past it).
+    fn column_map(rng: &mut StdRng, arity: usize) -> (Vec<usize>, usize) {
+        let mut columns: Vec<usize> = (0..arity).collect();
+        for j in (1..arity).rev() {
+            columns.swap(j, rng.gen_range(0..=j));
+        }
+        let shortest = (0..=arity)
+            .find(|&j| columns[j..].is_sorted())
+            .expect("an empty tail ascends");
+        (columns, rng.gen_range(shortest..=arity))
+    }
+
+    fn check(slots: Vec<RowBuf>, columns: &[usize], key: usize, ctx: &str) {
+        let want = reorder_then_sort(&slots, columns);
+        let n = slots.iter().map(RowBuf::len).sum();
+        let got = RowBuf::rekey(slots, columns, key);
+        assert_eq!((got.arity(), got.len()), (columns.len(), n), "{ctx}");
+        assert_eq!(got.into_data(), want, "{ctx}");
+    }
+
+    #[test]
+    fn counting_rekey_matches_reorder_then_sort() {
+        // One key column over a small domain: the counting pass.
+        let mut rng = StdRng::seed_from_u64(1);
+        for trial in 0..300 {
+            let arity = rng.gen_range(2..6);
+            // S[0] anywhere in T, the rest in order: key 1.
+            let first = rng.gen_range(0..arity);
+            let columns: Vec<usize> = [first]
+                .into_iter()
+                .chain((0..arity).filter(|&t| t != first))
+                .collect();
+            let dom = rng.gen_range(1..12u64);
+            let base = rng.gen_range(0..3u64) * 1_000_000;
+            let n = rng.gen_range(0..200);
+            let slots = t_sorted_slots(&mut rng, arity, n, |r| base + r.gen_range(0..dom));
+            check(slots, &columns, 1, &format!("trial {trial}, {columns:?}"));
+        }
+    }
+
+    #[test]
+    fn index_sort_rekey_matches_reorder_then_sort() {
+        // Keys of any length, values spread over the whole u64 range.
+        let mut rng = StdRng::seed_from_u64(2);
+        for trial in 0..300 {
+            let arity = rng.gen_range(1..6);
+            let (columns, key) = column_map(&mut rng, arity);
+            let n = rng.gen_range(0..200);
+            let wide = rng.gen_bool(0.5);
+            let slots = t_sorted_slots(&mut rng, arity, n, |r| {
+                if wide {
+                    r.gen_range(0..4u64) * (u64::MAX / 3)
+                } else {
+                    r.gen_range(0..5u64)
+                }
+            });
+            check(
+                slots,
+                &columns,
+                key,
+                &format!("trial {trial}, {columns:?} key {key}"),
+            );
+        }
+    }
+
+    #[test]
+    fn rekey_edge_cases() {
+        // Empty: no slots at all, and one empty slot, on either path.
+        for key in 0..=2 {
+            let columns = if key == 0 { [0, 1] } else { [1, 0] };
+            assert!(RowBuf::rekey(Vec::new(), &columns, key).is_empty());
+            let got = RowBuf::rekey(vec![RowBuf::new(2)], &columns, key);
+            assert_eq!((got.arity(), got.len()), (2, 0));
+        }
+        // One row.
+        let mut one = RowBuf::new(3);
+        one.push_row(&vals(&[7, 8, 9]));
+        check(vec![one], &[2, 0, 1], 1, "one row");
+        // Arity 1: the key is the row.
+        let mut unary = RowBuf::new(1);
+        (0..10).for_each(|v| unary.push_row(&vals(&[v * 3])));
+        check(vec![unary.clone()], &[0], 0, "arity 1, key 0");
+        check(vec![unary], &[0], 1, "arity 1, key 1");
+        // key = arity: every column is key.
+        let mut rng = StdRng::seed_from_u64(3);
+        let slots = t_sorted_slots(&mut rng, 3, 50, |r| r.gen_range(0..4u64));
+        check(slots, &[2, 1, 0], 3, "key = arity");
+        // A key column holding both 0 and u64::MAX spans the whole range:
+        // its width must not overflow, and it takes the index sort.
+        let mut rows = RowBuf::new(2);
+        for r in [[0, 5], [0, u64::MAX], [1, 0], [u64::MAX, 0], [u64::MAX, 3]] {
+            rows.push_row(&vals(&r));
+        }
+        let got = RowBuf::rekey(vec![rows], &[1, 0], 1);
+        let want = [[0, 1], [0, u64::MAX], [3, u64::MAX], [5, 0], [u64::MAX, 0]];
+        assert_eq!(got.into_data(), vals(&want.concat()));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "rows ascend strictly in T")]
+    fn rekey_rejects_a_repeated_row_across_slots() {
+        let mut a = RowBuf::new(2);
+        a.push_row(&vals(&[1, 2]));
+        let b = a.clone();
+        let _ = RowBuf::rekey(vec![a, b], &[1, 0], 1);
     }
 
     #[test]
