@@ -33,12 +33,6 @@ use std::sync::{Arc, OnceLock};
 use wcoj_hypergraph::cover::validate_cover;
 use wcoj_storage::{gallop, Attr, FlatIndex, Relation, RowBuf, SearchTree, StorageError, Value};
 
-/// Intersects two sorted value lists (galloping/adaptive; differential
-/// proptests in `wcoj-storage` pin it to the naive two-pointer merge).
-fn intersect_sorted(a: &[Value], b: &[Value]) -> Vec<Value> {
-    gallop::intersect(a, b)
-}
-
 /// A query prepared for repeated NPRR evaluation: the compiled plan (QP
 /// tree, total order, per-node `Recursive-Join` layout) and all search
 /// trees, built once.
@@ -234,7 +228,7 @@ impl<S: SearchTree> PreparedQuery<S> {
             let level0 = trie.child_values(trie.root());
             acc = Some(match acc.take() {
                 None => level0,
-                Some(prev) => intersect_sorted(&prev, &level0),
+                Some(prev) => gallop::intersect(&prev, &level0),
             });
         }
         acc.unwrap_or_default()
@@ -274,7 +268,7 @@ impl<S: SearchTree> PreparedQuery<S> {
             let level = trie.child_values(node);
             acc = Some(match acc.take() {
                 None => level,
-                Some(prev) => intersect_sorted(&prev, &level),
+                Some(prev) => gallop::intersect(&prev, &level),
             });
         }
         acc.unwrap_or_default()

@@ -27,18 +27,18 @@
 //! the candidate computation being tight.
 //!
 //! The `wcoj-service` shared pool executes the plan: one task per shard
-//! ([`PreparedQuery::run_shard`]), rows concatenated in slot order and
-//! assembled through the same sort/dedup/reorder path as the sequential
-//! engine, so the output is bit-identical to `join_nprr`'s.
+//! ([`PreparedQuery::run_shard`]), the slots' raw rows handed in slot
+//! order to [`PreparedQuery::assemble_slots`], which re-keys them into
+//! schema order (`RowBuf::rekey`), so the output is bit-identical to
+//! `join_nprr`'s.
 //!
 //! The crate also holds the warn-once parsing of `WCOJ_*` environment
 //! knobs shared by `wcoj-service` and `wcoj-server` ([`read_env_usize`],
-//! [`trace_level_from_env`], [`note_malformed_env`]).
+//! [`note_malformed_env`]).
 
 use std::sync::Mutex;
 
 use wcoj_core::nprr::{AnchorRange, PreparedQuery, RootShard};
-use wcoj_obs::{TraceEvent, TraceLevel};
 use wcoj_storage::{SearchTree, Value};
 
 /// Per-query knobs of the shard planner.
@@ -80,7 +80,7 @@ impl Default for ExecConfig {
 static MALFORMED_ENV: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
 /// Records (and warns once per key about) a malformed environment knob —
-/// called by [`read_env_usize`] and [`trace_level_from_env`], and directly
+/// called by [`read_env_usize`], and directly
 /// for knobs whose values are not plain `usize`s (e.g. `wcoj-server`'s
 /// `WCOJ_BIND` socket address), so every `WCOJ_*` knob shares one
 /// warn-once registry.
@@ -120,27 +120,6 @@ pub fn read_env_usize(key: &str) -> Option<usize> {
         Ok(v) => Some(v),
         Err(_) => {
             note_malformed_env(key, &format!("value {raw:?} is not a non-negative integer"));
-            None
-        }
-    }
-}
-
-/// Reads the `WCOJ_TRACE` trace-level knob (`off`/`0`, `summary`/`1`,
-/// `verbose`/`2` — see [`TraceLevel::parse`]). Unset → `None`; malformed
-/// → `None` **plus** the same one-time warning and
-/// [`malformed_env_warnings`] entry as every other `WCOJ_*` knob.
-/// `wcoj-service` applies the result to the global
-/// [`trace`](wcoj_obs::trace) ring at construction.
-#[must_use]
-pub fn trace_level_from_env() -> Option<TraceLevel> {
-    let raw = std::env::var("WCOJ_TRACE").ok()?;
-    match TraceLevel::parse(&raw) {
-        Some(level) => Some(level),
-        None => {
-            note_malformed_env(
-                "WCOJ_TRACE",
-                &format!("value {raw:?} is not off/summary/verbose (or 0/1/2)"),
-            );
             None
         }
     }
@@ -386,29 +365,6 @@ pub fn plan_shards<S: SearchTree>(
     let shards = plan_weighted_shards(weights, max_shards, cfg.shard_min_size, heavy_split, |v| {
         prepared.anchor_candidates(v)
     });
-    // Heavy-split decisions are worth tracing: they are the planner's
-    // answer to skew, and sub-shard counts explain why a plan exceeds
-    // its sizing target. Payload is only computed when tracing is on.
-    let ring = wcoj_obs::trace();
-    if ring.enabled(TraceLevel::Summary) {
-        let sub_shards = shards.iter().filter(|s| s.anchor.is_some()).count();
-        if sub_shards > 0 {
-            // Sub-shards of one root value are contiguous and share
-            // their root range; count the runs to count the values.
-            let values = shards
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| s.anchor.is_some() && (*i == 0 || shards[i - 1].lo != s.lo))
-                .count();
-            ring.record(
-                TraceLevel::Summary,
-                TraceEvent::HeavySplit {
-                    values: values as u32,
-                    sub_shards: sub_shards as u32,
-                },
-            );
-        }
-    }
     if shards.is_empty() {
         vec![None]
     } else {
@@ -916,21 +872,12 @@ mod tests {
         assert_eq!(owned, vec![Value(10)], "near-MAX key isolated: {plan:?}");
     }
 
-    /// Serialises the tests that mutate or read `WCOJ_*` process env
-    /// vars: concurrent `setenv`/`getenv` is undefined behaviour at the
-    /// libc level, and an unsynchronised reader would also observe the
-    /// mutating test's temporary values.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn malformed_env_knobs_warn_and_fall_back() {
         // A typo like WCOJ_QUEUE_DEPTH=eight must not silently revert to
         // the default: the knob reads as unset AND the key is registered
         // in the one-time warning list. Valid values still apply. (Keys
         // private to this test, so no other test's knob is disturbed.)
-        let _env = ENV_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let keys = ["WCOJ_EXEC_TEST_NEGATIVE", "WCOJ_EXEC_TEST_WORD"];
         std::env::set_var(keys[0], "-3");
         std::env::set_var(keys[1], "eight");
@@ -952,66 +899,5 @@ mod tests {
         assert_eq!(read_env_usize(keys[1]), Some(5));
         std::env::remove_var(keys[1]);
         assert_eq!(read_env_usize(keys[1]), None, "unset → None");
-    }
-
-    #[test]
-    fn trace_env_knob_parses_and_warns() {
-        let _env = ENV_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        std::env::remove_var("WCOJ_TRACE");
-        assert_eq!(trace_level_from_env(), None, "unset → None");
-        std::env::set_var("WCOJ_TRACE", "summary");
-        assert_eq!(trace_level_from_env(), Some(TraceLevel::Summary));
-        std::env::set_var("WCOJ_TRACE", "2");
-        assert_eq!(trace_level_from_env(), Some(TraceLevel::Verbose));
-        // malformed: falls back AND lands in the warn-once registry, like
-        // every other WCOJ_* knob
-        std::env::set_var("WCOJ_TRACE", "loud");
-        assert_eq!(trace_level_from_env(), None);
-        std::env::remove_var("WCOJ_TRACE");
-        assert_eq!(
-            malformed_env_warnings()
-                .iter()
-                .filter(|k| k.as_str() == "WCOJ_TRACE")
-                .count(),
-            1,
-            "fallback is signalled, not silent"
-        );
-    }
-
-    #[test]
-    fn heavy_split_planning_is_traced() {
-        // hot_key_triangle concentrates the root domain on one value, so a
-        // work-based plan with splitting enabled must sub-split it — and,
-        // with tracing at summary, record that decision. The global ring
-        // is shared across tests; filter for our own event shape instead
-        // of expecting exclusive ownership.
-        let rels = wcoj_datagen::hot_key_triangle(23, 96, 2);
-        let prepared = PreparedQuery::new(&rels).unwrap();
-        let cfg = ExecConfig {
-            shard_min_size: 1,
-            heavy_split_factor: 4,
-        };
-        let ring = wcoj_obs::trace();
-        let level_before = ring.level();
-        ring.set_level(TraceLevel::Summary);
-        let plan = plan_shards(&prepared, 8, &cfg);
-        let events = ring.drain();
-        ring.set_level(level_before);
-        let planned_subs = ranges(&plan).iter().filter(|s| s.anchor.is_some()).count();
-        assert!(planned_subs >= 2, "hot key sub-split: {plan:?}");
-        assert!(
-            events.iter().any(|e| matches!(
-                e,
-                TraceEvent::HeavySplit { values, sub_shards }
-                    if *values >= 1 && *sub_shards as usize == planned_subs
-            )),
-            "heavy-split decision traced: {events:?}"
-        );
-        // with tracing off, planning records nothing
-        let before = ring.len();
-        let _ = plan_shards(&prepared, 8, &cfg);
-        assert_eq!(ring.len(), before, "Off level records nothing");
     }
 }

@@ -8,17 +8,13 @@
 //! and a future network server can link it alone for a `/metrics`
 //! endpoint.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * `metrics` — a process-wide [`Registry`] of atomic [`Counter`]s,
 //!   [`Gauge`]s, and fixed-bucket log2 [`Histogram`]s, with a
 //!   [`Registry::render_prometheus`] text exposition (validated by
 //!   [`check_exposition`]). Hot-path cost is one atomic RMW per update;
 //!   registration (the only lock) happens once per metric name.
-//! * [`trace`] — a bounded, lock-cheap [`TraceRing`] of zero-allocation
-//!   [`TraceEvent`]s recording scheduler decisions (admit / shed /
-//!   cancel / skip, ring rotation, heavy-split). Levels: off / summary /
-//!   verbose; when off, recording costs a single atomic load.
 //! * [`percentile_f64`] / [`percentile_u64`] — the **one** percentile
 //!   definition (nearest-rank) shared by raw-sample consumers (the
 //!   benchmark's latency percentiles) and [`Histogram::quantile`] (the
@@ -31,13 +27,11 @@
 //! at task granularity only — never per tuple.*
 
 mod metrics;
-mod trace;
 
 pub use metrics::{
     check_exposition, global, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     HISTOGRAM_BUCKETS,
 };
-pub use trace::{trace, TraceEvent, TraceLevel, TraceRing, TRACE_RING_CAPACITY};
 
 /// Nearest-rank percentile of an **ascending-sorted** slice: the smallest
 /// element whose rank is ≥ `⌈q·n⌉` (with `q` in `[0, 1]`). This is the

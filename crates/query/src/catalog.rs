@@ -302,6 +302,33 @@ impl Catalog {
         })
     }
 
+    /// A copy-on-write clone, like [`Catalog::freeze`]'s, but with its own
+    /// empty plan cache: relations the fork replaces retire plans in the
+    /// fork's cache only, so work that may still be thrown away (a
+    /// Datalog program's rules) never evicts this catalog's plans.
+    #[must_use]
+    pub fn fork(&self) -> Catalog {
+        Catalog {
+            plan_cache: PlanCache::new(),
+            ..self.clone()
+        }
+    }
+
+    /// Registers the relations `fork` holds under `names` here, replacing
+    /// any of the same name as [`Catalog::insert`] does. The entries move
+    /// with their stamps and share their bases, so the commit copies no
+    /// rows. Names `fork` does not hold, or already moved, are skipped.
+    pub fn adopt<'a>(&mut self, mut fork: Catalog, names: impl IntoIterator<Item = &'a str>) {
+        for name in names {
+            let Some(stored) = fork.relations.remove(name) else {
+                continue;
+            };
+            if let Some(old) = self.relations.insert(name.to_owned(), stored) {
+                self.plan_cache.retire_generation(old.base_gen);
+            }
+        }
+    }
+
     /// Looks up a relation, returning its merged view `(base ∖ del) ∪ ins`
     /// as an owned [`Relation`]. Cheap clone of the frozen base when the
     /// delta buffers are empty; a sorted merge otherwise.

@@ -24,7 +24,9 @@ pub struct ServerConfig {
     /// Per-connection read timeout (`WCOJ_READ_TIMEOUT_MS`, default
     /// 10 000 ms; `0` disables). A client that connects and then stalls
     /// mid-request is answered `408` and dropped instead of pinning a
-    /// connection thread forever.
+    /// connection thread forever. It bounds a stalled write too: a
+    /// client that stops reading a response for this long is dropped,
+    /// and a query it was streaming fails with `499`.
     pub read_timeout: Option<Duration>,
     /// Cap on the request line + headers (fixed 8 KiB): past it the
     /// request is refused with `431`.
@@ -43,10 +45,9 @@ pub struct ServerConfig {
     /// *mid*-request, which still earns a `408`.
     pub idle_timeout: Option<Duration>,
     /// Configuration for the backing query service (admission bound via
-    /// `WCOJ_QUEUE_DEPTH`, trace level via `WCOJ_TRACE` — see
-    /// [`ServiceConfig::from_env`]). Used by `Server::start`; ignored
-    /// when the caller brings its own catalog + service through
-    /// `Server::start_with`.
+    /// `WCOJ_QUEUE_DEPTH` — see [`ServiceConfig::from_env`]). Used by
+    /// `Server::start`; ignored when the caller brings its own catalog +
+    /// service through `Server::start_with`.
     pub service: ServiceConfig,
 }
 

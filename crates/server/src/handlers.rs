@@ -208,11 +208,16 @@ fn post_query(state: &ServerState, req: &Request, conn: &mut Conn<'_>) -> std::i
             submit_query(&q, snapshot.catalog()).map(|query| (query, Some(snapshot), String::new()))
         }
         // Not a single query — maybe a program. If the program parse
-        // fails too, report *its* error (a superset grammar). A program
-        // registers its derived relations, so it runs against the live
-        // catalog, not a snapshot.
+        // fails too, report *its* error (a superset grammar). The rules
+        // run on a fork taken under the read lock, so no join holds the
+        // write lock; only if every rule succeeds are the derived heads
+        // committed, under one short write lock.
         Err(_) => parse_program(text).and_then(|program| {
-            let mut outputs = run_program(&program, &mut state.catalog_mut())?;
+            let mut fork = state.catalog().fork();
+            let mut outputs = run_program(&program, &mut fork)?;
+            state
+                .catalog_mut()
+                .adopt(fork, outputs.iter().map(|(name, _)| name.as_str()));
             let rules = outputs.len();
             let (name, last) = outputs.pop().expect("programs have ≥ 1 rule");
             let head = format!("\"head\":\"{}\",\"rules\":{rules},", json_escape(&name));
@@ -478,10 +483,18 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
         data.clear();
         append_csv(&state.dict, &rel, &mut data);
         if let Err(e) = w.chunk(&data) {
-            // Client vanished mid-stream. Dropping `pending` cancels
-            // still-queued shards and frees the admission slot.
+            // Client vanished, or stopped reading for the write timeout,
+            // mid-stream. Dropping `pending` cancels still-queued shards
+            // and frees the admission slot.
             drop(pending);
-            let _ = fail_job(state, conn, id, 499, "client disconnected mid-stream", true);
+            let _ = fail_job(
+                state,
+                conn,
+                id,
+                499,
+                "client disconnected or stopped reading mid-stream",
+                true,
+            );
             return Err(e);
         }
         rows += rel.len() as u64;

@@ -48,8 +48,10 @@
 //! settles, *before* later shards finish. Otherwise (e.g. the 4-cycle)
 //! the slots are assembled together, their rows re-keyed into schema
 //! order without a sort, and sent as one chunk; the `X-Streaming` response
-//! header says which mode was used. A Datalog program runs eagerly
-//! against the live catalog, and its last rule's result enters the job
+//! header says which mode was used. A Datalog program runs eagerly on a
+//! copy-on-write fork of the catalog, off the write lock; its derived
+//! relations are registered all at once when every rule succeeded, and
+//! not at all otherwise. Its last rule's result enters the job
 //! table as a pending query holding one ready batch: `/rows` serves it
 //! through the same path, `buffered`, and until then the job's status
 //! reads `"state":"pending","finished":true`.
@@ -276,7 +278,10 @@ fn accept_loop(
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
+        // The read timeout bounds writes too: a client that stops
+        // reading a response cannot pin this thread.
         let _ = stream.set_read_timeout(cfg.read_timeout);
+        let _ = stream.set_write_timeout(cfg.read_timeout);
         let _ = stream.set_nodelay(true);
         // A handler that panics costs its connection, not this thread:
         // the server keeps all `conn_threads` accepting for its lifetime.

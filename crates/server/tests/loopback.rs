@@ -378,6 +378,35 @@ fn query_protocol_round_trip() {
 }
 
 #[test]
+fn a_failing_program_registers_none_of_its_heads() {
+    let server = small_caps_server();
+    let addr = server.addr();
+    let r = request(addr, "PUT", "/relation/E", Some("1,2\n2,3\n3,4\n"));
+    assert_eq!(r.status, 200, "{}", r.text());
+
+    // The first rule succeeds, the second names an unknown relation: the
+    // program fails as a whole and its first head is never registered.
+    let program = "two(x, z) :- E(x, y), E(y, z). bad(x) :- Nope(x, y).";
+    let r = request(addr, "POST", "/query", Some(program));
+    assert_eq!(r.status, 404, "{}", r.text());
+    let r = request(addr, "POST", "/query", Some("q(x, z) :- two(x, z)."));
+    assert_eq!(r.status, 404, "{}", r.text());
+
+    // A program whose every rule succeeds registers all its heads.
+    let program = "two(x, z) :- E(x, y), E(y, z). out(z) :- two(x, z).";
+    let r = request(addr, "POST", "/query", Some(program));
+    assert_eq!(r.status, 202, "{}", r.text());
+    let r = request(addr, "POST", "/query", Some("q(x, z) :- two(x, z)."));
+    assert_eq!(r.status, 202, "{}", r.text());
+    let id = extract_id(r.text());
+    let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
+    assert_eq!(r.status, 200);
+    let mut got: Vec<&str> = r.text().lines().collect();
+    got.sort_unstable();
+    assert_eq!(got, vec!["1,3", "2,4"]);
+}
+
+#[test]
 fn row_mutation_endpoints_and_pinned_snapshots() {
     let (server, service) = streaming_server(0);
     let addr = server.addr();
@@ -646,6 +675,65 @@ fn mid_stream_disconnect_cancels_and_frees_the_admission_slot() {
         assert!(Instant::now() < deadline, "service never drained: {c:?}");
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+#[test]
+fn a_client_that_stops_reading_does_not_pin_the_connection_thread() {
+    let cfg = ServerConfig {
+        bind: "127.0.0.1:0".parse().unwrap(),
+        conn_threads: 1,
+        read_timeout: Some(Duration::from_millis(300)),
+        ..ServerConfig::default()
+    };
+    let server = Server::start_with(cfg, Catalog::new()).expect("bind loopback");
+    let addr = server.addr();
+
+    // 400 ~100-byte strings all joined on one key: 160 000 result rows of
+    // ~200 bytes, ~32 MB of CSV — several times what the loopback socket
+    // buffers hold, so the server's writes stall once the client stops
+    // reading.
+    let pad = "x".repeat(96);
+    let csv: String = (0..400).map(|i| format!("{pad}{i:03},0\n")).collect();
+    let r = request(addr, "PUT", "/relation/E", Some(&csv));
+    assert_eq!(r.status, 200, "{}", r.text());
+    let r = request(
+        addr,
+        "POST",
+        "/query",
+        Some("q(x, y, k) :- E(x, k), E(y, k)."),
+    );
+    assert_eq!(r.status, 202, "{}", r.text());
+    let id = extract_id(r.text());
+
+    // Ask for the rows and never read them.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled
+        .write_all(format!("GET /query/{id}/rows HTTP/1.1\r\n\r\n").as_bytes())
+        .unwrap();
+
+    // The one connection thread gives up on the stalled write and serves
+    // the next client before this client's own deadline.
+    let mut probe = TcpStream::connect(addr).unwrap();
+    probe
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut out = Vec::new();
+    probe
+        .read_to_end(&mut out)
+        .expect("healthz answered while a client stalls a rows fetch");
+    assert_eq!(parse_response(&out).status, 200);
+
+    // The abandoned fetch failed its job as a client-side close.
+    let r = request(addr, "GET", &format!("/query/{id}"), None);
+    assert!(
+        r.text().contains("\"state\":\"failed\"") && r.text().contains("\"status\":499"),
+        "{}",
+        r.text()
+    );
+    drop(stalled);
 }
 
 // ------------------------------------------------------------ keep-alive

@@ -72,11 +72,6 @@
 //!   a per-shard breakdown (queue wait, run time, rows, [`JoinStats`])
 //!   via [`QueryHandle::profile`] / [`QueryHandle::wait_profiled`].
 //!   Timestamps are taken at *task* granularity only, never per tuple.
-//!   Scheduler decisions (admit / shed / cancel / skip / ring rotation)
-//!   additionally land in the bounded `wcoj_obs::trace()` event ring when
-//!   `WCOJ_TRACE` (or
-//!   [`TraceRing::set_level`](wcoj_obs::TraceRing::set_level)) raises its
-//!   level.
 //!
 //! Degenerate queries never touch the pool: an empty input relation or an
 //! empty root-candidate intersection (a *zero-shard plan*) resolves to a
@@ -110,7 +105,7 @@ use std::time::{Duration, Instant};
 use wcoj_core::nprr::{PreparedQuery, RootShard};
 use wcoj_core::{JoinOutput, JoinStats, QueryError};
 use wcoj_exec::{plan_shards, ExecConfig, OVERSPLIT};
-use wcoj_obs::{trace, Counter, Gauge, Histogram, TraceEvent, TraceLevel};
+use wcoj_obs::{Counter, Gauge, Histogram};
 use wcoj_storage::{Relation, RowBuf, SearchTree};
 
 /// Stats label reported by service-scheduled runs.
@@ -170,20 +165,12 @@ impl ServiceConfig {
     /// Default config with the admission bound overridden by the
     /// `WCOJ_QUEUE_DEPTH` environment variable when set (malformed values
     /// warn once and fall back, like every numeric `WCOJ_*` knob — see
-    /// [`wcoj_exec::read_env_usize`]). Also applies `WCOJ_TRACE`
-    /// (`off`/`summary`/`verbose`, same warn-once fallback —
-    /// [`wcoj_exec::trace_level_from_env`]) to the process-wide
-    /// [`wcoj_obs::trace`] ring: the trace level is global state, not a
-    /// per-service knob, and this is the one env-driven construction
-    /// point.
+    /// [`wcoj_exec::read_env_usize`]).
     #[must_use]
     pub fn from_env() -> ServiceConfig {
         let mut cfg = ServiceConfig::default();
         if let Some(d) = wcoj_exec::read_env_usize("WCOJ_QUEUE_DEPTH") {
             cfg.queue_depth = d;
-        }
-        if let Some(level) = wcoj_exec::trace_level_from_env() {
-            trace().set_level(level);
         }
         cfg
     }
@@ -342,8 +329,9 @@ impl ServiceMetrics {
     }
 }
 
-/// Process-unique query ids, shared across services so trace events from
-/// concurrent services never collide. Starts at 1 — 0 never names a query.
+/// Process-unique query ids, shared across services so the profiles of
+/// concurrent services never collide; a per-request id can hang off them.
+/// Starts at 1 — 0 never names a query.
 static QUERY_IDS: AtomicU64 = AtomicU64::new(1);
 
 fn next_query_id() -> u64 {
@@ -356,8 +344,8 @@ fn next_query_id() -> u64 {
 /// granularity; phases that have not happened (yet) are `None`.
 #[derive(Debug, Clone)]
 pub struct QueryProfile {
-    /// Process-unique id (matches the `query` field of this query's
-    /// [`TraceEvent`]s).
+    /// Process-unique id, shared across services (0 never names a
+    /// query).
     pub query_id: u64,
     /// Submit → admission slot acquired. Admission never waits, so this
     /// is the scheduler lock's acquisition time.
@@ -378,8 +366,6 @@ pub struct QueryProfile {
     /// Per-shard breakdowns, in slot (= root-value) order; one entry per
     /// *drained* task, so `shards.len() < total_shards` while running.
     pub shards: Vec<ShardProfile>,
-    /// The handle was dropped before the query finished.
-    pub cancelled: bool,
 }
 
 impl QueryProfile {
@@ -390,7 +376,7 @@ impl QueryProfile {
     }
 
     /// Total rows across the per-shard breakdowns. Shards partition the
-    /// root domain, so for a finished, uncancelled query this equals the
+    /// root domain, so for a finished query this equals the
     /// final output's row count.
     #[must_use]
     pub fn total_rows(&self) -> u64 {
@@ -405,12 +391,10 @@ pub struct ShardProfile {
     pub slot: usize,
     /// Ring push → worker pop.
     pub queue_wait: Duration,
-    /// Engine run time (≈ 0 when the task was skipped).
+    /// Engine run time.
     pub run: Duration,
-    /// Rows this shard produced (0 for skipped tasks).
+    /// Rows this shard produced.
     pub rows: u64,
-    /// The task was popped after cancellation and skipped the engine run.
-    pub skipped: bool,
     /// The shard's engine stats; [`JoinStats::absorb`]ing them in slot
     /// order over a zeroed base reproduces the final output's stats.
     pub stats: JoinStats,
@@ -422,11 +406,7 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// The queued tasks of one admitted query. Rings are drained round-robin,
 /// one task per turn, so concurrent queries share the pool fairly instead
 /// of queueing behind whoever submitted first.
-struct QueryRing {
-    /// The process-unique id of the ring's query (trace events).
-    query: u64,
-    tasks: VecDeque<Task>,
-}
+type QueryRing = VecDeque<Task>;
 
 /// Everything guarded by the injector mutex: the rings, the admission
 /// accounting, **and** the lifetime counters.
@@ -477,24 +457,17 @@ impl Injector {
     /// Enqueues one admitted query's tasks as a fresh ring at the back of
     /// the rotation, counting the acceptance in the same critical section
     /// that makes the work visible to workers.
-    fn push_ring(&self, query: u64, tasks: VecDeque<Task>) {
+    fn push_ring(&self, tasks: QueryRing) {
         debug_assert!(!tasks.is_empty(), "rings hold at least one task");
         let n = tasks.len();
         {
             let mut q = self.lock();
             q.queued_tasks += n;
             q.submitted += 1;
-            q.rings.push_back(QueryRing { query, tasks });
+            q.rings.push_back(tasks);
         }
         self.metrics.submitted.inc();
         self.metrics.queued_tasks.add(n as i64);
-        trace().record(
-            TraceLevel::Summary,
-            TraceEvent::Admit {
-                query,
-                tasks: n as u32,
-            },
-        );
         if n == 1 {
             self.task_ready.notify_one();
         } else {
@@ -509,25 +482,15 @@ impl Injector {
         let mut q = self.lock();
         loop {
             if let Some(mut ring) = q.rings.pop_front() {
-                let task = ring.tasks.pop_front().expect("rings hold ≥ 1 task");
+                let task = ring.pop_front().expect("rings hold ≥ 1 task");
                 q.queued_tasks -= 1;
-                let rotated = if ring.tasks.is_empty() {
-                    None
-                } else {
+                if !ring.is_empty() {
                     // Rotate: this query goes to the back so its
                     // neighbours get the next turns.
-                    let info = (ring.query, ring.tasks.len() as u32);
                     q.rings.push_back(ring);
-                    Some(info)
-                };
+                }
                 drop(q);
                 self.metrics.queued_tasks.sub(1);
-                if let Some((query, remaining)) = rotated {
-                    trace().record(
-                        TraceLevel::Verbose,
-                        TraceEvent::RingRotate { query, remaining },
-                    );
-                }
                 return Some(task);
             }
             if self.shutdown.load(Ordering::Acquire) {
@@ -556,7 +519,7 @@ impl Injector {
     /// release its slot and count it done — **one** critical section, so
     /// no counters snapshot can see the query both completed and in
     /// flight.
-    fn finish_query(&self, query: u64) {
+    fn finish_query(&self) {
         {
             let mut q = self.lock();
             debug_assert!(q.in_flight > 0, "finish without admission");
@@ -565,30 +528,21 @@ impl Injector {
         }
         self.metrics.completed.inc();
         self.metrics.in_flight.sub(1);
-        trace().record(TraceLevel::Summary, TraceEvent::Finish { query });
     }
 
     /// A worker popped a task of a cancelled query and skipped the engine
     /// run. Settled **before** [`JobState::complete`] frees the slot, so
     /// by the time the counters report the query gone, its skips are
     /// already in.
-    fn note_skipped(&self, query: u64, slot: usize) {
+    fn note_skipped(&self) {
         self.lock().skipped_tasks += 1;
         self.metrics.skipped_tasks.inc();
-        trace().record(
-            TraceLevel::Summary,
-            TraceEvent::SkipTask {
-                query,
-                slot: slot as u32,
-            },
-        );
     }
 
     /// A pending handle was dropped: its query is cancelled.
-    fn note_cancelled(&self, query: u64) {
+    fn note_cancelled(&self) {
         self.lock().cancelled += 1;
         self.metrics.cancelled.inc();
-        trace().record(TraceLevel::Summary, TraceEvent::Cancel { query });
     }
 }
 
@@ -663,7 +617,7 @@ impl JobState {
             None => slots.poisoned = true,
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            injector.finish_query(self.query_id);
+            injector.finish_query();
             injector
                 .metrics
                 .query_latency_us
@@ -723,7 +677,6 @@ impl JobState {
             reassembled: (reassembled > 0).then(|| Duration::from_nanos(reassembled)),
             total_shards,
             shards,
-            cancelled: self.cancelled.load(Ordering::Acquire),
         }
     }
 }
@@ -969,7 +922,7 @@ impl Drop for QueryHandle {
             if self.next_slot < self.total_slots {
                 state.cancelled.store(true, Ordering::Release);
                 if state.remaining.load(Ordering::Acquire) > 0 {
-                    injector.note_cancelled(state.query_id);
+                    injector.note_cancelled();
                 }
             }
         }
@@ -1109,12 +1062,6 @@ impl Service {
         q.shed += 1;
         drop(q);
         self.injector.metrics.shed.inc();
-        trace().record(
-            TraceLevel::Summary,
-            TraceEvent::Shed {
-                in_flight: in_flight as u32,
-            },
-        );
         Err(SubmitError::Overloaded {
             in_flight,
             queue_depth: depth,
@@ -1150,14 +1097,6 @@ impl Service {
         m.in_flight.sub(1);
         m.query_latency_us
             .observe(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-        trace().record(
-            TraceLevel::Summary,
-            TraceEvent::Admit {
-                query: query_id,
-                tasks: 0,
-            },
-        );
-        trace().record(TraceLevel::Summary, TraceEvent::Finish { query: query_id });
         let profile = QueryProfile {
             query_id,
             admitted: Duration::from_nanos(admitted_ns),
@@ -1167,7 +1106,6 @@ impl Service {
             reassembled: Some(elapsed),
             total_shards: 0,
             shards: Vec::new(),
-            cancelled: false,
         };
         QueryHandle {
             inner: HandleInner::Ready {
@@ -1272,7 +1210,7 @@ impl Service {
             }),
             changed: Condvar::new(),
         });
-        let mut ring: VecDeque<Task> = VecDeque::with_capacity(total_slots);
+        let mut ring: QueryRing = VecDeque::with_capacity(total_slots);
         for (i, shard) in tasks.into_iter().enumerate() {
             let prepared = Arc::clone(prepared);
             let state = Arc::clone(&state);
@@ -1286,11 +1224,10 @@ impl Service {
                 state
                     .first_dispatch_ns
                     .fetch_min(started_ns, Ordering::AcqRel);
-                let skipped = state.cancelled.load(Ordering::Acquire);
-                let ran = if skipped {
+                let ran = if state.cancelled.load(Ordering::Acquire) {
                     // The handle is gone: nobody can read the rows, skip
                     // the engine run and just drain the accounting.
-                    injector.note_skipped(state.query_id, i);
+                    injector.note_skipped();
                     Some((RowBuf::new(state.width), JoinStats::default()))
                 } else {
                     // A panic poisons the job: the handle's next take
@@ -1311,20 +1248,11 @@ impl Service {
                     m.task_queue_wait_us.observe(queue_wait / 1_000);
                     m.task_run_us.observe(run / 1_000);
                     m.shard_rows.observe(rows.len() as u64);
-                    trace().record(
-                        TraceLevel::Verbose,
-                        TraceEvent::TaskRun {
-                            query: state.query_id,
-                            slot: i as u32,
-                            run_us: run / 1_000,
-                        },
-                    );
                     let profile = ShardProfile {
                         slot: i,
                         queue_wait: Duration::from_nanos(queue_wait),
                         run: Duration::from_nanos(run),
                         rows: rows.len() as u64,
-                        skipped,
                         stats,
                     };
                     (rows, profile)
@@ -1335,7 +1263,7 @@ impl Service {
         // The acceptance is counted inside push_ring, under the same lock
         // that makes the ring visible to workers: a fast pool can finish
         // every shard only *after* `submitted` already reads right.
-        self.injector.push_ring(query_id, ring);
+        self.injector.push_ring(ring);
 
         let assembler = Arc::clone(prepared);
         Ok(QueryHandle {
@@ -1809,7 +1737,6 @@ mod tests {
         assert_eq!(out.relation, seq.relation, "profiling changes no output");
 
         assert!(profile.query_id > 0);
-        assert!(!profile.cancelled);
         assert_eq!(profile.total_shards, layout.len());
         assert!(profile.is_complete());
         assert_eq!(profile.shards.len(), layout.len());
@@ -1825,12 +1752,11 @@ mod tests {
         assert!(first <= last, "{profile:?}");
         assert!(last <= reassembled, "{profile:?}");
 
-        // Per-shard breakdown: slot order, no skips, rows sum to the
-        // output (shards partition the root domain), stats reassemble.
+        // Per-shard breakdown: slot order, rows sum to the output (shards
+        // partition the root domain), stats reassemble.
         let mut stats = JoinStats::default();
         for (slot, shard) in profile.shards.iter().enumerate() {
             assert_eq!(shard.slot, slot, "slot order");
-            assert!(!shard.skipped);
             stats.absorb(&shard.stats);
         }
         assert_eq!(profile.total_rows(), out.relation.len() as u64);
@@ -1882,8 +1808,7 @@ mod tests {
         assert!(profile.first_dispatch.is_none());
         assert_eq!(profile.total_shards, 0);
 
-        // Cancelled: the snapshot taken later shows the cancellation and
-        // skipped shards.
+        // Cancelled: the dropped handle's remaining shards are skipped.
         let (_, heavy) = heavy_blocker(29);
         let handle = service.submit(&heavy, &cfg).unwrap();
         let pending_profile = handle.profile();
@@ -1901,42 +1826,6 @@ mod tests {
             assert!(Instant::now() < deadline, "cancelled query never drained");
             std::thread::yield_now();
         }
-    }
-
-    /// Scheduler decisions land in the global trace ring when the level
-    /// is raised — filtered by this test's own query ids, because the
-    /// ring is process-wide and other tests run concurrently.
-    #[test]
-    fn trace_ring_records_scheduler_decisions() {
-        let ring = trace();
-        let saved = ring.level();
-        ring.set_level(TraceLevel::Summary);
-
-        let service = Service::new(ServiceConfig::with_workers(1).with_queue_depth(1));
-        let (_, heavy) = heavy_blocker(31);
-        let cfg = ExecConfig {
-            shard_min_size: 1,
-            ..service.exec_config()
-        };
-        let first = service.submit(&heavy, &cfg).unwrap();
-        let first_id = first.profile().query_id;
-        // Overload: the second submission sheds.
-        let shed = service.submit(&heavy, &cfg);
-        assert!(matches!(shed, Err(SubmitError::Overloaded { .. })));
-        first.wait().unwrap();
-
-        let events = ring.drain();
-        ring.set_level(saved);
-        let admitted = events.iter().any(
-            |e| matches!(e, TraceEvent::Admit { query, tasks } if *query == first_id && *tasks > 0),
-        );
-        let finished = events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Finish { query } if *query == first_id));
-        let shed_seen = events.iter().any(|e| matches!(e, TraceEvent::Shed { .. }));
-        assert!(admitted, "Admit traced: {events:?}");
-        assert!(finished, "Finish traced: {events:?}");
-        assert!(shed_seen, "Shed traced: {events:?}");
     }
 
     /// The global registry mirrors the service counters (as deltas — the

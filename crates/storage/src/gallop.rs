@@ -203,8 +203,7 @@ mod tests {
         assert_eq!(find(&[], Value(0)), None);
     }
 
-    /// The naive two-pointer merge (the pre-existing
-    /// `intersect_sorted` in `wcoj-core`), kept as the oracle.
+    /// The naive two-pointer merge, kept as the oracle.
     fn naive_merge(a: &[Value], b: &[Value]) -> Vec<Value> {
         let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);

@@ -275,7 +275,7 @@ proptest! {
     }
 
     /// Galloping intersection is a drop-in for the naive two-pointer
-    /// merge (the engine's original `intersect_sorted`), including
+    /// merge, including
     /// duplicate multiplicities, on arbitrary sorted inputs.
     #[test]
     fn gallop_intersect_matches_naive_merge(

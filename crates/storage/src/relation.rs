@@ -242,15 +242,6 @@ impl Relation {
         sort_dedup_flat(Arc::make_mut(&mut self.data), k);
     }
 
-    /// Marks the nullary relation as containing the empty tuple.
-    ///
-    /// # Panics
-    /// Panics if the schema is not nullary.
-    pub fn set_nullary_present(&mut self, present: bool) {
-        assert_eq!(self.arity(), 0, "only nullary relations carry this flag");
-        self.nullary_present = present;
-    }
-
     /// Membership test via linear scan of sorted data (binary search when
     /// sorted); for repeated probes build a [`RowSet`].
     #[must_use]

@@ -18,14 +18,6 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub struct Value(pub u64);
 
 impl Value {
-    /// Encodes a small non-negative integer directly (identity mapping into
-    /// the integer half of the code space). Panics in debug builds if the
-    /// integer collides with the string-tag space.
-    #[must_use]
-    pub fn from_u32(v: u32) -> Value {
-        Value(u64::from(v))
-    }
-
     /// Raw code.
     #[must_use]
     pub const fn raw(self) -> u64 {

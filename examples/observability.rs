@@ -1,33 +1,22 @@
 //! Observability end to end: per-query execution profiles from the
-//! shared-pool service, the trace event ring, and the process-wide
-//! metrics registry rendered in Prometheus text format.
+//! shared-pool service and the process-wide metrics registry rendered in
+//! Prometheus text format.
 //!
 //! ```sh
 //! cargo run --release --example observability
-//! # or, to see scheduler decisions as they happen:
-//! WCOJ_TRACE=summary cargo run --release --example observability
 //! ```
 //!
 //! Everything here is std-only (`wcoj-obs` has no dependencies) and
-//! compiled in unconditionally — when tracing is off, the hot path pays a
-//! single relaxed atomic load per trace decision point.
+//! compiled in unconditionally: timestamps are taken per shard task,
+//! never per tuple.
 
 use std::sync::Arc;
 
 use wcoj::core::nprr::PreparedQuery;
-use wcoj::obs::{check_exposition, global, trace};
+use wcoj::obs::{check_exposition, global};
 use wcoj::prelude::*;
-use wcoj::TraceLevel;
 
 fn main() {
-    // WCOJ_TRACE (off | summary | verbose) selects the trace level; for
-    // a self-contained demo, default the ring to summary when unset.
-    if let Some(level) = wcoj::exec::trace_level_from_env() {
-        trace().set_level(level);
-    } else if trace().level() == TraceLevel::Off {
-        trace().set_level(TraceLevel::Summary);
-    }
-
     // --- 1. per-query profiles from the service -----------------------
     let mut cfg_env = ServiceConfig::from_env();
     cfg_env.workers = 2;
@@ -95,21 +84,7 @@ fn main() {
     assert_eq!(misses, 1, "only the first submission built a plan");
     println!("plan cache: {hits} hits / {misses} misses");
 
-    // --- 3. the trace event ring --------------------------------------
-    let events = trace().drain();
-    println!(
-        "trace ring: {} events (capacity bounded, lossy by design)",
-        events.len()
-    );
-    for event in events.iter().take(8) {
-        println!("    {event:?}");
-    }
-    assert!(
-        !events.is_empty(),
-        "summary tracing records admissions and completions"
-    );
-
-    // --- 4. the metrics registry, Prometheus text format --------------
+    // --- 3. the metrics registry, Prometheus text format --------------
     let text = global().render_prometheus();
     check_exposition(&text).expect("well-formed exposition");
     assert!(

@@ -12,7 +12,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5) — the one engine behind `join` and every served query — plus full conjunctive queries (constants, repeated variables; §7.3), which the query front end reduces to natural joins |
-//! | [`exec`] (`wcoj-exec`) | the one root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`plan_shards`, `ExecConfig`) — plus the warn-once `WCOJ_*` env parsing |
+//! | [`exec`] (`wcoj-exec`) | the one root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`plan_shards`, `ExecConfig`); it plans and runs nothing — plus the warn-once registry every malformed `WCOJ_*` env knob reports to (`read_env_usize`, `note_malformed_env`) |
 //! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans, one way in (`Service::submit`), bounded admission that sheds under overload, and round-robin fair dispatch; a `QueryHandle` takes a query's shard slots in order, one batch at a time or all at once (`Service`, `QueryHandle`, `SubmitError`) |
 //! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), and its delta-merged view over live insert/delete buffers (`DeltaIndex`) |
 //! | [`hypergraph`] | query hypergraphs, fractional covers, the cover LP and AGM bounds |
@@ -22,7 +22,7 @@
 //! | [`datagen`] | every instance family the paper's claims use |
 //! | [`query`] | a Datalog-style text front-end and CSV loader |
 //! | [`server`] (`wcoj-server`) | a std-only TCP/HTTP front end: blocking accept loop + connection threads over the shared service, with incremental chunked row streaming, `429`+`Retry-After` under overload, and `/metrics` exposition |
-//! | [`obs`] (`wcoj-obs`) | std-only observability: the process-wide metrics registry with Prometheus exposition, per-query profiles' histogram/percentile machinery, and the `WCOJ_TRACE` scheduler event ring |
+//! | [`obs`] (`wcoj-obs`) | std-only observability: the process-wide metrics registry with Prometheus exposition and log2 histograms, and the one nearest-rank percentile definition; what the scheduler did per query is read from `QueryProfile`, across queries from the `wcoj_service_*` series |
 //!
 //! ## Quickstart
 //!
@@ -52,7 +52,6 @@ pub use wcoj_storage as storage;
 
 pub use wcoj_core::{agm_cover, join, join_with, Algorithm, JoinOutput, JoinQuery, JoinStats};
 pub use wcoj_exec::ExecConfig;
-pub use wcoj_obs::{TraceEvent, TraceLevel};
 pub use wcoj_service::{
     QueryHandle, QueryProfile, RowBatch, Service, ServiceConfig, ServiceCounters, ShardProfile,
     SubmitError,

@@ -77,7 +77,7 @@ fn assert_bit_identical(got: &Relation, want: &Relation, ctx: &str) {
     assert_eq!(got, want, "{ctx}");
 }
 
-/// The observability contract for a finished, uncancelled query: the
+/// The observability contract for a finished query: the
 /// profile covers every scheduled shard in slot order, lifecycle phases
 /// are monotone, per-shard rows sum to the output's cardinality, and
 /// per-shard `JoinStats` absorb to the output's engine totals.
@@ -86,12 +86,10 @@ fn assert_profile_consistent(
     out: &wcoj::core::JoinOutput,
     ctx: &str,
 ) {
-    assert!(!profile.cancelled, "{ctx}: not cancelled");
     assert!(profile.is_complete(), "{ctx}: every shard reported");
     assert_eq!(profile.shards.len(), profile.total_shards, "{ctx}");
     for (slot, shard) in profile.shards.iter().enumerate() {
         assert_eq!(shard.slot, slot, "{ctx}: slot order");
-        assert!(!shard.skipped, "{ctx}: nothing skipped");
     }
     assert_eq!(
         profile.total_rows(),

@@ -70,10 +70,6 @@ fn assert_profile_consistent(
     ctx: &str,
 ) {
     assert!(profile.is_complete(), "{ctx}: every shard reported");
-    assert!(
-        profile.shards.iter().all(|s| !s.skipped),
-        "{ctx}: nothing skipped"
-    );
     assert_eq!(
         profile.total_rows(),
         out.relation.len() as u64,
