@@ -5,7 +5,8 @@
 //! harness [--quick] [--json DIR] [e1 e2 …]
 //! ```
 //!
-//! With no experiment ids, runs every experiment (e1–e15). `--quick`
+//! With no experiment ids, runs every experiment (e1–e15, then
+//! `ablation_cover`). `--quick`
 //! shrinks sweeps, `--json DIR` additionally writes each table as JSON.
 
 use std::io::Write as _;

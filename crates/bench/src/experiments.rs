@@ -1,6 +1,7 @@
-//! The fifteen experiments of `crates/bench/README.md`. Each function
-//! regenerates one of the paper's quantitative claims; sizes are chosen so
-//! the full suite runs in a couple of minutes on a laptop.
+//! The experiments of `crates/bench/README.md`: E1–E15 each regenerate
+//! one of the paper's quantitative claims, and `ablation_cover` measures
+//! two design choices behind the engine. Sizes are chosen so the full
+//! suite runs in a couple of minutes on a laptop.
 
 use crate::table::{ms, time_secs, Table};
 use wcoj_baselines::graph_join::join_graph;
@@ -10,6 +11,7 @@ use wcoj_baselines::tighten::{bound_not_worse, is_tight_cover, tighten};
 use wcoj_baselines::{best_actual_left_deep, bt, fd, optimize_left_deep, relaxed};
 use wcoj_core::nprr::qptree::build_qp_tree;
 use wcoj_core::nprr::total_order::total_order;
+use wcoj_core::nprr::PreparedQuery;
 use wcoj_core::{fullcq, join_with, naive, Algorithm, JoinQuery};
 use wcoj_datagen as gen;
 use wcoj_hypergraph::agm;
@@ -297,6 +299,7 @@ pub fn e7_lower_bound_gap(quick: bool) -> Vec<Table> {
                 "nprr_intermediate",
                 "binary_ms",
                 "nprr_ms",
+                "lw_ms",
             ],
             "oracle_max_intermediate ≥ N²/n² (quadratic); nprr_intermediate = O(n²·N) (linear)",
         );
@@ -304,6 +307,8 @@ pub fn e7_lower_bound_gap(quick: bool) -> Vec<Table> {
             let rels = gen::simple_lw(n_attr, n);
             let ((_, bstats), t_bin) = time_secs(|| best_actual_left_deep(&rels));
             let (out, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+            let (lw_out, t_lw) = time_secs(|| join_lw(&JoinQuery::new(&rels).unwrap()).unwrap());
+            assert_eq!(lw_out.relation, out.relation);
             let d = (n - 1) / (n_attr as u64 - 1);
             t.row(vec![
                 n.to_string(),
@@ -312,6 +317,7 @@ pub fn e7_lower_bound_gap(quick: bool) -> Vec<Table> {
                 out.stats.intermediate_tuples.to_string(),
                 ms(t_bin),
                 ms(t_nprr),
+                ms(t_lw),
             ]);
             assert!(bstats.max_intermediate as u64 >= (d + 1) * (d + 1));
         }
@@ -370,11 +376,13 @@ pub fn e9_cycles(quick: bool) -> Vec<Table> {
             "output",
             "cycle_ms",
             "nprr_ms",
+            "binary_ms",
             "naive_ms",
             "matches",
         ],
         "cycle_ms tracks √(∏N) (= N^{m/2} worst case), beating naive's intermediates; \
-         nprr_ms is what join() runs on the same instance",
+         nprr_ms is what join() runs on the same instance, binary_ms the left-deep \
+         plan in input order",
     );
     // Cycle joins legitimately cost Θ(√∏N) = Θ(N^{m/2}); pick N per m so
     // the budget stays around a few million tuples.
@@ -396,8 +404,11 @@ pub fn e9_cycles(quick: bool) -> Vec<Table> {
         let sqrt_prod: f64 = (sizes.iter().map(|&s| (s as f64).ln()).sum::<f64>() / 2.0).exp();
         let (out, t_cyc) = time_secs(|| join_graph(&JoinQuery::new(&rels).unwrap()).unwrap());
         let (nprr, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+        let order: Vec<usize> = (0..m).collect();
+        let ((bout, _), t_bin) = time_secs(|| execute_left_deep(&rels, &order).unwrap());
         let (nv, t_naive) = time_secs(|| naive::join(&rels));
         assert_eq!(out.relation, nprr.relation);
+        assert_eq!(bout.len(), out.relation.len());
         t.row(vec![
             m.to_string(),
             n.to_string(),
@@ -405,6 +416,7 @@ pub fn e9_cycles(quick: bool) -> Vec<Table> {
             out.relation.len().to_string(),
             ms(t_cyc),
             ms(t_nprr),
+            ms(t_bin),
             ms(t_naive),
             (out.relation.len() == nv.len()).to_string(),
         ]);
@@ -738,6 +750,91 @@ pub fn e15_tighten() -> Vec<Table> {
     vec![t]
 }
 
+/// `ablation_cover` — two design choices behind the engine, each run
+/// both ways on the same instance with equal outputs asserted:
+///
+/// 1. **Cover quality** (§2): NPRR under the LP-optimal fractional cover
+///    vs the always-feasible all-ones cover, on Example 2.2's triangle
+///    (the bound, and with it the work budget, goes from `N^{3/2}` to
+///    `N³`).
+/// 2. **Preparation amortisation** (Remark 5.2's "index in advance"):
+///    one-shot `join_with`, which assembles the query, solves the cover
+///    and builds every index per call, vs [`PreparedQuery::evaluate`]
+///    on a preparation and cover made once, on three random binary
+///    relations.
+#[must_use]
+pub fn ablation_cover(quick: bool) -> Vec<Table> {
+    let mut covers = Table::new(
+        "ablation_cover",
+        "Cover quality: NPRR under the LP-optimal vs the all-ones cover (Example 2.2)",
+        &[
+            "N",
+            "output",
+            "optimal_intermediate",
+            "all_ones_intermediate",
+            "optimal_ms",
+            "all_ones_ms",
+        ],
+        "equal outputs under both covers; the all-ones cover loosens the bound \
+         (N^1.5 → N^3), and each intermediate count is that run's JoinStats",
+    );
+    for n in sweep(quick, &[512, 2048], &[64, 128]) {
+        let rels = gen::example_2_2(n);
+        let (opt, t_opt) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+        let (ones, t_ones) =
+            time_secs(|| join_with(&rels, Algorithm::Nprr, Some(&[1.0, 1.0, 1.0])).unwrap());
+        assert_eq!(opt.relation, ones.relation);
+        covers.row(vec![
+            n.to_string(),
+            opt.relation.len().to_string(),
+            opt.stats.intermediate_tuples.to_string(),
+            ones.stats.intermediate_tuples.to_string(),
+            ms(t_opt),
+            ms(t_ones),
+        ]);
+    }
+    let mut prepare = Table::new(
+        "ablation_cover",
+        "Preparation amortisation: one-shot join_with vs PreparedQuery::evaluate",
+        &[
+            "rows",
+            "output",
+            "one_shot_intermediate",
+            "prepared_intermediate",
+            "one_shot_ms",
+            "prepare_ms",
+            "evaluate_ms",
+        ],
+        "equal outputs and intermediate counts; one_shot_ms ≈ prepare_ms + evaluate_ms",
+    );
+    for rows in sweep(quick, &[2_000, 8_000], &[500, 1_000]) {
+        let rows = rows as usize;
+        let rels = [
+            gen::random_relation(1, &[0, 1], rows, 64),
+            gen::random_relation(2, &[1, 2], rows, 64),
+            gen::random_relation(3, &[0, 2], rows, 64),
+        ];
+        let (once, t_once) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+        let ((prepared, cover), t_prep) = time_secs(|| {
+            let prepared: PreparedQuery = PreparedQuery::new(&rels).unwrap();
+            let cover = prepared.query().optimal_cover().unwrap().x;
+            (prepared, cover)
+        });
+        let (out, t_eval) = time_secs(|| prepared.evaluate(Some(&cover)).unwrap());
+        assert_eq!(once.relation, out.relation);
+        prepare.row(vec![
+            rows.to_string(),
+            out.relation.len().to_string(),
+            once.stats.intermediate_tuples.to_string(),
+            out.stats.intermediate_tuples.to_string(),
+            ms(t_once),
+            ms(t_prep),
+            ms(t_eval),
+        ]);
+    }
+    vec![covers, prepare]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -792,7 +889,7 @@ mod tests {
     fn e9_smoke() {
         let t = e9_cycles(true);
         for row in &t[0].rows {
-            assert_eq!(row[7], "true");
+            assert_eq!(row[8], "true");
         }
     }
     #[test]
@@ -827,5 +924,12 @@ mod tests {
     #[test]
     fn e15_smoke() {
         let _ = e15_tighten();
+    }
+    #[test]
+    fn ablation_cover_smoke() {
+        let t = ablation_cover(true);
+        assert_eq!(t.len(), 2);
+        // Example 2.2's triangle is empty under either cover.
+        assert!(t[0].rows.iter().all(|row| row[1] == "0"));
     }
 }

@@ -1,6 +1,7 @@
-//! Experiment library: one function per experiment E1–E15 of
-//! `crates/bench/README.md`, each regenerating the corresponding
-//! quantitative claim of the paper as a printable/serialisable table.
+//! Experiment library: one function per experiment of
+//! `crates/bench/README.md` — E1–E15, each regenerating the corresponding
+//! quantitative claim of the paper, and the `ablation_cover` ablation —
+//! as printable/serialisable tables.
 //!
 //! The paper has no empirical tables of its own (it is a theory paper), so
 //! the "figures" reproduced here are its *worked examples, theorems, and
@@ -14,9 +15,25 @@ pub mod table;
 
 pub use table::{time_secs, Table};
 
-/// All experiment ids, in order: E1–E15 regenerate the paper's claims.
-pub const ALL_EXPERIMENTS: [&str; 15] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+/// All experiment ids, in order: E1–E15 regenerate the paper's claims,
+/// `ablation_cover` ablates the cover and the preparation.
+pub const ALL_EXPERIMENTS: [&str; 16] = [
+    "e1",
+    "e2",
+    "e3",
+    "e4",
+    "e5",
+    "e6",
+    "e7",
+    "e8",
+    "e9",
+    "e10",
+    "e11",
+    "e12",
+    "e13",
+    "e14",
+    "e15",
+    "ablation_cover",
 ];
 
 /// Runs one experiment by id. `quick` shrinks the sweeps for CI-speed runs.
@@ -41,6 +58,7 @@ pub fn run_experiment(id: &str, quick: bool) -> Vec<Table> {
         "e13" => experiments::e13_bt(quick),
         "e14" => experiments::e14_full_cq(),
         "e15" => experiments::e15_tighten(),
+        "ablation_cover" => experiments::ablation_cover(quick),
         other => panic!("unknown experiment id {other}"),
     }
 }

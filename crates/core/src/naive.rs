@@ -30,19 +30,6 @@ pub fn join(relations: &[Relation]) -> Relation {
     acc
 }
 
-/// Like [`join`] but also reports the maximum intermediate cardinality —
-/// the quantity §6's lower bounds are about.
-#[must_use]
-pub fn join_with_max_intermediate(relations: &[Relation]) -> (Relation, usize) {
-    let mut acc = Relation::nullary_true();
-    let mut max_inter = 0usize;
-    for r in relations {
-        acc = natural_join(&acc, r);
-        max_inter = max_inter.max(acc.len());
-    }
-    (acc, max_inter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,16 +60,5 @@ mod tests {
         let j = join(&[r, e]);
         assert!(j.is_empty());
         assert_eq!(j.arity(), 3);
-    }
-
-    #[test]
-    fn max_intermediate_reported() {
-        // R × S blows up before T empties it.
-        let r = Relation::from_u32_rows(Schema::of(&[0]), &[&[1], &[2], &[3]]);
-        let s = Relation::from_u32_rows(Schema::of(&[1]), &[&[1], &[2], &[3]]);
-        let t = Relation::empty(Schema::of(&[0, 1]));
-        let (j, max_inter) = join_with_max_intermediate(&[r, s, t]);
-        assert!(j.is_empty());
-        assert_eq!(max_inter, 9);
     }
 }

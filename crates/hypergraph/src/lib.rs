@@ -127,14 +127,6 @@ impl Hypergraph {
         self.edges[i].binary_search(&v).is_ok()
     }
 
-    /// Indices of edges containing `v`.
-    #[must_use]
-    pub fn edges_containing(&self, v: usize) -> Vec<usize> {
-        (0..self.edges.len())
-            .filter(|&i| self.edge_contains(i, v))
-            .collect()
-    }
-
     /// Vertices not covered by any edge (a cover exists iff this is empty).
     #[must_use]
     pub fn uncovered_vertices(&self) -> Vec<usize> {
@@ -176,12 +168,6 @@ impl Hypergraph {
             .map(|e| e.iter().copied().filter(|&v| in_u[v]).collect())
             .collect();
         Hypergraph { n: self.n, edges }
-    }
-
-    /// The paper's query-size measure `|q| = |V| · |E|`.
-    #[must_use]
-    pub fn query_size(&self) -> usize {
-        self.n * self.edges.len()
     }
 }
 
@@ -226,11 +212,8 @@ mod tests {
         let h = triangle();
         assert!(h.edge_contains(0, 0));
         assert!(!h.edge_contains(1, 0));
-        assert_eq!(h.edges_containing(0), vec![0, 2]);
-        assert_eq!(h.edges_containing(1), vec![0, 1]);
         assert!(h.uncovered_vertices().is_empty());
         assert!(h.is_graph());
-        assert_eq!(h.query_size(), 9);
     }
 
     #[test]

@@ -113,12 +113,6 @@ impl<S: Scalar> LinearProgram<S> {
         });
     }
 
-    /// Evaluates the objective at a point.
-    #[must_use]
-    pub fn objective_at(&self, x: &[S]) -> Option<S> {
-        dot(&self.objective, x)
-    }
-
     /// Checks feasibility of `x` (with the scalar's own tolerance).
     #[must_use]
     pub fn is_feasible(&self, x: &[S]) -> bool {

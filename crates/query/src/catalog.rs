@@ -26,8 +26,7 @@
 use crate::plan_cache::{next_generation, PlanCache};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-use wcoj_obs::{Counter, Gauge};
+use wcoj_obs::Counter;
 use wcoj_service::Service;
 use wcoj_storage::{Datum, DeltaRelation, Dictionary, Relation, StorageError, Value};
 
@@ -38,7 +37,6 @@ const DEFAULT_COMPACT_THRESHOLD: usize = 1024;
 struct Metrics {
     deltas: Arc<Counter>,
     compactions: Arc<Counter>,
-    snapshot_age: Arc<Gauge>,
 }
 
 impl Metrics {
@@ -54,10 +52,6 @@ impl Metrics {
                 compactions: r.counter(
                     "wcoj_catalog_compactions_total",
                     "Minor compactions folding delta buffers into a fresh base",
-                ),
-                snapshot_age: r.gauge(
-                    "wcoj_catalog_snapshot_age_ms",
-                    "Milliseconds since the most recently pinned catalog snapshot was frozen",
                 ),
             }
         })
@@ -298,7 +292,6 @@ impl Catalog {
     pub fn freeze(&self) -> Arc<Snapshot> {
         Arc::new(Snapshot {
             catalog: self.clone(),
-            frozen_at: Instant::now(),
         })
     }
 
@@ -434,7 +427,6 @@ impl Catalog {
 /// appends, deletes, or compactions land while it runs or streams.
 pub struct Snapshot {
     catalog: Catalog,
-    frozen_at: Instant,
 }
 
 impl Snapshot {
@@ -443,20 +435,6 @@ impl Snapshot {
     #[must_use]
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// Milliseconds elapsed since this snapshot was frozen.
-    #[must_use]
-    pub fn age_ms(&self) -> u64 {
-        u64::try_from(self.frozen_at.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    /// Publishes this snapshot's current age to the
-    /// `wcoj_catalog_snapshot_age_ms` gauge — call at query admission so
-    /// the gauge tracks the staleness of the data queries actually pin.
-    pub fn record_age(&self) {
-        let age = i64::try_from(self.age_ms()).unwrap_or(i64::MAX);
-        Metrics::get().snapshot_age.set(age);
     }
 }
 
@@ -595,8 +573,6 @@ mod tests {
             .contains_row(&[Value(1), Value(2)]));
         assert_eq!(c.row_count("R"), Some(1));
         assert!(!c.get("R").unwrap().contains_row(&[Value(1), Value(2)]));
-        snap.record_age(); // gauge write smoke-check
-        let _ = snap.age_ms();
     }
 
     fn triangle_catalog() -> Catalog {

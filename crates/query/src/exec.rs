@@ -601,7 +601,11 @@ mod tests {
                 assert_eq!(par.relation, seq.relation, "{workers} workers");
                 assert_eq!(par.columns, seq.columns);
             }
-            assert_eq!(service.submitted(), 2, "all queries routed to the pool");
+            assert_eq!(
+                service.counters().submitted,
+                2,
+                "all queries routed to the pool"
+            );
         }
         c.set_service(None);
         assert_eq!(execute(&q, &c).unwrap().relation, seq.relation);
@@ -633,7 +637,7 @@ mod tests {
             c.set_service(Some(Arc::clone(&service)));
             let pooled = execute(&q, &c).unwrap();
             assert_eq!(pooled.relation, seq.relation, "service, factor {factor}");
-            assert_eq!(service.submitted(), 1);
+            assert_eq!(service.counters().submitted, 1);
         }
     }
 
@@ -666,7 +670,7 @@ mod tests {
         assert_eq!(profile.total_rows(), rows as u64);
         // execute() is the same path, drained at once.
         assert_eq!(execute(&q, &c).unwrap().relation, seq.relation);
-        assert_eq!(service.submitted(), 2);
+        assert_eq!(service.counters().submitted, 2);
     }
 
     #[test]
@@ -955,7 +959,7 @@ mod tests {
                 assert_eq!(collected.columns, q.head_vars);
             }
         }
-        assert_eq!(service.submitted(), 8, "two submissions per query");
+        assert_eq!(service.counters().submitted, 8, "two submissions per query");
     }
 
     #[test]

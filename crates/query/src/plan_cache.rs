@@ -182,20 +182,6 @@ impl PlanCache {
         }
     }
 
-    /// Looks up `key`, building and inserting with `build` on a miss.
-    /// Equivalent to [`PlanCache::get_or_build_versioned`] with no delta
-    /// versions: any cached entry under `key` is served as-is.
-    ///
-    /// # Errors
-    /// Whatever `build` returns.
-    pub fn get_or_build(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> Result<CachedPlan, QueryError>,
-    ) -> Result<CachedPlan, QueryError> {
-        self.get_or_build_versioned(key, &[], build, |old| Ok(Arc::clone(old)))
-    }
-
     /// Looks up `key` and serves the cached plan when its stored delta
     /// versions equal `delta_vers` (a **hit**). On a present-but-drifted
     /// entry, calls `refresh` with the stale plan — which shares its
@@ -355,15 +341,22 @@ mod tests {
         Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap())
     }
 
+    /// A lookup with no delta versions: a present entry is always a hit.
+    fn get(
+        cache: &PlanCache,
+        key: &str,
+        build: impl FnOnce() -> Result<CachedPlan, QueryError>,
+    ) -> Result<CachedPlan, QueryError> {
+        cache.get_or_build_versioned(key, &[], build, |_| unreachable!())
+    }
+
     #[test]
     fn hit_after_miss_and_stats() {
         let cache = PlanCache::new();
         assert!(cache.is_empty());
-        let a = cache.get_or_build("k1", || Ok(plan())).unwrap();
+        let a = get(&cache, "k1", || Ok(plan())).unwrap();
         assert_eq!(cache.stats(), (0, 1));
-        let b = cache
-            .get_or_build("k1", || panic!("must not rebuild on hit"))
-            .unwrap();
+        let b = get(&cache, "k1", || panic!("must not rebuild on hit")).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
@@ -372,8 +365,8 @@ mod tests {
     #[test]
     fn distinct_keys_distinct_entries() {
         let cache = PlanCache::new();
-        cache.get_or_build("k1", || Ok(plan())).unwrap();
-        cache.get_or_build("k2", || Ok(plan())).unwrap();
+        get(&cache, "k1", || Ok(plan())).unwrap();
+        get(&cache, "k2", || Ok(plan())).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats(), (0, 2));
     }
@@ -381,11 +374,11 @@ mod tests {
     #[test]
     fn build_errors_are_not_cached() {
         let cache = PlanCache::new();
-        let r = cache.get_or_build("bad", || Err(QueryError::Overloaded));
+        let r = get(&cache, "bad", || Err(QueryError::Overloaded));
         assert!(r.is_err());
         assert!(cache.is_empty());
         // the next attempt re-runs the builder
-        cache.get_or_build("bad", || Ok(plan())).unwrap();
+        get(&cache, "bad", || Ok(plan())).unwrap();
         assert_eq!(cache.len(), 1);
     }
 
@@ -393,27 +386,22 @@ mod tests {
     fn lru_evicts_oldest_beyond_capacity() {
         let cache = PlanCache::new();
         for i in 0..=CAPACITY {
-            cache.get_or_build(&format!("k{i}"), || Ok(plan())).unwrap();
+            get(&cache, &format!("k{i}"), || Ok(plan())).unwrap();
         }
         assert_eq!(cache.len(), CAPACITY);
         // k0 was the least recently used → evicted; k1 survived
         let mut rebuilt = false;
-        cache
-            .get_or_build("k0", || {
-                rebuilt = true;
-                Ok(plan())
-            })
-            .unwrap();
+        get(&cache, "k0", || {
+            rebuilt = true;
+            Ok(plan())
+        })
+        .unwrap();
         assert!(rebuilt, "k0 was evicted");
         assert_eq!(cache.len(), CAPACITY, "eviction keeps the cache bounded");
         // Recently used entries survive the churn.
         let (hits_before, _) = cache.stats();
-        cache
-            .get_or_build(&format!("k{CAPACITY}"), || panic!("still cached"))
-            .unwrap();
-        cache
-            .get_or_build("k0", || panic!("just re-inserted"))
-            .unwrap();
+        get(&cache, &format!("k{CAPACITY}"), || panic!("still cached")).unwrap();
+        get(&cache, "k0", || panic!("just re-inserted")).unwrap();
         assert_eq!(cache.stats().0, hits_before + 2);
     }
 
@@ -425,20 +413,17 @@ mod tests {
             "R@7(?0,=3);",
             "R@17(?0,?1);S@8(?1,?2);",
         ] {
-            cache.get_or_build(key, || Ok(plan())).unwrap();
+            get(&cache, key, || Ok(plan())).unwrap();
         }
         cache.retire_generation(7);
         assert_eq!(cache.len(), 1, "R@17 is another value");
-        cache
-            .get_or_build("R@17(?0,?1);S@8(?1,?2);", || panic!("still cached"))
-            .unwrap();
+        get(&cache, "R@17(?0,?1);S@8(?1,?2);", || panic!("still cached")).unwrap();
         let mut rebuilt = false;
-        cache
-            .get_or_build("R@7(?0,=3);", || {
-                rebuilt = true;
-                Ok(plan())
-            })
-            .unwrap();
+        get(&cache, "R@7(?0,=3);", || {
+            rebuilt = true;
+            Ok(plan())
+        })
+        .unwrap();
         assert!(rebuilt, "a reader of the old value rebuilds");
         assert_eq!(cache.len(), 1, "…and its plan is served, not cached");
     }
@@ -454,10 +439,8 @@ mod tests {
     fn clones_share_entries_and_stats() {
         let cache = PlanCache::new();
         let clone = cache.clone();
-        cache.get_or_build("k", || Ok(plan())).unwrap();
-        clone
-            .get_or_build("k", || panic!("shared with the original"))
-            .unwrap();
+        get(&cache, "k", || Ok(plan())).unwrap();
+        get(&clone, "k", || panic!("shared with the original")).unwrap();
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(clone.stats(), (1, 1));
     }

@@ -217,7 +217,7 @@ mod tests {
             assert_eq!(n1, n2);
             assert_eq!(r1.relation, r2.relation, "rule {n1}");
         }
-        assert_eq!(service.submitted(), 2, "one submission per rule");
+        assert_eq!(service.counters().submitted, 2, "one submission per rule");
     }
 
     #[test]

@@ -123,12 +123,6 @@ impl Rational {
         self.num == 1 && self.den == 1
     }
 
-    /// `true` iff this is an integer.
-    #[must_use]
-    pub const fn is_integer(self) -> bool {
-        self.den == 1
-    }
-
     /// `true` iff negative.
     #[must_use]
     pub const fn is_negative(self) -> bool {

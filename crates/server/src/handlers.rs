@@ -127,7 +127,8 @@ fn put_relation(
 /// `POST /relation/{name}/rows` (append) and `DELETE
 /// /relation/{name}/rows` (delete): the CSV body's rows become a delta
 /// against the named relation. Queries admitted *before* the mutation
-/// keep their pinned snapshot; queries admitted after see the new rows.
+/// keep the rows their plans pinned; queries admitted after see the new
+/// rows.
 fn mutate_relation_rows(
     state: &ServerState,
     req: &Request,
@@ -172,8 +173,8 @@ fn mutate_relation_rows(
     }
 }
 
-/// `DELETE /relation/{name}`: unregisters the relation. Snapshots pinned
-/// by in-flight queries still hold their copy.
+/// `DELETE /relation/{name}`: unregisters the relation. The plans of
+/// in-flight queries still hold their copy.
 fn delete_relation(state: &ServerState, name: &str, conn: &mut Conn<'_>) -> std::io::Result<()> {
     let removed = state.catalog_mut().remove(name);
     if removed {
@@ -192,10 +193,11 @@ fn delete_relation(state: &ServerState, name: &str, conn: &mut Conn<'_>) -> std:
 /// service for streaming; a multi-statement Datalog program runs eagerly
 /// and its last rule's result becomes the job's one buffered batch.
 ///
-/// Submission pins a copy-on-write [`wcoj_query::Snapshot`] of the
-/// catalog taken at admission: the query plans and streams against that
-/// snapshot, and the job holds it until the rows are fetched, so later
-/// catalog mutations cannot change what this query returns.
+/// Submission plans against a copy-on-write [`wcoj_query::Snapshot`] of
+/// the catalog taken at admission and releases it once the query is
+/// submitted: the plan holds `Arc`s on every base, delta and index it
+/// reads, so later catalog mutations cannot change what this query
+/// returns, and the job pins nothing else.
 fn post_query(state: &ServerState, req: &Request, conn: &mut Conn<'_>) -> std::io::Result<()> {
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return error_response(conn, 400, "query body must be UTF-8");
@@ -204,8 +206,7 @@ fn post_query(state: &ServerState, req: &Request, conn: &mut Conn<'_>) -> std::i
     let submitted = match parse_query(text) {
         Ok(q) => {
             let snapshot = state.catalog().freeze();
-            snapshot.record_age();
-            submit_query(&q, snapshot.catalog()).map(|query| (query, Some(snapshot), String::new()))
+            submit_query(&q, snapshot.catalog()).map(|query| (query, String::new()))
         }
         // Not a single query — maybe a program. If the program parse
         // fails too, report *its* error (a superset grammar). The rules
@@ -221,16 +222,15 @@ fn post_query(state: &ServerState, req: &Request, conn: &mut Conn<'_>) -> std::i
             let rules = outputs.len();
             let (name, last) = outputs.pop().expect("programs have ≥ 1 rule");
             let head = format!("\"head\":\"{}\",\"rules\":{rules},", json_escape(&name));
-            Ok((PendingQuery::materialized(last), None, head))
+            Ok((PendingQuery::materialized(last), head))
         }),
     };
     match submitted {
-        Ok((query, snapshot, head)) => {
+        Ok((query, head)) => {
             let columns = columns_json(query.columns());
             let streaming = query.incremental();
             let Some(id) = state.jobs.insert(Job::Pending {
                 query,
-                snapshot,
                 since: Instant::now(),
             }) else {
                 state.metrics.overloaded_total.inc();
@@ -406,16 +406,14 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
     // holding the lock only for the swap.
     let fetch = state.jobs.with(|map| match map.remove(&id) {
         None => Err((404, "no such job".to_owned())),
-        Some(Job::Pending {
-            query, snapshot, ..
-        }) => {
+        Some(Job::Pending { query, .. }) => {
             map.insert(
                 id,
                 Job::Streaming {
                     since: Instant::now(),
                 },
             );
-            Ok((query, snapshot))
+            Ok(query)
         }
         Some(job @ Job::Streaming { .. }) => {
             map.insert(id, job);
@@ -431,14 +429,10 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
             answer
         }
     });
-    let (mut pending, snapshot) = match fetch {
+    let mut pending = match fetch {
         Ok(fetched) => fetched,
         Err((status, message)) => return error_response(conn, status, &message),
     };
-    // The snapshot stays pinned for the whole stream: the rows going out
-    // were planned against it, and concurrent catalog mutations must not
-    // be able to retire its storage.
-    let _pinned = snapshot;
     let columns = pending.columns().to_vec();
     let mode = if pending.incremental() {
         "incremental"

@@ -3,9 +3,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use wcoj_query::{PendingQuery, Snapshot};
+use wcoj_query::PendingQuery;
 
 /// The job table holds at most this many entries (see [`Jobs::insert`]),
 /// so a client that submits and never fetches cannot grow it without
@@ -28,13 +28,11 @@ pub enum Job {
     /// program's result, materialized in-process, waits here too, as a
     /// ready one-batch [`PendingQuery`].
     Pending {
-        /// The live query handle.
+        /// The live query handle. Its plan holds `Arc`s on every base,
+        /// delta and index it reads, so catalog mutations after admission
+        /// cannot touch its rows, and nothing else of the catalog is
+        /// kept alive.
         query: PendingQuery,
-        /// The copy-on-write catalog snapshot the query was admitted
-        /// against, pinned until the rows are fetched so catalog
-        /// mutations after admission cannot touch what it reads. `None`
-        /// for a program result, which reads no catalog any more.
-        snapshot: Option<Arc<Snapshot>>,
         /// When the job was submitted.
         since: Instant,
     },
@@ -176,7 +174,6 @@ mod tests {
                 relation: Relation::unit(),
                 columns: vec![],
             }),
-            snapshot: None,
             since,
         }
     }

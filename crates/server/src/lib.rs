@@ -21,11 +21,13 @@
 //!
 //! ## Snapshot isolation
 //!
-//! `POST /query` pins a copy-on-write [`wcoj_query::Snapshot`] of the
-//! catalog at admission and plans against it; the snapshot stays pinned
-//! inside the job until its rows are fetched, so appends, deletes,
+//! `POST /query` plans against a copy-on-write [`wcoj_query::Snapshot`]
+//! of the catalog taken at admission and drops the snapshot once the
+//! query is submitted. The job keeps only its plan, which holds `Arc`s
+//! on every base, delta and index the query reads, so appends, deletes,
 //! replacements, and compactions that land *after* admission never
-//! change what an admitted query returns — even mid-stream.
+//! change what an admitted query returns — even mid-stream — while the
+//! rest of the admitted catalog is freed as soon as it is superseded.
 //!
 //! ## Keep-alive
 //!

@@ -445,7 +445,7 @@ fn row_mutation_endpoints_and_pinned_snapshots() {
     let r = request(addr, "POST", "/relation/E/rows", Some("1002,1003\n"));
     assert_eq!(r.status, 200, "{}", r.text());
     // Even dropping the relation cannot touch the admitted query: its
-    // snapshot holds the pre-mutation catalog alive.
+    // plan holds the pre-mutation rows alive.
     let r = request(addr, "DELETE", "/relation/E", None);
     assert_eq!(r.status, 200, "{}", r.text());
 
@@ -475,17 +475,44 @@ fn row_mutation_endpoints_and_pinned_snapshots() {
     assert_eq!(r.status, 200);
     assert_eq!(r.text(), with_appended);
 
-    // The catalog's delta/snapshot metrics made it to the exposition.
+    // The catalog's delta metrics made it to the exposition.
     let r = request(addr, "GET", "/metrics", None);
     assert_eq!(r.status, 200);
     assert!(
         r.text().contains("wcoj_catalog_deltas_total"),
         "missing delta counter"
     );
+}
+
+/// An unfetched job keeps alive only what its own plan reads: replacing
+/// a relation the query does not read frees the old base at once, while
+/// the job still streams the rows it was admitted against.
+#[test]
+fn an_unfetched_job_pins_only_what_its_plan_reads() {
+    let mut catalog = local_catalog(&[("R", "1,2\n2,3\n"), ("U", "7,8\n")]);
+    catalog.set_service(Some(Arc::new(Service::new(ServiceConfig::with_workers(1)))));
+    let old_u = Arc::downgrade(catalog.delta("U").unwrap().base());
+    let cfg = ServerConfig {
+        bind: "127.0.0.1:0".parse().unwrap(),
+        conn_threads: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::start_with(cfg, catalog).expect("bind loopback");
+    let addr = server.addr();
+
+    let r = request(addr, "POST", "/query", Some("q(x, y) :- R(x, y)."));
+    assert_eq!(r.status, 202, "{}", r.text());
+    let id = extract_id(r.text());
+    let r = request(addr, "PUT", "/relation/U", Some("9,10\n"));
+    assert_eq!(r.status, 200, "{}", r.text());
     assert!(
-        r.text().contains("wcoj_catalog_snapshot_age_ms"),
-        "missing snapshot age gauge"
+        old_u.upgrade().is_none(),
+        "an unfetched job over R kept U's replaced base alive"
     );
+
+    let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
+    assert_eq!(r.status, 200);
+    assert_eq!(r.text(), "1,2\n2,3\n");
 }
 
 fn extract_id(json: &str) -> u64 {

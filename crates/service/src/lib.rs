@@ -991,15 +991,6 @@ impl Service {
         self.workers.len()
     }
 
-    /// Accepted submissions over the service's lifetime: every submit
-    /// call that returned a [`QueryHandle`], **including** degenerate
-    /// queries resolved at submit time; shed submissions and
-    /// planning-error (LP failure) submissions are not counted.
-    #[must_use]
-    pub fn submitted(&self) -> u64 {
-        self.injector.lock().submitted
-    }
-
     /// A point-in-time snapshot of the scheduling counters — taken in
     /// **one** critical section of the scheduler lock, so the snapshot is
     /// internally consistent: never `completed > submitted`, never
@@ -1349,7 +1340,7 @@ mod tests {
         assert_eq!(out.relation, seq.relation);
         assert_eq!(out.stats.algorithm_used, "nprr-service");
         assert!(out.stats.shards >= 1);
-        assert_eq!(service.submitted(), 1);
+        assert_eq!(service.counters().submitted, 1);
     }
 
     #[test]
@@ -1368,7 +1359,7 @@ mod tests {
         for handle in handles {
             assert_eq!(handle.wait().unwrap().relation, seq.relation);
         }
-        assert_eq!(service.submitted(), 16);
+        assert_eq!(service.counters().submitted, 16);
         let counters = service.counters();
         assert_eq!(counters.completed, 16);
         assert_eq!(counters.in_flight, 0);
@@ -1456,7 +1447,7 @@ mod tests {
         // 1. a normal multi-shard query: counted
         let populated = Arc::new(PreparedQuery::new(&triangle()).unwrap());
         service.submit(&populated, &cfg).unwrap().wait().unwrap();
-        assert_eq!(service.submitted(), 1);
+        assert_eq!(service.counters().submitted, 1);
 
         // 2. empty-input degenerate: counted (accepted, resolved at
         //    submit)
@@ -1468,7 +1459,7 @@ mod tests {
             .unwrap(),
         );
         service.submit(&empty_input, &cfg).unwrap().wait().unwrap();
-        assert_eq!(service.submitted(), 2);
+        assert_eq!(service.counters().submitted, 2);
 
         // 3. zero-shard plan (empty root-candidate intersection): counted
         let zero_shard = Arc::new(
@@ -1480,7 +1471,6 @@ mod tests {
             .unwrap(),
         );
         service.submit(&zero_shard, &cfg).unwrap().wait().unwrap();
-        assert_eq!(service.submitted(), 3);
 
         let counters = service.counters();
         assert_eq!(counters.submitted, 3);
@@ -1529,7 +1519,7 @@ mod tests {
         }
         assert_eq!(service.counters().shed, 1, "the shed is reported");
         assert_eq!(
-            service.submitted(),
+            service.counters().submitted,
             Q as u64,
             "shed submissions don't count"
         );

@@ -259,13 +259,6 @@ pub fn cross_product(l: &Relation, r: &Relation) -> Result<Relation, StorageErro
     Ok(natural_join(l, r))
 }
 
-/// Removes duplicates (constructors normally maintain this invariant; use
-/// after bulk mutation).
-#[must_use]
-pub fn distinct(rel: &Relation) -> Relation {
-    rel.clone().into_sorted()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,13 +433,5 @@ mod tests {
             }
         }
         assert_eq!(j.len(), expected);
-    }
-
-    #[test]
-    fn distinct_removes_dups() {
-        let mut r = Relation::empty(Schema::of(&[0]));
-        r.push_row(&[Value(1)]).unwrap();
-        r.push_row(&[Value(1)]).unwrap();
-        assert_eq!(distinct(&r).len(), 1);
     }
 }

@@ -46,7 +46,6 @@ fn main() {
 
     // --- 2. pin a snapshot, then mutate underneath it ------------------
     let snapshot = catalog.freeze();
-    snapshot.record_age();
     let mut pending = submit_query(&q, snapshot.catalog()).expect("submit");
     println!(
         "admitted a streaming triangle query against the pinned snapshot \

@@ -76,7 +76,7 @@ fn main() {
          {} submissions over the service lifetime",
         secs * 1e3,
         queries / secs,
-        service.submitted(),
+        service.counters().submitted,
     );
 
     // --- 3. a catalog routed through the shared pool ------------------

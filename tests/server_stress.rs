@@ -287,11 +287,64 @@ fn has_complete_chunk(raw: &[u8]) -> bool {
 
 // ---------------------------------------------------------------- flood
 
+/// `clients` concurrent clients each `POST` the query `per_client`
+/// times: the accepted job ids and the number of 429s, each of which
+/// must carry `Retry-After`.
+fn flood(addr: SocketAddr, clients: usize, per_client: usize) -> (Vec<u64>, usize) {
+    let threads: Vec<std::thread::JoinHandle<(Vec<u64>, usize)>> = (0..clients)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut accepted = Vec::new();
+                let mut shed = 0usize;
+                for _ in 0..per_client {
+                    let r = request(addr, "POST", "/query", Some("q(x, y) :- E(x, y)."));
+                    match r.status {
+                        202 => accepted.push(extract_id(r.text())),
+                        429 => {
+                            assert_eq!(
+                                r.header("retry-after"),
+                                Some("1"),
+                                "429 without Retry-After"
+                            );
+                            shed += 1;
+                        }
+                        s => panic!("unexpected status {s}: {}", r.text()),
+                    }
+                }
+                (accepted, shed)
+            })
+        })
+        .collect();
+    let mut accepted = Vec::new();
+    let mut shed = 0;
+    for t in threads {
+        let (ids, n) = t.join().expect("flood client");
+        accepted.extend(ids);
+        shed += n;
+    }
+    (accepted, shed)
+}
+
+/// Waits until the service has no query in flight and no task queued.
+fn drain(service: &Service) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let c = service.counters();
+        if c.in_flight == 0 && c.queued_tasks == 0 {
+            return;
+        }
+        assert!(Instant::now() < deadline, "service never drained: {c:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// Concurrent clients flooding past the admission bound: every response
 /// is a 202 or a 429-with-Retry-After, the 429 count matches the
 /// service's shed counter *exactly*, accepted queries all stream rows
 /// bit-identical to the sequential engine, and `/metrics` stays a valid
-/// Prometheus exposition mid-flood.
+/// Prometheus exposition mid-flood. The first round runs while two
+/// blockers hold the whole bound, so it must shed; the second runs after
+/// they drain, so it must admit.
 #[test]
 fn admission_flood_accounts_every_shed_as_a_429() {
     const CLIENTS: usize = 4;
@@ -314,61 +367,50 @@ fn admission_flood_accounts_every_shed_as_a_429() {
         let stop = Arc::clone(&stop);
         move || {
             let mut probes = 0u32;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            loop {
                 let r = request(addr, "GET", "/metrics", None);
                 assert_eq!(r.status, 200);
                 wcoj::obs::check_exposition(r.text())
                     .expect("mid-flood exposition must stay valid");
                 probes += 1;
+                if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    return probes;
+                }
                 std::thread::sleep(Duration::from_millis(2));
             }
-            probes
         }
     });
 
-    let flood: Vec<std::thread::JoinHandle<(Vec<u64>, usize)>> = (0..CLIENTS)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut accepted = Vec::new();
-                let mut shed = 0usize;
-                for _ in 0..PER_CLIENT {
-                    let r = request(addr, "POST", "/query", Some("q(x, y) :- E(x, y)."));
-                    match r.status {
-                        202 => accepted.push(extract_id(r.text())),
-                        429 => {
-                            assert_eq!(
-                                r.header("retry-after"),
-                                Some("1"),
-                                "429 without Retry-After"
-                            );
-                            shed += 1;
-                        }
-                        s => panic!("unexpected status {s}: {}", r.text()),
-                    }
-                }
-                (accepted, shed)
-            })
-        })
+    // Two blockers fill the admission bound for their engine run (tens
+    // of milliseconds; their cover is solved up front, so submitting
+    // takes microseconds), and the first round floods into it.
+    let heavy = blocker(43);
+    heavy.resolve_cover(None).expect("cover");
+    let blockers: Vec<_> = (0..2)
+        .map(|_| service.submit(&heavy, &service.exec_config()).unwrap())
         .collect();
-    let mut accepted: Vec<u64> = Vec::new();
-    let mut shed_seen = 0usize;
-    for t in flood {
-        let (ids, shed) = t.join().expect("flood client");
-        accepted.extend(ids);
-        shed_seen += shed;
+    let (mut accepted, shed_seen) = flood(addr, CLIENTS, PER_CLIENT);
+    assert!(
+        shed_seen > 0,
+        "the first round never met the full queue_depth=2 bound"
+    );
+    for blocker in blockers {
+        blocker.wait().unwrap();
     }
+    drain(&service);
+
+    // The second round starts with the bound empty, so it gets in.
+    let (admitted, shed) = flood(addr, CLIENTS, PER_CLIENT);
+    assert!(!admitted.is_empty(), "flood starved every submission");
+    accepted.extend(admitted);
+    let shed_seen = shed_seen + shed;
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let probes = prober.join().expect("metrics prober");
     assert!(probes > 0, "prober never ran");
 
     // Exact accounting: every submission is either accepted or a 429,
     // and the 429s are exactly the service's sheds.
-    assert_eq!(accepted.len() + shed_seen, CLIENTS * PER_CLIENT);
-    assert!(
-        shed_seen > 0,
-        "flood never overloaded the queue_depth=2 service"
-    );
-    assert!(!accepted.is_empty(), "flood starved every submission");
+    assert_eq!(accepted.len() + shed_seen, 2 * CLIENTS * PER_CLIENT);
     assert_eq!(
         service.counters().shed,
         shed_before + shed_seen as u64,
@@ -385,15 +427,7 @@ fn admission_flood_accounts_every_shed_as_a_429() {
 
     // Accepted queries all finished server-side (admission slots freed
     // without anyone fetching rows yet) and stream the exact rows.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let c = service.counters();
-        if c.in_flight == 0 && c.queued_tasks == 0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "service never drained: {c:?}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    drain(&service);
     for &id in &accepted {
         let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
         assert_eq!(r.status, 200, "job {id}: {}", r.text());

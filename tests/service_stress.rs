@@ -197,7 +197,7 @@ fn stress_concurrent_mixed_queries_match_sequential() {
                 }
             });
         }
-        assert_eq!(service.submitted(), 2 * prepared.len() as u64);
+        assert_eq!(service.counters().submitted, 2 * prepared.len() as u64);
     }
 }
 
@@ -306,7 +306,11 @@ fn repeat_submissions_reuse_cached_plans_through_the_service() {
             "round {round} served from the plan cache"
         );
     }
-    assert_eq!(service.submitted(), 6, "every round still hit the pool");
+    assert_eq!(
+        service.counters().submitted,
+        6,
+        "every round still hit the pool"
+    );
 
     // Replace a relation mid-stream: the next round must rebuild (no
     // stale hit) and reflect the new contents.
