@@ -7,10 +7,10 @@
 //!   disjoint from the stars.
 //!
 //! This module *verifies and extracts* that structure from an exact cover
-//! vector (as produced by the exact simplex in `wcoj-lp`), returning a
-//! [`HalfIntegralDecomposition`] that [`crate::graph_join`] evaluates via
-//! Theorem 7.3: odd cycles via the Cycle Lemma 7.1, stars via hash joins,
-//! glued with cross products.
+//! vector (as `agm::optimal_cover` recovers it from the simplex's final
+//! basis), returning a [`HalfIntegralDecomposition`] that
+//! [`crate::graph_join`] evaluates via Theorem 7.3: odd cycles via the
+//! Cycle Lemma 7.1, stars via hash joins, glued with cross products.
 
 use wcoj_hypergraph::{HgError, Hypergraph};
 use wcoj_rational::Rational;

@@ -8,14 +8,15 @@
 //! ```
 //!
 //! The best bound minimises `Σ_e (log N_e)·x_e` over the cover polytope.
-//! This module builds that LP, solves it in `f64` (fast path) *and* in
-//! exact rationals (structural path, using `log₂ N_e` approximated to
-//! denominator `2^20` — the feasible region is exact, so support sets and
-//! half-integrality of the returned vertex are exact facts).
+//! This module builds that LP and solves it once, with the `f64` simplex;
+//! the engine runs that vertex. The same vertex is then recovered exactly
+//! from the simplex's final basis (the constraints are 0/1 with right-hand
+//! side 1, so that basis system is exact), so its support and
+//! half-integrality are exact facts about the cover the engine runs.
 
 use crate::cover::{validate_cover, COVER_EPS};
 use crate::{HgError, Hypergraph};
-use wcoj_lp::{rationalize, solve, LinearProgram, Status};
+use wcoj_lp::{solve, LinearProgram, Status};
 use wcoj_rational::Rational;
 
 /// An optimal (or caller-supplied) fractional cover with its AGM bound.
@@ -23,8 +24,8 @@ use wcoj_rational::Rational;
 pub struct CoverSolution {
     /// Cover weights per edge (`f64`).
     pub x: Vec<f64>,
-    /// Exact cover weights from the rational solver (a vertex of the exact
-    /// cover polytope; objective is a `log₂`-approximation).
+    /// The vertex `x` in exact arithmetic, solved from the simplex's final
+    /// basis: a vertex of the cover polytope with `x` as its `f64` image.
     pub exact: Vec<Rational>,
     /// `log₂` of the AGM bound `∏ N_e^{x_e}`.
     pub log2_bound: f64,
@@ -55,7 +56,7 @@ impl CoverSolution {
 /// Sizes `N_e` are clamped to ≥ 1 (the paper assumes non-empty relations;
 /// an empty relation makes the whole join empty and is handled upstream).
 #[must_use]
-pub fn cover_lp(h: &Hypergraph, sizes: &[usize]) -> LinearProgram<f64> {
+pub fn cover_lp(h: &Hypergraph, sizes: &[usize]) -> LinearProgram {
     let weights: Vec<f64> = sizes.iter().map(|&n| (n.max(1) as f64).log2()).collect();
     let mut lp = LinearProgram::minimize(weights);
     for v in 0..h.num_vertices() {
@@ -87,38 +88,12 @@ pub fn optimal_cover(h: &Hypergraph, sizes: &[usize]) -> Result<CoverSolution, H
     if sol.status != Status::Optimal {
         return Err(HgError::Lp(format!("unexpected status {:?}", sol.status)));
     }
-    // Exact pass: the *constraints* are integral, so any objective
-    // precision yields a true vertex of the cover polytope; finer log₂
-    // approximations only matter near ties. Rational pivoting can overflow
-    // i128 when the approximation denominators are large, so retry with
-    // coarser objectives before giving up.
-    let mut exact_sol = None;
-    let mut last_err = None;
-    for max_den in [1i128 << 20, 1 << 12, 1 << 8, 1 << 4] {
-        let exact_lp = rationalize(&lp, max_den);
-        match solve(&exact_lp) {
-            Ok(sol) if sol.status == Status::Optimal => {
-                exact_sol = Some(sol);
-                break;
-            }
-            Ok(sol) => {
-                last_err = Some(HgError::Lp(format!(
-                    "exact pass: unexpected status {:?}",
-                    sol.status
-                )));
-            }
-            Err(e) => last_err = Some(HgError::Lp(e.to_string())),
-        }
-    }
-    let exact_sol = match exact_sol {
-        Some(s) => s,
-        None => return Err(last_err.expect("loop ran at least once")),
-    };
+    let exact = sol.exact_vertex().map_err(|e| HgError::Lp(e.to_string()))?;
     debug_assert!(validate_cover(h, &sol.x).is_ok());
     let log2_bound = log2_bound(sizes, &sol.x);
     Ok(CoverSolution {
         x: sol.x,
-        exact: exact_sol.x,
+        exact,
         log2_bound,
     })
 }
@@ -166,6 +141,7 @@ pub fn within_bound(out_size: usize, log2_bound: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wcoj_lp::F64_EPS;
 
     fn triangle() -> Hypergraph {
         Hypergraph::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap()
@@ -267,6 +243,94 @@ mod tests {
         let sol = optimal_cover(&h, &[100, 50]).unwrap();
         assert_eq!(sol.exact, vec![Rational::ONE, Rational::ONE]);
         assert!((sol.bound() - 5000.0).abs() < 1e-6);
+    }
+
+    /// `sol.exact` is an exactly feasible cover, equals `x` within the
+    /// simplex's tolerance, has `x`'s support and gives `x`'s bound.
+    fn assert_exact_is_x(h: &Hypergraph, sizes: &[usize], sol: &CoverSolution, case: &str) {
+        assert!(sol.exact.iter().all(|v| !v.is_negative()), "{case}");
+        for v in 0..h.num_vertices() {
+            let covered = (0..h.num_edges())
+                .filter(|&e| h.edge_contains(e, v))
+                .fold(Rational::ZERO, |acc, e| acc + sol.exact[e]);
+            assert!(covered >= Rational::ONE, "{case}: vertex {v} uncovered");
+        }
+        let exact = crate::cover::to_f64(&sol.exact);
+        for (a, b) in exact.iter().zip(&sol.x) {
+            assert!((a - b).abs() <= F64_EPS, "{case}: {exact:?} vs {:?}", sol.x);
+        }
+        let x_support: Vec<usize> = (0..sol.x.len()).filter(|&e| sol.x[e] > F64_EPS).collect();
+        assert_eq!(sol.support(), x_support, "{case}");
+        assert!(
+            (log2_bound(sizes, &exact) - sol.log2_bound).abs() < 1e-9,
+            "{case}"
+        );
+    }
+
+    #[test]
+    fn five_cycle_tie_exact_is_the_engine_vertex() {
+        // 2000 · 4000 = 200³, so all-½ and (1, 0, 1, 0, 1) tie at 3·log₂ 200.
+        // The exact vertex must be the one the simplex (and the engine) took.
+        let h = Hypergraph::new(5, (0..5).map(|i| vec![i, (i + 1) % 5]).collect()).unwrap();
+        let sizes = [200, 2000, 200, 4000, 200];
+        let sol = optimal_cover(&h, &sizes).unwrap();
+        assert_exact_is_x(&h, &sizes, &sol, "5-cycle tie");
+    }
+
+    #[test]
+    fn exact_vertex_is_x_on_random_hypergraphs() {
+        use rand::{Rng, SeedableRng};
+        // Sizes whose products coincide (200³ = 2000·4000, 200² = 20·2000,
+        // 8000 = 20·400) make ties between optimal vertices common.
+        const TIE_SIZES: [usize; 10] = [1, 2, 16, 20, 200, 400, 2000, 4000, 8000, 40_000];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+        for case in 0..10_000 {
+            let n = rng.gen_range(2..=7usize);
+            let m = rng.gen_range(2..=7usize);
+            let mut edges: Vec<Vec<usize>> = if rng.gen_bool(0.4) {
+                // A graph: pairs along a shuffled vertex order cover every
+                // vertex, then random pairs up to m edges.
+                let mut order: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                let mut edges: Vec<Vec<usize>> = order
+                    .chunks(2)
+                    .map(|c| vec![c[0], *c.get(1).unwrap_or(&order[0])])
+                    .collect();
+                while edges.len() < m {
+                    let a = rng.gen_range(0..n);
+                    edges.push(vec![a, (a + rng.gen_range(1..n)) % n]);
+                }
+                edges
+            } else {
+                let mut edges: Vec<Vec<usize>> = (0..m)
+                    .map(|_| (0..n).filter(|_| rng.gen_bool(0.5)).collect())
+                    .collect();
+                for v in 0..n {
+                    if !edges.iter().any(|e| e.contains(&v)) {
+                        edges[rng.gen_range(0..m)].push(v);
+                    }
+                }
+                edges
+            };
+            for i in (1..edges.len()).rev() {
+                edges.swap(i, rng.gen_range(0..=i));
+            }
+            let h = Hypergraph::new(n, edges).unwrap();
+            let tie_heavy = rng.gen_bool(0.5);
+            let sizes: Vec<usize> = (0..h.num_edges())
+                .map(|_| {
+                    if tie_heavy {
+                        TIE_SIZES[rng.gen_range(0..TIE_SIZES.len())]
+                    } else {
+                        rng.gen_range(1..100_000)
+                    }
+                })
+                .collect();
+            let sol = optimal_cover(&h, &sizes).unwrap();
+            assert_exact_is_x(&h, &sizes, &sol, &format!("case {case}: {h:?} {sizes:?}"));
+        }
     }
 }
 

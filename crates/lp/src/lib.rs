@@ -6,13 +6,13 @@
 //!
 //! * [`LinearProgram`] — a minimisation problem `min c·x` subject to linear
 //!   constraints with `≤ / ≥ / =` senses and `x ≥ 0`;
-//! * [`simplex::solve`] — a dense **two-phase primal simplex** with Bland's
-//!   anti-cycling rule, generic over the [`Scalar`] trait;
-//! * two scalar instantiations: `f64` (fast, epsilon comparisons; used for
-//!   AGM-bound computations in hot paths) and
-//!   [`wcoj_rational::Rational`] (exact; used wherever the *vertex
-//!   structure* of the cover polytope matters, e.g. the half-integrality
-//!   proof of Lemma 7.2 and the `BFS(S)` equivalence classes of §7.2).
+//! * [`simplex::solve`] — a dense `f64` **two-phase primal simplex** with
+//!   Bland's anti-cycling rule;
+//! * [`Solution::exact_vertex`] — the same optimal vertex in exact
+//!   [`wcoj_rational::Rational`]s, solved from the simplex's final basis,
+//!   for wherever the *vertex structure* of the cover polytope matters
+//!   (e.g. the half-integrality of Lemma 7.2 and the `BFS(S)`
+//!   equivalence classes of §7.2).
 //!
 //! The solver returns not just an optimal point but the final **basis**,
 //! because the paper's relaxed join algorithm (Algorithm 6) groups edge
@@ -24,36 +24,10 @@
 //! manner" as §7.2 requires.
 
 mod problem;
-mod scalar;
 pub mod simplex;
 
 pub use problem::{Constraint, LinearProgram, Sense};
-pub use scalar::Scalar;
-pub use simplex::{solve, LpError, Solution, Status};
-
-use wcoj_rational::Rational;
-
-/// Converts an `f64` LP into an exact rational LP by approximating every
-/// coefficient with denominator at most `max_den`.
-///
-/// Intended for cover LPs whose constraint coefficients are already integral
-/// (so only the objective is approximated); the *feasible region* of the
-/// result is then identical to the source LP's, and every structural
-/// property of its optimal vertex (support, half-integrality, tightness) is
-/// exact.
-#[must_use]
-pub fn rationalize(lp: &LinearProgram<f64>, max_den: i128) -> LinearProgram<Rational> {
-    let approx = |x: f64| Rational::approximate_f64(x, max_den).unwrap_or(Rational::ZERO);
-    let mut out = LinearProgram::minimize(lp.objective().iter().copied().map(approx).collect());
-    for c in lp.constraints() {
-        out.add_constraint(Constraint {
-            coeffs: c.coeffs.iter().copied().map(approx).collect(),
-            sense: c.sense,
-            rhs: approx(c.rhs),
-        });
-    }
-    out
-}
+pub use simplex::{solve, LpError, Solution, Status, F64_EPS};
 
 #[cfg(test)]
 mod tests;

@@ -1,6 +1,6 @@
 //! Problem representation: `min c·x` subject to linear constraints, `x ≥ 0`.
 
-use crate::scalar::Scalar;
+use crate::simplex::F64_EPS;
 
 /// Direction of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,13 +15,13 @@ pub enum Sense {
 
 /// One linear constraint `coeffs · x  <sense>  rhs`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Constraint<S> {
+pub struct Constraint {
     /// Dense coefficient row, one entry per variable.
-    pub coeffs: Vec<S>,
+    pub coeffs: Vec<f64>,
     /// Constraint direction.
     pub sense: Sense,
     /// Right-hand side.
-    pub rhs: S,
+    pub rhs: f64,
 }
 
 /// A minimisation LP over non-negative variables.
@@ -37,15 +37,15 @@ pub struct Constraint<S> {
 /// assert!((sol.objective - 1.4).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinearProgram<S> {
-    objective: Vec<S>,
-    constraints: Vec<Constraint<S>>,
+pub struct LinearProgram {
+    objective: Vec<f64>,
+    constraints: Vec<Constraint>,
 }
 
-impl<S: Scalar> LinearProgram<S> {
+impl LinearProgram {
     /// Starts a minimisation problem with the given objective coefficients.
     #[must_use]
-    pub fn minimize(objective: Vec<S>) -> Self {
+    pub fn minimize(objective: Vec<f64>) -> Self {
         LinearProgram {
             objective,
             constraints: Vec::new(),
@@ -66,13 +66,13 @@ impl<S: Scalar> LinearProgram<S> {
 
     /// The objective coefficient vector.
     #[must_use]
-    pub fn objective(&self) -> &[S] {
+    pub fn objective(&self) -> &[f64] {
         &self.objective
     }
 
     /// The constraint rows.
     #[must_use]
-    pub fn constraints(&self) -> &[Constraint<S>] {
+    pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
     }
 
@@ -81,13 +81,13 @@ impl<S: Scalar> LinearProgram<S> {
     /// # Panics
     /// Panics if the coefficient row's length differs from the variable
     /// count (a programming error, not a data error).
-    pub fn add_constraint(&mut self, c: Constraint<S>) {
+    pub fn add_constraint(&mut self, c: Constraint) {
         assert_eq!(c.coeffs.len(), self.num_vars(), "constraint arity mismatch");
         self.constraints.push(c);
     }
 
     /// Adds `coeffs · x ≤ rhs`.
-    pub fn le(&mut self, coeffs: Vec<S>, rhs: S) {
+    pub fn le(&mut self, coeffs: Vec<f64>, rhs: f64) {
         self.add_constraint(Constraint {
             coeffs,
             sense: Sense::Le,
@@ -96,7 +96,7 @@ impl<S: Scalar> LinearProgram<S> {
     }
 
     /// Adds `coeffs · x ≥ rhs`.
-    pub fn ge(&mut self, coeffs: Vec<S>, rhs: S) {
+    pub fn ge(&mut self, coeffs: Vec<f64>, rhs: f64) {
         self.add_constraint(Constraint {
             coeffs,
             sense: Sense::Ge,
@@ -105,7 +105,7 @@ impl<S: Scalar> LinearProgram<S> {
     }
 
     /// Adds `coeffs · x = rhs`. (Named `equals` to avoid clashing with `PartialEq::eq`.)
-    pub fn equals(&mut self, coeffs: Vec<S>, rhs: S) {
+    pub fn equals(&mut self, coeffs: Vec<f64>, rhs: f64) {
         self.add_constraint(Constraint {
             coeffs,
             sense: Sense::Eq,
@@ -113,36 +113,25 @@ impl<S: Scalar> LinearProgram<S> {
         });
     }
 
-    /// Checks feasibility of `x` (with the scalar's own tolerance).
+    /// Checks feasibility of `x` up to [`F64_EPS`].
     #[must_use]
-    pub fn is_feasible(&self, x: &[S]) -> bool {
-        if x.len() != self.num_vars() || x.iter().any(Scalar::is_negative) {
+    pub fn is_feasible(&self, x: &[f64]) -> bool {
+        if x.len() != self.num_vars() || x.iter().any(|&v| v < -F64_EPS) {
             return false;
         }
         self.constraints.iter().all(|c| {
-            let Some(lhs) = dot(&c.coeffs, x) else {
-                return false;
-            };
+            let lhs = dot(&c.coeffs, x);
             match c.sense {
-                Sense::Le => !c.rhs.lt(&lhs),
-                Sense::Ge => !lhs.lt(&c.rhs),
-                Sense::Eq => {
-                    let Some(d) = lhs.sub(&c.rhs) else {
-                        return false;
-                    };
-                    d.is_zero()
-                }
+                Sense::Le => lhs <= c.rhs + F64_EPS,
+                Sense::Ge => lhs >= c.rhs - F64_EPS,
+                Sense::Eq => (lhs - c.rhs).abs() <= F64_EPS,
             }
         })
     }
 }
 
-/// Dense dot product; `None` on arithmetic overflow.
-pub(crate) fn dot<S: Scalar>(a: &[S], b: &[S]) -> Option<S> {
+/// Dense dot product.
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc = S::zero();
-    for (x, y) in a.iter().zip(b) {
-        acc = acc.add(&x.mul(y)?)?;
-    }
-    Some(acc)
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
 }

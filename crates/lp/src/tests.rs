@@ -2,6 +2,11 @@ use crate::*;
 use proptest::prelude::*;
 use wcoj_rational::Rational;
 
+/// `Σ_i x_i` in exact arithmetic.
+fn exact_sum(x: &[Rational]) -> Rational {
+    x.iter().fold(Rational::ZERO, |acc, &v| acc + v)
+}
+
 fn r(n: i128, d: i128) -> Rational {
     Rational::new(n, d)
 }
@@ -38,18 +43,17 @@ fn triangle_cover_lp_f64() {
 
 #[test]
 fn triangle_cover_lp_exact() {
-    // Same LP in exact arithmetic: the vertex is exactly (1/2, 1/2, 1/2) —
-    // the half-integrality of Lemma 7.2 witnessed exactly.
-    let one = Rational::ONE;
-    let zero = Rational::ZERO;
-    let mut lp = LinearProgram::minimize(vec![one, one, one]);
-    lp.ge(vec![one, zero, one], one);
-    lp.ge(vec![one, one, zero], one);
-    lp.ge(vec![zero, one, one], one);
+    // The same LP's vertex recovered exactly from the f64 basis: exactly
+    // (1/2, 1/2, 1/2) — the half-integrality of Lemma 7.2 witnessed exactly.
+    let mut lp = LinearProgram::minimize(vec![1.0, 1.0, 1.0]);
+    lp.ge(vec![1.0, 0.0, 1.0], 1.0);
+    lp.ge(vec![1.0, 1.0, 0.0], 1.0);
+    lp.ge(vec![0.0, 1.0, 1.0], 1.0);
     let sol = solve(&lp).unwrap();
     assert_eq!(sol.status, Status::Optimal);
-    assert_eq!(sol.objective, r(3, 2));
-    assert_eq!(sol.x, vec![Rational::ONE_HALF; 3]);
+    let exact = sol.exact_vertex().unwrap();
+    assert_eq!(exact, vec![Rational::ONE_HALF; 3]);
+    assert_eq!(exact_sum(&exact), r(3, 2));
     assert_eq!(sol.support(), vec![0, 1, 2]);
 }
 
@@ -87,6 +91,7 @@ fn infeasible_detected() {
     lp.le(vec![1.0], 1.0);
     let sol = solve(&lp).unwrap();
     assert_eq!(sol.status, Status::Infeasible);
+    assert_eq!(sol.exact_vertex(), Ok(vec![])); // no vertex, like `x`
 }
 
 #[test]
@@ -110,7 +115,7 @@ fn negative_rhs_normalised() {
 
 #[test]
 fn no_variables_is_bad_problem() {
-    let lp = LinearProgram::<f64>::minimize(vec![]);
+    let lp = LinearProgram::minimize(vec![]);
     assert_eq!(solve(&lp), Err(LpError::BadProblem("no variables")));
 }
 
@@ -135,35 +140,30 @@ fn weighted_cover_prefers_cheap_edges() {
 fn lw4_cover_exact_thirds() {
     // LW instance n=4: attributes {0,1,2,3}, edges all 3-subsets; optimal
     // cover is uniform 1/3 (so the vertex has denominators 3 — a case f64
-    // cannot certify exactly).
-    let one = Rational::ONE;
-    let zero = Rational::ZERO;
-    let mut lp = LinearProgram::minimize(vec![one; 4]);
+    // cannot certify exactly, but its basis can).
+    let mut lp = LinearProgram::minimize(vec![1.0; 4]);
     // edges: {1,2,3},{0,2,3},{0,1,3},{0,1,2}; attr v covered by all edges not
     // omitting v.
     for v in 0..4usize {
-        let coeffs: Vec<Rational> = (0..4).map(|e| if e == v { zero } else { one }).collect();
-        lp.ge(coeffs, one);
+        let coeffs: Vec<f64> = (0..4).map(|e| if e == v { 0.0 } else { 1.0 }).collect();
+        lp.ge(coeffs, 1.0);
     }
     let sol = solve(&lp).unwrap();
     assert_eq!(sol.status, Status::Optimal);
-    assert_eq!(sol.objective, r(4, 3));
-    for v in &sol.x {
-        assert_eq!(*v, r(1, 3));
-    }
+    let exact = sol.exact_vertex().unwrap();
+    assert_eq!(exact, vec![r(1, 3); 4]);
+    assert_eq!(exact_sum(&exact), r(4, 3));
 }
 
 #[test]
-fn rationalize_preserves_integral_constraints() {
-    let mut lp = LinearProgram::minimize(vec![0.5, 1.0 / 3.0]);
-    lp.ge(vec![1.0, 1.0], 1.0);
-    let ex = rationalize(&lp, 1 << 20);
-    assert_eq!(ex.objective()[0], Rational::ONE_HALF);
-    assert_eq!(ex.objective()[1], r(1, 3));
-    assert_eq!(ex.constraints()[0].coeffs, vec![Rational::ONE; 2]);
-    let sol = solve(&ex).unwrap();
+fn exact_vertex_refuses_non_integral_coefficients() {
+    // min x + y/10 s.t. x + y/2 ≥ 1: the f64 solve picks y = 2, but y's
+    // basis column is 1/2, so no exact vertex is claimed.
+    let mut lp = LinearProgram::minimize(vec![1.0, 0.1]);
+    lp.ge(vec![1.0, 0.5], 1.0);
+    let sol = solve(&lp).unwrap();
     assert_eq!(sol.status, Status::Optimal);
-    assert_eq!(sol.objective, r(1, 3)); // put all weight on the cheap var
+    assert!(matches!(sol.exact_vertex(), Err(LpError::BadProblem(_))));
 }
 
 #[test]
@@ -187,6 +187,8 @@ fn redundant_equality_rows() {
     let sol = solve(&lp).unwrap();
     assert_eq!(sol.status, Status::Optimal);
     assert!((sol.objective - 2.0).abs() < 1e-9);
+    // The artificial left basic in the redundant row is exactly zero.
+    assert_eq!(exact_sum(&sol.exact_vertex().unwrap()), Rational::from(2));
 }
 
 #[test]
@@ -242,8 +244,9 @@ proptest! {
         prop_assert!(sol.objective <= all_ones_obj + 1e-9);
     }
 
-    /// The f64 and exact-rational solvers agree on the optimum of integral
-    /// LPs (objective coefficients are small integers).
+    /// The exact vertex of integral LPs (objective coefficients are small
+    /// integers) is feasible, matches `x`, and attains `sol.objective`
+    /// exactly.
     #[test]
     fn prop_f64_and_exact_agree(seed in 0u64..300) {
         use rand::{Rng, SeedableRng};
@@ -260,36 +263,48 @@ proptest! {
             }
         }
         let weights: Vec<i64> = (0..n_edge).map(|_| rng.gen_range(1..10i64)).collect();
-        let mut lp_f = LinearProgram::minimize(weights.iter().map(|&w| w as f64).collect());
-        let mut lp_r = LinearProgram::minimize(weights.iter().map(|&w| Rational::from_int(w as i128)).collect());
+        let mut lp = LinearProgram::minimize(weights.iter().map(|&w| w as f64).collect());
         for v in 0..n_attr {
-            let cf: Vec<f64> = edges.iter().map(|e| if e.contains(&v) {1.0} else {0.0}).collect();
-            let cr: Vec<Rational> = edges.iter().map(|e| if e.contains(&v) {Rational::ONE} else {Rational::ZERO}).collect();
-            lp_f.ge(cf, 1.0);
-            lp_r.ge(cr, Rational::ONE);
+            let coeffs: Vec<f64> = edges.iter().map(|e| if e.contains(&v) {1.0} else {0.0}).collect();
+            lp.ge(coeffs, 1.0);
         }
-        let sf = solve(&lp_f).unwrap();
-        let sr = solve(&lp_r).unwrap();
-        prop_assert_eq!(sf.status, Status::Optimal);
-        prop_assert_eq!(sr.status, Status::Optimal);
-        prop_assert!((sf.objective - sr.objective.to_f64()).abs() < 1e-6);
+        let sol = solve(&lp).unwrap();
+        prop_assert_eq!(sol.status, Status::Optimal);
+        let exact = sol.exact_vertex().unwrap();
+        for (v, xe) in exact.iter().zip(&sol.x) {
+            prop_assert!((v.to_f64() - xe).abs() <= F64_EPS);
+        }
+        for c in lp.constraints() {
+            let lhs = exact_sum(&exact.iter().zip(&c.coeffs).filter(|(_, &a)| a == 1.0).map(|(&v, _)| v).collect::<Vec<_>>());
+            prop_assert!(lhs >= Rational::ONE);
+        }
+        let objective = exact.iter().zip(&weights).fold(Rational::ZERO, |acc, (&v, &w)| acc + v * Rational::from(w));
+        prop_assert_eq!(objective.to_f64(), sol.objective);
     }
 }
 
 #[test]
 fn exact_overflow_reported_not_panicked() {
-    // Gigantic coefficients force i128 overflow during pivoting; the
-    // solver must surface LpError::Overflow instead of panicking.
-    let huge = r(i128::MAX / 2, 1);
-    let tiny = r(1, i128::MAX / 2);
-    let mut lp = LinearProgram::minimize(vec![huge, tiny]);
-    lp.ge(vec![huge, tiny], huge);
-    lp.ge(vec![tiny, huge], r(3, 1));
-    match solve(&lp) {
-        Err(LpError::Overflow) => {}
-        Ok(sol) => assert_eq!(sol.status, Status::Optimal), // small LPs may survive
-        Err(e) => panic!("unexpected error {e}"),
-    }
+    // Huge integral coefficients: the f64 solve finishes, but the exact
+    // basis solve leaves i128 and must surface LpError::Overflow instead
+    // of panicking.
+    let mut lp = LinearProgram::minimize(vec![1.0, 1.0]);
+    lp.ge(vec![1e39, 1.0], 1.0);
+    lp.ge(vec![1.0, 1e39], 1.0);
+    let sol = solve(&lp).unwrap();
+    assert_eq!(sol.status, Status::Optimal);
+    assert_eq!(sol.exact_vertex(), Err(LpError::Overflow));
+    // Exactly representable coefficients near 2^50: every pivot is in
+    // range, but the 3 × 3 basis's determinant (≈ 2^152) is not.
+    let n = f64::from(1u32 << 25).powi(2);
+    let mut lp = LinearProgram::minimize(vec![1.0; 3]);
+    lp.ge(vec![2.0 * n + 1.0, n + 3.0, n + 5.0], 4.0 * n);
+    lp.ge(vec![n + 7.0, 2.0 * n + 11.0, n + 13.0], 4.0 * n);
+    lp.ge(vec![n + 17.0, n + 19.0, 2.0 * n + 23.0], 4.0 * n);
+    let sol = solve(&lp).unwrap();
+    assert_eq!(sol.status, Status::Optimal);
+    assert_eq!(sol.basic_structural, vec![0, 1, 2]);
+    assert_eq!(sol.exact_vertex(), Err(LpError::Overflow));
 }
 
 #[test]

@@ -28,7 +28,6 @@ pub use wide::{cmp_prod, mul_i128_wide};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
-use std::str::FromStr;
 
 /// An exact rational number `num / den` with `den > 0`, always reduced.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,8 +48,7 @@ pub fn gcd(mut a: u128, mut b: u128) -> u128 {
 }
 
 /// Least common multiple; `None` on overflow.
-#[must_use]
-pub fn lcm(a: u128, b: u128) -> Option<u128> {
+fn lcm(a: u128, b: u128) -> Option<u128> {
     if a == 0 || b == 0 {
         return Some(0);
     }
@@ -77,8 +75,7 @@ impl Rational {
 
     /// Fallible constructor: `None` if `den == 0` or a component is
     /// `i128::MIN`.
-    #[must_use]
-    pub fn checked_new(num: i128, den: i128) -> Option<Rational> {
+    fn checked_new(num: i128, den: i128) -> Option<Rational> {
         if den == 0 || num == i128::MIN || den == i128::MIN {
             return None;
         }
@@ -117,12 +114,6 @@ impl Rational {
         self.num == 0
     }
 
-    /// `true` iff this is exactly one.
-    #[must_use]
-    pub const fn is_one(self) -> bool {
-        self.num == 1 && self.den == 1
-    }
-
     /// `true` iff negative.
     #[must_use]
     pub const fn is_negative(self) -> bool {
@@ -135,12 +126,6 @@ impl Rational {
         self.num > 0
     }
 
-    /// Sign as `-1`, `0`, or `1`.
-    #[must_use]
-    pub const fn signum(self) -> i128 {
-        self.num.signum()
-    }
-
     /// Absolute value.
     #[must_use]
     pub fn abs(self) -> Rational {
@@ -151,8 +136,7 @@ impl Rational {
     }
 
     /// Multiplicative inverse; `None` for zero.
-    #[must_use]
-    pub fn checked_recip(self) -> Option<Rational> {
+    fn checked_recip(self) -> Option<Rational> {
         if self.num == 0 {
             return None;
         }
@@ -160,15 +144,6 @@ impl Rational {
             num: self.den * self.num.signum(),
             den: self.num.abs(),
         })
-    }
-
-    /// Multiplicative inverse.
-    ///
-    /// # Panics
-    /// Panics on zero.
-    #[must_use]
-    pub fn recip(self) -> Rational {
-        self.checked_recip().expect("Rational::recip of zero")
     }
 
     /// Checked addition; `None` on `i128` overflow.
@@ -212,23 +187,6 @@ impl Rational {
         self.checked_mul(rhs.checked_recip()?)
     }
 
-    /// Small non-negative integer power, checked.
-    #[must_use]
-    pub fn checked_pow(self, mut exp: u32) -> Option<Rational> {
-        let mut acc = Rational::ONE;
-        let mut base = self;
-        while exp > 0 {
-            if exp & 1 == 1 {
-                acc = acc.checked_mul(base)?;
-            }
-            exp >>= 1;
-            if exp > 0 {
-                base = base.checked_mul(base)?;
-            }
-        }
-        Some(acc)
-    }
-
     /// Floor to an integer.
     #[must_use]
     pub fn floor(self) -> i128 {
@@ -246,53 +204,6 @@ impl Rational {
     #[must_use]
     pub fn to_f64(self) -> f64 {
         self.num as f64 / self.den as f64
-    }
-
-    /// Best rational approximation of an `f64` with denominator at most
-    /// `max_den`, via continued fractions.
-    ///
-    /// Returns `None` for non-finite inputs.
-    #[must_use]
-    pub fn approximate_f64(x: f64, max_den: i128) -> Option<Rational> {
-        if !x.is_finite() || max_den < 1 {
-            return None;
-        }
-        let neg = x < 0.0;
-        let mut x = x.abs();
-        // Continued-fraction convergents p_k/q_k with the standard seed
-        // p_{-2}/q_{-2} = 0/1, p_{-1}/q_{-1} = 1/0.
-        let (mut p0, mut q0, mut p1, mut q1) = (0i128, 1i128, 1i128, 0i128);
-        let mut best = None;
-        for _ in 0..64 {
-            let a = x.floor();
-            if a > i128::MAX as f64 {
-                break;
-            }
-            let a = a as i128;
-            let p2 = match a.checked_mul(p1).and_then(|v| v.checked_add(p0)) {
-                Some(v) => v,
-                None => break,
-            };
-            let q2 = match a.checked_mul(q1).and_then(|v| v.checked_add(q0)) {
-                Some(v) => v,
-                None => break,
-            };
-            if q2 > max_den {
-                break;
-            }
-            p0 = p1;
-            q0 = q1;
-            p1 = p2;
-            q1 = q2;
-            best = Some(Rational::new(p1, q1));
-            let frac = x - a as f64;
-            if frac < 1e-15 {
-                break;
-            }
-            x = 1.0 / frac;
-        }
-        let r = best?;
-        Some(if neg { -r } else { r })
     }
 }
 
@@ -403,43 +314,6 @@ impl fmt::Display for Rational {
             write!(f, "{}/{}", self.num, self.den)
         }
     }
-}
-
-/// Error parsing a [`Rational`] from text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseRationalError(String);
-
-impl fmt::Display for ParseRationalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid rational literal: {}", self.0)
-    }
-}
-impl std::error::Error for ParseRationalError {}
-
-impl FromStr for Rational {
-    type Err = ParseRationalError;
-
-    /// Parses `"3"`, `"-3"`, or `"3/4"`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bad = || ParseRationalError(s.to_owned());
-        match s.split_once('/') {
-            None => {
-                let n: i128 = s.trim().parse().map_err(|_| bad())?;
-                Ok(Rational::from_int(n))
-            }
-            Some((n, d)) => {
-                let n: i128 = n.trim().parse().map_err(|_| bad())?;
-                let d: i128 = d.trim().parse().map_err(|_| bad())?;
-                Rational::checked_new(n, d).ok_or_else(bad)
-            }
-        }
-    }
-}
-
-/// Sums an iterator of rationals, `None` on overflow.
-pub fn checked_sum<I: IntoIterator<Item = Rational>>(iter: I) -> Option<Rational> {
-    iter.into_iter()
-        .try_fold(Rational::ZERO, Rational::checked_add)
 }
 
 #[cfg(test)]

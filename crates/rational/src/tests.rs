@@ -12,6 +12,9 @@ fn construction_reduces() {
     assert_eq!(r(0, 7).den(), 1);
     assert_eq!(r(6, -4), r(-3, 2));
     assert!(r(6, -4).is_negative());
+    assert_eq!(format!("{}", r(3, 4)), "3/4");
+    assert_eq!(format!("{}", r(4, 1)), "4");
+    assert_eq!(format!("{}", r(-1, 2)), "-1/2");
 }
 
 #[test]
@@ -24,7 +27,7 @@ fn construction_rejects_zero_den() {
 #[test]
 fn constants() {
     assert!(Rational::ZERO.is_zero());
-    assert!(Rational::ONE.is_one());
+    assert_eq!(Rational::ONE, r(1, 1));
     assert_eq!(Rational::ONE_HALF, r(1, 2));
     assert_eq!(Rational::default(), Rational::ZERO);
 }
@@ -36,29 +39,20 @@ fn arithmetic_basics() {
     assert_eq!(r(2, 3) * r(3, 4), r(1, 2));
     assert_eq!(r(2, 3) / r(4, 3), r(1, 2));
     assert_eq!(-r(1, 2), r(-1, 2));
+    assert!(r(1, 2).checked_div(Rational::ZERO).is_none());
 }
 
 #[test]
 fn assign_ops() {
     let mut x = r(1, 2);
     x += r(1, 2);
-    assert!(x.is_one());
+    assert_eq!(x, Rational::ONE);
     x -= r(1, 4);
     assert_eq!(x, r(3, 4));
     x *= r(4, 3);
-    assert!(x.is_one());
+    assert_eq!(x, Rational::ONE);
     x /= r(1, 3);
     assert_eq!(x, r(3, 1));
-}
-
-#[test]
-fn recip_and_pow() {
-    assert_eq!(r(3, 4).recip(), r(4, 3));
-    assert_eq!(r(-3, 4).recip(), r(-4, 3));
-    assert!(Rational::ZERO.checked_recip().is_none());
-    assert_eq!(r(2, 3).checked_pow(0).unwrap(), Rational::ONE);
-    assert_eq!(r(2, 3).checked_pow(3).unwrap(), r(8, 27));
-    assert_eq!(Rational::ZERO.checked_pow(5).unwrap(), Rational::ZERO);
 }
 
 #[test]
@@ -90,32 +84,6 @@ fn to_f64_roundtrip_small() {
 }
 
 #[test]
-fn approximate_f64_exact_fractions() {
-    assert_eq!(Rational::approximate_f64(0.5, 1000).unwrap(), r(1, 2));
-    assert_eq!(Rational::approximate_f64(-0.25, 1000).unwrap(), r(-1, 4));
-    assert_eq!(
-        Rational::approximate_f64(1.0 / 3.0, 1_000_000).unwrap(),
-        r(1, 3)
-    );
-    assert_eq!(Rational::approximate_f64(7.0, 10).unwrap(), r(7, 1));
-    assert!(Rational::approximate_f64(f64::NAN, 10).is_none());
-    assert!(Rational::approximate_f64(f64::INFINITY, 10).is_none());
-}
-
-#[test]
-fn parse_roundtrip() {
-    assert_eq!("3/4".parse::<Rational>().unwrap(), r(3, 4));
-    assert_eq!("-3/4".parse::<Rational>().unwrap(), r(-3, 4));
-    assert_eq!("5".parse::<Rational>().unwrap(), r(5, 1));
-    assert_eq!(" 1 / 2 ".parse::<Rational>().unwrap(), r(1, 2));
-    assert!("1/0".parse::<Rational>().is_err());
-    assert!("abc".parse::<Rational>().is_err());
-    assert_eq!(format!("{}", r(3, 4)), "3/4");
-    assert_eq!(format!("{}", r(4, 1)), "4");
-    assert_eq!(format!("{}", r(-1, 2)), "-1/2");
-}
-
-#[test]
 fn gcd_lcm() {
     assert_eq!(gcd(12, 18), 6);
     assert_eq!(gcd(0, 5), 5);
@@ -124,13 +92,6 @@ fn gcd_lcm() {
     assert_eq!(lcm(4, 6), Some(12));
     assert_eq!(lcm(0, 6), Some(0));
     assert_eq!(lcm(u128::MAX, 2), None);
-}
-
-#[test]
-fn checked_sum_works() {
-    let xs = [r(1, 2), r(1, 3), r(1, 6)];
-    assert_eq!(checked_sum(xs).unwrap(), Rational::ONE);
-    assert_eq!(checked_sum(std::iter::empty()).unwrap(), Rational::ZERO);
 }
 
 #[test]
@@ -214,25 +175,11 @@ proptest! {
     }
 
     #[test]
-    fn prop_parse_display_roundtrip(a in -10_000i128..10_000, b in 1i128..10_000) {
-        let x = Rational::new(a, b);
-        let s = format!("{x}");
-        prop_assert_eq!(s.parse::<Rational>().unwrap(), x);
-    }
-
-    #[test]
     fn prop_floor_ceil_bracket(a in -10_000i128..10_000, b in 1i128..10_000) {
         let x = Rational::new(a, b);
         let fl = Rational::from_int(x.floor());
         let ce = Rational::from_int(x.ceil());
         prop_assert!(fl <= x && x <= ce);
         prop_assert!((ce - fl) <= Rational::ONE);
-    }
-
-    #[test]
-    fn prop_approximate_recovers_small_fractions(a in -100i128..100, b in 1i128..100) {
-        let x = Rational::new(a, b);
-        let back = Rational::approximate_f64(x.to_f64(), 10_000).unwrap();
-        prop_assert_eq!(back, x);
     }
 }

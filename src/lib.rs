@@ -16,7 +16,7 @@
 //! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans, one way in (`Service::submit`), bounded admission that sheds under overload, and round-robin fair dispatch; a `QueryHandle` takes a query's shard slots in order, one batch at a time or all at once (`Service`, `QueryHandle`, `SubmitError`) |
 //! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), and its delta-merged view over live insert/delete buffers (`DeltaIndex`) |
 //! | [`hypergraph`] | query hypergraphs, fractional covers, the cover LP and AGM bounds |
-//! | [`lp`] | the two-phase simplex solver (f64 + exact rational) |
+//! | [`lp`] | the two-phase `f64` simplex and an exact solve of its optimal basis |
 //! | [`rational`] | exact `i128` rationals |
 //! | [`baselines`] (`wcoj-baselines`) | reference implementations no served crate links: hash/sort-merge/nested-loop joins, binary plans, a System-R-style optimizer, the special cases Theorem 5.1 subsumes — the Loomis–Whitney algorithm (§4) with the LW/BT instance shapes, arity-≤2 star/cycle joins (§7.1, Theorem 7.3) and Lemma 7.2's half-integral covers — and the reductions that call the join: relaxed joins (§7.2), FD expansion (§7.3), the algorithmic BT inequality (Corollary 5.3) and Lemma 3.2's tight covers |
 //! | [`datagen`] | every instance family the paper's claims use |
