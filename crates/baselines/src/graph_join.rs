@@ -41,7 +41,7 @@ pub fn join_graph(q: &JoinQuery) -> Result<JoinOutput, QueryError> {
         ));
     }
     let sol = q.optimal_cover()?;
-    let d = decompose(q.hypergraph(), &sol.exact)?;
+    let d = decompose(q.hypergraph(), &sol.exact()?)?;
 
     let mut stats = JoinStats {
         algorithm_used: "graph-join",

@@ -7,8 +7,8 @@
 //!   disjoint from the stars.
 //!
 //! This module *verifies and extracts* that structure from an exact cover
-//! vector (as `agm::optimal_cover` recovers it from the simplex's final
-//! basis), returning a [`HalfIntegralDecomposition`] that
+//! vector (as `CoverSolution::exact` recovers it from the simplex's
+//! final basis), returning a [`HalfIntegralDecomposition`] that
 //! [`crate::graph_join`] evaluates via Theorem 7.3: odd cycles via the
 //! Cycle Lemma 7.1, stars via hash joins, glued with cross products.
 
@@ -224,7 +224,7 @@ mod tests {
     fn triangle_cover_is_one_odd_cycle() {
         let h = Hypergraph::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap();
         let sol = optimal_cover(&h, &[100, 100, 100]).unwrap();
-        let d = decompose(&h, &sol.exact).unwrap();
+        let d = decompose(&h, &sol.exact().unwrap()).unwrap();
         assert!(d.stars.is_empty());
         assert_eq!(d.cycles.len(), 1);
         assert_eq!(d.cycles[0].edges.len(), 3);
@@ -237,7 +237,7 @@ mod tests {
         // vertex 1 → a single star centered at 1.
         let h = Hypergraph::new(3, vec![vec![0, 1], vec![1, 2], vec![0, 2]]).unwrap();
         let sol = optimal_cover(&h, &[10, 10, 1_000_000]).unwrap();
-        let d = decompose(&h, &sol.exact).unwrap();
+        let d = decompose(&h, &sol.exact().unwrap()).unwrap();
         assert_eq!(d.cycles.len(), 0);
         assert_eq!(d.zero_edges, vec![2]);
         assert_eq!(d.stars.len(), 1);
@@ -253,7 +253,7 @@ mod tests {
         )
         .unwrap();
         let sol = optimal_cover(&h, &[50; 5]).unwrap();
-        let d = decompose(&h, &sol.exact).unwrap();
+        let d = decompose(&h, &sol.exact().unwrap()).unwrap();
         assert_eq!(d.cycles.len(), 1);
         assert_eq!(d.cycles[0].edges.len(), 5);
         assert_eq!(d.cycles[0].vertices.len(), 5);
@@ -277,7 +277,7 @@ mod tests {
         // extreme point at 1/2 (Lemma 7.2's proof).
         let h = Hypergraph::new(4, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![0, 3]]).unwrap();
         let sol = optimal_cover(&h, &[70; 4]).unwrap();
-        let d = decompose(&h, &sol.exact).unwrap();
+        let d = decompose(&h, &sol.exact().unwrap()).unwrap();
         assert!(d.cycles.is_empty());
         assert_eq!(d.stars.len(), 2);
         assert_eq!(d.zero_edges.len(), 2);
@@ -288,7 +288,7 @@ mod tests {
         // R(A), S(A,B): A coverable by the unary edge; B needs S.
         let h = Hypergraph::new(2, vec![vec![0], vec![0, 1]]).unwrap();
         let sol = optimal_cover(&h, &[5, 1000]).unwrap();
-        let d = decompose(&h, &sol.exact).unwrap();
+        let d = decompose(&h, &sol.exact().unwrap()).unwrap();
         // x = (1 on S) suffices? S covers both A and B with x_S = 1 and
         // that costs log 1000; using R for A doesn't help since B still
         // needs x_S ≥ 1. So x = (0, 1): one star = {S}.
@@ -384,10 +384,11 @@ mod tests {
             let h = Hypergraph::new(n, edges).unwrap();
             let m = h.num_edges();
             let sol = optimal_cover(&h, &vec![32; m]).unwrap();
-            let d = decompose(&h, &sol.exact);
-            assert!(d.is_ok(), "case {i}: {:?} → {:?}", sol.exact, d.err());
+            let exact = sol.exact().unwrap();
+            let d = decompose(&h, &exact);
+            assert!(d.is_ok(), "case {i}: {exact:?} → {:?}", d.err());
             // all positive vertices covered
-            assert!(uncovered_by_positive(&h, &sol.exact).is_empty(), "case {i}");
+            assert!(uncovered_by_positive(&h, &exact).is_empty(), "case {i}");
         }
     }
 

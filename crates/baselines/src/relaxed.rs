@@ -108,7 +108,7 @@ pub fn relaxed_join(relations: &[Relation], r: usize) -> Result<RelaxedOutput, Q
         let sub_h = Hypergraph::new(n, sub_edges)?;
         let sol = agm::optimal_cover(&sub_h, &sub_sizes)?;
         // Map the support back to original edge indices.
-        let mut support: Vec<usize> = sol.support().iter().map(|&i| edge_ids[i]).collect();
+        let mut support: Vec<usize> = sol.support()?.iter().map(|&i| edge_ids[i]).collect();
         support.sort_unstable();
         if !class_supports.contains(&support) {
             class_supports.push(support);

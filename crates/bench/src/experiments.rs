@@ -476,7 +476,8 @@ pub fn e10_graph_queries(quick: bool) -> Vec<Table> {
         let q = JoinQuery::new(&rels).unwrap();
         let cover = q.optimal_cover().unwrap();
         let decomp =
-            wcoj_baselines::half_integral::decompose(q.hypergraph(), &cover.exact).unwrap();
+            wcoj_baselines::half_integral::decompose(q.hypergraph(), &cover.exact().unwrap())
+                .unwrap();
         let (out, t_g) = time_secs(|| join_graph(&q).unwrap());
         let (nprr, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
         let (nv, t_naive) = time_secs(|| naive::join(&rels));

@@ -17,7 +17,10 @@
 //! the edges, and Theorem 5.1 holds under every one. That order is the
 //! plan's one free choice, and [`JoinPlan::compile`] spends it on the
 //! output: it picks an order whose total order is the output schema, so
-//! the engine's rows come out in the order the client reads them. Two
+//! the engine's rows come out in the order the client reads them, or
+//! failing that one whose total order starts like the schema, so the
+//! shard slots that cut its first two attributes (§5.2) come out in the
+//! client's order and only the rows inside each slot are re-keyed. Two
 //! numberings of the edges therefore meet here. A **QP position** `i`
 //! names `e_{i+1}` of that order; it indexes labels, anchors and cover
 //! vectors. An **input edge** names a relation of the query; it indexes
@@ -31,6 +34,12 @@ use wcoj_hypergraph::Hypergraph;
 /// (6! = 720 trees); larger queries keep input order.
 const SEARCHED_EDGES: usize = 6;
 
+/// How many leading total-order attributes shard slots cut: root shards
+/// range over the first, anchored sub-shards over the second. A plan
+/// whose total order starts with the schema's first `min(2, n)`
+/// attributes emits its slots in schema order.
+pub(crate) const SLOT_ATTRIBUTES: usize = 2;
+
 /// A `PreparedQuery`'s data-independent half: total order, per-relation
 /// trie level orders, and one [`NodePlan`] per reachable QP-tree node.
 pub(crate) struct JoinPlan {
@@ -42,6 +51,10 @@ pub(crate) struct JoinPlan {
     /// Per output column (vertex `v`, the output schema's `v`-th
     /// attribute): its total-order position, where a raw row holds it.
     pub(crate) columns: Vec<usize>,
+    /// How many leading attributes the total order shares with the
+    /// output schema: raw rows already ascend in the schema's first
+    /// `prefix` columns. The order's length when it is the schema.
+    pub(crate) prefix: usize,
     /// How many leading output columns the raw rows must be re-sorted
     /// by: the shortest prefix of the output schema whose removal from
     /// the total order leaves the rest of the schema in order. 0 when the
@@ -149,9 +162,13 @@ impl JoinPlan {
     /// Algorithm 3: orders are tried in lexicographic order, input order
     /// first (all `m!` of them for `m ≤ 6`, input order alone above), and
     /// the first whose Algorithm-4 total order is ascending vertex order —
-    /// the output schema — is taken. When none is, input order stays.
-    /// Each try builds one QP tree and its total order, `O(nodes · m)`;
-    /// the chosen tree is then compiled in `O(nodes · m · n)`.
+    /// the output schema — is taken. When none is, the first whose total
+    /// order agrees with the schema on its first `min(2, n)` attributes
+    /// (the ones shard slots cut) is; the 4-cycle's (C0, C3, C1, C2)
+    /// gives (a, b, d, c). When none is either, input order stays. The
+    /// shared prefix is kept as [`JoinPlan::prefix`]. Each try builds one
+    /// QP tree and its total order, `O(nodes · m)`; the chosen tree is
+    /// then compiled in `O(nodes · m · n)`.
     pub(crate) fn compile(h: &Hypergraph) -> JoinPlan {
         let (edge_order, qp_h, tree, order) = choose_edge_order(h);
         let pos = positions(&order, h.num_vertices());
@@ -185,6 +202,7 @@ impl JoinPlan {
             .expect("an empty tail is in order");
         JoinPlan {
             edge_order,
+            prefix: shared_prefix(&order),
             order,
             columns: pos,
             key_len,
@@ -249,8 +267,10 @@ type Choice = (Vec<usize>, Hypergraph, Option<Box<QpNode>>, Vec<usize>);
 /// [`JoinPlan::compile`]'s order search over `h`'s edge orders.
 fn choose_edge_order(h: &Hypergraph) -> Choice {
     let m = h.num_edges();
+    let streamed = SLOT_ATTRIBUTES.min(h.num_vertices());
     let mut edge_order: Vec<usize> = (0..m).collect();
     let mut input_order: Option<Choice> = None;
+    let mut prefix_order: Option<Choice> = None;
     loop {
         let edges = edge_order.iter().map(|&e| h.edge(e).to_vec()).collect();
         let qp_h = Hypergraph::new(h.num_vertices(), edges).expect("h's own edges");
@@ -259,12 +279,30 @@ fn choose_edge_order(h: &Hypergraph) -> Choice {
         if order.windows(2).all(|w| w[0] < w[1]) {
             return (edge_order, qp_h, tree, order);
         }
-        // Lexicographic order starts at the identity: input order.
-        input_order.get_or_insert_with(|| (edge_order.clone(), qp_h, tree, order));
+        // Lexicographic order starts at the identity, so when no order
+        // starts like the schema, the first one kept is input order.
+        let slot = if shared_prefix(&order) >= streamed {
+            &mut prefix_order
+        } else {
+            &mut input_order
+        };
+        slot.get_or_insert_with(|| (edge_order.clone(), qp_h, tree, order));
         if m > SEARCHED_EDGES || !next_permutation(&mut edge_order) {
-            return input_order.expect("input order was tried first");
+            return prefix_order
+                .or(input_order)
+                .expect("input order was tried first");
         }
     }
+}
+
+/// How many leading attributes of `order` are the schema's own: vertices
+/// `0, 1, …` in that order.
+fn shared_prefix(order: &[usize]) -> usize {
+    order
+        .iter()
+        .enumerate()
+        .take_while(|&(i, &v)| i == v)
+        .count()
 }
 
 /// Steps `p` to its successor in lexicographic order; `false` (leaving
@@ -421,6 +459,7 @@ mod tests {
         assert_eq!(plan.edge_order, [0, 2, 1]);
         assert_eq!(plan.order, [0, 1, 2]);
         assert_eq!((&plan.columns[..], plan.key_len), (&[0, 1, 2][..], 0));
+        assert_eq!(plan.prefix, 3);
         assert_eq!(plan.edge_vertices, [[0, 1], [1, 2], [0, 2]]);
         let root = &plan.nodes[plan.root.unwrap()];
         assert_eq!((root.k, root.arity, root.start), (3, 3, 0));
@@ -483,23 +522,44 @@ mod tests {
     }
 
     #[test]
-    fn four_cycle_keeps_input_order() {
+    fn four_cycle_starts_like_the_schema() {
         // None of the 24 edge orders of A0—A1—A2—A3—A0 yields (0, 1, 2, 3).
+        // Input order gives (1, 2, 0, 3); the first order whose total order
+        // starts (0, 1) is (C0, C3, C1, C2), giving (0, 1, 3, 2).
         let h = Hypergraph::new(4, vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![0, 3]]).unwrap();
         let plan = JoinPlan::compile(&h);
-        assert_eq!(plan.edge_order, [0, 1, 2, 3]);
-        assert_eq!(plan.order, [1, 2, 0, 3]);
-        // Attribute 0 sits at position 2; without it the order is 1, 2, 3.
-        assert_eq!((&plan.columns[..], plan.key_len), (&[2, 0, 1, 3][..], 1));
+        assert_eq!(plan.edge_order, [0, 3, 1, 2]);
+        assert_eq!(plan.order, [0, 1, 3, 2]);
+        // Rows ascend in (0, 1); attribute 2 sits after 3, so the key runs
+        // through it.
+        assert_eq!(plan.prefix, 2);
+        assert_eq!((&plan.columns[..], plan.key_len), (&[0, 1, 3, 2][..], 3));
     }
 
     #[test]
     fn the_star_re_sorts_by_its_center_alone() {
-        // R(0,1) S(0,2) T(0,3): the center is bound after the leaves.
+        // R(0,1) S(0,2) T(0,3): the center is bound after the leaves under
+        // every edge order, so input order stays.
         let h = Hypergraph::new(4, vec![vec![0, 1], vec![0, 2], vec![0, 3]]).unwrap();
         let plan = JoinPlan::compile(&h);
+        assert_eq!(plan.edge_order, [0, 1, 2]);
         assert_eq!(plan.order, [1, 2, 0, 3]);
-        assert_eq!(plan.key_len, 1);
+        assert_eq!((plan.prefix, plan.key_len), (0, 1));
+    }
+
+    #[test]
+    fn a_prefix_order_is_taken_only_without_a_schema_order() {
+        // The path R(0,1) S(1,2) has a schema order (R, S); its first
+        // order is taken even though (S, R) is tried later.
+        let path = Hypergraph::new(3, vec![vec![1, 2], vec![0, 1]]).unwrap();
+        let plan = JoinPlan::compile(&path);
+        assert_eq!((&plan.order[..], plan.prefix), (&[0, 1, 2][..], 3));
+        // The 2-star R(0,1) S(0,2) binds its center last under both
+        // orders: neither starts like the schema, input order stays.
+        let two_star = Hypergraph::new(3, vec![vec![0, 1], vec![0, 2]]).unwrap();
+        let plan = JoinPlan::compile(&two_star);
+        assert_eq!(plan.edge_order, [0, 1]);
+        assert_eq!((plan.order[0], plan.prefix), (1, 0));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! ([`FlatIndex`] by default, a delta-merged view via
 //! `PreparedQuery::<DeltaIndex>::from_shared`).
 
-use super::plan::JoinPlan;
+use super::plan::{JoinPlan, SLOT_ATTRIBUTES};
 use super::{run_plan, RootShard};
 use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
@@ -173,7 +173,8 @@ impl<S: SearchTree> PreparedQuery<S> {
 
     /// The edge order `e₁, …, e_m` Algorithm 3 built the QP tree from, as
     /// input edge indexes: the first order whose total order is the
-    /// output schema, or input order when none is.
+    /// output schema; else the first whose total order starts with the
+    /// schema's first `min(2, n)` attributes; else input order.
     #[must_use]
     pub fn edge_order(&self) -> &[usize] {
         &self.plan.edge_order
@@ -387,9 +388,11 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// the total order leaves the rest of the schema in order; a stable
     /// re-key on that prefix alone ([`RowBuf::rekey`]) yields schema
     /// order, and distinct rows stay distinct, so nothing is compared
-    /// whole and nothing is deduplicated. When the total order is the
-    /// output schema ([`Self::slots_stream_sorted`]) the rows are adopted
-    /// as they are.
+    /// whole and nothing is deduplicated. Where the total order starts
+    /// like the schema, the re-key only reorders the rows inside each run
+    /// of that shared prefix — for the 4-cycle's (a, b, d, c), each
+    /// (a, b) run by c. When the total order is the output schema the
+    /// rows are adopted as they are.
     ///
     /// # Errors
     /// [`StorageError::ArityMismatch`] (as a [`QueryError`]) if a slot's
@@ -414,7 +417,8 @@ impl<S: SearchTree> PreparedQuery<S> {
                 Relation::nullary_true()
             }
         } else {
-            let rows = RowBuf::rekey(slots, &self.plan.columns, self.plan.key_len);
+            let plan = &self.plan;
+            let rows = RowBuf::rekey(slots, &plan.columns, plan.prefix, plan.key_len);
             Relation::from_flat(schema, rows.into_data())?
         };
         if got != width {
@@ -427,20 +431,24 @@ impl<S: SearchTree> PreparedQuery<S> {
         Ok(relation)
     }
 
-    /// `true` iff the total order is the output schema, so concatenating
-    /// [`Self::assemble_slots`] relations of single slots in slot (=
-    /// ascending root-range) order reproduces the whole output
-    /// **bit-identically, including row order**: each slot's rows are
-    /// adopted as the engine emitted them. The plan picks its edge order
-    /// to make this `true` whenever some order can ([`Self::edge_order`]):
-    /// the triangle and every single-relation query stream. When it is
-    /// `false` (e.g. the 4-cycle, whose total order starts at attribute 1
-    /// under every edge order), a slot's assembly is sorted within the
-    /// slot only, and a consumer assembles the slots together to get the
-    /// output.
+    /// `true` iff concatenating [`Self::assemble_slots`] relations of
+    /// single slots in slot order reproduces the whole output
+    /// **bit-identically, including row order**: the total order starts
+    /// with the output schema's first `min(2, n)` attributes. Root slots
+    /// cut the total order's first attribute and anchored sub-shards its
+    /// second, so slots then follow each other in schema order, and each
+    /// slot's assembly sorts the rows inside it. The plan picks its edge
+    /// order to make this `true` whenever some order can
+    /// ([`Self::edge_order`]): the triangle and every single-relation
+    /// query adopt each slot's rows as the engine emitted them, and the
+    /// 4-cycle's (a, b, d, c) re-keys each (a, b) run of a slot by c. When
+    /// it is `false` (the star and the 2-star, whose center comes after
+    /// its leaves under every edge order), a slot's assembly is sorted
+    /// within the slot only, and a consumer assembles the slots together
+    /// to get the output.
     #[must_use]
     pub fn slots_stream_sorted(&self) -> bool {
-        self.plan.key_len == 0
+        self.plan.prefix >= SLOT_ATTRIBUTES.min(self.plan.order.len())
     }
 
     /// Evaluates with the given fractional cover, or the LP optimum when
@@ -839,19 +847,19 @@ mod tests {
 
     #[test]
     fn slot_assembly_needs_a_merge_when_order_is_not_canonical() {
-        // The 4-cycle's total order is (1, 2, 0, 3) under every edge
-        // order: slots stream in root-attribute-major order, which is NOT
-        // the output's lex order — the predicate must say so. A buffered
-        // merge of the slot relations (push + sort_dedup) reproduces the
-        // output, and so does assembling the slots' raw rows together.
+        // The star R(0,1) S(0,2) T(0,3) binds its center after the leaves
+        // under every edge order, so its total order is (1, 2, 0, 3):
+        // slots stream in root-attribute-major order, which is NOT the
+        // output's lex order — the predicate must say so. A buffered merge
+        // of the slot relations (push + sort_dedup) reproduces the output,
+        // and so does assembling the slots' raw rows together.
         let rels = [
             random_rel(41, &[0, 1], 60, 8),
-            random_rel(42, &[1, 2], 60, 8),
-            random_rel(43, &[2, 3], 60, 8),
-            random_rel(44, &[0, 3], 60, 8),
+            random_rel(42, &[0, 2], 60, 8),
+            random_rel(43, &[0, 3], 60, 8),
         ];
         let prepared = PreparedQuery::new(&rels).unwrap();
-        assert_eq!(prepared.edge_order(), [0, 1, 2, 3], "input order kept");
+        assert_eq!(prepared.edge_order(), [0, 1, 2], "input order kept");
         assert_eq!(prepared.total_order()[0], 1, "root attribute is 1");
         assert!(!prepared.slots_stream_sorted());
         let full = prepared.evaluate(None).unwrap().relation;

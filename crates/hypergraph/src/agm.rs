@@ -9,26 +9,27 @@
 //!
 //! The best bound minimises `Σ_e (log N_e)·x_e` over the cover polytope.
 //! This module builds that LP and solves it once, with the `f64` simplex;
-//! the engine runs that vertex. The same vertex is then recovered exactly
-//! from the simplex's final basis (the constraints are 0/1 with right-hand
-//! side 1, so that basis system is exact), so its support and
-//! half-integrality are exact facts about the cover the engine runs.
+//! the engine runs that vertex. On demand ([`CoverSolution::exact`]) the
+//! same vertex is recovered exactly from the simplex's final basis (the
+//! constraints are 0/1 with right-hand side 1, so that basis system is
+//! exact), so its support and half-integrality are exact facts about the
+//! cover the engine runs. Planning never asks for it.
 
 use crate::cover::{validate_cover, COVER_EPS};
 use crate::{HgError, Hypergraph};
-use wcoj_lp::{solve, LinearProgram, Status};
+use wcoj_lp::{solve, LinearProgram, Solution, Status};
 use wcoj_rational::Rational;
 
-/// An optimal (or caller-supplied) fractional cover with its AGM bound.
+/// An optimal fractional cover with its AGM bound.
 #[derive(Debug, Clone)]
 pub struct CoverSolution {
     /// Cover weights per edge (`f64`).
     pub x: Vec<f64>,
-    /// The vertex `x` in exact arithmetic, solved from the simplex's final
-    /// basis: a vertex of the cover polytope with `x` as its `f64` image.
-    pub exact: Vec<Rational>,
     /// `log₂` of the AGM bound `∏ N_e^{x_e}`.
     pub log2_bound: f64,
+    /// The simplex's solution, whose final basis [`CoverSolution::exact`]
+    /// solves again in exact arithmetic.
+    lp: Solution,
 }
 
 impl CoverSolution {
@@ -39,15 +40,28 @@ impl CoverSolution {
         self.log2_bound.exp2()
     }
 
+    /// The vertex `x` in exact arithmetic, solved from the simplex's final
+    /// basis when asked for: a vertex of the cover polytope with `x` as
+    /// its `f64` image, so the same vertex the engine runs.
+    ///
+    /// # Errors
+    /// [`HgError::Lp`] if the basis solve overflows or the basis is not an
+    /// exact vertex.
+    pub fn exact(&self) -> Result<Vec<Rational>, HgError> {
+        self.lp
+            .exact_vertex()
+            .map_err(|e| HgError::Lp(e.to_string()))
+    }
+
     /// Support of the exact vertex — `BFS(S)` in the paper's §7.2 notation.
-    #[must_use]
-    pub fn support(&self) -> Vec<usize> {
-        self.exact
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_positive())
-            .map(|(i, _)| i)
-            .collect()
+    ///
+    /// # Errors
+    /// As [`CoverSolution::exact`].
+    pub fn support(&self) -> Result<Vec<usize>, HgError> {
+        let exact = self.exact()?;
+        Ok((0..exact.len())
+            .filter(|&e| exact[e].is_positive())
+            .collect())
     }
 }
 
@@ -88,13 +102,11 @@ pub fn optimal_cover(h: &Hypergraph, sizes: &[usize]) -> Result<CoverSolution, H
     if sol.status != Status::Optimal {
         return Err(HgError::Lp(format!("unexpected status {:?}", sol.status)));
     }
-    let exact = sol.exact_vertex().map_err(|e| HgError::Lp(e.to_string()))?;
     debug_assert!(validate_cover(h, &sol.x).is_ok());
-    let log2_bound = log2_bound(sizes, &sol.x);
     Ok(CoverSolution {
-        x: sol.x,
-        exact,
-        log2_bound,
+        x: sol.x.clone(),
+        log2_bound: log2_bound(sizes, &sol.x),
+        lp: sol,
     })
 }
 
@@ -156,9 +168,9 @@ mod tests {
         for v in &sol.x {
             assert!((v - 0.5).abs() < 1e-6);
         }
-        assert_eq!(sol.exact, vec![Rational::ONE_HALF; 3]);
+        assert_eq!(sol.exact().unwrap(), vec![Rational::ONE_HALF; 3]);
         assert!((sol.bound() - 1e6).abs() / 1e6 < 1e-6);
-        assert_eq!(sol.support(), vec![0, 1, 2]);
+        assert_eq!(sol.support().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -168,8 +180,8 @@ mod tests {
         let h = triangle();
         let sol = optimal_cover(&h, &[10, 10, 1_000_000]).unwrap();
         assert!((sol.bound() - 100.0).abs() < 1e-6);
-        assert_eq!(sol.support(), vec![0, 1]);
-        assert_eq!(sol.exact[2], Rational::ZERO);
+        assert_eq!(sol.support().unwrap(), vec![0, 1]);
+        assert_eq!(sol.exact().unwrap()[2], Rational::ZERO);
     }
 
     #[test]
@@ -182,7 +194,7 @@ mod tests {
         .unwrap();
         let n = 1000usize;
         let sol = optimal_cover(&h, &[n, n, n, n]).unwrap();
-        assert_eq!(sol.exact, vec![Rational::new(1, 3); 4]);
+        assert_eq!(sol.exact().unwrap(), vec![Rational::new(1, 3); 4]);
         let expect = (n as f64).powf(4.0 / 3.0);
         assert!((sol.bound() - expect).abs() / expect < 1e-6);
     }
@@ -241,26 +253,27 @@ mod tests {
         // constraints force x_R ≥ 1 and x_S ≥ 1. AGM bound N·M.
         let h = Hypergraph::new(3, vec![vec![0, 1], vec![1, 2]]).unwrap();
         let sol = optimal_cover(&h, &[100, 50]).unwrap();
-        assert_eq!(sol.exact, vec![Rational::ONE, Rational::ONE]);
+        assert_eq!(sol.exact().unwrap(), vec![Rational::ONE, Rational::ONE]);
         assert!((sol.bound() - 5000.0).abs() < 1e-6);
     }
 
-    /// `sol.exact` is an exactly feasible cover, equals `x` within the
+    /// `sol.exact()` is an exactly feasible cover, equals `x` within the
     /// simplex's tolerance, has `x`'s support and gives `x`'s bound.
     fn assert_exact_is_x(h: &Hypergraph, sizes: &[usize], sol: &CoverSolution, case: &str) {
-        assert!(sol.exact.iter().all(|v| !v.is_negative()), "{case}");
+        let exact = sol.exact().unwrap();
+        assert!(exact.iter().all(|v| !v.is_negative()), "{case}");
         for v in 0..h.num_vertices() {
             let covered = (0..h.num_edges())
                 .filter(|&e| h.edge_contains(e, v))
-                .fold(Rational::ZERO, |acc, e| acc + sol.exact[e]);
+                .fold(Rational::ZERO, |acc, e| acc + exact[e]);
             assert!(covered >= Rational::ONE, "{case}: vertex {v} uncovered");
         }
-        let exact = crate::cover::to_f64(&sol.exact);
+        let exact = crate::cover::to_f64(&exact);
         for (a, b) in exact.iter().zip(&sol.x) {
             assert!((a - b).abs() <= F64_EPS, "{case}: {exact:?} vs {:?}", sol.x);
         }
         let x_support: Vec<usize> = (0..sol.x.len()).filter(|&e| sol.x[e] > F64_EPS).collect();
-        assert_eq!(sol.support(), x_support, "{case}");
+        assert_eq!(sol.support().unwrap(), x_support, "{case}");
         assert!(
             (log2_bound(sizes, &exact) - sol.log2_bound).abs() < 1e-9,
             "{case}"

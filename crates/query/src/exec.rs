@@ -900,9 +900,11 @@ mod tests {
     #[test]
     fn submit_query_matches_sequential_evaluation_on_every_route() {
         // Every next_batch branch — a full head in schema order (streams
-        // slot by slot), a permuted full head (merge), a projecting head
-        // (merge + project) and the 4-cycle (no output-ordered plan, so
-        // merge) — with and without a service, against sequential
+        // slot by slot), the 4-cycle (its total order (a, b, d, c) starts
+        // like the schema, so it streams too, each slot re-keyed), a
+        // permuted full head (merge), a projecting head (merge + project)
+        // and the 2-star (its center comes last under every edge order,
+        // so merge) — with and without a service, against sequential
         // evaluation of the bound plan plus the head projection.
         use wcoj_service::{Service, ServiceConfig};
         let mut c = Catalog::new();
@@ -920,8 +922,9 @@ mod tests {
             ("Ans(x) :- E(x, y), E(y, z), E(x, z).", false),
             (
                 "Ans(a, b, c, d) :- E(a, b), E(b, c), E(c, d), E(d, a).",
-                false,
+                true,
             ),
+            ("Ans(x, y, z) :- E(x, y), E(x, z).", false),
         ] {
             let q = parse_query(text).unwrap();
             let bound = bind(&q, &c).unwrap();
@@ -959,7 +962,11 @@ mod tests {
                 assert_eq!(collected.columns, q.head_vars);
             }
         }
-        assert_eq!(service.counters().submitted, 8, "two submissions per query");
+        assert_eq!(
+            service.counters().submitted,
+            10,
+            "two submissions per query"
+        );
     }
 
     #[test]

@@ -42,14 +42,17 @@
 //!
 //! Shard reassembly in the service is slot-ordered: output slots
 //! partition the result into disjoint `(root, anchor)` rectangles in
-//! ascending slot order. When the plan's total order is the output
-//! schema (so concatenating settled slots reproduces the final output
-//! byte-for-byte — `PreparedQuery::slots_stream_sorted`; the planner
-//! picks its atom order to make it so, e.g. for the full triangle), each
-//! root slot's rows go out as an HTTP chunk the moment that slot
-//! settles, *before* later shards finish. Otherwise (e.g. the 4-cycle)
+//! ascending slot order, cut on the plan's first two total-order
+//! attributes. When the total order starts with the output schema's
+//! first two attributes (so concatenating settled slots reproduces the
+//! final output byte-for-byte — `PreparedQuery::slots_stream_sorted`;
+//! the planner picks its atom order to make it so: the full triangle's
+//! total order is the schema, the 4-cycle's is (a, b, d, c) and each
+//! slot is re-keyed inside its (a, b) runs), each slot's rows go out as
+//! an HTTP chunk the moment that slot settles, *before* later shards
+//! finish. Otherwise (the star and the 2-star, whose center comes last)
 //! the slots are assembled together, their rows re-keyed into schema
-//! order without a sort, and sent as one chunk; the `X-Streaming` response
+//! order, and sent as one chunk; the `X-Streaming` response
 //! header says which mode was used. A Datalog program runs eagerly on a
 //! copy-on-write fork of the catalog, off the write lock; its derived
 //! relations are registered all at once when every rule succeeded, and

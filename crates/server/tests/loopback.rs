@@ -21,6 +21,8 @@ struct Response {
     /// `true` iff the response was chunked and the terminating
     /// zero-chunk never arrived (the server aborted mid-stream).
     truncated: bool,
+    /// Data chunks received (0 for an unchunked response).
+    chunks: usize,
 }
 
 impl Response {
@@ -75,10 +77,12 @@ fn parse_response(raw: &[u8]) -> Response {
             headers,
             body: raw_body.to_vec(),
             truncated: false,
+            chunks: 0,
         };
     }
     // Dechunk; a missing zero-chunk terminator marks truncation.
     let mut body = Vec::new();
+    let mut chunks = 0;
     let mut rest = raw_body;
     let truncated = loop {
         let Some(line_end) = rest.windows(2).position(|w| w == b"\r\n") else {
@@ -94,6 +98,7 @@ fn parse_response(raw: &[u8]) -> Response {
             break true;
         }
         body.extend_from_slice(&rest[..size]);
+        chunks += 1;
         rest = &rest[size + 2..];
     };
     Response {
@@ -101,6 +106,7 @@ fn parse_response(raw: &[u8]) -> Response {
         headers,
         body,
         truncated,
+        chunks,
     }
 }
 
@@ -586,6 +592,34 @@ fn full_triangle_streams_incrementally_over_int_and_string_data() {
         assert_eq!(r.header("x-streaming"), Some("buffered"), "{kind}");
         assert_eq!(r.text(), expected, "{kind}: materialized body");
     }
+}
+
+/// The 4-cycle has no atom order whose total order is the schema, but
+/// (R, U, S, T) gives (a, b, d, c), which starts like it: its root and
+/// anchor slots come out in schema order, each re-keyed inside its
+/// (a, b) runs, so it streams too — one chunk per slot, byte-equal to
+/// the sequential run.
+#[test]
+fn four_cycle_streams_incrementally_in_schema_order() {
+    let (server, _service) = streaming_server(0);
+    let addr = server.addr();
+    let csv = edge_csv(300);
+    let r = request(addr, "PUT", "/relation/E", Some(&csv));
+    assert_eq!(r.status, 200, "{}", r.text());
+    let query = "cyc(a, b, c, d) :- E(a, b), E(b, c), E(c, d), E(d, a).";
+    let (_, expected) = expected_csv(&csv, query);
+    assert!(expected.lines().count() > 50, "a non-trivial answer");
+
+    let r = request(addr, "POST", "/query", Some(query));
+    assert_eq!(r.status, 202, "{}", r.text());
+    assert!(r.text().contains("\"streaming\":true"), "{}", r.text());
+    let id = extract_id(r.text());
+    let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
+    assert_eq!(r.status, 200);
+    assert_eq!(r.header("x-streaming"), Some("incremental"));
+    assert!(!r.truncated);
+    assert!(r.chunks >= 2, "one chunk per slot, got {}", r.chunks);
+    assert_eq!(r.text(), expected, "streamed body");
 }
 
 #[test]

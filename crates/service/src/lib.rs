@@ -873,8 +873,12 @@ impl QueryHandle {
     }
 
     /// `true` iff concatenating the per-slot batches in order reproduces
-    /// the full output byte-for-byte (the prepared total order already
-    /// matches the output schema). When `false` the consumer must merge:
+    /// the full output byte-for-byte: the prepared total order starts
+    /// with the output schema's first `min(2, n)` attributes, the ones
+    /// the slots cut, so slots follow each other in schema order and each
+    /// batch is sorted within its slot (the triangle adopts its rows, the
+    /// 4-cycle re-keys each (a, b) run). When `false` (the star and the
+    /// 2-star) the consumer must merge:
     /// take the remaining slots at once with
     /// [`next_merged`](QueryHandle::next_merged), or concatenate all
     /// batches and sort + dedup once.
@@ -2071,8 +2075,11 @@ mod tests {
     #[test]
     fn next_merged_yields_the_remaining_slots_as_one_sorted_batch() {
         let service = Service::new(ServiceConfig::with_workers(2));
-        // The 4-cycle has no output-ordered plan.
-        let rels = wcoj_datagen::cycle_instance(61, 4, 150, 14);
+        // The star R(0,1) S(0,2) T(0,3) binds its center last under every
+        // edge order: its slots do not stream.
+        let rels: Vec<Relation> = (1..=3u32)
+            .map(|leaf| wcoj_datagen::random_relation(60 + u64::from(leaf), &[0, leaf], 80, 12))
+            .collect();
         let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         assert!(!prepared.slots_stream_sorted(), "the merge is needed");
         let cfg = ExecConfig {
@@ -2144,7 +2151,8 @@ mod tests {
 
     /// `next_batch` per slot, `next_merged` after a mid-stream cut and
     /// `wait` each equal the old reorder → `sort_dedup` of the slots they
-    /// take, and `wait` is the sequential output.
+    /// take, and `wait` is the sequential output. When the handle is
+    /// `ordered`, the `next_batch` batches concatenate to it.
     fn handle_batches_match_the_old_merge<S>(
         service: &Service,
         prepared: &Arc<PreparedQuery<S>>,
@@ -2157,7 +2165,6 @@ mod tests {
             shard_min_size: 1,
             ..service.exec_config()
         };
-        assert!(!prepared.slots_stream_sorted(), "{ctx}: the shape re-keys");
         let (x, bound) = prepared.resolve_cover(None).unwrap();
         let slots: Vec<RowBuf> = service
             .shard_layout(&**prepared, &cfg)
@@ -2175,6 +2182,8 @@ mod tests {
         assert_eq!(&waited.relation, expected, "{ctx}: wait is the output");
 
         let mut handle = service.submit(prepared, &cfg).unwrap();
+        assert_eq!(handle.ordered(), prepared.slots_stream_sorted(), "{ctx}");
+        let mut streamed = Relation::empty(expected.schema().clone());
         for (i, slot) in slots.iter().enumerate() {
             let batch = handle.next_batch().unwrap().unwrap();
             let want = reorder_then_sort(prepared, std::slice::from_ref(slot));
@@ -2183,8 +2192,15 @@ mod tests {
                 (i, &want),
                 "{ctx}: next_batch"
             );
+            batch
+                .relation
+                .iter_rows()
+                .for_each(|row| streamed.push_row(row).unwrap());
         }
         assert!(handle.next_batch().is_none());
+        if handle.ordered() {
+            assert_eq!(&streamed, expected, "{ctx}: the batches are the output");
+        }
 
         let cut = slots.len() / 2;
         let mut handle = service.submit(prepared, &cfg).unwrap();
@@ -2203,15 +2219,25 @@ mod tests {
     #[test]
     fn handle_batches_match_the_old_merge_on_flat_and_live_buffers() {
         let service = Service::new(ServiceConfig::with_workers(2));
-        let star: Vec<Relation> = (1..=3u32)
-            .map(|leaf| wcoj_datagen::random_relation(u64::from(leaf), &[0, leaf], 80, 12))
-            .collect();
-        for (name, rels) in [
-            ("4-cycle", wcoj_datagen::cycle_instance(61, 4, 150, 14)),
-            ("star", star),
+        let star = |leaves: u32| -> Vec<Relation> {
+            (1..=leaves)
+                .map(|leaf| wcoj_datagen::random_relation(u64::from(leaf), &[0, leaf], 80, 12))
+                .collect()
+        };
+        // The 4-cycle streams, re-keying within each (a, b) run; the star
+        // and the 2-star bind their center last and merge.
+        for (name, rels, ordered) in [
+            (
+                "4-cycle",
+                wcoj_datagen::cycle_instance(61, 4, 150, 14),
+                true,
+            ),
+            ("2-star", star(2), false),
+            ("star", star(3), false),
         ] {
             let expected = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
             let flat = Arc::new(PreparedQuery::new(&rels).unwrap());
+            assert_eq!(flat.slots_stream_sorted(), ordered, "{name}");
             handle_batches_match_the_old_merge(&service, &flat, &expected, name);
             let live = live_delta(&rels);
             let ctx = format!("{name}, live buffers");

@@ -126,34 +126,48 @@ impl RowBuf {
     /// another column order S, sorted in S: the join engine's raw rows
     /// (T its total order) as the output schema wants them. `slots` are
     /// consecutive pieces of one T-ascending sequence, in order. Output
-    /// column `s` is input column `columns[s]`, and `key` is the length
-    /// of the shortest prefix of S whose removal from T leaves the rest
-    /// of S in order: `columns[key..]` ascends.
+    /// column `s` is input column `columns[s]`. The two orders share their
+    /// first `prefix` columns (`columns[..prefix]` is `0..prefix`), and
+    /// `key` is the length of the shortest prefix of S whose removal from
+    /// T leaves the rest of S in order: `columns[key..]` ascends.
     ///
-    /// Rows that agree on `S[..key]` then already follow S among
-    /// themselves, so a *stable* sort on those `key` columns alone puts
-    /// the rows in S order, and distinct rows stay distinct: no row is
-    /// compared whole and none is deduplicated. `key == 0` means T is S:
-    /// the rows are adopted as they are, the first slot's buffer growing
-    /// to take each later one as `slots` yields it. Otherwise one key
-    /// column whose values span less than `COUNTING_SPAN` times the row
-    /// count is placed by one counting pass; any other key stable-sorts
-    /// `u32` row indices. Either way one scatter writes each permuted row
-    /// once, straight from the slots.
+    /// `key ≤ prefix` means T is S: the rows are adopted as they are, the
+    /// first slot's buffer growing to take each later one as `slots`
+    /// yields it. Otherwise the rows already ascend in `S[..prefix]`, so
+    /// only each run of rows equal there is reordered. With no shared
+    /// prefix and `key == 1`, rows that agree on `S[0]` already follow S
+    /// among themselves, so when that column's values span less than
+    /// `COUNTING_SPAN` times the row count one stable counting pass on it
+    /// places every row. Any other case sorts each run in S order; the
+    /// rows are distinct, so that order is total and an unstable sort,
+    /// which needs no scratch buffer, is exact. That takes one buffer of
+    /// row references per call, however many runs there are: the
+    /// 4-cycle's (a, b, d, c) sorts each (a, b) run on (c, d). Either way
+    /// each permuted row is written once, straight from the slots, and
+    /// none is deduplicated.
     ///
     /// # Panics
-    /// If a slot is not `columns.len()` wide, `key` exceeds it or
-    /// `columns[key..]` does not ascend, or a key needs the index sort
-    /// over `2³²` rows or more. Debug builds also check that the rows
-    /// ascend strictly in T, across slot boundaries too.
+    /// If a slot is not `columns.len()` wide, `prefix` or `key` exceeds
+    /// it, `columns[..prefix]` is not `0..prefix` or `columns[key..]` does
+    /// not ascend. Debug builds also check that the rows ascend strictly
+    /// in T, across slot boundaries too.
     #[must_use]
-    pub fn rekey(slots: impl IntoIterator<Item = RowBuf>, columns: &[usize], key: usize) -> RowBuf {
+    pub fn rekey(
+        slots: impl IntoIterator<Item = RowBuf>,
+        columns: &[usize],
+        prefix: usize,
+        key: usize,
+    ) -> RowBuf {
         let arity = columns.len();
+        assert!(
+            columns[..prefix].iter().enumerate().all(|(t, &c)| t == c),
+            "S[..prefix] is T[..prefix]"
+        );
         assert!(columns[key..].is_sorted(), "S[key..] keeps its T order");
         let mut slots = slots
             .into_iter()
             .inspect(|s| assert_eq!(s.arity, arity, "row width"));
-        if key == 0 {
+        if key <= prefix {
             let mut out = slots.next().unwrap_or_else(|| RowBuf::new(arity));
             for slot in slots {
                 out.data.extend_from_slice(&slot.data);
@@ -174,74 +188,56 @@ impl RowBuf {
         if len == 0 {
             return RowBuf::new(arity);
         }
-        // The key columns of every row, packed: one pass over the rows,
-        // and every later pass reads these instead of the rows.
-        let mut keys = Vec::with_capacity(len * key);
-        for row in slots.iter().flat_map(|s| s.data.chunks_exact(arity)) {
-            for &c in &columns[..key] {
-                keys.push(row[c]);
-            }
-        }
+        let rows = || slots.iter().flat_map(|s| s.data.chunks_exact(arity));
         let mut out = RowBuf {
             arity,
             len,
             data: vec![Value(0); len * arity],
         };
-        let span = (key == 1).then(|| {
+        if prefix == 0 && key == 1 {
+            // The one key column, packed: one pass over the rows, and
+            // every later pass reads it instead of the rows.
+            let mut keys = Vec::with_capacity(len);
+            keys.extend(rows().map(|row| row[columns[0]]));
             let widen = |(lo, hi): (u64, u64), v: &Value| (lo.min(v.0), hi.max(v.0));
-            keys.iter().fold((u64::MAX, 0), widen)
-        });
-        if let Some((lo, hi)) =
-            span.filter(|&(lo, hi)| hi - lo < COUNTING_SPAN.saturating_mul(len as u64))
-        {
-            // next[v - lo]: where the next row keyed v goes.
-            let mut next = vec![0usize; (hi - lo) as usize + 1];
-            for v in &keys {
-                next[(v.0 - lo) as usize] += 1;
+            let (lo, hi) = keys.iter().fold((u64::MAX, 0), widen);
+            if hi - lo < COUNTING_SPAN.saturating_mul(len as u64) {
+                // next[v - lo]: where the next row keyed v goes.
+                let mut next = vec![0usize; (hi - lo) as usize + 1];
+                for v in &keys {
+                    next[(v.0 - lo) as usize] += 1;
+                }
+                let mut at = 0;
+                for n in &mut next {
+                    (*n, at) = (at, at + *n);
+                }
+                for (row, v) in rows().zip(&keys) {
+                    let n = &mut next[(v.0 - lo) as usize];
+                    put(&mut out.data, *n, row, columns);
+                    *n += 1;
+                }
+                return out;
             }
-            let mut at = 0;
-            for n in &mut next {
-                (*n, at) = (at, at + *n);
-            }
-            scatter(&slots, columns, &mut out.data, |i| {
-                let n = &mut next[(keys[i].0 - lo) as usize];
-                *n += 1;
-                *n - 1
-            });
-        } else {
-            let n = u32::try_from(len).expect("an index sort places fewer than 2^32 rows");
-            let key_of = |i: u32| &keys[i as usize * key..][..key];
-            let mut order: Vec<u32> = (0..n).collect();
-            order.sort_by(|&a, &b| key_of(a).cmp(key_of(b)));
-            // rank[i]: the output row of input row i.
-            let mut rank = vec![0u32; len];
-            for (r, &i) in (0..n).zip(&order) {
-                rank[i as usize] = r;
-            }
-            scatter(&slots, columns, &mut out.data, |i| rank[i] as usize);
+        }
+        let mut sorted = Vec::with_capacity(len);
+        sorted.extend(rows());
+        let rest = &columns[prefix..];
+        for run in sorted.chunk_by_mut(|a, b| a[..prefix] == b[..prefix]) {
+            run.sort_unstable_by(|a, b| rest.iter().map(|&c| a[c]).cmp(rest.iter().map(|&c| b[c])));
+        }
+        for (at, row) in sorted.into_iter().enumerate() {
+            put(&mut out.data, at, row, columns);
         }
         out
     }
 }
 
-/// Writes row `i` of `slots` (counted across them, arity ≥ 1), its
-/// columns permuted by `columns`, to output row `dest(i)` of `out`.
-fn scatter(
-    slots: &[RowBuf],
-    columns: &[usize],
-    out: &mut [Value],
-    mut dest: impl FnMut(usize) -> usize,
-) {
+/// Writes `row`, its columns permuted by `columns`, to output row `at`
+/// of `out` (arity ≥ 1).
+fn put(out: &mut [Value], at: usize, row: &[Value], columns: &[usize]) {
     let arity = columns.len();
-    let mut i = 0;
-    for slot in slots {
-        for row in slot.data.chunks_exact(arity) {
-            let at = dest(i) * arity;
-            for (o, &c) in out[at..at + arity].iter_mut().zip(columns) {
-                *o = row[c];
-            }
-            i += 1;
-        }
+    for (o, &c) in out[at * arity..][..arity].iter_mut().zip(columns) {
+        *o = row[c];
     }
 }
 
@@ -317,7 +313,7 @@ mod tests {
         let mut b = RowBuf::new(2);
         b.push_row(&vals(&[3, 4]));
         // Key 0: the columns stay, the slots are concatenated.
-        let mut a = RowBuf::rekey(vec![a, b], &[0, 1], 0);
+        let mut a = RowBuf::rekey(vec![a, b], &[0, 1], 0, 0);
         assert_eq!(a.data, vals(&[1, 2, 3, 4]));
         let cap = a.data.capacity();
         a.reset(1);
@@ -378,10 +374,10 @@ mod tests {
         (columns, rng.gen_range(shortest..=arity))
     }
 
-    fn check(slots: Vec<RowBuf>, columns: &[usize], key: usize, ctx: &str) {
+    fn check(slots: Vec<RowBuf>, columns: &[usize], prefix: usize, key: usize, ctx: &str) {
         let want = reorder_then_sort(&slots, columns);
         let n = slots.iter().map(RowBuf::len).sum();
-        let got = RowBuf::rekey(slots, columns, key);
+        let got = RowBuf::rekey(slots, columns, prefix, key);
         assert_eq!((got.arity(), got.len()), (columns.len(), n), "{ctx}");
         assert_eq!(got.into_data(), want, "{ctx}");
     }
@@ -402,7 +398,13 @@ mod tests {
             let base = rng.gen_range(0..3u64) * 1_000_000;
             let n = rng.gen_range(0..200);
             let slots = t_sorted_slots(&mut rng, arity, n, |r| base + r.gen_range(0..dom));
-            check(slots, &columns, 1, &format!("trial {trial}, {columns:?}"));
+            check(
+                slots,
+                &columns,
+                0,
+                1,
+                &format!("trial {trial}, {columns:?}"),
+            );
         }
     }
 
@@ -425,6 +427,7 @@ mod tests {
             check(
                 slots,
                 &columns,
+                0,
                 key,
                 &format!("trial {trial}, {columns:?} key {key}"),
             );
@@ -436,32 +439,142 @@ mod tests {
         // Empty: no slots at all, and one empty slot, on either path.
         for key in 0..=2 {
             let columns = if key == 0 { [0, 1] } else { [1, 0] };
-            assert!(RowBuf::rekey(Vec::new(), &columns, key).is_empty());
-            let got = RowBuf::rekey(vec![RowBuf::new(2)], &columns, key);
+            assert!(RowBuf::rekey(Vec::new(), &columns, 0, key).is_empty());
+            let got = RowBuf::rekey(vec![RowBuf::new(2)], &columns, 0, key);
             assert_eq!((got.arity(), got.len()), (2, 0));
         }
         // One row.
         let mut one = RowBuf::new(3);
         one.push_row(&vals(&[7, 8, 9]));
-        check(vec![one], &[2, 0, 1], 1, "one row");
+        check(vec![one], &[2, 0, 1], 0, 1, "one row");
         // Arity 1: the key is the row.
         let mut unary = RowBuf::new(1);
         (0..10).for_each(|v| unary.push_row(&vals(&[v * 3])));
-        check(vec![unary.clone()], &[0], 0, "arity 1, key 0");
-        check(vec![unary], &[0], 1, "arity 1, key 1");
+        check(vec![unary.clone()], &[0], 0, 0, "arity 1, key 0");
+        check(vec![unary], &[0], 0, 1, "arity 1, key 1");
         // key = arity: every column is key.
         let mut rng = StdRng::seed_from_u64(3);
         let slots = t_sorted_slots(&mut rng, 3, 50, |r| r.gen_range(0..4u64));
-        check(slots, &[2, 1, 0], 3, "key = arity");
+        check(slots, &[2, 1, 0], 0, 3, "key = arity");
         // A key column holding both 0 and u64::MAX spans the whole range:
-        // its width must not overflow, and it takes the index sort.
+        // its width must not overflow, and it takes the sort.
         let mut rows = RowBuf::new(2);
         for r in [[0, 5], [0, u64::MAX], [1, 0], [u64::MAX, 0], [u64::MAX, 3]] {
             rows.push_row(&vals(&r));
         }
-        let got = RowBuf::rekey(vec![rows], &[1, 0], 1);
+        let got = RowBuf::rekey(vec![rows], &[1, 0], 0, 1);
         let want = [[0, 1], [0, u64::MAX], [3, u64::MAX], [5, 0], [u64::MAX, 0]];
         assert_eq!(got.into_data(), vals(&want.concat()));
+    }
+
+    /// A column map that keeps T's first `prefix` columns in place and
+    /// shuffles the rest, and a key it admits.
+    fn prefixed_column_map(rng: &mut StdRng, arity: usize, prefix: usize) -> (Vec<usize>, usize) {
+        let (tail, _) = column_map(rng, arity - prefix);
+        let columns: Vec<usize> = (0..prefix).chain(tail.iter().map(|t| t + prefix)).collect();
+        let shortest = (0..=arity)
+            .find(|&j| columns[j..].is_sorted())
+            .expect("an empty tail ascends");
+        (columns, rng.gen_range(shortest..=arity))
+    }
+
+    #[test]
+    fn prefix_rekey_matches_reorder_then_sort() {
+        // Rows that already ascend in S[..prefix], re-keyed run by run:
+        // small domains make long runs, wide ones runs of length 1.
+        let mut rng = StdRng::seed_from_u64(4);
+        for trial in 0..600 {
+            let prefix = trial % 3;
+            let arity = rng.gen_range(prefix.max(1)..6);
+            let (columns, key) = prefixed_column_map(&mut rng, arity, prefix);
+            let dom = [2u64, 5, 1000][rng.gen_range(0..3usize)];
+            let extremes = rng.gen_bool(0.3);
+            let n = rng.gen_range(0..200);
+            let slots = t_sorted_slots(&mut rng, arity, n, |r| {
+                if extremes && r.gen_bool(0.5) {
+                    [0, u64::MAX][r.gen_range(0..2usize)]
+                } else {
+                    r.gen_range(0..dom)
+                }
+            });
+            let ctx = format!("trial {trial}, {columns:?} prefix {prefix} key {key}");
+            check(slots, &columns, prefix, key, &ctx);
+        }
+    }
+
+    #[test]
+    fn prefix_rekey_edge_cases() {
+        // Prefix 0: the whole buffer is one run, sorted on S[..key].
+        let mut rows = RowBuf::new(3);
+        for r in [
+            [0, 0, u64::MAX],
+            [0, 5, 0],
+            [0, u64::MAX, 1],
+            [u64::MAX, 0, 0],
+        ] {
+            rows.push_row(&vals(&r));
+        }
+        check(vec![rows.clone()], &[2, 0, 1], 0, 1, "prefix 0");
+        // Prefix 1, S = (t0, t2, t1): each t0 run is sorted on t2, its
+        // rows keeping their T order (t1 ascending) on equal t2. The run
+        // of u64::MAX has length 1.
+        let mut rows = RowBuf::new(3);
+        for r in [
+            [0, 0, u64::MAX],
+            [0, 5, 0],
+            [0, 5, u64::MAX],
+            [1, 0, 0],
+            [1, 3, 0],
+            [u64::MAX, 1, 2],
+        ] {
+            rows.push_row(&vals(&r));
+        }
+        let mut second = RowBuf::new(3);
+        second.push_row(&vals(&[u64::MAX, 2, 1]));
+        let got = RowBuf::rekey(vec![rows, second], &[0, 2, 1], 1, 2);
+        let want = [
+            [0, 0, 5],
+            [0, u64::MAX, 0],
+            [0, u64::MAX, 5],
+            [1, 0, 0],
+            [1, 0, 3],
+            [u64::MAX, 1, 2],
+            [u64::MAX, 2, 1],
+        ];
+        assert_eq!(got.into_data(), vals(&want.concat()));
+        // Prefix 2, the 4-cycle's (a, b, d, c): every (a, b) run sorted on
+        // c, one run cut across two slots, runs of length 1 at both ends.
+        let t_rows = [
+            [0, 0, 7, 0],
+            [0, 1, 0, u64::MAX],
+            [0, 1, 3, 0],
+            [0, 1, u64::MAX, 2],
+            [2, u64::MAX, 1, 1],
+        ];
+        let mut slots = vec![RowBuf::new(4), RowBuf::new(4)];
+        for (i, r) in t_rows.iter().enumerate() {
+            slots[usize::from(i >= 2)].push_row(&vals(r));
+        }
+        let got = RowBuf::rekey(slots.clone(), &[0, 1, 3, 2], 2, 3);
+        let want = [
+            [0, 0, 0, 7],
+            [0, 1, 0, 3],
+            [0, 1, 2, u64::MAX],
+            [0, 1, u64::MAX, 0],
+            [2, u64::MAX, 1, 1],
+        ];
+        assert_eq!(got.into_data(), vals(&want.concat()));
+        check(slots, &[0, 1, 3, 2], 2, 3, "prefix 2");
+        // A prefix as long as the key: T is S, the rows are adopted.
+        let mut one = RowBuf::new(2);
+        one.push_row(&vals(&[0, u64::MAX]));
+        check(vec![one], &[0, 1], 2, 0, "prefix 2, key 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "S[..prefix] is T[..prefix]")]
+    fn rekey_rejects_a_prefix_t_does_not_share() {
+        let _ = RowBuf::rekey(Vec::new(), &[1, 0], 1, 2);
     }
 
     #[test]
@@ -471,7 +584,7 @@ mod tests {
         let mut a = RowBuf::new(2);
         a.push_row(&vals(&[1, 2]));
         let b = a.clone();
-        let _ = RowBuf::rekey(vec![a, b], &[1, 0], 1);
+        let _ = RowBuf::rekey(vec![a, b], &[1, 0], 0, 1);
     }
 
     #[test]

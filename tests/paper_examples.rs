@@ -32,7 +32,7 @@ fn example_2_2_exact_counts() {
 fn triangle_cover_is_exactly_half() {
     let rels = wcoj::datagen::agm_tight_triangle(8); // N = 64
     let cover = agm_cover(&rels).unwrap();
-    assert_eq!(cover.exact, vec![Rational::ONE_HALF; 3]);
+    assert_eq!(cover.exact().unwrap(), vec![Rational::ONE_HALF; 3]);
     assert!((cover.bound() - 64f64.powf(1.5)).abs() < 1e-6);
     // and the grid instance attains it
     assert_eq!(join(&rels).unwrap().len(), 512);
@@ -125,8 +125,9 @@ fn half_integrality_small_graph_sweep() {
         let h = Hypergraph::new(4, edges).unwrap();
         let m = h.num_edges();
         let sol = optimal_cover(&h, &vec![16; m]).unwrap();
-        let d = decompose(&h, &sol.exact);
-        assert!(d.is_ok(), "mask {mask:b}: {:?} → {:?}", sol.exact, d.err());
+        let exact = sol.exact().unwrap();
+        let d = decompose(&h, &exact);
+        assert!(d.is_ok(), "mask {mask:b}: {exact:?} → {:?}", d.err());
         tested += 1;
     }
     assert!(tested > 20, "swept {tested} covered graphs");

@@ -254,6 +254,87 @@ fn single_hot_key_produces_multi_task_plan_service() {
     }
 }
 
+/// A 4-cycle `R(a,b) S(b,c) T(c,d) U(d,a)` whose root value `a = 0`
+/// pairs with every `b` and every `d` in `[0, hot)`, beside `light` root
+/// values with one extension each. Under the plan's total order
+/// (a, b, d, c) that value carries most of the work, so the planner
+/// splits it into anchor sub-shards over `b`.
+fn hot_key_cycle4(seed: u64, hot: u64, light: u64) -> Vec<Relation> {
+    let hot_edge = |schema: &[u32], step: u64| {
+        let rows = (0..hot)
+            .map(|v| vec![Value(0), Value(v)])
+            .chain((1..=light).map(|a| vec![Value(a), Value(a * step % hot)]))
+            .collect();
+        Relation::from_rows(Schema::of(schema), rows).expect("arity 2")
+    };
+    vec![
+        hot_edge(&[0, 1], 7),
+        gen::random_relation(seed, &[1, 2], 4 * hot as usize, hot),
+        gen::random_relation(seed + 1, &[2, 3], 4 * hot as usize, hot),
+        hot_edge(&[0, 3], 11),
+    ]
+}
+
+/// The 4-cycle streams: its total order (a, b, d, c) starts like the
+/// schema, so the slots — the hot root value's anchor sub-shards
+/// included — come out in schema order, each re-keyed inside its (a, b)
+/// runs. Their `next_batch` batches concatenate, with no merge, to the
+/// sequential `join_nprr` output bit for bit, across pool sizes
+/// {1, 2, 4, 8} and on both index backends.
+#[test]
+fn hot_key_four_cycle_streams_bit_identically() {
+    let rels = hot_key_cycle4(91, 60, 8);
+    let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+    assert!(seq.len() > 100, "a non-trivial answer: {} rows", seq.len());
+    let flat = Arc::new(PreparedQuery::new(&rels).unwrap());
+    let delta = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap());
+    assert_eq!(flat.total_order(), [0, 1, 3, 2]);
+    for workers in [1usize, 2, 4, 8] {
+        let service = Service::new(ServiceConfig::with_workers(workers));
+        let cfg = ExecConfig {
+            shard_min_size: 1,
+            ..service.exec_config()
+        };
+        let layout = service.shard_layout(&*flat, &cfg);
+        assert!(
+            layout
+                .iter()
+                .filter(|t| t.is_some_and(|s| s.anchor.is_some()))
+                .count()
+                >= 2,
+            "the hot root value is split @ {workers} workers: {layout:?}"
+        );
+        let ctx = format!("{workers} workers");
+        let streamed = streamed_batches(&service, &flat, &cfg, seq.schema());
+        assert_bit_identical(&streamed, &seq, &format!("{ctx}, flat"));
+        let streamed = streamed_batches(&service, &delta, &cfg, seq.schema());
+        assert_bit_identical(&streamed, &seq, &format!("{ctx}, delta"));
+    }
+}
+
+/// One submission's `next_batch` batches, concatenated in slot order with
+/// no merge; the handle must say that this is the output.
+fn streamed_batches<S>(
+    service: &Service,
+    prepared: &Arc<PreparedQuery<S>>,
+    cfg: &ExecConfig,
+    schema: &Schema,
+) -> Relation
+where
+    S: SearchTree + Send + Sync + 'static,
+{
+    let mut handle = service.submit(prepared, cfg).expect("submit");
+    assert!(handle.ordered(), "the slots stream");
+    assert!(handle.total_slots() > 1, "{} slots", handle.total_slots());
+    let mut out = Relation::empty(schema.clone());
+    while let Some(batch) = handle.next_batch() {
+        for row in batch.expect("join").relation.iter_rows() {
+            out.push_row(row).unwrap();
+        }
+    }
+    out
+}
+
 /// Determinism regression: a heavy-keyed query racing itself through the
 /// shared pool (with noise queries around it) must come back with
 /// identical rows, row order, and stats every time.
