@@ -385,14 +385,12 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// ranges (anchor sub-shards by ascending anchor ranges within one
     /// root value), so consecutive slots ascend strictly too. The plan
     /// knows the shortest prefix of the output schema whose removal from
-    /// the total order leaves the rest of the schema in order; a stable
-    /// re-key on that prefix alone ([`RowBuf::rekey`]) yields schema
-    /// order, and distinct rows stay distinct, so nothing is compared
-    /// whole and nothing is deduplicated. Where the total order starts
-    /// like the schema, the re-key only reorders the rows inside each run
-    /// of that shared prefix — for the 4-cycle's (a, b, d, c), each
-    /// (a, b) run by c. When the total order is the output schema the
-    /// rows are adopted as they are.
+    /// the total order leaves the rest of the schema in order, and how
+    /// many leading attributes the two orders share. [`RowBuf::rekey`]
+    /// reorders only the rows inside each run of that shared prefix — for
+    /// the 4-cycle's (a, b, d, c), each (a, b) run by c — and distinct
+    /// rows stay distinct, so nothing is deduplicated. When the total
+    /// order is the output schema the rows are adopted as they are.
     ///
     /// # Errors
     /// [`StorageError::ArityMismatch`] (as a [`QueryError`]) if a slot's

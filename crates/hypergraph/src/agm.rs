@@ -58,9 +58,12 @@ impl CoverSolution {
     /// # Errors
     /// As [`CoverSolution::exact`].
     pub fn support(&self) -> Result<Vec<usize>, HgError> {
-        let exact = self.exact()?;
-        Ok((0..exact.len())
-            .filter(|&e| exact[e].is_positive())
+        Ok(self
+            .exact()?
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.is_positive())
+            .map(|(i, _)| i)
             .collect())
     }
 }

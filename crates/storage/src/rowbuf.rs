@@ -134,8 +134,8 @@ impl RowBuf {
     /// `key ≤ prefix` means T is S: the rows are adopted as they are, the
     /// first slot's buffer growing to take each later one as `slots`
     /// yields it. Otherwise the rows already ascend in `S[..prefix]`, so
-    /// only each run of rows equal there is reordered. With no shared
-    /// prefix and `key == 1`, rows that agree on `S[0]` already follow S
+    /// only each run of rows equal there is reordered. With `key == 1`
+    /// (so no shared prefix), rows that agree on `S[0]` already follow S
     /// among themselves, so when that column's values span less than
     /// `COUNTING_SPAN` times the row count one stable counting pass on it
     /// places every row. Any other case sorts each run in S order; the
@@ -194,7 +194,7 @@ impl RowBuf {
             len,
             data: vec![Value(0); len * arity],
         };
-        if prefix == 0 && key == 1 {
+        if key == 1 {
             // The one key column, packed: one pass over the rows, and
             // every later pass reads it instead of the rows.
             let mut keys = Vec::with_capacity(len);
