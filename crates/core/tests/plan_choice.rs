@@ -210,9 +210,6 @@ proptest! {
         let want = first.or(prefixed).unwrap_or(&input);
         prop_assert_eq!(chosen, &want[..], "{}", ctx);
         prop_assert_eq!(prepared.slots_stream_sorted(), prefixed.is_some(), "{}", ctx);
-        if first.is_none() && prefixed.is_some() {
-            prop_assert!(!ascending(prepared.total_order()), "{}", ctx);
-        }
 
         // The engine under the chosen plan is still the join.
         let sol = q.optimal_cover().unwrap();
