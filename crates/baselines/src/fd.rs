@@ -18,7 +18,8 @@
 //! join equals the unexpanded one on random instances.
 
 use std::fmt;
-use wcoj_core::{join_with, Algorithm, JoinOutput, JoinQuery, QueryError};
+use wcoj_core::nprr::PreparedQuery;
+use wcoj_core::{JoinOutput, JoinQuery, QueryError};
 use wcoj_storage::hash::{map_with_capacity, FxHashMap};
 use wcoj_storage::ops::{natural_join, project};
 use wcoj_storage::{Attr, Relation, Value};
@@ -137,7 +138,7 @@ pub fn expand(relations: &[Relation], fds: &[Fd]) -> Result<Vec<Relation>, FdErr
 pub fn join_with_fds(relations: &[Relation], fds: &[Fd]) -> Result<JoinOutput, QueryError> {
     let expanded =
         expand(relations, fds).map_err(|e| QueryError::BadCover(format!("FD error: {e}")))?;
-    join_with(&expanded, Algorithm::Nprr, None)
+    PreparedQuery::new(&expanded)?.evaluate(None)
 }
 
 /// The AGM `log₂` bound of the query *after* FD expansion — used by the

@@ -5,15 +5,13 @@
 //! catalog, the server) depends on this crate; the experiment harness
 //! and the differential tests call it directly.
 //!
-//! Pairwise plans:
+//! Binary join plans:
 //!
-//! * [`pairwise`] — the textbook binary join algorithms: hash join (via the
-//!   storage layer), **sort-merge join**, and **block nested-loop join**,
-//!   each implemented independently so they can cross-check each other;
 //! * [`plan`] — binary join-plan trees (with optional projections — the
 //!   "join-project plans" of §6) and an instrumented executor reporting
 //!   the maximum intermediate cardinality, the quantity §6's lower bounds
-//!   constrain;
+//!   constrain. Every binary join is `wcoj_storage::ops::natural_join`,
+//!   the hash join `wcoj_core::naive` folds too;
 //! * [`optimizer`] — a System-R-style enumerator: exhaustive left-deep
 //!   search under independence-assumption cardinality estimates for small
 //!   queries, greedy otherwise, plus an *oracle* mode that executes every
@@ -52,7 +50,6 @@ pub mod graph_join;
 pub mod half_integral;
 pub mod lw;
 pub mod optimizer;
-pub mod pairwise;
 pub mod plan;
 pub mod relaxed;
 pub mod tighten;

@@ -6,23 +6,11 @@
 //! [`execute`] evaluates a plan and records the *maximum intermediate
 //! cardinality* — on the Lemma 6.1 instances every such plan must
 //! materialise an `Ω(N²/n²)` intermediate no matter its shape, which is
-//! what experiment E7 measures.
+//! what experiment E7 measures. Every binary join is
+//! [`natural_join`], the hash join `wcoj_core::naive` folds.
 
-use crate::pairwise::{hash_join, nested_loop_join, sort_merge_join};
-use wcoj_storage::ops::project;
+use wcoj_storage::ops::{natural_join, project};
 use wcoj_storage::{Attr, Relation, StorageError};
-
-/// Which pairwise algorithm executes the joins of a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinImpl {
-    /// Hash join (default).
-    #[default]
-    Hash,
-    /// Sort-merge join.
-    SortMerge,
-    /// Nested-loop join.
-    NestedLoop,
-}
 
 /// A join-project plan over input relations referenced by index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,17 +80,15 @@ pub struct ExecStats {
 pub fn execute(
     plan: &JoinPlan,
     relations: &[Relation],
-    imp: JoinImpl,
 ) -> Result<(Relation, ExecStats), StorageError> {
     let mut stats = ExecStats::default();
-    let rel = run(plan, relations, imp, &mut stats)?;
+    let rel = run(plan, relations, &mut stats)?;
     Ok((rel, stats))
 }
 
 fn run(
     plan: &JoinPlan,
     relations: &[Relation],
-    imp: JoinImpl,
     stats: &mut ExecStats,
 ) -> Result<Relation, StorageError> {
     match plan {
@@ -112,13 +98,9 @@ fn run(
             right,
             project_to,
         } => {
-            let l = run(left, relations, imp, stats)?;
-            let r = run(right, relations, imp, stats)?;
-            let j = match imp {
-                JoinImpl::Hash => hash_join(&l, &r),
-                JoinImpl::SortMerge => sort_merge_join(&l, &r),
-                JoinImpl::NestedLoop => nested_loop_join(&l, &r),
-            };
+            let l = run(left, relations, stats)?;
+            let r = run(right, relations, stats)?;
+            let j = natural_join(&l, &r);
             stats.joins += 1;
             stats.max_intermediate = stats.max_intermediate.max(j.len());
             stats.total_tuples += j.len();
@@ -134,7 +116,7 @@ fn run(
     }
 }
 
-/// Convenience: execute the left-deep plan over `order` with hash joins.
+/// Convenience: execute the left-deep plan over `order`.
 ///
 /// # Errors
 /// [`StorageError`] (none for join-only plans).
@@ -142,12 +124,16 @@ pub fn execute_left_deep(
     relations: &[Relation],
     order: &[usize],
 ) -> Result<(Relation, ExecStats), StorageError> {
-    execute(&JoinPlan::left_deep(order), relations, JoinImpl::Hash)
+    execute(&JoinPlan::left_deep(order), relations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use wcoj_core::naive;
+    use wcoj_storage::ops::reorder;
     use wcoj_storage::{Schema, Value};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
@@ -169,14 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn execute_triangle_all_impls() {
+    fn execute_triangle() {
         let rels = triangle();
         let p = JoinPlan::left_deep(&[0, 1, 2]);
-        let (h, hs) = execute(&p, &rels, JoinImpl::Hash).unwrap();
-        let (s, _) = execute(&p, &rels, JoinImpl::SortMerge).unwrap();
-        let (n, _) = execute(&p, &rels, JoinImpl::NestedLoop).unwrap();
-        assert_eq!(h, s);
-        assert_eq!(h, n);
+        let (h, hs) = execute(&p, &rels).unwrap();
         assert_eq!(hs.joins, 2);
         assert!(hs.max_intermediate >= h.len());
         assert_eq!(h.len(), 3); // (1,2,4),(1,3,4),(2,3,4)
@@ -205,7 +187,7 @@ mod tests {
             }),
             project_to: None,
         };
-        let (out, stats) = execute(&plan, &rels, JoinImpl::Hash).unwrap();
+        let (out, stats) = execute(&plan, &rels).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.arity(), 5);
         assert_eq!(stats.joins, 3);
@@ -219,7 +201,7 @@ mod tests {
             right: Box::new(JoinPlan::Leaf(1)),
             project_to: Some(vec![Attr(0), Attr(2)]),
         };
-        let (out, stats) = execute(&plan, &rels, JoinImpl::Hash).unwrap();
+        let (out, stats) = execute(&plan, &rels).unwrap();
         assert_eq!(out.arity(), 2);
         assert!(stats.max_intermediate >= out.len());
         // projecting to a missing attr errors
@@ -228,7 +210,54 @@ mod tests {
             right: Box::new(JoinPlan::Leaf(1)),
             project_to: Some(vec![Attr(9)]),
         };
-        assert!(execute(&bad, &rels, JoinImpl::Hash).is_err());
+        assert!(execute(&bad, &rels).is_err());
+    }
+
+    fn random_rel(rng: &mut StdRng, attrs: &[u32], n: usize, lo: u64, hi: u64) -> Relation {
+        let rows: Vec<Vec<Value>> = (0..n)
+            .map(|_| attrs.iter().map(|_| Value(rng.gen_range(lo..hi))).collect())
+            .collect();
+        Relation::from_rows(Schema::of(attrs), rows).unwrap()
+    }
+
+    #[test]
+    fn input_order_left_deep_is_what_naive_folds() {
+        // e9's `binary_ms` times this plan as "what `naive::join` folds":
+        // the same relation, whatever the shape, and also when an
+        // intermediate empties before the last input is joined.
+        let shapes: &[&[&[u32]]] = &[
+            &[&[0, 1], &[1, 2], &[0, 2]],
+            &[&[0, 1], &[1, 2], &[2, 3], &[3, 0]],
+            &[&[0, 1], &[0, 2], &[0, 3]],
+            &[&[0, 1, 2], &[2, 3], &[0, 3]],
+            &[&[0], &[1], &[0, 1]],
+        ];
+        let mut rng = StdRng::seed_from_u64(46);
+        for (k, shape) in shapes.iter().enumerate() {
+            for trial in 0..4 {
+                let rels: Vec<Relation> = shape
+                    .iter()
+                    .map(|attrs| random_rel(&mut rng, attrs, 30, 0, 6))
+                    .collect();
+                let order: Vec<usize> = (0..rels.len()).collect();
+                let (binary, _) = execute_left_deep(&rels, &order).unwrap();
+                let folded = naive::join(&rels);
+                let folded = reorder(&folded, binary.schema()).unwrap();
+                assert_eq!(binary, folded, "shape {k} trial {trial}");
+            }
+        }
+        // R(0,1) and S(1,2) draw attribute 1 from disjoint ranges, so
+        // R ⋈ S is empty and `naive::join` stops before T.
+        let rels = vec![
+            random_rel(&mut rng, &[0, 1], 20, 0, 5),
+            random_rel(&mut rng, &[1, 2], 20, 5, 10),
+            random_rel(&mut rng, &[0, 2], 20, 0, 10),
+        ];
+        let (binary, stats) = execute_left_deep(&rels, &[0, 1, 2]).unwrap();
+        assert!(binary.is_empty());
+        assert_eq!(stats.max_intermediate, 0);
+        let folded = naive::join(&rels);
+        assert_eq!(binary, reorder(&folded, binary.schema()).unwrap());
     }
 
     #[test]

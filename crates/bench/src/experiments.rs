@@ -3,7 +3,7 @@
 //! two design choices behind the engine. Sizes are chosen so the full
 //! suite runs in a couple of minutes on a laptop.
 
-use crate::table::{ms, time_secs, Table};
+use crate::table::{ms, time_pair, time_secs, Table};
 use wcoj_baselines::graph_join::join_graph;
 use wcoj_baselines::lw::join_lw;
 use wcoj_baselines::plan::execute_left_deep;
@@ -12,7 +12,7 @@ use wcoj_baselines::{best_actual_left_deep, bt, fd, optimize_left_deep, relaxed}
 use wcoj_core::nprr::qptree::build_qp_tree;
 use wcoj_core::nprr::total_order::total_order;
 use wcoj_core::nprr::PreparedQuery;
-use wcoj_core::{fullcq, join_with, naive, Algorithm, JoinQuery};
+use wcoj_core::{fullcq, JoinQuery};
 use wcoj_datagen as gen;
 use wcoj_hypergraph::agm;
 use wcoj_rational::Rational;
@@ -59,7 +59,8 @@ pub fn e1_triangle_hard(quick: bool) -> Vec<Table> {
     for (n, rels) in instances {
         let ((_, bstats), t_bin) = time_secs(|| execute_left_deep(&rels, &[0, 1, 2]).unwrap());
         let (lw_out, t_lw) = time_secs(|| join_lw(&JoinQuery::new(&rels).unwrap()).unwrap());
-        let (nprr_out, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+        let (nprr_out, t_nprr) =
+            time_secs(|| PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap());
         assert!(lw_out.relation.is_empty() && nprr_out.relation.is_empty());
         t.row(vec![
             n.to_string(),
@@ -97,7 +98,8 @@ pub fn e2_agm_tight(quick: bool) -> Vec<Table> {
         let rels = gen::agm_tight_triangle(k);
         let n = (k * k) as f64;
         let (lw_out, t_lw) = time_secs(|| join_lw(&JoinQuery::new(&rels).unwrap()).unwrap());
-        let (nprr_out, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+        let (nprr_out, t_nprr) =
+            time_secs(|| PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap());
         assert_eq!(lw_out.relation.len(), nprr_out.relation.len());
         let bound = agm::best_bound(
             JoinQuery::new(&rels).unwrap().hypergraph(),
@@ -132,10 +134,11 @@ pub fn e3_lw_scaling(quick: bool) -> Vec<Table> {
                 "output",
                 "lw_ms",
                 "nprr_ms",
-                "naive_ms",
+                "binary_ms",
             ],
-            "lw_ms grows like the bound column (≈N^{n/(n-1)}), not like naive blowups; \
-             nprr_ms is what join() runs on the same instance",
+            "lw_ms grows like the bound column (≈N^{n/(n-1)}), not like binary-plan blowups; \
+             nprr_ms is what join() runs on the same instance, binary_ms the left-deep \
+             plan in input order",
         );
         for (i, n) in ns.iter().enumerate() {
             let dom = (*n as f64).powf(1.0 / (n_attr as f64 - 1.0)).ceil() as u64 * 2;
@@ -143,9 +146,11 @@ pub fn e3_lw_scaling(quick: bool) -> Vec<Table> {
             let sizes: Vec<usize> = rels.iter().map(Relation::len).collect();
             let bound = sizes.iter().map(|&s| (s as f64).ln()).sum::<f64>() / (n_attr as f64 - 1.0);
             let (out, t_lw) = time_secs(|| join_lw(&JoinQuery::new(&rels).unwrap()).unwrap());
-            let (nprr, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
-            let (nv, t_naive) = time_secs(|| naive::join(&rels));
-            assert_eq!(out.relation.len(), nv.len());
+            let (nprr, t_nprr) =
+                time_secs(|| PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap());
+            let order: Vec<usize> = (0..rels.len()).collect();
+            let ((bout, _), t_bin) = time_secs(|| execute_left_deep(&rels, &order).unwrap());
+            assert_eq!(out.relation.len(), bout.len());
             assert_eq!(out.relation, nprr.relation);
             t.row(vec![
                 n.to_string(),
@@ -153,7 +158,7 @@ pub fn e3_lw_scaling(quick: bool) -> Vec<Table> {
                 out.relation.len().to_string(),
                 ms(t_lw),
                 ms(t_nprr),
-                ms(t_naive),
+                ms(t_bin),
             ]);
         }
         tables.push(t);
@@ -172,20 +177,22 @@ fn e4_impl(sizes: &[usize]) -> Vec<Table> {
     let mut t = Table::new(
         "e4",
         "§5.2 worked example: 5 relations over 6 attributes",
-        &["N", "agm_log2", "output", "nprr_ms", "naive_ms", "matches"],
-        "output ≤ 2^agm_log2; NPRR matches the oracle",
+        &["N", "agm_log2", "output", "nprr_ms", "binary_ms", "matches"],
+        "output ≤ 2^agm_log2; NPRR matches the left-deep binary plan in input order",
     );
     for (i, n) in sizes.iter().enumerate() {
         let rels = gen::worked_example(7 + i as u64, *n, 6);
-        let (out, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
-        let (nv, t_naive) = time_secs(|| naive::join(&rels));
-        let ok = out.relation.len() == nv.len();
+        let (out, t_nprr) =
+            time_secs(|| PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap());
+        let order: Vec<usize> = (0..rels.len()).collect();
+        let ((bout, _), t_bin) = time_secs(|| execute_left_deep(&rels, &order).unwrap());
+        let ok = out.relation.len() == bout.len();
         t.row(vec![
             n.to_string(),
             format!("{:.1}", out.stats.log2_agm_bound),
             out.relation.len().to_string(),
             ms(t_nprr),
-            ms(t_naive),
+            ms(t_bin),
             ok.to_string(),
         ]);
     }
@@ -256,7 +263,8 @@ pub fn e6_nprr_general(quick: bool) -> Vec<Table> {
             .enumerate()
             .map(|(i, attrs)| gen::random_relation((si * 10 + i) as u64, attrs, rows_per_rel, 12))
             .collect();
-        let (out, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+        let (out, t_nprr) =
+            time_secs(|| PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap());
         let order = optimize_left_deep(&rels);
         let ((bout, _), t_bin) = time_secs(|| execute_left_deep(&rels, &order).unwrap());
         assert_eq!(out.relation.len(), bout.len());
@@ -306,7 +314,8 @@ pub fn e7_lower_bound_gap(quick: bool) -> Vec<Table> {
         for n in ns {
             let rels = gen::simple_lw(n_attr, n);
             let ((_, bstats), t_bin) = time_secs(|| best_actual_left_deep(&rels));
-            let (out, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+            let (out, t_nprr) =
+                time_secs(|| PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap());
             let (lw_out, t_lw) = time_secs(|| join_lw(&JoinQuery::new(&rels).unwrap()).unwrap());
             assert_eq!(lw_out.relation, out.relation);
             let d = (n - 1) / (n_attr as u64 - 1);
@@ -348,7 +357,8 @@ pub fn e8_embedded_gap(quick: bool) -> Vec<Table> {
         for n in ns {
             let rels = gen::embedded_gap(k, n);
             let ((_, bstats), t_bin) = time_secs(|| best_actual_left_deep(&rels));
-            let (out, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+            let (out, t_nprr) =
+                time_secs(|| PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap());
             t.row(vec![
                 n.to_string(),
                 bstats.max_intermediate.to_string(),
@@ -402,7 +412,8 @@ pub fn e9_cycles(quick: bool) -> Vec<Table> {
         let sizes: Vec<usize> = rels.iter().map(Relation::len).collect();
         let sqrt_prod: f64 = (sizes.iter().map(|&s| (s as f64).ln()).sum::<f64>() / 2.0).exp();
         let (out, t_cyc) = time_secs(|| join_graph(&JoinQuery::new(&rels).unwrap()).unwrap());
-        let (nprr, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+        let (nprr, t_nprr) =
+            time_secs(|| PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap());
         let order: Vec<usize> = (0..m).collect();
         let ((bout, _), t_bin) = time_secs(|| execute_left_deep(&rels, &order).unwrap());
         assert_eq!(out.relation, nprr.relation);
@@ -424,6 +435,10 @@ pub fn e9_cycles(quick: bool) -> Vec<Table> {
 /// half-integral cover structure, and timing — beside NPRR (what `join()`
 /// runs) with each path's `intermediate_tuples`. The last row is a pure
 /// star, where Theorem 7.3's hash joins beat NPRR (every split is case b).
+/// NPRR and the left-deep binary plan in input order are timed as a
+/// [`time_pair`]: `E10_REPS` alternating repetitions (one with `quick`),
+/// each side's median time, and the median and min–max of the
+/// per-repetition `nprr_ms / binary_ms`.
 #[must_use]
 pub fn e10_graph_queries(quick: bool) -> Vec<Table> {
     let mut t = Table::new(
@@ -440,10 +455,14 @@ pub fn e10_graph_queries(quick: bool) -> Vec<Table> {
             "graph_intermediate",
             "nprr_ms",
             "nprr_intermediate",
-            "naive_ms",
+            "binary_ms",
+            "nprr_over_binary",
+            "ratio_min_max",
         ],
-        "every optimal BFS cover decomposes (Lemma 7.2); outputs match the oracle",
+        "every optimal BFS cover decomposes (Lemma 7.2); outputs match the binary plan; \
+         nprr_over_binary is the median of per-repetition ratios",
     );
+    let reps = if quick { 1 } else { E10_REPS };
     let rows_per_rel = if quick { 60 } else { 500 };
     // a triangle + a path + a pendant star, randomly populated
     let mixed: &[&[u32]] = &[&[0, 1], &[1, 2], &[0, 2], &[2, 3], &[3, 4], &[0, 5]];
@@ -479,9 +498,13 @@ pub fn e10_graph_queries(quick: bool) -> Vec<Table> {
             wcoj_baselines::half_integral::decompose(q.hypergraph(), &cover.exact().unwrap())
                 .unwrap();
         let (out, t_g) = time_secs(|| join_graph(&q).unwrap());
-        let (nprr, t_nprr) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
-        let (nv, t_naive) = time_secs(|| naive::join(&rels));
-        assert_eq!(out.relation.len(), nv.len());
+        let order: Vec<usize> = (0..rels.len()).collect();
+        let (nprr, (bout, _), pair) = time_pair(
+            reps,
+            || PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap(),
+            || execute_left_deep(&rels, &order).unwrap(),
+        );
+        assert_eq!(out.relation.len(), bout.len());
         assert_eq!(out.relation, nprr.relation);
         t.row(vec![
             name,
@@ -492,13 +515,18 @@ pub fn e10_graph_queries(quick: bool) -> Vec<Table> {
             out.relation.len().to_string(),
             ms(t_g),
             out.stats.intermediate_tuples.to_string(),
-            ms(t_nprr),
+            ms(pair.first_secs),
             nprr.stats.intermediate_tuples.to_string(),
-            ms(t_naive),
+            ms(pair.second_secs),
+            format!("{:.2}", pair.ratio_median),
+            format!("{:.2}–{:.2}", pair.ratio_min, pair.ratio_max),
         ]);
     }
     vec![t]
 }
+
+/// Alternating repetitions behind each of e10's timed pairs.
+const E10_REPS: usize = 9;
 
 /// E11 — §7.2: relaxed joins; the tightness instance achieves `N + Nⁿ`.
 #[must_use]
@@ -755,10 +783,10 @@ pub fn e15_tighten() -> Vec<Table> {
 ///    (the bound, and with it the work budget, goes from `N^{3/2}` to
 ///    `N³`).
 /// 2. **Preparation amortisation** (Remark 5.2's "index in advance"):
-///    one-shot `join_with`, which assembles the query, solves the cover
-///    and builds every index per call, vs [`PreparedQuery::evaluate`]
-///    on a preparation and cover made once, on three random binary
-///    relations.
+///    one-shot `PreparedQuery::new(..).evaluate(None)`, which assembles
+///    the query, builds every index and solves the cover per call, vs
+///    [`PreparedQuery::evaluate`] on a preparation and cover made once,
+///    on three random binary relations.
 #[must_use]
 pub fn ablation_cover(quick: bool) -> Vec<Table> {
     let mut covers = Table::new(
@@ -777,9 +805,10 @@ pub fn ablation_cover(quick: bool) -> Vec<Table> {
     );
     for n in sweep(quick, &[512, 2048], &[64, 128]) {
         let rels = gen::example_2_2(n);
-        let (opt, t_opt) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
-        let (ones, t_ones) =
-            time_secs(|| join_with(&rels, Algorithm::Nprr, Some(&[1.0, 1.0, 1.0])).unwrap());
+        let run =
+            |cover: Option<&[f64]>| PreparedQuery::new(&rels).unwrap().evaluate(cover).unwrap();
+        let (opt, t_opt) = time_secs(|| run(None));
+        let (ones, t_ones) = time_secs(|| run(Some(&[1.0, 1.0, 1.0])));
         assert_eq!(opt.relation, ones.relation);
         covers.row(vec![
             n.to_string(),
@@ -792,7 +821,7 @@ pub fn ablation_cover(quick: bool) -> Vec<Table> {
     }
     let mut prepare = Table::new(
         "ablation_cover",
-        "Preparation amortisation: one-shot join_with vs PreparedQuery::evaluate",
+        "Preparation amortisation: one-shot prepare + evaluate vs PreparedQuery::evaluate",
         &[
             "rows",
             "output",
@@ -811,7 +840,8 @@ pub fn ablation_cover(quick: bool) -> Vec<Table> {
             gen::random_relation(2, &[1, 2], rows, 64),
             gen::random_relation(3, &[0, 2], rows, 64),
         ];
-        let (once, t_once) = time_secs(|| join_with(&rels, Algorithm::Nprr, None).unwrap());
+        let (once, t_once) =
+            time_secs(|| PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap());
         let ((prepared, cover), t_prep) = time_secs(|| {
             let prepared: PreparedQuery = PreparedQuery::new(&rels).unwrap();
             let cover = prepared.query().optimal_cover().unwrap().x;

@@ -7,13 +7,14 @@
 //! |--------|-----------------|----------|
 //! | [`nprr`] | §5, Algorithms 2–4, Procedure 5 | the generic worst-case optimal join: query-plan tree, total order, `Recursive-Join` — the one engine behind [`join`] and every served query |
 //! | [`fullcq`] | §7.3 | full conjunctive queries (constants, repeated variables) reduced to natural joins |
-//! | [`naive`] | baseline semantics | reference pairwise-hash-join evaluation used as the test oracle |
+//! | [`naive`] | baseline semantics | left-deep binary hash joins in input order, the test oracle |
 //!
-//! The main entry point is [`join`] / [`join_with`], which assemble the
-//! query hypergraph from relation schemas, solve the fractional-cover LP
-//! (via `wcoj-hypergraph`), and run NPRR through
-//! [`nprr::PreparedQuery`] — the same pipeline the catalog, the service
-//! and the HTTP server run. Algorithm 1 (§4), Theorem 7.3 (§7.1) and
+//! The main entry point is [`join`], which assembles the query
+//! hypergraph from relation schemas, solves the fractional-cover LP (via
+//! `wcoj-hypergraph`), and runs NPRR through [`nprr::PreparedQuery`] —
+//! the same pipeline the catalog, the service and the HTTP server run.
+//! A caller that wants the statistics or an explicit cover calls
+//! `PreparedQuery::new(relations)?.evaluate(cover)` itself. Algorithm 1 (§4), Theorem 7.3 (§7.1) and
 //! Lemma 7.2's half-integral covers are special cases Theorem 5.1
 //! subsumes, and relaxed joins (§7.2), the FD expansion (§7.3), the
 //! algorithmic BT inequality (Corollary 5.3) and Lemma 3.2's tightening
@@ -41,19 +42,7 @@ pub mod query;
 pub use query::{JoinQuery, QueryError};
 
 use wcoj_hypergraph::agm::CoverSolution;
-use wcoj_storage::{FlatIndex, Relation};
-
-/// Which algorithm evaluates the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algorithm {
-    /// The generic NPRR algorithm (§5) — works for every query, and is
-    /// what [`join`] and every served query run.
-    #[default]
-    Nprr,
-    /// Reference pairwise hash joins (test oracle; *not* worst-case
-    /// optimal).
-    Naive,
-}
+use wcoj_storage::Relation;
 
 /// Execution statistics reported alongside a join result.
 #[derive(Debug, Clone, Default)]
@@ -92,15 +81,11 @@ impl JoinStats {
     }
 }
 
-/// Result of [`join_with`].
+/// Result of [`nprr::PreparedQuery::evaluate`] and [`nprr::join_nprr`].
 #[derive(Debug, Clone)]
 pub struct JoinOutput {
-    /// The join result. [`Algorithm::Nprr`] returns it over
-    /// [`JoinQuery::output_schema`] (attributes ascending), rows sorted
-    /// and duplicate-free, bit-identical to [`nprr::join_nprr`] and to
-    /// [`nprr::PreparedQuery::evaluate`]. [`Algorithm::Naive`] returns the
-    /// pairwise plan's layout instead: attributes in order of first
-    /// appearance, rows in hash-join order (use `ops::reorder` to compare).
+    /// The join result over [`JoinQuery::output_schema`] (attributes
+    /// ascending), rows sorted and duplicate-free.
     pub relation: Relation,
     /// Execution statistics.
     pub stats: JoinStats,
@@ -108,7 +93,8 @@ pub struct JoinOutput {
 
 /// Computes the natural join of `relations`: runs NPRR under the
 /// LP-optimal fractional cover, over [`JoinQuery::output_schema`] with
-/// sorted rows.
+/// sorted rows — `PreparedQuery::new(relations)?.evaluate(None)`'s
+/// relation.
 ///
 /// # Errors
 /// Propagates [`QueryError`] for malformed inputs (duplicate attributes
@@ -116,34 +102,9 @@ pub struct JoinOutput {
 /// [`wcoj_storage::Schema`]; errors arise from empty queries and LP
 /// failures).
 pub fn join(relations: &[Relation]) -> Result<Relation, QueryError> {
-    Ok(join_with(relations, Algorithm::Nprr, None)?.relation)
-}
-
-/// Computes the natural join with an explicit algorithm and, optionally, an
-/// explicit fractional cover (one weight per relation, in input order).
-/// [`Algorithm::Nprr`] runs `PreparedQuery::from_query(..).evaluate(cover)`
-/// and reports `"nprr"`; [`Algorithm::Naive`] ignores `cover` and reports
-/// `"naive"`.
-///
-/// # Errors
-/// [`QueryError`] on malformed input or a `cover` that is the wrong length
-/// or not a fractional edge cover ([`QueryError::BadCover`]).
-pub fn join_with(
-    relations: &[Relation],
-    algorithm: Algorithm,
-    cover: Option<&[f64]>,
-) -> Result<JoinOutput, QueryError> {
-    let q = JoinQuery::new(relations)?;
-    match algorithm {
-        Algorithm::Nprr => nprr::PreparedQuery::<FlatIndex>::from_query(q)?.evaluate(cover),
-        Algorithm::Naive => Ok(JoinOutput {
-            relation: naive::join(q.relations()),
-            stats: JoinStats {
-                algorithm_used: "naive",
-                ..JoinStats::default()
-            },
-        }),
-    }
+    Ok(nprr::PreparedQuery::new(relations)?
+        .evaluate(None)?
+        .relation)
 }
 
 /// Convenience: the optimal fractional cover and AGM bound for the query

@@ -102,9 +102,11 @@ impl<S: SearchTree> PreparedQuery<S> {
     /// effective per-relation cardinalities (edge order) used for cover
     /// LPs and emptiness checks.
     ///
-    /// Sharing the `Arc` keeps a delta rebuild `O(|delta|)`: the query,
-    /// hypergraph, and plan tree are reused by reference; only the
-    /// memoized cover/weights caches start cold.
+    /// Sharing the `Arc` reuses the query and its hypergraph by
+    /// reference, but every call compiles the plan again
+    /// (`JoinPlan::compile`, Algorithm 3's whole edge-order search) and
+    /// starts the memoized cover/weights caches cold. Sharing one compiled
+    /// plan per query shape is ROADMAP item 25.
     ///
     /// # Errors
     /// Propagates `build` failures.
@@ -451,8 +453,8 @@ impl<S: SearchTree> PreparedQuery<S> {
 
     /// Evaluates with the given fractional cover, or the LP optimum when
     /// `None`. Only the `O(mn·∏N^x)` evaluation cost is paid here. This is
-    /// the sequential NPRR pipeline — [`crate::join`], [`crate::join_with`]
-    /// and [`super::join_nprr`] all end here — and its one empty-input
+    /// the sequential NPRR pipeline — [`crate::join`] and
+    /// [`super::join_nprr`] both end here — and its one empty-input
     /// short-circuit: an effectively empty relation empties the join
     /// (paper §2) with no cover resolved.
     ///
@@ -478,7 +480,7 @@ impl<S: SearchTree> PreparedQuery<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{join_with, naive, Algorithm};
+    use crate::{join, naive};
     use wcoj_storage::ops::reorder;
     use wcoj_storage::{DeltaIndex, DeltaRelation, Schema, Value};
 
@@ -500,8 +502,7 @@ mod tests {
         ];
         let prepared = PreparedQuery::new(&rels).unwrap();
         let a = prepared.evaluate(None).unwrap();
-        let b = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        assert_eq!(a.relation, b.relation);
+        assert_eq!(a.relation, join(&rels).unwrap());
         assert_eq!(a.stats.algorithm_used, "nprr");
     }
 

@@ -5,7 +5,7 @@
 
 use crate::nprr::{join_nprr, PreparedQuery};
 use crate::query::JoinQuery;
-use crate::{agm_cover, join, join_with, naive, Algorithm, QueryError};
+use crate::{agm_cover, join, naive, QueryError};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use wcoj_storage::ops::reorder;
@@ -22,11 +22,11 @@ fn random_rel(rng: &mut rand::rngs::StdRng, attrs: &[u32], n: usize, dom: u64) -
     Relation::from_rows(Schema::of(attrs), rows).unwrap()
 }
 
-fn assert_matches_naive(rels: &[Relation], algo: Algorithm, ctx: &str) {
-    let out = join_with(rels, algo, None).unwrap_or_else(|e| panic!("{ctx}: {algo:?} failed: {e}"));
+fn assert_matches_naive(rels: &[Relation], ctx: &str) {
+    let out = join(rels).unwrap_or_else(|e| panic!("{ctx}: NPRR failed: {e}"));
     let expect = naive::join(rels);
-    let expect = reorder(&expect, out.relation.schema()).unwrap();
-    assert_eq!(out.relation, expect, "{ctx}: {algo:?} disagrees with naive");
+    let expect = reorder(&expect, out.schema()).unwrap();
+    assert_eq!(out, expect, "{ctx}: NPRR disagrees with naive");
 }
 
 #[test]
@@ -49,7 +49,7 @@ fn all_algorithms_agree_on_triangles() {
         let t = random_rel(&mut rng, &[0, 2], 50, 9);
         let rels = [r, s, t];
         let ctx = format!("triangle trial {trial}");
-        assert_matches_naive(&rels, Algorithm::Nprr, &ctx);
+        assert_matches_naive(&rels, &ctx);
     }
 }
 
@@ -65,7 +65,7 @@ fn nprr_handles_figure2_query() {
             random_rel(&mut rng, &[1, 3, 5], 40, 4),
             random_rel(&mut rng, &[2, 4, 5], 40, 4),
         ];
-        assert_matches_naive(&rels, Algorithm::Nprr, &format!("figure2 trial {trial}"));
+        assert_matches_naive(&rels, &format!("figure2 trial {trial}"));
     }
 }
 
@@ -83,10 +83,8 @@ fn example_2_2_instance_is_empty_everywhere() {
     let t = Relation::from_rows(Schema::of(&[0, 2]), rows).unwrap();
     assert_eq!(r.len(), n as usize);
     let rels = [r.clone(), s.clone(), t.clone()];
-    for algo in [Algorithm::Nprr, Algorithm::Naive] {
-        let out = join_with(&rels, algo, None).unwrap();
-        assert!(out.relation.is_empty(), "{algo:?} must report empty");
-    }
+    assert!(join(&rels).unwrap().is_empty(), "NPRR must report empty");
+    assert!(naive::join(&rels).is_empty(), "naive must report empty");
     // while the pairwise join is quadratic:
     let pairwise = wcoj_storage::ops::natural_join(&r, &s);
     assert_eq!(pairwise.len(), (n * n / 4 + n / 2) as usize);
@@ -107,7 +105,7 @@ fn nprr_output_within_agm_bound_random_queries() {
             .iter()
             .map(|attrs| random_rel(&mut rng, attrs, 60, 6))
             .collect();
-        let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let out = PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap();
         let bound = out.stats.log2_agm_bound;
         if !out.relation.is_empty() {
             assert!(
@@ -116,7 +114,7 @@ fn nprr_output_within_agm_bound_random_queries() {
                 out.relation.len()
             );
         }
-        assert_matches_naive(&rels, Algorithm::Nprr, &format!("agm trial {trial}"));
+        assert_matches_naive(&rels, &format!("agm trial {trial}"));
     }
 }
 
@@ -128,16 +126,17 @@ fn nprr_with_explicit_cover() {
     let t = random_rel(&mut rng, &[0, 2], 30, 6);
     let rels = [r, s, t];
     // the all-ones cover is valid but loose
-    let out = join_with(&rels, Algorithm::Nprr, Some(&[1.0, 1.0, 1.0])).unwrap();
+    let prepared = PreparedQuery::new(&rels).unwrap();
+    let out = prepared.evaluate(Some(&[1.0, 1.0, 1.0])).unwrap();
     let expect = naive::join(&rels);
     let expect = reorder(&expect, out.relation.schema()).unwrap();
     assert_eq!(out.relation, expect);
     // the half cover
-    let out2 = join_with(&rels, Algorithm::Nprr, Some(&[0.5, 0.5, 0.5])).unwrap();
+    let out2 = prepared.evaluate(Some(&[0.5, 0.5, 0.5])).unwrap();
     assert_eq!(out2.relation, expect);
     // a non-cover is rejected
     assert!(matches!(
-        join_with(&rels, Algorithm::Nprr, Some(&[0.1, 0.1, 0.1])),
+        prepared.evaluate(Some(&[0.1, 0.1, 0.1])),
         Err(QueryError::BadCover(_))
     ));
 }
@@ -180,7 +179,7 @@ fn join_nprr_rejects_a_non_cover() {
 fn empty_input_short_circuits() {
     let r = rel(&[0, 1], &[&[1, 2]]);
     let e = Relation::empty(Schema::of(&[1, 2]));
-    let out = join_with(&[r, e], Algorithm::Nprr, None).unwrap();
+    let out = PreparedQuery::new(&[r, e]).unwrap().evaluate(None).unwrap();
     assert!(out.relation.is_empty());
     assert_eq!(out.relation.arity(), 3);
     assert_eq!(out.stats.algorithm_used, "nprr");
@@ -197,8 +196,8 @@ fn single_relation_query() {
     let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
     let out = join(std::slice::from_ref(&r)).unwrap();
     assert_eq!(out, r);
-    let out2 = join_with(std::slice::from_ref(&r), Algorithm::Nprr, None).unwrap();
-    assert_eq!(out2.relation, r);
+    let out2 = PreparedQuery::new(std::slice::from_ref(&r)).unwrap();
+    assert_eq!(out2.evaluate(None).unwrap().relation, r);
 }
 
 #[test]
@@ -215,8 +214,7 @@ fn nullary_relations() {
 fn disconnected_query_is_cross_product() {
     let r = rel(&[0], &[&[1], &[2]]);
     let s = rel(&[1], &[&[5], &[6], &[7]]);
-    let out = join_with(&[r, s], Algorithm::Nprr, None).unwrap();
-    assert_eq!(out.relation.len(), 6);
+    assert_eq!(join(&[r, s]).unwrap().len(), 6);
 }
 
 #[test]
@@ -229,14 +227,14 @@ fn chain_and_star_queries_match_naive() {
             random_rel(&mut rng, &[1, 2], 40, 7),
             random_rel(&mut rng, &[2, 3], 40, 7),
         ];
-        assert_matches_naive(&chain, Algorithm::Nprr, &format!("chain {trial}"));
+        assert_matches_naive(&chain, &format!("chain {trial}"));
         // star
         let star = [
             random_rel(&mut rng, &[0, 1], 40, 7),
             random_rel(&mut rng, &[0, 2], 40, 7),
             random_rel(&mut rng, &[0, 3], 40, 7),
         ];
-        assert_matches_naive(&star, Algorithm::Nprr, &format!("star {trial}"));
+        assert_matches_naive(&star, &format!("star {trial}"));
     }
 }
 
@@ -250,7 +248,7 @@ fn hypergraph_shapes_with_overlapping_big_edges() {
             random_rel(&mut rng, &[0, 4], 35, 3),
             random_rel(&mut rng, &[1, 4], 35, 3),
         ];
-        assert_matches_naive(&rels, Algorithm::Nprr, &format!("overlap {trial}"));
+        assert_matches_naive(&rels, &format!("overlap {trial}"));
     }
 }
 
@@ -259,8 +257,7 @@ fn repeated_identical_schemas() {
     // Two relations over the same attributes: join = intersection.
     let a = rel(&[0, 1], &[&[1, 2], &[3, 4], &[5, 6]]);
     let b = rel(&[0, 1], &[&[3, 4], &[5, 6], &[7, 8]]);
-    let out = join_with(&[a, b], Algorithm::Nprr, None).unwrap();
-    assert_eq!(out.relation.len(), 2);
+    assert_eq!(join(&[a, b]).unwrap().len(), 2);
 }
 
 #[test]
@@ -272,7 +269,7 @@ fn lw5_matches_naive() {
             random_rel(&mut rng, &attrs, 25, 3)
         })
         .collect();
-    assert_matches_naive(&rels, Algorithm::Nprr, "lw5");
+    assert_matches_naive(&rels, "lw5");
 }
 
 #[test]
@@ -308,16 +305,17 @@ fn join_runs_nprr_on_every_shape() {
         ("lw5", lw5),
         ("hyperedge", hyper),
     ] {
-        let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
-        assert_eq!(out.stats.algorithm_used, "nprr", "{name}");
-        assert!(!out.relation.is_empty(), "{name}: a non-empty instance");
+        let prepared = PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap();
+        assert_eq!(prepared.stats.algorithm_used, "nprr", "{name}");
+        assert!(
+            !prepared.relation.is_empty(),
+            "{name}: a non-empty instance"
+        );
         let joined = join(&rels).unwrap();
-        assert_eq!(joined, out.relation, "{name}: join() = join_with(Nprr)");
+        assert_eq!(joined, prepared.relation, "{name}: join() = PreparedQuery");
         let q = JoinQuery::new(&rels).unwrap();
         let direct = join_nprr(&q, &q.optimal_cover().unwrap().x).unwrap();
         assert_eq!(joined, direct.relation, "{name}: join() = join_nprr");
-        let prepared = PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap();
-        assert_eq!(joined, prepared.relation, "{name}: join() = PreparedQuery");
         assert_eq!(joined.schema(), &q.output_schema(), "{name}: output schema");
     }
 }
@@ -342,7 +340,7 @@ fn stats_are_populated() {
         random_rel(&mut rng, &[2, 3], 50, 4),
         random_rel(&mut rng, &[0, 3], 50, 4),
     ];
-    let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
+    let out = PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap();
     assert_eq!(out.stats.algorithm_used, "nprr");
     assert_eq!(out.stats.cover.len(), 3);
     assert!(out.stats.log2_agm_bound > 0.0);
@@ -385,10 +383,10 @@ proptest! {
             let count = rng.gen_range(5..30);
             rels.push(random_rel(&mut rng, &attrs, count, 4));
         }
-        let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let out = join(&rels).unwrap();
         let expect = naive::join(&rels);
-        let expect = reorder(&expect, out.relation.schema()).unwrap();
-        prop_assert_eq!(out.relation, expect);
+        let expect = reorder(&expect, out.schema()).unwrap();
+        prop_assert_eq!(out, expect);
     }
 
     /// The AGM inequality holds on every random instance.
@@ -450,9 +448,9 @@ fn zero_weight_edges_still_filter() {
     let rels = [r, s, t];
     let cover = agm_cover(&rels).unwrap();
     assert!(cover.x[2].abs() < 1e-6, "T should get weight 0");
-    let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
-    assert_eq!(out.relation.len(), 1);
-    assert!(out.relation.contains_row(&[Value(1), Value(2), Value(5)]));
+    let out = join(&rels).unwrap();
+    assert_eq!(out.len(), 1);
+    assert!(out.contains_row(&[Value(1), Value(2), Value(5)]));
 }
 
 #[test]
@@ -462,21 +460,19 @@ fn contained_edges() {
     let s = rel(&[1, 2], &[&[2, 3], &[5, 6]]);
     let u = rel(&[1], &[&[2]]);
     let rels = [r, s, u];
-    assert_matches_naive(&rels, Algorithm::Nprr, "contained edges");
-    let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
-    assert_eq!(out.relation.len(), 2); // (1,2,3) and (7,2,3)
+    assert_matches_naive(&rels, "contained edges");
+    assert_eq!(join(&rels).unwrap().len(), 2); // (1,2,3) and (7,2,3)
 }
 
 #[test]
 fn duplicate_relations_as_parallel_edges() {
     // The same relation twice (multiset hypergraph, needed by §7.3).
     let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
-    let out = join_with(&[r.clone(), r.clone()], Algorithm::Nprr, None).unwrap();
-    assert_eq!(out.relation, r);
+    assert_eq!(join(&[r.clone(), r.clone()]).unwrap(), r);
     // and a triangle where two edges coincide
     let s = rel(&[1, 2], &[&[2, 9], &[4, 8]]);
     let rels = [r.clone(), r, s];
-    assert_matches_naive(&rels, Algorithm::Nprr, "parallel edges");
+    assert_matches_naive(&rels, "parallel edges");
 }
 
 #[test]
@@ -485,7 +481,7 @@ fn wide_relation_with_many_attributes() {
     let wide = random_rel(&mut rng, &[0, 1, 2, 3, 4, 5], 40, 3);
     let narrow = random_rel(&mut rng, &[2, 3], 40, 3);
     let rels = [wide, narrow];
-    assert_matches_naive(&rels, Algorithm::Nprr, "wide + narrow");
+    assert_matches_naive(&rels, "wide + narrow");
 }
 
 #[test]
@@ -508,10 +504,10 @@ fn skew_forces_both_cases() {
     )
     .unwrap();
     let rels = [r, s, t];
-    let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
+    let out = PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap();
     assert!(out.stats.case_a > 0, "expected some case-a decisions");
     assert!(out.stats.case_b > 0, "expected some case-b decisions");
-    assert_matches_naive(&rels, Algorithm::Nprr, "skewed triangle");
+    assert_matches_naive(&rels, "skewed triangle");
 }
 
 // --- Golden counts -------------------------------------------------------

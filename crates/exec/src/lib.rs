@@ -375,7 +375,7 @@ pub fn plan_shards<S: SearchTree>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wcoj_core::{join_with, Algorithm, JoinOutput, JoinStats};
+    use wcoj_core::{join, JoinOutput, JoinStats};
     use wcoj_storage::{DeltaIndex, Relation, Schema};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
@@ -430,11 +430,11 @@ mod tests {
         cfg: &ExecConfig,
         ctx: &str,
     ) -> JoinOutput {
-        let seq = join_with(rels, Algorithm::Nprr, None).unwrap();
+        let seq = join(rels).unwrap();
         let prepared = PreparedQuery::new(rels).unwrap();
         let tasks = plan_shards(&prepared, workers * OVERSPLIT, cfg);
         let out = run_plan(&prepared, &tasks, None);
-        assert_eq!(out.relation, seq.relation, "{ctx}");
+        assert_eq!(out.relation, seq, "{ctx}");
         out
     }
 
@@ -786,7 +786,7 @@ mod tests {
         let prepared = PreparedQuery::new(&rels).unwrap();
         let plan = plan_shards(&prepared, 8, &fine());
         let out = run_plan(&prepared, &plan, Some(&cover));
-        let seq = join_with(&rels, Algorithm::Nprr, Some(&cover)).unwrap();
+        let seq = prepared.evaluate(Some(&cover)).unwrap();
         assert_eq!(out.relation, seq.relation);
         assert_eq!(out.relation.len(), 2);
         assert_eq!(out.stats.cover, cover);
@@ -800,7 +800,7 @@ mod tests {
             wcoj_datagen::random_relation(21, &[2, 3], 80, 6),
             wcoj_datagen::random_relation(22, &[0, 3], 80, 6),
         ];
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let seq = join(&rels).unwrap();
         let flat = PreparedQuery::new(&rels).unwrap();
         let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
         for workers in [2, 8] {
@@ -809,15 +809,15 @@ mod tests {
             assert_eq!(flat_plan, delta_plan, "w={workers}");
             let a = run_plan(&flat, &flat_plan, None);
             let b = run_plan(&delta, &delta_plan, None);
-            assert_eq!(a.relation, seq.relation, "flat w={workers}");
-            assert_eq!(b.relation, seq.relation, "delta w={workers}");
+            assert_eq!(a.relation, seq, "flat w={workers}");
+            assert_eq!(b.relation, seq, "delta w={workers}");
         }
         // reuse: re-planning the same preparation reads the memoized root
         // weights and yields the same plan
         let first = plan_shards(&flat, 16, &fine());
         let again = plan_shards(&flat, 16, &fine());
         assert_eq!(first, again);
-        assert_eq!(run_plan(&flat, &again, None).relation, seq.relation);
+        assert_eq!(run_plan(&flat, &again, None).relation, seq);
     }
 
     #[test]

@@ -1299,7 +1299,7 @@ impl Drop for Service {
 mod tests {
     use super::*;
     use std::sync::mpsc;
-    use wcoj_core::{join_with, Algorithm, JoinQuery};
+    use wcoj_core::{join, JoinQuery};
     use wcoj_storage::{Attr, DeltaIndex, DeltaRelation, FlatIndex, Schema, StorageError, Value};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
@@ -1334,14 +1334,14 @@ mod tests {
             wcoj_datagen::random_relation(2, &[1, 2], 120, 12),
             wcoj_datagen::random_relation(3, &[0, 2], 120, 12),
         ];
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let seq = join(&rels).unwrap();
         let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
         };
         let out = service.submit(&prepared, &cfg).unwrap().wait().unwrap();
-        assert_eq!(out.relation, seq.relation);
+        assert_eq!(out.relation, seq);
         assert_eq!(out.stats.algorithm_used, "nprr-service");
         assert!(out.stats.shards >= 1);
         assert_eq!(service.counters().submitted, 1);
@@ -1351,7 +1351,7 @@ mod tests {
     fn many_handles_in_flight_before_any_wait() {
         let service = Service::new(ServiceConfig::with_workers(2));
         let rels = triangle();
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let seq = join(&rels).unwrap();
         let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
@@ -1361,7 +1361,7 @@ mod tests {
             .map(|_| service.submit(&prepared, &cfg).unwrap())
             .collect();
         for handle in handles {
-            assert_eq!(handle.wait().unwrap().relation, seq.relation);
+            assert_eq!(handle.wait().unwrap().relation, seq);
         }
         assert_eq!(service.counters().submitted, 16);
         let counters = service.counters();
@@ -1378,14 +1378,14 @@ mod tests {
     fn hash_backend_through_the_pool() {
         let service = Service::new(ServiceConfig::with_workers(4));
         let rels = triangle();
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let seq = join(&rels).unwrap();
         let prepared = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
         };
         let out = service.submit(&prepared, &cfg).unwrap().wait().unwrap();
-        assert_eq!(out.relation, seq.relation);
+        assert_eq!(out.relation, seq);
     }
 
     #[test]
@@ -1497,7 +1497,7 @@ mod tests {
         // and the admission check precedes all planning), so none of the
         // admitted queries can finish before the burst loop ends.
         let (heavy_rels, heavy) = heavy_blocker(11);
-        let seq = join_with(&heavy_rels, Algorithm::Nprr, None).unwrap();
+        let seq = join(&heavy_rels).unwrap();
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -1531,11 +1531,11 @@ mod tests {
         // Every accepted handle resolves bit-identically to join_nprr.
         for handle in accepted {
             let out = handle.wait().unwrap();
-            assert_eq!(out.relation, seq.relation);
+            assert_eq!(out.relation, seq);
         }
         // With the queue drained, submissions are admitted again.
         let out = service.submit(&heavy, &cfg).unwrap().wait().unwrap();
-        assert_eq!(out.relation, seq.relation);
+        assert_eq!(out.relation, seq);
         assert_eq!(service.counters().in_flight, 0);
     }
 
@@ -1558,10 +1558,10 @@ mod tests {
 
         // The pool still serves other queries correctly afterwards…
         let rels = triangle();
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let seq = join(&rels).unwrap();
         let small = Arc::new(PreparedQuery::new(&rels).unwrap());
         let out = service.submit(&small, &cfg).unwrap().wait().unwrap();
-        assert_eq!(out.relation, seq.relation);
+        assert_eq!(out.relation, seq);
 
         // …and once the cancelled ring drains, its skipped tasks show up
         // in the counters and its admission slot is released.
@@ -1717,7 +1717,7 @@ mod tests {
             wcoj_datagen::random_relation(22, &[1, 2], 150, 14),
             wcoj_datagen::random_relation(23, &[0, 2], 150, 14),
         ];
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let seq = join(&rels).unwrap();
         let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
@@ -1728,7 +1728,7 @@ mod tests {
 
         let handle = service.submit(&prepared, &cfg).unwrap();
         let (out, profile) = handle.wait_profiled().unwrap();
-        assert_eq!(out.relation, seq.relation, "profiling changes no output");
+        assert_eq!(out.relation, seq, "profiling changes no output");
 
         assert!(profile.query_id > 0);
         assert_eq!(profile.total_shards, layout.len());
@@ -1852,7 +1852,7 @@ mod tests {
 
     #[test]
     fn join_convenience_and_drop_drains() {
-        let seq = join_with(&triangle(), Algorithm::Nprr, None).unwrap();
+        let seq = join(&triangle()).unwrap();
         let handle;
         {
             let service = Service::new(ServiceConfig::with_workers(2));
@@ -1862,7 +1862,7 @@ mod tests {
                 .unwrap()
                 .wait()
                 .unwrap();
-            assert_eq!(out.relation, seq.relation);
+            assert_eq!(out.relation, seq);
             // a handle may outlive the service: drop drains the queue
             let cfg = ExecConfig {
                 shard_min_size: 1,
@@ -1870,7 +1870,7 @@ mod tests {
             };
             handle = service.submit(&prepared, &cfg).unwrap();
         } // service dropped here
-        assert_eq!(handle.wait().unwrap().relation, seq.relation);
+        assert_eq!(handle.wait().unwrap().relation, seq);
     }
 
     /// The root value a pool worker may not descend into.
@@ -1966,10 +1966,10 @@ mod tests {
         // under R's candidates); the path R(x,y) S(y,z) holds x in R alone,
         // so its workers reach POISON only through R's child scan.
         for rels in [&rels[..], &rels[..2]] {
-            let seq = join_with(rels, Algorithm::Nprr, None).unwrap();
-            assert!(seq.relation.iter_rows().any(|row| row[0] == POISON));
+            let seq = join(rels).unwrap();
+            assert!(seq.iter_rows().any(|row| row[0] == POISON));
             let poisoned = Arc::new(PreparedQuery::<PanicAt>::new_indexed(rels).unwrap());
-            assert_eq!(poisoned.evaluate(None).unwrap().relation, seq.relation);
+            assert_eq!(poisoned.evaluate(None).unwrap().relation, seq);
             assert!(service.shard_layout(&*poisoned, &cfg).len() >= 2);
 
             // wait() reports the panic as an error…
@@ -1995,10 +1995,7 @@ mod tests {
         // sequential.
         let healthy = Arc::new(PreparedQuery::new(&rels).unwrap());
         let out = service.submit(&healthy, &cfg).unwrap().wait().unwrap();
-        assert_eq!(
-            out.relation,
-            join_with(&rels, Algorithm::Nprr, None).unwrap().relation
-        );
+        assert_eq!(out.relation, join(&rels).unwrap());
         assert_eq!(service.workers(), 2);
     }
 
@@ -2086,7 +2083,7 @@ mod tests {
             shard_min_size: 1,
             ..service.exec_config()
         };
-        let expected = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+        let expected = join(&rels).unwrap();
 
         // From the start: the whole output, bit-identical to sequential.
         let mut stream = service.submit(&prepared, &cfg).unwrap();
@@ -2235,7 +2232,7 @@ mod tests {
             ("2-star", star(2), false),
             ("star", star(3), false),
         ] {
-            let expected = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+            let expected = join(&rels).unwrap();
             let flat = Arc::new(PreparedQuery::new(&rels).unwrap());
             assert_eq!(flat.slots_stream_sorted(), ordered, "{name}");
             handle_batches_match_the_old_merge(&service, &flat, &expected, name);
@@ -2272,7 +2269,7 @@ mod tests {
     fn wait_settled_then_batches_arrive_without_blocking() {
         let service = Service::new(ServiceConfig::with_workers(2));
         let rels = triangle();
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let seq = join(&rels).unwrap();
         let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
@@ -2281,14 +2278,14 @@ mod tests {
         let mut stream = service.submit(&prepared, &cfg).unwrap();
         stream.wait_settled();
         assert!(stream.is_finished());
-        let mut merged = Relation::empty(seq.relation.schema().clone());
+        let mut merged = Relation::empty(seq.schema().clone());
         while let Some(batch) = stream.next_batch() {
             for row in batch.unwrap().relation.iter_rows() {
                 merged.push_row(row).unwrap();
             }
         }
         merged.sort_dedup();
-        assert_eq!(merged, seq.relation);
+        assert_eq!(merged, seq);
         // Fully drained stream: dropping it must NOT count a cancellation.
         drop(stream);
         assert_eq!(service.counters().cancelled, 0);

@@ -409,29 +409,85 @@ mod tests {
         assert!(natural_join(&r, &f).is_empty());
     }
 
-    #[test]
-    fn join_semantics_match_bruteforce() {
-        // exhaustive check on a small random-ish instance
-        let r = rel(&[0, 1], &[&[0, 0], &[0, 1], &[1, 0], &[2, 2]]);
-        let s = rel(&[1, 2], &[&[0, 0], &[1, 1], &[2, 0], &[0, 3]]);
-        let j = natural_join(&r, &s);
-        let mut expected = 0;
-        for a in 0..3u32 {
-            for b in 0..3u32 {
-                for c in 0..4u32 {
-                    if r.contains_row(&[Value(a.into()), Value(b.into())])
-                        && s.contains_row(&[Value(b.into()), Value(c.into())])
-                    {
-                        expected += 1;
-                        assert!(j.contains_row(&[
-                            Value(u64::from(a)),
-                            Value(u64::from(b)),
-                            Value(u64::from(c))
-                        ]));
-                    }
+    /// `l ⋈ r` by definition: every pair of rows that agrees on the
+    /// shared attributes, laid out over `l`'s attributes then `r`'s new
+    /// ones, as a sorted set.
+    fn nested_loop(l: &Relation, r: &Relation) -> (Schema, Vec<Vec<Value>>) {
+        let schema = l.schema().union(r.schema());
+        let mut rows = std::collections::BTreeSet::new();
+        for lr in l.iter_rows() {
+            for rr in r.iter_rows() {
+                let value = |a: Attr| {
+                    let from_l = l.schema().position(a).map(|p| lr[p]);
+                    let from_r = r.schema().position(a).map(|p| rr[p]);
+                    (from_l, from_r)
+                };
+                let agree = schema.attrs().iter().all(|&a| match value(a) {
+                    (Some(x), Some(y)) => x == y,
+                    _ => true,
+                });
+                if agree {
+                    let row: Vec<Value> = schema
+                        .attrs()
+                        .iter()
+                        .map(|&a| {
+                            let (x, y) = value(a);
+                            x.or(y).expect("attribute of one side")
+                        })
+                        .collect();
+                    rows.insert(row);
                 }
             }
         }
-        assert_eq!(j.len(), expected);
+        (schema, rows.into_iter().collect())
+    }
+
+    #[test]
+    fn join_semantics_match_bruteforce() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(46);
+        let mut random = |attrs: &[u32], n: usize| {
+            let rows: Vec<Vec<Value>> = (0..n)
+                .map(|_| attrs.iter().map(|_| Value(rng.gen_range(0..4))).collect())
+                .collect();
+            Relation::from_rows(Schema::of(attrs), rows).unwrap()
+        };
+        // (left attributes, right attributes): one shared attribute, two
+        // (in another column order on each side), all (an intersection),
+        // none (a cross product).
+        let shapes: &[(&[u32], &[u32])] = &[
+            (&[0, 1], &[1, 2]),
+            (&[2, 0, 1], &[1, 3, 2]),
+            (&[0, 1], &[1, 0]),
+            (&[0, 1], &[2, 3]),
+        ];
+        let mut cases = Vec::new();
+        for &(ls, rs) in shapes {
+            for trial in 0..8 {
+                cases.push((random(ls, 3 + 4 * trial), random(rs, 3 + 3 * trial)));
+            }
+            // an empty side, either way round
+            cases.push((random(ls, 10), Relation::empty(Schema::of(rs))));
+            cases.push((Relation::empty(Schema::of(ls)), random(rs, 10)));
+        }
+        // the nullary unit (and the nullary empty relation) on either side
+        for unit in [Relation::nullary_true(), Relation::empty(Schema::of(&[]))] {
+            cases.push((unit.clone(), random(&[0, 1], 10)));
+            cases.push((random(&[0, 1], 10), unit.clone()));
+            cases.push((unit.clone(), unit));
+        }
+        for (k, (l, r)) in cases.iter().enumerate() {
+            let j = natural_join(l, r);
+            let (schema, expected) = nested_loop(l, r);
+            assert_eq!(j.schema(), &schema, "case {k}");
+            let got: Vec<Vec<Value>> = j.iter_rows().map(<[Value]>::to_vec).collect();
+            assert_eq!(
+                got,
+                expected,
+                "case {k}: {:?} ⋈ {:?}",
+                l.schema(),
+                r.schema()
+            );
+        }
     }
 }

@@ -28,17 +28,19 @@ fn main() {
     );
 
     // --- 3. execution stats, and the paper's reproductions ----------------
-    // `join` runs NPRR (§5) on every shape. Algorithm 1 (§4) and Theorem
-    // 7.3 (§7.1) are special cases it subsumes; `wcoj::baselines` keeps
-    // them as reproductions to call directly.
+    // `join` runs NPRR (§5) on every shape; `PreparedQuery::evaluate` is
+    // the same run with its statistics. Algorithm 1 (§4) and Theorem 7.3
+    // (§7.1) are special cases it subsumes; `wcoj::baselines` keeps them
+    // as reproductions to call directly.
     let rels = [r.clone(), s.clone(), t.clone()];
     let q = JoinQuery::new(&rels).expect("well-formed query");
     for res in [
-        join_with(&rels, Algorithm::Nprr, None),
+        PreparedQuery::new(&rels).and_then(|p| p.evaluate(None)),
         wcoj::baselines::lw::join_lw(&q),
         wcoj::baselines::graph_join::join_graph(&q),
     ] {
         let res = res.expect("evaluates");
+        assert_eq!(res.relation, out, "every path computes the same join");
         println!(
             "{:<12} → {} tuples (case_a={}, case_b={}, intermediates={})",
             res.stats.algorithm_used,
@@ -59,4 +61,5 @@ fn main() {
     let q = parse_query("Ans(a, b, c) :- R(a, b), S(b, c), T(a, c).").expect("parses");
     let res = execute(&q, &catalog).expect("executes");
     println!("\ntext query returned {} tuples", res.relation.len());
+    assert_eq!(res.relation.len(), out.len());
 }

@@ -53,8 +53,12 @@ fn main() {
             out.classes
         );
         for row in out.relation.iter_rows() {
-            // count which criteria the pair satisfies, for display
+            // count which criteria the pair satisfies
             let agree = rels.iter().filter(|rel| rel.contains_row(row)).count();
+            assert!(
+                agree >= 3 - r,
+                "q_{r} returned a pair meeting {agree} criteria"
+            );
             let p = dict.decode(row[0]).expect("interned");
             let j = dict.decode(row[1]).expect("interned");
             println!("  {p} → {j}  ({agree}/3 criteria)");

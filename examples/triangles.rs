@@ -30,7 +30,9 @@ fn main() {
 
     // worst-case optimal (NPRR, §5)
     let start = Instant::now();
-    let out = join_with(&rels, Algorithm::Nprr, None).expect("join");
+    let out = PreparedQuery::new(&rels)
+        .and_then(|p| p.evaluate(None))
+        .expect("join");
     let t_wcoj = start.elapsed();
     println!(
         "wcoj ({}): {} triangles in {:.1} ms (intermediates: {})",
@@ -70,12 +72,12 @@ fn main() {
     println!("\n--- adversarial instance (Example 2.2, N = 4096) ---");
     let hard = wcoj::datagen::example_2_2(4096);
     let start = Instant::now();
-    let out = join_with(&hard, Algorithm::Nprr, None).expect("join");
+    let out = join(&hard).expect("join");
     let t_wcoj = start.elapsed();
     let start = Instant::now();
     let (bout, stats) = execute_left_deep(&hard, &[0, 1, 2]).expect("plan");
     let t_bin = start.elapsed();
-    assert!(out.relation.is_empty() && bout.is_empty());
+    assert!(out.is_empty() && bout.is_empty());
     println!(
         "wcoj: {:.1} ms | binary plan: {:.1} ms (forced through a {}-tuple intermediate)",
         t_wcoj.as_secs_f64() * 1e3,

@@ -18,7 +18,7 @@
 //! | [`hypergraph`] | query hypergraphs, fractional covers, the cover LP and AGM bounds |
 //! | [`lp`] | the two-phase `f64` simplex and an exact solve of its optimal basis |
 //! | [`rational`] | exact `i128` rationals |
-//! | [`baselines`] (`wcoj-baselines`) | reference implementations no served crate links: hash/sort-merge/nested-loop joins, binary plans, a System-R-style optimizer, the special cases Theorem 5.1 subsumes — the Loomis–Whitney algorithm (§4) with the LW/BT instance shapes, arity-≤2 star/cycle joins (§7.1, Theorem 7.3) and Lemma 7.2's half-integral covers — and the reductions that call the join: relaxed joins (§7.2), FD expansion (§7.3), the algorithmic BT inequality (Corollary 5.3) and Lemma 3.2's tight covers |
+//! | [`baselines`] (`wcoj-baselines`) | reference implementations no served crate links: binary join-project plans over the storage layer's hash join, a System-R-style optimizer, the special cases Theorem 5.1 subsumes — the Loomis–Whitney algorithm (§4) with the LW/BT instance shapes, arity-≤2 star/cycle joins (§7.1, Theorem 7.3) and Lemma 7.2's half-integral covers — and the reductions that call the join: relaxed joins (§7.2), FD expansion (§7.3), the algorithmic BT inequality (Corollary 5.3) and Lemma 3.2's tight covers |
 //! | [`datagen`] | every instance family the paper's claims use |
 //! | [`query`] | a Datalog-style text front-end and CSV loader |
 //! | [`server`] (`wcoj-server`) | a std-only TCP/HTTP front end: blocking accept loop + connection threads over the shared service, with incremental chunked row streaming, `429`+`Retry-After` under overload, and `/metrics` exposition |
@@ -50,7 +50,7 @@ pub use wcoj_server as server;
 pub use wcoj_service as service;
 pub use wcoj_storage as storage;
 
-pub use wcoj_core::{agm_cover, join, join_with, Algorithm, JoinOutput, JoinQuery, JoinStats};
+pub use wcoj_core::{agm_cover, join, JoinOutput, JoinQuery, JoinStats};
 pub use wcoj_exec::ExecConfig;
 pub use wcoj_service::{
     QueryHandle, QueryProfile, RowBatch, Service, ServiceConfig, ServiceCounters, ShardProfile,
@@ -59,12 +59,13 @@ pub use wcoj_service::{
 
 /// The names most programs need.
 pub mod prelude {
-    pub use crate::core::{agm_cover, Algorithm, JoinQuery};
+    pub use crate::core::nprr::PreparedQuery;
+    pub use crate::core::{agm_cover, JoinQuery};
     pub use crate::exec::ExecConfig;
+    pub use crate::join;
     pub use crate::query::{execute, load_csv, parse_query, submit_query, Catalog};
     pub use crate::service::{
         QueryHandle, QueryProfile, Service, ServiceConfig, ServiceCounters, SubmitError,
     };
     pub use crate::storage::{Attr, Datum, Dictionary, Relation, Schema, Value};
-    pub use crate::{join, join_with};
 }

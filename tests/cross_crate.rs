@@ -4,13 +4,12 @@
 
 use wcoj::baselines::graph_join::join_graph;
 use wcoj::baselines::lw::join_lw;
-use wcoj::baselines::pairwise::{hash_join, nested_loop_join, sort_merge_join};
-use wcoj::baselines::plan::{execute, JoinImpl, JoinPlan};
+use wcoj::baselines::plan::{execute, JoinPlan};
 use wcoj::baselines::relaxed;
 use wcoj::core::naive;
 use wcoj::hypergraph::agm;
 use wcoj::prelude::*;
-use wcoj::storage::ops::reorder;
+use wcoj::storage::ops::{natural_join, reorder};
 
 #[test]
 fn facade_quickstart_compiles_and_runs() {
@@ -33,7 +32,10 @@ fn all_algorithms_and_all_baselines_agree() {
 
         let q = JoinQuery::new(&rels).unwrap();
         for (name, out) in [
-            ("nprr", join_with(&rels, Algorithm::Nprr, None)),
+            (
+                "nprr",
+                PreparedQuery::new(&rels).and_then(|p| p.evaluate(None)),
+            ),
             ("join_lw", join_lw(&q)),
             ("join_graph", join_graph(&q)),
         ] {
@@ -41,10 +43,10 @@ fn all_algorithms_and_all_baselines_agree() {
             let exp = reorder(&expected, out.relation.schema()).unwrap();
             assert_eq!(out.relation, exp, "seed {seed}, {name}");
         }
-        for imp in [JoinImpl::Hash, JoinImpl::SortMerge, JoinImpl::NestedLoop] {
-            let (out, _) = execute(&JoinPlan::left_deep(&[0, 1, 2]), &rels, imp).unwrap();
+        for order in [[0, 1, 2], [2, 0, 1], [1, 2, 0]] {
+            let (out, _) = execute(&JoinPlan::left_deep(&order), &rels).unwrap();
             let exp = reorder(&expected, out.schema()).unwrap();
-            assert_eq!(out, exp, "seed {seed}, {imp:?}");
+            assert_eq!(out, exp, "seed {seed}, left-deep {order:?}");
         }
     }
 }
@@ -108,7 +110,7 @@ fn lower_bound_gap_is_visible_at_small_scale() {
     // quadratic intermediate; NPRR's working set stays linear.
     let rels = wcoj::datagen::simple_lw(3, 256);
     let (_, stats) = wcoj::baselines::best_actual_left_deep(&rels);
-    let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
+    let out = PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap();
     let d = (256 - 1) / 2;
     assert!(stats.max_intermediate as u64 >= (d + 1) * (d + 1));
     assert!(
@@ -124,13 +126,11 @@ fn pairwise_joins_commute_with_wcoj_on_two_relations() {
     for seed in 0..4u64 {
         let l = wcoj::datagen::random_relation(seed, &[0, 1], 50, 6);
         let r = wcoj::datagen::random_relation(seed + 5, &[1, 2], 50, 6);
-        let h = hash_join(&l, &r);
-        let s = reorder(&sort_merge_join(&l, &r), h.schema()).unwrap();
-        let n = reorder(&nested_loop_join(&l, &r), h.schema()).unwrap();
+        let h = natural_join(&l, &r);
+        let flipped = reorder(&natural_join(&r, &l), h.schema()).unwrap();
         let w = join(&[l, r]).unwrap();
         let w = reorder(&w, h.schema()).unwrap();
-        assert_eq!(h, s);
-        assert_eq!(h, n);
+        assert_eq!(h, flipped);
         assert_eq!(h, w);
     }
 }

@@ -32,7 +32,7 @@ use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
 use wcoj::prelude::*;
 use wcoj::storage::{DeltaIndex, FlatIndex, SearchTree};
-use wcoj::{join_with, Algorithm, SubmitError};
+use wcoj::SubmitError;
 
 /// Asserts rows are identical *including order* — `Relation` equality
 /// already covers it (schema + row vector), the explicit row-by-row
@@ -110,9 +110,7 @@ fn flood_instances() -> Vec<(String, Vec<Relation>, Relation)> {
     }
     out.into_iter()
         .map(|(name, rels)| {
-            let oracle = join_with(&rels, Algorithm::Nprr, None)
-                .expect("sequential oracle")
-                .relation;
+            let oracle = join(&rels).expect("sequential oracle");
             (name, rels, oracle)
         })
         .collect()
@@ -151,9 +149,7 @@ fn flood_past_queue_bound_sheds_and_stays_correct() {
     let blocker_rels = gen::cycle_instance(43, 5, 300, 15);
     let blocker = Arc::new(PreparedQuery::new(&blocker_rels).expect("well-formed"));
     blocker.resolve_cover(None).expect("cover");
-    let blocker_seq = join_with(&blocker_rels, Algorithm::Nprr, None)
-        .unwrap()
-        .relation;
+    let blocker_seq = join(&blocker_rels).unwrap();
     let blockers: Vec<QueryHandle> = (0..QUEUE_DEPTH)
         .map(|_| {
             service
@@ -339,9 +335,7 @@ fn small_query_behind_huge_one_finishes_first() {
         let huge_rels = gen::cycle_instance(47, 5, 500, 22);
         let huge_prepared = Arc::new(PreparedQuery::new(&huge_rels).expect("well-formed"));
         huge_prepared.resolve_cover(None).expect("cover");
-        let huge_seq = join_with(&huge_rels, Algorithm::Nprr, None)
-            .unwrap()
-            .relation;
+        let huge_seq = join(&huge_rels).unwrap();
         let huge_tasks = service.shard_layout(&*huge_prepared, &cfg).len();
         assert!(
             huge_tasks >= 4,
@@ -356,9 +350,7 @@ fn small_query_behind_huge_one_finishes_first() {
         ];
         let small_prepared = Arc::new(PreparedQuery::new(&small_rels).expect("well-formed"));
         small_prepared.resolve_cover(None).expect("cover");
-        let small_seq = join_with(&small_rels, Algorithm::Nprr, None)
-            .unwrap()
-            .relation;
+        let small_seq = join(&small_rels).unwrap();
 
         let gate = service.submit(&gate_prepared, &cfg).unwrap();
         let huge = service.submit(&huge_prepared, &cfg).unwrap();

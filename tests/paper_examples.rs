@@ -140,7 +140,7 @@ fn half_integrality_small_graph_sweep() {
 fn headline_gap_as_counting_statement() {
     let n = 512u64;
     let rels = wcoj::datagen::example_2_2(n);
-    let out = join_with(&rels, Algorithm::Nprr, None).unwrap();
+    let out = PreparedQuery::new(&rels).unwrap().evaluate(None).unwrap();
     // Any binary plan materialises N²/4 + N/2 tuples:
     let quadratic = n * n / 4 + n / 2;
     assert!(

@@ -147,11 +147,7 @@ fn stress_concurrent_mixed_queries_match_sequential() {
         .collect();
     let expected: Vec<Relation> = instances
         .iter()
-        .map(|(_, rels)| {
-            join_with(rels, Algorithm::Nprr, None)
-                .expect("sequential oracle")
-                .relation
-        })
+        .map(|(_, rels)| join(rels).expect("sequential oracle"))
         .collect();
 
     for workers in [2usize, 4, 8] {
@@ -211,7 +207,7 @@ fn determinism_same_query_twice_concurrently() {
         gen::zipf_relation(6, &[1, 2], 150, 18, 1.2),
         gen::zipf_relation(7, &[0, 2], 150, 18, 1.2),
     ];
-    let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+    let seq = join(&rels).unwrap();
     let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
     let noise = Arc::new(PreparedQuery::new(&gen::example_2_2(48)).unwrap());
     let service = Service::new(ServiceConfig::with_workers(3));
@@ -255,7 +251,7 @@ fn zero_shard_plans_resolve_cleanly() {
     let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
     assert!(service.shard_layout(&*prepared, &cfg).is_empty());
     let out = service.submit(&prepared, &cfg).unwrap().wait().unwrap();
-    let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+    let seq = join(&rels).unwrap();
     assert_bit_identical(&out.relation, &seq, "empty root domain");
     assert!(out.relation.is_empty());
     assert_eq!(out.stats.shards, 0, "no shard task scheduled");
@@ -285,7 +281,7 @@ fn repeat_submissions_reuse_cached_plans_through_the_service() {
         gen::zipf_relation(302, &[1, 2], 140, 18, 1.3),
         gen::zipf_relation(303, &[0, 2], 140, 18, 1.3),
     ];
-    let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+    let seq = join(&rels).unwrap();
     let mut catalog = Catalog::new();
     for (name, rel) in ["R", "S", "T"].iter().zip(rels.iter().cloned()) {
         catalog.insert(*name, rel);
@@ -326,9 +322,7 @@ fn repeat_submissions_reuse_cached_plans_through_the_service() {
         catalog.get("S").unwrap().clone(),
         catalog.get("T").unwrap().clone(),
     ];
-    let oracle = join_with(&oracle_rels, Algorithm::Nprr, None)
-        .unwrap()
-        .relation;
+    let oracle = join(&oracle_rels).unwrap();
     assert_bit_identical(&replaced.relation, &oracle, "post-replace round");
 }
 
@@ -425,7 +419,7 @@ proptest! {
             .collect();
         let oracles: Vec<Relation> = mix
             .iter()
-            .map(|rels| join_with(rels, Algorithm::Nprr, None).unwrap().relation)
+            .map(|rels| join(rels).unwrap())
             .collect();
         let workers = [1usize, 2, 4, 8][rng.gen_range(0..4usize)];
         let service = Service::new(ServiceConfig::with_workers(workers));
@@ -446,7 +440,7 @@ proptest! {
             gen::zipf_relation(seed + 1, &[1, 2], 120, 16, 1.4),
             gen::zipf_relation(seed + 2, &[0, 2], 120, 16, 1.4),
         ];
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+        let seq = join(&rels).unwrap();
         for workers in [1usize, 2, 4, 8] {
             let service = Service::new(ServiceConfig::with_workers(workers));
             let cfg = ExecConfig { shard_min_size: 1, ..service.exec_config() };

@@ -172,9 +172,7 @@ fn skew_matrix_matches_sequential() {
     let instances: Vec<_> = skewed_instances()
         .into_iter()
         .map(|(name, rels)| {
-            let seq = join_with(&rels, Algorithm::Nprr, None)
-                .expect("sequential oracle")
-                .relation;
+            let seq = join(&rels).expect("sequential oracle");
             let flat = Arc::new(PreparedQuery::new(&rels).expect("prepare"));
             let delta = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).expect("prepare"));
             (name, seq, flat, delta)
@@ -211,9 +209,7 @@ fn single_hot_key_produces_multi_task_plan_service() {
         hot as f64 / total as f64 >= 0.9,
         "one root value carries ≥ 90% of the work: {hot}/{total}"
     );
-    let seq = join_with(&rels, Algorithm::Nprr, None)
-        .expect("sequential oracle")
-        .relation;
+    let seq = join(&rels).expect("sequential oracle");
     for workers in [1usize, 2, 4, 8] {
         let service = Service::new(ServiceConfig::with_workers(workers));
         let cfg = ExecConfig {
@@ -284,7 +280,7 @@ fn hot_key_cycle4(seed: u64, hot: u64, light: u64) -> Vec<Relation> {
 #[test]
 fn hot_key_four_cycle_streams_bit_identically() {
     let rels = hot_key_cycle4(91, 60, 8);
-    let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+    let seq = join(&rels).unwrap();
     assert!(seq.len() > 100, "a non-trivial answer: {} rows", seq.len());
     let flat = Arc::new(PreparedQuery::new(&rels).unwrap());
     let delta = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap());
@@ -341,7 +337,7 @@ where
 #[test]
 fn heavy_key_query_racing_itself_is_deterministic() {
     let rels = gen::hot_key_triangle(79, 100, 5);
-    let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+    let seq = join(&rels).unwrap();
     let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
     let noise = Arc::new(
         PreparedQuery::new(&[
@@ -390,7 +386,7 @@ proptest! {
         } else {
             gen::hot_key_triangle(seed, rng.gen_range(16..96), rng.gen_range(0..8))
         };
-        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap().relation;
+        let seq = join(&rels).unwrap();
         let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
         let workers = [1usize, 2, 4, 8][rng.gen_range(0..4usize)];
         let factor = [0usize, 1, 2, 8, 1 << 30][rng.gen_range(0..5usize)];

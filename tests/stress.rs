@@ -41,10 +41,12 @@ fn check_output(rels: &[Relation], out: &JoinOutput, ctx: &str) {
     }
 }
 
-/// `join_with(Nprr)` against the oracle, and `join()` against `join_nprr`
-/// under the LP cover: the same rows in the same order.
+/// `PreparedQuery::evaluate` against the oracle, and `join()` against
+/// `join_nprr` under the LP cover: the same rows in the same order.
 fn check_join(rels: &[Relation], ctx: &str) {
-    let out = join_with(rels, Algorithm::Nprr, None).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let out = PreparedQuery::new(rels)
+        .and_then(|p| p.evaluate(None))
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     check_output(rels, &out, &format!("{ctx} (nprr)"));
     let q = JoinQuery::new(rels).unwrap();
     let direct = join_nprr(&q, &q.optimal_cover().unwrap().x).unwrap();
