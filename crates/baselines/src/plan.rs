@@ -222,9 +222,10 @@ mod tests {
 
     #[test]
     fn input_order_left_deep_is_what_naive_folds() {
-        // e9's `binary_ms` times this plan as "what `naive::join` folds":
-        // the same relation, whatever the shape, and also when an
-        // intermediate empties before the last input is joined.
+        // The harness's `binary_ms` (e3, e4, e9, e10) times this plan as
+        // "what `naive::join` folds": the same relation, whatever the
+        // shape, and also when an intermediate empties before the last
+        // input is joined.
         let shapes: &[&[&[u32]]] = &[
             &[&[0, 1], &[1, 2], &[0, 2]],
             &[&[0, 1], &[1, 2], &[2, 3], &[3, 0]],

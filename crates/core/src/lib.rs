@@ -14,13 +14,13 @@
 //! `wcoj-hypergraph`), and runs NPRR through [`nprr::PreparedQuery`] —
 //! the same pipeline the catalog, the service and the HTTP server run.
 //! A caller that wants the statistics or an explicit cover calls
-//! `PreparedQuery::new(relations)?.evaluate(cover)` itself. Algorithm 1 (§4), Theorem 7.3 (§7.1) and
-//! Lemma 7.2's half-integral covers are special cases Theorem 5.1
-//! subsumes, and relaxed joins (§7.2), the FD expansion (§7.3), the
-//! algorithmic BT inequality (Corollary 5.3) and Lemma 3.2's tightening
-//! are reductions that call [`join`]: they all live in `wcoj-baselines`,
-//! checked against NPRR there, and no crate on the served path depends
-//! on them.
+//! `PreparedQuery::new(relations)?.evaluate(cover)` itself. Algorithm 1
+//! (§4), Theorem 7.3 (§7.1) and Lemma 7.2's half-integral covers are
+//! special cases Theorem 5.1 subsumes, and relaxed joins (§7.2), the FD
+//! expansion (§7.3), the algorithmic BT inequality (Corollary 5.3) and
+//! Lemma 3.2's tightening are reductions that call [`join`]: they all
+//! live in `wcoj-baselines`, checked against NPRR there, and no crate on
+//! the served path depends on them.
 //!
 //! ```
 //! use wcoj_storage::{Relation, Schema};
@@ -81,7 +81,8 @@ impl JoinStats {
     }
 }
 
-/// Result of [`nprr::PreparedQuery::evaluate`] and [`nprr::join_nprr`].
+/// A join result and its statistics, as [`nprr::PreparedQuery::evaluate`]
+/// and [`nprr::join_nprr`] return it.
 #[derive(Debug, Clone)]
 pub struct JoinOutput {
     /// The join result over [`JoinQuery::output_schema`] (attributes

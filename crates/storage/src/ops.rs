@@ -417,26 +417,20 @@ mod tests {
         let mut rows = std::collections::BTreeSet::new();
         for lr in l.iter_rows() {
             for rr in r.iter_rows() {
-                let value = |a: Attr| {
-                    let from_l = l.schema().position(a).map(|p| lr[p]);
-                    let from_r = r.schema().position(a).map(|p| rr[p]);
-                    (from_l, from_r)
-                };
-                let agree = schema.attrs().iter().all(|&a| match value(a) {
-                    (Some(x), Some(y)) => x == y,
-                    _ => true,
-                });
-                if agree {
-                    let row: Vec<Value> = schema
-                        .attrs()
-                        .iter()
-                        .map(|&a| {
-                            let (x, y) = value(a);
-                            x.or(y).expect("attribute of one side")
-                        })
-                        .collect();
-                    rows.insert(row);
-                }
+                // `None` as soon as the two rows disagree on a shared attribute
+                let row: Option<Vec<Value>> = schema
+                    .attrs()
+                    .iter()
+                    .map(|&a| {
+                        let from_l = l.schema().position(a).map(|p| lr[p]);
+                        let from_r = r.schema().position(a).map(|p| rr[p]);
+                        match (from_l, from_r) {
+                            (Some(x), Some(y)) if x != y => None,
+                            (x, y) => x.or(y),
+                        }
+                    })
+                    .collect();
+                rows.extend(row);
             }
         }
         (schema, rows.into_iter().collect())
