@@ -27,7 +27,7 @@ use crate::plan_cache::{next_generation, PlanCache};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use wcoj_obs::Counter;
-use wcoj_service::Service;
+use wcoj_service::{Service, ServiceConfig};
 use wcoj_storage::{Datum, DeltaRelation, Dictionary, Relation, StorageError, Value};
 
 /// Default delta size (`|ins| + |del|`) at which a mutation triggers a
@@ -71,9 +71,10 @@ struct Stored {
 }
 
 /// A catalog: named relations sharing one [`Dictionary`] so string values
-/// compare consistently across relations, plus the catalog-level execution
-/// route: sequential by default, or every query through a process-wide
-/// shared worker pool with [`Catalog::set_service`].
+/// compare consistently across relations, plus the [`Service`] every query
+/// against it is submitted to: by default the catalog's own worker-less
+/// one, which runs each query as one task on the submitting thread, or a
+/// process-wide shared worker pool attached with [`Catalog::set_service`].
 ///
 /// ## Mutation and versioning
 ///
@@ -102,7 +103,7 @@ struct Stored {
 pub struct Catalog {
     dict: Arc<Dictionary>,
     relations: BTreeMap<String, Stored>,
-    service: Option<Arc<Service>>,
+    service: Arc<Service>,
     plan_cache: PlanCache,
     compact_threshold: usize,
 }
@@ -114,13 +115,13 @@ impl Default for Catalog {
 }
 
 impl Catalog {
-    /// An empty catalog (sequential execution).
+    /// An empty catalog with its own worker-less service.
     #[must_use]
     pub fn new() -> Catalog {
         Catalog {
             dict: Arc::new(Dictionary::new()),
             relations: BTreeMap::new(),
-            service: None,
+            service: worker_less(),
             plan_cache: PlanCache::new(),
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
         }
@@ -128,15 +129,16 @@ impl Catalog {
 
     /// Routes every query executed against this catalog — text queries
     /// and whole Datalog programs alike — through `service`'s shared
-    /// worker pool (`None` reverts to sequential evaluation).
+    /// worker pool (`None` attaches a fresh worker-less service: each query
+    /// runs on the thread that submits it).
     pub fn set_service(&mut self, service: Option<Arc<Service>>) {
-        self.service = service;
+        self.service = service.unwrap_or_else(worker_less);
     }
 
-    /// The shared query service this catalog routes through, if any.
+    /// The query service this catalog routes through.
     #[must_use]
-    pub fn service(&self) -> Option<&Arc<Service>> {
-        self.service.as_ref()
+    pub fn service(&self) -> &Arc<Service> {
+        &self.service
     }
 
     /// The shared dictionary (encode constants through this).
@@ -419,6 +421,16 @@ impl Catalog {
     pub fn decode(&self, v: wcoj_storage::Value) -> Option<Datum> {
         self.dict.decode(v)
     }
+}
+
+/// A service with no pool: [`Service::submit`] runs each query on the
+/// calling thread.
+fn worker_less() -> Arc<Service> {
+    Arc::new(Service::new(ServiceConfig {
+        workers: 0,
+        exec: wcoj_exec::ExecConfig::default(),
+        queue_depth: 0,
+    }))
 }
 
 /// An immutable view of a catalog at one instant, pinned by queries for

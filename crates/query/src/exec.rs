@@ -297,8 +297,8 @@ fn project_head(full: Relation, head: Option<&[Attr]>) -> Result<Relation, Query
 }
 
 /// The future of a [`submit_query`] submission: yields the result in
-/// per-slot batches as the shared pool settles them, instead of blocking
-/// for the full relation. The streaming transport behind the HTTP
+/// per-slot batches as the catalog's service settles them, instead of
+/// blocking for the full relation. The streaming transport behind the HTTP
 /// front end's chunked `/query/{id}/rows` endpoint.
 ///
 /// Dropping a `PendingQuery` before draining it cancels the underlying
@@ -309,19 +309,7 @@ pub struct PendingQuery {
     /// The head's attributes, when projecting onto them is not the
     /// identity.
     project: Option<Vec<Attr>>,
-    /// Batches can be pushed to the consumer as they arrive: projection
-    /// is the identity AND slot batches concatenate in output order.
-    /// Otherwise every batch is buffered and merged into one.
-    incremental: bool,
-    inner: PendingInner,
-}
-
-enum PendingInner {
-    /// Live on the shared pool.
-    Pool(QueryHandle),
-    /// Resolved eagerly (no service attached, or a materialized program
-    /// result): one batch, already projected, until `taken`.
-    Ready { relation: Relation, taken: bool },
+    handle: QueryHandle,
 }
 
 impl PendingQuery {
@@ -333,11 +321,7 @@ impl PendingQuery {
         PendingQuery {
             columns: result.columns,
             project: None,
-            incremental: false,
-            inner: PendingInner::Ready {
-                relation: result.relation,
-                taken: false,
-            },
+            handle: QueryHandle::ready(result.relation),
         }
     }
 
@@ -349,41 +333,34 @@ impl PendingQuery {
 
     /// `true` iff batches stream incrementally: each one is a final,
     /// disjoint, correctly ordered piece of the result, so a front end
-    /// can flush it to the client immediately. When `false`,
+    /// can flush it to the client immediately. That holds when the
+    /// projection is the identity and the handle's slot batches
+    /// concatenate in output order. When `false`,
     /// [`next_batch`](PendingQuery::next_batch) yields the whole result
     /// as a single batch (the merge had to buffer anyway).
     #[must_use]
     pub fn incremental(&self) -> bool {
-        self.incremental
+        self.project.is_none() && self.handle.ordered()
     }
 
     /// `true` iff every shard has already settled — no further
     /// [`next_batch`](PendingQuery::next_batch) call will block.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        match &self.inner {
-            PendingInner::Pool(handle) => handle.is_finished(),
-            PendingInner::Ready { .. } => true,
-        }
+        self.handle.is_finished()
     }
 
     /// Blocks until every shard has settled, without consuming batches.
     pub fn wait_settled(&self) {
-        if let PendingInner::Pool(handle) = &self.inner {
-            handle.wait_settled();
-        }
+        self.handle.wait_settled();
     }
 
-    /// The scheduler's execution profile so far: `Some` exactly when the
-    /// catalog routed the query through an attached
-    /// [`Service`](wcoj_service::Service) — the sequential engine has no
-    /// scheduler to profile.
+    /// The scheduler's execution profile so far. On a worker-less service
+    /// it is complete once [`submit_query`] returns: one shard holding the
+    /// whole join.
     #[must_use]
-    pub fn profile(&self) -> Option<QueryProfile> {
-        match &self.inner {
-            PendingInner::Pool(handle) => Some(handle.profile()),
-            PendingInner::Ready { .. } => None,
-        }
+    pub fn profile(&self) -> QueryProfile {
+        self.handle.profile()
     }
 
     /// Blocks until the next batch of result rows is available; `None`
@@ -391,25 +368,19 @@ impl PendingQuery {
     /// [`columns`](PendingQuery::columns).
     ///
     /// # Errors
-    /// Evaluation failures — a pool worker panicking on one of the
-    /// query's shards among them — surfaced on the batch they interrupt.
+    /// Evaluation failures — a shard's engine run panicking among them —
+    /// surfaced on the batch they interrupt.
     pub fn next_batch(&mut self) -> Option<Result<Relation, QueryTextError>> {
-        let handle = match &mut self.inner {
-            PendingInner::Ready { relation, taken } => {
-                return (!std::mem::replace(taken, true)).then(|| Ok(relation.clone()));
-            }
-            PendingInner::Pool(handle) => handle,
-        };
-        if self.incremental {
+        if self.incremental() {
             // Identity projection + output-ordered slots: forward each
             // slot relation untouched.
-            let batch = handle.next_batch()?;
+            let batch = self.handle.next_batch()?;
             return Some(batch.map(|b| b.relation).map_err(map_engine_error));
         }
         // Merge path: every slot's raw rows assembled into one batch in
         // schema order, then projected. Yields exactly one batch;
         // subsequent calls find the handle drained.
-        let merged = handle.next_merged()?.map_err(map_engine_error);
+        let merged = self.handle.next_merged()?.map_err(map_engine_error);
         Some(merged.and_then(|b| project_head(b.relation, self.project.as_deref())))
     }
 
@@ -419,67 +390,38 @@ impl PendingQuery {
     /// # Errors
     /// Same as [`next_batch`](PendingQuery::next_batch).
     pub fn collect(self) -> Result<QueryResult, QueryTextError> {
-        let relation = match self.inner {
-            PendingInner::Ready {
-                relation,
-                taken: false,
-            } => relation,
-            PendingInner::Ready {
-                relation,
-                taken: true,
-            } => Relation::empty(relation.schema().clone()),
-            PendingInner::Pool(handle) => {
-                let full = handle.wait().map_err(map_engine_error)?.relation;
-                project_head(full, self.project.as_deref())?
-            }
-        };
+        let full = self.handle.wait().map_err(map_engine_error)?.relation;
         Ok(QueryResult {
-            relation,
+            relation: project_head(full, self.project.as_deref())?,
             columns: self.columns,
         })
     }
 }
 
 /// Submits a parsed query: binds it against the catalog (through the
-/// shared plan cache), schedules it on the attached
-/// [`Service`](wcoj_service::Service) when there is one, and returns a
-/// [`PendingQuery`] yielding the result in per-slot batches as the pool
-/// settles them. Without a service the query is evaluated eagerly and
-/// sequentially, and the pending query holds one ready batch.
+/// shared plan cache), submits it to the catalog's
+/// [`Service`](wcoj_service::Service), and returns a [`PendingQuery`]
+/// yielding the result in per-slot batches as the service settles them.
+/// On a worker-less service the query has already run, on this thread,
+/// when this returns.
 ///
 /// # Errors
 /// Binding errors, [`QueryTextError::Overloaded`] when admission sheds
-/// the submission, and eager-path evaluation failures.
+/// the submission, and failures solving the query's cover.
 pub fn submit_query(q: &ParsedQuery, catalog: &Catalog) -> Result<PendingQuery, QueryTextError> {
     let Bound {
         plan,
         project,
         columns,
     } = bind(q, catalog)?;
-    let (incremental, inner) = if let Some(service) = catalog.service() {
-        let handle = service
-            .submit(&plan, &service.exec_config())
-            .map_err(|e| map_engine_error(e.into()))?;
-        (
-            project.is_none() && handle.ordered(),
-            PendingInner::Pool(handle),
-        )
-    } else {
-        let full = plan.evaluate(None).map_err(map_engine_error)?.relation;
-        let relation = project_head(full, project.as_deref())?;
-        (
-            true,
-            PendingInner::Ready {
-                relation,
-                taken: false,
-            },
-        )
-    };
+    let service = catalog.service();
+    let handle = service
+        .submit(&plan, &service.exec_config())
+        .map_err(|e| map_engine_error(e.into()))?;
     Ok(PendingQuery {
         columns,
         project,
-        incremental,
-        inner,
+        handle,
     })
 }
 
@@ -613,10 +555,11 @@ mod tests {
 
     #[test]
     fn hot_key_workload_through_catalog_routes() {
-        // A single-hot-key workload through the sequential and the
-        // service route. The intra-value sub-shard planner sits under the
-        // service; outputs must be bit-identical to the sequential run
-        // whatever the service's heavy-split factor.
+        // A single-hot-key workload through the worker-less and the
+        // pooled route. The intra-value sub-shard planner sits under the
+        // pooled service; outputs must be bit-identical to the worker-less
+        // run (`worker_less_route_matches_sequential_evaluation` pins that
+        // one to sequential evaluation) whatever the heavy-split factor.
         use std::sync::Arc;
         use wcoj_service::{Service, ServiceConfig};
         let rels = wcoj_datagen::hot_key_triangle(17, 64, 4);
@@ -646,31 +589,38 @@ mod tests {
         use wcoj_service::{Service, ServiceConfig};
         let mut c = catalog_with_triangle();
         let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
-
-        // No service attached: no scheduler, no profile to report.
-        let pending = crate::submit_query(&q, &c).unwrap();
-        assert!(pending.profile().is_none(), "no scheduler, no profile");
-        let seq = pending.collect().unwrap();
-
-        // Service route: once every batch is taken, the profile is
-        // complete, covers every scheduled shard, and its row total
-        // matches the *pre-projection* join — which for this full query
-        // is the output itself.
-        let service = Arc::new(Service::new(ServiceConfig::with_workers(2)));
-        c.set_service(Some(Arc::clone(&service)));
-        let mut pending = crate::submit_query(&q, &c).unwrap();
-        let mut rows = 0;
-        while let Some(batch) = pending.next_batch() {
-            rows += batch.unwrap().len();
+        let seq = execute(&q, &c).unwrap();
+        for workers in [0, 2] {
+            // Once every batch is taken, the profile is complete, covers
+            // every scheduled shard, and its row total matches the
+            // *pre-projection* join — which for this full query is the
+            // output itself. Without workers it is one shard, complete
+            // as soon as the submission returns.
+            let service = Arc::new(Service::new(ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            }));
+            c.set_service(Some(Arc::clone(&service)));
+            let mut pending = crate::submit_query(&q, &c).unwrap();
+            if workers == 0 {
+                let profile = pending.profile();
+                assert!(pending.is_finished() && profile.is_complete());
+                assert_eq!(profile.total_shards, 1);
+                assert_eq!(profile.total_rows(), seq.relation.len() as u64);
+            }
+            let mut rows = 0;
+            while let Some(batch) = pending.next_batch() {
+                rows += batch.unwrap().len();
+            }
+            let profile = pending.profile();
+            assert!(profile.is_complete(), "{workers} workers");
+            assert!(profile.reassembled.is_some(), "every slot taken");
+            assert_eq!(rows, seq.relation.len());
+            assert_eq!(profile.total_rows(), rows as u64);
+            // execute() is the same path, drained at once.
+            assert_eq!(execute(&q, &c).unwrap().relation, seq.relation);
+            assert_eq!(service.counters().submitted, 2);
         }
-        let profile = pending.profile().expect("service route reports a profile");
-        assert!(profile.is_complete());
-        assert!(profile.reassembled.is_some(), "every slot taken");
-        assert_eq!(rows, seq.relation.len());
-        assert_eq!(profile.total_rows(), rows as u64);
-        // execute() is the same path, drained at once.
-        assert_eq!(execute(&q, &c).unwrap().relation, seq.relation);
-        assert_eq!(service.counters().submitted, 2);
     }
 
     #[test]
@@ -897,6 +847,80 @@ mod tests {
         assert_eq!(clone.plan_cache_stats(), (1, 1));
     }
 
+    /// `bound.plan.evaluate(None)` projected onto the head: what
+    /// `submit_query` must yield for `q` on any service.
+    fn sequential_reference(q: &ParsedQuery, c: &Catalog) -> Relation {
+        let bound = bind(q, c).unwrap();
+        let full = bound.plan.evaluate(None).unwrap().relation;
+        match &bound.project {
+            Some(head) => project(&full, head).unwrap(),
+            None => full,
+        }
+    }
+
+    #[test]
+    fn worker_less_route_matches_sequential_evaluation() {
+        // A new catalog's own service has no worker: each query runs as
+        // one unrestricted task on this thread, so its output must be
+        // `PreparedQuery::evaluate`'s, row for row and in order, on every
+        // shape, and even where a pooled service plans zero shards.
+        use wcoj_service::{Service, ServiceConfig};
+        let mut c = Catalog::new();
+        assert_eq!(c.service().workers(), 0);
+        let e = wcoj_datagen::random_relation(11, &[0, 1], 150, 14);
+        let first = e.iter_rows().next().unwrap().to_vec();
+        c.insert("E", e);
+        c.insert("Z", Relation::empty(Schema::of(&[0, 1])));
+        // The zero-shard instance: R's x values and T's never meet.
+        c.insert(
+            "R",
+            Relation::from_u32_rows(Schema::of(&[0, 1]), &[&[10, 1], &[10, 2]]),
+        );
+        c.insert(
+            "S",
+            Relation::from_u32_rows(Schema::of(&[0, 1]), &[&[1, 20], &[2, 20]]),
+        );
+        c.insert(
+            "T",
+            Relation::from_u32_rows(Schema::of(&[0, 1]), &[&[12, 20]]),
+        );
+        let nullary = format!("Ans() :- E({}, {}).", first[0].0, first[1].0);
+        for (text, empty) in [
+            ("Ans(x, y, z) :- E(x, y), E(y, z), E(x, z).", false),
+            (
+                "Ans(a, b, c, d) :- E(a, b), E(b, c), E(c, d), E(d, a).",
+                false,
+            ),
+            ("Ans(a, b, c, d) :- E(a, b), E(a, c), E(a, d).", false),
+            ("Ans(x, y, z) :- E(x, y), E(x, z).", false),
+            ("Ans(x) :- E(x, y), E(y, z), E(x, z).", false),
+            ("Ans(z, x, y) :- E(x, y), E(y, z), E(x, z).", false),
+            ("Ans(x, y, z) :- E(x, y), Z(y, z).", true),
+            (nullary.as_str(), false),
+            ("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).", true),
+        ] {
+            let q = parse_query(text).unwrap();
+            let expected = sequential_reference(&q, &c);
+            assert_eq!(expected.is_empty(), empty, "{text}");
+            let pending = crate::submit_query(&q, &c).unwrap();
+            assert!(pending.is_finished(), "{text}: ran before submit returned");
+            let got = pending.collect().unwrap();
+            assert_eq!(got.columns, q.head_vars, "{text}");
+            assert_eq!(got.relation.schema(), expected.schema(), "{text}");
+            assert!(got.relation.iter_rows().eq(expected.iter_rows()), "{text}");
+        }
+        // On a pooled service the last instance plans no shard at all.
+        let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
+        let pooled = Service::new(ServiceConfig::with_workers(2));
+        let cfg = wcoj_exec::ExecConfig {
+            shard_min_size: 1,
+            ..pooled.exec_config()
+        };
+        let plan = bind(&q, &c).unwrap().plan;
+        assert!(pooled.shard_layout(&*plan, &cfg).is_empty());
+        assert_eq!(c.service().shard_layout(&*plan, &cfg), vec![None]);
+    }
+
     #[test]
     fn submit_query_matches_sequential_evaluation_on_every_route() {
         // Every next_batch branch — a full head in schema order (streams
@@ -904,18 +928,21 @@ mod tests {
         // like the schema, so it streams too, each slot re-keyed), a
         // permuted full head (merge), a projecting head (merge + project)
         // and the 2-star (its center comes last under every edge order,
-        // so merge) — with and without a service, against sequential
-        // evaluation of the bound plan plus the head projection.
+        // so merge) — on a worker-less and a pooled service, against
+        // sequential evaluation of the bound plan plus the head projection.
         use wcoj_service::{Service, ServiceConfig};
         let mut c = Catalog::new();
         c.insert("E", wcoj_datagen::random_relation(11, &[0, 1], 150, 14));
-        let service = Arc::new(Service::new(ServiceConfig {
-            exec: wcoj_exec::ExecConfig {
-                shard_min_size: 1,
-                ..wcoj_exec::ExecConfig::default()
-            },
-            ..ServiceConfig::with_workers(2)
-        }));
+        let services = [0, 2].map(|workers| {
+            Arc::new(Service::new(ServiceConfig {
+                workers,
+                exec: wcoj_exec::ExecConfig {
+                    shard_min_size: 1,
+                    ..wcoj_exec::ExecConfig::default()
+                },
+                queue_depth: 0,
+            }))
+        });
         for (text, streams) in [
             ("Ans(x, y, z) :- E(x, y), E(y, z), E(x, z).", true),
             ("Ans(z, x, y) :- E(x, y), E(y, z), E(x, z).", false),
@@ -927,26 +954,21 @@ mod tests {
             ("Ans(x, y, z) :- E(x, y), E(x, z).", false),
         ] {
             let q = parse_query(text).unwrap();
-            let bound = bind(&q, &c).unwrap();
-            let full = bound.plan.evaluate(None).unwrap().relation;
-            let expected = match &bound.project {
-                Some(head) => project(&full, head).unwrap(),
-                None => full,
-            };
+            let expected = sequential_reference(&q, &c);
             assert!(!expected.is_empty(), "{text}");
-            for pooled in [false, true] {
-                c.set_service(pooled.then(|| Arc::clone(&service)));
+            for service in &services {
+                let workers = service.workers();
+                c.set_service(Some(Arc::clone(service)));
                 let mut pending = crate::submit_query(&q, &c).unwrap();
                 assert_eq!(pending.columns(), q.head_vars.as_slice());
-                // Without a service the one eager batch is final.
-                assert_eq!(pending.incremental(), streams || !pooled, "{text}");
+                assert_eq!(pending.incremental(), streams, "{text}");
                 let batches: Vec<Relation> = std::iter::from_fn(|| pending.next_batch())
                     .map(Result::unwrap)
                     .collect();
-                if streams && pooled {
+                if streams && workers > 0 {
                     assert!(batches.len() >= 2, "{text}: one batch per slot");
                 } else {
-                    assert_eq!(batches.len(), 1, "{text}, pooled: {pooled}");
+                    assert_eq!(batches.len(), 1, "{text}, {workers} workers");
                 }
                 // Plain concatenation, no final sort.
                 let mut batches = batches.into_iter();
@@ -956,17 +978,19 @@ mod tests {
                         got.push_row(row).unwrap();
                     }
                 }
-                assert_eq!(got, expected, "{text}, pooled: {pooled}");
+                assert_eq!(got, expected, "{text}, {workers} workers");
                 let collected = crate::submit_query(&q, &c).unwrap().collect().unwrap();
-                assert_eq!(collected.relation, expected, "{text}, pooled: {pooled}");
+                assert_eq!(collected.relation, expected, "{text}, {workers} workers");
                 assert_eq!(collected.columns, q.head_vars);
             }
         }
-        assert_eq!(
-            service.counters().submitted,
-            10,
-            "two submissions per query"
-        );
+        for service in &services {
+            assert_eq!(
+                service.counters().submitted,
+                10,
+                "two submissions per query"
+            );
+        }
     }
 
     #[test]

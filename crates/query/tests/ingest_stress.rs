@@ -57,23 +57,24 @@ fn rows_of(rel: &Relation) -> Vec<Vec<Value>> {
 }
 
 /// Streams `q` through the service against the pinned snapshot and
-/// checks bit-identity against sequential execution over it.
+/// checks bit-identity against a drained run over it.
 fn check_one(q: &ParsedQuery, snapshot: &wcoj_query::Snapshot, cross_check: bool) {
     let mut pending = submit_query(q, snapshot.catalog()).expect("submit");
     let mut streamed: Vec<Vec<Value>> = Vec::new();
     while let Some(batch) = pending.next_batch() {
         streamed.extend(rows_of(&batch.expect("stream batch")));
     }
-    let seq = execute(q, snapshot.catalog()).expect("sequential run");
+    let seq = execute(q, snapshot.catalog()).expect("drained run");
     assert_eq!(
         streamed,
         rows_of(&seq.relation),
-        "streamed rows/order diverged from the sequential join over the pinned snapshot"
+        "streamed rows/order diverged from the drained join over the pinned snapshot"
     );
 
     if cross_check {
         // Independent path: materialize the snapshot's relations (merge
-        // at `get`, not `DeltaIndex` views) into a service-less catalog.
+        // at `get`, not `DeltaIndex` views) into a new catalog, whose
+        // worker-less service runs the query on this thread.
         let mut plain = Catalog::new();
         for name in ["R", "S", "T"] {
             let rel = snapshot.catalog().get(name).expect("snapshot relation");

@@ -222,14 +222,21 @@ pub fn read_request(
         headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
     }
     let req_has_body = matches!(method.as_str(), "POST" | "PUT");
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| RequestError::Bad("malformed Content-Length"))
-        })
-        .transpose()?;
+    // RFC 9112 §6.3: a Content-Length that is not 1*DIGIT (`usize`'s
+    // parser also takes a leading `+`), or repeated ones that disagree,
+    // leave the framing invalid.
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| v.parse::<usize>().ok())
+            .flatten()
+            .ok_or(RequestError::Bad("malformed Content-Length"))?;
+        if content_length.replace(n).is_some_and(|m| m != n) {
+            return Err(RequestError::Bad("conflicting Content-Length headers"));
+        }
+    }
     if headers.iter().any(|(k, _)| k == "transfer-encoding") {
         return Err(RequestError::Bad("chunked request bodies unsupported"));
     }

@@ -268,6 +268,26 @@ fn malformed_requests_map_to_precise_statuses() {
     ));
     assert_eq!(r.status, 400);
 
+    // A signed Content-Length is not 1*DIGIT → 400 (RFC 9112 §6.3).
+    let r = parse_response(&send_raw(
+        addr,
+        b"GET /healthz HTTP/1.1\r\nContent-Length: +0\r\n\r\n",
+    ));
+    assert_eq!(r.status, 400, "{}", r.text());
+
+    // Two Content-Length headers that disagree → 400; equal ones frame
+    // the body as one would.
+    let r = parse_response(&send_raw(
+        addr,
+        b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 2\r\n\r\nok",
+    ));
+    assert_eq!(r.status, 400, "{}", r.text());
+    let r = parse_response(&send_raw(
+        addr,
+        b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok",
+    ));
+    assert_eq!(r.status, 200, "{}", r.text());
+
     // And after all that abuse the server still serves.
     let r = request(addr, "GET", "/healthz", None);
     assert_eq!(r.status, 200);

@@ -79,6 +79,11 @@
 //! releases — an admission slot, so a burst of degenerate queries cannot
 //! starve real ones).
 //!
+//! With [`ServiceConfig::workers`] `= 0` there is no pool: [`Service::submit`]
+//! runs the query's one unrestricted task (layout `[None]`) on the calling
+//! thread, through the closure a worker runs, so its output is exactly
+//! [`PreparedQuery::evaluate`]'s.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use wcoj_core::nprr::PreparedQuery;
@@ -114,9 +119,11 @@ const ALGORITHM: &str = "nprr-service";
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads in the shared pool (clamped to ≥ 1): the
-    /// parallelism of the whole process, not of one query. Each query's
-    /// plan is sized for `workers × OVERSPLIT` shards.
+    /// Worker threads in the shared pool: the parallelism of the whole
+    /// process, not of one query. Each query's plan is sized for
+    /// `workers × OVERSPLIT` shards. `0` spawns no thread: each query runs
+    /// as one task on the thread that submits it (a new
+    /// `wcoj_query::Catalog` attaches such a service).
     pub workers: usize,
     /// Default per-query planning knobs, recommended for
     /// [`Service::submit`] via [`Service::exec_config`] (the catalog
@@ -145,7 +152,8 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with `workers` pool threads and default planning knobs.
+    /// A config with `workers` pool threads (at least one) and default
+    /// planning knobs.
     #[must_use]
     pub fn with_workers(workers: usize) -> ServiceConfig {
         ServiceConfig {
@@ -342,7 +350,7 @@ fn next_query_id() -> u64 {
 /// ([`QueryHandle::profile`] / [`QueryHandle::wait_profiled`]). All
 /// timestamps are durations **since submit entry**, taken at task
 /// granularity; phases that have not happened (yet) are `None`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryProfile {
     /// Process-unique id, shared across services (0 never names a
     /// query).
@@ -402,6 +410,14 @@ pub struct ShardProfile {
 
 /// A schedulable unit: one shard of one query.
 type Task = Box<dyn FnOnce() + Send + 'static>;
+
+/// Runs one task on a pool worker or a worker-less service's caller. A
+/// panicking task must not unwind past its runner: a query shard has
+/// already reported the failure to its job, and the service keeps serving
+/// the other queries.
+fn run_task(task: Task) {
+    let _ = catch_unwind(AssertUnwindSafe(task));
+}
 
 /// The queued tasks of one admitted query. Rings are drained round-robin,
 /// one task per turn, so concurrent queries share the pool fairly instead
@@ -475,6 +491,15 @@ impl Injector {
         }
     }
 
+    /// Counts one admitted query accepted whose tasks never reach the
+    /// rings: it resolved at submit time, or a worker-less service's
+    /// caller runs its task. Like [`Injector::push_ring`], it counts the
+    /// acceptance before the query can finish.
+    fn accept(&self) {
+        self.lock().submitted += 1;
+        self.metrics.submitted.inc();
+    }
+
     /// Worker side: next task — **round-robin across query rings**, one
     /// task per turn — or `None` once shut down *and* drained (pending
     /// queries always finish, so handles never dangle).
@@ -518,8 +543,8 @@ impl Injector {
     /// A query's last task drained (or it resolved at submit time):
     /// release its slot and count it done — **one** critical section, so
     /// no counters snapshot can see the query both completed and in
-    /// flight.
-    fn finish_query(&self) {
+    /// flight — and record its latency since submit entry `base`.
+    fn finish_query(&self, base: Instant) {
         {
             let mut q = self.lock();
             debug_assert!(q.in_flight > 0, "finish without admission");
@@ -528,6 +553,8 @@ impl Injector {
         }
         self.metrics.completed.inc();
         self.metrics.in_flight.sub(1);
+        let latency = u64::try_from(base.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.metrics.query_latency_us.observe(latency);
     }
 
     /// A worker popped a task of a cancelled query and skipped the engine
@@ -617,11 +644,7 @@ impl JobState {
             None => slots.poisoned = true,
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            injector.finish_query();
-            injector
-                .metrics
-                .query_latency_us
-                .observe(u64::try_from(self.base.elapsed().as_micros()).unwrap_or(u64::MAX));
+            injector.finish_query(self.base);
         }
         self.changed.notify_all();
     }
@@ -720,11 +743,11 @@ pub struct QueryHandle {
 }
 
 enum HandleInner {
-    /// Resolved at submit time (empty input, zero-shard plan): the empty
-    /// output, yielded as one batch. The profile is boxed so the handle
-    /// stays small.
+    /// Resolved before the handle exists (empty input, zero-shard plan, a
+    /// [`QueryHandle::ready`] relation): the whole output, yielded as one
+    /// batch. The profile is boxed so the handle stays small.
     Ready {
-        empty: Relation,
+        relation: Relation,
         profile: Box<QueryProfile>,
     },
     /// Takes the slots the pool fills.
@@ -747,14 +770,46 @@ pub struct RowBatch {
 }
 
 impl QueryHandle {
+    /// A handle on a relation computed outside any service — a Datalog
+    /// program's materialized result — yielding it as one buffered batch:
+    /// not [`ordered`](QueryHandle::ordered), default stats, and a profile
+    /// with no shard under query id 0.
+    #[must_use]
+    pub fn ready(relation: Relation) -> QueryHandle {
+        let profile = QueryProfile::default();
+        QueryHandle::resolved(relation, profile, JoinStats::default(), false)
+    }
+
+    /// A finished handle yielding `relation` as its one batch.
+    fn resolved(
+        relation: Relation,
+        profile: QueryProfile,
+        stats: JoinStats,
+        ordered: bool,
+    ) -> QueryHandle {
+        QueryHandle {
+            inner: HandleInner::Ready {
+                relation,
+                profile: Box::new(profile),
+            },
+            stats,
+            next_slot: 0,
+            total_slots: 1,
+            ordered,
+        }
+    }
+
     /// Takes slots `next_slot..end`, blocking until each settles, and
     /// assembles their raw rows, handed over as they are in slot order,
     /// into one relation. Taking the last slot marks the profile
     /// reassembled.
     fn take(&mut self, end: usize) -> Result<Relation, QueryError> {
         let from = self.next_slot;
-        let relation = match &self.inner {
-            HandleInner::Ready { empty, .. } => empty.clone(),
+        let relation = match &mut self.inner {
+            HandleInner::Ready { relation, .. } => {
+                let schema = relation.schema().clone();
+                std::mem::replace(relation, Relation::empty(schema))
+            }
             HandleInner::Pool {
                 state, assemble, ..
             } => {
@@ -855,7 +910,8 @@ impl QueryHandle {
 
     /// `true` iff every shard of the query has already drained — taking
     /// the remaining slots will not block. Degenerate submit-time
-    /// resolutions are always finished.
+    /// resolutions, [`ready`](QueryHandle::ready) handles and every
+    /// handle of a worker-less service are always finished.
     #[must_use]
     pub fn is_finished(&self) -> bool {
         match &self.inner {
@@ -878,7 +934,8 @@ impl QueryHandle {
     /// the slots cut, so slots follow each other in schema order and each
     /// batch is sorted within its slot (the triangle adopts its rows, the
     /// 4-cycle re-keys each (a, b) run). When `false` (the star and the
-    /// 2-star) the consumer must merge:
+    /// 2-star, and a [`ready`](QueryHandle::ready) handle's one buffered
+    /// batch) the consumer must merge:
     /// take the remaining slots at once with
     /// [`next_merged`](QueryHandle::next_merged), or concatenate all
     /// batches and sort + dedup once.
@@ -887,8 +944,8 @@ impl QueryHandle {
         self.ordered
     }
 
-    /// Number of slots the handle yields in total (1 for a degenerate
-    /// submit-time resolution).
+    /// Number of slots the handle yields in total (1 for a ready handle
+    /// and on a worker-less service).
     #[must_use]
     pub fn total_slots(&self) -> usize {
         self.total_slots
@@ -943,13 +1000,10 @@ pub struct Service {
 }
 
 impl Service {
-    /// Spawns the worker pool.
+    /// Spawns the worker pool — none for `workers: 0`, whose queries run
+    /// on the submitting thread.
     #[must_use]
     pub fn new(cfg: ServiceConfig) -> Service {
-        let cfg = ServiceConfig {
-            workers: cfg.workers.max(1),
-            ..cfg
-        };
         let injector = Arc::new(Injector {
             queue: Mutex::new(QueueState {
                 rings: VecDeque::new(),
@@ -972,11 +1026,7 @@ impl Service {
                     .name(format!("wcoj-service-{i}"))
                     .spawn(move || {
                         while let Some(task) = injector.pop() {
-                            // A panicking task must not take the worker
-                            // down with it: a query shard has already
-                            // reported the failure to its job, and the
-                            // pool keeps serving the other queries.
-                            let _ = catch_unwind(AssertUnwindSafe(task));
+                            run_task(task);
                         }
                     })
                     .expect("spawn service worker")
@@ -989,7 +1039,7 @@ impl Service {
         }
     }
 
-    /// Number of pool workers.
+    /// Number of pool workers (`0`: queries run on the submitting thread).
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -1032,13 +1082,17 @@ impl Service {
     /// `workers × OVERSPLIT` shards — the planned ranges, a single
     /// unrestricted task for degenerate plans, and empty exactly when the
     /// query is a zero-shard plan (deterministic, so differential tests
-    /// can re-run the layout shard by shard).
+    /// can re-run the layout shard by shard). A worker-less service
+    /// plans nothing: its layout is always `[None]`.
     #[must_use]
     pub fn shard_layout<S: SearchTree>(
         &self,
         prepared: &PreparedQuery<S>,
         cfg: &ExecConfig,
     ) -> Vec<Option<RootShard>> {
+        if self.workers.is_empty() {
+            return vec![None];
+        }
         plan_shards(prepared, self.workers.len() * OVERSPLIT, cfg)
     }
 
@@ -1063,60 +1117,10 @@ impl Service {
         })
     }
 
-    /// An accepted submission that resolved at submit time with an empty
-    /// output: it holds an admission slot (acquired in `admit`) that must
-    /// be released, and it counts as submitted **and** completed in one
-    /// critical section, so a concurrent [`Service::counters`] snapshot
-    /// never observes `completed > submitted` or a phantom in-flight
-    /// query.
-    fn accept_ready(
-        &self,
-        query_id: u64,
-        submit_start: Instant,
-        admitted_ns: u64,
-        planned_ns: Option<u64>,
-        empty: Relation,
-        stats: JoinStats,
-    ) -> QueryHandle {
-        {
-            let mut q = self.injector.lock();
-            q.submitted += 1;
-            q.completed += 1;
-            debug_assert!(q.in_flight > 0, "accept without admission");
-            q.in_flight -= 1;
-        }
-        let elapsed = submit_start.elapsed();
-        let m = self.injector.metrics;
-        m.submitted.inc();
-        m.completed.inc();
-        m.in_flight.sub(1);
-        m.query_latency_us
-            .observe(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-        let profile = QueryProfile {
-            query_id,
-            admitted: Duration::from_nanos(admitted_ns),
-            planned: planned_ns.map(Duration::from_nanos),
-            first_dispatch: None,
-            last_finish: None,
-            reassembled: Some(elapsed),
-            total_shards: 0,
-            shards: Vec::new(),
-        };
-        QueryHandle {
-            inner: HandleInner::Ready {
-                empty,
-                profile: Box::new(profile),
-            },
-            stats,
-            next_slot: 0,
-            total_slots: 1,
-            ordered: true,
-        }
-    }
-
     /// Submits a prepared query — the one way a query reaches the pool.
     /// Returns immediately; the shards run on the shared pool under the
     /// query's LP-optimal fractional cover (memoized on the preparation).
+    /// A worker-less service runs the query's one task before it returns.
     /// Under overload ([`ServiceConfig::queue_depth`] queries already in
     /// flight) the submission is **shed**, not queued.
     ///
@@ -1145,20 +1149,25 @@ impl Service {
             cover: x.to_vec(),
             ..JoinStats::default()
         };
-        let empty = || Relation::empty(prepared.query().output_schema());
-
-        // Degenerate inputs resolve immediately — no tasks, no workers
-        // (and no shard plan: `planned` stays unset).
-        if prepared.input_is_empty() {
-            let stats = base_stats(0.0, &[]);
-            return Ok(self.accept_ready(
+        // Degenerate queries resolve immediately with an empty output — no
+        // tasks, no workers: counted submitted, then completed, which
+        // releases the admission slot.
+        let resolve = |planned_ns: Option<u64>, stats| {
+            self.injector.accept();
+            self.injector.finish_query(submit_start);
+            let profile = QueryProfile {
                 query_id,
-                submit_start,
-                admitted_ns,
-                None,
-                empty(),
-                stats,
-            ));
+                admitted: Duration::from_nanos(admitted_ns),
+                planned: planned_ns.map(Duration::from_nanos),
+                reassembled: Some(submit_start.elapsed()),
+                ..QueryProfile::default()
+            };
+            let empty = Relation::empty(prepared.query().output_schema());
+            QueryHandle::resolved(empty, profile, stats, true)
+        };
+        // An empty input has no shard plan: `planned` stays unset.
+        if prepared.input_is_empty() {
+            return Ok(resolve(None, base_stats(0.0, &[])));
         }
         let (x, log2_bound) = match prepared.resolve_cover(None) {
             Ok(resolved) => resolved,
@@ -1175,15 +1184,7 @@ impl Service {
         if tasks.is_empty() {
             // Zero-shard plan: no root value survives the level-0
             // intersection, the output is empty.
-            let stats = base_stats(log2_bound, &x);
-            return Ok(self.accept_ready(
-                query_id,
-                submit_start,
-                admitted_ns,
-                Some(planned_ns),
-                empty(),
-                stats,
-            ));
+            return Ok(resolve(Some(planned_ns), base_stats(log2_bound, &x)));
         }
 
         let total_slots = tasks.len();
@@ -1255,10 +1256,18 @@ impl Service {
                 state.complete(i, drained, &injector);
             }));
         }
-        // The acceptance is counted inside push_ring, under the same lock
-        // that makes the ring visible to workers: a fast pool can finish
-        // every shard only *after* `submitted` already reads right.
-        self.injector.push_ring(ring);
+        if self.workers.is_empty() {
+            // No pool: count the acceptance, then run the one task here
+            // with no lock held, as a worker would.
+            self.injector.accept();
+            ring.into_iter().for_each(run_task);
+        } else {
+            // The acceptance is counted inside push_ring, under the same
+            // lock that makes the ring visible to workers: a fast pool can
+            // finish every shard only *after* `submitted` already reads
+            // right.
+            self.injector.push_ring(ring);
+        }
 
         let assembler = Arc::clone(prepared);
         Ok(QueryHandle {
@@ -1882,7 +1891,8 @@ mod tests {
     /// same index unharmed.
     struct PanicAt(FlatIndex);
 
-    /// Panics on a pool worker that reaches the child labelled `v`.
+    /// Panics on a pool worker (or a caller named like one) that reaches
+    /// the child labelled `v`.
     fn poison_check(v: Value) {
         let worker = std::thread::current()
             .name()
@@ -2353,15 +2363,19 @@ mod tests {
         }
     }
 
-    /// Submits a one-shard query that parks the worker running it:
-    /// returns its handle, a receiver that fires once the worker is
-    /// parked and a sender that lets it finish.
-    fn pin_worker(service: &Service) -> (QueryHandle, mpsc::Receiver<()>, mpsc::Sender<()>) {
+    /// A one-row triangle over [`Park`] trees: the first engine run on a
+    /// `wcoj-service-*` thread parks there. Returns the query, a receiver
+    /// that fires once that thread is parked and a sender that lets it
+    /// finish.
+    fn parking_query() -> (
+        Arc<PreparedQuery<Park>>,
+        mpsc::Receiver<()>,
+        mpsc::Sender<()>,
+    ) {
         let (parked, on_parked) = mpsc::channel();
         let (release, on_release) = mpsc::channel();
         let gate: Gate = Arc::new(Mutex::new(Some((parked, on_release))));
-        // A one-row triangle: its leaf probes T's section, so the run
-        // descends.
+        // Its leaf probes T's section, so the run descends.
         let rels = [
             rel(&[0, 1], &[&[1, 2]]),
             rel(&[1, 2], &[&[2, 4]]),
@@ -2376,9 +2390,111 @@ mod tests {
             })
             .unwrap(),
         );
+        (pin, on_parked, release)
+    }
+
+    /// Submits a one-shard query that parks the worker running it:
+    /// returns its handle, a receiver that fires once the worker is
+    /// parked and a sender that lets it finish.
+    fn pin_worker(service: &Service) -> (QueryHandle, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (pin, on_parked, release) = parking_query();
         let cfg = service.exec_config();
         assert_eq!(service.shard_layout(&*pin, &cfg).len(), 1);
         (service.submit(&pin, &cfg).unwrap(), on_parked, release)
+    }
+
+    /// A service with no pool.
+    fn worker_less(queue_depth: usize) -> Arc<Service> {
+        let service = Service::new(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::with_workers(1).with_queue_depth(queue_depth)
+        });
+        assert_eq!(service.workers(), 0);
+        Arc::new(service)
+    }
+
+    /// Runs `f` on a thread named like a pool worker, so the [`Park`] and
+    /// [`PanicAt`] trees act on the engine run it makes inline.
+    fn on_worker_named_thread<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<T> {
+        std::thread::Builder::new()
+            .name("wcoj-service-caller".into())
+            .spawn(f)
+            .unwrap()
+    }
+
+    #[test]
+    fn an_inline_query_parked_in_the_engine_blocks_no_other_caller() {
+        // Thread A's query parks inside the engine, on A, while it runs on
+        // a shared worker-less service; B's inline submission on the same
+        // service completes meanwhile, so no lock is held across a run.
+        let service = worker_less(0);
+        let (pin, on_parked, release) = parking_query();
+        let a = {
+            let service = Arc::clone(&service);
+            on_worker_named_thread(move || {
+                let handle = service.submit(&pin, &service.exec_config()).unwrap();
+                assert!(handle.is_finished(), "the run ended before submit returned");
+                handle.wait().unwrap()
+            })
+        };
+        on_parked
+            .recv_timeout(Duration::from_secs(60))
+            .expect("A parked in the engine");
+        let c = service.counters();
+        assert_eq!((c.submitted, c.completed, c.in_flight), (1, 0, 1), "{c:?}");
+        assert_eq!(c.queued_tasks, 0, "an inline task is never queued");
+
+        let rels = triangle();
+        let prepared = Arc::new(PreparedQuery::new(&rels).unwrap());
+        let handle = service.submit(&prepared, &service.exec_config()).unwrap();
+        let profile = handle.profile();
+        assert!(profile.is_complete());
+        assert_eq!(profile.total_shards, 1);
+        assert_eq!(handle.wait().unwrap().relation, join(&rels).unwrap());
+        let c = service.counters();
+        assert_eq!((c.submitted, c.completed, c.in_flight), (2, 1, 1), "{c:?}");
+
+        release.send(()).unwrap();
+        assert_eq!(a.join().unwrap().relation.len(), 1);
+        let c = service.counters();
+        assert_eq!((c.submitted, c.completed, c.in_flight), (2, 2, 0), "{c:?}");
+    }
+
+    #[test]
+    fn a_panicking_inline_shard_fails_its_query_and_frees_its_slot() {
+        // Admission bound 1: the next submission is admitted only if the
+        // panicking one gave its slot back.
+        let service = worker_less(1);
+        let rels = [
+            rel(&[0, 1], &[&[1, 2], &[7, 2]]),
+            rel(&[1, 2], &[&[2, 4]]),
+            rel(&[0, 2], &[&[1, 4], &[7, 4]]),
+        ];
+        let poisoned = Arc::new(PreparedQuery::<PanicAt>::new_indexed(&rels).unwrap());
+        let seq = join(&rels).unwrap();
+        assert!(seq.iter_rows().any(|row| row[0] == POISON));
+        let failed = {
+            let service = Arc::clone(&service);
+            on_worker_named_thread(move || {
+                let handle = service.submit(&poisoned, &service.exec_config()).unwrap();
+                assert!(handle.is_finished());
+                handle.wait()
+            })
+        };
+        assert_eq!(
+            failed.join().unwrap().unwrap_err(),
+            QueryError::ShardPanicked
+        );
+        let c = service.counters();
+        assert_eq!((c.submitted, c.completed, c.in_flight), (1, 1, 0), "{c:?}");
+
+        // The service keeps serving.
+        let healthy = Arc::new(PreparedQuery::new(&rels).unwrap());
+        let out = service.submit(&healthy, &service.exec_config()).unwrap();
+        assert_eq!(out.wait().unwrap().relation, seq);
+        assert_eq!(service.counters().completed, 2);
     }
 
     #[test]

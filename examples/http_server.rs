@@ -118,7 +118,8 @@ fn main() {
     );
 
     // The streamed rows are bit-identical to an in-process sequential
-    // run of the same query.
+    // run of the same query: a new catalog's worker-less service runs it
+    // as one task on this thread.
     let mut oracle = Catalog::new();
     let rel = wcoj::query::load_csv(&csv, oracle.dictionary()).expect("CSV");
     oracle.insert("E", rel);

@@ -144,8 +144,11 @@ fn edge_csv(rows: usize) -> String {
     csv
 }
 
-/// The rows a sequential (service-less) run streams for `query` — the
-/// bit-identity oracle, order included.
+/// The rows a sequential run streams for `query` — the bit-identity
+/// oracle, order included. A new catalog's worker-less service runs the
+/// query as one task on this thread; `wcoj-query`'s
+/// `worker_less_route_matches_sequential_evaluation` pins that route to
+/// `PreparedQuery::evaluate`.
 fn sequential_rows(csv: &str, query: &str) -> String {
     let mut catalog = Catalog::new();
     let rel = wcoj::query::load_csv(csv, catalog.dictionary()).unwrap();
