@@ -2,11 +2,12 @@
 //! folds delta buffers into fresh bases while reader threads submit
 //! queries through the shared service pool. Every reader pins a
 //! copy-on-write [`Snapshot`] at admission and asserts its streamed
-//! result is bit-identical — rows *and* order — to a sequential
-//! execution over that same snapshot, and (periodically) to an
-//! independent run over the snapshot's *materialized* relations, which
-//! exercises the base+delta merge through a different code path than
-//! the `DeltaIndex` views the streamed plan reads.
+//! result is bit-identical — rows *and* order — to a drained run of the
+//! same plan over that snapshot, and both to an independent run over the
+//! snapshot's *materialized* relations in a new catalog, which shares
+//! neither the pool nor the cached plan, and exercises the base+delta
+//! merge through a different code path than the `DeltaIndex` views the
+//! pooled plan reads.
 //!
 //! Sized for release (`cargo test --release --test ingest_stress`);
 //! debug builds run a shrunk schedule so tier-1 stays quick.
@@ -57,36 +58,35 @@ fn rows_of(rel: &Relation) -> Vec<Vec<Value>> {
 }
 
 /// Streams `q` through the service against the pinned snapshot and
-/// checks bit-identity against a drained run over it.
-fn check_one(q: &ParsedQuery, snapshot: &wcoj_query::Snapshot, cross_check: bool) {
+/// checks bit-identity against a drained run over it — two ways out of
+/// one plan — and against an independent sequential run: the snapshot's
+/// relations materialized (merged at `get`, not read through
+/// `DeltaIndex` views) into a new catalog, whose worker-less service
+/// runs the query on this thread.
+fn check_one(q: &ParsedQuery, snapshot: &wcoj_query::Snapshot) {
     let mut pending = submit_query(q, snapshot.catalog()).expect("submit");
     let mut streamed: Vec<Vec<Value>> = Vec::new();
     while let Some(batch) = pending.next_batch() {
         streamed.extend(rows_of(&batch.expect("stream batch")));
     }
-    let seq = execute(q, snapshot.catalog()).expect("drained run");
+    let drained = execute(q, snapshot.catalog()).expect("drained run");
     assert_eq!(
         streamed,
-        rows_of(&seq.relation),
+        rows_of(&drained.relation),
         "streamed rows/order diverged from the drained join over the pinned snapshot"
     );
 
-    if cross_check {
-        // Independent path: materialize the snapshot's relations (merge
-        // at `get`, not `DeltaIndex` views) into a new catalog, whose
-        // worker-less service runs the query on this thread.
-        let mut plain = Catalog::new();
-        for name in ["R", "S", "T"] {
-            let rel = snapshot.catalog().get(name).expect("snapshot relation");
-            plain.insert(name, rel);
-        }
-        let independent = execute(q, &plain).expect("materialized run");
-        assert_eq!(
-            rows_of(&seq.relation),
-            rows_of(&independent.relation),
-            "delta-view execution diverged from materialized relations"
-        );
+    let mut plain = Catalog::new();
+    for name in ["R", "S", "T"] {
+        let rel = snapshot.catalog().get(name).expect("snapshot relation");
+        plain.insert(name, rel);
     }
+    let independent = execute(q, &plain).expect("materialized run");
+    assert_eq!(
+        rows_of(&drained.relation),
+        rows_of(&independent.relation),
+        "the pooled delta-view run diverged from a sequential run over materialized relations"
+    );
 }
 
 #[test]
@@ -157,7 +157,7 @@ fn concurrent_ingest_never_touches_pinned_snapshots() {
                 for i in 0..READER_QUERIES {
                     let snapshot = { catalog.read().expect("catalog lock").freeze() };
                     let q = if (i + r) % 2 == 0 { &triangle } else { &path };
-                    check_one(q, &snapshot, i % 4 == 0);
+                    check_one(q, &snapshot);
                 }
             })
         })
@@ -182,5 +182,5 @@ fn concurrent_ingest_never_touches_pinned_snapshots() {
     // After the dust settles the live catalog still answers, and a
     // fresh snapshot equals the live state.
     let final_snapshot = { catalog.read().expect("catalog lock").freeze() };
-    check_one(&triangle, &final_snapshot, true);
+    check_one(&triangle, &final_snapshot);
 }

@@ -3,17 +3,11 @@
 //! written directly, advertising the serve loop's keep-alive decision).
 
 use crate::http::{json_escape, write_response, ChunkedWriter, Conn, Request};
-use crate::jobs::Job;
 use crate::ServerState;
-use std::time::{Duration, Instant};
 use wcoj_query::{
     load_csv, parse_program, parse_query, run_program, submit_query, PendingQuery, QueryTextError,
 };
 use wcoj_storage::{Dictionary, Relation};
-
-/// How long `GET /query/{id}?block=1` waits before reporting the state
-/// as-is. Bounded so a stuck query cannot pin a connection thread.
-const BLOCK_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Dispatches one request. Transport errors bubble up (the connection is
 /// closed either way); protocol-level failures are answered in-band.
@@ -47,10 +41,6 @@ pub(crate) fn handle(
         }
         ("DELETE", ["relation", name]) => delete_relation(state, name, conn),
         ("POST", ["query"]) => post_query(state, req, conn),
-        ("GET", ["query", id]) => match id.parse::<u64>() {
-            Ok(id) => query_status(state, req, id, conn),
-            Err(_) => error_response(conn, 404, "job ids are integers"),
-        },
         ("GET", ["query", id, "rows"]) => match id.parse::<u64>() {
             Ok(id) => query_rows(state, id, conn),
             Err(_) => error_response(conn, 404, "job ids are integers"),
@@ -87,8 +77,6 @@ fn reason_for(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         408 => "Request Timeout",
-        409 => "Conflict",
-        410 => "Gone",
         411 => "Length Required",
         413 => "Content Too Large",
         429 => "Too Many Requests",
@@ -229,10 +217,7 @@ fn post_query(state: &ServerState, req: &Request, conn: &mut Conn<'_>) -> std::i
         Ok((query, head)) => {
             let columns = columns_json(query.columns());
             let streaming = query.incremental();
-            let Some(id) = state.jobs.insert(Job::Pending {
-                query,
-                since: Instant::now(),
-            }) else {
+            let Some(id) = state.jobs.insert(query) else {
                 state.metrics.overloaded_total.inc();
                 return error_response(conn, 429, "job table full of unfetched queries");
             };
@@ -275,92 +260,17 @@ fn columns_json(columns: &[String]) -> String {
         .join(",")
 }
 
-/// `GET /query/{id}` (+`?block=1`): the job's current state as JSON.
-fn query_status(
-    state: &ServerState,
-    req: &Request,
-    id: u64,
-    conn: &mut Conn<'_>,
-) -> std::io::Result<()> {
-    let deadline = Instant::now() + BLOCK_DEADLINE;
-    let block = req.query_flag("block");
-    loop {
-        // `PendingQuery` is `Send` but not `Sync`, so a blocking wait
-        // would pin the jobs lock; poll `is_finished` briefly instead.
-        let status: Option<(String, bool)> = state.jobs.with(|map| {
-            map.get(&id).map(|job| match job {
-                Job::Pending { query: p, .. } => (
-                    format!(
-                        "{{\"id\":{id},\"state\":\"pending\",\"finished\":{},\"columns\":[{}],\"streaming\":{}}}\n",
-                        p.is_finished(),
-                        columns_json(p.columns()),
-                        p.incremental()
-                    ),
-                    p.is_finished(),
-                ),
-                Job::Streaming { .. } => (
-                    format!("{{\"id\":{id},\"state\":\"streaming\"}}\n"),
-                    true,
-                ),
-                Job::Done { columns, rows } => (
-                    format!(
-                        "{{\"id\":{id},\"state\":\"done\",\"columns\":[{}],\"rows\":{rows}}}\n",
-                        columns_json(columns)
-                    ),
-                    true,
-                ),
-                Job::Failed { status, message } => (
-                    format!(
-                        "{{\"id\":{id},\"state\":\"failed\",\"status\":{status},\"error\":\"{}\"}}\n",
-                        json_escape(message)
-                    ),
-                    true,
-                ),
-            })
-        });
-        match status {
-            None => return error_response(conn, 404, "no such job"),
-            Some((body, settled)) => {
-                if block && !settled && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(2));
-                    continue;
-                }
-                return write_response(conn, 200, "OK", "application/json", &[], body.as_bytes());
-            }
-        }
-    }
-}
-
-/// Records a row-stream failure in the job table and — unless chunked
-/// headers already went out (`mid_stream`) — answers with the status.
-fn fail_job(
-    state: &ServerState,
-    conn: &mut Conn<'_>,
-    id: u64,
-    status: u16,
-    message: &str,
-    mid_stream: bool,
-) -> std::io::Result<()> {
+/// Counts a row stream that failed after its chunked headers went out,
+/// and closes the connection: the truncated stream (no terminating
+/// chunk) is the only honest signal left. `499` is a client that vanished
+/// or stopped reading.
+fn fail_job(state: &ServerState, conn: &mut Conn<'_>, status: u16) {
     if status == 429 {
         state.metrics.overloaded_total.inc();
     } else {
         state.metrics.errors_total.inc();
     }
-    state.jobs.settle(
-        id,
-        Job::Failed {
-            status,
-            message: message.to_owned(),
-        },
-    );
-    if mid_stream {
-        // Chunked headers are on the wire and the stream is truncated:
-        // the connection's framing is unusable, close it.
-        conn.keep_alive = false;
-        Ok(())
-    } else {
-        error_response(conn, status, message)
-    }
+    conn.keep_alive = false;
 }
 
 /// Appends `rel`'s rows to `out` as CSV lines: an integer in decimal, a
@@ -398,42 +308,15 @@ fn append_u64(mut v: u64, out: &mut Vec<u8>) {
     out.extend_from_slice(&digits[at..]);
 }
 
-/// `GET /query/{id}/rows`: streams the result as chunked CSV. For an
-/// incrementally streamable plan each root slot's rows go out as a chunk
-/// the moment that slot settles; otherwise one merged chunk at the end.
+/// `GET /query/{id}/rows`: takes the job out of the table and streams
+/// its result as chunked CSV. For an incrementally streamable plan each
+/// root slot's rows go out as a chunk the moment that slot settles;
+/// otherwise one merged chunk at the end. A job is fetched once: a later
+/// or concurrent fetch finds no such job.
 fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Result<()> {
-    // Take ownership of the pending query (or a terminal answer) while
-    // holding the lock only for the swap.
-    let fetch = state.jobs.with(|map| match map.remove(&id) {
-        None => Err((404, "no such job".to_owned())),
-        Some(Job::Pending { query, .. }) => {
-            map.insert(
-                id,
-                Job::Streaming {
-                    since: Instant::now(),
-                },
-            );
-            Ok(query)
-        }
-        Some(job @ Job::Streaming { .. }) => {
-            map.insert(id, job);
-            Err((409, "rows are already being streamed".to_owned()))
-        }
-        Some(job @ Job::Done { .. }) => {
-            map.insert(id, job);
-            Err((410, "rows were already streamed".to_owned()))
-        }
-        Some(Job::Failed { status, message }) => {
-            let answer = Err((status, message.clone()));
-            map.insert(id, Job::Failed { status, message });
-            answer
-        }
-    });
-    let mut pending = match fetch {
-        Ok(fetched) => fetched,
-        Err((status, message)) => return error_response(conn, status, &message),
+    let Some(mut pending) = state.jobs.take(id) else {
+        return error_response(conn, 404, "no such job");
     };
-    let columns = pending.columns().to_vec();
     let mode = if pending.incremental() {
         "incremental"
     } else {
@@ -445,7 +328,7 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
     let first = match pending.next_batch() {
         Some(Err(e)) => {
             drop(pending);
-            return fail_job(state, conn, id, e.http_status(), &e.to_string(), false);
+            return query_error(state, conn, &e);
         }
         other => other.map(|r| r.expect("Err handled above")),
     };
@@ -459,14 +342,7 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
         Ok(w) => w,
         Err(e) => {
             drop(pending);
-            let _ = fail_job(
-                state,
-                conn,
-                id,
-                499,
-                "client disconnected before the stream started",
-                true,
-            );
+            fail_job(state, conn, 499);
             return Err(e);
         }
     };
@@ -481,14 +357,7 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
             // mid-stream. Dropping `pending` cancels still-queued shards
             // and frees the admission slot.
             drop(pending);
-            let _ = fail_job(
-                state,
-                conn,
-                id,
-                499,
-                "client disconnected or stopped reading mid-stream",
-                true,
-            );
+            fail_job(state, conn, 499);
             return Err(e);
         }
         rows += rel.len() as u64;
@@ -496,26 +365,17 @@ fn query_rows(state: &ServerState, id: u64, conn: &mut Conn<'_>) -> std::io::Res
             Some(Ok(rel)) => Some(rel),
             None => None,
             Some(Err(e)) => {
-                // Headers already sent: the only honest signal is a
-                // truncated chunked stream (no terminator).
                 drop(pending);
-                return fail_job(state, conn, id, e.http_status(), &e.to_string(), true);
+                fail_job(state, conn, e.http_status());
+                return Ok(());
             }
         };
     }
     if let Err(e) = w.finish() {
-        let _ = fail_job(
-            state,
-            conn,
-            id,
-            499,
-            "client disconnected at stream end",
-            true,
-        );
+        fail_job(state, conn, 499);
         return Err(e);
     }
     state.metrics.rows_streamed_total.add(rows);
-    state.jobs.settle(id, Job::Done { columns, rows });
     Ok(())
 }
 

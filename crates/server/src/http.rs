@@ -22,10 +22,9 @@ pub struct Request {
     /// Uppercase method token as sent (`GET`, `POST`, …).
     pub method: String,
     /// Path component, percent-decoding deliberately not applied (the
-    /// routes only use `[A-Za-z0-9_/]` segments).
+    /// routes only use `[A-Za-z0-9_/]` segments); a query string after
+    /// `?` is dropped, since no route reads one.
     pub path: String,
-    /// Raw query string after `?`, if any.
-    pub query: Option<String>,
     /// Headers with lowercased names, in arrival order.
     pub headers: Vec<(String, String)>,
     /// The request body (empty unless `Content-Length` said otherwise).
@@ -40,14 +39,6 @@ impl Request {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// `true` iff the query string contains `key=1` or a bare `key`.
-    #[must_use]
-    pub fn query_flag(&self, key: &str) -> bool {
-        self.query
-            .as_deref()
-            .is_some_and(|q| q.split('&').any(|kv| kv == key || kv == format!("{key}=1")))
     }
 
     /// `true` iff the client asked for `Connection: close`.
@@ -200,10 +191,7 @@ pub fn read_request(
     if !method.chars().all(|c| c.is_ascii_uppercase()) {
         return Err(RequestError::Bad("malformed method token"));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_owned(), Some(q.to_owned())),
-        None => (target.to_owned(), None),
-    };
+    let path = target.split_once('?').map_or(target, |(p, _)| p).to_owned();
     if !path.starts_with('/') {
         return Err(RequestError::Bad("target must be absolute"));
     }
@@ -271,7 +259,6 @@ pub fn read_request(
     Ok(Request {
         method,
         path,
-        query,
         headers,
         body,
     })

@@ -14,8 +14,7 @@
 //! | `DELETE /relation/{name}/rows`| delete the CSV rows in the body from the relation |
 //! | `DELETE /relation/{name}`     | unregister a relation                             |
 //! | `POST /query`                 | submit a text query (streamed) or Datalog program |
-//! | `GET /query/{id}`             | job status; `?block=1` waits until settled        |
-//! | `GET /query/{id}/rows`        | fetch rows as chunked CSV, incrementally when the plan allows |
+//! | `GET /query/{id}/rows`        | fetch rows as chunked CSV, incrementally when the plan allows; once per job |
 //! | `GET /metrics`                | Prometheus exposition of the global registry      |
 //! | `GET /healthz`                | liveness probe                                    |
 //!
@@ -58,8 +57,7 @@
 //! relations are registered all at once when every rule succeeded, and
 //! not at all otherwise. Its last rule's result enters the job
 //! table as a pending query holding one ready batch: `/rows` serves it
-//! through the same path, `buffered`, and until then the job's status
-//! reads `"state":"pending","finished":true`.
+//! through the same path, `buffered`.
 //!
 //! ## Status mapping
 //!
@@ -67,9 +65,10 @@
 //! that finds the job table full of jobs still waiting for their fetch
 //! (256 of them, none abandoned for 30 s), surface as `429` with
 //! `Retry-After`; parse failures as `400`; unknown relations as
-//! `404`; a shard that panicked on the pool as `500` (or a truncated
-//! stream, once the chunked headers are out); protocol edge cases per
-//! [`http::RequestError`].
+//! `404`; a job id that is unknown, already fetched or being fetched as
+//! `404` (a fetch takes its job out of the table); a shard that panicked
+//! on the pool as `500` (or a truncated stream, once the chunked headers
+//! are out); protocol edge cases per [`http::RequestError`].
 
 mod config;
 mod handlers;
@@ -77,7 +76,7 @@ pub mod http;
 mod jobs;
 
 pub use config::{ServerConfig, DEFAULT_BIND};
-pub use jobs::{Job, Jobs};
+use jobs::Jobs;
 
 use std::net::{TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -237,7 +236,7 @@ impl Server {
         self.addr
     }
 
-    /// Live entries in the job table (for tests and introspection).
+    /// Unfetched jobs in the table (for tests and introspection).
     #[must_use]
     pub fn jobs_len(&self) -> usize {
         self.state.jobs.len()
@@ -432,9 +431,8 @@ mod tests {
         let state = Arc::clone(&server.state);
         let died = std::thread::spawn(move || {
             let _catalog = state.catalog.write().unwrap();
-            state
-                .jobs
-                .with(|_| panic!("handler died holding the locks"));
+            let _jobs = state.jobs.lock();
+            panic!("handler died holding the locks");
         })
         .join();
         assert!(died.is_err());
@@ -496,15 +494,12 @@ mod tests {
 
         // Every client vanishes: the clock moves past the limit for all
         // of their jobs at once.
-        server.state.jobs.with(|map| {
-            for job in map.values_mut() {
-                if let Job::Pending { since, .. } = job {
-                    *since = since
-                        .checked_sub(ABANDONED_AFTER)
-                        .expect("the clock has run that long");
-                }
-            }
-        });
+        for job in server.state.jobs.lock().values_mut() {
+            job.since = job
+                .since
+                .checked_sub(ABANDONED_AFTER)
+                .expect("the clock has run that long");
+        }
         let (status, fresh) = post();
         assert_eq!(status, 202);
         assert_eq!(server.jobs_len(), MAX_JOBS);

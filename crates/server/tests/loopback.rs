@@ -347,16 +347,12 @@ fn query_protocol_round_trip() {
     let r = request(addr, "PUT", "/relation/no%20good", Some("1\n"));
     assert_eq!(r.status, 400);
 
-    // Submit a join; the job settles and ?block=1 reports it.
+    // Submit a join; its rows match a local sequential execution of the
+    // same query. The fetch waits for them.
     let query = "path(x, z) :- E(x, y), E(y, z).";
     let r = request(addr, "POST", "/query", Some(query));
     assert_eq!(r.status, 202, "{}", r.text());
     let id = extract_id(r.text());
-    let r = request(addr, "GET", &format!("/query/{id}?block=1"), None);
-    assert_eq!(r.status, 200);
-    assert!(r.text().contains("\"finished\":true"), "{}", r.text());
-
-    // Rows match a local sequential execution of the same query.
     let (columns, expected) = expected_csv(csv, query);
     assert_eq!(columns, vec!["x".to_owned(), "z".to_owned()]);
     let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
@@ -364,11 +360,9 @@ fn query_protocol_round_trip() {
     assert!(!r.truncated);
     assert_eq!(r.text(), expected);
 
-    // Fetching again is 410: the stream was consumed.
+    // Fetching again is 404: the fetch took the job out of the table.
     let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
-    assert_eq!(r.status, 410);
-    let r = request(addr, "GET", &format!("/query/{id}"), None);
-    assert!(r.text().contains("\"state\":\"done\""), "{}", r.text());
+    assert_eq!(r.status, 404);
 
     // A multi-rule Datalog program runs eagerly; its last rule's rows
     // are served as one buffered chunk.
@@ -376,31 +370,16 @@ fn query_protocol_round_trip() {
     let r = request(addr, "POST", "/query", Some(program));
     assert_eq!(r.status, 202, "{}", r.text());
     assert!(r.text().contains("\"streaming\":false"), "{}", r.text());
+    assert!(r.text().contains("\"columns\":[\"z\"]"), "{}", r.text());
     let pid = extract_id(r.text());
-    // Until its rows are fetched, a program job is a pending query whose
-    // one batch is already there.
-    let r = request(addr, "GET", &format!("/query/{pid}"), None);
-    assert_eq!(r.status, 200);
-    assert!(
-        r.text().contains(
-            "\"state\":\"pending\",\"finished\":true,\"columns\":[\"z\"],\"streaming\":false"
-        ),
-        "{}",
-        r.text()
-    );
     let r = request(addr, "GET", &format!("/query/{pid}/rows"), None);
     assert_eq!(r.status, 200);
     assert_eq!(r.header("x-streaming"), Some("buffered"));
     let mut got: Vec<&str> = r.text().lines().collect();
     got.sort_unstable();
     assert_eq!(got, vec!["3", "4"]);
-    let r = request(addr, "GET", &format!("/query/{pid}"), None);
-    assert!(
-        r.text()
-            .contains("\"state\":\"done\",\"columns\":[\"z\"],\"rows\":2"),
-        "{}",
-        r.text()
-    );
+    let r = request(addr, "GET", &format!("/query/{pid}/rows"), None);
+    assert_eq!(r.status, 404);
 }
 
 #[test]
@@ -642,8 +621,11 @@ fn four_cycle_streams_incrementally_in_schema_order() {
     assert_eq!(r.text(), expected, "streamed body");
 }
 
+/// A fetch takes its job out of the table: while the rows are still
+/// streaming, the table has one job fewer and every other fetch of the
+/// same id, concurrent or later, is `404`, as is the id's bare path.
 #[test]
-fn concurrent_rows_fetches_conflict_then_settle() {
+fn a_fetched_job_leaves_the_table() {
     let (server, service) = streaming_server(0);
     let addr = server.addr();
     let csv = edge_csv(200);
@@ -662,36 +644,61 @@ fn concurrent_rows_fetches_conflict_then_settle() {
     assert_eq!(r.status, 202, "{}", r.text());
     assert!(r.text().contains("\"streaming\":true"), "{}", r.text());
     let id = extract_id(r.text());
+    let waiting = server.jobs_len();
+    assert!(waiting >= 1);
 
-    // Connection A starts the row fetch (blocks server-side on the
-    // first slot); once dispatched, a second fetch must be refused.
-    let reader = std::thread::spawn({
-        let path = format!("/query/{id}/rows");
-        move || request(addr, "GET", &path, None)
-    });
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let r = request(addr, "GET", &format!("/query/{id}"), None);
-        assert_eq!(r.status, 200);
-        if r.text().contains("\"state\":\"streaming\"") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "job never started streaming");
-        std::thread::sleep(Duration::from_millis(2));
+    // Start the fetch on a raw socket and read its first chunk.
+    let mut sock = TcpStream::connect(addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    sock.write_all(
+        format!("GET /query/{id}/rows HTTP/1.1\r\nConnection: close\r\n\r\n").as_bytes(),
+    )
+    .unwrap();
+    let mut raw: Vec<u8> = Vec::new();
+    let mut scratch = [0u8; 4096];
+    while !has_complete_chunk(&raw) {
+        let n = sock
+            .read(&mut scratch)
+            .expect("first chunk within the deadline");
+        assert!(n > 0, "stream ended before the first chunk");
+        raw.extend_from_slice(&scratch[..n]);
     }
-    let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
-    assert_eq!(r.status, 409, "{}", r.text());
 
-    // Free the worker; A's stream completes bit-identically to the
-    // sequential run, and a later fetch is 410.
+    // The stream is open, and its job is gone from the table.
+    assert_eq!(server.jobs_len(), waiting - 1);
+    let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
+    assert_eq!(r.status, 404, "{}", r.text());
+    let r = request(addr, "GET", &format!("/query/{id}"), None);
+    assert_eq!(r.status, 404, "{}", r.text());
+
+    // Free the worker; the stream completes bit-identically to the
+    // sequential run, and a later fetch is 404 too.
     drop(guard);
-    let streamed = reader.join().expect("reader thread");
+    sock.read_to_end(&mut raw).unwrap();
+    let streamed = parse_response(&raw);
     assert_eq!(streamed.status, 200);
     assert_eq!(streamed.header("x-streaming"), Some("incremental"));
     assert!(!streamed.truncated);
     assert_eq!(streamed.text(), expected);
     let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
-    assert_eq!(r.status, 410);
+    assert_eq!(r.status, 404, "{}", r.text());
+}
+
+/// `true` once `raw` holds complete response headers plus at least one
+/// complete non-empty chunk frame.
+fn has_complete_chunk(raw: &[u8]) -> bool {
+    let Some(head_end) = raw.windows(4).position(|w| w == b"\r\n\r\n") else {
+        return false;
+    };
+    let rest = &raw[head_end + 4..];
+    let Some(line_end) = rest.windows(2).position(|w| w == b"\r\n") else {
+        return false;
+    };
+    let size = std::str::from_utf8(&rest[..line_end])
+        .ok()
+        .and_then(|hex| usize::from_str_radix(hex.trim(), 16).ok());
+    size.is_some_and(|size| size > 0 && rest.len() >= line_end + 2 + size + 2)
 }
 
 #[test]
@@ -736,12 +743,6 @@ fn mid_stream_disconnect_cancels_and_frees_the_admission_slot() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    let r = request(addr, "GET", &format!("/query/{id}"), None);
-    assert!(
-        r.text().contains("\"state\":\"failed\"") && r.text().contains("499"),
-        "{}",
-        r.text()
-    );
 
     // Everything drains: no leaked in-flight query, and the skipped
     // shard tasks show the cancellation actually saved pool time.
@@ -807,14 +808,22 @@ fn a_client_that_stops_reading_does_not_pin_the_connection_thread() {
         .expect("healthz answered while a client stalls a rows fetch");
     assert_eq!(parse_response(&out).status, 200);
 
-    // The abandoned fetch failed its job as a client-side close.
-    let r = request(addr, "GET", &format!("/query/{id}"), None);
+    // The server gave the stalled fetch up: what it had buffered drains
+    // and then the connection ends, without the terminating chunk.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut out = Vec::new();
+    stalled
+        .read_to_end(&mut out)
+        .expect("the server closes the stalled connection");
+    let r = parse_response(&out);
+    assert_eq!(r.status, 200);
     assert!(
-        r.text().contains("\"state\":\"failed\"") && r.text().contains("\"status\":499"),
-        "{}",
-        r.text()
+        r.truncated,
+        "a stream the client stopped reading was completed"
     );
-    drop(stalled);
+    assert!(!out.ends_with(b"0\r\n\r\n"));
 }
 
 // ------------------------------------------------------------ keep-alive
@@ -981,7 +990,8 @@ fn a_full_job_table_refuses_instead_of_evicting() {
     let r = request(addr, "GET", &format!("/query/{}/rows", ids[0]), None);
     assert_eq!(r.status, 200, "the oldest waiting job survived");
     assert_eq!(r.text(), expected_csv(csv, query).1);
-    // A fetched job is settled, so it makes room for exactly one more.
+    // A fetched job leaves the table, so it makes room for exactly one
+    // more.
     let r = request(addr, "POST", "/query", Some(query));
     assert_eq!(r.status, 202, "{}", r.text());
     let r = request(addr, "POST", "/query", Some(query));

@@ -106,10 +106,6 @@ fn main() {
         .and_then(|t| t.parse().ok())
         .expect("job id");
 
-    let (status, body) = curl(addr, "GET", &format!("/query/{id}?block=1"), None);
-    println!("GET /query/{id}?block=1 → {status}  {}", body.trim_end());
-    assert!(body.contains("\"finished\":true"), "{body}");
-
     let (status, rows) = curl(addr, "GET", &format!("/query/{id}/rows"), None);
     assert!(status.contains("200"), "{rows}");
     println!(
