@@ -644,8 +644,7 @@ fn a_fetched_job_leaves_the_table() {
     assert_eq!(r.status, 202, "{}", r.text());
     assert!(r.text().contains("\"streaming\":true"), "{}", r.text());
     let id = extract_id(r.text());
-    let waiting = server.jobs_len();
-    assert!(waiting >= 1);
+    assert_eq!(server.jobs_len(), 1);
 
     // Start the fetch on a raw socket and read its first chunk.
     let mut sock = TcpStream::connect(addr).unwrap();
@@ -666,7 +665,7 @@ fn a_fetched_job_leaves_the_table() {
     }
 
     // The stream is open, and its job is gone from the table.
-    assert_eq!(server.jobs_len(), waiting - 1);
+    assert_eq!(server.jobs_len(), 0);
     let r = request(addr, "GET", &format!("/query/{id}/rows"), None);
     assert_eq!(r.status, 404, "{}", r.text());
     let r = request(addr, "GET", &format!("/query/{id}"), None);
