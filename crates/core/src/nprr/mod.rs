@@ -45,13 +45,20 @@
 //! side lacks lets the others skip to its next one, and a value some
 //! check lacks prunes its whole subtree (`AnchorScan`).
 //!
-//! The engine reads a node's children one way: it opens the backend's
-//! child scan on the node ([`SearchTree::children`]), seeks forward in it
-//! ([`SearchTree::seek`]) and takes the child it landed on
-//! ([`SearchTree::child`]). The leapfrog's sides, a split's probes and a
-//! shard-filtered leaf scan all do; how a scan reads a level (a borrowed
-//! slice, or a merge of a `DeltaIndex`'s base and buffers) is the
-//! backend's business.
+//! The engine opens a node's children as the backend's child scan
+//! ([`SearchTree::children`]) and reads it one of two ways, chosen per
+//! walk level from what the scans hand out. A scan over a stored level
+//! lends that level as a borrowed sorted slice ([`SearchTree::labels`]):
+//! every `FlatIndex` level, and every `DeltaIndex` node no buffer
+//! touches. When the anchor and every binding probe at a walk level lend
+//! one, the level is one k-way gallop over the slices
+//! ([`leapfrog`]), rows are pushed straight from the last level, and a
+//! match's children are taken by offset ([`SearchTree::child_at`]). A
+//! level with a side merged from live buffers (a
+//! `DeltaChildren::Merged` scan) has no slice to lend: there each side
+//! seeks forward in its scan ([`SearchTree::seek`]) and the walk takes
+//! the child it landed on ([`SearchTree::child`]). A split's probes and a
+//! shard-filtered leaf scan always seek.
 //!
 //! The per-tuple **size check** (Procedure 5, line 21) is the algorithmic
 //! heart: for each partial tuple it compares the *estimated* output of the
@@ -68,9 +75,10 @@ pub use prepared::PreparedQuery;
 
 use crate::query::{JoinQuery, QueryError};
 use crate::{JoinOutput, JoinStats};
-use plan::{CheckEdge, JoinPlan, NodeKind, NodePlan, Section, Split};
+use plan::{JoinPlan, NodeKind, NodePlan, Section, Split};
 use std::ops::RangeInclusive;
-use wcoj_storage::index::{for_each_child, with_tuple_scratch, SearchTree, ALL_LABELS};
+use wcoj_storage::gallop::{leapfrog, Lane};
+use wcoj_storage::index::{for_each_child, with_scratch, SearchTree, ALL_LABELS};
 use wcoj_storage::{FlatIndex, RowBuf, Value};
 
 /// Evaluates `q` with the NPRR algorithm under fractional cover `x` (one
@@ -190,7 +198,7 @@ fn for_each_extension_filtered<S: SearchTree>(
         return;
     }
     debug_assert!(extra >= 1);
-    with_tuple_scratch(extra, |buf| {
+    with_scratch(extra, |buf| {
         for_each_child(trie, node, labels(level0), |v, child| {
             buf[0] = v;
             if extra == 1 {
@@ -310,108 +318,125 @@ fn probe_sections(split: &Split) -> impl Iterator<Item = &Section> {
 /// walk goes down the anchor section one level of `W⁻` at a time, and at
 /// each level it intersects the anchor's children with those of every
 /// probe that binds the level — the check edges holding that attribute
-/// and every pushed filter. Each side seeks forward in its child scan
-/// ([`SearchTree::seek`]), and a probe's next label lets the anchor skip
-/// every value below it. A value some probe lacks prunes its whole
-/// subtree, so a mismatch on `W⁻`'s first attribute costs one seek, not
-/// one per completion below it.
+/// and every pushed filter ([`Split::walk`]). A probe's next label lets
+/// the anchor skip every value below it, and a value some probe lacks
+/// prunes its whole subtree, so a mismatch on `W⁻`'s first attribute
+/// costs one step, not one per completion below it.
+///
+/// A level whose every side hands out its children as a borrowed sorted
+/// slice ([`SearchTree::labels`]) — every `FlatIndex` level, every
+/// base-only `DeltaIndex` node — runs [`leapfrog`] over those slices and
+/// takes each match's children by offset. A level with a side merged
+/// from live buffers seeks each side's scan ([`SearchTree::seek`]).
 struct AnchorScan<'a, S: SearchTree> {
     tries: &'a [S],
     /// The anchor `e_k`'s search tree.
     anchor: &'a S,
-    checks: &'a [CheckEdge],
-    filters: &'a [Section],
+    /// Per walk level, the probes that bind it.
+    walk: &'a [Vec<(usize, usize)>],
+    /// How many probes the split has: a walk row holds their sides, then
+    /// the anchor's.
+    probes: usize,
     /// The shard's value ranges for the walk's levels 0 and 1
     /// ([`Engine::scan_filters`]).
     ranges: [LevelRange; 2],
     /// Where `t_{W⁻}` starts in the output row.
     wm_at: usize,
-    /// `|W⁻|`: the walk's depth.
-    wm_len: usize,
 }
 
 impl<'t, S: SearchTree> AnchorScan<'t, S> {
-    /// Probe `p`'s search tree, and whether it binds walk level `j`: a
-    /// check binds the levels of its `W⁻` attributes, a filter all of them.
-    fn probe(&self, p: usize, j: usize) -> (&'t S, bool) {
-        match self.checks.get(p) {
-            Some(c) => (&self.tries[c.section.edge], c.wm_offsets.contains(&j)),
-            None => (&self.tries[self.filters[p - self.checks.len()].edge], true),
-        }
-    }
-
     /// Visits the children of the anchor's node at walk level `j` that
     /// every binding probe holds. `sides[..=probes]` is level `j`'s row —
     /// every probe's node there, then the anchor's; the rows after it are
-    /// filled for the levels below. `row` is `t_W` followed by the
-    /// `t_{W⁻}` being built; each complete row goes to `out`.
+    /// filled for the levels below. `lanes` holds one row of slices per
+    /// level the same way. `row` is `t_W` followed by the `t_{W⁻}` being
+    /// built; each complete row goes to `out`.
     fn level(
         &self,
         j: usize,
         sides: &mut [Side<S::Node, S::Children<'t>>],
+        lanes: &mut [Lane<'t>],
         row: &mut [Value],
         out: &mut RowBuf,
     ) {
-        let probes = self.checks.len() + self.filters.len();
-        let (here, deeper) = sides.split_at_mut(probes + 1);
+        let binds = &self.walk[j];
+        let (here, deeper) = sides.split_at_mut(self.probes + 1);
         let (anchor, here) = here.split_last_mut().expect("the anchor's side");
         anchor.children = self.anchor.children(anchor.node);
-        for (p, side) in here.iter_mut().enumerate() {
-            let (trie, binds) = self.probe(p, j);
-            if binds {
-                side.children = trie.children(side.node);
-            }
+        for &(p, e) in binds {
+            here[p].children = self.tries[e].children(here[p].node);
         }
-        let last = j + 1 == self.wm_len;
+        let last = j + 1 == self.walk.len();
         if !last {
             // Probes that do not bind level j carry their node forward.
             for (next, side) in deeper.iter_mut().zip(here.iter()) {
                 next.node = side.node;
             }
         }
-        let (mut v, hi) = self
+        let (lo, hi) = self
             .ranges
             .get(j)
             .copied()
             .flatten()
             .unwrap_or((Value(u64::MIN), Value(u64::MAX)));
-        'scan: while let Some(a) = self.anchor.seek(&mut anchor.children, v) {
-            if a > hi {
-                return;
-            }
-            v = a;
-            for (p, side) in here.iter_mut().enumerate() {
-                let (trie, binds) = self.probe(p, j);
-                if !binds {
-                    continue;
-                }
-                match trie.seek(&mut side.children, v) {
-                    Some(w) if w == v => {}
-                    // The probe has nothing in [v, w): the anchor skips.
-                    Some(w) => {
-                        v = w;
-                        continue 'scan;
-                    }
-                    None => return,
-                }
-            }
-            row[self.wm_at + j] = v;
-            if last {
+        let at = self.wm_at + j;
+        let (lanes, lanes_deeper) = lanes.split_at_mut(self.probes + 1);
+        let lanes = &mut lanes[..=binds.len()];
+        let plain = binds
+            .iter()
+            .map(|&(p, e)| self.tries[e].labels(&here[p].children))
+            .chain([self.anchor.labels(&anchor.children)])
+            .zip(lanes.iter_mut())
+            .all(|(labels, lane)| labels.map(|l| *lane = Lane::new(l)).is_some());
+        if plain && last {
+            leapfrog(lanes, lo, hi, |v, _| {
+                row[at] = v;
                 out.push_row(row);
-            } else {
-                for (p, side) in here.iter().enumerate() {
-                    let (trie, binds) = self.probe(p, j);
-                    if binds {
-                        deeper[p].node = trie.child(&side.children);
+            });
+        } else if plain {
+            let (anchor, here) = (&*anchor, &*here);
+            leapfrog(lanes, lo, hi, |v, lanes| {
+                row[at] = v;
+                for (&(p, e), lane) in binds.iter().zip(lanes) {
+                    deeper[p].node = self.tries[e].child_at(&here[p].children, lane.at);
+                }
+                let a = lanes[binds.len()].at;
+                deeper[self.probes].node = self.anchor.child_at(&anchor.children, a);
+                self.level(j + 1, deeper, lanes_deeper, row, out);
+            });
+        } else {
+            let mut v = lo;
+            'scan: while let Some(a) = self.anchor.seek(&mut anchor.children, v) {
+                if a > hi {
+                    return;
+                }
+                v = a;
+                for &(p, e) in binds {
+                    match self.tries[e].seek(&mut here[p].children, v) {
+                        Some(w) if w == v => {}
+                        // The probe has nothing in [v, w): the anchor skips.
+                        Some(w) => {
+                            v = w;
+                            continue 'scan;
+                        }
+                        None => return,
                     }
                 }
-                deeper[probes].node = self.anchor.child(&anchor.children);
-                self.level(j + 1, deeper, row, out);
+                row[at] = v;
+                if last {
+                    out.push_row(row);
+                } else {
+                    for &(p, e) in binds {
+                        deeper[p].node = self.tries[e].child(&here[p].children);
+                    }
+                    deeper[self.probes].node = self.anchor.child(&anchor.children);
+                    self.level(j + 1, deeper, lanes_deeper, row, out);
+                }
+                let Some(after) = v.0.checked_add(1) else {
+                    return;
+                };
+                v = Value(after);
             }
-            let Some(after) = v.0.checked_add(1) else {
-                return;
-            };
-            v = Value(after);
         }
     }
 }
@@ -614,6 +639,14 @@ impl<'a, S: SearchTree> Engine<'a, S> {
         let (f0, f1) = self.scan_filters(split.wm_start, wm_len);
         let n_probes = split.checks.len() + split.filters.len();
         self.open_probes(node, split, &mut level.probes);
+        // Case b's walk rows, one per `W⁻` level: only level 0's probe
+        // nodes change with t_W, and the walk fills the rows below.
+        level.walk.clear();
+        if let Some(anchor) = anchor {
+            level
+                .walk
+                .resize(wm_len * (n_probes + 1), Side::new(anchor));
+        }
 
         for l in 0..level.left.len() {
             // bind t_W
@@ -678,29 +711,32 @@ impl<'a, S: SearchTree> Engine<'a, S> {
                 self.stats.case_b += 1;
                 // lines 27–29: scan the anchor's section, intersect the
                 // others (an edge whose section is empty admits nothing).
-                let Some(anchor) = anchor else { continue };
-                level.walk.clear();
-                level
-                    .walk
-                    .extend(level.probes.iter().map_while(|p| p.section.map(Side::new)));
-                if level.walk.len() < n_probes {
+                if anchor.is_none() {
                     continue;
                 }
-                level.walk.push(Side::new(anchor));
-                for _ in 1..wm_len {
-                    level.walk.extend_from_within(..=n_probes);
+                let sections = level.probes.iter().map(|p| p.section);
+                if !level
+                    .walk
+                    .iter_mut()
+                    .zip(sections)
+                    .all(|(side, s)| s.map(|n| side.node = n).is_some())
+                {
+                    continue;
                 }
                 let scan = AnchorScan {
                     tries,
                     anchor: trie_k,
-                    checks: &split.checks,
-                    filters: &split.filters,
+                    walk: &split.walk,
+                    probes: n_probes,
                     ranges: [f0, f1],
                     wm_at: split.wm_start - node.start,
-                    wm_len,
                 };
                 let row = &mut self.bound[node.start..node.start + node.arity];
-                scan.level(0, &mut level.walk, row, out);
+                // The slices a plain walk level intersects, laid out like
+                // the walk's rows.
+                with_scratch(level.walk.len(), |lanes| {
+                    scan.level(0, &mut level.walk, lanes, row, out);
+                });
             }
         }
     }

@@ -134,6 +134,11 @@ pub(crate) struct Split {
     /// every `W⁻` level of the case-b walk, like a check edge over all of
     /// `W⁻`, but it is not one: the line-21 size check never reads it.
     pub(crate) filters: Vec<Section>,
+    /// Per level of case b's walk (one per `W⁻` attribute, in order): the
+    /// probes that bind it — each check edge holding the attribute, then
+    /// every pushed filter — as (probe index, input edge). Probes count
+    /// the checks, then the filters.
+    pub(crate) walk: Vec<Vec<(usize, usize)>>,
 }
 
 /// `R_e[t]` for `t` the bound prefix restricted to `e`: a descent from
@@ -398,7 +403,7 @@ impl Compiler<'_> {
                 (lc, Some(&first)) => {
                     let wm_start = self.pos[first];
                     assert_eq!(wm_start, start + w.len(), "(TO2): W precedes W⁻");
-                    let checks = (0..ek)
+                    let checks: Vec<CheckEdge> = (0..ek)
                         .filter_map(|i| {
                             let wm_offsets: Vec<usize> = self.edge_vertices[self.edge_order[i]]
                                 .iter()
@@ -422,16 +427,29 @@ impl Compiler<'_> {
                         self.node(rc, &pushed)
                     });
                     let deeper = left.map_or(0, |l| l.1).max(right.map_or(0, |r| r.1));
+                    let filters: Vec<Section> = pushed
+                        .iter()
+                        .map(|&at| self.section(at, wm_start))
+                        .collect();
+                    let walk = (0..wminus.len())
+                        .map(|j| {
+                            let binding = checks
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, c)| c.wm_offsets.contains(&j))
+                                .map(|(p, c)| (p, c.section.edge));
+                            let pushed = (checks.len()..).zip(filters.iter().map(|f| f.edge));
+                            binding.chain(pushed).collect()
+                        })
+                        .collect();
                     let split = Split {
                         left: left.map(|l| l.0),
                         right: right.map(|r| r.0),
                         wm_start,
                         anchor,
                         checks,
-                        filters: pushed
-                            .iter()
-                            .map(|&at| self.section(at, wm_start))
-                            .collect(),
+                        filters,
+                        walk,
                     };
                     (NodeKind::Split(split), 1 + deeper)
                 }
@@ -483,8 +501,10 @@ mod tests {
             checks,
             [(0, 0, &[0][..], &[0][..]), (1, 2, &[0][..], &[1][..])]
         );
-        // Nothing encloses the root, so it carries no pushed filter.
+        // Nothing encloses the root, so it carries no pushed filter, and
+        // each walk level is bound by the one check holding it.
         assert!(s.filters.is_empty());
+        assert_eq!(s.walk, [[(0, 0)], [(1, 2)]]);
         // The left child {0} is a leaf over R and T. It lies left of the
         // root's split, so the root's anchor is not pushed into it.
         let left = &plan.nodes[s.left.unwrap()];
@@ -511,6 +531,7 @@ mod tests {
             fs.iter().map(|f| (f.edge, f.positions.clone())).collect()
         };
         assert_eq!(sections(&rs.filters), [(1, vec![1])]);
+        assert_eq!(rs.walk, [[(0, 1)]]);
         // Its left child {1} is a leaf over R; the filter is S's root: a
         // candidate must start some row of S.
         let NodeKind::Leaf { covering, filters } = &plan.nodes[rs.left.unwrap()].kind else {

@@ -343,13 +343,6 @@ impl PendingQuery {
         self.project.is_none() && self.handle.ordered()
     }
 
-    /// `true` iff every shard has already settled — no further
-    /// [`next_batch`](PendingQuery::next_batch) call will block.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
-    }
-
     /// Blocks until every shard has settled, without consuming batches.
     pub fn wait_settled(&self) {
         self.handle.wait_settled();
@@ -604,7 +597,7 @@ mod tests {
             let mut pending = crate::submit_query(&q, &c).unwrap();
             if workers == 0 {
                 let profile = pending.profile();
-                assert!(pending.is_finished() && profile.is_complete());
+                assert!(profile.is_complete());
                 assert_eq!(profile.total_shards, 1);
                 assert_eq!(profile.total_rows(), seq.relation.len() as u64);
             }
@@ -903,7 +896,8 @@ mod tests {
             let expected = sequential_reference(&q, &c);
             assert_eq!(expected.is_empty(), empty, "{text}");
             let pending = crate::submit_query(&q, &c).unwrap();
-            assert!(pending.is_finished(), "{text}: ran before submit returned");
+            let ran = pending.profile().is_complete();
+            assert!(ran, "{text}: ran before submit returned");
             let got = pending.collect().unwrap();
             assert_eq!(got.columns, q.head_vars, "{text}");
             assert_eq!(got.relation.schema(), expected.schema(), "{text}");

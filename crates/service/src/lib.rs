@@ -1939,6 +1939,19 @@ mod tests {
             poison_check(children.1);
             SearchTree::child(&self.0, &children.0)
         }
+
+        fn labels<'a>(&self, children: &Self::Children<'a>) -> Option<&'a [Value]>
+        where
+            Self: 'a,
+        {
+            SearchTree::labels(&self.0, &children.0)
+        }
+
+        fn child_at(&self, children: &Self::Children<'_>, i: usize) -> Self::Node {
+            let labels = SearchTree::labels(&self.0, &children.0).expect("a flat scan");
+            poison_check(labels[i]);
+            SearchTree::child_at(&self.0, &children.0, i)
+        }
     }
 
     #[test]
@@ -2360,6 +2373,17 @@ mod tests {
 
         fn child(&self, children: &Self::Children<'_>) -> Self::Node {
             SearchTree::child(&self.index, children)
+        }
+
+        fn labels<'a>(&self, children: &Self::Children<'a>) -> Option<&'a [Value]>
+        where
+            Self: 'a,
+        {
+            SearchTree::labels(&self.index, children)
+        }
+
+        fn child_at(&self, children: &Self::Children<'_>, i: usize) -> Self::Node {
+            SearchTree::child_at(&self.index, children, i)
         }
     }
 

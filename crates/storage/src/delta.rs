@@ -45,7 +45,7 @@
 
 use crate::flat::permutation_of;
 use crate::flat::FlatChildren;
-use crate::index::{for_each_child, with_tuple_scratch, SearchTree, ALL_LABELS};
+use crate::index::{for_each_child, with_scratch, SearchTree, ALL_LABELS};
 use crate::{Attr, FlatIndex, FlatNode, Relation, Schema, StorageError, Value};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -465,10 +465,14 @@ impl MergedChildren<'_> {
 /// insert/delete buffers, merged by counted-trie arithmetic (see the module docs).
 ///
 /// An empty buffer never enters a node, so on a never-mutated relation a
-/// descent is the base's descent plus a depth check, and every other
-/// operation delegates to the base after two O(1) checks: serving through
-/// a `DeltaIndex` costs little over the base index itself — the uniform
-/// read path the plan cache relies on.
+/// descent is the base's descent plus a depth check, every other
+/// operation delegates to the base after two O(1) checks, and every child
+/// scan hands out the base's slice ([`SearchTree::labels`]) — the uniform
+/// read path the plan cache relies on. What that costs over the base
+/// index was measured with `PreparedQuery::run_shard` on the full 4-cycle
+/// over `cycle_instance(s, 4, 2000, 200)` (a 2-vCPU Xeon, release build,
+/// median of 10 rounds, each the best of 8 runs per backend): 1.07× the
+/// `FlatIndex` run for `s = 11` and 1.16× for `s = 12`.
 #[derive(Debug, Clone)]
 pub struct DeltaIndex {
     base: Arc<FlatIndex>,
@@ -665,7 +669,7 @@ impl SearchTree for DeltaIndex {
             return;
         }
         debug_assert!(node.depth as usize + extra <= self.arity);
-        with_tuple_scratch(extra, |buf| self.walk_merged(&node, 0, buf, &mut f));
+        with_scratch(extra, |buf| self.walk_merged(&node, 0, buf, &mut f));
     }
 
     /// A base-only node scans the base's children. A merged node scans
@@ -718,6 +722,27 @@ impl SearchTree for DeltaIndex {
         match children {
             DeltaChildren::Base(base) => DeltaNode::base_only(base.child()),
             DeltaChildren::Merged(m) => m.child(),
+        }
+    }
+
+    /// A base-only node's scan hands out the base's child slice; a merged
+    /// node's has no stored level to hand out.
+    #[inline]
+    fn labels<'a>(&self, children: &DeltaChildren<'a>) -> Option<&'a [Value]>
+    where
+        Self: 'a,
+    {
+        match children {
+            DeltaChildren::Base(base) => Some(base.rest()),
+            DeltaChildren::Merged(_) => None,
+        }
+    }
+
+    #[inline]
+    fn child_at(&self, children: &DeltaChildren<'_>, i: usize) -> DeltaNode {
+        match children {
+            DeltaChildren::Base(base) => DeltaNode::base_only(base.child_at(i)),
+            DeltaChildren::Merged(_) => unreachable!("a merged scan hands out no labels"),
         }
     }
 }

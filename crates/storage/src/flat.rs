@@ -35,7 +35,7 @@
 //! tuple prefix `t` **is** the search tree of the section `Rₑ[t]`, so the
 //! recursive sub-problems of `Recursive-Join` need no re-indexing.
 
-use crate::index::{with_tuple_scratch, SearchTree};
+use crate::index::{with_scratch, SearchTree};
 use crate::relation::{sort_dedup_flat, strictly_sorted};
 use crate::{gallop, Attr, Relation, Schema, StorageError, Value};
 
@@ -93,7 +93,25 @@ pub struct FlatChildren<'a> {
     at: usize,
 }
 
-impl FlatChildren<'_> {
+impl<'a> FlatChildren<'a> {
+    /// The labels from where the scan stands to the last child
+    /// ([`SearchTree::labels`]).
+    #[inline]
+    pub(crate) fn rest(&self) -> &'a [Value] {
+        &self.labels[self.at..]
+    }
+
+    /// The child at offset `i` into [`FlatChildren::rest`]
+    /// ([`SearchTree::child_at`]).
+    #[inline]
+    pub(crate) fn child_at(&self, i: usize) -> FlatNode {
+        debug_assert!(self.at + i < self.labels.len(), "a child of the scan");
+        FlatNode {
+            depth: self.depth,
+            idx: self.lo + (self.at + i) as u32,
+        }
+    }
+
     /// The first child labelled `≥ v`, galloping from where the last seek
     /// landed ([`SearchTree::seek`]).
     #[inline]
@@ -111,11 +129,7 @@ impl FlatChildren<'_> {
     /// The child the scan stands on.
     #[inline]
     pub(crate) fn child(&self) -> FlatNode {
-        debug_assert!(self.at < self.labels.len(), "a seek found this child");
-        FlatNode {
-            depth: self.depth,
-            idx: self.lo + self.at as u32,
-        }
+        self.child_at(0)
     }
 }
 
@@ -307,7 +321,7 @@ impl FlatIndex {
         let depth = node.depth as usize;
         debug_assert!(depth + extra <= self.arity());
         let (lo, hi) = self.range_at(node, depth + 1);
-        with_tuple_scratch(extra, |buf| self.walk(depth, lo, hi, 0, buf, &mut f));
+        with_scratch(extra, |buf| self.walk(depth, lo, hi, 0, buf, &mut f));
     }
 
     /// The section `R[prefix]` (paper §5.1) as a relation over `schema`:
@@ -399,6 +413,17 @@ impl SearchTree for FlatIndex {
     #[inline]
     fn child(&self, children: &FlatChildren<'_>) -> FlatNode {
         children.child()
+    }
+    #[inline]
+    fn labels<'a>(&self, children: &FlatChildren<'a>) -> Option<&'a [Value]>
+    where
+        Self: 'a,
+    {
+        Some(children.rest())
+    }
+    #[inline]
+    fn child_at(&self, children: &FlatChildren<'_>, i: usize) -> FlatNode {
+        children.child_at(i)
     }
 }
 

@@ -13,6 +13,11 @@
 //! to `≈ 2·log n` in the worst case, preserving the paper's footnote-3
 //! budget for sorting-based structures.
 //!
+//! [`leapfrog`] is the one intersection kernel built on it: `k` sorted
+//! slices, each side galloping to the others' largest label.
+//! `Recursive-Join`'s case-b walk runs it over the borrowed child levels
+//! of its sides, and [`intersect`] is its two-sided form.
+//!
 //! Edge cases these helpers must (and are tested to) get right:
 //!
 //! * the empty slice and the singleton slice;
@@ -75,62 +80,97 @@ pub fn find(slice: &[Value], v: Value) -> Option<usize> {
     (i < slice.len() && slice[i] == v).then_some(i)
 }
 
-/// Size ratio beyond which intersecting switches from a two-pointer merge
-/// to galloping the smaller side through the larger: repeated gallops only
-/// beat the linear merge when one side is much shorter than the other.
-const GALLOP_RATIO: usize = 8;
+/// One side of a [`leapfrog`] intersection: a sorted slice and where the
+/// side stands in it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Lane<'a> {
+    /// The side's labels, ascending.
+    pub labels: &'a [Value],
+    /// Where the side stands in `labels`; [`leapfrog`] starts the side
+    /// here.
+    pub at: usize,
+}
 
-/// Appends the sorted intersection of `a` and `b` to `out`.
+impl<'a> Lane<'a> {
+    /// A side standing on the first of `labels`.
+    #[inline]
+    #[must_use]
+    pub fn new(labels: &'a [Value]) -> Lane<'a> {
+        Lane { labels, at: 0 }
+    }
+}
+
+/// The k-way leapfrog intersection of sorted slices (one level of
+/// Veldhuizen's Leapfrog Triejoin, the Generic Join loop of
+/// Ngo–Ré–Rudra): calls `f(v, lanes)` for each value `v` in `[lo, hi]`
+/// that every lane holds at or after where it starts, in ascending
+/// order, with every lane standing on `v` (so `lanes[i].at` is `v`'s
+/// offset in side `i`). Nothing happens without lanes.
 ///
-/// Both inputs must be sorted ascending; duplicates are allowed and a
-/// common value is emitted `min(count_a, count_b)` times — exactly what a
-/// naive two-pointer merge produces (the proptest differential pins
-/// this). Comparable sizes take the merge path; lopsided sizes gallop
-/// the smaller side through the larger one.
-pub fn intersect_into(a: &[Value], b: &[Value], out: &mut Vec<Value>) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return;
-    }
-    if large.len() / small.len() < GALLOP_RATIO {
-        // Two-pointer merge.
-        let (mut i, mut j) = (0, 0);
-        while i < small.len() && j < large.len() {
-            match small[i].cmp(&large[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(small[i]);
-                    i += 1;
-                    j += 1;
-                }
+/// The sides take turns: each gallops forward ([`lower_bound_from`]) to
+/// the largest label the others stood on, so a value one side lacks lets
+/// the others skip to its next one at `O(log gap)` a step. After a match
+/// every lane steps past one occurrence, so a value common to all sides
+/// is visited `min` of its multiplicities times — once on strictly
+/// ascending sides — and no `v + 1` is ever formed: a label `u64::MAX`
+/// needs no guard.
+#[inline]
+pub fn leapfrog(
+    lanes: &mut [Lane<'_>],
+    lo: Value,
+    hi: Value,
+    mut f: impl FnMut(Value, &[Lane<'_>]),
+) {
+    let k = lanes.len();
+    let mut v = lo;
+    // How many lanes in a row stand on `v`.
+    let mut agree = 0;
+    let mut i = 0;
+    while i < k {
+        let lane = &mut lanes[i];
+        lane.at = lower_bound_from(lane.labels, lane.at, v);
+        let Some(&w) = lane.labels.get(lane.at) else {
+            return;
+        };
+        if w > hi {
+            return;
+        }
+        if w != v {
+            v = w;
+            agree = 0;
+        }
+        agree += 1;
+        if agree == k {
+            f(v, lanes);
+            for lane in lanes.iter_mut() {
+                lane.at += 1;
             }
+            agree = 0;
         }
-        return;
-    }
-    // Gallop each element of the smaller side through the larger,
-    // advancing a cursor so probes only ever move forward.
-    let mut cursor = 0usize;
-    for &v in small {
-        let i = lower_bound_from(large, cursor, v);
-        if i == large.len() {
-            return; // everything that remains in small is larger too
-        }
-        if large[i] == v {
-            out.push(v);
-            cursor = i + 1; // consume one occurrence (multiset semantics)
-        } else {
-            cursor = i;
+        i += 1;
+        if i == k {
+            i = 0;
         }
     }
 }
 
-/// The sorted intersection of `a` and `b` as a fresh vector
-/// (see [`intersect_into`]).
+/// The sorted intersection of `a` and `b`: a two-lane [`leapfrog`], so
+/// lopsided sizes gallop the smaller side through the larger and
+/// comparable ones step like a merge.
+///
+/// Both inputs must be sorted ascending; duplicates are allowed and a
+/// common value is emitted `min(count_a, count_b)` times — exactly what a
+/// naive two-pointer merge produces (the proptest differential pins
+/// this).
 #[must_use]
 pub fn intersect(a: &[Value], b: &[Value]) -> Vec<Value> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
-    intersect_into(a, b, &mut out);
+    leapfrog(
+        &mut [Lane::new(a), Lane::new(b)],
+        Value(0),
+        Value(u64::MAX),
+        |v, _| out.push(v),
+    );
     out
 }
 
@@ -234,7 +274,7 @@ mod tests {
             intersect(&vals(&[3, 3]), &vals(&[1, 2, 3, 3, 3, 4])),
             vals(&[3, 3])
         );
-        // lopsided sizes force the galloping path
+        // lopsided sizes: the larger side gallops
         let big: Vec<Value> = (0..200u64).map(Value).collect();
         assert_eq!(
             intersect(&vals(&[0, 99, 199, 500]), &big),

@@ -11,7 +11,9 @@
 //! its place and seeks forward ([`SearchTree::seek`],
 //! [`SearchTree::child`]). Each backend owns its scan type, so what a
 //! scan holds (a borrowed level slice, or a merge of three components)
-//! never leaks into the engine. NPRR needs one realisation of the search
+//! never leaks into the engine; a scan over a stored level also hands
+//! that level out as a borrowed sorted slice ([`SearchTree::labels`],
+//! [`SearchTree::child_at`]), which the engine intersects directly. NPRR needs one realisation of the search
 //! tree, and two implement the trait on the served path:
 //!
 //! * [`FlatIndex`](crate::FlatIndex) — the sorted counted trie (comparison
@@ -101,6 +103,23 @@ pub trait SearchTree: Sized {
     /// The child the last [`SearchTree::seek`] on `children` found; call it
     /// only after that seek returned a label.
     fn child(&self, children: &Self::Children<'_>) -> Self::Node;
+
+    /// The labels of the children `children` has not passed yet, as one
+    /// borrowed sorted slice — or `None` when the scan does not read a
+    /// stored level. Where every side of a leapfrog hands one out, the
+    /// engine intersects the slices ([`gallop::leapfrog`](crate::gallop::leapfrog))
+    /// instead of seeking each scan.
+    ///
+    /// [`FlatIndex`](crate::FlatIndex) always hands out its child slice;
+    /// [`DeltaIndex`](crate::DeltaIndex) does on a base-only node and not
+    /// on one merged from live buffers.
+    fn labels<'a>(&self, children: &Self::Children<'a>) -> Option<&'a [Value]>
+    where
+        Self: 'a;
+
+    /// The child at offset `i` into [`SearchTree::labels`]'s slice of
+    /// `children`; call it only on a scan that handed one out.
+    fn child_at(&self, children: &Self::Children<'_>, i: usize) -> Self::Node;
 }
 
 /// Every label: [`for_each_child`] over it lists all of a node's children.
@@ -129,15 +148,16 @@ pub fn for_each_child<S: SearchTree>(
     }
 }
 
-/// Runs `f` on a scratch tuple of `len` values — on the stack for every
-/// arity a query realistically has, so an (ST3) enumeration performs no
-/// allocation per call (the engine issues one per partial tuple).
-pub fn with_tuple_scratch<R>(len: usize, f: impl FnOnce(&mut [Value]) -> R) -> R {
+/// Runs `f` on `len` scratch values — on the stack for every arity a
+/// query realistically has, so an (ST3) enumeration's tuple or case b's
+/// walk lanes cost no allocation per call (the engine issues one per
+/// partial tuple).
+pub fn with_scratch<T: Copy + Default, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
     const INLINE: usize = 8;
     if len <= INLINE {
-        f(&mut [Value(0); INLINE][..len])
+        f(&mut [T::default(); INLINE][..len])
     } else {
-        f(&mut vec![Value(0); len])
+        f(&mut vec![T::default(); len])
     }
 }
 

@@ -72,13 +72,24 @@ fn listed<S: SearchTree>(index: &S, node: S::Node, extra: usize) -> Vec<Vec<Valu
 
 /// Every seek of an ascending run over `node`'s children lands on the
 /// first child `≥` its target, on the node `descend` reaches, and on the
-/// same subtree.
+/// same subtree. A scan that lends its level (`labels`) lends the listed
+/// children it has not passed, each child at its offset (`child_at`)
+/// being the node `descend` reaches.
 fn check_seeks<S: SearchTree>(index: &S, node: S::Node, rem: usize, targets: &[u64])
 where
     S::Node: PartialEq + std::fmt::Debug,
 {
     let children: Vec<Value> = listed(index, node, 1).into_iter().map(|t| t[0]).collect();
     let mut scan = index.children(node);
+    if let Some(labels) = index.labels(&scan) {
+        prop_assert_eq!(labels, &children[..]);
+        for (i, &v) in labels.iter().enumerate() {
+            prop_assert_eq!(
+                index.child_at(&scan, i),
+                index.descend(node, v).expect("a child")
+            );
+        }
+    }
     for &t in targets {
         let want = children.iter().copied().find(|&c| c >= Value(t));
         let got = index.seek(&mut scan, Value(t));
@@ -91,6 +102,10 @@ where
                 listed(index, child, rem - 1),
                 listed(index, direct, rem - 1)
             );
+            if let Some(rest) = index.labels(&scan) {
+                prop_assert_eq!(rest.first(), Some(&w));
+                prop_assert_eq!(index.child_at(&scan, 0), direct);
+            }
         }
     }
 }
@@ -133,9 +148,11 @@ proptest! {
         let order: Vec<Attr> = rel.schema().attrs().to_vec();
         let flat = FlatIndex::build(&rel, &order).expect("permutation");
         check_seeks_two_levels(&flat, 3, &targets);
-        // Empty buffers: every node scans the base alone.
+        prop_assert!(flat.labels(&flat.children(flat.root())).is_some());
+        // Empty buffers: every node scans the base alone, and lends its slice.
         let base_only = <DeltaIndex as SearchTree>::build(&rel, &order).expect("permutation");
         check_seeks_two_levels(&base_only, 3, &targets);
+        prop_assert!(base_only.labels(&base_only.children(base_only.root())).is_some());
         // The merged view of the same rows: `split`'s bits put each row in
         // the base or the insert buffer, and rows with a value past the
         // domain sit in the base and are deleted again, so the first two
@@ -160,6 +177,9 @@ proptest! {
             .expect("order");
         prop_assert_eq!(listed(&delta, delta.root(), 3), listed(&flat, flat.root(), 3));
         check_seeks_two_levels(&delta, 3, &targets);
+        // A root the buffers touch is merged: it has no stored level to lend.
+        let lends = delta.labels(&delta.children(delta.root())).is_some();
+        prop_assert_eq!(lends, d.delta_len() == 0);
     }
 
     /// Root-level distinct counts equal projection cardinalities for every
@@ -303,6 +323,52 @@ proptest! {
         }
         prop_assert_eq!(gallop::intersect(&av, &bv), want.clone());
         prop_assert_eq!(gallop::intersect(&bv, &av), want);
+    }
+
+    /// The k-way `gallop::leapfrog` over 1–4 strictly ascending sides
+    /// visits, in ascending order, exactly the values inside `[lo, hi]`
+    /// that every side holds at or after its start offset, with every
+    /// lane standing on the value. Labels 0, `u64::MAX − 1` and
+    /// `u64::MAX` are in the domain, and the window may end on them.
+    #[test]
+    fn leapfrog_matches_btreeset_intersection(
+        sides in prop::collection::vec(prop::collection::vec(0..12u64, 0..24), 1..5),
+        starts in prop::collection::vec(0..26usize, 4),
+        window in prop::collection::vec(0..12u64, 2),
+    ) {
+        // Small draws, spread to the ends of the label domain.
+        let label = |x: u64| match x {
+            10 => Value(u64::MAX - 1),
+            11 => Value(u64::MAX),
+            x => Value(x),
+        };
+        let sides: Vec<Vec<Value>> = sides
+            .iter()
+            .map(|s| s.iter().map(|&x| label(x)).collect::<BTreeSet<_>>().into_iter().collect())
+            .collect();
+        let starts: Vec<usize> = sides.iter().zip(&starts).map(|(s, &at)| at % (s.len() + 1)).collect();
+        let (lo, hi) = (label(window[0].min(window[1])), label(window[0].max(window[1])));
+        let want: Vec<Value> = sides
+            .iter()
+            .zip(&starts)
+            .map(|(s, &at)| s[at..].iter().copied().filter(|v| (lo..=hi).contains(v)).collect())
+            .reduce(|acc: BTreeSet<Value>, next| acc.intersection(&next).copied().collect())
+            .expect("at least one side")
+            .into_iter()
+            .collect();
+        let mut lanes: Vec<gallop::Lane<'_>> = sides
+            .iter()
+            .zip(&starts)
+            .map(|(s, &at)| gallop::Lane { labels: s, at })
+            .collect();
+        let mut got = Vec::new();
+        gallop::leapfrog(&mut lanes, lo, hi, |v, lanes| {
+            for lane in lanes {
+                assert_eq!(lane.labels[lane.at], v, "every lane stands on the value");
+            }
+            got.push(v);
+        });
+        prop_assert_eq!(got, want);
     }
 
     /// `FlatIndex::descend` (galloping) hits exactly the values that

@@ -1,4 +1,5 @@
-//! Long-running randomized differential tests, `#[ignore]`d by default:
+//! Long-running randomized differential tests, `#[ignore]`d by default
+//! and run by CI in release (a couple of seconds there):
 //!
 //! ```sh
 //! cargo test --release --test stress -- --ignored
