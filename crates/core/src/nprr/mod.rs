@@ -46,19 +46,15 @@
 //! check lacks prunes its whole subtree (`AnchorScan`).
 //!
 //! The engine opens a node's children as the backend's child scan
-//! ([`SearchTree::children`]) and reads it one of two ways, chosen per
-//! walk level from what the scans hand out. A scan over a stored level
-//! lends that level as a borrowed sorted slice ([`SearchTree::labels`]):
-//! every `FlatIndex` level, and every `DeltaIndex` node no buffer
-//! touches. When the anchor and every binding probe at a walk level lend
-//! one, the level is one k-way gallop over the slices
-//! ([`leapfrog`]), rows are pushed straight from the last level, and a
+//! ([`SearchTree::children`]), which lends its stored level as a borrowed
+//! sorted slice ([`SearchTree::labels`]). Each walk level is one k-way
+//! gallop over the anchor's and every binding probe's slices
+//! ([`leapfrog`]): rows are pushed straight from the last level, and a
 //! match's children are taken by offset ([`SearchTree::child_at`]). A
-//! level with a side merged from live buffers (a
-//! `DeltaChildren::Merged` scan) has no slice to lend: there each side
-//! seeks forward in its scan ([`SearchTree::seek`]) and the walk takes
-//! the child it landed on ([`SearchTree::child`]). A split's probes and a
-//! shard-filtered leaf scan always seek.
+//! relation with live insert/delete buffers reaches the engine as the
+//! `FlatIndex` over its merged view, so every level of every served
+//! relation takes this one path. A split's probes and a shard-filtered
+//! leaf scan seek forward in their scans ([`SearchTree::seek`]).
 //!
 //! The per-tuple **size check** (Procedure 5, line 21) is the algorithmic
 //! heart: for each partial tuple it compares the *estimated* output of the
@@ -323,11 +319,9 @@ fn probe_sections(split: &Split) -> impl Iterator<Item = &Section> {
 /// prunes its whole subtree, so a mismatch on `W⁻`'s first attribute
 /// costs one step, not one per completion below it.
 ///
-/// A level whose every side hands out its children as a borrowed sorted
-/// slice ([`SearchTree::labels`]) — every `FlatIndex` level, every
-/// base-only `DeltaIndex` node — runs [`leapfrog`] over those slices and
-/// takes each match's children by offset. A level with a side merged
-/// from live buffers seeks each side's scan ([`SearchTree::seek`]).
+/// Each level runs [`leapfrog`] over the borrowed sorted slices its sides
+/// hand out ([`SearchTree::labels`]) and takes each match's children by
+/// offset ([`SearchTree::child_at`]).
 struct AnchorScan<'a, S: SearchTree> {
     tries: &'a [S],
     /// The anchor `e_k`'s search tree.
@@ -382,62 +376,30 @@ impl<'t, S: SearchTree> AnchorScan<'t, S> {
         let at = self.wm_at + j;
         let (lanes, lanes_deeper) = lanes.split_at_mut(self.probes + 1);
         let lanes = &mut lanes[..=binds.len()];
-        let plain = binds
+        let slices = binds
             .iter()
             .map(|&(p, e)| self.tries[e].labels(&here[p].children))
-            .chain([self.anchor.labels(&anchor.children)])
-            .zip(lanes.iter_mut())
-            .all(|(labels, lane)| labels.map(|l| *lane = Lane::new(l)).is_some());
-        if plain && last {
+            .chain([self.anchor.labels(&anchor.children)]);
+        for (lane, labels) in lanes.iter_mut().zip(slices) {
+            *lane = Lane::new(labels);
+        }
+        if last {
             leapfrog(lanes, lo, hi, |v, _| {
                 row[at] = v;
                 out.push_row(row);
             });
-        } else if plain {
-            let (anchor, here) = (&*anchor, &*here);
-            leapfrog(lanes, lo, hi, |v, lanes| {
-                row[at] = v;
-                for (&(p, e), lane) in binds.iter().zip(lanes) {
-                    deeper[p].node = self.tries[e].child_at(&here[p].children, lane.at);
-                }
-                let a = lanes[binds.len()].at;
-                deeper[self.probes].node = self.anchor.child_at(&anchor.children, a);
-                self.level(j + 1, deeper, lanes_deeper, row, out);
-            });
-        } else {
-            let mut v = lo;
-            'scan: while let Some(a) = self.anchor.seek(&mut anchor.children, v) {
-                if a > hi {
-                    return;
-                }
-                v = a;
-                for &(p, e) in binds {
-                    match self.tries[e].seek(&mut here[p].children, v) {
-                        Some(w) if w == v => {}
-                        // The probe has nothing in [v, w): the anchor skips.
-                        Some(w) => {
-                            v = w;
-                            continue 'scan;
-                        }
-                        None => return,
-                    }
-                }
-                row[at] = v;
-                if last {
-                    out.push_row(row);
-                } else {
-                    for &(p, e) in binds {
-                        deeper[p].node = self.tries[e].child(&here[p].children);
-                    }
-                    deeper[self.probes].node = self.anchor.child(&anchor.children);
-                    self.level(j + 1, deeper, lanes_deeper, row, out);
-                }
-                let Some(after) = v.0.checked_add(1) else {
-                    return;
-                };
-                v = Value(after);
-            }
+            return;
         }
+        let (anchor, here) = (&*anchor, &*here);
+        leapfrog(lanes, lo, hi, |v, lanes| {
+            row[at] = v;
+            for (&(p, e), lane) in binds.iter().zip(lanes) {
+                deeper[p].node = self.tries[e].child_at(&here[p].children, lane.at);
+            }
+            let a = lanes[binds.len()].at;
+            deeper[self.probes].node = self.anchor.child_at(&anchor.children, a);
+            self.level(j + 1, deeper, lanes_deeper, row, out);
+        });
     }
 }
 
@@ -743,9 +705,8 @@ impl<'a, S: SearchTree> Engine<'a, S> {
 
     /// Leaf case (Procedure 5, lines 3–9): `univ ⊆ e_i` for every
     /// covering edge: intersect the section-projections, scanning the
-    /// smallest. The pushed filters' sections only probe: sizing one
-    /// would read a partial-depth count, which a merged `DeltaIndex` node
-    /// answers by walking its merge.
+    /// smallest. The pushed filters' sections only probe, and are never
+    /// sized.
     fn leaf_join(
         &mut self,
         node: &NodePlan,

@@ -22,8 +22,9 @@
 //! plan and the indexes across threads).
 //!
 //! The preparation is generic over the [`SearchTree`] realisation
-//! ([`FlatIndex`] by default, a delta-merged view via
-//! `PreparedQuery::<DeltaIndex>::from_shared`).
+//! ([`FlatIndex`] by default; the served path holds shared
+//! `Arc<FlatIndex>`es, a relation's merged view among them, through
+//! [`PreparedQuery::from_shared`]).
 
 use super::plan::{JoinPlan, SLOT_ATTRIBUTES};
 use super::{run_plan, RootShard};
@@ -482,7 +483,7 @@ mod tests {
     use super::*;
     use crate::{join, naive};
     use wcoj_storage::ops::reorder;
-    use wcoj_storage::{DeltaIndex, DeltaRelation, Schema, Value};
+    use wcoj_storage::{DeltaRelation, Schema, Value};
 
     fn random_rel(seed: u64, attrs: &[u32], n: usize, dom: u64) -> Relation {
         use rand::{Rng, SeedableRng};
@@ -514,11 +515,11 @@ mod tests {
             random_rel(13, &[0, 2], 60, 7),
         ];
         let sorted = PreparedQuery::new(&rels).unwrap();
-        let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
+        let shared = PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).unwrap();
         let a = sorted.evaluate(None).unwrap();
-        let b = delta.evaluate(None).unwrap();
+        let b = shared.evaluate(None).unwrap();
         assert_eq!(a.relation, b.relation);
-        assert_eq!(sorted.root_candidates(), delta.root_candidates());
+        assert_eq!(sorted.root_candidates(), shared.root_candidates());
     }
 
     #[test]
@@ -608,12 +609,11 @@ mod tests {
         // v=2: 4 extensions in R (2 → {10,11,12,13}) plus 2 in T; v=3: 1
         // in R plus 1 in T. Weight = 1 + fanout.
         assert_eq!(weights, vec![(Value(2), 7), (Value(3), 3)]);
-        // The delta backend agrees (the flat backend computes fanouts by
-        // offset-range arithmetic, the delta view by its (ST2) counts; if
-        // the weights diverged, so would shard plans and task budgets).
+        // The served backend, shared indexes, agrees (if the weights
+        // diverged, so would shard plans and task budgets).
         let rels = rels();
-        let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
-        assert_eq!(delta.root_candidate_weights(), weights);
+        let shared = PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).unwrap();
+        assert_eq!(shared.root_candidate_weights(), weights);
         // the memoized view is identical and stable across calls
         assert_eq!(prepared.cached_root_weights(), weights.as_slice());
         assert_eq!(prepared.cached_root_weights(), weights.as_slice());
@@ -622,7 +622,7 @@ mod tests {
     #[test]
     fn root_candidate_weights_differential_across_backends() {
         // Random instances: Work-split weights must be identical across
-        // the flat and delta backends, or shard plans silently diverge.
+        // owned and shared indexes, or shard plans silently diverge.
         for seed in 0..8u64 {
             let rels = [
                 random_rel(seed * 3 + 100, &[0, 1], 70, 9),
@@ -630,15 +630,15 @@ mod tests {
                 random_rel(seed * 3 + 102, &[0, 2], 70, 9),
             ];
             let flat = PreparedQuery::new(&rels).unwrap();
-            let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
-            let want = delta.root_candidate_weights();
+            let shared = PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).unwrap();
+            let want = shared.root_candidate_weights();
             assert_eq!(flat.root_candidate_weights(), want, "seed {seed}");
             assert_eq!(flat.cached_root_weights(), want.as_slice(), "seed {seed}");
             // anchor candidates agree for every root candidate too
             for &(v, _) in &want {
                 assert_eq!(
                     flat.anchor_candidates(v),
-                    delta.anchor_candidates(v),
+                    shared.anchor_candidates(v),
                     "seed {seed}, root {v:?}"
                 );
             }
@@ -647,8 +647,8 @@ mod tests {
 
     #[test]
     fn delta_backend_matches_flat_over_materialized() {
-        // A delta-backed preparation (stale bases + ins/del buffers,
-        // composed via from_shared with merged-view sizes) must be
+        // A delta-backed preparation (stale bases in the query, each
+        // relation's merged index, merged-view sizes) must be
         // bit-identical to a batch FlatIndex preparation over the
         // materialized relations: same output, same root weights (shard
         // plans), same cover bound.
@@ -673,14 +673,10 @@ mod tests {
             let stale: Vec<Relation> = deltas.iter().map(|d| (**d.base()).clone()).collect();
             let q = Arc::new(JoinQuery::new(&stale).unwrap());
             let sizes: Vec<usize> = deltas.iter().map(DeltaRelation::len).collect();
-            let delta_prep = PreparedQuery::<DeltaIndex>::from_shared(
+            let delta_prep = PreparedQuery::<Arc<FlatIndex>>::from_shared(
                 Arc::clone(&q),
                 Some(sizes),
-                |i, order| {
-                    let d = &deltas[i];
-                    let base = Arc::new(FlatIndex::build(d.base(), order)?);
-                    DeltaIndex::over(base, d.ins(), d.del(), order)
-                },
+                |i, order| deltas[i].index(order),
             )
             .unwrap();
 
@@ -713,10 +709,8 @@ mod tests {
         let stale = [base, other];
         let q = Arc::new(JoinQuery::new(&stale).unwrap());
         let sizes: Vec<usize> = deltas.iter().map(DeltaRelation::len).collect();
-        let prep = PreparedQuery::<DeltaIndex>::from_shared(q, Some(sizes), |i, order| {
-            let dr = &deltas[i];
-            let b = Arc::new(FlatIndex::build(dr.base(), order)?);
-            DeltaIndex::over(b, dr.ins(), dr.del(), order)
+        let prep = PreparedQuery::<Arc<FlatIndex>>::from_shared(q, Some(sizes), |i, order| {
+            deltas[i].index(order)
         })
         .unwrap();
         assert!(prep.input_is_empty());
@@ -767,10 +761,10 @@ mod tests {
         assert_eq!(prepared.anchor_candidates(Value(3)), vec![Value(10)]);
         // absent root value: empty section, no candidates
         assert!(prepared.anchor_candidates(Value(99)).is_empty());
-        // delta backend agrees
-        let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
+        // shared indexes agree
+        let shared = PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).unwrap();
         assert_eq!(
-            delta.anchor_candidates(Value(2)),
+            shared.anchor_candidates(Value(2)),
             prepared.anchor_candidates(Value(2))
         );
         // a single-attribute order has no anchor level

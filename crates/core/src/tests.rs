@@ -8,8 +8,9 @@ use crate::query::JoinQuery;
 use crate::{agm_cover, join, naive, QueryError};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use wcoj_storage::ops::reorder;
-use wcoj_storage::{DeltaIndex, DeltaRelation, Relation, Schema, Value};
+use wcoj_storage::{DeltaRelation, FlatIndex, Relation, Schema, Value};
 
 fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
     Relation::from_u32_rows(Schema::of(schema), rows)
@@ -403,9 +404,9 @@ proptest! {
     }
 }
 
-/// `join_nprr` over flat tries and `PreparedQuery` over `DeltaIndex` —
-/// with empty buffers and with live ones — return the same rows and take
-/// the same per-tuple decisions under an explicit cover.
+/// `join_nprr` over flat tries and `PreparedQuery` over shared indexes —
+/// built directly and merged from live buffers — return the same rows
+/// and take the same per-tuple decisions under an explicit cover.
 #[test]
 fn hash_indexed_nprr_matches_sorted_trie() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
@@ -418,7 +419,7 @@ fn hash_indexed_nprr_matches_sorted_trie() {
         let q = JoinQuery::new(&rels).unwrap();
         let sol = q.optimal_cover().unwrap();
         let a = join_nprr(&q, &sol.x).unwrap();
-        let empty_buffers = PreparedQuery::<DeltaIndex>::from_query(q).unwrap();
+        let empty_buffers = PreparedQuery::<Arc<FlatIndex>>::from_query(q).unwrap();
         let live_buffers = prepared_over_live_buffers(&rels);
         for (backend, b) in [
             (
@@ -517,8 +518,8 @@ fn skew_forces_both_cases() {
 // buffers. That engine is gone, so these numbers are what "same decisions
 // as before" means: every case-a/case-b choice, every intermediate tuple
 // and every output row (FNV-1a over the sorted output) must reproduce
-// exactly, on every index backend — including the served one, a
-// `DeltaIndex` whose insert/delete buffers are live.
+// exactly, on every index backend — including the served one, the
+// merged index of a relation whose insert/delete buffers are live.
 //
 // The triangle and Loomis–Whitney counts were re-captured once since, when
 // the plan started choosing Algorithm 3's edge order so that the total
@@ -572,12 +573,12 @@ fn assert_golden<S: wcoj_storage::SearchTree>(
     }
 }
 
-/// `rels` prepared the way the server serves them: one `DeltaIndex` per
-/// relation over its base's shared index, with live buffers. Each base
+/// `rels` prepared the way the server serves them: one merged index per
+/// relation ([`DeltaRelation::index`]), with live buffers. Each base
 /// holds every other row plus a few rows outside the value domain, `ins`
 /// the remaining rows and `del` the outsiders, so the merged view is
 /// exactly `rels` while every component is non-empty.
-fn prepared_over_live_buffers(rels: &[Relation]) -> PreparedQuery<DeltaIndex> {
+fn prepared_over_live_buffers(rels: &[Relation]) -> PreparedQuery<Arc<FlatIndex>> {
     let deltas: Vec<DeltaRelation> = rels
         .iter()
         .map(|rel| {
@@ -602,12 +603,8 @@ fn prepared_over_live_buffers(rels: &[Relation]) -> PreparedQuery<DeltaIndex> {
         .collect();
     let stale: Vec<Relation> = deltas.iter().map(|d| (**d.base()).clone()).collect();
     let sizes = deltas.iter().map(DeltaRelation::len).collect();
-    let q = std::sync::Arc::new(JoinQuery::new(&stale).unwrap());
-    PreparedQuery::from_shared(q, Some(sizes), |i, order| {
-        let d = &deltas[i];
-        DeltaIndex::over(d.base_index(order)?, d.ins(), d.del(), order)
-    })
-    .unwrap()
+    let q = Arc::new(JoinQuery::new(&stale).unwrap());
+    PreparedQuery::from_shared(q, Some(sizes), |i, order| deltas[i].index(order)).unwrap()
 }
 
 fn assert_golden_all_backends(
@@ -618,8 +615,8 @@ fn assert_golden_all_backends(
 ) {
     let flat = PreparedQuery::new(rels).unwrap();
     assert_golden(&format!("{name}, flat"), &flat, fnv, golden);
-    let empty = PreparedQuery::<DeltaIndex>::new_indexed(rels).unwrap();
-    assert_golden(&format!("{name}, empty delta"), &empty, fnv, golden);
+    let shared = PreparedQuery::<Arc<FlatIndex>>::new_indexed(rels).unwrap();
+    assert_golden(&format!("{name}, shared"), &shared, fnv, golden);
     let delta = prepared_over_live_buffers(rels);
     assert_golden(&format!("{name}, delta"), &delta, fnv, golden);
     let canonical = JoinQuery::new(rels).unwrap().output_schema();

@@ -68,7 +68,8 @@ fn allocations_per_row<S: SearchTree>(prepared: &PreparedQuery<S>) -> f64 {
 }
 
 /// The budget on every backend the engine serves from: a bare
-/// `FlatIndex`, and a `DeltaIndex` with empty and with live buffers.
+/// `FlatIndex`, and the merged index of a relation with empty and with
+/// live buffers.
 fn assert_budget(rels: &[Relation], max_per_row: f64) {
     let columns = [
         (

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use wcoj_core::nprr::PreparedQuery;
 use wcoj_core::JoinQuery;
-use wcoj_storage::{DeltaIndex, DeltaRelation, Relation, Value};
+use wcoj_storage::{DeltaRelation, FlatIndex, Relation, Value};
 
 /// How [`over_delta`] spreads each relation over a base and its buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,19 +13,18 @@ pub enum Buffers {
     Empty,
     /// Every other row in the base and the rest inserted, plus a few rows
     /// outside the data in the base and deleted again: every component is
-    /// non-empty, and the nodes merged from them have no contiguous child
-    /// slice.
+    /// non-empty, and the merge touches every level.
     Live,
     /// All rows but two in the base, those two inserted and one outsider
-    /// deleted: the nodes on their paths are merged, every other node is
-    /// base-only and keeps the base's child slice.
+    /// deleted: the merge touches only their paths.
     Sparse,
 }
 
-/// `rels` served the way the server serves them: one `DeltaIndex` per
-/// relation over its base's shared index, laid out as `buffers` says.
-/// The merged view is exactly `rels` in every layout.
-pub fn over_delta(rels: &[Relation], buffers: Buffers) -> PreparedQuery<DeltaIndex> {
+/// `rels` served the way the server serves them: one index per relation
+/// over its merged view ([`DeltaRelation::index`]; the base's own with
+/// empty buffers), laid out as `buffers` says. The merged view is exactly
+/// `rels` in every layout.
+pub fn over_delta(rels: &[Relation], buffers: Buffers) -> PreparedQuery<Arc<FlatIndex>> {
     let deltas: Vec<DeltaRelation> = rels
         .iter()
         .map(|rel| {
@@ -61,9 +60,5 @@ pub fn over_delta(rels: &[Relation], buffers: Buffers) -> PreparedQuery<DeltaInd
     let stale: Vec<Relation> = deltas.iter().map(|d| (**d.base()).clone()).collect();
     let sizes = deltas.iter().map(DeltaRelation::len).collect();
     let q = Arc::new(JoinQuery::new(&stale).unwrap());
-    PreparedQuery::from_shared(q, Some(sizes), |i, order| {
-        let d = &deltas[i];
-        DeltaIndex::over(d.base_index(order)?, d.ins(), d.del(), order)
-    })
-    .unwrap()
+    PreparedQuery::from_shared(q, Some(sizes), |i, order| deltas[i].index(order)).unwrap()
 }

@@ -4,15 +4,12 @@
 //! and case b's anchor walk, a leapfrog that intersects the anchor's
 //! children with those of every check and filter binding the level.
 //!
-//! The leapfrog reads every search tree through its own child scan
-//! (`SearchTree::children` / `seek` / `child`): a gallop over a contiguous
-//! level on a flat node and on a base-only `DeltaIndex` node, a merge of
-//! the base with the buffers on a node touched by live buffers. So every
-//! instance runs on four backends — flat, a `DeltaIndex` with empty
-//! buffers (every node base-only), one whose every node is merged, and one
-//! whose buffers touch only a few paths, so merged and base-only nodes
-//! meet in one query — and under the
-//! shard plans of `wcoj-exec`. Each run must reproduce `join_nprr` (the
+//! The leapfrog intersects the child slices every search tree lends
+//! (`SearchTree::labels` / `child_at`). A relation with live buffers is
+//! served the index over its merged view, so every instance runs on four
+//! preparations — flat, and the merged indexes of relations whose
+//! buffers are empty, touch every level, or touch only a few paths — and
+//! under the shard plans of `wcoj-exec`. Each run must reproduce `join_nprr` (the
 //! flat backend) exactly: the same raw rows in the same order and the same
 //! `JoinStats` counters. The output must also equal the naive join.
 //!
@@ -32,7 +29,7 @@ use wcoj_core::nprr::{join_nprr, PreparedQuery, RootShard};
 use wcoj_core::{naive, JoinQuery, JoinStats};
 use wcoj_exec::{plan_shards, ExecConfig};
 use wcoj_storage::ops::reorder;
-use wcoj_storage::{DeltaChildren, FlatIndex, Relation, RowBuf, SearchTree, Value};
+use wcoj_storage::{FlatIndex, Relation, RowBuf, SearchTree, Value};
 
 /// `(intermediate_tuples, case_a, case_b)`.
 fn counters(s: &JoinStats) -> (u64, u64, u64) {
@@ -144,9 +141,9 @@ proptest! {
             want.0.iter().for_each(|r| rows.push_row(r));
             let assembled = flat.assemble(vec![rows], JoinStats::default()).unwrap();
             prop_assert_eq!(&assembled.relation, &oracle.relation, "{}: assembled", ctx);
-            prop_assert_eq!(&run(&empty, x, bound, None), &want, "{}: empty delta", ctx);
-            prop_assert_eq!(&run(&delta, x, bound, None), &want, "{}: delta", ctx);
-            prop_assert_eq!(&run(&sparse, x, bound, None), &want, "{}: sparse delta", ctx);
+            prop_assert_eq!(&run(&empty, x, bound, None), &want, "{}: empty buffers", ctx);
+            prop_assert_eq!(&run(&delta, x, bound, None), &want, "{}: live buffers", ctx);
+            prop_assert_eq!(&run(&sparse, x, bound, None), &want, "{}: sparse buffers", ctx);
 
             // Shard plans, anchored sub-shards included: per shard the
             // backends agree on rows and counters, and the shards' rows
@@ -171,10 +168,8 @@ proptest! {
 }
 
 /// The fixed shapes exercise what they are here for: every split of the
-/// star is case b, LW4's case a recurses through a node with two pushed
-/// filters, and the sparse `DeltaIndex` mixes merged nodes, whose child
-/// scan merges the base with the buffers, with base-only ones, whose scan
-/// is the base's.
+/// star is case b, and LW4's case a recurses through a node with two
+/// pushed filters.
 #[test]
 fn fixed_shapes_reach_their_paths() {
     let star = instances(7).remove(3);
@@ -186,23 +181,4 @@ fn fixed_shapes_reach_their_paths() {
     let q = JoinQuery::new(&lw4).unwrap();
     let sol = q.optimal_cover().unwrap();
     assert!(join_nprr(&q, &sol.x).unwrap().stats.case_a > 0);
-
-    for (_, rels) in instances(7) {
-        let sparse = over_delta(&rels, Buffers::Sparse);
-        for index in sparse.indexes() {
-            let root = index.root();
-            let merged = |n| matches!(index.children(n), DeltaChildren::Merged(_));
-            assert!(merged(root), "the root is merged");
-            let children = index.child_values(root);
-            let base_only = children
-                .iter()
-                .filter_map(|&v| index.descend(root, v))
-                .filter(|&n| !merged(n))
-                .count();
-            assert!(
-                base_only > 0 || children.len() <= 2,
-                "some root child is base-only"
-            );
-        }
-    }
 }

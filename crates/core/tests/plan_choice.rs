@@ -19,7 +19,7 @@
 //!   the correspondingly permuted cover (covers and search trees are
 //!   indexed by input edge, the QP tree by position in the chosen order);
 //! * under every `wcoj-exec` shard plan, anchored sub-shards included, on
-//!   the flat backend and on a `DeltaIndex` with live buffers, the one
+//!   the flat backend and on the merged indexes of live buffers, the one
 //!   assembly (`assemble_slots`) of one slot (what `next_batch` yields),
 //!   of the slots after a mid-stream cut (`next_merged`) and of every
 //!   slot (`wait`) equals, bit for bit, what it replaced: the raw rows

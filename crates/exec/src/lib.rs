@@ -375,8 +375,9 @@ pub fn plan_shards<S: SearchTree>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use wcoj_core::{join, JoinOutput, JoinStats};
-    use wcoj_storage::{DeltaIndex, Relation, Schema};
+    use wcoj_storage::{FlatIndex, Relation, Schema};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -802,7 +803,7 @@ mod tests {
         ];
         let seq = join(&rels).unwrap();
         let flat = PreparedQuery::new(&rels).unwrap();
-        let delta = PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap();
+        let delta = PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).unwrap();
         for workers in [2, 8] {
             let flat_plan = plan_shards(&flat, workers * OVERSPLIT, &fine());
             let delta_plan = plan_shards(&delta, workers * OVERSPLIT, &fine());

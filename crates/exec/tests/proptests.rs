@@ -11,10 +11,11 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use wcoj_core::nprr::{PreparedQuery, RootShard};
 use wcoj_core::JoinQuery;
 use wcoj_exec::{plan_shards, ExecConfig, OVERSPLIT};
-use wcoj_storage::{DeltaIndex, Relation, SearchTree, Value};
+use wcoj_storage::{FlatIndex, Relation, SearchTree, Value};
 
 /// What the service does with a plan, minus its threads: every task run,
 /// then the slots assembled together in slot order.
@@ -59,7 +60,7 @@ proptest! {
     /// `heavy_split_factor` is a pure performance knob, and so is the
     /// pool size the plan is sized for: on random instances, on Zipf skew
     /// and on the single-hot-key family, over flat tries and over
-    /// `DeltaIndex` views, the merged shard runs equal sequential
+    /// shared ones, the merged shard runs equal sequential
     /// `join_nprr` bit for bit.
     #[test]
     fn heavy_split_factor_never_changes_output(seed in 0u64..10_000) {
@@ -79,7 +80,7 @@ proptest! {
             let sol = q.optimal_cover().unwrap();
             let seq = wcoj_core::nprr::join_nprr(&q, &sol.x).unwrap().relation;
             let flat = PreparedQuery::new(rels).unwrap();
-            let delta = PreparedQuery::<DeltaIndex>::new_indexed(rels).unwrap();
+            let delta = PreparedQuery::<Arc<FlatIndex>>::new_indexed(rels).unwrap();
             let workers = [1usize, 2, 4, 8][rng.gen_range(0..4usize)];
             for factor in [0usize, 1, 2, 8, 1 << 20, usize::MAX] {
                 let cfg = ExecConfig { shard_min_size: 1, heavy_split_factor: factor };

@@ -2,7 +2,8 @@
 //!
 //! ## Three lifetimes
 //!
-//! What a query runs on is owned at three levels, each outliving the next:
+//! What a query runs on is owned at three levels, each outliving the
+//! next, plus one beside the second:
 //!
 //! 1. **A base generation.** A relation's frozen base (`Arc<Relation>`
 //!    inside its [`DeltaRelation`]) lives from the [`Catalog::insert`] or
@@ -14,14 +15,26 @@
 //!    that needs that order — never at insert time — at most once however
 //!    many submitters race, shared by every plan, clone and snapshot over
 //!    that base, and freed with it. A new base starts with none.
+//!
+//!    **Beside it, a content version's merged indexes.** While a
+//!    relation's insert/delete buffers are live, a query reads it through
+//!    the index over `(base ∖ del) ∪ ins`
+//!    ([`DeltaRelation::index`]), one per column order, merged from the
+//!    base's index and the buffers on the first plan that needs it and
+//!    shared by every plan, clone and snapshot of that version. A row
+//!    mutation that changes data starts a new version with none; the old
+//!    ones are freed with the last plan or snapshot that reads them, and
+//!    compaction turns the version into a new base (level 1).
 //! 3. **A plan per query shape and constant**, in the LRU
 //!    (`plan_cache.rs`). A plan holds `Arc`s on the bases and
-//!    indexes of level 1–2 plus what only its own constants determine:
-//!    the few rows of each constant-bearing atom's section, their index,
-//!    the cover. Evicting or retiring a plan frees just that.
+//!    indexes of level 2 plus what only its own constants determine:
+//!    the few rows of each constant-bearing atom's section merged with
+//!    its buffers, their index, the cover. Evicting or retiring a plan
+//!    frees just that.
 //!
 //! So a plan-cache miss costs what its constants select, not what its
-//! relations hold, and replacing one relation re-indexes only that one.
+//! relations hold; replacing one relation re-indexes only that one; and
+//! a write merges only the relation it changed, once per version.
 
 use crate::plan_cache::{next_generation, PlanCache};
 use std::collections::BTreeMap;
@@ -87,9 +100,10 @@ struct Stored {
 /// stamps drawn from one process-global sequence: `base_gen` (changes on
 /// replace and compaction) and `delta_ver` (changes on every row
 /// mutation, `0` when the buffers are empty). The plan cache keys
-/// prepared shapes on `base_gen` and re-merges deltas on `delta_ver`
-/// drift, so an append refreshes only the cheap delta side of a cached
-/// plan.
+/// prepared shapes on `base_gen` and refreshes a cached plan on
+/// `delta_ver` drift: the plan keeps its shape and the indexes of the
+/// relations that did not change, and takes the changed relation's index
+/// at its new version.
 ///
 /// ## Snapshots
 ///
@@ -189,8 +203,9 @@ impl Catalog {
 
     /// Appends rows to `name`'s delta buffers. Rows already present are
     /// skipped; returns how many actually appeared. A change bumps the
-    /// relation's delta version (cached plan shapes survive; only their
-    /// merged delta side is rebuilt) and may trigger a minor compaction.
+    /// relation's delta version (cached plan shapes survive; only this
+    /// relation's index is merged again, once for the new version) and
+    /// may trigger a minor compaction.
     /// `Ok(None)` when no relation is registered under `name`.
     ///
     /// # Errors

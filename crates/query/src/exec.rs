@@ -10,7 +10,7 @@ use wcoj_core::nprr::PreparedQuery;
 use wcoj_core::JoinQuery;
 use wcoj_service::{QueryHandle, QueryProfile};
 use wcoj_storage::ops::project;
-use wcoj_storage::{Attr, Datum, DeltaIndex, DeltaRelation, FlatIndex, Relation, StorageError};
+use wcoj_storage::{Attr, Datum, DeltaRelation, FlatIndex, Relation, StorageError};
 
 /// Result of executing a text query.
 #[derive(Debug, Clone)]
@@ -78,10 +78,10 @@ fn bind(q: &ParsedQuery, catalog: &Catalog) -> Result<Bound, QueryTextError> {
     // constants are dictionary-encoded values, and the base generation
     // changes on every Catalog::insert (replace) and compaction — so
     // equal keys imply an identical prepared *shape* (reduced bases,
-    // plan tree, frozen base indexes). Row mutations do not touch the
-    // key: they drift the per-atom delta versions collected alongside,
-    // which the cache checks to decide between serving the entry as-is
-    // and re-merging only its delta side.
+    // plan tree). Row mutations do not touch the key: they drift the
+    // per-atom delta versions collected alongside, which the cache checks
+    // to decide between serving the entry as-is and refreshing its
+    // indexes.
     let mut cache_key = String::new();
     let mut delta_vers = Vec::with_capacity(q.atoms.len());
     let mut atoms: Vec<(String, Vec<Term>)> = Vec::with_capacity(q.atoms.len());
@@ -144,11 +144,13 @@ fn bind(q: &ParsedQuery, catalog: &Catalog) -> Result<Bound, QueryTextError> {
         })
         .collect::<Result<_, _>>()?;
 
-    // §7.3 reduction + cover LP + base-index construction happen at most
-    // once per query shape over the current *bases*: the prepared plan is
-    // served from the catalog's shared cache on repeat submissions, and a
-    // drift in delta versions re-merges only the small buffer side of the
-    // cached shape (O(|delta|), not O(|base|)).
+    // §7.3 reduction + cover LP happen at most once per query shape over
+    // the current *bases*: the prepared plan is served from the catalog's
+    // shared cache on repeat submissions. A drift in delta versions
+    // refreshes it: each constant-free atom takes its relation's index at
+    // the current version (merged once per version, shared by every
+    // plan), and each constant-bearing atom merges its section with its
+    // reduced buffers (O(section + |delta|)).
     let plan = catalog
         .plan_cache()
         .get_or_build_versioned(
@@ -191,25 +193,30 @@ fn reduce_base(delta: &DeltaRelation, terms: &[Term]) -> Result<Relation, Storag
         .section(&sel.constants, sel.schema)
 }
 
-/// Prepares the delta-merged plan for a bound body. Each atom's three
-/// components — frozen base, insert buffer, delete buffer — are reduced
-/// *separately* per §7.3. The reduction is injective on rows passing its
-/// selection (every dropped column is a constant or a duplicate of a kept
-/// one), so reducing componentwise preserves the delta invariants
-/// (`del ⊆ base`, `ins ∩ base = ∅`) and the merged reduced view equals
-/// the reduction of the merged view.
+/// Prepares the plan for a bound body over each relation's merged view
+/// `(base ∖ del) ∪ ins`. Each atom's three components — frozen base,
+/// insert buffer, delete buffer — are reduced *separately* per §7.3. The
+/// reduction is injective on rows passing its selection (every dropped
+/// column is a constant or a duplicate of a kept one), so reducing
+/// componentwise preserves the delta invariants (`del ⊆ base`,
+/// `ins ∩ base = ∅`) and the merged reduced view equals the reduction of
+/// the merged view.
 ///
-/// What a cold build costs depends on the constants alone. An atom
-/// without them (and without repeated variables) shares its relation's
-/// base and that base's index under the plan's column order — nothing of
-/// it is copied, scanned or sorted, whatever the other atoms' constants
-/// are; an atom with constants indexes only its section's rows.
+/// An atom without constants (and without repeated variables) is its
+/// relation under the variables' names, served by the relation's own
+/// index in the plan's column order ([`DeltaRelation::index`]): the
+/// base's index while the buffers are empty, else the index merged once
+/// for the relation's current version — shared by every plan, so a plan
+/// copies, scans or sorts nothing of it. Any other atom indexes its
+/// reduced base (a section of a shared index, or the repeated-variable
+/// scan) and merges its reduced buffers in: `O(section + |delta|)`.
 ///
 /// With `reuse` (a cached plan over the same base generations, stale only
-/// in its deltas), the `Arc`-shared reduced-base `JoinQuery` and frozen
-/// base `FlatIndex`es are taken from the old plan — the plan tree and
-/// per-edge attribute orders are derived from the hypergraph alone, so
-/// they are identical — and only the buffers are reduced and indexed.
+/// in its deltas), the `Arc`-shared reduced-base `JoinQuery` is taken
+/// from the old plan — the plan tree and per-edge attribute orders are
+/// derived from the hypergraph alone, so they are identical — and only
+/// the indexes are taken afresh: the same `Arc` for a relation whose
+/// version did not move.
 fn build_plan(
     catalog: &Catalog,
     atoms: &[(String, Vec<Term>)],
@@ -230,21 +237,15 @@ fn build_plan(
         red_ins.push(reduce(delta.ins(), terms));
         red_del.push(reduce(delta.del(), terms));
     }
-    let (query, bases): (Arc<JoinQuery>, Vec<Arc<FlatIndex>>) = match reuse {
-        Some(old) => (
-            Arc::clone(old.shared_query()),
-            old.indexes()
-                .iter()
-                .map(|ix| Arc::clone(ix.base_index()))
-                .collect(),
-        ),
+    let query = match reuse {
+        Some(old) => Arc::clone(old.shared_query()),
         None => {
             let red_base = deltas
                 .iter()
                 .zip(atoms)
                 .map(|(delta, (_, terms))| reduce_base(delta, terms))
                 .collect::<Result<Vec<Relation>, _>>()?;
-            (Arc::new(JoinQuery::new(&red_base)?), Vec::new())
+            Arc::new(JoinQuery::new(&red_base)?)
         }
     };
     // Effective merged-view cardinalities: exact because the reduced
@@ -256,22 +257,22 @@ fn build_plan(
         .map(|(base, (ins, del))| base.len() - del.len() + ins.len())
         .collect();
     let rels = Arc::clone(&query);
-    let plan = PreparedQuery::<DeltaIndex>::from_shared(query, Some(sizes), |i, order| {
+    let plan = PreparedQuery::from_shared(query, Some(sizes), |i, order| {
         let reduced = &rels.relations()[i];
-        let base = match bases.get(i) {
-            Some(b) => Arc::clone(b),
-            // No column dropped means no constant and no repeat: the
-            // reduced base is the base under the variables' names, and
-            // the base's own index in the same column order serves it.
-            None if reduced.arity() == deltas[i].arity() => {
-                let attrs = deltas[i].schema().attrs();
-                let columns = reduced.schema().positions_of(order)?;
-                let base_order: Vec<Attr> = columns.into_iter().map(|c| attrs[c]).collect();
-                deltas[i].base_index(&base_order)?
-            }
-            None => Arc::new(FlatIndex::build(reduced, order)?),
-        };
-        DeltaIndex::over(base, &red_ins[i], &red_del[i], order)
+        // No column dropped means no constant and no repeat: the reduced
+        // base is the base under the variables' names, and the relation's
+        // index in the same column order serves it.
+        if reduced.arity() == deltas[i].arity() {
+            let attrs = deltas[i].schema().attrs();
+            let columns = reduced.schema().positions_of(order)?;
+            let base_order: Vec<Attr> = columns.into_iter().map(|c| attrs[c]).collect();
+            return deltas[i].index(&base_order);
+        }
+        let section = FlatIndex::build(reduced, order)?;
+        if red_ins[i].is_empty() && red_del[i].is_empty() {
+            return Ok(Arc::new(section));
+        }
+        Ok(Arc::new(section.merged(&red_ins[i], &red_del[i])?))
     })?;
     Ok(Arc::new(plan))
 }
@@ -721,9 +722,9 @@ mod tests {
     #[test]
     fn row_mutations_refresh_cached_plans_without_rebuilding_the_shape() {
         // Appends and deletes must be visible to the very next query, but
-        // they only re-merge the cached plan's delta side: same shape key
+        // they only refresh the cached plan's indexes: same shape key
         // (base generation unchanged), no extra miss, shared reduced-base
-        // JoinQuery and frozen base indexes.
+        // JoinQuery.
         let mut c = catalog_with_triangle();
         c.set_compact_threshold(usize::MAX);
         let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
@@ -1055,37 +1056,30 @@ mod tests {
         assert_eq!(out.relation.len(), 2);
     }
 
-    /// The plan `build_plan` would cache, prepared the way it was before
-    /// bases owned their indexes: every component through
-    /// [`Subgoal::reduce`]'s scan, every base index built afresh. The
-    /// differential oracle for the shared-index path.
+    /// The plan `build_plan` would cache, prepared from scratch by
+    /// [`Subgoal::reduce`]'s scan: the query over each atom's reduced
+    /// base, and each index built afresh over the reduction of the
+    /// relation's materialized view. The differential oracle for the
+    /// shared-index and merge paths.
     fn scanned_plan(
         catalog: &Catalog,
         atoms: &[(String, Vec<Term>)],
     ) -> Result<CachedPlan, wcoj_core::QueryError> {
-        let reduce = |component: &Relation, terms: &[Term]| {
-            Subgoal::new(component.clone(), terms.to_vec())
-                .unwrap()
-                .reduce()
+        let reduce = |component: Relation, terms: &[Term]| {
+            Subgoal::new(component, terms.to_vec()).unwrap().reduce()
         };
-        let part = |pick: fn(&DeltaRelation) -> &Relation| -> Vec<Relation> {
+        let part = |pick: fn(&DeltaRelation) -> Relation| -> Vec<Relation> {
             atoms
                 .iter()
                 .map(|(name, terms)| reduce(pick(catalog.delta(name).unwrap()), terms))
                 .collect()
         };
-        let (red_base, red_ins, red_del) = (
-            part(|d| d.base().as_ref()),
-            part(DeltaRelation::ins),
-            part(DeltaRelation::del),
-        );
-        let sizes = (0..atoms.len())
-            .map(|i| red_base[i].len() - red_del[i].len() + red_ins[i].len())
-            .collect();
+        let red_base = part(|d| d.base().as_ref().clone());
+        let red_view = part(DeltaRelation::materialize);
+        let sizes = red_view.iter().map(Relation::len).collect();
         let query = Arc::new(JoinQuery::new(&red_base)?);
-        let plan = PreparedQuery::<DeltaIndex>::from_shared(query, Some(sizes), |i, order| {
-            let base = Arc::new(FlatIndex::build(&red_base[i], order)?);
-            DeltaIndex::over(base, &red_ins[i], &red_del[i], order)
+        let plan = PreparedQuery::from_shared(query, Some(sizes), |i, order| {
+            FlatIndex::build(&red_view[i], order).map(Arc::new)
         })?;
         Ok(Arc::new(plan))
     }

@@ -10,11 +10,12 @@
 //! — an atom without constants is its relation's base under the query's
 //! variable names, served by the base's own index — and *owns* only what
 //! its constants determine: each constant-bearing atom's section (found
-//! by descending a shared index, §7.3 by (ST1)), that section's index,
-//! the delta-side indexes, the memoized cover and root weights. A miss
-//! therefore builds, and an eviction frees, kilobytes; the megabytes
-//! belong to the base and go when [`PlanCache::retire_generation`] and
-//! the last snapshot let go of it.
+//! by descending a shared index, §7.3 by (ST1)) and that section's index,
+//! merged with the atom's reduced buffers, the memoized cover and root
+//! weights. A miss therefore builds, and an eviction frees, kilobytes;
+//! the megabytes belong to the base, or to a content version's merged
+//! index, and go when [`PlanCache::retire_generation`] (or a refresh)
+//! and the last snapshot let go of them.
 //!
 //! ## Key
 //!
@@ -47,10 +48,13 @@
 //! * **Delta drift** (row appends / deletes) leaves the key intact but
 //!   changes the per-atom *delta versions* stored alongside the entry.
 //!   A lookup whose versions disagree keeps the entry's prepared shape —
-//!   the `Arc`-shared reduced base relations and frozen base indexes —
-//!   and re-merges only the small delta side (counted as a *refresh*,
-//!   neither hit nor miss). An append therefore invalidates a cached
-//!   plan's weights, not its prepared shape.
+//!   the `Arc`-shared reduced base relations and plan tree — and takes
+//!   its indexes afresh (counted as a *refresh*, neither hit nor miss): a
+//!   relation whose version did not move by the same `Arc`, a changed
+//!   one's at its new version (merged once per version, shared by every
+//!   plan that reads it), and a constant-bearing atom's section merged
+//!   with its buffers. An append therefore invalidates a cached plan's
+//!   weights and the changed relation's index, not its prepared shape.
 //!
 //! ## Sharing & metrics
 //!
@@ -65,7 +69,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use wcoj_core::nprr::PreparedQuery;
 use wcoj_core::QueryError;
 use wcoj_obs::Counter;
-use wcoj_storage::DeltaIndex;
+use wcoj_storage::FlatIndex;
 
 /// Upper bound on cached plans; past it the least-recently-used entry is
 /// evicted.
@@ -87,11 +91,11 @@ pub(crate) fn next_generation() -> u64 {
     GENERATIONS.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The cached preparations are delta-merged views over the flat columnar
-/// backend — frozen `Arc`-shared base indexes plus the relation's small
-/// insert/delete buffers, bit-identical to an index over the materialized
-/// view (gated by the release stress suites).
-pub type CachedPlan = Arc<PreparedQuery<DeltaIndex>>;
+/// The cached preparations hold their indexes by `Arc`: a relation's
+/// index at its current version (the base's own while its buffers are
+/// empty, else the one merged for that version), shared with every other
+/// plan that reads it, and the few a plan's constants select.
+pub type CachedPlan = Arc<PreparedQuery<Arc<FlatIndex>>>;
 
 struct Mirror {
     hits: Arc<Counter>,
@@ -115,7 +119,7 @@ impl Mirror {
                 ),
                 refreshes: r.counter(
                     "wcoj_plan_cache_refreshes_total",
-                    "Cached plans whose delta side was re-merged after row mutations",
+                    "Cached plans whose indexes were taken afresh after row mutations",
                 ),
             }
         })
@@ -185,9 +189,9 @@ impl PlanCache {
     /// Looks up `key` and serves the cached plan when its stored delta
     /// versions equal `delta_vers` (a **hit**). On a present-but-drifted
     /// entry, calls `refresh` with the stale plan — which shares its
-    /// prepared shape (`Arc`'d reduced bases and base indexes) with the
-    /// replacement — and re-inserts under the new versions (a
-    /// **refresh**). On an absent key, calls `build` (a **miss**).
+    /// prepared shape (`Arc`'d reduced bases) with the replacement — and
+    /// re-inserts under the new versions (a **refresh**). On an absent
+    /// key, calls `build` (a **miss**).
     ///
     /// Both closures run outside the cache lock: preparation (LP + index
     /// construction) can be expensive, and concurrent submitters of
@@ -304,7 +308,7 @@ impl PlanCache {
         )
     }
 
-    /// Number of cached plans whose delta side was re-merged after row
+    /// Number of cached plans whose indexes were taken afresh after row
     /// mutations (prepared shape reused, weights recomputed).
     #[must_use]
     pub fn refreshes(&self) -> u64 {
@@ -338,7 +342,7 @@ mod tests {
             Relation::from_u32_rows(Schema::of(&[0, 1]), &[&[1, 2]]),
             Relation::from_u32_rows(Schema::of(&[1, 2]), &[&[2, 3]]),
         ];
-        Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap())
+        Arc::new(PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).unwrap())
     }
 
     /// A lookup with no delta versions: a present entry is always a hit.

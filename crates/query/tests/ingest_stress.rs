@@ -6,7 +6,7 @@
 //! same plan over that snapshot, and both to an independent run over the
 //! snapshot's *materialized* relations in a new catalog, which shares
 //! neither the pool nor the cached plan, and exercises the base+delta
-//! merge through a different code path than the `DeltaIndex` views the
+//! merge through a different code path than the merged indexes the
 //! pooled plan reads.
 //!
 //! Sized for release (`cargo test --release --test ingest_stress`);
@@ -60,8 +60,8 @@ fn rows_of(rel: &Relation) -> Vec<Vec<Value>> {
 /// Streams `q` through the service against the pinned snapshot and
 /// checks bit-identity against a drained run over it — two ways out of
 /// one plan — and against an independent sequential run: the snapshot's
-/// relations materialized (merged at `get`, not read through
-/// `DeltaIndex` views) into a new catalog, whose worker-less service
+/// relations materialized (merged at `get`, not read through the
+/// relations' merged indexes) into a new catalog, whose worker-less service
 /// runs the query on this thread.
 fn check_one(q: &ParsedQuery, snapshot: &wcoj_query::Snapshot) {
     let mut pending = submit_query(q, snapshot.catalog()).expect("submit");

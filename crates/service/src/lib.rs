@@ -1309,7 +1309,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use wcoj_core::{join, JoinQuery};
-    use wcoj_storage::{Attr, DeltaIndex, DeltaRelation, FlatIndex, Schema, StorageError, Value};
+    use wcoj_storage::{Attr, DeltaRelation, FlatIndex, Schema, StorageError, Value};
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> Relation {
         Relation::from_u32_rows(Schema::of(schema), rows)
@@ -1381,14 +1381,14 @@ mod tests {
         assert_eq!(counters.cancelled, 0);
     }
 
-    /// A second search tree, the `DeltaIndex` view the server reads, runs
-    /// through the pool like the flat trie.
+    /// A second backend, the shared `Arc<FlatIndex>` the server's plans
+    /// hold, runs through the pool like an owned flat trie.
     #[test]
     fn hash_backend_through_the_pool() {
         let service = Service::new(ServiceConfig::with_workers(4));
         let rels = triangle();
         let seq = join(&rels).unwrap();
-        let prepared = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap());
+        let prepared = Arc::new(PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).unwrap());
         let cfg = ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
@@ -1940,7 +1940,7 @@ mod tests {
             SearchTree::child(&self.0, &children.0)
         }
 
-        fn labels<'a>(&self, children: &Self::Children<'a>) -> Option<&'a [Value]>
+        fn labels<'a>(&self, children: &Self::Children<'a>) -> &'a [Value]
         where
             Self: 'a,
         {
@@ -1948,8 +1948,7 @@ mod tests {
         }
 
         fn child_at(&self, children: &Self::Children<'_>, i: usize) -> Self::Node {
-            let labels = SearchTree::labels(&self.0, &children.0).expect("a flat scan");
-            poison_check(labels[i]);
+            poison_check(SearchTree::labels(&self.0, &children.0)[i]);
             SearchTree::child_at(&self.0, &children.0, i)
         }
     }
@@ -2132,7 +2131,7 @@ mod tests {
 
     /// `rels` served from live buffers: each relation's even rows and one
     /// outsider row in the base, every row inserted, the outsider deleted.
-    fn live_delta(rels: &[Relation]) -> Arc<PreparedQuery<DeltaIndex>> {
+    fn live_delta(rels: &[Relation]) -> Arc<PreparedQuery<Arc<FlatIndex>>> {
         let deltas: Vec<DeltaRelation> = rels
             .iter()
             .map(|rel| {
@@ -2149,10 +2148,8 @@ mod tests {
         let stale: Vec<Relation> = deltas.iter().map(|d| (**d.base()).clone()).collect();
         let sizes = deltas.iter().map(DeltaRelation::len).collect();
         let q = Arc::new(JoinQuery::new(&stale).unwrap());
-        let prepared = PreparedQuery::from_shared(q, Some(sizes), |i, order| {
-            let d = &deltas[i];
-            DeltaIndex::over(d.base_index(order)?, d.ins(), d.del(), order)
-        });
+        let prepared =
+            PreparedQuery::from_shared(q, Some(sizes), |i, order| deltas[i].index(order));
         Arc::new(prepared.unwrap())
     }
 
@@ -2375,7 +2372,7 @@ mod tests {
             SearchTree::child(&self.index, children)
         }
 
-        fn labels<'a>(&self, children: &Self::Children<'a>) -> Option<&'a [Value]>
+        fn labels<'a>(&self, children: &Self::Children<'a>) -> &'a [Value]
         where
             Self: 'a,
         {

@@ -1,5 +1,6 @@
 //! Delta-aware relation storage: a frozen, `Arc`-shared **base** plus
-//! small sorted **insert/delete buffers**, merged at scan time.
+//! small sorted **insert/delete buffers**, merged into one index per
+//! content version.
 //!
 //! The paper's search tree ([`FlatIndex`]) is batch-built and immutable —
 //! the right shape for the join's hot path, the wrong shape for a
@@ -19,24 +20,22 @@
 //! arithmetic exact: the effective relation is `(base ∖ del) ∪ ins` and
 //! its cardinality is `|base| − |del| + |ins|` — no overlap terms.
 //! Cloning a `DeltaRelation` is the copy-on-write snapshot: `Arc` bumps
-//! for the base, its indexes and the buffers' rows ([`Relation`] clones
-//! share their rows until one side changes them).
+//! for the base, its indexes, the current version's indexes and the
+//! buffers' rows ([`Relation`] clones share their rows until one side
+//! changes them).
 //!
-//! [`DeltaIndex`] is the read side: a [`SearchTree`] over the *merged*
-//! view, composed from the shared base [`FlatIndex`] plus two small
-//! [`FlatIndex`]es over the buffers. Every (ST1)–(ST3) operation resolves
-//! by counted-trie arithmetic on the three components:
-//!
-//! * a prefix exists in the merged view iff its **effective full count**
-//!   `base − del + ins` (each at full remaining depth, an O(1) offset
-//!   lookup per component) is positive;
-//! * a node's children are one scan ([`DeltaChildren`]): a node no
-//!   buffer touches scans the base's children alone, and a merged node
-//!   gallops the base's and the insert buffer's children together,
-//!   stepping over children whose rows are all deleted;
-//! * enumeration walks that scan, delegating to the pure base (or pure
-//!   ins) fast path whenever the other two components are empty below
-//!   the node.
+//! The read side is one search tree per column order, as §5.1 asks:
+//! [`DeltaRelation::index`] is the [`FlatIndex`] over the merged view.
+//! With empty buffers it *is* the base's index. With live buffers it is
+//! built once per content version and order, by one linear merge of the
+//! base index's rows with the sorted buffers ([`FlatIndex::merged`]), and
+//! shared by every query, clone and snapshot of that version. Every
+//! mutation that changes data starts the writer's copy on a new version
+//! with no indexes; snapshots keep theirs. So a query over a changed
+//! relation pays one `O(|R|)` merge per version, shared by every query of
+//! that version, and then reads the merged rows at the base's speed — the
+//! LSM tree's merge on the read side, once per version rather than once
+//! per probe.
 //!
 //! **Minor compaction** ([`DeltaRelation::compact`]) folds the buffers
 //! into a fresh base once they grow past a policy threshold (the
@@ -44,9 +43,7 @@
 //! components, run by whoever holds the store.
 
 use crate::flat::permutation_of;
-use crate::flat::FlatChildren;
-use crate::index::{for_each_child, with_scratch, SearchTree, ALL_LABELS};
-use crate::{Attr, FlatIndex, FlatNode, Relation, Schema, StorageError, Value};
+use crate::{Attr, FlatIndex, Relation, Schema, StorageError, Value};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Index of the first row in sorted `rel` that is `>= row`
@@ -77,11 +74,34 @@ fn sorted_contains(rel: &Relation, row: &[Value]) -> bool {
     i < rel.len() && rel.row(i) == row
 }
 
-/// The indexes of one frozen base: attribute order → the cell that
+/// The indexes over one set of rows: attribute order → the cell that
 /// order's index is built in. The mutex guards the list alone; a build
 /// runs inside its own cell, so racing callers of one order wait for a
 /// single build while other orders proceed.
-type BaseIndexes = Mutex<Vec<(Vec<Attr>, Arc<OnceLock<Arc<FlatIndex>>>)>>;
+type Indexes = Mutex<Vec<(Vec<Attr>, Arc<OnceLock<Arc<FlatIndex>>>)>>;
+
+/// The index under `order` in `indexes`, built by `build` on first
+/// request; racing callers wait for that one build.
+fn index_in(
+    indexes: &Indexes,
+    order: &[Attr],
+    build: impl FnOnce() -> FlatIndex,
+) -> Arc<FlatIndex> {
+    let cell = {
+        // Recovering a poisoned guard is sound: the list is only ever
+        // pushed to, so it is valid at every step.
+        let mut cells = indexes.lock().unwrap_or_else(|e| e.into_inner());
+        match cells.iter().find(|(o, _)| o == order) {
+            Some((_, cell)) => Arc::clone(cell),
+            None => {
+                let cell = Arc::default();
+                cells.push((order.to_vec(), Arc::clone(&cell)));
+                cell
+            }
+        }
+    };
+    Arc::clone(cell.get_or_init(|| Arc::new(build())))
+}
 
 /// A relation as a frozen shared base plus sorted insert/delete buffers.
 ///
@@ -94,7 +114,12 @@ pub struct DeltaRelation {
     /// still has this base. A new base (compaction) starts a new set, so
     /// the indexes live exactly as long as something can still read the
     /// base they were built over.
-    base_indexes: Arc<BaseIndexes>,
+    base_indexes: Arc<Indexes>,
+    /// Indexes over the merged view of this content version, shared by
+    /// every clone of it; unused while the buffers are empty. A mutation
+    /// that changes data starts a new set, so they live as long as a
+    /// snapshot or a plan still reads this version.
+    version_indexes: Arc<Indexes>,
     ins: Relation,
     del: Relation,
 }
@@ -108,6 +133,7 @@ impl DeltaRelation {
         DeltaRelation {
             base: Arc::new(base),
             base_indexes: Arc::default(),
+            version_indexes: Arc::default(),
             ins: Relation::empty(schema.clone()),
             del: Relation::empty(schema),
         }
@@ -143,23 +169,32 @@ impl DeltaRelation {
     pub fn base_index(&self, order: &[Attr]) -> Result<Arc<FlatIndex>, StorageError> {
         // Checked before the cell is made, so a build cannot fail.
         permutation_of(self.schema(), order)?;
-        let cell = {
-            // Recovering a poisoned guard is sound: the list is only ever
-            // pushed to, so it is valid at every step.
-            let mut cells = self.base_indexes.lock().unwrap_or_else(|e| e.into_inner());
-            match cells.iter().find(|(o, _)| o == order) {
-                Some((_, cell)) => Arc::clone(cell),
-                None => {
-                    let cell = Arc::default();
-                    cells.push((order.to_vec(), Arc::clone(&cell)));
-                    cell
-                }
-            }
-        };
-        let index = cell.get_or_init(|| {
-            Arc::new(FlatIndex::build(&self.base, order).expect("order checked above"))
-        });
-        Ok(Arc::clone(index))
+        Ok(index_in(&self.base_indexes, order, || {
+            FlatIndex::build(&self.base, order).expect("order checked above")
+        }))
+    }
+
+    /// The index over the merged view `(base ∖ del) ∪ ins` under
+    /// attribute order `order` (a permutation of the schema). With empty
+    /// buffers it is [`DeltaRelation::base_index`], the same `Arc`. With
+    /// live ones it is built on first request for this content version
+    /// — one linear merge of the base index's rows with the buffers
+    /// ([`FlatIndex::merged`]) — and shared from then on by every query,
+    /// clone and snapshot of the version. The next mutation that changes
+    /// data leaves it to the readers that still hold it.
+    ///
+    /// # Errors
+    /// [`StorageError::SchemaMismatch`] if `order` is not a permutation
+    /// of the schema.
+    pub fn index(&self, order: &[Attr]) -> Result<Arc<FlatIndex>, StorageError> {
+        let base = self.base_index(order)?;
+        if self.delta_len() == 0 {
+            return Ok(base);
+        }
+        Ok(index_in(&self.version_indexes, order, || {
+            base.merged(&self.ins, &self.del)
+                .expect("the buffers share the base's schema")
+        }))
     }
 
     /// The insert buffer (rows in the view, not in the base).
@@ -224,6 +259,7 @@ impl DeltaRelation {
                 } else {
                     self.del = Relation::unit();
                 }
+                self.version_indexes = Arc::default();
                 return Ok(1);
             }
             return Ok(0);
@@ -238,6 +274,9 @@ impl DeltaRelation {
             }
         }
         let changed = resurrect.len() + additions.len();
+        if changed > 0 {
+            self.version_indexes = Arc::default();
+        }
         if !resurrect.is_empty() {
             self.del = filter_rows(&self.del, |r| !sorted_contains(&resurrect, r));
         }
@@ -267,6 +306,7 @@ impl DeltaRelation {
                 } else {
                     self.del = Relation::nullary_true();
                 }
+                self.version_indexes = Arc::default();
                 return Ok(1);
             }
             return Ok(0);
@@ -281,6 +321,9 @@ impl DeltaRelation {
             }
         }
         let changed = unbuffer.len() + tombstones.len();
+        if changed > 0 {
+            self.version_indexes = Arc::default();
+        }
         if !unbuffer.is_empty() {
             self.ins = filter_rows(&self.ins, |r| !sorted_contains(&unbuffer, r));
         }
@@ -388,363 +431,6 @@ fn filter_rows(rel: &Relation, mut keep: impl FnMut(&[Value]) -> bool) -> Relati
         }
     }
     out
-}
-
-/// A position in a [`DeltaIndex`]: the component positions for one merged
-/// prefix. A component is `None` when the prefix does not occur in it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaNode {
-    depth: u32,
-    base: Option<FlatNode>,
-    ins: Option<FlatNode>,
-    del: Option<FlatNode>,
-}
-
-impl DeltaNode {
-    /// Prefix length represented by this node.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth as usize
-    }
-
-    /// The node at `base` when no buffer touches it.
-    #[inline]
-    fn base_only(base: FlatNode) -> DeltaNode {
-        DeltaNode {
-            depth: base.depth() as u32,
-            base: Some(base),
-            ins: None,
-            del: None,
-        }
-    }
-}
-
-/// A scan over one [`DeltaIndex`] node's children
-/// ([`SearchTree::children`]).
-#[derive(Debug, Clone, Copy)]
-pub enum DeltaChildren<'a> {
-    /// A node only the base holds: the base's scan.
-    Base(FlatChildren<'a>),
-    /// A node merged from the base and live buffers.
-    Merged(MergedChildren<'a>),
-}
-
-impl Default for DeltaChildren<'_> {
-    fn default() -> Self {
-        DeltaChildren::Base(FlatChildren::default())
-    }
-}
-
-/// A merged node's scan: one scan per component, and the label of the
-/// child the last seek found.
-#[derive(Debug, Clone, Copy)]
-pub struct MergedChildren<'a> {
-    depth: u32,
-    base: FlatChildren<'a>,
-    ins: FlatChildren<'a>,
-    del: FlatChildren<'a>,
-    label: Value,
-}
-
-impl MergedChildren<'_> {
-    /// The child labelled `label`: each component that holds it.
-    #[inline]
-    fn child(&self) -> DeltaNode {
-        let at = |c: &FlatChildren<'_>| (c.label() == Some(self.label)).then(|| c.child());
-        DeltaNode {
-            depth: self.depth,
-            base: at(&self.base),
-            ins: at(&self.ins),
-            del: at(&self.del),
-        }
-    }
-}
-
-/// A [`SearchTree`] over the merged view of a [`DeltaRelation`]: a
-/// shared frozen base [`FlatIndex`] plus [`FlatIndex`]es over the
-/// insert/delete buffers, merged by counted-trie arithmetic (see the module docs).
-///
-/// An empty buffer never enters a node, so on a never-mutated relation a
-/// descent is the base's descent plus a depth check, every other
-/// operation delegates to the base after two O(1) checks, and every child
-/// scan hands out the base's slice ([`SearchTree::labels`]) — the uniform
-/// read path the plan cache relies on. What that costs over the base
-/// index was measured with `PreparedQuery::run_shard` on the full 4-cycle
-/// over `cycle_instance(s, 4, 2000, 200)` (a 2-vCPU Xeon, release build,
-/// median of 10 rounds, each the best of 8 runs per backend): 1.07× the
-/// `FlatIndex` run for `s = 11` and 1.16× for `s = 12`.
-#[derive(Debug, Clone)]
-pub struct DeltaIndex {
-    base: Arc<FlatIndex>,
-    ins: FlatIndex,
-    del: FlatIndex,
-    arity: usize,
-}
-
-impl DeltaIndex {
-    /// Composes a merged view from an existing (shared) base index and
-    /// the two buffers, all under attribute order `order`. The caller
-    /// guarantees `base` was built under the same order and that the
-    /// buffers satisfy the [`DeltaRelation`] invariants.
-    ///
-    /// # Errors
-    /// [`StorageError::SchemaMismatch`] if a buffer does not match
-    /// `order`.
-    pub fn over(
-        base: Arc<FlatIndex>,
-        ins: &Relation,
-        del: &Relation,
-        order: &[Attr],
-    ) -> Result<DeltaIndex, StorageError> {
-        Ok(DeltaIndex {
-            base,
-            ins: FlatIndex::build(ins, order)?,
-            del: FlatIndex::build(del, order)?,
-            arity: order.len(),
-        })
-    }
-
-    /// The shared base index.
-    #[must_use]
-    pub fn base_index(&self) -> &Arc<FlatIndex> {
-        &self.base
-    }
-
-    /// Effective number of full tuples below `node`:
-    /// `base − del + ins`, each at full remaining depth (O(1) per
-    /// component).
-    #[inline]
-    fn effective_full(&self, node: &DeltaNode) -> usize {
-        let rem = self.arity - node.depth as usize;
-        let b = node.base.map_or(0, |n| self.base.distinct_count(n, rem));
-        let d = node.del.map_or(0, |n| self.del.distinct_count(n, rem));
-        let i = node.ins.map_or(0, |n| self.ins.distinct_count(n, rem));
-        debug_assert!(d <= b, "del ⊆ base");
-        b - d + i
-    }
-
-    /// Full-depth count of the ins component below `node`.
-    #[inline]
-    fn ins_below(&self, node: &DeltaNode) -> usize {
-        let rem = self.arity - node.depth as usize;
-        node.ins.map_or(0, |n| self.ins.distinct_count(n, rem))
-    }
-
-    /// Full-depth count of the del component below `node`.
-    #[inline]
-    fn del_below(&self, node: &DeltaNode) -> usize {
-        let rem = self.arity - node.depth as usize;
-        node.del.map_or(0, |n| self.del.distinct_count(n, rem))
-    }
-
-    /// Recursive (ST3) walk over merged children, filling `buf[at..]`.
-    fn walk_merged(
-        &self,
-        node: &DeltaNode,
-        at: usize,
-        buf: &mut [Value],
-        f: &mut impl FnMut(&[Value]),
-    ) {
-        let remaining = buf.len() - at;
-        // Pure-component fast paths: when the other two components are
-        // empty below `node`, the merged subtree IS that component's.
-        if self.ins_below(node) == 0 && self.del_below(node) == 0 {
-            if let Some(b) = node.base {
-                self.base.for_each_extension(b, remaining, |ext| {
-                    buf[at..].copy_from_slice(ext);
-                    f(buf);
-                });
-            }
-            return;
-        }
-        if node.base.map_or(0, |b| {
-            self.base
-                .distinct_count(b, self.arity - node.depth as usize)
-        }) == self.del_below(node)
-        {
-            if let Some(i) = node.ins {
-                self.ins.for_each_extension(i, remaining, |ext| {
-                    buf[at..].copy_from_slice(ext);
-                    f(buf);
-                });
-            }
-            return;
-        }
-        for_each_child(self, *node, ALL_LABELS, |v, child| {
-            buf[at] = v;
-            if remaining == 1 {
-                f(buf);
-            } else {
-                self.walk_merged(&child, at + 1, buf, f);
-            }
-        });
-    }
-}
-
-// `#[inline]` on the per-tuple operations: the engine calls them from
-// other crates, and a non-generic method is otherwise compiled only here,
-// out of reach of the engine's inlining.
-impl SearchTree for DeltaIndex {
-    type Node = DeltaNode;
-    type Children<'a> = DeltaChildren<'a>;
-
-    /// Batch build: a fresh base index plus empty buffers — a valid
-    /// drop-in for any other backend.
-    fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
-        let schema = Schema::new(order.to_vec()).map_err(|_| StorageError::SchemaMismatch)?;
-        let empty = Relation::empty(schema);
-        DeltaIndex::over(
-            Arc::new(FlatIndex::build(rel, order)?),
-            &empty,
-            &empty,
-            order,
-        )
-    }
-
-    /// An empty buffer is left out of the root, so every descent on a
-    /// never-mutated relation takes [`SearchTree::descend`]'s base-only
-    /// path.
-    #[inline]
-    fn root(&self) -> Self::Node {
-        let present = |buf: &FlatIndex| (buf.num_rows() > 0).then(|| buf.root());
-        DeltaNode {
-            depth: 0,
-            base: Some(self.base.root()),
-            ins: present(&self.ins),
-            del: present(&self.del),
-        }
-    }
-
-    #[inline]
-    fn descend(&self, node: Self::Node, v: Value) -> Option<Self::Node> {
-        if node.depth as usize >= self.arity {
-            return None;
-        }
-        if node.ins.is_none() && node.del.is_none() {
-            // Base only: a present `FlatIndex` child is never empty.
-            return self.base.descend(node.base?, v).map(DeltaNode::base_only);
-        }
-        let child = DeltaNode {
-            depth: node.depth + 1,
-            base: node.base.and_then(|b| self.base.descend(b, v)),
-            ins: node.ins.and_then(|i| self.ins.descend(i, v)),
-            del: node.del.and_then(|d| self.del.descend(d, v)),
-        };
-        (self.effective_full(&child) > 0).then_some(child)
-    }
-
-    #[inline]
-    fn distinct_count(&self, node: Self::Node, extra: usize) -> usize {
-        if extra == 0 {
-            return 1;
-        }
-        let rem = self.arity - node.depth as usize;
-        debug_assert!(extra <= rem, "projection beyond index arity");
-        if extra == rem {
-            return self.effective_full(&node);
-        }
-        // Partial depth: exact by merged-children recursion. The engine's
-        // counts are full-depth; this path serves level-1 fanout reads
-        // (shard weights) and completeness.
-        if self.ins_below(&node) == 0 && self.del_below(&node) == 0 {
-            return node.base.map_or(0, |b| self.base.distinct_count(b, extra));
-        }
-        if node.base.map_or(0, |b| self.base.distinct_count(b, rem)) == self.del_below(&node) {
-            return node.ins.map_or(0, |i| self.ins.distinct_count(i, extra));
-        }
-        let mut total = 0usize;
-        for_each_child(self, node, ALL_LABELS, |_, child| {
-            total += if extra == 1 {
-                1
-            } else {
-                self.distinct_count(child, extra - 1)
-            };
-        });
-        total
-    }
-
-    fn for_each_extension(&self, node: Self::Node, extra: usize, mut f: impl FnMut(&[Value])) {
-        if extra == 0 {
-            f(&[]);
-            return;
-        }
-        debug_assert!(node.depth as usize + extra <= self.arity);
-        with_scratch(extra, |buf| self.walk_merged(&node, 0, buf, &mut f));
-    }
-
-    /// A base-only node scans the base's children. A merged node scans
-    /// the base's, the insert buffer's and the delete buffer's.
-    #[inline]
-    fn children(&self, node: Self::Node) -> DeltaChildren<'_> {
-        fn scan(index: &FlatIndex, n: Option<FlatNode>) -> FlatChildren<'_> {
-            n.map_or_else(FlatChildren::default, |n| index.children(n))
-        }
-        if node.ins.is_none() && node.del.is_none() {
-            return DeltaChildren::Base(scan(&self.base, node.base));
-        }
-        DeltaChildren::Merged(MergedChildren {
-            depth: node.depth + 1,
-            base: scan(&self.base, node.base),
-            ins: scan(&self.ins, node.ins),
-            del: scan(&self.del, node.del),
-            label: Value(0),
-        })
-    }
-
-    /// A merged node gallops the base and insert children forward and
-    /// takes the smaller label; the delete buffer follows that label, and
-    /// a child whose every row is deleted is stepped over. No merged level
-    /// is ever listed, so a leapfrog over a node merged from live buffers
-    /// gallops as it does over a base node.
-    #[inline]
-    fn seek(&self, children: &mut DeltaChildren<'_>, mut v: Value) -> Option<Value> {
-        let m = match children {
-            DeltaChildren::Base(base) => return base.seek(v),
-            DeltaChildren::Merged(m) => m,
-        };
-        loop {
-            m.label = match (m.base.seek(v), m.ins.seek(v)) {
-                (None, None) => return None,
-                (Some(b), None) => b,
-                (None, Some(i)) => i,
-                (Some(b), Some(i)) => b.min(i),
-            };
-            m.del.seek(m.label);
-            if self.effective_full(&m.child()) > 0 {
-                return Some(m.label);
-            }
-            v = Value(m.label.0.checked_add(1)?);
-        }
-    }
-
-    #[inline]
-    fn child(&self, children: &DeltaChildren<'_>) -> DeltaNode {
-        match children {
-            DeltaChildren::Base(base) => DeltaNode::base_only(base.child()),
-            DeltaChildren::Merged(m) => m.child(),
-        }
-    }
-
-    /// A base-only node's scan hands out the base's child slice; a merged
-    /// node's has no stored level to hand out.
-    #[inline]
-    fn labels<'a>(&self, children: &DeltaChildren<'a>) -> Option<&'a [Value]>
-    where
-        Self: 'a,
-    {
-        match children {
-            DeltaChildren::Base(base) => Some(base.rest()),
-            DeltaChildren::Merged(_) => None,
-        }
-    }
-
-    #[inline]
-    fn child_at(&self, children: &DeltaChildren<'_>, i: usize) -> DeltaNode {
-        match children {
-            DeltaChildren::Base(base) => DeltaNode::base_only(base.child_at(i)),
-            DeltaChildren::Merged(_) => unreachable!("a merged scan hands out no labels"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -932,138 +618,91 @@ mod tests {
         assert!(old.upgrade().is_none());
     }
 
-    /// Builds the DeltaIndex for `d` under `order`, sharing `d`'s base.
-    fn index_of(d: &DeltaRelation, order: &[Attr]) -> DeltaIndex {
-        let base = Arc::new(FlatIndex::build(d.base(), order).unwrap());
-        DeltaIndex::over(base, d.ins(), d.del(), order).unwrap()
-    }
-
-    #[test]
-    fn delta_index_matches_flat_over_materialized() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for trial in 0..15 {
-            let base_rows: Vec<Vec<Value>> = (0..rng.gen_range(1..50))
-                .map(|_| (0..3).map(|_| Value(rng.gen_range(0..5u64))).collect())
-                .collect();
-            let mut d =
-                DeltaRelation::new(Relation::from_rows(Schema::of(&[0, 1, 2]), base_rows).unwrap());
-            let muts: Vec<Vec<Value>> = (0..rng.gen_range(0..40))
-                .map(|_| (0..3).map(|_| Value(rng.gen_range(0..5u64))).collect())
-                .collect();
-            d.insert_rows(&muts[..muts.len() / 2]).unwrap();
-            d.delete_rows(&muts[muts.len() / 4..]).unwrap();
-
-            let order = attrs(&[2, 0, 1]);
-            let merged = d.materialize();
-            let flat = FlatIndex::build(&merged, &order).unwrap();
-            let delta = index_of(&d, &order);
-
-            // Counts at every depth from the root.
-            for extra in 1..=3usize {
-                assert_eq!(
-                    SearchTree::distinct_count(&delta, SearchTree::root(&delta), extra),
-                    flat.distinct_count(flat.root(), extra),
-                    "trial {trial}, extra {extra}"
-                );
-            }
-            // Full enumerations at every extension length.
-            for extra in 1..=3usize {
-                let mut want = Vec::new();
-                flat.for_each_extension(flat.root(), extra, |t| want.push(t.to_vec()));
-                let mut got = Vec::new();
-                SearchTree::for_each_extension(&delta, SearchTree::root(&delta), extra, |t| {
-                    got.push(t.to_vec());
-                });
-                assert_eq!(got, want, "trial {trial}, extra {extra}");
-            }
-            // Descents + per-node agreement, exhaustively over the domain.
-            for v0 in 0..5u64 {
-                let fnode = flat.descend(flat.root(), Value(v0));
-                let dnode = SearchTree::descend(&delta, SearchTree::root(&delta), Value(v0));
-                assert_eq!(fnode.is_some(), dnode.is_some(), "trial {trial}, v {v0}");
-                let (Some(fnode), Some(dnode)) = (fnode, dnode) else {
-                    continue;
-                };
-                assert_eq!(
-                    SearchTree::child_values(&delta, dnode),
-                    flat.child_slice(fnode).to_vec(),
-                    "trial {trial}, v {v0}: children"
-                );
-                // the child scan lists what the (ST3) walk lists
-                let mut walked = Vec::new();
-                SearchTree::for_each_extension(&delta, dnode, 1, |t| walked.push(t[0]));
-                assert_eq!(walked, SearchTree::child_values(&delta, dnode));
-                for extra in 1..=2usize {
-                    assert_eq!(
-                        SearchTree::distinct_count(&delta, dnode, extra),
-                        flat.distinct_count(fnode, extra),
-                        "trial {trial}, v {v0}, extra {extra}"
-                    );
-                }
-                // ghost-children check: every listed child descends
-                for v1 in SearchTree::child_values(&delta, dnode) {
-                    let c = SearchTree::descend(&delta, dnode, v1).expect("listed child exists");
-                    assert!(SearchTree::distinct_count(&delta, c, 1) > 0);
-                }
-                // descend_tuple probes agree on full rows
-                for v1 in 0..5u64 {
-                    for v2 in 0..5u64 {
-                        let probe = [Value(v1), Value(v2)];
-                        assert_eq!(
-                            SearchTree::descend_tuple(&delta, dnode, &probe).is_some(),
-                            flat.descend_tuple(fnode, &probe).is_some(),
-                            "trial {trial}, probe ({v0},{v1},{v2})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn empty_buffers_borrow_the_base_slice() {
-        let base = rel(&[0, 1], &[&[1, 10], &[1, 20], &[2, 10]]);
-        let d = DeltaRelation::new(base);
-        let order = attrs(&[0, 1]);
-        let idx = index_of(&d, &order);
-        let root = SearchTree::root(&idx);
-        // No deltas: every node scans the base's children alone.
-        assert!(matches!(idx.children(root), DeltaChildren::Base(_)));
-        assert_eq!(idx.child_values(root), vec![Value(1), Value(2)]);
-        let n1 = SearchTree::descend(&idx, root, Value(1)).unwrap();
-        assert!(matches!(idx.children(n1), DeltaChildren::Base(_)));
-        assert_eq!(idx.child_values(n1), vec![Value(10), Value(20)]);
+        let mut d = DeltaRelation::new(rel(&[0, 1], &[&[1, 10], &[1, 20], &[2, 10]]));
+        let order = attrs(&[1, 0]);
+        // No deltas: the merged view's index is the base's, the same Arc.
+        let index = d.index(&order).unwrap();
+        assert!(Arc::ptr_eq(&index, &d.base_index(&order).unwrap()));
+        assert_eq!(index.child_slice(index.root()), &[10, 20].map(Value));
+        // Buffers that cancel out leave the base's index in place too.
+        d.insert_rows(&vrows(&[&[5, 5]])).unwrap();
+        assert!(!Arc::ptr_eq(&d.index(&order).unwrap(), &index));
+        d.delete_rows(&vrows(&[&[5, 5]])).unwrap();
+        assert!(Arc::ptr_eq(&d.index(&order).unwrap(), &index));
     }
 
     #[test]
     fn fully_deleted_subtree_disappears() {
         let mut d = DeltaRelation::new(rel(&[0, 1], &[&[1, 10], &[1, 20], &[2, 30]]));
         d.delete_rows(&vrows(&[&[1, 10], &[1, 20]])).unwrap();
-        let order = attrs(&[0, 1]);
-        let idx = index_of(&d, &order);
-        let root = SearchTree::root(&idx);
-        assert_eq!(SearchTree::distinct_count(&idx, root, 1), 1);
-        assert_eq!(SearchTree::child_values(&idx, root), vec![Value(2)]);
-        assert!(SearchTree::descend(&idx, root, Value(1)).is_none());
-        // the root is merged; the surviving subtree no buffer touches
-        // scans the base alone
-        assert!(matches!(idx.children(root), DeltaChildren::Merged(_)));
-        let n2 = SearchTree::descend(&idx, root, Value(2)).unwrap();
-        assert!(matches!(idx.children(n2), DeltaChildren::Base(_)));
-        assert_eq!(idx.child_values(n2), vec![Value(30)]);
+        let index = d.index(&attrs(&[0, 1])).unwrap();
+        let root = index.root();
+        assert_eq!(index.distinct_count(root, 1), 1);
+        assert_eq!(index.child_slice(root), &[Value(2)]);
+        assert!(index.descend(root, Value(1)).is_none());
+        let n2 = index.descend(root, Value(2)).unwrap();
+        assert_eq!(index.child_slice(n2), &[Value(30)]);
+        assert_eq!(index.num_rows(), 1);
     }
 
     #[test]
-    fn build_as_a_plain_backend() {
-        // SearchTree::build gives empty buffers over a fresh base.
-        let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
-        let idx = <DeltaIndex as SearchTree>::build(&r, &attrs(&[1, 0])).unwrap();
-        let root = SearchTree::root(&idx);
-        assert_eq!(SearchTree::distinct_count(&idx, root, 2), 2);
-        assert_eq!(
-            SearchTree::child_values(&idx, root),
-            vec![Value(2), Value(4)]
-        );
+    fn racing_readers_of_one_version_share_one_merge() {
+        let mut d = DeltaRelation::new(rel(&[0, 1], &[&[1, 2], &[2, 1], &[3, 3]]));
+        d.insert_rows(&vrows(&[&[0, 9]])).unwrap();
+        d.delete_rows(&vrows(&[&[2, 1]])).unwrap();
+        // The barrier puts every reader at the cell before any can have
+        // finished the merge.
+        let barrier = std::sync::Barrier::new(4);
+        let raced: Vec<Arc<FlatIndex>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        d.index(&attrs(&[1, 0])).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(raced.iter().all(|ix| Arc::ptr_eq(ix, &raced[0])));
+        let want = FlatIndex::build(&d.materialize(), &attrs(&[1, 0])).unwrap();
+        assert_eq!(raced[0].child_slice(raced[0].root()), &[2, 3, 9].map(Value));
+        assert_eq!(raced[0].num_rows(), want.num_rows());
+        // Another order is another merge; a bad order is refused.
+        assert!(!Arc::ptr_eq(&d.index(&attrs(&[0, 1])).unwrap(), &raced[0]));
+        assert!(d.index(&attrs(&[0, 2])).is_err());
+    }
+
+    #[test]
+    fn a_snapshot_keeps_its_version_while_the_writer_moves_on() {
+        let mut d = DeltaRelation::new(rel(&[0, 1], &[&[1, 2], &[2, 1]]));
+        let order = attrs(&[0, 1]);
+        d.insert_rows(&vrows(&[&[3, 3]])).unwrap();
+        let before = d.index(&order).unwrap();
+        let snapshot = d.clone();
+        assert!(Arc::ptr_eq(&snapshot.index(&order).unwrap(), &before));
+
+        // A no-op mutation changes no data and keeps the version's index.
+        assert_eq!(d.insert_rows(&vrows(&[&[3, 3], &[1, 2]])).unwrap(), 0);
+        assert_eq!(d.delete_rows(&vrows(&[&[7, 7]])).unwrap(), 0);
+        assert!(Arc::ptr_eq(&d.index(&order).unwrap(), &before));
+
+        // A real one starts a new version: the writer merges again, the
+        // snapshot keeps the index of the rows it reads.
+        assert_eq!(d.delete_rows(&vrows(&[&[1, 2]])).unwrap(), 1);
+        let after = d.index(&order).unwrap();
+        assert!(!Arc::ptr_eq(&after, &before));
+        assert_eq!(after.child_slice(after.root()), &[2, 3].map(Value));
+        assert!(Arc::ptr_eq(&snapshot.index(&order).unwrap(), &before));
+        assert_eq!(before.child_slice(before.root()), &[1, 2, 3].map(Value));
+
+        // The old version's index goes with its last reader.
+        let old = Arc::downgrade(&before);
+        drop(before);
+        assert!(old.upgrade().is_some(), "the snapshot still reads it");
+        drop(snapshot);
+        assert!(old.upgrade().is_none());
     }
 }

@@ -38,6 +38,7 @@
 use crate::index::{with_scratch, SearchTree};
 use crate::relation::{sort_dedup_flat, strictly_sorted};
 use crate::{gallop, Attr, Relation, Schema, StorageError, Value};
+use std::borrow::Cow;
 
 /// The schema position of each attribute of `order`, which must be a
 /// permutation of `schema`.
@@ -51,14 +52,60 @@ pub(crate) fn permutation_of(schema: &Schema, order: &[Attr]) -> Result<Vec<usiz
         .expect("same_set implies positions exist"))
 }
 
+/// `rel`'s rows under `order` (a permutation of its schema) as one
+/// row-major buffer, sorted and distinct: borrowed when `order` is the
+/// schema's own and the rows are a sorted set (every catalog base), so
+/// nothing is copied or sorted; otherwise permuted column by column, and
+/// sorted only if that left them out of order.
+fn rows_under<'r>(rel: &'r Relation, order: &[Attr]) -> Result<Cow<'r, [Value]>, StorageError> {
+    let positions = permutation_of(rel.schema(), order)?;
+    let k = order.len();
+    let in_schema_order = positions.iter().enumerate().all(|(i, &p)| i == p);
+    if in_schema_order && strictly_sorted(rel.raw_data(), k) {
+        return Ok(Cow::Borrowed(rel.raw_data()));
+    }
+    let mut permuted = Vec::with_capacity(rel.raw_data().len());
+    for row in rel.iter_rows() {
+        permuted.extend(positions.iter().map(|&p| row[p]));
+    }
+    if !strictly_sorted(&permuted, k) {
+        sort_dedup_flat(&mut permuted, k);
+    }
+    Ok(Cow::Owned(permuted))
+}
+
 /// One flat level: contiguous sorted values plus child offset ranges.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FlatLevel {
     /// Last value of each distinct prefix at this level, sorted.
     values: Vec<Value>,
     /// `child_start[i]..child_start[i+1]` is entry `i`'s range at the
     /// next level; length `len + 1`. Empty at the deepest level.
     child_start: Vec<u32>,
+}
+
+/// Appends `row`, which sorts after every row before it, to `levels`: a
+/// new entry at level d whenever its length-(d+1) prefix is new. The row
+/// before it is each level's last value, so comparing with those
+/// suffices.
+fn push_row(levels: &mut [FlatLevel], row: &[Value]) {
+    let k = levels.len();
+    let split = (0..k)
+        .find(|&d| levels[d].values.last() != Some(&row[d]))
+        .unwrap_or(k);
+    debug_assert!(
+        levels
+            .get(split)
+            .is_some_and(|l| l.values.last() < Some(&row[split])),
+        "rows ascend strictly"
+    );
+    for d in split..k {
+        if d + 1 < k {
+            let next_len = levels[d + 1].values.len() as u32;
+            levels[d].child_start.push(next_len);
+        }
+        levels[d].values.push(row[d]);
+    }
 }
 
 /// A position in the flat index: the root (empty prefix) or an entry at
@@ -152,58 +199,79 @@ impl FlatIndex {
     /// [`StorageError::SchemaMismatch`] if `order` is not a permutation
     /// of the relation's attributes.
     pub fn build(rel: &Relation, order: &[Attr]) -> Result<FlatIndex, StorageError> {
-        let positions = permutation_of(rel.schema(), order)?;
-        let k = order.len();
+        let rows = rows_under(rel, order)?;
+        Ok(FlatIndex::from_sorted(order, &rows))
+    }
 
-        // The rows under `order`, in one flat buffer: borrowed when `order`
-        // is the schema's own and the rows are a sorted set (every catalog
-        // base), so nothing is copied or sorted; otherwise permuted column
-        // by column, and sorted only if that left them out of order.
-        let in_schema_order = positions.iter().enumerate().all(|(i, &p)| i == p);
-        let mut permuted = Vec::new();
-        let rows: &[Value] = if in_schema_order && strictly_sorted(rel.raw_data(), k) {
-            rel.raw_data()
-        } else {
-            permuted.reserve_exact(rel.raw_data().len());
-            for row in rel.iter_rows() {
-                permuted.extend(positions.iter().map(|&p| row[p]));
-            }
-            if !strictly_sorted(&permuted, k) {
-                sort_dedup_flat(&mut permuted, k);
-            }
-            &permuted
-        };
-
-        // A new entry at level d whenever the length-(d+1) prefix changes;
-        // rows are sorted, so comparing with the previous row suffices.
-        let mut levels: Vec<FlatLevel> = (0..k)
-            .map(|_| FlatLevel {
-                values: Vec::new(),
-                child_start: Vec::new(),
+    /// The index over `(rows ∖ del) ∪ ins`, where `rows` are this index's
+    /// rows, under the same order. `ins` and `del` hold rows over the
+    /// index's attributes in any column order; every row of `del` is
+    /// expected among the index's rows and no row of `ins` (a row of `del`
+    /// the index lacks is ignored, one of `ins` it holds is kept once).
+    ///
+    /// One linear merge: the index lists its rows in order (ST3), the
+    /// buffers are brought under the order and sorted, and the levels are
+    /// laid out from the merged rows. `O(k · (N + D log D))` for `N` rows
+    /// and `D` buffered ones, with no sort of the index's own rows.
+    ///
+    /// # Errors
+    /// [`StorageError::SchemaMismatch`] if a buffer's attributes are not
+    /// the index's.
+    pub fn merged(&self, ins: &Relation, del: &Relation) -> Result<FlatIndex, StorageError> {
+        let k = self.arity();
+        let (ins, del) = (rows_under(ins, &self.order)?, rows_under(del, &self.order)?);
+        if k == 0 {
+            return Ok(self.clone());
+        }
+        let mut ins = ins.chunks_exact(k).peekable();
+        let mut del = del.chunks_exact(k).peekable();
+        // No level outgrows the base's by more than one entry per insert.
+        let mut levels: Vec<FlatLevel> = self
+            .levels
+            .iter()
+            .map(|l| FlatLevel {
+                values: Vec::with_capacity(l.values.len() + ins.len()),
+                child_start: Vec::with_capacity(l.child_start.len() + ins.len()),
             })
             .collect();
-        let mut prev: Option<&[Value]> = None;
-        for row in rows.chunks_exact(k.max(1)) {
-            let split = prev.map_or(0, |prev| (0..k).find(|&d| row[d] != prev[d]).unwrap_or(k));
-            for d in split..k {
-                if d + 1 < k {
-                    let next_len = levels[d + 1].values.len() as u32;
-                    levels[d].child_start.push(next_len);
-                }
-                levels[d].values.push(row[d]);
+        self.for_each_extension(self.root(), k, |row| {
+            while let Some(i) = ins.next_if(|&i| i < row) {
+                push_row(&mut levels, i);
             }
-            prev = Some(row);
+            ins.next_if(|&i| i == row);
+            while del.next_if(|&d| d < row).is_some() {}
+            if del.next_if(|&d| d == row).is_none() {
+                push_row(&mut levels, row);
+            }
+        });
+        ins.for_each(|i| push_row(&mut levels, i));
+        Ok(FlatIndex::close(&self.order, levels))
+    }
+
+    /// Lays out the levels over `rows`: row-major, `order.len()` values a
+    /// row, strictly ascending. `O(k · N)`.
+    fn from_sorted(order: &[Attr], rows: &[Value]) -> FlatIndex {
+        let k = order.len();
+        debug_assert!(strictly_sorted(rows, k), "rows are a sorted set");
+        let mut levels: Vec<FlatLevel> = (0..k).map(|_| FlatLevel::default()).collect();
+        for row in rows.chunks_exact(k.max(1)) {
+            push_row(&mut levels, row);
         }
-        for d in 0..k.saturating_sub(1) {
+        FlatIndex::close(order, levels)
+    }
+
+    /// The index over `levels` once every row is in: each level but the
+    /// deepest gets its end sentinel.
+    fn close(order: &[Attr], mut levels: Vec<FlatLevel>) -> FlatIndex {
+        for d in 0..levels.len().saturating_sub(1) {
             let end = levels[d + 1].values.len() as u32;
             levels[d].child_start.push(end);
             debug_assert_eq!(levels[d].child_start.len(), levels[d].values.len() + 1);
         }
-
-        Ok(FlatIndex {
+        FlatIndex {
             order: order.to_vec(),
             levels,
-        })
+        }
     }
 
     /// The attribute order this index honours.
@@ -415,11 +483,11 @@ impl SearchTree for FlatIndex {
         children.child()
     }
     #[inline]
-    fn labels<'a>(&self, children: &FlatChildren<'a>) -> Option<&'a [Value]>
+    fn labels<'a>(&self, children: &FlatChildren<'a>) -> &'a [Value]
     where
         Self: 'a,
     {
-        Some(children.rest())
+        children.rest()
     }
     #[inline]
     fn child_at(&self, children: &FlatChildren<'_>, i: usize) -> FlatNode {

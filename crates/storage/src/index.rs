@@ -10,24 +10,25 @@
 //! iterator — opened on a node once ([`SearchTree::children`]), it keeps
 //! its place and seeks forward ([`SearchTree::seek`],
 //! [`SearchTree::child`]). Each backend owns its scan type, so what a
-//! scan holds (a borrowed level slice, or a merge of three components)
-//! never leaks into the engine; a scan over a stored level also hands
-//! that level out as a borrowed sorted slice ([`SearchTree::labels`],
-//! [`SearchTree::child_at`]), which the engine intersects directly. NPRR needs one realisation of the search
-//! tree, and two implement the trait on the served path:
+//! scan holds never leaks into the engine; a scan also hands its level
+//! out as a borrowed sorted slice ([`SearchTree::labels`],
+//! [`SearchTree::child_at`]), which the engine intersects directly. NPRR
+//! needs one realisation of the search tree, and the served path has
+//! one: [`FlatIndex`](crate::FlatIndex), the sorted counted trie
+//! (comparison based, `O(log N)` per descent step, cache-friendly flat
+//! levels). A relation with live insert/delete buffers is served the
+//! `FlatIndex` over its merged view
+//! ([`DeltaRelation::index`](crate::DeltaRelation::index)); a plan holds
+//! each index by `Arc`, which reads as the index itself.
 //!
-//! * [`FlatIndex`](crate::FlatIndex) — the sorted counted trie (comparison
-//!   based, `O(log N)` per descent step, cache-friendly flat levels);
-//! * [`DeltaIndex`](crate::DeltaIndex) — a `FlatIndex` base merged with
-//!   insert/delete buffers at scan time, the index the server reads.
-//!
-//! The NPRR engine is generic over this trait; the service's tests add a
-//! third implementation, a `FlatIndex` wrapper that panics on one label.
-//! §5.1's "collection of hash indices" is an interchangeable alternative
-//! the engine does not need.
+//! The NPRR engine is generic over this trait; the service's tests add
+//! two wrappers around a `FlatIndex`, one that panics on one label and
+//! one that parks a worker. §5.1's "collection of hash indices" is an
+//! interchangeable alternative the engine does not need.
 
 use crate::{Attr, Relation, StorageError, Value};
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// Index interface required by the join algorithms: prefix descent,
 /// O(1)-ish distinct-extension counts, output-linear enumeration, and a
@@ -94,10 +95,6 @@ pub trait SearchTree: Sized {
     /// Never seek a `v` below the previous one on the same scan.
     ///
     /// [`FlatIndex`](crate::FlatIndex) gallops its sorted child level.
-    /// [`DeltaIndex`](crate::DeltaIndex) gallops the
-    /// base's and the insert buffer's children together on a merged node,
-    /// takes the smaller label and steps over children whose rows are all
-    /// deleted, so the merged view seeks without listing a level.
     fn seek(&self, children: &mut Self::Children<'_>, v: Value) -> Option<Value>;
 
     /// The child the last [`SearchTree::seek`] on `children` found; call it
@@ -105,21 +102,74 @@ pub trait SearchTree: Sized {
     fn child(&self, children: &Self::Children<'_>) -> Self::Node;
 
     /// The labels of the children `children` has not passed yet, as one
-    /// borrowed sorted slice — or `None` when the scan does not read a
-    /// stored level. Where every side of a leapfrog hands one out, the
-    /// engine intersects the slices ([`gallop::leapfrog`](crate::gallop::leapfrog))
-    /// instead of seeking each scan.
-    ///
-    /// [`FlatIndex`](crate::FlatIndex) always hands out its child slice;
-    /// [`DeltaIndex`](crate::DeltaIndex) does on a base-only node and not
-    /// on one merged from live buffers.
-    fn labels<'a>(&self, children: &Self::Children<'a>) -> Option<&'a [Value]>
+    /// borrowed sorted slice. Case b's walk intersects these slices
+    /// ([`gallop::leapfrog`](crate::gallop::leapfrog)) instead of seeking
+    /// each scan.
+    fn labels<'a>(&self, children: &Self::Children<'a>) -> &'a [Value]
     where
         Self: 'a;
 
     /// The child at offset `i` into [`SearchTree::labels`]'s slice of
-    /// `children`; call it only on a scan that handed one out.
+    /// `children`.
     fn child_at(&self, children: &Self::Children<'_>, i: usize) -> Self::Node;
+}
+
+/// A shared index reads as the index itself, so a plan holds a base's or
+/// a content version's index by reference
+/// ([`DeltaRelation::index`](crate::DeltaRelation::index)) and builds a
+/// fresh one only for what its own constants select.
+impl<S: SearchTree> SearchTree for Arc<S> {
+    type Node = S::Node;
+    type Children<'a>
+        = S::Children<'a>
+    where
+        Self: 'a;
+
+    fn build(rel: &Relation, order: &[Attr]) -> Result<Self, StorageError> {
+        S::build(rel, order).map(Arc::new)
+    }
+    #[inline]
+    fn root(&self) -> Self::Node {
+        S::root(self)
+    }
+    #[inline]
+    fn descend(&self, node: Self::Node, v: Value) -> Option<Self::Node> {
+        S::descend(self, node, v)
+    }
+    #[inline]
+    fn distinct_count(&self, node: Self::Node, extra: usize) -> usize {
+        S::distinct_count(self, node, extra)
+    }
+    #[inline]
+    fn for_each_extension(&self, node: Self::Node, extra: usize, f: impl FnMut(&[Value])) {
+        S::for_each_extension(self, node, extra, f);
+    }
+    fn child_values(&self, node: Self::Node) -> Vec<Value> {
+        S::child_values(self, node)
+    }
+    #[inline]
+    fn children(&self, node: Self::Node) -> Self::Children<'_> {
+        S::children(self, node)
+    }
+    #[inline]
+    fn seek(&self, children: &mut Self::Children<'_>, v: Value) -> Option<Value> {
+        S::seek(self, children, v)
+    }
+    #[inline]
+    fn child(&self, children: &Self::Children<'_>) -> Self::Node {
+        S::child(self, children)
+    }
+    #[inline]
+    fn labels<'a>(&self, children: &Self::Children<'a>) -> &'a [Value]
+    where
+        Self: 'a,
+    {
+        S::labels(self, children)
+    }
+    #[inline]
+    fn child_at(&self, children: &Self::Children<'_>, i: usize) -> Self::Node {
+        S::child_at(self, children, i)
+    }
 }
 
 /// Every label: [`for_each_child`] over it lists all of a node's children.
@@ -164,7 +214,7 @@ pub fn with_scratch<T: Copy + Default, R>(len: usize, f: impl FnOnce(&mut [T]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeltaIndex, FlatIndex, Schema};
+    use crate::{FlatIndex, Schema};
 
     fn attrs(ids: &[u32]) -> Vec<Attr> {
         ids.iter().map(|&v| Attr(v)).collect()
@@ -182,7 +232,7 @@ mod tests {
     #[test]
     fn empty_relation() {
         check_empty::<FlatIndex>();
-        check_empty::<DeltaIndex>();
+        check_empty::<Arc<FlatIndex>>();
     }
 
     fn check_extension_zero<S: SearchTree>() {
@@ -200,6 +250,6 @@ mod tests {
     #[test]
     fn extension_zero_is_unit() {
         check_extension_zero::<FlatIndex>();
-        check_extension_zero::<DeltaIndex>();
+        check_extension_zero::<Arc<FlatIndex>>();
     }
 }

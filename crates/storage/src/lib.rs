@@ -29,10 +29,11 @@
 //!   paper's footnote 3 explicitly allows) in a **flat columnar** layout:
 //!   contiguous sorted value arrays per level plus offset ranges, with
 //!   [`gallop`]ing lookups;
-//! * [`DeltaRelation`] / [`DeltaIndex`] — a mutable view over a frozen,
-//!   `Arc`-shared base: sorted insert/delete buffers merged with the base
-//!   [`FlatIndex`] at scan time, plus minor compaction (one sequential
-//!   merge into a fresh base);
+//! * [`DeltaRelation`] — a mutable view over a frozen, `Arc`-shared base:
+//!   sorted insert/delete buffers, read through one [`FlatIndex`] per
+//!   content version and column order (one linear merge of the base's
+//!   index with the buffers, shared by every reader of the version), plus
+//!   minor compaction (one sequential merge into a fresh base);
 //! * [`gallop`] — exponential search and adaptive intersection over sorted
 //!   slices, shared by the flat backend and the engine's scan sites;
 //! * [`hash`] — a fast non-cryptographic hasher (`FxHashMap`/`FxHashSet`)
@@ -51,7 +52,7 @@ mod rowbuf;
 mod schema;
 mod value;
 
-pub use delta::{DeltaChildren, DeltaIndex, DeltaNode, DeltaRelation, MergedChildren};
+pub use delta::DeltaRelation;
 pub use flat::{FlatChildren, FlatIndex, FlatNode};
 pub use index::SearchTree;
 pub use relation::{Relation, RowSet};

@@ -7,7 +7,7 @@
 
 use crate::ops::{project, select_eq};
 use crate::{
-    gallop, Attr, DeltaIndex, DeltaRelation, FlatIndex, Relation, Schema, SearchTree, Value,
+    gallop, Attr, DeltaRelation, FlatIndex, FlatNode, Relation, Schema, SearchTree, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -72,23 +72,22 @@ fn listed<S: SearchTree>(index: &S, node: S::Node, extra: usize) -> Vec<Vec<Valu
 
 /// Every seek of an ascending run over `node`'s children lands on the
 /// first child `≥` its target, on the node `descend` reaches, and on the
-/// same subtree. A scan that lends its level (`labels`) lends the listed
-/// children it has not passed, each child at its offset (`child_at`)
-/// being the node `descend` reaches.
+/// same subtree. The scan lends the listed children it has not passed
+/// (`labels`), each child at its offset (`child_at`) being the node
+/// `descend` reaches.
 fn check_seeks<S: SearchTree>(index: &S, node: S::Node, rem: usize, targets: &[u64])
 where
     S::Node: PartialEq + std::fmt::Debug,
 {
     let children: Vec<Value> = listed(index, node, 1).into_iter().map(|t| t[0]).collect();
     let mut scan = index.children(node);
-    if let Some(labels) = index.labels(&scan) {
-        prop_assert_eq!(labels, &children[..]);
-        for (i, &v) in labels.iter().enumerate() {
-            prop_assert_eq!(
-                index.child_at(&scan, i),
-                index.descend(node, v).expect("a child")
-            );
-        }
+    let labels = index.labels(&scan);
+    prop_assert_eq!(labels, &children[..]);
+    for (i, &v) in labels.iter().enumerate() {
+        prop_assert_eq!(
+            index.child_at(&scan, i),
+            index.descend(node, v).expect("a child")
+        );
     }
     for &t in targets {
         let want = children.iter().copied().find(|&c| c >= Value(t));
@@ -102,10 +101,8 @@ where
                 listed(index, child, rem - 1),
                 listed(index, direct, rem - 1)
             );
-            if let Some(rest) = index.labels(&scan) {
-                prop_assert_eq!(rest.first(), Some(&w));
-                prop_assert_eq!(index.child_at(&scan, 0), direct);
-            }
+            prop_assert_eq!(index.labels(&scan).first(), Some(&w));
+            prop_assert_eq!(index.child_at(&scan, 0), direct);
         }
     }
 }
@@ -129,14 +126,49 @@ where
     }
 }
 
+/// Every order of `attrs`.
+fn permutations(attrs: &[u32]) -> Vec<Vec<Attr>> {
+    if attrs.is_empty() {
+        return vec![Vec::new()];
+    }
+    (0..attrs.len())
+        .flat_map(|i| {
+            let mut rest = attrs.to_vec();
+            let first = Attr(rest.remove(i));
+            permutations(&rest).into_iter().map(move |mut tail| {
+                tail.insert(0, first);
+                tail
+            })
+        })
+        .collect()
+}
+
+/// `got` and `want` agree at `g` and `w` and at every node below: the
+/// same child slice, the same count at every depth, and the same children.
+fn check_level_by_level(got: &FlatIndex, g: FlatNode, want: &FlatIndex, w: FlatNode, rem: usize) {
+    prop_assert_eq!(got.child_slice(g), want.child_slice(w));
+    for extra in 0..=rem {
+        prop_assert_eq!(got.distinct_count(g, extra), want.distinct_count(w, extra));
+    }
+    for &v in want.child_slice(w) {
+        let (gc, wc) = (got.descend(g, v), want.descend(w, v));
+        check_level_by_level(
+            got,
+            gc.expect("a child"),
+            want,
+            wc.expect("a child"),
+            rem - 1,
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The child scan of every backend — flat, a `DeltaIndex` with
-    /// empty buffers, and one whose nodes are merged from live buffers or
-    /// base-only — agrees with the listed children and with `descend` over
-    /// an ascending run of targets (repeats and targets past the end
-    /// included).
+    /// The child scan agrees with the listed children and with `descend`
+    /// over an ascending run of targets (repeats and targets past the end
+    /// included), on a batch-built index and on a relation's merged index
+    /// over live buffers.
     #[test]
     fn seek_runs_match_listed_children(
         rel in arb_rel(3, 40, 6),
@@ -148,15 +180,9 @@ proptest! {
         let order: Vec<Attr> = rel.schema().attrs().to_vec();
         let flat = FlatIndex::build(&rel, &order).expect("permutation");
         check_seeks_two_levels(&flat, 3, &targets);
-        prop_assert!(flat.labels(&flat.children(flat.root())).is_some());
-        // Empty buffers: every node scans the base alone, and lends its slice.
-        let base_only = <DeltaIndex as SearchTree>::build(&rel, &order).expect("permutation");
-        check_seeks_two_levels(&base_only, 3, &targets);
-        prop_assert!(base_only.labels(&base_only.children(base_only.root())).is_some());
-        // The merged view of the same rows: `split`'s bits put each row in
-        // the base or the insert buffer, and rows with a value past the
-        // domain sit in the base and are deleted again, so the first two
-        // levels hold children whose every row is deleted.
+        // The same rows through live buffers: `split`'s bits put each row
+        // in the base or the insert buffer, and rows with a value past the
+        // domain sit in the base and are deleted again.
         let rows: Vec<Vec<Value>> = rel.iter_rows().map(<[Value]>::to_vec).collect();
         let outsiders: Vec<Vec<Value>> = rows
             .iter()
@@ -173,13 +199,46 @@ proptest! {
         let mut d = DeltaRelation::new(Relation::from_rows(rel.schema().clone(), base).expect("arity"));
         d.insert_rows(&rows).expect("arity");
         d.delete_rows(&outsiders).expect("arity");
-        let delta = DeltaIndex::over(d.base_index(&order).expect("order"), d.ins(), d.del(), &order)
-            .expect("order");
-        prop_assert_eq!(listed(&delta, delta.root(), 3), listed(&flat, flat.root(), 3));
-        check_seeks_two_levels(&delta, 3, &targets);
-        // A root the buffers touch is merged: it has no stored level to lend.
-        let lends = delta.labels(&delta.children(delta.root())).is_some();
-        prop_assert_eq!(lends, d.delta_len() == 0);
+        let merged = d.index(&order).expect("order");
+        prop_assert_eq!(listed(&merged, merged.root(), 3), listed(&flat, flat.root(), 3));
+        check_seeks_two_levels(&merged, 3, &targets);
+    }
+
+    /// A relation's merged index under every column order, level by level
+    /// against a batch build over its materialized view: the same child
+    /// slice at every node and the same count at every depth below it.
+    /// Arity 1–3, an empty base allowed, a whole subtree of the base
+    /// deleted (`wipe`), and labels 0 and `u64::MAX` in the domain.
+    #[test]
+    fn merged_index_matches_build_over_materialized(
+        arity in 1..4usize,
+        base in prop::collection::vec(prop::collection::vec(0..6u64, 3), 0..30),
+        ins in prop::collection::vec(prop::collection::vec(0..6u64, 3), 0..20),
+        del in prop::collection::vec(prop::collection::vec(0..6u64, 3), 0..20),
+        wipe in 0..7u64,
+    ) {
+        let label = |x: u64| if x == 5 { Value(u64::MAX) } else { Value(x) };
+        let rows = |draws: &[Vec<u64>]| -> Vec<Vec<Value>> {
+            draws.iter().map(|r| r[..arity].iter().map(|&x| label(x)).collect()).collect()
+        };
+        let attrs: Vec<u32> = (0..arity as u32).collect();
+        let base = Relation::from_rows(Schema::of(&attrs), rows(&base)).expect("arity");
+        let mut d = DeltaRelation::new(base.clone());
+        d.insert_rows(&rows(&ins)).expect("arity");
+        d.delete_rows(&rows(&del)).expect("arity");
+        let wiped: Vec<Vec<Value>> = base
+            .iter_rows()
+            .filter(|r| r[0] == label(wipe))
+            .map(<[Value]>::to_vec)
+            .collect();
+        d.delete_rows(&wiped).expect("arity");
+        let view = d.materialize();
+        for order in permutations(&attrs) {
+            let merged = d.index(&order).expect("permutation");
+            let want = FlatIndex::build(&view, &order).expect("permutation");
+            prop_assert_eq!(merged.num_rows(), view.len());
+            check_level_by_level(&merged, merged.root(), &want, want.root(), arity);
+        }
     }
 
     /// Root-level distinct counts equal projection cardinalities for every

@@ -14,7 +14,7 @@
 //! | [`core`] (`wcoj-core`) | the NPRR algorithm (§5) — the one engine behind `join` and every served query — plus full conjunctive queries (constants, repeated variables; §7.3), which the query front end reduces to natural joins |
 //! | [`exec`] (`wcoj-exec`) | the one root-domain shard planner: two-level work-balanced sharding of `Recursive-Join` — heavy root values split further into anchor sub-shards (`plan_shards`, `ExecConfig`); it plans and runs nothing — plus the warn-once registry every malformed `WCOJ_*` env knob reports to (`read_env_usize`, `note_malformed_env`) |
 //! | [`service`] (`wcoj-service`) | the shared-pool concurrent query scheduler and the one parallel executor: one global worker pool running many in-flight queries' shard plans, one way in (`Service::submit`), bounded admission that sheds under overload, and round-robin fair dispatch; a `QueryHandle` takes a query's shard slots in order, one batch at a time or all at once (`Service`, `QueryHandle`, `SubmitError`) |
-//! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), and its delta-merged view over live insert/delete buffers (`DeltaIndex`) |
+//! | [`storage`] | relations, relational algebra, the paper's search tree (`FlatIndex`, a flat counted trie), and mutable relations over live insert/delete buffers, served as one merged `FlatIndex` per content version (`DeltaRelation`) |
 //! | [`hypergraph`] | query hypergraphs, fractional covers, the cover LP and AGM bounds |
 //! | [`lp`] | the two-phase `f64` simplex and an exact solve of its optimal basis |
 //! | [`rational`] | exact `i128` rationals |

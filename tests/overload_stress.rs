@@ -16,7 +16,7 @@
 //!   head-of-line-blocking behind its thousands of tasks;
 //! * **admission only sheds** — `Service::submit` never waits for a
 //!   slot; a submitter that retries on `Overloaded` lands every query, on
-//!   the `DeltaIndex` view and the flat backend alike;
+//!   on shared and owned `FlatIndex`es alike;
 //! * **cancellation** — dropping handles mid-flood skips the abandoned
 //!   work and frees admission slots.
 //!
@@ -31,7 +31,7 @@ use wcoj::core::nprr::PreparedQuery;
 use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
 use wcoj::prelude::*;
-use wcoj::storage::{DeltaIndex, FlatIndex, SearchTree};
+use wcoj::storage::{FlatIndex, SearchTree};
 use wcoj::SubmitError;
 
 /// Asserts rows are identical *including order* — `Relation` equality
@@ -236,7 +236,7 @@ fn flood_past_queue_bound_sheds_and_stays_correct() {
 /// every submitter retries its shed submissions on its own clock, all
 /// queries land bit-identical, and the service counts exactly the sheds
 /// the submitters saw. Generic over the index backend so the flat
-/// columnar layout takes the same beating as the `DeltaIndex` view.
+/// columnar layout takes the same beating owned as shared.
 fn retry_flood_lands_every_query_impl<S>()
 where
     S: SearchTree + Send + Sync + 'static,
@@ -295,7 +295,7 @@ where
 
 #[test]
 fn retry_flood_lands_every_query() {
-    retry_flood_lands_every_query_impl::<DeltaIndex>();
+    retry_flood_lands_every_query_impl::<Arc<FlatIndex>>();
 }
 
 #[test]

@@ -21,7 +21,7 @@ use wcoj::core::nprr::PreparedQuery;
 use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
 use wcoj::prelude::*;
-use wcoj::storage::{DeltaIndex, FlatIndex, SearchTree};
+use wcoj::storage::{FlatIndex, SearchTree};
 
 /// The seed query families, `variants` instances each, with sizes small
 /// enough that the full matrix stays debug-mode friendly.
@@ -427,7 +427,7 @@ proptest! {
         for (rels, seq) in mix.iter().zip(&oracles) {
             let ctx = format!("seed {seed}, {workers} workers");
             check_service_run::<FlatIndex>(&service, rels, seq, &cfg, &format!("{ctx}, flat"));
-            check_service_run::<DeltaIndex>(&service, rels, seq, &cfg, &format!("{ctx}, delta"));
+            check_service_run::<Arc<FlatIndex>>(&service, rels, seq, &cfg, &format!("{ctx}, shared"));
         }
     }
 
@@ -446,7 +446,7 @@ proptest! {
             let cfg = ExecConfig { shard_min_size: 1, ..service.exec_config() };
             let ctx = format!("zipf seed {seed}, {workers} workers");
             check_service_run::<FlatIndex>(&service, &rels, &seq, &cfg, &format!("{ctx}, flat"));
-            check_service_run::<DeltaIndex>(&service, &rels, &seq, &cfg, &format!("{ctx}, delta"));
+            check_service_run::<Arc<FlatIndex>>(&service, &rels, &seq, &cfg, &format!("{ctx}, shared"));
         }
     }
 }

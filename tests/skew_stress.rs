@@ -3,7 +3,7 @@
 //! NPRR's worst-case optimality hinges on handling skew; this suite pins
 //! the runtime's side of that bargain. A Zipf or single-hot-key workload
 //! must not change *anything* observable: across pool sizes
-//! {1, 2, 4, 8}, both index backends (flat and the `DeltaIndex` view),
+//! {1, 2, 4, 8}, both index backends (owned and shared `FlatIndex`es),
 //! and any `heavy_split_factor`,
 //! the shared service pool produces rows bit-identical (including row
 //! order) to the sequential `join_nprr`, and the absorbed `JoinStats` are
@@ -23,7 +23,7 @@ use wcoj::core::nprr::PreparedQuery;
 use wcoj::core::JoinStats;
 use wcoj::datagen as gen;
 use wcoj::prelude::*;
-use wcoj::storage::{DeltaIndex, SearchTree};
+use wcoj::storage::{FlatIndex, SearchTree};
 
 /// The skewed instance families: high-exponent Zipf triangles (many
 /// moderately hot keys) and the single-hot-key triangle (one root value
@@ -174,7 +174,8 @@ fn skew_matrix_matches_sequential() {
         .map(|(name, rels)| {
             let seq = join(&rels).expect("sequential oracle");
             let flat = Arc::new(PreparedQuery::new(&rels).expect("prepare"));
-            let delta = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).expect("prepare"));
+            let delta =
+                Arc::new(PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).expect("prepare"));
             (name, seq, flat, delta)
         })
         .collect();
@@ -283,7 +284,7 @@ fn hot_key_four_cycle_streams_bit_identically() {
     let seq = join(&rels).unwrap();
     assert!(seq.len() > 100, "a non-trivial answer: {} rows", seq.len());
     let flat = Arc::new(PreparedQuery::new(&rels).unwrap());
-    let delta = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap());
+    let delta = Arc::new(PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).unwrap());
     assert_eq!(flat.total_order(), [0, 1, 3, 2]);
     for workers in [1usize, 2, 4, 8] {
         let service = Service::new(ServiceConfig::with_workers(workers));
@@ -399,9 +400,9 @@ proptest! {
         let ctx = format!("seed {seed}, {workers} workers, factor {factor}");
         assert_bit_identical(&out.relation, &seq, &ctx);
         assert_profile_consistent(&profile, &out, &ctx);
-        // Same instance through the delta backend: still bit-identical
+        // Same instance through shared indexes: still bit-identical
         // under random split factors and pool sizes.
-        let delta = Arc::new(PreparedQuery::<DeltaIndex>::new_indexed(&rels).unwrap());
+        let delta = Arc::new(PreparedQuery::<Arc<FlatIndex>>::new_indexed(&rels).unwrap());
         let (out, profile) = service.submit(&delta, &cfg).unwrap().wait_profiled().unwrap();
         assert_bit_identical(&out.relation, &seq, &format!("{ctx}, delta"));
         assert_profile_consistent(&profile, &out, &format!("{ctx}, delta"));
