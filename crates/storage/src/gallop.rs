@@ -98,7 +98,22 @@ impl<'a> Lane<'a> {
     pub fn new(labels: &'a [Value]) -> Lane<'a> {
         Lane { labels, at: 0 }
     }
+
+    /// The offsets of the side's labels in `[lo, hi]` from `at` on.
+    fn window(&self, lo: Value, hi: Value) -> std::ops::Range<usize> {
+        let start = lower_bound_from(self.labels, self.at, lo);
+        let end = if hi < Value(u64::MAX) {
+            start + self.labels[start..].partition_point(|&x| x <= hi)
+        } else {
+            self.labels.len()
+        };
+        start..end
+    }
 }
+
+/// Two lanes whose windows are within this factor of each other in
+/// length are [merged](merge) instead of galloped.
+const MERGE_RATIO: usize = 8;
 
 /// The k-way leapfrog intersection of sorted slices (one level of
 /// Veldhuizen's Leapfrog Triejoin, the Generic Join loop of
@@ -114,6 +129,15 @@ impl<'a> Lane<'a> {
 /// is visited `min` of its multiplicities times — once on strictly
 /// ascending sides — and no `v + 1` is ever formed: a label `u64::MAX`
 /// needs no guard.
+///
+/// Two lanes whose windows (their labels from `at` on inside
+/// `[lo, hi]`) are within `MERGE_RATIO` (8) of each other in length are
+/// merged instead: both cursors step on every comparison, with no gallop
+/// and no branch but the match's (Demaine, López-Ortiz and Munro's
+/// adaptive intersection: merge comparable sizes, gallop lopsided ones).
+/// The merge takes at most `(1 + 8)·min(n_a, n_b)` steps, so a case-b
+/// candidate still costs `O(1)` lookups per checking edge up to a
+/// constant factor. Every contract above holds on both paths.
 #[inline]
 pub fn leapfrog(
     lanes: &mut [Lane<'_>],
@@ -121,6 +145,14 @@ pub fn leapfrog(
     hi: Value,
     mut f: impl FnMut(Value, &[Lane<'_>]),
 ) {
+    if let [a, b] = &mut *lanes {
+        let (wa, wb) = (a.window(lo, hi), b.window(lo, hi));
+        (a.at, b.at) = (wa.start, wb.start);
+        let (na, nb) = (wa.len(), wb.len());
+        if na.max(nb) <= na.min(nb).saturating_mul(MERGE_RATIO) {
+            return merge(lanes, [wa.end, wb.end], f);
+        }
+    }
     let k = lanes.len();
     let mut v = lo;
     // How many lanes in a row stand on `v`.
@@ -154,9 +186,25 @@ pub fn leapfrog(
     }
 }
 
+/// [`leapfrog`] over two lanes standing at the start of their windows,
+/// which end before `end`: a plain merge.
+fn merge(lanes: &mut [Lane<'_>], end: [usize; 2], mut f: impl FnMut(Value, &[Lane<'_>])) {
+    let (a, b) = (&lanes[0].labels[..end[0]], &lanes[1].labels[..end[1]]);
+    let (mut i, mut j) = (lanes[0].at, lanes[1].at);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        if x == y {
+            (lanes[0].at, lanes[1].at) = (i, j);
+            f(x, lanes);
+        }
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+}
+
 /// The sorted intersection of `a` and `b`: a two-lane [`leapfrog`], so
 /// lopsided sizes gallop the smaller side through the larger and
-/// comparable ones step like a merge.
+/// comparable ones (within a factor of 8) are merged.
 ///
 /// Both inputs must be sorted ascending; duplicates are allowed and a
 /// common value is emitted `min(count_a, count_b)` times — exactly what a
@@ -306,6 +354,24 @@ mod tests {
                 naive_merge(&small, &large),
                 "trial {trial}"
             );
+        }
+    }
+
+    #[test]
+    fn intersect_matches_naive_merge_on_comparable_inputs() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        for trial in 0..200 {
+            // Sizes within a factor of 8 of each other, over a domain
+            // small enough for runs of duplicates on both sides.
+            let n_a = rng.gen_range(6..48usize);
+            let n_b = rng.gen_range(6..48usize);
+            let mut a: Vec<Value> = (0..n_a).map(|_| Value(rng.gen_range(0..30))).collect();
+            let mut b: Vec<Value> = (0..n_b).map(|_| Value(rng.gen_range(0..30))).collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(intersect(&a, &b), naive_merge(&a, &b), "trial {trial}");
+            assert_eq!(intersect(&b, &a), naive_merge(&b, &a), "trial {trial}");
         }
     }
 }

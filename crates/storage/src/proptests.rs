@@ -162,6 +162,43 @@ fn check_level_by_level(got: &FlatIndex, g: FlatNode, want: &FlatIndex, w: FlatN
     }
 }
 
+/// Runs `gallop::leapfrog` over strictly ascending `sides` from `starts`
+/// in `[lo, hi]` and checks it against a `BTreeSet` intersection of what
+/// each side holds from its start inside the window: the same values, in
+/// ascending order, with every lane standing on the value.
+fn check_leapfrog(sides: &[Vec<Value>], starts: &[usize], lo: Value, hi: Value) {
+    let want: Vec<Value> = sides
+        .iter()
+        .zip(starts)
+        .map(|(s, &at)| {
+            s[at..]
+                .iter()
+                .copied()
+                .filter(|v| (lo..=hi).contains(v))
+                .collect()
+        })
+        .reduce(|acc: BTreeSet<Value>, next| acc.intersection(&next).copied().collect())
+        .expect("at least one side")
+        .into_iter()
+        .collect();
+    let mut lanes: Vec<gallop::Lane<'_>> = sides
+        .iter()
+        .zip(starts)
+        .map(|(s, &at)| gallop::Lane { labels: s, at })
+        .collect();
+    let mut got = Vec::new();
+    gallop::leapfrog(&mut lanes, lo, hi, |v, lanes| {
+        for lane in lanes {
+            assert_eq!(lane.labels[lane.at], v, "every lane stands on the value");
+        }
+        got.push(v);
+    });
+    assert_eq!(
+        got, want,
+        "sides {sides:?} from {starts:?} in [{lo:?}, {hi:?}]"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -407,27 +444,54 @@ proptest! {
             .collect();
         let starts: Vec<usize> = sides.iter().zip(&starts).map(|(s, &at)| at % (s.len() + 1)).collect();
         let (lo, hi) = (label(window[0].min(window[1])), label(window[0].max(window[1])));
-        let want: Vec<Value> = sides
-            .iter()
-            .zip(&starts)
-            .map(|(s, &at)| s[at..].iter().copied().filter(|v| (lo..=hi).contains(v)).collect())
-            .reduce(|acc: BTreeSet<Value>, next| acc.intersection(&next).copied().collect())
-            .expect("at least one side")
-            .into_iter()
-            .collect();
-        let mut lanes: Vec<gallop::Lane<'_>> = sides
-            .iter()
-            .zip(&starts)
-            .map(|(s, &at)| gallop::Lane { labels: s, at })
-            .collect();
-        let mut got = Vec::new();
-        gallop::leapfrog(&mut lanes, lo, hi, |v, lanes| {
-            for lane in lanes {
-                assert_eq!(lane.labels[lane.at], v, "every lane stands on the value");
+        check_leapfrog(&sides, &starts, lo, hi);
+    }
+
+    /// Two-lane `gallop::leapfrog` at its merge switch: sides of `n` and
+    /// `8n` labels (merged when both are whole) and of `n` and `8n + 1`
+    /// (galloped), in both argument orders, either whole or from random
+    /// starts inside a random window, which may end mid-slice or on
+    /// labels 0 and `u64::MAX`. Checked as
+    /// `leapfrog_matches_btreeset_intersection` is.
+    #[test]
+    fn two_lane_leapfrog_matches_btreeset_at_the_merge_switch(
+        n in 0..6usize,
+        past in any::<bool>(),
+        gaps in prop::collection::vec(0..3u64, 41),
+        short_gaps in prop::collection::vec(0..24u64, 5),
+        tops in prop::collection::vec(any::<bool>(), 2),
+        whole in any::<bool>(),
+        starts in prop::collection::vec(0..48usize, 2),
+        window in prop::collection::vec(0..140u64, 2),
+    ) {
+        // Strictly ascending from a gap each; a side may end on u64::MAX.
+        let side = |gaps: &[u64], top: bool| {
+            let mut labels: Vec<Value> = gaps
+                .iter()
+                .scan(0u64, |at, &g| {
+                    *at += g;
+                    let v = *at;
+                    *at += 1;
+                    Some(Value(v))
+                })
+                .collect();
+            if let (true, Some(last)) = (top, labels.last_mut()) {
+                *last = Value(u64::MAX);
             }
-            got.push(v);
-        });
-        prop_assert_eq!(got, want);
+            labels
+        };
+        let short = side(&short_gaps[..n], tops[0]);
+        let long = side(&gaps[..8 * n + usize::from(past)], tops[1]);
+        let label = |x: u64| if x >= 130 { Value(u64::MAX) } else { Value(x) };
+        for sides in [[short.clone(), long.clone()], [long.clone(), short.clone()]] {
+            let (starts, lo, hi) = if whole {
+                (vec![0, 0], Value(0), Value(u64::MAX))
+            } else {
+                let starts = sides.iter().zip(&starts).map(|(s, &at)| at % (s.len() + 1)).collect();
+                (starts, label(window[0].min(window[1])), label(window[0].max(window[1])))
+            };
+            check_leapfrog(&sides, &starts, lo, hi);
+        }
     }
 
     /// `FlatIndex::descend` (galloping) hits exactly the values that
