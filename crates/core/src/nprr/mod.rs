@@ -48,12 +48,18 @@
 //! The engine opens a node's children as the backend's child scan
 //! ([`SearchTree::children`]), which lends its stored level as a borrowed
 //! sorted slice ([`SearchTree::labels`]). Each walk level is one k-way
-//! gallop over the anchor's and every binding probe's slices
+//! leapfrog over the anchor's and every binding probe's slices
 //! ([`leapfrog`]): rows are pushed straight from the last level, and a
-//! match's children are taken by offset ([`SearchTree::child_at`]). A
-//! relation with live insert/delete buffers reaches the engine as the
-//! `FlatIndex` over its merged view, so every level of every served
-//! relation takes this one path. A split's probes and a shard-filtered
+//! match's children are taken by offset ([`SearchTree::child_at`]). When a
+//! level has two sides (the anchor and one probe) whose slices are
+//! within a factor of 8 of each other in length, the kernel merges them
+//! instead of galloping (Demaine–López-Ortiz–Munro adaptive
+//! intersection), at most `(1 + 8)·min` steps, so Theorem 5.1's charge
+//! of one lookup per checking edge per candidate holds up to a constant
+//! factor. The rows, their order and [`JoinStats`] do not depend on
+//! which path ran. A relation with live insert/delete buffers reaches the
+//! engine as the `FlatIndex` over its merged view, so every level of
+//! every served relation takes this one path. A split's probes and a shard-filtered
 //! leaf scan seek forward in their scans ([`SearchTree::seek`]).
 //!
 //! The per-tuple **size check** (Procedure 5, line 21) is the algorithmic

@@ -508,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_backend_matches_sorted_backend() {
+    fn owned_and_shared_indexes_agree() {
         let rels = [
             random_rel(11, &[0, 1], 60, 7),
             random_rel(12, &[1, 2], 60, 7),

@@ -408,7 +408,7 @@ proptest! {
 /// built directly and merged from live buffers — return the same rows
 /// and take the same per-tuple decisions under an explicit cover.
 #[test]
-fn hash_indexed_nprr_matches_sorted_trie() {
+fn shared_and_merged_indexes_match_join_nprr() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     for trial in 0..6 {
         let rels = [

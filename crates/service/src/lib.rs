@@ -1384,7 +1384,7 @@ mod tests {
     /// A second backend, the shared `Arc<FlatIndex>` the server's plans
     /// hold, runs through the pool like an owned flat trie.
     #[test]
-    fn hash_backend_through_the_pool() {
+    fn shared_index_runs_through_the_pool() {
         let service = Service::new(ServiceConfig::with_workers(4));
         let rels = triangle();
         let seq = join(&rels).unwrap();
